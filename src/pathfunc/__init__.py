@@ -16,19 +16,18 @@ from .estimator import (ConvergenceReport, Estimate, UiReport,
                         convergence_study, counterexample_bessel,
                         counterexample_strong, counterexample_tangency,
                         estimate, ui_diagnostic)
-from .functionals import (FunctionalSpec, Growth, PathObservables,
-                          constant_payoff, custom_terminal,
-                          discontinuity_mass_estimate, discrete_barrier_call,
-                          evaluate, observe, up_and_in_call)
+from .functionals import (FunctionalSpec, Growth, constant_payoff,
+                          custom_terminal, discontinuity_mass_estimate,
+                          discrete_barrier_call, evaluate, observe_args_batch,
+                          payoff_values, up_and_in_call)
 from .models import (LipschitzCert, SdeModel, StochVolParams, bessel3,
                      constant_vol_params, gbm, inverse_bessel3, probe_lipschitz,
                      stoch_vol)
 from .paths import (Barrier, BarrierPair, SampleVector, StepPath,
-                    classify_c_partition, eval_at, hitting_time, project,
+                    classify_c_partition, hitting_time, project,
                     running_max)
-from .schemes import (ChainStep, RngStream, SchemeConfig,
-                      binomial_fixed_step, binomial_variable_step,
-                      check_local_consistency, euler_step, simulate_path)
+from .schemes import (RngStream, SchemeConfig, binomial_variable_step,
+                      check_local_consistency, simulate_path)
 from .skorohod import (TimeChange, continuity_probe_hitting,
                        continuity_probe_max, projection_continuity_probe,
                        skorohod_distance_approx,

@@ -26,7 +26,7 @@ class SimulationError(PathfuncError, RuntimeError):
 
 
 class EvaluationError(PathfuncError, RuntimeError):
-    """A payoff returned a non-finite value; carries the observables."""
+    """A payoff returned a non-finite value; carries its argument vector."""
 
     def __init__(self, message, observables=None):
         super().__init__(message)

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import (EstimationError, EvaluationError, PreconditionError,
                      SimulationError, UniformIntegrabilityError)
-from .functionals import FunctionalSpec, evaluate, observe_args_batch
+from .functionals import (FunctionalSpec, evaluate, observe_args_batch,
+                          payoff_values)
 from .models import SdeModel, sample_reciprocal_bessel3_stopped
 from .oracles import reciprocal_bessel3_mean_quadrature
 from .paths import BarrierPair, StepPath, classify_c_partition, hitting_time
@@ -89,14 +90,18 @@ def _batch_size(config: SchemeConfig, model: SdeModel) -> int:
 
 
 def _payoffs_for_streams(model, config, spec, streams) -> np.ndarray:
-    """Payoff values for a list of streams, vectorized when possible."""
-    if config.kind != "binomial_variable" and spec.payoff_batch is not None:
+    """Payoff values for a list of streams, one batch on a fixed grid or one
+    path at a time on the tree; a failure's ``batch_index`` is its stream."""
+    if config.kind != "binomial_variable":
         times, values = simulate_values(model, config, streams)
-        args = observe_args_batch(times, values, spec)
-        return np.asarray(spec.payoff_batch(args), dtype=np.float64)
+        return payoff_values(spec, observe_args_batch(times, values, spec))
     out = np.empty(len(streams))
     for i, s in enumerate(streams):
-        out[i] = evaluate(simulate_path(model, config, s), spec)
+        try:
+            out[i] = evaluate(simulate_path(model, config, s), spec)
+        except (SimulationError, EvaluationError) as e:
+            e.batch_index = i
+            raise
     return out
 
 
@@ -141,8 +146,7 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
             try:
                 vals = _payoffs_for_streams(model, config, spec, streams)
             except (SimulationError, EvaluationError) as e:
-                idx = getattr(e, "batch_index", None)
-                sid = streams[idx].stream_id if idx is not None else f"in [{start}, {stop})"
+                sid = streams[e.batch_index].stream_id
                 raise EstimationError(f"path simulation failed: {e}", stream_id=sid) from e
             w_sum += float(np.sum(vals))
             w_sq += float(np.sum(vals * vals))

@@ -25,16 +25,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationError, PreconditionError
-from .paths import (BarrierPair, SampleVector, StepPath, hitting_time,
-                    project, running_max)
+from .paths import BarrierPair, SampleVector, StepPath
 
 __all__ = [
     "Growth",
     "FunctionalSpec",
-    "PathObservables",
-    "observe",
     "evaluate",
     "observe_args_batch",
+    "payoff_values",
     "up_and_in_call",
     "discrete_barrier_call",
     "custom_terminal",
@@ -63,9 +61,11 @@ class Growth:
 class FunctionalSpec:
     """The four sampling vectors, barriers, and payoff of one functional.
 
-    ``payoff`` maps the flat (4m+1,) argument vector to a float;
-    ``payoff_batch``, when present, maps an (N, 4m+1) block to (N,) and lets
-    the estimator evaluate whole batches at once.  ``locus_distance`` maps
+    ``payoff_batch`` maps an (N, 4m+1) block of argument vectors to (N,)
+    values; ``payoff`` maps one flat (4m+1,) vector to a float.  The
+    built-in payoffs write their formula once, as ``payoff_batch``, and
+    derive ``payoff`` from it.  A custom payoff may give ``payoff`` alone;
+    :func:`payoff_values` then applies it row by row.  ``locus_distance`` maps
     argument vectors to the distance from the payoff's discontinuity set
     (vectorized over a leading axis).  ``coordinate`` picks the scalar state
     component the barriers and payoff read on multi-dimensional models.
@@ -96,53 +96,13 @@ class FunctionalSpec:
         return 4 * self.m + 1
 
 
-@dataclass(frozen=True)
-class PathObservables:
-    """The four projections and the exit time of one path."""
-
-    z1: np.ndarray
-    z2: np.ndarray
-    z3: np.ndarray
-    z4: np.ndarray
-    tau: float
-
-    def args(self) -> np.ndarray:
-        return np.concatenate([self.z1, self.z2, self.z3, self.z4, [self.tau]])
-
-
-def observe(path: StepPath, spec: FunctionalSpec) -> PathObservables:
-    """Exit time and the four projections of one path.
-
-    Multi-dimensional paths are read through the configured coordinate.
-    """
-    x = path.coordinate(spec.coordinate) if not path.is_scalar else path
-    tau = hitting_time(x, spec.barriers)
-    mx = running_max(x)
-    return PathObservables(
-        z1=project(x, spec.nu1.scaled(tau)),
-        z2=project(x, spec.nu2),
-        z3=project(mx, spec.nu3.scaled(tau)),
-        z4=project(mx, spec.nu4),
-        tau=tau,
-    )
-
-
-def evaluate(path: StepPath, spec: FunctionalSpec) -> float:
-    """Payoff of one path: g applied to the observable vector."""
-    obs = observe(path, spec)
-    val = float(spec.payoff(obs.args()))
-    if not np.isfinite(val):
-        raise EvaluationError("payoff returned a non-finite value", observables=obs)
-    return val
-
-
 def observe_args_batch(times: np.ndarray, values: np.ndarray,
                        spec: FunctionalSpec) -> np.ndarray:
     """Argument vectors for a batch of paths sharing one grid.
 
-    ``values`` has shape (B, n+1, d); returns (B, 4m+1).  Produces exactly
-    the same numbers as :func:`observe` applied row by row, which is what
-    the test suite checks.
+    ``values`` has shape (B, n+1, d), or (B, n+1) for scalar paths; returns
+    the (B, 4m+1) block laid out as [z1 | z2 | z3 | z4 | tau].  Each row
+    depends only on its own path.
     """
     V = values[:, :, spec.coordinate] if values.ndim == 3 else values
     B, n1 = V.shape
@@ -170,6 +130,39 @@ def observe_args_batch(times: np.ndarray, values: np.ndarray,
     return np.concatenate([z1, z2, z3, z4, tau[:, None]], axis=1)
 
 
+def payoff_values(spec: FunctionalSpec, args: np.ndarray) -> np.ndarray:
+    """The spec's payoff applied to each row of an (N, 4m+1) argument block.
+
+    Uses ``payoff_batch`` when the spec has one, else ``payoff`` row by row.
+    Raises :class:`EvaluationError` on the first non-finite value and
+    records its row as ``batch_index``.
+    """
+    if spec.payoff_batch is not None:
+        vals = np.asarray(spec.payoff_batch(args), dtype=np.float64)
+    else:
+        vals = np.array([float(spec.payoff(a)) for a in args])
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        e = EvaluationError("payoff returned a non-finite value", observables=args[bad])
+        e.batch_index = bad
+        raise e
+    return vals
+
+
+def evaluate(path: StepPath, spec: FunctionalSpec) -> float:
+    """Payoff of one path, evaluated as a batch of one.
+
+    Multi-dimensional paths are read through the configured coordinate.
+    """
+    return float(payoff_values(spec, observe_args_batch(path.times, path.values[None], spec))[0])
+
+
+def _scalar(payoff_batch):
+    """The one-vector form of a batch payoff."""
+    return lambda x: float(payoff_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
+
+
 def _uniform_spec(m: int) -> dict:
     nu = SampleVector.uniform(m)
     return dict(m=m, nu1=nu, nu2=nu, nu3=nu, nu4=nu)
@@ -191,9 +184,6 @@ def up_and_in_call(strike: float, barrier_level: float, r: float, m: int = 1,
     b = float(barrier_level)
     mm = m
 
-    def payoff(x):
-        return disc * max(x[2 * mm - 1] - k, 0.0) * (1.0 if x[4 * mm - 1] >= b else 0.0)
-
     def payoff_batch(x):
         return disc * np.maximum(x[:, 2 * mm - 1] - k, 0.0) * (x[:, 4 * mm - 1] >= b)
 
@@ -203,7 +193,7 @@ def up_and_in_call(strike: float, barrier_level: float, r: float, m: int = 1,
 
     return FunctionalSpec(
         **_uniform_spec(m),
-        payoff=payoff,
+        payoff=_scalar(payoff_batch),
         payoff_batch=payoff_batch,
         locus_distance=locus_distance,
         growth=Growth.linear(),
@@ -230,10 +220,6 @@ def discrete_barrier_call(strike: float, barrier_level: float, r: float,
     b = float(barrier_level)
     mm = m
 
-    def payoff(x):
-        hit = np.max(x[mm : 2 * mm]) >= b
-        return disc * max(x[2 * mm - 1] - k, 0.0) * (1.0 if hit else 0.0)
-
     def payoff_batch(x):
         hit = np.max(x[:, mm : 2 * mm], axis=1) >= b
         return disc * np.maximum(x[:, 2 * mm - 1] - k, 0.0) * hit
@@ -244,7 +230,7 @@ def discrete_barrier_call(strike: float, barrier_level: float, r: float,
 
     return FunctionalSpec(
         **_uniform_spec(m),
-        payoff=payoff,
+        payoff=_scalar(payoff_batch),
         payoff_batch=payoff_batch,
         locus_distance=locus_distance,
         growth=Growth.linear(),
@@ -264,19 +250,16 @@ def custom_terminal(kind: str, strike: float = 0.0, r: float = 0.0,
     disc = float(np.exp(-r))
     k = float(strike)
     if kind == "identity":
-        payoff = lambda x: disc * x[1]
         payoff_batch = lambda x: disc * x[:, 1]
     elif kind == "call":
-        payoff = lambda x: disc * max(x[1] - k, 0.0)
         payoff_batch = lambda x: disc * np.maximum(x[:, 1] - k, 0.0)
     elif kind == "put":
-        payoff = lambda x: disc * max(k - x[1], 0.0)
         payoff_batch = lambda x: disc * np.maximum(k - x[:, 1], 0.0)
     else:
         raise ValueError(f"unknown terminal payoff kind {kind!r}")
     return FunctionalSpec(
         **_uniform_spec(1),
-        payoff=payoff,
+        payoff=_scalar(payoff_batch),
         payoff_batch=payoff_batch,
         locus_distance=None,
         growth=Growth.linear(),
@@ -289,10 +272,11 @@ def custom_terminal(kind: str, strike: float = 0.0, r: float = 0.0,
 def constant_payoff(c: float) -> FunctionalSpec:
     """g identically c; handy for exactness tests (stderr must be 0)."""
     c = float(c)
+    payoff_batch = lambda x: np.full(x.shape[0], c)
     return FunctionalSpec(
         **_uniform_spec(1),
-        payoff=lambda x: c,
-        payoff_batch=lambda x: np.full(x.shape[0], c),
+        payoff=_scalar(payoff_batch),
+        payoff_batch=payoff_batch,
         locus_distance=None,
         growth=Growth.bounded(abs(c)),
         barriers=BarrierPair.unbounded(),
@@ -314,8 +298,8 @@ def discontinuity_mass_estimate(spec: FunctionalSpec, paths, delta: float) -> fl
     n = 0
     close = 0
     for p in paths:
-        args = observe(p, spec).args()
-        close += int(float(spec.locus_distance(args[None, :])[0]) < delta)
+        args = observe_args_batch(p.times, p.values[None], spec)
+        close += int(float(spec.locus_distance(args)[0]) < delta)
         n += 1
     if n == 0:
         raise PreconditionError("need at least one path")

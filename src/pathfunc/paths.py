@@ -22,7 +22,6 @@ __all__ = [
     "Barrier",
     "BarrierPair",
     "SampleVector",
-    "eval_at",
     "running_max",
     "project",
     "hitting_time",
@@ -96,11 +95,6 @@ class StepPath:
                 raise DomainError("scalar path has only coordinate 0")
             return self
         return StepPath(self.times, self.values[:, k])
-
-
-def eval_at(path: StepPath, t: float):
-    """Evaluate a path at one instant (right-continuous convention)."""
-    return path.at(t)
 
 
 class Barrier:

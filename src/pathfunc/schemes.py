@@ -1,6 +1,6 @@
 """Markov chain approximation schemes and the local-consistency checker.
 
-Three step kernels are provided:
+Three scheme kinds are provided:
 
 * ``euler``: increment b(y,t) h + sigma(y,t) sqrt(h) N with standard normal
   draws (the Euler scheme as a chain);
@@ -10,11 +10,15 @@ Three step kernels are provided:
   spatial jumps b dt +/- sqrt(h), admissible only while sigma stays inside a
   declared band eps < |sigma| < 1/eps.
 
-All kernels truncate the final step so the grid lands exactly on t = 1, and
-``simulate_path`` emits the realized grid as a :class:`StepPath`.  Paths are
-reproducible: every path owns a counter-based RNG stream keyed by
-(seed, namespace, stream id), so results do not depend on batching or on how
-paths are scheduled across workers.
+The fixed-step kinds share one batched update that differs only in its
+draws (normals or +/-1 signs), and a single path is a batch of one; the
+variable-step tree steps each path with :func:`binomial_variable_step`.  The
+consistency checker measures these same two kernels.  All kinds truncate the
+final step so the grid lands exactly on t = 1, and ``simulate_path`` emits
+the realized grid as a :class:`StepPath`.  Paths are reproducible: every path
+owns a counter-based RNG stream keyed by (seed, namespace, stream id), so
+results do not depend on batching or on how paths are scheduled across
+workers.
 """
 
 from __future__ import annotations
@@ -31,14 +35,10 @@ from .paths import StepPath
 __all__ = [
     "SchemeConfig",
     "RngStream",
-    "ChainStep",
-    "euler_step",
-    "binomial_fixed_step",
     "binomial_variable_step",
     "simulate_path",
     "simulate_values",
     "simulate_terminals",
-    "simulate_gbm_log_exact",
     "check_local_consistency",
     "ConsistencyReport",
 ]
@@ -92,22 +92,17 @@ class SchemeConfig:
             object.__setattr__(self, "cap", None)
 
     def resolved_qu_bounds(self, model: SdeModel) -> tuple[float, float]:
+        """Quasi-uniformity band on ``model``.  Every simulation entry and the
+        consistency checker resolve it first, so it also refuses models the
+        kernel cannot run."""
+        if self.kind != "euler" and (model.dim_state, model.dim_noise) != (1, 1):
+            raise PreconditionError("binomial kernels require d = d1 = 1")
         if self.qu_bounds is not None:
             return self.qu_bounds
         if self.kind == "binomial_variable":
             eps = _require_sigma_band(model)
             return (eps * eps, 1.0 / (eps * eps))
         return (1.0, 1.0)
-
-
-@dataclass(frozen=True)
-class ChainStep:
-    """One chain transition: landing time/state plus the realized (dt, dy)."""
-
-    t_next: float
-    y_next: np.ndarray
-    dt: float
-    dy: np.ndarray
 
 
 def _require_sigma_band(model: SdeModel) -> float:
@@ -119,16 +114,18 @@ def _require_sigma_band(model: SdeModel) -> float:
     return float(model.sigma_eps)
 
 
-def _as_state(y, d: int) -> np.ndarray:
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if y.shape != (d,):
-        raise PreconditionError(f"state shape {y.shape} does not match dim_state {d}")
-    return y
+def _raise_at_first_bad_row(message, rows_ok, y, t):
+    """Raise SimulationError at the first row not ok, recorded as ``batch_index``."""
+    bad = int(np.argmin(rows_ok))
+    e = SimulationError(message, state=y[bad], t=t)
+    e.batch_index = bad
+    raise e
 
 
 def _check_finite_coeffs(b, s, y, t):
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(s))):
-        raise SimulationError("non-finite drift/diffusion evaluation", state=y, t=t)
+        rows_ok = np.isfinite(b).all(axis=-1) & np.isfinite(s).all(axis=(-2, -1))
+        _raise_at_first_bad_row("non-finite drift/diffusion evaluation", rows_ok, y, t)
 
 
 def _mix_noise(s, xi):
@@ -140,7 +137,11 @@ def _mix_noise(s, xi):
 
 
 def _fixed_update(model, y, t, dt, xi):
-    """Shared update y + b dt + sqrt(dt) * (sigma @ xi) for a (B, d) batch."""
+    """Shared update y + b dt + sqrt(dt) * (sigma @ xi) for a (B, d) batch.
+
+    A single (1, d) state broadcasts against (B, d1) draws, so the
+    coefficients are evaluated once for all of them.
+    """
     b = model.drift(y, t)
     s = model.diffusion(y, t)
     _check_finite_coeffs(b, s, y, t)
@@ -151,49 +152,17 @@ def _truncated_dt(t: float, h: float) -> float:
     return h if t + h <= 1.0 else 1.0 - t
 
 
-def euler_step(model: SdeModel, y, t: float, h: float, rng, *, noise=None) -> ChainStep:
-    """One Euler transition from (y, t); the last step is truncated to land
-    on the horizon."""
-    y = _as_state(y, model.dim_state)
-    dt = _truncated_dt(t, h)
-    if dt <= 0.0:
-        raise PreconditionError("step starts at or beyond the horizon")
-    if noise is None:
-        rng = rng.generator() if isinstance(rng, RngStream) else rng
-        noise = rng.standard_normal(model.dim_noise)
-    xi = np.asarray(noise, dtype=np.float64).reshape(1, model.dim_noise)
-    y_next = _fixed_update(model, y[None, :], t, dt, xi)[0]
-    if not np.all(np.isfinite(y_next)):
-        raise SimulationError("non-finite state after step", state=y, t=t)
-    return ChainStep(t_next=t + dt, y_next=y_next, dt=dt, dy=y_next - y)
-
-
-def binomial_fixed_step(model: SdeModel, y, t: float, h: float, rng, *, sign=None) -> ChainStep:
-    """One fixed-step binomial transition y + b h +/- sigma sqrt(h)."""
-    if model.dim_state != 1 or model.dim_noise != 1:
-        raise PreconditionError("binomial kernels require d = d1 = 1")
-    y = _as_state(y, 1)
-    dt = _truncated_dt(t, h)
-    if dt <= 0.0:
-        raise PreconditionError("step starts at or beyond the horizon")
-    if sign is None:
-        rng = rng.generator() if isinstance(rng, RngStream) else rng
-        sign = float(rng.integers(0, 2) * 2 - 1)
-    xi = np.array([[float(sign)]])
-    y_next = _fixed_update(model, y[None, :], t, dt, xi)[0]
-    return ChainStep(t_next=t + dt, y_next=y_next, dt=dt, dy=y_next - y)
-
-
-def binomial_variable_step(model: SdeModel, y, t: float, h: float, rng, *, sign=None) -> ChainStep:
+def binomial_variable_step(model: SdeModel, y, t: float, h: float, rng, *, sign=None):
     """One variable-step binomial transition: dt = h / sigma^2, jump +/- sqrt(h).
 
-    The jump is written sigma * sqrt(dt) so that a truncated final step keeps
-    the conditional variance equal to sigma^2 dt exactly.
+    Returns ``(dt, y_next)``.  The jump is written sigma * sqrt(dt) so that a
+    truncated final step keeps the conditional variance equal to sigma^2 dt
+    exactly.
     """
-    if model.dim_state != 1 or model.dim_noise != 1:
-        raise PreconditionError("binomial kernels require d = d1 = 1")
     eps = _require_sigma_band(model)
-    y = _as_state(y, 1)
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    if y.shape != (1,):
+        raise PreconditionError(f"state shape {y.shape} does not match dim_state 1")
     b = float(model.drift(y[None, :], t)[0, 0])
     sig = float(model.diffusion(y[None, :], t)[0, 0, 0])
     if not (np.isfinite(b) and np.isfinite(sig)):
@@ -212,8 +181,7 @@ def binomial_variable_step(model: SdeModel, y, t: float, h: float, rng, *, sign=
         rng = rng.generator() if isinstance(rng, RngStream) else rng
         sign = float(rng.integers(0, 2) * 2 - 1)
     jump = sig * np.sqrt(dt)
-    y_next = np.array([float(y[0]) + b * dt + jump * float(sign)])
-    return ChainStep(t_next=t + dt, y_next=y_next, dt=dt, dy=y_next - y)
+    return dt, np.array([float(y[0]) + b * dt + jump * float(sign)])
 
 
 def fixed_time_grid(h: float) -> np.ndarray:
@@ -251,6 +219,7 @@ def _run_fixed_batch(model: SdeModel, config: SchemeConfig, noise: np.ndarray,
     The arithmetic is elementwise, so a batch of one reproduces a single
     simulation bit for bit.
     """
+    config.resolved_qu_bounds(model)  # refuses binomial kernels on vector models
     B = noise.shape[0]
     d = model.dim_state
     y = np.repeat(model.y0[None, :], B, axis=0)
@@ -262,11 +231,8 @@ def _run_fixed_batch(model: SdeModel, config: SchemeConfig, noise: np.ndarray,
 
     def assert_finite(n):
         if not np.all(np.isfinite(y)):
-            bad = np.flatnonzero(~np.isfinite(y).all(axis=1))[0]
-            e = SimulationError("non-finite state during simulation",
-                                state=y[bad], t=float(times[n + 1]))
-            e.batch_index = int(bad)
-            raise e
+            _raise_at_first_bad_row("non-finite state during simulation",
+                                    np.isfinite(y).all(axis=1), y, float(times[n + 1]))
 
     for n in range(n_steps):
         y = _fixed_update(model, y, times[n], times[n + 1] - times[n], noise[:, n])
@@ -292,17 +258,18 @@ def _simulate_variable(model: SdeModel, config: SchemeConfig, gen: np.random.Gen
     k = 0
     while t < 1.0:
         sign = None if signs is None else signs[k]
-        step = binomial_variable_step(model, np.array([y]), t, h, gen, sign=sign)
-        trunc = step.t_next >= 1.0 - 1e-15
-        ratio = step.dt / h
+        dt, y_next = binomial_variable_step(model, np.array([y]), t, h, gen, sign=sign)
+        t_next = t + dt
+        trunc = t_next >= 1.0 - 1e-15
+        ratio = dt / h
         if not trunc and not (lo * (1 - 1e-12) <= ratio <= hi * (1 + 1e-12)):
             raise SimulationError(
                 f"quasi-uniformity violated: dt/h = {ratio!r} outside [{lo}, {hi}]",
                 state=np.array([y]), t=t)
-        y = float(step.y_next[0])
+        y = float(y_next[0])
         if config.cap is not None:
             y = min(y, config.cap)
-        t = 1.0 if trunc else step.t_next
+        t = 1.0 if trunc else t_next
         ts.append(t)
         ys.append(y)
         k += 1
@@ -319,18 +286,15 @@ def simulate_path(model: SdeModel, config: SchemeConfig, rng, *, forced_noise=No
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     if config.kind == "binomial_variable":
-        path = _simulate_variable(model, config, gen, signs=forced_noise)
-        return path
+        return _simulate_variable(model, config, gen, signs=forced_noise)
     times = fixed_time_grid(config.h)
     n_steps = times.size - 1
     if forced_noise is None:
-        noise = _draw_fixed_noise(gen, config.kind, n_steps, model.dim_noise)[None]
-    else:
-        noise = np.asarray(forced_noise, dtype=np.float64)
-        if noise.shape != (n_steps, model.dim_noise):
-            raise ValueError(f"forced noise must have shape {(n_steps, model.dim_noise)}")
-        noise = noise[None]
-    values = _run_fixed_batch(model, config, noise, times, keep_path=True)[0]
+        forced_noise = _draw_fixed_noise(gen, config.kind, n_steps, model.dim_noise)
+    noise = np.asarray(forced_noise, dtype=np.float64)
+    if noise.shape != (n_steps, model.dim_noise):
+        raise ValueError(f"forced noise must have shape {(n_steps, model.dim_noise)}")
+    values = _run_fixed_batch(model, config, noise[None], times, keep_path=True)[0]
     if model.dim_state == 1:
         values = values[:, 0]
     return StepPath(times, values)
@@ -386,54 +350,13 @@ def simulate_values(model: SdeModel, config: SchemeConfig, streams: Sequence[Rng
     return times, values
 
 
-def simulate_gbm_log_exact(r: float, sigma: float, x0: float, h: float,
-                           rng) -> StepPath:
-    """Exact-distribution stepping for constant-coefficient geometric
-    Brownian motion: X_{n+1} = X_n exp((r - sigma^2/2) h + sigma sqrt(h) N).
-
-    Stays strictly positive and has no discretization bias at the grid
-    times; provided for oracle comparisons against the Euler chain, which
-    can go negative at coarse steps.
-    """
-    if sigma < 0.0 or x0 <= 0.0:
-        raise ValueError("need sigma >= 0 and x0 > 0")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    times = fixed_time_grid(h)
-    dts = np.diff(times)
-    z = gen.standard_normal(dts.size)
-    increments = (r - 0.5 * sigma * sigma) * dts + sigma * np.sqrt(dts) * z
-    values = x0 * np.exp(np.concatenate([[0.0], np.cumsum(increments)]))
-    return StepPath(times, values)
-
-
 def simulate_terminals(model: SdeModel, config: SchemeConfig, streams: Sequence[RngStream]) -> np.ndarray:
     """Terminal states only, shape (B, d); avoids storing whole paths."""
-    if config.kind == "binomial_variable":
-        out = np.empty((len(streams), model.dim_state))
-        for i, s in enumerate(streams):
-            p = simulate_path(model, config, s)
-            out[i] = p.values[-1] if p.dim > 1 else p.values[-1:]
-        return out
+    if config.kind == "binomial_variable":  # scalar models only
+        return np.array([simulate_path(model, config, s).values[-1:] for s in streams])
     times = fixed_time_grid(config.h)
     noise = _batch_noise(streams, config.kind, times.size - 1, model.dim_noise)
     return _run_fixed_batch(model, config, noise, times, keep_path=False)
-
-
-def _two_point_moments(model: SdeModel, config: SchemeConfig, y: np.ndarray, t: float):
-    """Exact conditional mean/variance of the binomial kernels by enumeration."""
-    step_up = _binomial_outcome(model, config, y, t, +1.0)
-    step_dn = _binomial_outcome(model, config, y, t, -1.0)
-    dy_up = float(step_up.dy[0])
-    dy_dn = float(step_dn.dy[0])
-    mean = 0.5 * dy_up + 0.5 * dy_dn
-    var = 0.5 * dy_up * dy_up + 0.5 * dy_dn * dy_dn - mean * mean
-    return np.array([mean]), np.array([[var]]), step_up.dt
-
-
-def _binomial_outcome(model, config, y, t, sign) -> ChainStep:
-    if config.kind == "binomial_fixed":
-        return binomial_fixed_step(model, y, t, config.h, None, sign=sign)
-    return binomial_variable_step(model, y, t, config.h, None, sign=sign)
 
 
 @dataclass
@@ -484,14 +407,16 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
     """
     ref = reference if reference is not None else model
     report = ConsistencyReport(kind=config.kind, h=config.h)
-    lo, hi = (None, None)
+
+    def fail(y, t, e):
+        report.rows.append(ConsistencyRow(
+            y=y, t=t, method="n/a", r1=np.nan, r2=np.nan, tol1=0.0, tol2=0.0,
+            dt_ratio=np.nan, qu_ok=False, passed=False, note=str(e)))
+
     try:
         lo, hi = config.resolved_qu_bounds(model)
     except PreconditionError as e:
-        report.rows.append(ConsistencyRow(
-            y=np.nan, t=np.nan, method="n/a", r1=np.nan, r2=np.nan,
-            tol1=0.0, tol2=0.0, dt_ratio=np.nan, qu_ok=False,
-            passed=False, note=str(e)))
+        fail(np.nan, np.nan, e)
         return report
     gen = RngStream(seed, 0, namespace=977).generator()
     for y_p, t_p in probes:
@@ -501,28 +426,30 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
         s_ref = ref.diffusion(y[None, :], t)[0]
         a_ref = s_ref @ s_ref.T
         try:
-            if config.kind in ("binomial_fixed", "binomial_variable"):
-                mean, cov, dt = _two_point_moments(model, config, y, t)
-                se1 = np.zeros_like(mean)
-                se2 = np.zeros_like(cov)
-                method = "enumeration"
+            if config.kind == "binomial_variable":
+                dt, up = binomial_variable_step(model, y, t, config.h, None, sign=1.0)
+                _, dn = binomial_variable_step(model, y, t, config.h, None, sign=-1.0)
+                dy = np.array([up, dn]) - y
             else:
                 dt = _truncated_dt(t, config.h)
-                xi = gen.standard_normal((n_draws, model.dim_noise))
-                b = model.drift(y[None, :], t)
-                s = model.diffusion(y[None, :], t)
-                dy = b * dt + np.sqrt(dt) * _mix_noise(np.broadcast_to(s, (n_draws,) + s.shape[1:]), xi)
-                mean = dy.mean(axis=0)
-                cov = np.atleast_2d(np.cov(dy, rowvar=False, ddof=1))
-                se1 = dy.std(axis=0, ddof=1) / np.sqrt(n_draws)
-                se2 = cov * np.sqrt(2.0 / (n_draws - 1))
-                method = "monte_carlo"
+                xi = (gen.standard_normal((n_draws, model.dim_noise))
+                      if config.kind == "euler" else np.array([[1.0], [-1.0]]))
+                dy = _fixed_update(model, y[None, :], t, dt, xi) - y
         except (PreconditionError, SimulationError) as e:
-            report.rows.append(ConsistencyRow(
-                y=float(y[0]), t=t, method="n/a", r1=np.nan, r2=np.nan,
-                tol1=0.0, tol2=0.0, dt_ratio=np.nan, qu_ok=False,
-                passed=False, note=str(e)))
+            fail(float(y[0]), t, e)
             continue
+        if config.kind == "euler":
+            mean = dy.mean(axis=0)
+            cov = np.atleast_2d(np.cov(dy, rowvar=False, ddof=1))
+            se1 = dy.std(axis=0, ddof=1) / np.sqrt(n_draws)
+            se2 = cov * np.sqrt(2.0 / (n_draws - 1))
+            method = "monte_carlo"
+        else:  # the two equally likely outcomes give the moments exactly
+            mean = 0.5 * dy[0] + 0.5 * dy[1]
+            cov = np.atleast_2d(0.5 * dy[0] * dy[0] + 0.5 * dy[1] * dy[1] - mean * mean)
+            se1 = np.zeros_like(mean)
+            se2 = np.zeros_like(cov)
+            method = "enumeration"
         r1_vec = (mean - dt * b_ref) / dt
         r2_mat = (cov - dt * a_ref) / dt
         r1 = float(np.max(np.abs(r1_vec)))

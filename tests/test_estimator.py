@@ -2,18 +2,28 @@ import numpy as np
 import pytest
 
 from pathfunc.errors import (EstimationError, PreconditionError,
-                             UniformIntegrabilityError)
+                             SimulationError, UniformIntegrabilityError)
 from pathfunc.estimator import (convergence_study, counterexample_bessel,
                                 counterexample_strong, counterexample_tangency,
                                 estimate, ui_diagnostic)
-from pathfunc.functionals import (constant_payoff, custom_terminal,
-                                  discrete_barrier_call)
+from pathfunc.functionals import (FunctionalSpec, Growth, constant_payoff,
+                                  custom_terminal, discrete_barrier_call)
 from pathfunc.models import SdeModel, gbm, inverse_bessel3
 from pathfunc.oracles import reciprocal_bessel3_mean
-from pathfunc.schemes import SchemeConfig
+from pathfunc.paths import BarrierPair, SampleVector
+from pathfunc.schemes import (RngStream, SchemeConfig, simulate_path,
+                              simulate_values)
 
 GBM = gbm(0.1, 0.3, 0.8)
 CFG = SchemeConfig("euler", h=2**-6)
+
+
+def terminal_spec(payoff=None, payoff_batch=None):
+    """A payoff of the terminal value (argument 1) given in either form."""
+    nu = SampleVector.uniform(1)
+    return FunctionalSpec(m=1, nu1=nu, nu2=nu, nu3=nu, nu4=nu, payoff=payoff,
+                          payoff_batch=payoff_batch, growth=Growth.linear(),
+                          barriers=BarrierPair.unbounded())
 
 
 class TestEstimate:
@@ -78,7 +88,51 @@ class TestEstimate:
             y0=np.array([1.0]))
         with pytest.raises(EstimationError) as exc:
             estimate(exploding, CFG, constant_payoff(1.0), 8, seed=0)
-        assert exc.value.stream_id is not None
+        assert exc.value.stream_id == 0  # every path explodes; the first is named
+
+    def test_tree_simulation_failure_names_stream(self):
+        # the drift turns infinite once a path climbs above 2
+        m = SdeModel("blowup", 1, 1,
+                     drift=lambda y, t: np.where(y > 2.0, np.inf, 0.0),
+                     diffusion=lambda y, t: np.ones_like(y)[..., None],
+                     y0=np.array([1.0]), sigma_eps=0.5)
+        cfg = SchemeConfig("binomial_variable", h=2**-6)
+
+        def fails(i):
+            try:
+                simulate_path(m, cfg, RngStream(0, i))
+            except SimulationError:
+                return True
+            return False
+
+        first_bad = next(i for i in range(100) if fails(i))
+        assert first_bad > 0
+        with pytest.raises(EstimationError) as exc:
+            estimate(m, cfg, constant_payoff(1.0), 100, seed=0)
+        assert exc.value.stream_id == first_bad
+
+    def test_nan_batch_payoff_raises_with_first_bad_stream(self):
+        # NaN wherever the terminal value ends above 1
+        cfg = SchemeConfig("euler", h=2**-4)
+        spec = terminal_spec(payoff_batch=lambda x: np.where(x[:, 1] <= 1.0, x[:, 1], np.nan))
+        _, values = simulate_values(GBM, cfg, [RngStream(0, i) for i in range(100)])
+        first_bad = int(np.argmax(values[:, -1, 0] > 1.0))
+        assert first_bad > 0
+        with pytest.raises(EstimationError) as exc:
+            estimate(GBM, cfg, spec, 100, seed=0, ui_override=True)
+        assert exc.value.stream_id == first_bad
+
+    @pytest.mark.parametrize("kind", ["euler", "binomial_variable"])
+    def test_scalar_payoff_failure_names_stream(self, kind):
+        # a payoff given only in scalar form, NaN above 1 on some paths
+        cfg = SchemeConfig(kind, h={"euler": 2**-4, "binomial_variable": 2**-8}[kind])
+        spec = terminal_spec(payoff=lambda x: x[1] if x[1] <= 1.0 else float("nan"))
+        terminals = [simulate_path(GBM, cfg, RngStream(0, i)).values[-1] for i in range(100)]
+        first_bad = int(np.argmax(np.array(terminals) > 1.0))
+        assert first_bad > 0
+        with pytest.raises(EstimationError) as exc:
+            estimate(GBM, cfg, spec, 100, seed=0, ui_override=True)
+        assert exc.value.stream_id == first_bad
 
     def test_csv_row_format(self):
         est = estimate(GBM, CFG, constant_payoff(1.0), 16, seed=0)

@@ -1,3 +1,6 @@
+import bisect
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from pathfunc.errors import EvaluationError
 from pathfunc.functionals import (FunctionalSpec, Growth, constant_payoff,
                                   discontinuity_mass_estimate,
-                                  discrete_barrier_call, evaluate, observe,
+                                  discrete_barrier_call, evaluate,
                                   observe_args_batch, up_and_in_call)
 from pathfunc.models import gbm
 from pathfunc.paths import BarrierPair, SampleVector, StepPath
@@ -28,13 +31,36 @@ def spec_with(barriers, m=2, payoff=None):
         growth=Growth.linear(), barriers=barriers)
 
 
+def path_args(p, spec):
+    """The [z1 | z2 | z3 | z4 | tau] argument vector of one path."""
+    return observe_args_batch(p.times, p.values[None], spec)[0]
+
+
+def reference_args(times, x, spec):
+    """Plain-Python [z1 | z2 | z3 | z4 | tau] of one scalar path, read off
+    the definitions: first grid exit time, running maximum, right-continuous
+    sampling."""
+    lo = spec.barriers.lower.values_on(times)
+    hi = spec.barriers.upper.values_on(times)
+    tau = next((t for t, v, a, b in zip(times, x, lo, hi) if v <= a or v >= b), 1.0)
+    run_max = list(itertools.accumulate(x, max))
+
+    def at(vals, s):
+        return vals[bisect.bisect_right(times, s) - 1]
+
+    return np.array([at(x, tau * s) for s in spec.nu1.entries]
+                    + [at(x, s) for s in spec.nu2.entries]
+                    + [at(run_max, tau * s) for s in spec.nu3.entries]
+                    + [at(run_max, s) for s in spec.nu4.entries] + [tau])
+
+
 class TestObserve:
     def test_unbounded_band_gives_tau_one(self):
         p = make_path([0, 0.5, 1], [0.5, 2.0, 0.25])
         spec = spec_with(BarrierPair.unbounded())
-        obs = observe(p, spec)
-        assert obs.tau == 1.0
-        npt.assert_array_equal(obs.z1, [p.at(0.5), p.at(1.0)])
+        # m = 2: z1 = x(tau/2), x(tau); z2 = x(1/2), x(1); z3, z4 the running max
+        npt.assert_array_equal(path_args(p, spec),
+                               [2.0, 0.25, 2.0, 0.25, 2.0, 2.0, 2.0, 2.0, 1.0])
 
     def test_all_ones_sampling_vector_reads_value_at_tau(self):
         p = make_path([0, 0.25, 1], [0.5, 3.0, 0.25])
@@ -42,26 +68,27 @@ class TestObserve:
         spec = FunctionalSpec(m=2, nu1=nu, nu2=nu, nu3=nu, nu4=nu,
                               payoff=lambda x: 0.0, growth=Growth.bounded(0.0),
                               barriers=BarrierPair.levels(-np.inf, 2.0))
-        obs = observe(p, spec)
-        assert obs.tau == 0.25
-        npt.assert_array_equal(obs.z1, [p.at(0.25)] * 2)
+        args = path_args(p, spec)
+        assert args[8] == 0.25  # tau
+        npt.assert_array_equal(args[0:2], [3.0, 3.0])  # z1 = x(tau) twice
+        npt.assert_array_equal(args[2:4], [0.25, 0.25])  # z2 = x(1) twice
 
     def test_grazing_path_observables(self):
         n = 2000
         t = np.arange(n + 1) / n
         p = StepPath(t, 1.0 - (t - 0.5) ** 2)
         spec = spec_with(BarrierPair.levels(-np.inf, 1.0), m=2)
-        obs = observe(p, spec)
-        assert obs.tau == 0.5
-        assert obs.z4[-1] == 1.0  # terminal running maximum reaches the peak
+        args = path_args(p, spec)
+        assert args[8] == 0.5  # tau
+        assert args[7] == 1.0  # terminal running maximum reaches the peak
 
     def test_multidim_uses_designated_coordinate(self):
         times = np.array([0.0, 0.5, 1.0])
         vals = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
         p = StepPath(times, vals)
         spec = spec_with(BarrierPair.unbounded(), m=1)
-        assert observe(p, spec).z2[0] == 3.0
-        assert observe(p, spec.with_coordinate(1)).z2[0] == 30.0
+        assert path_args(p, spec)[1] == 3.0  # z2 = x(1) with m = 1
+        assert path_args(p, spec.with_coordinate(1))[1] == 30.0
 
 
 class TestEvaluate:
@@ -154,16 +181,19 @@ class TestBatchObservation:
                               barriers=band)
         args = observe_args_batch(times, values, spec)
         for i in range(len(streams)):
-            p = StepPath(times, values[i, :, 0])
-            npt.assert_array_equal(args[i], observe(p, spec).args())
+            npt.assert_array_equal(args[i], reference_args(times, values[i, :, 0], spec))
 
     def test_batch_payoff_matches_scalar(self):
+        # both forms against the formula written out per row: the call leg
+        # reads the last monitored value, the knock-in their maximum
         spec = discrete_barrier_call(0.5, 1.0, 0.1, m=12)
         rng = np.random.default_rng(0)
         args = rng.uniform(0.0, 1.4, size=(64, 49))
-        batch = spec.payoff_batch(args)
-        singles = np.array([spec.payoff(a) for a in args])
-        npt.assert_allclose(batch, singles, rtol=0, atol=0)
+        expected = np.array([np.exp(-0.1) * max(a[23] - 0.5, 0.0) * (max(a[12:24]) >= 1.0)
+                             for a in args])
+        assert 0 < np.count_nonzero(expected) < 64
+        npt.assert_array_equal(spec.payoff_batch(args), expected)
+        npt.assert_array_equal([spec.payoff(a) for a in args], expected)
 
 
 class TestDiscontinuityMass:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from pathfunc.errors import DomainError, PreconditionError
 from pathfunc.paths import (Barrier, BarrierPair, SampleVector, StepPath,
-                            classify_c_partition, eval_at, hitting_time,
+                            classify_c_partition, hitting_time,
                             project, running_max)
 
 from conftest import barrier_pairs, step_path_pairs_same_grid, step_paths
@@ -27,23 +27,23 @@ UPPER_ONE = BarrierPair.levels(-np.inf, 1.0)
 class TestEval:
     def test_between_grid_points(self):
         p = make_path([0, 0.5, 1], [1, 2, 3])
-        assert eval_at(p, 0.7) == 2.0
+        assert p.at(0.7) == 2.0
 
     def test_left_endpoint(self):
         p = make_path([0, 0.5, 1], [1, 2, 3])
-        assert eval_at(p, 0.0) == 1.0
+        assert p.at(0.0) == 1.0
 
     def test_right_continuity_on_grid_point(self):
         p = make_path([0, 0.5, 1], [1, 2, 3])
-        assert eval_at(p, 0.5) == 2.0
-        assert eval_at(p, 1.0) == 3.0
+        assert p.at(0.5) == 2.0
+        assert p.at(1.0) == 3.0
 
     def test_out_of_range_rejected(self):
         p = make_path([0, 1], [1, 1])
         with pytest.raises(DomainError):
-            eval_at(p, 1.5)
+            p.at(1.5)
         with pytest.raises(DomainError):
-            eval_at(p, -0.1)
+            p.at(-0.1)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathfunc.errors import PreconditionError, SimulationError
-from pathfunc.models import LipschitzCert, SdeModel, gbm
-from pathfunc.schemes import (RngStream, SchemeConfig, binomial_fixed_step,
-                              binomial_variable_step, check_local_consistency,
-                              euler_step, fixed_time_grid, simulate_path,
-                              simulate_terminals, simulate_values)
+from pathfunc.models import (LipschitzCert, SdeModel, constant_vol_params, gbm,
+                             stoch_vol)
+from pathfunc.schemes import (RngStream, SchemeConfig, binomial_variable_step,
+                              check_local_consistency, fixed_time_grid,
+                              simulate_path, simulate_terminals, simulate_values)
 
 PROBES = [(y, t) for y in (0.5, 1.0, 2.0) for t in (0.0, 0.5)]
 
@@ -74,32 +74,36 @@ class TestGrid:
 
 class TestEulerStep:
     def test_frozen_dynamics(self):
-        step = euler_step(frozen_model(), [1.0], 0.0, 0.01, RngStream(0))
-        assert step.y_next[0] == 1.0 and step.dt == 0.01
+        p = simulate_path(frozen_model(), SchemeConfig("euler", h=0.01), RngStream(0))
+        assert p.values[1] == 1.0 and p.times[1] == 0.01
 
     def test_forced_zero_noise_is_pure_drift(self):
         m = gbm(0.1, 0.3, 1.0)
-        step = euler_step(m, [1.0], 0.0, 0.01, None, noise=[0.0])
-        assert step.y_next[0] == pytest.approx(1.0 + 0.01 * 0.1, abs=1e-15)
+        p = simulate_path(m, SchemeConfig("euler", h=0.01), None,
+                          forced_noise=np.zeros((100, 1)))
+        assert p.values[1] == pytest.approx(1.0 + 0.01 * 0.1, abs=1e-15)
 
     def test_final_step_truncates(self):
+        # grid 0, 0.95, 1: the last step is cut to 0.05
         m = gbm(0.1, 0.3, 1.0)
-        step = euler_step(m, [1.0], 0.95, 0.1, None, noise=[0.0])
-        assert step.dt == pytest.approx(0.05)
-        assert step.t_next == pytest.approx(1.0)
+        p = simulate_path(m, SchemeConfig("euler", h=0.95), None,
+                          forced_noise=np.zeros((2, 1)))
+        assert p.times[-1] == 1.0
+        assert p.times[-1] - p.times[-2] == pytest.approx(0.05)
+        assert p.values[-1] == pytest.approx(1.095 * (1.0 + 0.1 * 0.05), rel=1e-15)
 
     def test_moments_match_drift_and_diffusion(self):
-        # sample-moment oracle: mean b h, variance sigma^2 h, 4 standard errors
-        m = gbm(0.1, 0.3, 1.0)
-        y, t, h, n = 2.0, 0.5, 2**-6, 10**6
-        xi = RngStream(31, 0).generator().standard_normal(n)
-        dy = m.drift(np.array([[y]]), t)[0, 0] * h + \
-            m.diffusion(np.array([[y]]), t)[0, 0, 0] * np.sqrt(h) * xi
+        # one Euler step of length 1 from y = 2: dY = 0.2 + 0.6 N, so mean
+        # b h = 0.2 and variance sigma^2 h = 0.36, within 4 standard errors
+        m = gbm(0.1, 0.3, 2.0)
+        n = 20000
+        dy = simulate_terminals(m, SchemeConfig("euler", h=1.0),
+                                [RngStream(31, i) for i in range(n)])[:, 0] - 2.0
         se_mean = dy.std(ddof=1) / np.sqrt(n)
-        assert abs(dy.mean() - 0.2 * h) <= 4 * se_mean
+        assert abs(dy.mean() - 0.2) <= 4 * se_mean
         var = dy.var(ddof=1)
         se_var = var * np.sqrt(2.0 / (n - 1))
-        assert abs(var - 0.36 * h) <= 4 * se_var
+        assert abs(var - 0.36) <= 4 * se_var
 
     def test_nonfinite_coefficients_raise(self):
         bad = SdeModel("bad", 1, 1,
@@ -107,33 +111,53 @@ class TestEulerStep:
                        diffusion=lambda y, t: np.ones_like(y)[..., None],
                        y0=np.array([1.0]))
         with pytest.raises(SimulationError):
-            euler_step(bad, [1.0], 0.0, 0.01, RngStream(0))
+            simulate_path(bad, SchemeConfig("euler", h=0.01), RngStream(0))
+
+    def test_terminal_mean_matches_exponential_growth(self):
+        # E[X(1)] = x0 (1 + r h)^(1/h) for the Euler chain of GBM; at
+        # h = 2^-6 that is within 1e-4 of x0 exp(r), far below 3.5 stderr
+        n = 4000
+        m = gbm(0.1, 0.3, 0.8)
+        term = simulate_terminals(m, SchemeConfig("euler", h=2**-6),
+                                  [RngStream(8, i, namespace=1) for i in range(n)])[:, 0]
+        se = term.std(ddof=1) / np.sqrt(n)
+        assert abs(term.mean() - 0.8 * np.exp(0.1)) <= 3.5 * se
+
+
+def two_point_increments(model, h):
+    """First-step increments of a binomial_fixed path under sign +1 and -1."""
+    n_steps = fixed_time_grid(h).size - 1
+    cfg = SchemeConfig("binomial_fixed", h=h)
+    return [simulate_path(model, cfg, None, forced_noise=np.full((n_steps, 1), sign)).values[1]
+            - model.y0[0] for sign in (1.0, -1.0)]
 
 
 class TestBinomialFixed:
     def test_exact_conditional_moments(self):
-        m = gbm(0.1, 0.3, 1.0)
-        y, t, h = 1.5, 0.25, 2**-5
-        up = binomial_fixed_step(m, [y], t, h, None, sign=+1.0)
-        dn = binomial_fixed_step(m, [y], t, h, None, sign=-1.0)
-        mean = 0.5 * (up.dy[0] + dn.dy[0])
-        var = 0.5 * (up.dy[0] ** 2 + dn.dy[0] ** 2) - mean**2
+        y, h = 1.5, 2**-5
+        up, dn = two_point_increments(gbm(0.1, 0.3, y), h)
+        mean = 0.5 * (up + dn)
+        var = 0.5 * (up**2 + dn**2) - mean**2
         assert mean == pytest.approx(0.1 * y * h, rel=1e-12)
         assert var == pytest.approx((0.3 * y) ** 2 * h, rel=1e-12)
 
     def test_zero_volatility_deterministic(self):
-        m = gbm(0.1, 0.0, 1.0)
-        up = binomial_fixed_step(m, [1.0], 0.0, 0.01, None, sign=+1.0)
-        dn = binomial_fixed_step(m, [1.0], 0.0, 0.01, None, sign=-1.0)
-        assert up.y_next[0] == dn.y_next[0]
+        up, dn = two_point_increments(gbm(0.1, 0.0, 1.0), 0.01)
+        assert up == dn == pytest.approx(0.1 * 0.01, rel=1e-12)
 
     def test_requires_scalar_model(self):
-        m2 = SdeModel("two", 2, 2,
-                      drift=lambda y, t: np.zeros_like(y),
-                      diffusion=lambda y, t: np.zeros(y.shape + (2,)),
-                      y0=np.array([1.0, 1.0]))
-        with pytest.raises(PreconditionError):
-            binomial_fixed_step(m2, [1.0, 1.0], 0.0, 0.01, RngStream(0))
+        # every simulation entry refuses a binomial kernel on a 2-d model
+        m2 = stoch_vol(constant_vol_params(0.1, 0.3, 1.0))
+        cfg = SchemeConfig("binomial_fixed", h=2**-4)
+        streams = [RngStream(0, i) for i in range(3)]
+        with pytest.raises(PreconditionError, match="d = d1 = 1"):
+            simulate_values(m2, cfg, streams)
+        with pytest.raises(PreconditionError, match="d = d1 = 1"):
+            simulate_path(m2, cfg, streams[0])
+        with pytest.raises(PreconditionError, match="d = d1 = 1"):
+            simulate_terminals(m2, cfg, streams)
+        rep = check_local_consistency(m2, cfg, [((1.0, 1.0), 0.0)], seed=0)
+        assert not rep.passed and "d = d1 = 1" in rep.rows[0].note
 
 
 class TestBinomialVariable:
@@ -143,17 +167,17 @@ class TestBinomialVariable:
                      diffusion=lambda y, t: np.ones_like(y)[..., None],
                      y0=np.array([1.0]), sigma_eps=0.5)
         h = 2**-5
-        step = binomial_variable_step(m, [1.0], 0.0, h, None, sign=+1.0)
-        assert step.dt == pytest.approx(h)
-        assert step.dy[0] == pytest.approx(0.1 * h + np.sqrt(h))
+        dt, y_next = binomial_variable_step(m, [1.0], 0.0, h, None, sign=+1.0)
+        assert dt == pytest.approx(h)
+        assert y_next[0] - 1.0 == pytest.approx(0.1 * h + np.sqrt(h))
 
     def test_variance_exactly_h(self):
         m = bounded_vol_model()
         h = 2**-6
-        up = binomial_variable_step(m, [1.3], 0.2, h, None, sign=+1.0)
-        dn = binomial_variable_step(m, [1.3], 0.2, h, None, sign=-1.0)
-        mean = 0.5 * (up.dy[0] + dn.dy[0])
-        var = 0.5 * (up.dy[0] ** 2 + dn.dy[0] ** 2) - mean**2
+        up = binomial_variable_step(m, [1.3], 0.2, h, None, sign=+1.0)[1][0] - 1.3
+        dn = binomial_variable_step(m, [1.3], 0.2, h, None, sign=-1.0)[1][0] - 1.3
+        mean = 0.5 * (up + dn)
+        var = 0.5 * (up**2 + dn**2) - mean**2
         assert var == pytest.approx(h, rel=1e-12)
 
     def test_dt_within_quasi_uniform_band(self):
@@ -161,8 +185,8 @@ class TestBinomialVariable:
         eps = m.sigma_eps
         h = 2**-6
         for y in (-2.0, 0.1, 1.0, 3.0):
-            step = binomial_variable_step(m, [y], 0.0, h, None, sign=+1.0)
-            assert h * eps**2 <= step.dt <= h / eps**2
+            dt, _ = binomial_variable_step(m, [y], 0.0, h, None, sign=+1.0)
+            assert h * eps**2 <= dt <= h / eps**2
 
     def test_band_violation_raises(self):
         m = gbm(0.1, 0.3, 1.0)  # declares eps = 0.1; sigma(0.01) = 0.003
@@ -239,6 +263,18 @@ class TestSimulatePath:
         assert np.all(dts[:-1] >= h * eps**2 * (1 - 1e-9))
         assert dts[-1] <= h / eps**2 * (1 + 1e-9)
 
+    def test_grid_count_bounded_by_quasi_uniformity(self):
+        # step counts by time t stay within the declared K t / h budget
+        m = bounded_vol_model()
+        h = 2**-5
+        K = 1.0 / m.sigma_eps**2
+        for sid in range(20):
+            p = simulate_path(m, SchemeConfig("binomial_variable", h=h),
+                              RngStream(55, sid))
+            for t_probe in (0.25, 0.5, 1.0):
+                n_steps = int(np.searchsorted(p.times, t_probe, side="right")) - 1
+                assert n_steps <= K * t_probe / h + 1
+
 
 class TestSecondMomentStability:
     def test_bounded_across_h(self):
@@ -259,41 +295,6 @@ class TestSecondMomentStability:
         # E[X_t^2] <= 0.64 exp(0.29) ~ 0.857; generous fixed bounds
         assert worst < 2.0
         assert worst_sup < 3.0
-
-
-class TestGbmLogExact:
-    def test_paths_stay_positive(self):
-        from pathfunc.schemes import simulate_gbm_log_exact
-        for i in range(50):
-            p = simulate_gbm_log_exact(0.1, 0.9, 0.8, 2**-4, RngStream(3, i))
-            assert np.all(p.values > 0.0)
-
-    def test_terminal_mean_matches_euler_at_fine_step(self):
-        # oracle-comparison mode: both estimate E[X(1)] = x0 exp(r)
-        from pathfunc.schemes import simulate_gbm_log_exact
-        n = 4000
-        exact = np.array([
-            simulate_gbm_log_exact(0.1, 0.3, 0.8, 2**-6, RngStream(8, i)).values[-1]
-            for i in range(n)])
-        m = gbm(0.1, 0.3, 0.8)
-        eul = simulate_terminals(m, SchemeConfig("euler", h=2**-6),
-                                 [RngStream(8, i, namespace=1) for i in range(n)])[:, 0]
-        target = 0.8 * np.exp(0.1)
-        for term in (exact, eul):
-            se = term.std(ddof=1) / np.sqrt(n)
-            assert abs(term.mean() - target) <= 3.5 * se
-
-    def test_grid_count_bounded_by_quasi_uniformity(self):
-        # step counts by time t stay within the declared K t / h budget
-        m = bounded_vol_model()
-        h = 2**-5
-        K = 1.0 / m.sigma_eps**2
-        for sid in range(20):
-            p = simulate_path(m, SchemeConfig("binomial_variable", h=h),
-                              RngStream(55, sid))
-            for t_probe in (0.25, 0.5, 1.0):
-                n_steps = int(np.searchsorted(p.times, t_probe, side="right")) - 1
-                assert n_steps <= K * t_probe / h + 1
 
 
 class TestLocalConsistency:
