@@ -2,10 +2,10 @@
 
 Commands: ``price``, ``converge``, ``check``, ``counterexample``,
 ``skorohod-dist``.  Experiments are described by flat config files (see
-:mod:`pathfunc.config`); every command honors ``--seed`` and ``--workers``
-overrides, and the ``PATHFUNC_WORKERS`` environment variable overrides the
-configured worker count.  Exit codes: 0 ok, 1 runtime error, 2 diagnostic
-failure, 64 config error.
+:mod:`pathfunc.config`).  All but ``skorohod-dist`` take ``--seed``.  Only
+``price`` and ``converge`` read ``--workers`` (``check`` accepts and ignores
+it); ``PATHFUNC_WORKERS`` overrides their configured worker count.  Exit
+codes: 0 ok, 1 runtime error, 2 diagnostic failure, 64 config error.
 """
 
 from __future__ import annotations
@@ -325,11 +325,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                             "path-dependent functionals")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_common(sp, workers_help="override run.workers"):
         sp.add_argument("--seed", type=int, default=None,
                         help="override run.seed")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="override run.workers")
+        if workers_help:
+            sp.add_argument("--workers", type=int, default=None, help=workers_help)
 
     sp = sub.add_parser("price", help="estimate the functional once")
     sp.add_argument("config")
@@ -344,13 +344,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="local consistency + uniform "
                                       "integrability diagnostics")
     sp.add_argument("config")
-    add_common(sp)
+    add_common(sp, "accepted and ignored: the diagnostics run in one process")
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("counterexample", help="run a named counter-example")
     sp.add_argument("name", choices=["tangency", "bessel", "strong"])
     sp.add_argument("--paths", type=int, default=None)
-    add_common(sp)
+    add_common(sp, workers_help=None)
     sp.set_defaults(func=cmd_counterexample)
 
     sp = sub.add_parser("skorohod-dist",

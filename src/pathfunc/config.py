@@ -20,7 +20,7 @@ __all__ = ["RunConfig", "parse_config", "parse_config_text", "serialize_config"]
 _SCHEMA = {
     "model": {
         "kind": "str", "r": "num", "sigma": "num", "x0": "num",
-        "y0": "num", "rho": "num", "mu": "num", "b_vol": "num", "z0": "num",
+        "y0": "num", "rho": "num", "z0": "num",
     },
     "scheme": {"kind": "str", "h": "num", "cap": "cap"},
     "functional": {
@@ -36,13 +36,13 @@ _SCHEMA = {
         "probes_y": "numlist", "probes_t": "numlist", "n_draws": "int",
         "c_const": "num", "kinds": "str",
     },
-    "ui": {"n_paths": "int", "tail_tol": "num", "cutoff_max": "num"},
+    "ui": {"n_paths": "int", "tail_tol": "num"},
     "output": {"format": "str", "path": "str"},
 }
 
 _DEFAULTS = {
     "model": {"kind": "gbm", "r": 0.0, "sigma": 0.2, "x0": 1.0,
-              "y0": 1.0, "rho": 0.0, "mu": 0.0, "b_vol": 0.0, "z0": 1.0},
+              "y0": 1.0, "rho": 0.0, "z0": 1.0},
     "scheme": {"kind": "euler", "h": None, "cap": None},
     "functional": {"payoff": "terminal_identity", "strike": 0.0,
                    "barrier_level": 1.0, "m": 1, "coordinate": 0},
@@ -50,7 +50,7 @@ _DEFAULTS = {
             "oracle": "none", "allow_linear": False, "timing": True},
     "check": {"probes_y": [0.5, 1.0, 2.0], "probes_t": [0.0, 0.5],
               "n_draws": 1000000, "c_const": 1.0, "kinds": "config"},
-    "ui": {"n_paths": 20000, "tail_tol": 0.05, "cutoff_max": None},
+    "ui": {"n_paths": 20000, "tail_tol": 0.05},
     "output": {"format": "table", "path": "-"},
 }
 

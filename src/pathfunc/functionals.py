@@ -92,41 +92,37 @@ class FunctionalSpec:
     def with_coordinate(self, k: int) -> "FunctionalSpec":
         return replace(self, coordinate=k)
 
-    def args_size(self) -> int:
-        return 4 * self.m + 1
-
 
 def observe_args_batch(times: np.ndarray, values: np.ndarray,
                        spec: FunctionalSpec) -> np.ndarray:
-    """Argument vectors for a batch of paths sharing one grid.
+    """Argument vectors for a batch of paths.
 
-    ``values`` has shape (B, n+1, d), or (B, n+1) for scalar paths; returns
-    the (B, 4m+1) block laid out as [z1 | z2 | z3 | z4 | tau].  Each row
-    depends only on its own path.
+    ``values`` has shape (B, n+1, d), or (B, n+1) for scalar paths, on a
+    shared (n+1,) grid ``times`` or on a (B, n+1) grid per row, which may end
+    by repeating t = 1.  Returns the (B, 4m+1) block laid out as
+    [z1 | z2 | z3 | z4 | tau]; each row depends only on its own path.
     """
     V = values[:, :, spec.coordinate] if values.ndim == 3 else values
-    B, n1 = V.shape
-    lo = spec.barriers.lower.values_on(times)
-    hi = spec.barriers.upper.values_on(times)
-    out = (V <= lo[None, :]) | (V >= hi[None, :])
-    has = out.any(axis=1)
+    B = V.shape[0]
+    out = (V <= spec.barriers.lower.values_on(times)) | (V >= spec.barriers.upper.values_on(times))
     first = np.argmax(out, axis=1)
-    tau = np.where(has, times[first], 1.0)
+    tau = np.where(out.any(axis=1), np.broadcast_to(times, V.shape)[np.arange(B), first], 1.0)
 
     M = np.maximum.accumulate(V, axis=1)
 
-    def cols(instants):
-        return np.searchsorted(times, instants, side="right") - 1
+    def sample(A, instants):
+        """A at the last grid time <= each of the (B, k) instants."""
+        if times.ndim == 1:
+            idx = np.searchsorted(times, instants, side="right") - 1
+        else:
+            idx = np.stack([(times <= c[:, None]).sum(axis=1) for c in instants.T], axis=1) - 1
+        return np.take_along_axis(A, idx, axis=1)
 
-    def sample_at_scaled(A, nu):
-        tt = tau[:, None] * nu.entries[None, :]
-        idx = np.searchsorted(times, tt.ravel(), side="right") - 1
-        return A[np.repeat(np.arange(B), len(nu)), idx].reshape(B, len(nu))
-
-    z1 = sample_at_scaled(V, spec.nu1)
-    z2 = V[:, cols(spec.nu2.entries)]
-    z3 = sample_at_scaled(M, spec.nu3)
-    z4 = M[:, cols(spec.nu4.entries)]
+    fixed = np.ones((B, 1))
+    z1 = sample(V, tau[:, None] * spec.nu1.entries)
+    z2 = sample(V, fixed * spec.nu2.entries)
+    z3 = sample(M, tau[:, None] * spec.nu3.entries)
+    z4 = sample(M, fixed * spec.nu4.entries)
     return np.concatenate([z1, z2, z3, z4, tau[:, None]], axis=1)
 
 

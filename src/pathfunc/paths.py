@@ -69,10 +69,6 @@ class StepPath:
         object.__setattr__(self, "values", _freeze(values))
 
     @property
-    def dim(self) -> int:
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
-
-    @property
     def is_scalar(self) -> bool:
         return self.values.ndim == 1
 

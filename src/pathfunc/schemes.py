@@ -10,15 +10,15 @@ Three scheme kinds are provided:
   spatial jumps b dt +/- sqrt(h), admissible only while sigma stays inside a
   declared band eps < |sigma| < 1/eps.
 
-The fixed-step kinds share one batched update that differs only in its
-draws (normals or +/-1 signs), and a single path is a batch of one; the
-variable-step tree steps each path with :func:`binomial_variable_step`.  The
-consistency checker measures these same two kernels.  All kinds truncate the
-final step so the grid lands exactly on t = 1, and ``simulate_path`` emits
-the realized grid as a :class:`StepPath`.  Paths are reproducible: every path
-owns a counter-based RNG stream keyed by (seed, namespace, stream id), so
-results do not depend on batching or on how paths are scheduled across
-workers.
+Every kind steps a batch of paths together; a single path is a batch of one.
+The fixed-step kinds share one update, differing only in its draws (normals
+or +/-1 signs), on one grid; the variable-step tree steps its rows with
+:func:`binomial_variable_step`, each on its own grid.  The consistency checker
+measures these same two kernels.  All kinds truncate the final step so the
+grid lands exactly on t = 1, and ``simulate_path`` emits the realized grid as
+a :class:`StepPath`.  Paths are reproducible: every path owns a counter-based
+RNG stream keyed by (seed, namespace, stream id), so results do not depend on
+batching or on how paths are scheduled across workers.
 """
 
 from __future__ import annotations
@@ -90,6 +90,8 @@ class SchemeConfig:
             raise ValueError("step parameter h must lie in (0, 1]")
         if self.cap is not None and not np.isfinite(self.cap):
             object.__setattr__(self, "cap", None)
+        if self.qu_bounds is not None and not 0.0 < self.qu_bounds[0] <= self.qu_bounds[1]:
+            raise ValueError("qu_bounds (lo, hi) must satisfy 0 < lo <= hi")
 
     def resolved_qu_bounds(self, model: SdeModel) -> tuple[float, float]:
         """Quasi-uniformity band on ``model``.  Every simulation entry and the
@@ -97,12 +99,11 @@ class SchemeConfig:
         kernel cannot run."""
         if self.kind != "euler" and (model.dim_state, model.dim_noise) != (1, 1):
             raise PreconditionError("binomial kernels require d = d1 = 1")
-        if self.qu_bounds is not None:
-            return self.qu_bounds
+        bounds = (1.0, 1.0)
         if self.kind == "binomial_variable":
             eps = _require_sigma_band(model)
-            return (eps * eps, 1.0 / (eps * eps))
-        return (1.0, 1.0)
+            bounds = (eps * eps, 1.0 / (eps * eps))
+        return bounds if self.qu_bounds is None else self.qu_bounds
 
 
 def _require_sigma_band(model: SdeModel) -> float:
@@ -115,11 +116,12 @@ def _require_sigma_band(model: SdeModel) -> float:
 
 
 def _raise_at_first_bad_row(message, rows_ok, y, t):
-    """Raise SimulationError at the first row not ok, recorded as ``batch_index``."""
-    bad = int(np.argmin(rows_ok))
-    e = SimulationError(message, state=y[bad], t=t)
-    e.batch_index = bad
-    raise e
+    """Raise SimulationError at the first row not ok, if any, as ``batch_index``."""
+    if not rows_ok.all():
+        bad = int(np.argmin(rows_ok))
+        e = SimulationError(message, state=y[bad], t=float(np.broadcast_to(t, y.shape)[bad, 0]))
+        e.batch_index = bad
+        raise e
 
 
 def _check_finite_coeffs(b, s, y, t):
@@ -148,40 +150,30 @@ def _fixed_update(model, y, t, dt, xi):
     return y + b * dt + np.sqrt(dt) * _mix_noise(s, xi)
 
 
-def _truncated_dt(t: float, h: float) -> float:
-    return h if t + h <= 1.0 else 1.0 - t
+def binomial_variable_step(model: SdeModel, y, t, h: float, sign):
+    """One variable-step binomial transition of a (B, 1) batch of states.
 
-
-def binomial_variable_step(model: SdeModel, y, t: float, h: float, rng, *, sign=None):
-    """One variable-step binomial transition: dt = h / sigma^2, jump +/- sqrt(h).
-
-    Returns ``(dt, y_next)``.  The jump is written sigma * sqrt(dt) so that a
-    truncated final step keeps the conditional variance equal to sigma^2 dt
-    exactly.
+    ``t`` is a scalar or a (B, 1) column, ``sign`` a (B, 1) column of +/-1.
+    Returns ``(dt, y_next)``: dt = h / sigma^2 cut at the horizon, and a jump
+    sigma * sqrt(dt) that keeps the variance sigma^2 dt on a truncated step.
     """
     eps = _require_sigma_band(model)
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if y.shape != (1,):
-        raise PreconditionError(f"state shape {y.shape} does not match dim_state 1")
-    b = float(model.drift(y[None, :], t)[0, 0])
-    sig = float(model.diffusion(y[None, :], t)[0, 0, 0])
-    if not (np.isfinite(b) and np.isfinite(sig)):
-        raise SimulationError("non-finite drift/diffusion evaluation", state=y, t=t)
-    a = abs(sig)
-    if not (a > eps and a < 1.0 / eps):
-        raise PreconditionError(
-            f"sigma({float(y[0])!r}, {t!r}) = {sig!r} outside the declared band "
-            f"({eps}, {1.0 / eps})"
-        )
-    dt = h / (sig * sig)
-    dt = min(dt, 1.0 - t)
-    if dt <= 0.0:
+    b = model.drift(y, t)
+    s = model.diffusion(y, t)
+    _check_finite_coeffs(b, s, y, t)
+    sig = s[:, :, 0]
+    in_band = ((np.abs(sig) > eps) & (np.abs(sig) < 1.0 / eps))[:, 0]
+    if not in_band.all():
+        i = int(np.argmin(in_band))
+        t_i = float(np.broadcast_to(t, y.shape)[i, 0])
+        e = PreconditionError(f"sigma({float(y[i, 0])!r}, {t_i!r}) = {float(sig[i, 0])!r} "
+                              f"outside the declared band ({eps}, {1.0 / eps})")
+        e.batch_index = i
+        raise e
+    dt = np.minimum(h / (sig * sig), 1.0 - t)
+    if np.any(dt <= 0.0):
         raise PreconditionError("step starts at or beyond the horizon")
-    if sign is None:
-        rng = rng.generator() if isinstance(rng, RngStream) else rng
-        sign = float(rng.integers(0, 2) * 2 - 1)
-    jump = sig * np.sqrt(dt)
-    return dt, np.array([float(y[0]) + b * dt + jump * float(sign)])
+    return dt, y + b * dt + sig * np.sqrt(dt) * sign
 
 
 def fixed_time_grid(h: float) -> np.ndarray:
@@ -230,9 +222,8 @@ def _run_fixed_batch(model: SdeModel, config: SchemeConfig, noise: np.ndarray,
     n_steps = times.size - 1
 
     def assert_finite(n):
-        if not np.all(np.isfinite(y)):
-            _raise_at_first_bad_row("non-finite state during simulation",
-                                    np.isfinite(y).all(axis=1), y, float(times[n + 1]))
+        _raise_at_first_bad_row("non-finite state during simulation",
+                                np.isfinite(y).all(axis=1), y, float(times[n + 1]))
 
     for n in range(n_steps):
         y = _fixed_update(model, y, times[n], times[n + 1] - times[n], noise[:, n])
@@ -246,58 +237,51 @@ def _run_fixed_batch(model: SdeModel, config: SchemeConfig, noise: np.ndarray,
     return values if keep_path else y
 
 
-def _simulate_variable(model: SdeModel, config: SchemeConfig, gen: np.random.Generator,
-                       signs=None) -> StepPath:
-    """Per-path loop for the variable-step binomial tree."""
-    lo, hi = config.resolved_qu_bounds(model)
-    h = config.h
-    t = 0.0
-    y = float(model.y0[0])
-    ts = [0.0]
-    ys = [y]
-    k = 0
-    while t < 1.0:
-        sign = None if signs is None else signs[k]
-        dt, y_next = binomial_variable_step(model, np.array([y]), t, h, gen, sign=sign)
-        t_next = t + dt
-        trunc = t_next >= 1.0 - 1e-15
-        ratio = dt / h
-        if not trunc and not (lo * (1 - 1e-12) <= ratio <= hi * (1 + 1e-12)):
-            raise SimulationError(
-                f"quasi-uniformity violated: dt/h = {ratio!r} outside [{lo}, {hi}]",
-                state=np.array([y]), t=t)
-        y = float(y_next[0])
-        if config.cap is not None:
-            y = min(y, config.cap)
-        t = 1.0 if trunc else t_next
-        ts.append(t)
-        ys.append(y)
-        k += 1
-    return StepPath(np.asarray(ts), np.asarray(ys))
+def _run_tree_batch(model: SdeModel, config: SchemeConfig, n_rows: int, draw_signs):
+    """Advance ``n_rows`` tree paths together to t = 1, as :func:`simulate_values`.
 
-
-def simulate_path(model: SdeModel, config: SchemeConfig, rng, *, forced_noise=None) -> StepPath:
-    """Simulate one chain path from the model's initial state to t = 1.
-
-    ``rng`` is an :class:`RngStream` or a ready generator.  ``forced_noise``
-    substitutes the per-step draws (normals for euler, +/-1 signs for the
-    binomial kernels) and is the hook tests use to pin noise across models.
-    Scalar models yield flat-valued paths.
+    ``draw_signs(n)`` gives every row's first n +/-1 draws as an (n_rows, n)
+    block: 64 at first, twice as many whenever the rows run out.  A failing
+    row leaves the batch with the rows after it; at the end the lowest failing
+    row's error is raised with that row as ``batch_index``.
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    if config.kind == "binomial_variable":
-        return _simulate_variable(model, config, gen, signs=forced_noise)
-    times = fixed_time_grid(config.h)
-    n_steps = times.size - 1
-    if forced_noise is None:
-        forced_noise = _draw_fixed_noise(gen, config.kind, n_steps, model.dim_noise)
-    noise = np.asarray(forced_noise, dtype=np.float64)
-    if noise.shape != (n_steps, model.dim_noise):
-        raise ValueError(f"forced noise must have shape {(n_steps, model.dim_noise)}")
-    values = _run_fixed_batch(model, config, noise[None], times, keep_path=True)[0]
-    if model.dim_state == 1:
-        values = values[:, 0]
-    return StepPath(times, values)
+    lo, hi = config.resolved_qu_bounds(model)
+    y = np.repeat(model.y0[None, :], n_rows, axis=0)
+    t = np.zeros((n_rows, 1))
+    ts, ys, failure = [t.copy()], [y.copy()], None
+    active = np.ones(n_rows, dtype=bool)
+    signs = draw_signs(64)
+    while active.any():
+        k = len(ts) - 1
+        if k == signs.shape[1]:
+            signs = draw_signs(2 * k)
+        rows = np.flatnonzero(active)
+        try:
+            dt, y_next = binomial_variable_step(model, y[rows], t[rows], config.h,
+                                                signs[rows, k, None])
+            t_next, ratio = t[rows] + dt, dt / config.h
+            trunc = t_next >= 1.0 - 1e-15
+            qu_ok = trunc | ((lo * (1 - 1e-12) <= ratio) & (ratio <= hi * (1 + 1e-12)))
+            _raise_at_first_bad_row(f"quasi-uniformity violated: dt/h outside [{lo}, {hi}]",
+                                    qu_ok[:, 0], y[rows], t[rows])
+            if config.cap is not None:
+                y_next = np.minimum(y_next, config.cap)
+            _raise_at_first_bad_row("non-finite state during simulation",
+                                    np.isfinite(y_next).all(axis=1), y_next, t_next)
+        except (PreconditionError, SimulationError) as e:
+            r = int(rows[e.batch_index])
+            failure = e if isinstance(e, SimulationError) else SimulationError(
+                str(e), state=y[r], t=float(t[r, 0]))  # a band violation on a realized state
+            failure.batch_index = r
+            active[r:] = False
+            continue
+        y[rows], t[rows] = y_next, np.where(trunc, 1.0, t_next)
+        active[rows] = ~trunc[:, 0]
+        ts.append(t.copy())
+        ys.append(y.copy())
+    if failure is not None:
+        raise failure
+    return np.hstack(ts), np.stack(ys, axis=1)
 
 
 class _PhiloxPool:
@@ -334,29 +318,59 @@ def _batch_noise(streams: Sequence[RngStream], kind: str, n_steps: int, d1: int)
     return out
 
 
-def simulate_values(model: SdeModel, config: SchemeConfig, streams: Sequence[RngStream]):
-    """Vectorized batch simulation on the shared fixed grid.
+def _stream_signs(streams: Sequence[RngStream], n: int) -> np.ndarray:
+    """(B, n) block of tree signs: sign k is the stream's k-th ``integers(0, 2)``
+    draw, and a block of n equals n scalar draws."""
+    pool = _PhiloxPool()
+    return np.stack([pool.generator_for(s).integers(0, 2, size=n) for s in streams]) * 2.0 - 1.0
 
-    Returns (times, values) with values of shape (B, n+1, d).  Only the
-    fixed-step kernels share a grid; the variable-step tree goes through
-    :func:`simulate_path` one path at a time.
-    """
+
+def _simulate(model: SdeModel, config: SchemeConfig, streams, keep_path: bool, noise=None):
+    """(times, values) of a batch; ``noise`` replaces the streams' draws."""
     if config.kind == "binomial_variable":
-        raise PreconditionError("variable-step paths do not share a grid; "
-                                "use simulate_path per stream")
+        draw = (lambda n: noise) if noise is not None else (lambda n: _stream_signs(streams, n))
+        times, values = _run_tree_batch(model, config, len(streams), draw)
+        return times, values if keep_path else values[:, -1]
     times = fixed_time_grid(config.h)
-    noise = _batch_noise(streams, config.kind, times.size - 1, model.dim_noise)
-    values = _run_fixed_batch(model, config, noise, times, keep_path=True)
-    return times, values
+    shape = (len(streams), times.size - 1, model.dim_noise)
+    if noise is None:
+        noise = _batch_noise(streams, config.kind, *shape[1:])
+    elif noise.shape != shape:
+        raise ValueError(f"forced noise must have shape {shape[1:]}")
+    return times, _run_fixed_batch(model, config, noise, times, keep_path)
+
+
+def simulate_path(model: SdeModel, config: SchemeConfig, rng: RngStream, *,
+                  forced_noise=None) -> StepPath:
+    """Simulate one chain path from the model's initial state to t = 1.
+
+    The path is a batch of one, with the tree's padding stripped.
+    ``forced_noise`` substitutes the draws of ``rng``: (n_steps, d1) normals
+    for euler or +/-1 signs for binomial_fixed, or a sequence of at least one
+    +/-1 sign per step for the tree.  Scalar models yield flat-valued paths.
+    """
+    noise = None if forced_noise is None else np.asarray(forced_noise, dtype=np.float64)[None]
+    times, values = _simulate(model, config, [rng], True, noise)
+    if times.ndim == 2:  # strip the tree's padding
+        end = int(np.argmax(times[0] == 1.0)) + 1
+        times, values = times[0, :end], values[:, :end]
+    return StepPath(times, values[0, :, 0] if model.dim_state == 1 else values[0])
+
+
+def simulate_values(model: SdeModel, config: SchemeConfig, streams: Sequence[RngStream]):
+    """Batch simulation of one path per stream, for every scheme kind.
+
+    Returns (times, values) with values of shape (B, K+1, d) and ``times``
+    the fixed kinds' shared (n+1,) grid or, on the tree, a (B, K+1) grid per
+    row, padded after t = 1 with t = 1 and the terminal value.  A failure's
+    ``batch_index`` is its stream.
+    """
+    return _simulate(model, config, streams, keep_path=True)
 
 
 def simulate_terminals(model: SdeModel, config: SchemeConfig, streams: Sequence[RngStream]) -> np.ndarray:
-    """Terminal states only, shape (B, d); avoids storing whole paths."""
-    if config.kind == "binomial_variable":  # scalar models only
-        return np.array([simulate_path(model, config, s).values[-1:] for s in streams])
-    times = fixed_time_grid(config.h)
-    noise = _batch_noise(streams, config.kind, times.size - 1, model.dim_noise)
-    return _run_fixed_batch(model, config, noise, times, keep_path=False)
+    """Terminal states only, shape (B, d); fixed grids do not store whole paths."""
+    return _simulate(model, config, streams, keep_path=False)[1]
 
 
 @dataclass
@@ -419,6 +433,7 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
         fail(np.nan, np.nan, e)
         return report
     gen = RngStream(seed, 0, namespace=977).generator()
+    signs = np.array([[1.0], [-1.0]])  # the two binomial outcomes as a 2-row batch
     for y_p, t_p in probes:
         y = np.atleast_1d(np.asarray(y_p, dtype=np.float64))
         t = float(t_p)
@@ -427,14 +442,14 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
         a_ref = s_ref @ s_ref.T
         try:
             if config.kind == "binomial_variable":
-                dt, up = binomial_variable_step(model, y, t, config.h, None, sign=1.0)
-                _, dn = binomial_variable_step(model, y, t, config.h, None, sign=-1.0)
-                dy = np.array([up, dn]) - y
+                dt, y_next = binomial_variable_step(model, y[None, :], t, config.h, signs)
+                dt = float(dt[0, 0])
             else:
-                dt = _truncated_dt(t, config.h)
+                dt = config.h if t + config.h <= 1.0 else 1.0 - t
                 xi = (gen.standard_normal((n_draws, model.dim_noise))
-                      if config.kind == "euler" else np.array([[1.0], [-1.0]]))
-                dy = _fixed_update(model, y[None, :], t, dt, xi) - y
+                      if config.kind == "euler" else signs)
+                y_next = _fixed_update(model, y[None, :], t, dt, xi)
+            dy = y_next - y
         except (PreconditionError, SimulationError) as e:
             fail(float(y[0]), t, e)
             continue

@@ -38,6 +38,9 @@ class TestConfigParsing:
             parse_config_text("scheme.stepsize = 0.1\n")
         with pytest.raises(ConfigError):
             parse_config_text("grid.h = 0.1\n")
+        for key in ("model.mu", "model.b_vol", "ui.cutoff_max"):  # read by nothing
+            with pytest.raises(ConfigError):
+                parse_config_text(f"{key} = 0.5\n")
 
     def test_comments_and_blanks(self):
         cfg = parse_config_text("# comment\n\nmodel.kind = gbm  # trailing\n")
@@ -165,6 +168,12 @@ class TestCliCounterexample:
     def test_strong_small(self, capsys):
         assert main(["counterexample", "strong", "--paths", "40"]) == 0
         assert "increasing: True" in capsys.readouterr().out
+
+    def test_workers_refused(self):
+        # counter-examples run in one process and never read a worker count
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", "tangency", "--workers", "2"])
+        assert exc.value.code == 2
 
 
 class TestCliConverge:

@@ -111,6 +111,32 @@ class TestEstimate:
             estimate(m, cfg, constant_payoff(1.0), 100, seed=0)
         assert exc.value.stream_id == first_bad
 
+    def test_tree_band_violation_names_stream(self):
+        # sigma jumps to 5, outside the band (0.5, 2), once a path climbs
+        # above 2; with sigma = 1 below, every step is h and jumps 1/8
+        m = SdeModel("jumpvol", 1, 1,
+                     drift=lambda y, t: np.zeros_like(y),
+                     diffusion=lambda y, t: np.where(y > 2.0, 5.0, 1.0)[..., None],
+                     y0=np.array([1.0]), sigma_eps=0.5)
+        h = 2**-6
+
+        def leaves_band(i):
+            gen = RngStream(0, i).generator()
+            y, t = 1.0, 0.0
+            while t < 1.0:
+                if y > 2.0:
+                    return True
+                y += np.sqrt(h) * float(gen.integers(0, 2) * 2 - 1)
+                t += h
+            return False
+
+        first_bad = next(i for i in range(100) if leaves_band(i))
+        assert first_bad > 0
+        with pytest.raises(EstimationError, match="outside the declared band") as exc:
+            estimate(m, SchemeConfig("binomial_variable", h=h), constant_payoff(1.0),
+                     100, seed=0)
+        assert exc.value.stream_id == first_bad
+
     def test_nan_batch_payoff_raises_with_first_bad_stream(self):
         # NaN wherever the terminal value ends above 1
         cfg = SchemeConfig("euler", h=2**-4)

@@ -12,7 +12,7 @@ from pathfunc.functionals import (FunctionalSpec, Growth, constant_payoff,
                                   discontinuity_mass_estimate,
                                   discrete_barrier_call, evaluate,
                                   observe_args_batch, up_and_in_call)
-from pathfunc.models import gbm
+from pathfunc.models import SdeModel, gbm
 from pathfunc.paths import BarrierPair, SampleVector, StepPath
 from pathfunc.schemes import RngStream, SchemeConfig, simulate_path, simulate_values
 
@@ -182,6 +182,32 @@ class TestBatchObservation:
         args = observe_args_batch(times, values, spec)
         for i in range(len(streams)):
             npt.assert_array_equal(args[i], reference_args(times, values[i, :, 0], spec))
+
+    def test_padded_row_grids_match_evaluate(self):
+        # tree paths on their own grids, padded after t = 1, against a band
+        # they cross, with tau-scaled sampling in z1 and z3
+        m = SdeModel("bounded_vol", 1, 1,
+                     drift=lambda y, t: 0.05 * np.ones_like(y),
+                     diffusion=lambda y, t: (0.5 + 0.3 * np.sin(y))[..., None],
+                     y0=np.array([1.0]), sigma_eps=0.15)
+        cfg = SchemeConfig("binomial_variable", h=2**-6)
+        streams = [RngStream(21, i) for i in range(16)]
+        times, values = simulate_values(m, cfg, streams)
+        paths = [simulate_path(m, cfg, s) for s in streams]
+        weights = np.arange(1.0, 14.0)
+        spec = FunctionalSpec(m=3, nu1=SampleVector([0.2, 0.5, 1.0]),
+                              nu2=SampleVector([0.1, 0.6, 1.0]),
+                              nu3=SampleVector([0.3, 0.7, 1.0]),
+                              nu4=SampleVector([0.25, 0.5, 1.0]),
+                              payoff=lambda x: float(x @ weights),
+                              growth=Growth.bounded(1e3),
+                              barriers=BarrierPair.levels(0.4, 1.6))
+        args = observe_args_batch(times, values, spec)
+        assert 0 < np.count_nonzero(args[:, -1] < 1.0) < len(streams)
+        assert len({p.times.size for p in paths}) > 1
+        for i, p in enumerate(paths):
+            npt.assert_array_equal(args[i], reference_args(p.times, p.values, spec))
+            assert float(args[i] @ weights) == evaluate(p, spec)
 
     def test_batch_payoff_matches_scalar(self):
         # both forms against the formula written out per row: the call leg

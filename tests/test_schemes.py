@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -160,6 +162,12 @@ class TestBinomialFixed:
         assert not rep.passed and "d = d1 = 1" in rep.rows[0].note
 
 
+def tree_step(model, y, t, h, sign):
+    """One variable-step transition of a single state, as a batch of one."""
+    dt, y_next = binomial_variable_step(model, np.array([[y]]), t, h, np.array([[sign]]))
+    return float(dt[0, 0]), float(y_next[0, 0])
+
+
 class TestBinomialVariable:
     def test_unit_volatility_reduces_to_fixed(self):
         m = SdeModel("unitvol", 1, 1,
@@ -167,15 +175,15 @@ class TestBinomialVariable:
                      diffusion=lambda y, t: np.ones_like(y)[..., None],
                      y0=np.array([1.0]), sigma_eps=0.5)
         h = 2**-5
-        dt, y_next = binomial_variable_step(m, [1.0], 0.0, h, None, sign=+1.0)
+        dt, y_next = tree_step(m, 1.0, 0.0, h, +1.0)
         assert dt == pytest.approx(h)
-        assert y_next[0] - 1.0 == pytest.approx(0.1 * h + np.sqrt(h))
+        assert y_next - 1.0 == pytest.approx(0.1 * h + np.sqrt(h))
 
     def test_variance_exactly_h(self):
         m = bounded_vol_model()
         h = 2**-6
-        up = binomial_variable_step(m, [1.3], 0.2, h, None, sign=+1.0)[1][0] - 1.3
-        dn = binomial_variable_step(m, [1.3], 0.2, h, None, sign=-1.0)[1][0] - 1.3
+        up = tree_step(m, 1.3, 0.2, h, +1.0)[1] - 1.3
+        dn = tree_step(m, 1.3, 0.2, h, -1.0)[1] - 1.3
         mean = 0.5 * (up + dn)
         var = 0.5 * (up**2 + dn**2) - mean**2
         assert var == pytest.approx(h, rel=1e-12)
@@ -185,13 +193,13 @@ class TestBinomialVariable:
         eps = m.sigma_eps
         h = 2**-6
         for y in (-2.0, 0.1, 1.0, 3.0):
-            dt, _ = binomial_variable_step(m, [y], 0.0, h, None, sign=+1.0)
+            dt, _ = tree_step(m, y, 0.0, h, +1.0)
             assert h * eps**2 <= dt <= h / eps**2
 
     def test_band_violation_raises(self):
         m = gbm(0.1, 0.3, 1.0)  # declares eps = 0.1; sigma(0.01) = 0.003
         with pytest.raises(PreconditionError):
-            binomial_variable_step(m, [0.01], 0.0, 2**-6, None, sign=+1.0)
+            tree_step(m, 0.01, 0.0, 2**-6, +1.0)
 
     def test_undeclared_band_refused(self):
         m = bessel_like = SdeModel("nodecl", 1, 1,
@@ -199,7 +207,91 @@ class TestBinomialVariable:
                                    diffusion=lambda y, t: np.ones_like(y)[..., None],
                                    y0=np.array([1.0]))
         with pytest.raises(PreconditionError):
-            binomial_variable_step(m, [1.0], 0.0, 2**-6, None, sign=+1.0)
+            tree_step(m, 1.0, 0.0, 2**-6, +1.0)
+
+
+def tree_reference(model, h, stream):
+    """Plain-Python variable-step path: step k uses the stream's k-th scalar
+    integers(0, 2) draw, dt = min(h / sigma^2, 1 - t), and lands on t = 1."""
+    gen = stream.generator()
+    t, y = 0.0, float(model.y0[0])
+    ts, ys = [t], [y]
+    while t < 1.0:
+        b = float(model.drift(np.array([[y]]), t)[0, 0])
+        sig = float(model.diffusion(np.array([[y]]), t)[0, 0, 0])
+        dt = min(h / (sig * sig), 1.0 - t)
+        y = y + b * dt + sig * math.sqrt(dt) * float(gen.integers(0, 2) * 2 - 1)
+        t = 1.0 if t + dt >= 1.0 - 1e-15 else t + dt
+        ts.append(t)
+        ys.append(y)
+    return np.array(ts), np.array(ys)
+
+
+class TestTreeBatch:
+    def test_sign_block_equals_scalar_draws(self):
+        from pathfunc.schemes import _stream_signs
+        streams = [RngStream(4, i, namespace=9) for i in range(5)]
+        block = _stream_signs(streams, 40)
+        for i, s in enumerate(streams):
+            gen = s.generator()
+            expected = [float(gen.integers(0, 2) * 2 - 1) for _ in range(40)]
+            npt.assert_array_equal(block[i], expected)
+        npt.assert_array_equal(_stream_signs(streams, 15), block[:, :15])
+
+    def test_batch_row_equals_single_path(self):
+        m = bounded_vol_model()
+        cfg = SchemeConfig("binomial_variable", h=2**-6)
+        streams = [RngStream(42, i) for i in range(9)]
+        times, values = simulate_values(m, cfg, streams)
+        assert times.shape == values.shape[:2] and values.shape[2] == 1
+        for i, s in enumerate(streams):
+            p = simulate_path(m, cfg, s)
+            n = p.times.size
+            npt.assert_array_equal(times[i, :n], p.times)
+            npt.assert_array_equal(values[i, :n, 0], p.values)
+            assert np.all(times[i, n:] == 1.0)
+            assert np.all(values[i, n:, 0] == p.values[-1])
+        npt.assert_array_equal(simulate_terminals(m, cfg, streams), values[:, -1])
+
+    def test_time_dependent_sigma_matches_python_reference(self):
+        # sigma grows with t, so each row must see its own time column
+        m = SdeModel("timevol", 1, 1,
+                     drift=lambda y, t: 0.1 * y,
+                     diffusion=lambda y, t: (0.4 + 0.5 * t + 0.1 * np.sin(y))[..., None],
+                     y0=np.array([1.0]), sigma_eps=0.25)
+        h = 2**-5
+        cfg = SchemeConfig("binomial_variable", h=h)
+        streams = [RngStream(6, i) for i in range(12)]
+        times, values = simulate_values(m, cfg, streams)
+        lengths = set()
+        for i, s in enumerate(streams):
+            ts, ys = tree_reference(m, h, s)
+            n = ts.size
+            lengths.add(n)
+            npt.assert_array_equal(times[i, :n], ts)
+            npt.assert_array_equal(values[i, :n, 0], ys)
+            assert np.all(times[i, n:] == 1.0) and np.all(values[i, n:, 0] == ys[-1])
+        assert len(lengths) > 1  # the rows really have different grids
+
+    def test_band_violation_names_lowest_row(self):
+        # sigma jumps to 5, outside the band (0.5, 2), once a path climbs above 2
+        m = SdeModel("jumpvol", 1, 1,
+                     drift=lambda y, t: np.zeros_like(y),
+                     diffusion=lambda y, t: np.where(y > 2.0, 5.0, 1.0)[..., None],
+                     y0=np.array([1.0]), sigma_eps=0.5)
+        cfg = SchemeConfig("binomial_variable", h=2**-6)
+        streams = [RngStream(0, i) for i in range(40)]
+        bad = []
+        for i, s in enumerate(streams):
+            try:
+                simulate_path(m, cfg, s)
+            except SimulationError as e:
+                assert "outside the declared band" in str(e)
+                bad.append(i)
+        assert bad and bad[0] > 0
+        with pytest.raises(SimulationError, match="outside the declared band") as exc:
+            simulate_values(m, cfg, streams)
+        assert exc.value.batch_index == bad[0]
 
 
 class TestSimulatePath:
