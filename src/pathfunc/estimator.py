@@ -8,6 +8,14 @@ blocks whose partial (sum, sum of squares, count) triples are merged in
 block order; changing the worker count only regroups floating-point sums,
 which moves the estimate by at most a few ulps.
 
+Within a worker's range, paths are summed in contiguous groups of
+``_batch_size`` paths, one ``np.sum`` per group, in order.  A fixed-grid
+functional on an unbounded band (tau = 1) folds its observables while the
+batch steps (``simulate_states`` -> ``fold_args_batch``), several groups to a
+batch; any other functional, and the variable-step tree, stores each group's
+paths (``simulate_values`` -> ``observe_args_batch``).  Either way the payoff
+goes through ``payoff_values`` and the sums are those of one batch per group.
+
 Linear-growth payoffs are refused unless a uniform-integrability report has
 passed or the caller explicitly overrides -- expectations of such payoffs
 under a weakly convergent family are only trustworthy when the family's
@@ -25,12 +33,13 @@ import numpy as np
 from .errors import (EstimationError, EvaluationError, PreconditionError,
                      SimulationError, UniformIntegrabilityError)
 # evaluate and simulate_path go unused here; the benchmark tracer reads them by name
-from .functionals import FunctionalSpec, evaluate, observe_args_batch, payoff_values
+from .functionals import (FunctionalSpec, evaluate, fold_args_batch, observe_args_batch,
+                          payoff_values)
 from .models import SdeModel, sample_reciprocal_bessel3_stopped
 from .oracles import reciprocal_bessel3_mean_quadrature
 from .paths import BarrierPair, StepPath, classify_c_partition, hitting_time
-from .schemes import (RngStream, SchemeConfig, fixed_time_grid, simulate_path,
-                      simulate_terminals, simulate_values)
+from .schemes import (_BATCH_ELEMENTS, RngStream, SchemeConfig, fixed_time_grid,
+                      simulate_path, simulate_states, simulate_terminals, simulate_values)
 
 __all__ = [
     "Estimate",
@@ -44,8 +53,9 @@ __all__ = [
     "counterexample_strong",
 ]
 
-# Memory budget for one simulated batch (elements of the value array).
-_BATCH_ELEMENTS = 8_000_000
+# Rows stepped together on the folded route: enough to spread numpy's
+# per-call cost of each step, and a whole number of reduction groups.
+_FOLD_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -84,8 +94,10 @@ def _finalize(total: float, total_sq: float, n: int, h: float, t0: float) -> Est
 
 
 def _batch_size(config: SchemeConfig, model: SdeModel) -> int:
-    """Paths per batch within the memory budget, sized by the longest row: the
-    fixed grid, or the ceil(1 / (lo h)) + 1 times the tree's band admits."""
+    """Paths per reduction group: a stored batch of paths within the memory
+    budget, sized by the longest row -- the fixed grid, or the
+    ceil(1 / (lo h)) + 1 times the tree's band admits.  The estimate sums
+    each group on its own, so the group size fixes its bytes."""
     if config.kind == "binomial_variable":
         lo, _ = config.resolved_qu_bounds(model)
         n_times = int(np.ceil(1.0 / (lo * config.h))) + 1
@@ -124,23 +136,32 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
     _check_growth_policy(spec, ui_override, ui_report)
     t0 = time.perf_counter()
     bsz = _batch_size(config, model)
+    # tau = 1 on an unbounded band, so the fixed grids fold their observables
+    # as they step, in batches of several groups; other routes store paths
+    folded = config.kind != "binomial_variable" and spec.barriers.is_unbounded
+    per_batch = bsz * max(1, _FOLD_ROWS // bsz) if folded else bsz
     total = 0.0
     total_sq = 0.0
     bounds = [n_paths * w // workers for w in range(workers + 1)]
     for w in range(workers):
         w_sum = 0.0
         w_sq = 0.0
-        for start in range(bounds[w], bounds[w + 1], bsz):
-            stop = min(start + bsz, bounds[w + 1])
+        for start in range(bounds[w], bounds[w + 1], per_batch):
+            stop = min(start + per_batch, bounds[w + 1])
             streams = [RngStream(seed, i, namespace) for i in range(start, stop)]
             try:
-                vals = payoff_values(spec, observe_args_batch(
-                    *simulate_values(model, config, streams), spec))
+                if folded:
+                    args = fold_args_batch(*simulate_states(model, config, streams), spec)
+                else:
+                    args = observe_args_batch(*simulate_values(model, config, streams), spec)
+                vals = payoff_values(spec, args)
             except (SimulationError, EvaluationError) as e:
                 sid = streams[e.batch_index].stream_id
                 raise EstimationError(f"path simulation failed: {e}", stream_id=sid) from e
-            w_sum += float(np.sum(vals))
-            w_sq += float(np.sum(vals * vals))
+            for g in range(0, vals.size, bsz):
+                group = vals[g:g + bsz]
+                w_sum += float(np.sum(group))
+                w_sq += float(np.sum(group * group))
         total += w_sum
         total_sq += w_sq
     return _finalize(total, total_sq, n_paths, config.h, t0)

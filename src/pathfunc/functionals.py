@@ -32,6 +32,7 @@ __all__ = [
     "FunctionalSpec",
     "evaluate",
     "observe_args_batch",
+    "fold_args_batch",
     "payoff_values",
     "up_and_in_call",
     "discrete_barrier_call",
@@ -93,6 +94,17 @@ class FunctionalSpec:
         return replace(self, coordinate=k)
 
 
+def _grid_columns(times: np.ndarray, instants: np.ndarray) -> np.ndarray:
+    """Column of the last grid time <= each instant: the sampling rule.
+
+    ``times`` is a shared (n+1,) grid, with instants of any shape, or a
+    (B, n+1) grid per row with (B, k) instants.
+    """
+    if times.ndim == 1:
+        return np.searchsorted(times, instants, side="right") - 1
+    return np.stack([(times <= c[:, None]).sum(axis=1) for c in instants.T], axis=1) - 1
+
+
 def observe_args_batch(times: np.ndarray, values: np.ndarray,
                        spec: FunctionalSpec) -> np.ndarray:
     """Argument vectors for a batch of paths.
@@ -112,11 +124,7 @@ def observe_args_batch(times: np.ndarray, values: np.ndarray,
 
     def sample(A, instants):
         """A at the last grid time <= each of the (B, k) instants."""
-        if times.ndim == 1:
-            idx = np.searchsorted(times, instants, side="right") - 1
-        else:
-            idx = np.stack([(times <= c[:, None]).sum(axis=1) for c in instants.T], axis=1) - 1
-        return np.take_along_axis(A, idx, axis=1)
+        return np.take_along_axis(A, _grid_columns(times, instants), axis=1)
 
     fixed = np.ones((B, 1))
     z1 = sample(V, tau[:, None] * spec.nu1.entries)
@@ -124,6 +132,37 @@ def observe_args_batch(times: np.ndarray, values: np.ndarray,
     z3 = sample(M, tau[:, None] * spec.nu3.entries)
     z4 = sample(M, fixed * spec.nu4.entries)
     return np.concatenate([z1, z2, z3, z4, tau[:, None]], axis=1)
+
+
+def fold_args_batch(times: np.ndarray, states, spec: FunctionalSpec) -> np.ndarray:
+    """:func:`observe_args_batch` folded over a batch's states as they arrive.
+
+    ``states`` yields the (B, d) state at each column of the shared grid
+    ``times`` in order, as returned by ``schemes.simulate_states``.  The spec's band
+    must be unbounded: then tau = 1 exactly and every sampled instant is a
+    fixed column, so only the running maximum and the states at those columns
+    are kept.  Equals ``observe_args_batch`` of the stored paths bit for bit.
+    """
+    if not spec.barriers.is_unbounded:
+        raise PreconditionError("a finite barrier makes the sampled instants depend "
+                                "on tau; observe stored paths instead")
+    cols = [_grid_columns(times, nu.entries) for nu in (spec.nu1, spec.nu2, spec.nu3, spec.nu4)]
+    kept = np.unique(np.concatenate(cols))
+    slot = {int(c): j for j, c in enumerate(kept)}
+    M = None
+    for col, y in enumerate(states):
+        v = y[:, spec.coordinate]
+        if M is None:
+            M = v.copy()
+            V_at, M_at = np.empty((M.size, kept.size)), np.empty((M.size, kept.size))
+        else:
+            np.maximum(M, v, out=M)
+        j = slot.get(col)
+        if j is not None:
+            V_at[:, j] = v
+            M_at[:, j] = M
+    z = [A[:, np.searchsorted(kept, c)] for A, c in zip((V_at, V_at, M_at, M_at), cols)]
+    return np.concatenate(z + [np.ones((M.size, 1))], axis=1)
 
 
 def payoff_values(spec: FunctionalSpec, args: np.ndarray) -> np.ndarray:

@@ -182,6 +182,11 @@ class BarrierPair:
     def unbounded(cls) -> "BarrierPair":
         return cls(Barrier.minus_infinity(), Barrier.plus_infinity())
 
+    @property
+    def is_unbounded(self) -> bool:
+        """Both barriers infinite: no finite path ever exits, so tau = 1."""
+        return self.lower.is_infinite and self.upper.is_infinite
+
     @classmethod
     def levels(cls, lower: float, upper: float) -> "BarrierPair":
         lo = Barrier.minus_infinity() if lower == -np.inf else Barrier.constant(lower)

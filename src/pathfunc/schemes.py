@@ -19,10 +19,18 @@ grid lands exactly on t = 1, and ``simulate_path`` emits the realized grid as
 a :class:`StepPath`.  Paths are reproducible: every path owns a counter-based
 RNG stream keyed by (seed, namespace, stream id), so results do not depend on
 batching or on how paths are scheduled across workers.
+
+The fixed grids run as a time-major stream (:func:`simulate_states`): one flat
+(B, d) state is updated in place, step by step, and each stream's draws arrive
+in time blocks of at most ``_BATCH_ELEMENTS`` elements, with the stream's
+generator suspended between blocks.  Noise memory therefore does not grow with
+the number of steps, and a consumer that folds what it needs as the states go
+by (``functionals.fold_args_batch``) stores no path at all.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -37,6 +45,7 @@ __all__ = [
     "RngStream",
     "binomial_variable_step",
     "simulate_path",
+    "simulate_states",
     "simulate_values",
     "simulate_terminals",
     "check_local_consistency",
@@ -44,6 +53,11 @@ __all__ = [
 ]
 
 SCHEME_KINDS = ("euler", "binomial_fixed", "binomial_variable")
+
+# Memory budget of one simulated block, in float64 elements: a time-major
+# noise block on the fixed grids, and the stored batch of paths on the routes
+# that keep whole paths (the estimator sizes those batches from it).
+_BATCH_ELEMENTS = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -125,7 +139,7 @@ def _raise_at_first_bad_row(message, rows_ok, y, t):
 
 
 def _check_finite_coeffs(b, s, y, t):
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(s))):
+    if not (np.isfinite(b).all() and np.isfinite(s).all()):
         rows_ok = np.isfinite(b).all(axis=-1) & np.isfinite(s).all(axis=(-2, -1))
         _raise_at_first_bad_row("non-finite drift/diffusion evaluation", rows_ok, y, t)
 
@@ -138,16 +152,18 @@ def _mix_noise(s, xi):
     return acc
 
 
-def _fixed_update(model, y, t, dt, xi):
+def _fixed_update(model, y, t, dt, xi, out=None):
     """Shared update y + b dt + sqrt(dt) * (sigma @ xi) for a (B, d) batch.
 
     A single (1, d) state broadcasts against (B, d1) draws, so the
-    coefficients are evaluated once for all of them.
+    coefficients are evaluated once for all of them.  ``out=y`` updates the
+    batch in place with the same operations in the same order.
     """
     b = model.drift(y, t)
     s = model.diffusion(y, t)
     _check_finite_coeffs(b, s, y, t)
-    return y + b * dt + np.sqrt(dt) * _mix_noise(s, xi)
+    noise = np.sqrt(dt) * _mix_noise(s, xi)
+    return np.add(np.add(y, b * dt, out=out), noise, out=out)
 
 
 def binomial_variable_step(model: SdeModel, y, t, h: float, sign):
@@ -202,39 +218,30 @@ def _draw_fixed_noise(gen: np.random.Generator, kind: str, n_steps: int, d1: int
 _FINITE_CHECK_STRIDE = 32
 
 
-def _run_fixed_batch(model: SdeModel, config: SchemeConfig, noise: np.ndarray,
-                     times: np.ndarray, keep_path: bool):
-    """Advance a (B, d) batch along a shared fixed grid.
+def _fixed_states(model: SdeModel, config: SchemeConfig, times: np.ndarray,
+                  n_rows: int, blocks):
+    """Advance a (B, d) batch along a shared fixed grid, as a stream.
 
-    ``noise`` has shape (B, n_steps, d1).  Returns the full (B, n+1, d)
-    value array when keep_path is true, else just the terminal states.
+    ``blocks`` yields time-major (Tb, B, d1) noise covering the grid's steps
+    in order.  Yields the state at every grid column, starting with column 0:
+    one (B, d) array updated in place, so a consumer copies what it keeps.
     The arithmetic is elementwise, so a batch of one reproduces a single
     simulation bit for bit.
     """
-    config.resolved_qu_bounds(model)  # refuses binomial kernels on vector models
-    B = noise.shape[0]
-    d = model.dim_state
-    y = np.repeat(model.y0[None, :], B, axis=0)
-    values = np.empty((B, times.size, d)) if keep_path else None
-    if keep_path:
-        values[:, 0] = y
-    cap = config.cap
+    y = np.repeat(model.y0[None, :], n_rows, axis=0)
+    yield y
     n_steps = times.size - 1
-
-    def assert_finite(n):
-        _raise_at_first_bad_row("non-finite state during simulation",
-                                np.isfinite(y).all(axis=1), y, float(times[n + 1]))
-
-    for n in range(n_steps):
-        y = _fixed_update(model, y, times[n], times[n + 1] - times[n], noise[:, n])
-        if cap is not None:
-            y = np.minimum(y, cap)
-        if n % _FINITE_CHECK_STRIDE == _FINITE_CHECK_STRIDE - 1:
-            assert_finite(n)
-        if keep_path:
-            values[:, n + 1] = y
-    assert_finite(n_steps - 1)
-    return values if keep_path else y
+    n = 0
+    for block in blocks:
+        for xi in block:
+            _fixed_update(model, y, times[n], times[n + 1] - times[n], xi, out=y)
+            if config.cap is not None:
+                np.minimum(y, config.cap, out=y)
+            n += 1
+            if n % _FINITE_CHECK_STRIDE == 0 or n == n_steps:
+                _raise_at_first_bad_row("non-finite state during simulation",
+                                        np.isfinite(y).all(axis=1), y, float(times[n]))
+            yield y
 
 
 def _run_tree_batch(model: SdeModel, config: SchemeConfig, n_rows: int, draw_signs):
@@ -288,9 +295,10 @@ class _PhiloxPool:
     """Reseats one Philox bit generator across stream keys.
 
     Produces draw-for-draw the same output as a fresh ``Philox(key=...)``
-    per stream (the test suite pins this) while skipping per-stream
-    construction cost.  Purely a batch-local optimization; not shared
-    across threads.
+    per stream (checked once per process by :func:`_pool_is_exact`) while
+    skipping per-stream construction cost.  ``suspend`` saves the current
+    stream's position and ``resume`` continues it after other streams have
+    drawn.  Purely a batch-local optimization; not shared across threads.
     """
 
     def __init__(self):
@@ -309,20 +317,106 @@ class _PhiloxPool:
         self._bg.state = st
         return self._gen
 
+    def suspend(self):
+        return self._bg.state
 
-def _batch_noise(streams: Sequence[RngStream], kind: str, n_steps: int, d1: int) -> np.ndarray:
-    out = np.empty((len(streams), n_steps, d1))
+    def resume(self, saved) -> np.random.Generator:
+        self._bg.state = saved
+        return self._gen
+
+
+class _FreshGenerators:
+    """Fallback for :class:`_PhiloxPool`: a fresh ``Philox(key=...)`` per stream."""
+
+    def generator_for(self, stream: RngStream) -> np.random.Generator:
+        self._gen = stream.generator()
+        return self._gen
+
+    def suspend(self):
+        return self._gen
+
+    def resume(self, saved) -> np.random.Generator:
+        self._gen = saved
+        return saved
+
+
+@functools.cache
+def _pool_is_exact() -> bool:
+    """Whether :class:`_PhiloxPool` draws what fresh generators draw.
+
+    The pool writes numpy's private Philox state layout, so this is checked
+    once per process: a reseat over a dirty buffer, and a suspend/resume that
+    splits a stream's normals mid-block around another stream's draws.
+    """
+    a, b = RngStream(7, 3, 1), RngStream(11, 5, 2)
     pool = _PhiloxPool()
-    for i, s in enumerate(streams):
-        _draw_fixed_noise(pool.generator_for(s), kind, n_steps, d1, out=out[i])
-    return out
+    head = pool.generator_for(a).standard_normal(5)
+    saved = pool.suspend()
+    other = pool.generator_for(b).integers(0, 2, size=9)
+    tail = pool.resume(saved).standard_normal(6)
+    return (np.array_equal(np.concatenate([head, tail]), a.generator().standard_normal(11))
+            and np.array_equal(other, b.generator().integers(0, 2, size=9)))
+
+
+def _stream_pool():
+    return _PhiloxPool() if _pool_is_exact() else _FreshGenerators()
+
+
+# Streams drawn between two copies into a time-major block; a tile this
+# narrow keeps the transposing copy within the cache.
+_TILE_ROWS = 128
+
+
+def _noise_blocks(streams: Sequence[RngStream], kind: str, n_steps: int, d1: int):
+    """Each stream's fixed-grid draws as time-major (Tb, B, d1) blocks.
+
+    Stream i's draws are those of one long ``_draw_fixed_noise`` call on its
+    generator, which is suspended between blocks.  A block and the tile it is
+    copied from hold at most ``_BATCH_ELEMENTS`` elements together (at least
+    one step), whatever B and the number of steps; the same buffer is yielded
+    again for every block.
+    """
+    B = len(streams)
+    n_tile = min(_TILE_ROWS, B)
+    tb = max(1, min(n_steps, _BATCH_ELEMENTS // max(1, (B + n_tile) * d1)))
+    block = np.empty((tb, B, d1))
+    tile = np.empty((n_tile, tb, d1))
+    pool = _stream_pool()
+    saved = [None] * B
+    for start in range(0, n_steps, tb):
+        k = min(tb, n_steps - start)
+        more = start + k < n_steps
+        for i0 in range(0, B, _TILE_ROWS):
+            rows = range(i0, min(i0 + _TILE_ROWS, B))
+            for j, i in enumerate(rows):
+                gen = pool.resume(saved[i]) if start else pool.generator_for(streams[i])
+                _draw_fixed_noise(gen, kind, k, d1, out=tile[j, :k])
+                if more:
+                    saved[i] = pool.suspend()
+            block[:k, i0:rows.stop] = tile[:len(rows), :k].transpose(1, 0, 2)
+        yield block[:k]
 
 
 def _stream_signs(streams: Sequence[RngStream], n: int) -> np.ndarray:
     """(B, n) block of tree signs: sign k is the stream's k-th ``integers(0, 2)``
     draw, and a block of n equals n scalar draws."""
-    pool = _PhiloxPool()
+    pool = _stream_pool()
     return np.stack([pool.generator_for(s).integers(0, 2, size=n) for s in streams]) * 2.0 - 1.0
+
+
+def _fixed_grid_states(model: SdeModel, config: SchemeConfig, streams, noise=None):
+    """(times, state stream) of a fixed-grid batch; ``noise`` is a path-major
+    (B, n_steps, d1) array replacing the streams' draws."""
+    config.resolved_qu_bounds(model)  # refuses binomial kernels on vector models
+    times = fixed_time_grid(config.h)
+    n_steps, d1 = times.size - 1, model.dim_noise
+    if noise is None:
+        blocks = _noise_blocks(streams, config.kind, n_steps, d1)
+    elif noise.shape[1:] != (n_steps, d1):
+        raise ValueError(f"forced noise must have shape {(n_steps, d1)}")
+    else:
+        blocks = [noise.transpose(1, 0, 2)]
+    return times, _fixed_states(model, config, times, len(streams), blocks)
 
 
 def _simulate(model: SdeModel, config: SchemeConfig, streams, keep_path: bool, noise=None):
@@ -331,13 +425,15 @@ def _simulate(model: SdeModel, config: SchemeConfig, streams, keep_path: bool, n
         draw = (lambda n: noise) if noise is not None else (lambda n: _stream_signs(streams, n))
         times, values = _run_tree_batch(model, config, len(streams), draw)
         return times, values if keep_path else values[:, -1]
-    times = fixed_time_grid(config.h)
-    shape = (len(streams), times.size - 1, model.dim_noise)
-    if noise is None:
-        noise = _batch_noise(streams, config.kind, *shape[1:])
-    elif noise.shape != shape:
-        raise ValueError(f"forced noise must have shape {shape[1:]}")
-    return times, _run_fixed_batch(model, config, noise, times, keep_path)
+    times, states = _fixed_grid_states(model, config, streams, noise)
+    if not keep_path:
+        for y in states:
+            pass
+        return times, y
+    values = np.empty((len(streams), times.size, model.dim_state))
+    for col, y in enumerate(states):
+        values[:, col] = y
+    return times, values
 
 
 def simulate_path(model: SdeModel, config: SchemeConfig, rng: RngStream, *,
@@ -371,6 +467,22 @@ def simulate_values(model: SdeModel, config: SchemeConfig, streams: Sequence[Rng
 def simulate_terminals(model: SdeModel, config: SchemeConfig, streams: Sequence[RngStream]) -> np.ndarray:
     """Terminal states only, shape (B, d); fixed grids do not store whole paths."""
     return _simulate(model, config, streams, keep_path=False)[1]
+
+
+def simulate_states(model: SdeModel, config: SchemeConfig, streams: Sequence[RngStream]):
+    """The fixed-grid engine as a stream of states, for consumers that fold.
+
+    Returns (times, states): the shared (n+1,) grid and an iterator over the
+    (B, d) state of the batch at each of its columns, column 0 first.  The
+    states are one array updated in place: copy what you keep.  Memory is
+    O(B d) plus one noise block.  Stacking the states gives
+    ``simulate_values`` bit for bit; a failure raises from the iterator with
+    its stream as ``batch_index``.  The variable-step tree has no shared grid
+    and is refused.
+    """
+    if config.kind == "binomial_variable":
+        raise PreconditionError("binomial_variable has no shared grid to stream")
+    return _fixed_grid_states(model, config, streams)
 
 
 @dataclass

@@ -7,7 +7,8 @@ from pathfunc.estimator import (convergence_study, counterexample_bessel,
                                 counterexample_strong, counterexample_tangency,
                                 estimate, ui_diagnostic)
 from pathfunc.functionals import (FunctionalSpec, Growth, constant_payoff,
-                                  custom_terminal, discrete_barrier_call)
+                                  custom_terminal, discrete_barrier_call, evaluate,
+                                  observe_args_batch, payoff_values)
 from pathfunc.models import SdeModel, gbm, inverse_bessel3
 from pathfunc.oracles import reciprocal_bessel3_mean
 from pathfunc.paths import BarrierPair, SampleVector
@@ -160,6 +161,69 @@ class TestEstimate:
             estimate(GBM, cfg, spec, 100, seed=0, ui_override=True)
         assert exc.value.stream_id == first_bad
 
+    def test_folded_batches_keep_group_sums(self, monkeypatch):
+        # groups of 8 paths, 512 groups to a folded batch: the sums are still
+        # taken group by group, in order, as when each group was its own batch
+        from pathfunc import estimator
+        monkeypatch.setattr(estimator, "_batch_size", lambda config, model: 8)
+        spec = discrete_barrier_call(0.5, 1.0, 0.1, 4)
+        n = 100
+        est = estimate(GBM, CFG, spec, n, seed=5, ui_override=True)
+        total = total_sq = 0.0
+        for start in range(0, n, 8):
+            streams = [RngStream(5, i) for i in range(start, min(start + 8, n))]
+            vals = payoff_values(spec, observe_args_batch(*simulate_values(GBM, CFG, streams),
+                                                          spec))
+            total += float(np.sum(vals))
+            total_sq += float(np.sum(vals * vals))
+        mean = total / n
+        assert est.mean == mean
+        assert est.stderr == float(np.sqrt((total_sq - n * mean * mean) / (n - 1) / n))
+
+    def test_failure_in_later_group_names_failing_stream(self, monkeypatch):
+        # 25 groups of 8 paths in one folded batch; the drift turns infinite
+        # once a path climbs above 1.75, which first happens in group 2
+        from pathfunc import estimator
+        monkeypatch.setattr(estimator, "_batch_size", lambda config, model: 8)
+        m = SdeModel("blowup", 1, 1,
+                     drift=lambda y, t: np.where(y > 1.75, np.inf, 0.0),
+                     diffusion=lambda y, t: np.full_like(y, 0.3)[..., None],
+                     y0=np.array([1.0]))
+
+        def fails(i):
+            try:
+                simulate_path(m, CFG, RngStream(0, i))
+            except SimulationError:
+                return True
+            return False
+
+        bad = [i for i in range(200) if fails(i)]
+        assert bad and bad[0] >= 8
+        with pytest.raises(EstimationError) as exc:
+            estimate(m, CFG, constant_payoff(1.0), 200, seed=0)
+        assert exc.value.stream_id in bad
+
+    def test_finite_band_matches_per_path_reference(self):
+        # a band the paths leave, and a payoff of tau-scaled z1 and z3 and
+        # tau: the stored-path route against evaluate of each single path
+        m = 2
+        spec = FunctionalSpec(m=m, nu1=SampleVector([0.5, 1.0]), nu2=SampleVector([0.5, 1.0]),
+                              nu3=SampleVector([0.25, 1.0]), nu4=SampleVector([0.5, 1.0]),
+                              payoff=None,
+                              payoff_batch=lambda x: x[:, 0] + 2.0 * x[:, 2 * m] + x[:, 4 * m],
+                              growth=Growth.linear(), barriers=BarrierPair.levels(0.6, 1.1))
+        n = 300
+        vals = np.array([evaluate(simulate_path(GBM, CFG, RngStream(3, i)), spec)
+                         for i in range(n)])
+        taus = observe_args_batch(*simulate_values(GBM, CFG, [RngStream(3, i) for i in range(n)]),
+                                  spec)[:, -1]
+        assert 0 < np.count_nonzero(taus < 1.0) < n
+        est = estimate(GBM, CFG, spec, n, seed=3, ui_override=True)
+        mean = float(np.sum(vals)) / n
+        assert est.mean == mean
+        assert est.stderr == float(np.sqrt((float(np.sum(vals * vals)) - n * mean * mean)
+                                           / (n - 1) / n))
+
     def test_csv_row_format(self):
         est = estimate(GBM, CFG, constant_payoff(1.0), 16, seed=0)
         header = est.csv_header()
@@ -190,6 +254,15 @@ class TestUiDiagnostic:
         tail_gap = 1.0 - reciprocal_bessel3_mean(1.0)
         worst = max(tails[-1] for _, _, tails, _ in rep.rows)
         assert worst > 0.5 * tail_gap
+
+    def test_flagship_gate_rows_unchanged(self):
+        # the shipped barrier config's gate: 4000 paths x 12288 steps, in
+        # noise blocks rather than one 393 MB array, with the same rows
+        spec = discrete_barrier_call(0.5, 1.0, 0.1, 12)
+        cfg = SchemeConfig("euler", h=1 / 12288)
+        rep = ui_diagnostic(GBM, cfg, spec, [cfg.h], n_paths=4000, seed=12061)
+        assert rep.rows == [(cfg.h, None, [0.0016041971492962719, 0.0, 0.0, 0.0, 0.0],
+                             0.8408552327072133)]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(PreconditionError):

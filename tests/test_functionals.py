@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathfunc.errors import EvaluationError
+from pathfunc.errors import EvaluationError, PreconditionError
 from pathfunc.functionals import (FunctionalSpec, Growth, constant_payoff,
                                   discontinuity_mass_estimate,
                                   discrete_barrier_call, evaluate,
-                                  observe_args_batch, up_and_in_call)
-from pathfunc.models import SdeModel, gbm
+                                  fold_args_batch, observe_args_batch,
+                                  up_and_in_call)
+from pathfunc.models import SdeModel, constant_vol_params, gbm, stoch_vol
 from pathfunc.paths import BarrierPair, SampleVector, StepPath
-from pathfunc.schemes import RngStream, SchemeConfig, simulate_path, simulate_values
+from pathfunc.schemes import (RngStream, SchemeConfig, simulate_path, simulate_states,
+                              simulate_values)
 
 from conftest import barrier_pairs, step_paths
 
@@ -220,6 +222,33 @@ class TestBatchObservation:
         assert 0 < np.count_nonzero(expected) < 64
         npt.assert_array_equal(spec.payoff_batch(args), expected)
         npt.assert_array_equal([spec.payoff(a) for a in args], expected)
+
+
+class TestFold:
+    @given(st.sampled_from([(gbm(0.1, 0.4, 1.0), 0),
+                            (stoch_vol(constant_vol_params(0.1, 0.3, 1.0)), 1)]),
+           st.sampled_from([2**-5, 0.3, 0.07, 1 / 12]),
+           st.integers(1, 4), st.data(), st.integers(0, 2**31))
+    def test_fold_equals_observe(self, model_coord, h, m, data, seed):
+        # unbounded band: folding the stream of states equals observing the
+        # stored paths, on grids whose last step is truncated too
+        model, coordinate = model_coord
+        nus = [SampleVector(np.sort(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m,
+                                                       max_size=m))))
+               for _ in range(4)]
+        spec = FunctionalSpec(m, *nus, payoff=lambda x: 0.0, growth=Growth.bounded(0.0),
+                              barriers=BarrierPair.unbounded(), coordinate=coordinate)
+        cfg = SchemeConfig("euler", h=h)
+        streams = [RngStream(seed, i) for i in range(6)]
+        times, values = simulate_values(model, cfg, streams)
+        folded = fold_args_batch(*simulate_states(model, cfg, streams), spec)
+        npt.assert_array_equal(folded, observe_args_batch(times, values, spec))
+
+    def test_finite_band_refused(self):
+        spec = spec_with(BarrierPair.levels(0.5, 2.0))
+        cfg = SchemeConfig("euler", h=2**-4)
+        with pytest.raises(PreconditionError, match="tau"):
+            fold_args_batch(*simulate_states(gbm(0.1, 0.3, 1.0), cfg, [RngStream(0)]), spec)
 
 
 class TestDiscontinuityMass:

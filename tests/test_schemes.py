@@ -11,7 +11,8 @@ from pathfunc.models import (LipschitzCert, SdeModel, constant_vol_params, gbm,
                              stoch_vol)
 from pathfunc.schemes import (RngStream, SchemeConfig, binomial_variable_step,
                               check_local_consistency, fixed_time_grid,
-                              simulate_path, simulate_terminals, simulate_values)
+                              simulate_path, simulate_states, simulate_terminals,
+                              simulate_values)
 
 PROBES = [(y, t) for y in (0.5, 1.0, 2.0) for t in (0.0, 0.5)]
 
@@ -50,12 +51,41 @@ class TestRngStream:
         b = RngStream(1, 0, namespace=1).generator().standard_normal(8)
         assert not np.array_equal(a, b)
 
-    def test_pool_matches_fresh_generators(self):
-        from pathfunc.schemes import _batch_noise
+    def test_pool_matches_fresh_generators(self, monkeypatch):
+        # 7 streams x 2 noise columns in blocks of 3 steps (the budget holds
+        # a block and its tile): every stream is suspended and resumed
+        # around the others' draws
+        from pathfunc import schemes
+        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", 2 * 7 * 2 * 3)
         streams = [RngStream(9, i, namespace=3) for i in range(7)]
-        batch = _batch_noise(streams, "euler", 11, 1)
+        blocks = [b.copy() for b in schemes._noise_blocks(streams, "euler", 11, 2)]
+        assert [b.shape[0] for b in blocks] == [3, 3, 3, 2]
+        noise = np.concatenate(blocks)  # time-major (11, 7, 2)
         for i, s in enumerate(streams):
-            npt.assert_array_equal(batch[i], s.generator().standard_normal((11, 1)))
+            npt.assert_array_equal(noise[:, i], s.generator().standard_normal((11, 2)))
+
+    def test_pool_falls_back_to_fresh_generators(self, monkeypatch):
+        # a pool that reseats onto the wrong key fails the self-check, and
+        # the draws then come from fresh generators, unchanged
+        from pathfunc import schemes
+        orig = schemes._PhiloxPool.generator_for
+        monkeypatch.setattr(schemes._PhiloxPool, "generator_for",
+                            lambda self, s: orig(self, RngStream(s.seed, s.stream_id + 1,
+                                                                 s.namespace)))
+        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", 5 * 4)
+        schemes._pool_is_exact.cache_clear()
+        try:
+            assert not schemes._pool_is_exact()
+            streams = [RngStream(9, i, namespace=3) for i in range(5)]
+            noise = np.concatenate([b.copy() for b in
+                                    schemes._noise_blocks(streams, "binomial_fixed", 10, 1)])
+            signs = schemes._stream_signs(streams, 6)
+            for i, s in enumerate(streams):
+                npt.assert_array_equal(noise[:, i, 0],
+                                       np.copysign(1.0, s.generator().random(10) - 0.5))
+                npt.assert_array_equal(signs[i], s.generator().integers(0, 2, size=6) * 2.0 - 1)
+        finally:
+            schemes._pool_is_exact.cache_clear()
 
 
 class TestGrid:
@@ -366,6 +396,48 @@ class TestSimulatePath:
             for t_probe in (0.25, 0.5, 1.0):
                 n_steps = int(np.searchsorted(p.times, t_probe, side="right")) - 1
                 assert n_steps <= K * t_probe / h + 1
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("kind,model", [("euler", gbm(0.05, 0.2, 1.0)),
+                                            ("binomial_fixed", gbm(0.05, 0.2, 1.0)),
+                                            ("euler", stoch_vol(constant_vol_params(0.1, 0.3, 1.0)))])
+    def test_block_carry_matches_batch_of_one(self, kind, model, monkeypatch):
+        # on a grid of 13 noise blocks, each batch row equals the stream run
+        # alone in a single block, and terminals equal the stored paths' ends
+        from pathfunc import schemes
+        cfg = SchemeConfig(kind, h=2**-9)
+        streams = [RngStream(21, i, namespace=4) for i in range(7)]
+        alone = np.concatenate([simulate_terminals(model, cfg, [s]) for s in streams])
+        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", 2 * 7 * model.dim_noise * 40)
+        term = simulate_terminals(model, cfg, streams)
+        _, values = simulate_values(model, cfg, streams)
+        npt.assert_array_equal(term, alone)
+        npt.assert_array_equal(values[:, -1], alone)
+        states = [y.copy() for y in simulate_states(model, cfg, streams)[1]]
+        npt.assert_array_equal(np.stack(states, axis=1), values)
+
+    def test_noise_memory_is_one_block(self):
+        # 1000 streams x 16384 steps would be 131 MB of noise at once; the
+        # blocks keep it to 64 MB (block and tile) whatever the grid length
+        import tracemalloc
+        from pathfunc.schemes import _BATCH_ELEMENTS
+        B, h = 1000, 2**-14
+        n_steps = fixed_time_grid(h).size - 1
+        streams = [RngStream(3, i) for i in range(B)]
+        tracemalloc.start()
+        try:
+            simulate_terminals(gbm(0.1, 0.3, 0.8), SchemeConfig("euler", h=h), streams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert B * n_steps > _BATCH_ELEMENTS
+        assert peak < 1.1 * 8 * _BATCH_ELEMENTS < 8 * B * n_steps
+
+    def test_tree_has_no_state_stream(self):
+        with pytest.raises(PreconditionError, match="no shared grid"):
+            simulate_states(bounded_vol_model(), SchemeConfig("binomial_variable", h=2**-6),
+                            [RngStream(0)])
 
 
 class TestSecondMomentStability:
