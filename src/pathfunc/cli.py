@@ -2,16 +2,18 @@
 
 Commands: ``price``, ``converge``, ``check``, ``counterexample``,
 ``skorohod-dist``.  Experiments are described by flat config files (see
-:mod:`pathfunc.config`).  All but ``skorohod-dist`` take ``--seed``.  Only
-``price`` and ``converge`` read ``--workers`` (``check`` accepts and ignores
-it); ``PATHFUNC_WORKERS`` overrides their configured worker count.  Exit
-codes: 0 ok, 1 runtime error, 2 diagnostic failure, 64 config error.
+:mod:`pathfunc.config`).  All but ``skorohod-dist`` take ``--seed``.  Every
+command runs in one process and sums in one order, so its output does not
+depend on the environment or the core count.  ``price``, ``converge`` and
+``check`` accept ``--workers 1`` and no other value, because the benchmark
+harness in ``bench/`` passes it.  Exit codes: 0 ok, 1 runtime error, 2
+diagnostic failure, 64 config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import sys
 
 import numpy as np
@@ -33,6 +35,22 @@ EXIT_DIAGNOSTIC = 2
 EXIT_CONFIG = 64
 
 
+def _refusals_as_config_errors(section: str):
+    """Report a value the section's constructors refuse as a ConfigError."""
+    def wrap(build):
+        @functools.wraps(build)
+        def run(cfg: RunConfig):
+            try:
+                return build(cfg)
+            except ConfigError:
+                raise
+            except ValueError as e:
+                raise ConfigError(f"section {section!r}: {e}", key=section) from e
+        return run
+    return wrap
+
+
+@_refusals_as_config_errors("model")
 def build_model(cfg: RunConfig) -> SdeModel:
     kind = cfg.get("model", "kind")
     if kind == "gbm":
@@ -54,6 +72,7 @@ def build_model(cfg: RunConfig) -> SdeModel:
     raise ConfigError(f"unknown model kind {kind!r}", key="model.kind")
 
 
+@_refusals_as_config_errors("scheme")
 def build_scheme(cfg: RunConfig) -> tuple[SchemeConfig, str | None]:
     kind = cfg.get("scheme", "kind")
     if kind not in SCHEME_KINDS:
@@ -67,6 +86,7 @@ def build_scheme(cfg: RunConfig) -> tuple[SchemeConfig, str | None]:
     return SchemeConfig(kind=kind, h=h, cap=cap), cap_rule
 
 
+@_refusals_as_config_errors("functional")
 def build_spec(cfg: RunConfig) -> FunctionalSpec:
     payoff = cfg.get("functional", "payoff")
     r = cfg.get("model", "r")
@@ -87,18 +107,6 @@ def build_spec(cfg: RunConfig) -> FunctionalSpec:
     if payoff == "constant":
         return constant_payoff(cfg.get("functional", "strike"))
     raise ConfigError(f"unknown payoff kind {payoff!r}", key="functional.payoff")
-
-
-def resolve_workers(cfg: RunConfig, override) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get("PATHFUNC_WORKERS")
-    if env is not None:
-        return int(env)
-    w = cfg.get("run", "workers")
-    if w is not None:
-        return int(w)
-    return os.cpu_count() or 1
 
 
 def _emit(cfg: RunConfig, lines) -> None:
@@ -146,7 +154,6 @@ def cmd_price(args) -> int:
     scheme, cap_rule = build_scheme(cfg)
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
-    workers = resolve_workers(cfg, args.workers)
     ok, lines = _ui_gate(cfg, model, scheme, cap_rule, spec, seed)
     if not ok:
         _emit(cfg, lines + ["refusing to price a linear-growth payoff whose "
@@ -154,7 +161,7 @@ def cmd_price(args) -> int:
                             "to override"])
         return EXIT_DIAGNOSTIC
     est = estimator.estimate(model, scheme, spec, cfg.require("run", "n_paths"),
-                             seed, workers=workers, ui_override=True)
+                             seed, ui_override=True)
     _emit(cfg, lines + _estimate_lines(cfg, [est]))
     return EXIT_OK
 
@@ -177,7 +184,6 @@ def _auto_oracle(cfg: RunConfig, model, spec) -> tuple[float | None, str]:
 def cmd_converge(args) -> int:
     cfg = parse_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
-    workers = resolve_workers(cfg, args.workers)
     h_grid = cfg.require("run", "h_grid")
     if cfg.get("model", "kind") == "tangency":
         return _converge_tangency(cfg, h_grid)
@@ -187,8 +193,7 @@ def cmd_converge(args) -> int:
     oracle, note = _auto_oracle(cfg, model, spec)
     rep = estimator.convergence_study(model, scheme_kind, spec, h_grid,
                                       cfg.require("run", "n_paths"), seed,
-                                      oracle=oracle, oracle_note=note,
-                                      workers=workers)
+                                      oracle=oracle, oracle_note=note)
     lines = _estimate_lines(cfg, [e for _, e in rep.rows])
     if oracle is not None:
         lines.append(f"oracle = {oracle:.10g} ({note})")
@@ -299,16 +304,25 @@ def cmd_counterexample(args) -> int:
 
 
 def _read_path_csv(path: str) -> StepPath:
-    rows = []
+    rows = {}  # time -> value
     with open(path, "r", encoding="utf-8") as f:
-        for raw in f:
+        for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith("#") or line.lower().startswith("t,"):
                 continue
-            t_s, v_s = line.split(",")[:2]
-            rows.append((float(t_s), float(v_s)))
-    rows.sort()
-    return StepPath(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
+            try:
+                t, v = (float(x) for x in line.split(",")[:2])
+            except ValueError:
+                t = v = np.nan
+            if not np.isfinite([t, v]).all() or t in rows:
+                raise ConfigError(f"{path}, line {lineno}: expected 't,value' with finite "
+                                  f"numbers and a time not seen before, got {line!r}")
+            rows[t] = v
+    times = np.array(sorted(rows))
+    try:
+        return StepPath(times, np.array([rows[t] for t in times]))
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def cmd_skorohod_dist(args) -> int:
@@ -325,11 +339,13 @@ def _build_parser() -> argparse.ArgumentParser:
                                             "path-dependent functionals")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, workers_help="override run.workers"):
+    def add_common(sp, workers=True):
         sp.add_argument("--seed", type=int, default=None,
                         help="override run.seed")
-        if workers_help:
-            sp.add_argument("--workers", type=int, default=None, help=workers_help)
+        if workers:
+            # kept only because the benchmark harness passes --workers 1
+            sp.add_argument("--workers", type=int, choices=[1], default=1,
+                            help="accepted only as 1: every run uses one process")
 
     sp = sub.add_parser("price", help="estimate the functional once")
     sp.add_argument("config")
@@ -344,13 +360,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="local consistency + uniform "
                                       "integrability diagnostics")
     sp.add_argument("config")
-    add_common(sp, "accepted and ignored: the diagnostics run in one process")
+    add_common(sp)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("counterexample", help="run a named counter-example")
     sp.add_argument("name", choices=["tangency", "bessel", "strong"])
     sp.add_argument("--paths", type=int, default=None)
-    add_common(sp, workers_help=None)
+    add_common(sp, workers=False)
     sp.set_defaults(func=cmd_counterexample)
 
     sp = sub.add_parser("skorohod-dist",
@@ -367,10 +383,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        sys.stderr.write(f"config error: {e}\n")
-        return EXIT_CONFIG
-    except FileNotFoundError as e:
+    except (ConfigError, FileNotFoundError) as e:
         sys.stderr.write(f"config error: {e}\n")
         return EXIT_CONFIG
     except PathfuncError as e:

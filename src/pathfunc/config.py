@@ -16,7 +16,8 @@ from .errors import ConfigError
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text", "serialize_config"]
 
-# section -> key -> type tag ("str" | "num" | "int" | "bool" | "numlist" | "cap")
+# section -> key -> type tag ("str" | "num" | "int" | "bool" | "numlist" | "cap" | "one");
+# "one" is run.workers: read by nothing, accepted as 1 for the benchmark harness
 _SCHEMA = {
     "model": {
         "kind": "str", "r": "num", "sigma": "num", "x0": "num",
@@ -28,7 +29,7 @@ _SCHEMA = {
         "m": "int", "coordinate": "int",
     },
     "run": {
-        "n_paths": "int", "seed": "int", "workers": "int",
+        "n_paths": "int", "seed": "int", "workers": "one",
         "h_grid": "numlist", "oracle": "str", "allow_linear": "bool",
         "timing": "bool",
     },
@@ -46,7 +47,7 @@ _DEFAULTS = {
     "scheme": {"kind": "euler", "h": None, "cap": None},
     "functional": {"payoff": "terminal_identity", "strike": 0.0,
                    "barrier_level": 1.0, "m": 1, "coordinate": 0},
-    "run": {"n_paths": 10000, "seed": 0, "workers": None, "h_grid": None,
+    "run": {"n_paths": 10000, "seed": 0, "workers": 1, "h_grid": None,
             "oracle": "none", "allow_linear": False, "timing": True},
     "check": {"probes_y": [0.5, 1.0, 2.0], "probes_t": [0.0, 0.5],
               "n_draws": 1000000, "c_const": 1.0, "kinds": "config"},
@@ -80,6 +81,11 @@ def _parse_value(tag: str, text: str, key: str):
         if v != int(v):
             raise ConfigError(f"config key {key!r}: expected an integer, got {text!r}", key=key)
         return int(v)
+    if tag == "one":
+        if _parse_value("int", text, key) != 1:
+            raise ConfigError(f"config key {key!r}: only 1 is accepted, got {text!r}; "
+                              "every run uses one process", key=key)
+        return 1
     if tag == "bool":
         low = text.lower()
         if low in ("true", "on", "yes", "1"):

@@ -1,20 +1,15 @@
 """Monte Carlo estimation of path functionals with reproducible streams.
 
-The estimator is embarrassingly parallel over paths: path i always draws
-from the stream keyed (seed, namespace, i), so the result is independent of
-how paths are grouped into batches or assigned to workers.  Workers are
-realized as a deterministic partition of the path range into contiguous
-blocks whose partial (sum, sum of squares, count) triples are merged in
-block order; changing the worker count only regroups floating-point sums,
-which moves the estimate by at most a few ulps.
-
-Within a worker's range, paths are summed in contiguous groups of
-``_batch_size`` paths, one ``np.sum`` per group, in order.  A fixed-grid
-functional on an unbounded band (tau = 1) folds its observables while the
-batch steps (``simulate_states`` -> ``fold_args_batch``), several groups to a
-batch; any other functional, and the variable-step tree, stores each group's
-paths (``simulate_values`` -> ``observe_args_batch``).  Either way the payoff
-goes through ``payoff_values`` and the sums are those of one batch per group.
+Path i always draws from the stream keyed (seed, namespace, i), so its draws
+do not depend on how paths are batched.  The estimate runs in one process and
+sums in one order: contiguous groups of ``_batch_size`` paths, one ``np.sum``
+per group, from path 0 up, so it prints the same bytes on any core count.  A
+fixed-grid functional on an unbounded band (tau = 1) folds its observables
+while the batch steps (``simulate_states`` -> ``fold_args_batch``), several
+groups to a batch; any other functional, and the variable-step tree, stores
+each group's paths (``simulate_values`` -> ``observe_args_batch``).  Either way
+the payoff goes through ``payoff_values`` and the sums are those of one batch
+per group.
 
 Linear-growth payoffs are refused unless a uniform-integrability report has
 passed or the caller explicitly overrides -- expectations of such payoffs
@@ -125,14 +120,15 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
              ui_override: bool = False, ui_report=None) -> Estimate:
     """Sample mean of the functional over n_paths independent chain paths.
 
-    Deterministic given (seed, namespace, n_paths, workers); the worker
-    count only regroups partial sums.  Aborts with the failing stream id if
-    a simulation or payoff evaluation fails.
+    Deterministic given (seed, namespace, n_paths).  Aborts with the failing
+    stream id if a simulation or payoff evaluation fails.  ``workers`` is
+    accepted only as 1, the value the benchmark harness passes.
     """
     if n_paths < 2:
         raise PreconditionError("need at least two paths for a standard error")
-    if workers < 1:
-        raise PreconditionError("need at least one worker")
+    if workers != 1:
+        raise PreconditionError(f"workers must be 1 (got {workers!r}): "
+                                "the estimate runs in one process")
     _check_growth_policy(spec, ui_override, ui_report)
     t0 = time.perf_counter()
     bsz = _batch_size(config, model)
@@ -142,28 +138,22 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
     per_batch = bsz * max(1, _FOLD_ROWS // bsz) if folded else bsz
     total = 0.0
     total_sq = 0.0
-    bounds = [n_paths * w // workers for w in range(workers + 1)]
-    for w in range(workers):
-        w_sum = 0.0
-        w_sq = 0.0
-        for start in range(bounds[w], bounds[w + 1], per_batch):
-            stop = min(start + per_batch, bounds[w + 1])
-            streams = [RngStream(seed, i, namespace) for i in range(start, stop)]
-            try:
-                if folded:
-                    args = fold_args_batch(*simulate_states(model, config, streams), spec)
-                else:
-                    args = observe_args_batch(*simulate_values(model, config, streams), spec)
-                vals = payoff_values(spec, args)
-            except (SimulationError, EvaluationError) as e:
-                sid = streams[e.batch_index].stream_id
-                raise EstimationError(f"path simulation failed: {e}", stream_id=sid) from e
-            for g in range(0, vals.size, bsz):
-                group = vals[g:g + bsz]
-                w_sum += float(np.sum(group))
-                w_sq += float(np.sum(group * group))
-        total += w_sum
-        total_sq += w_sq
+    for start in range(0, n_paths, per_batch):
+        streams = [RngStream(seed, i, namespace)
+                   for i in range(start, min(start + per_batch, n_paths))]
+        try:
+            if folded:
+                args = fold_args_batch(*simulate_states(model, config, streams), spec)
+            else:
+                args = observe_args_batch(*simulate_values(model, config, streams), spec)
+            vals = payoff_values(spec, args)
+        except (SimulationError, EvaluationError) as e:
+            sid = streams[e.batch_index].stream_id
+            raise EstimationError(f"path simulation failed: {e}", stream_id=sid) from e
+        for g in range(0, vals.size, bsz):
+            group = vals[g:g + bsz]
+            total += float(np.sum(group))
+            total_sq += float(np.sum(group * group))
     return _finalize(total, total_sq, n_paths, config.h, t0)
 
 
@@ -279,7 +269,7 @@ def _convergence_flags(report: ConvergenceReport) -> None:
 def convergence_study(model: SdeModel, scheme_kind: str, spec: FunctionalSpec,
                       h_grid, n_paths: int, seed: int, oracle: float | None = None,
                       oracle_note: str = "", bias_allowance: float = 0.35,
-                      workers: int = 1, cap: float | None = None,
+                      cap: float | None = None,
                       ui_override: bool = True) -> ConvergenceReport:
     """Run the estimator across a decreasing grid of step parameters.
 
@@ -296,8 +286,8 @@ def convergence_study(model: SdeModel, scheme_kind: str, spec: FunctionalSpec,
     rows = []
     for k, h in enumerate(h_grid):
         cfg = SchemeConfig(kind=scheme_kind, h=h, cap=cap)
-        est = estimate(model, cfg, spec, n_paths, seed, workers=workers,
-                       namespace=100 + k, ui_override=ui_override)
+        est = estimate(model, cfg, spec, n_paths, seed, namespace=100 + k,
+                       ui_override=ui_override)
         rows.append((h, est))
     report = ConvergenceReport(rows=rows, oracle=oracle, oracle_note=oracle_note,
                                bias_allowance=bias_allowance)

@@ -3,7 +3,7 @@
 Coefficient callables are vectorized over a leading batch axis: drift maps a
 (batch, d) state array and a scalar time, or a (batch, 1) column on the
 variable-step tree, to (batch, d); diffusion maps to (batch, d, d1).  Models
-are immutable and safe to share across workers.
+are immutable and safe to share.
 
 Models flagged with a Lipschitz certificate declare a constant K such that
 |phi(y1,t1) - phi(y2,t2)| <= K (|y1-y2| + |t1-t2|^(1/2)) for both

@@ -84,14 +84,6 @@ class StepPath:
         """Path value at time t: the value at the covering grid point."""
         return self.values[self.index_at(t)]
 
-    def coordinate(self, k: int) -> "StepPath":
-        """Scalar path holding component k of a vector-valued path."""
-        if self.is_scalar:
-            if k != 0:
-                raise DomainError("scalar path has only coordinate 0")
-            return self
-        return StepPath(self.times, self.values[:, k])
-
 
 class Barrier:
     """One barrier: a constant level, a piecewise-linear interpolant of

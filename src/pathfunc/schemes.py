@@ -17,8 +17,8 @@ or +/-1 signs), on one grid; the variable-step tree steps its rows with
 measures these same two kernels.  All kinds truncate the final step so the
 grid lands exactly on t = 1, and ``simulate_path`` emits the realized grid as
 a :class:`StepPath`.  Paths are reproducible: every path owns a counter-based
-RNG stream keyed by (seed, namespace, stream id), so results do not depend on
-batching or on how paths are scheduled across workers.
+RNG stream keyed by (seed, namespace, stream id), so each path's draws do not
+depend on how paths are batched.
 
 The fixed grids run as a time-major stream (:func:`simulate_states`): one flat
 (B, d) state is updated in place, step by step, and each stream's draws arrive
@@ -85,39 +85,37 @@ class RngStream:
 class SchemeConfig:
     """Scheme selection: kernel kind, step parameter, optional state cap.
 
-    ``qu_bounds = (lo, hi)`` declares the quasi-uniformity band
-    lo * h <= dt <= hi * h; when omitted it is derived from the kind (exact
-    (1, 1) for fixed-step kernels, (eps^2, 1/eps^2) from the model's declared
-    sigma band for the variable-step tree).  ``cap`` truncates the state to
-    min(y, cap) after every step.
+    ``cap`` truncates the state to min(y, cap) after every step; None or
+    +inf means no cap, and a NaN or -inf cap is refused.
     """
 
     kind: str
     h: float
     cap: float | None = None
-    qu_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if not (0.0 < self.h <= 1.0):
             raise ValueError("step parameter h must lie in (0, 1]")
-        if self.cap is not None and not np.isfinite(self.cap):
-            object.__setattr__(self, "cap", None)
-        if self.qu_bounds is not None and not 0.0 < self.qu_bounds[0] <= self.qu_bounds[1]:
-            raise ValueError("qu_bounds (lo, hi) must satisfy 0 < lo <= hi")
+        if self.cap is not None:
+            if np.isnan(self.cap) or self.cap == -np.inf:
+                raise ValueError(f"cap must be a number or +inf, got {self.cap!r}")
+            if self.cap == np.inf:
+                object.__setattr__(self, "cap", None)
 
     def resolved_qu_bounds(self, model: SdeModel) -> tuple[float, float]:
-        """Quasi-uniformity band on ``model``.  Every simulation entry and the
-        consistency checker resolve it first, so it also refuses models the
-        kernel cannot run."""
+        """Quasi-uniformity band lo * h <= dt <= hi * h on ``model``: exact
+        (1, 1) for the fixed-step kernels, (eps^2, 1/eps^2) from the model's
+        declared sigma band for the variable-step tree.  Every simulation
+        entry and the consistency checker resolve it first, so it also
+        refuses models the kernel cannot run."""
         if self.kind != "euler" and (model.dim_state, model.dim_noise) != (1, 1):
             raise PreconditionError("binomial kernels require d = d1 = 1")
-        bounds = (1.0, 1.0)
         if self.kind == "binomial_variable":
             eps = _require_sigma_band(model)
-            bounds = (eps * eps, 1.0 / (eps * eps))
-        return bounds if self.qu_bounds is None else self.qu_bounds
+            return (eps * eps, 1.0 / (eps * eps))
+        return (1.0, 1.0)
 
 
 def _require_sigma_band(model: SdeModel) -> float:

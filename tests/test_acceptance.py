@@ -41,8 +41,7 @@ def barrier_experiment():
     spec = pf.discrete_barrier_call(0.5, 1.0, 0.1, 12)
     cfg = SchemeConfig("euler", h=1 / 12288)
     t0 = time.perf_counter()
-    est = pf.estimate(model, cfg, spec, 5000, seed=12061, workers=1,
-                      ui_override=True)
+    est = pf.estimate(model, cfg, spec, 5000, seed=12061, ui_override=True)
     return est, time.perf_counter() - t0
 
 
@@ -151,9 +150,9 @@ def test_criterion_6_property_suites_configuration():
            f"derandomized cases per property")
 
 
-def test_criterion_7_determinism(barrier_experiment, tmp_path):
+def test_criterion_7_determinism(barrier_experiment, tmp_path, monkeypatch):
     est_ref, _ = barrier_experiment
-    # identical seed, single worker: byte-identical CSV files (timing off)
+    # identical seed: byte-identical CSV files (timing off)
     base = open(BARRIER_CFG, encoding="utf-8").read()
     outputs = []
     for name in ("first.csv", "second.csv"):
@@ -164,17 +163,17 @@ def test_criterion_7_determinism(barrier_experiment, tmp_path):
         outputs.append(target.read_bytes())
     bytes_ok = outputs[0] == outputs[1]
 
-    model = pf.gbm(0.1, 0.3, 0.8)
-    spec = pf.discrete_barrier_call(0.5, 1.0, 0.1, 12)
-    cfg = SchemeConfig("euler", h=1 / 12288)
-    est_w4 = pf.estimate(model, cfg, spec, 5000, seed=12061, workers=4,
-                         ui_override=True)
-    rel_dev = abs(est_w4.mean - est_ref.mean) / max(1.0, abs(est_ref.mean))
-    workers_ok = rel_dev <= 1e-12
-    # the single-worker API run must agree with the CLI run bit for bit
+    # one summation order: a stale PATHFUNC_WORKERS moves no byte
+    monkeypatch.setenv("PATHFUNC_WORKERS", "4")
+    target = tmp_path / "env.csv"
+    cfg_file = tmp_path / "cfg_env.cfg"
+    cfg_file.write_text(base + f"\noutput.path = {target}\n")
+    assert main(["price", str(cfg_file)]) == 0
+    env_ok = target.read_bytes() == outputs[0]
+    # the API run must agree with the CLI run bit for bit
     csv_mean = float(outputs[0].decode().strip().splitlines()[-1].split(",")[1])
     bytes_ok &= csv_mean == est_ref.mean
-    ok = bytes_ok and workers_ok
+    ok = bytes_ok and env_ok
     report(7, ok,
-           f"repeat CSV files identical: {bytes_ok}; workers 1 vs 4 relative "
-           f"deviation {rel_dev:.2e} <= 1e-12")
+           f"repeat CSV files identical: {bytes_ok}; bytes with "
+           f"PATHFUNC_WORKERS=4 identical: {env_ok}")

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from pathfunc.cli import main
@@ -103,17 +105,44 @@ class TestCliPrice:
         b = capsys.readouterr().out
         assert a != b
 
-    def test_workers_env_override(self, tmp_path, capsys, monkeypatch):
+    def test_bytes_ignore_workers_env_and_core_count(self, tmp_path, monkeypatch):
+        # one summation order: a stale PATHFUNC_WORKERS or another core count
+        # must not move a single byte
         cfg = CONSTANT_CFG.replace("functional.payoff = constant",
                                    "functional.payoff = terminal_call")
-        cfg = cfg.replace("run.n_paths = 64", "run.n_paths = 500\nrun.allow_linear = true")
-        path = write(tmp_path, "c.cfg", cfg)
-        main(["price", path])
-        one = capsys.readouterr().out.splitlines()[-1].split(",")
-        monkeypatch.setenv("PATHFUNC_WORKERS", "4")
-        main(["price", path])
-        four = capsys.readouterr().out.splitlines()[-1].split(",")
-        assert abs(float(one[1]) - float(four[1])) <= 1e-12 * max(1.0, abs(float(one[1])))
+        cfg = cfg.replace("functional.strike = 2.5", "functional.strike = 0.9")
+        cfg = cfg.replace("run.n_paths = 64", "run.n_paths = 2000\nrun.allow_linear = true")
+        cfg = cfg.replace("run.workers = 1\n", "")
+        target = tmp_path / "out.csv"
+        path = write(tmp_path, "c.cfg", cfg + f"output.path = {target}\n")
+        monkeypatch.delenv("PATHFUNC_WORKERS", raising=False)
+        outputs = []
+        for env, cores in ((None, 1), ("4", 1), (None, 8)):
+            if env is not None:
+                monkeypatch.setenv("PATHFUNC_WORKERS", env)
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            assert main(["price", path]) == 0
+            outputs.append(target.read_bytes())
+            monkeypatch.delenv("PATHFUNC_WORKERS", raising=False)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("key, value", [("scheme.h", "2"), ("model.sigma", "-1"),
+                                            ("scheme.cap", "nan"), ("scheme.cap", "-inf")])
+    def test_refused_value_is_config_error(self, tmp_path, capsys, key, value):
+        path = write(tmp_path, "c.cfg", CONSTANT_CFG + f"{key} = {value}\n")
+        assert main(["price", path]) == 64
+        assert f"section {key.split('.')[0]!r}" in capsys.readouterr().err
+
+    def test_infinite_cap_means_no_cap(self, tmp_path, capsys):
+        cfg = CONSTANT_CFG.replace("functional.payoff = constant",
+                                   "functional.payoff = terminal_call")
+        cfg = cfg.replace("run.n_paths = 64", "run.n_paths = 64\nrun.allow_linear = true")
+        outputs = []
+        for cap in ("none", "inf", "+inf"):
+            path = write(tmp_path, "c.cfg", cfg + f"scheme.cap = {cap}\n")
+            assert main(["price", path]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestCliCheck:
@@ -215,3 +244,11 @@ class TestCliSkorohodDist:
         b = write(tmp_path, "b.csv", "0,0\n0.51,1\n1,1\n")
         assert main(["skorohod-dist", a, b]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(0.01, abs=1e-12)
+
+    @pytest.mark.parametrize("bad_line", ["0.5,x", "0.5", "0,2", "0.5,nan", "inf,1"])
+    def test_malformed_csv_is_config_error(self, tmp_path, capsys, bad_line):
+        a = write(tmp_path, "a.csv", "t,value\n0,0\n1,1\n")
+        b = write(tmp_path, "b.csv", f"t,value\n0,0\n{bad_line}\n1,1\n")
+        assert main(["skorohod-dist", a, b]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{b}, line 3" in err

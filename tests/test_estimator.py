@@ -46,12 +46,12 @@ class TestEstimate:
                      seed=9, ui_override=True)
         assert a.mean == b.mean and a.stderr == b.stderr
 
-    def test_worker_partition_invariance(self):
-        kw = dict(seed=9, ui_override=True)
-        ests = [estimate(GBM, CFG, custom_terminal("call", strike=0.5), 5000,
-                         workers=w, **kw) for w in (1, 2, 4, 7)]
-        for e in ests[1:]:
-            assert abs(e.mean - ests[0].mean) <= 1e-12 * max(1.0, abs(ests[0].mean))
+    @pytest.mark.parametrize("workers", [0, 2, 4, 7])
+    def test_workers_other_than_one_refused(self, workers):
+        # one process, one summation order: a worker count cannot regroup sums
+        with pytest.raises(PreconditionError):
+            estimate(GBM, CFG, custom_terminal("call", strike=0.5), 64, seed=9,
+                     workers=workers, ui_override=True)
 
     def test_stderr_scaling_with_sample_size(self):
         spec = custom_terminal("call", strike=0.5)

@@ -53,3 +53,51 @@ def test_functional_spec_payoff_fields():
     from pathfunc.functionals import FunctionalSpec
     fields = {f.name for f in dataclasses.fields(FunctionalSpec) if f.init}
     assert {"payoff", "payoff_batch"} <= fields
+
+
+# The benchmark harness still passes a worker count on three surfaces; each
+# accepts exactly 1, so a stale value fails loudly instead of being ignored.
+BENCH_CFG = """\
+model.kind = gbm
+scheme.kind = euler
+scheme.h = 0.25
+functional.payoff = constant
+functional.strike = 1.0
+run.n_paths = 16
+run.workers = 1
+run.timing = off
+output.format = csv
+"""
+
+
+@pytest.mark.parametrize("command", ["price", "converge", "check"])
+def test_cli_workers_flag_accepts_only_one(command):
+    from pathfunc.cli import _build_parser
+    parser = _build_parser()
+    assert parser.parse_args([command, "c.cfg", "--workers", "1"]).workers == 1
+    for value in ("0", "2", "4"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "c.cfg", "--workers", value])
+        assert exc.value.code == 2
+
+
+def test_config_workers_accepts_only_one():
+    from pathfunc.config import parse_config_text
+    from pathfunc.errors import ConfigError
+    assert parse_config_text(BENCH_CFG).get("run", "workers") == 1
+    for value in ("0", "2", "4", "1.5"):
+        with pytest.raises(ConfigError):
+            parse_config_text(BENCH_CFG.replace("run.workers = 1", f"run.workers = {value}"))
+
+
+def test_estimate_workers_accepts_only_one():
+    from pathfunc.errors import PreconditionError
+    from pathfunc.estimator import estimate
+    from pathfunc.functionals import constant_payoff
+    from pathfunc.models import gbm
+    from pathfunc.schemes import SchemeConfig
+    args = (gbm(0.0, 0.2, 1.0), SchemeConfig("euler", h=0.25), constant_payoff(1.0), 16)
+    assert estimate(*args, seed=0, workers=1).mean == 1.0
+    for value in (0, 2, 4):
+        with pytest.raises(PreconditionError):
+            estimate(*args, seed=0, workers=value)

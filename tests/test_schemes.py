@@ -88,6 +88,19 @@ class TestRngStream:
             schemes._pool_is_exact.cache_clear()
 
 
+class TestSchemeConfig:
+    def test_fields(self):
+        import dataclasses
+        assert [f.name for f in dataclasses.fields(SchemeConfig)] == ["kind", "h", "cap"]
+
+    def test_cap_forms(self):
+        assert SchemeConfig("euler", h=0.5, cap=math.inf).cap is None
+        assert SchemeConfig("euler", h=0.5, cap=2.0).cap == 2.0
+        for bad in (math.nan, -math.inf):
+            with pytest.raises(ValueError):
+                SchemeConfig("euler", h=0.5, cap=bad)
+
+
 class TestGrid:
     def test_exact_divisor(self):
         g = fixed_time_grid(0.25)
