@@ -7,7 +7,8 @@ command runs in one process and sums in one order, so its output does not
 depend on the environment or the core count.  ``price``, ``converge`` and
 ``check`` accept ``--workers 1`` and no other value, because the benchmark
 harness in ``bench/`` passes it.  Exit codes: 0 ok, 1 runtime error, 2
-diagnostic failure, 64 config error.
+diagnostic failure, 64 config error (a cap at or below the model's start
+value included).
 """
 
 from __future__ import annotations
@@ -86,6 +87,18 @@ def build_scheme(cfg: RunConfig) -> tuple[SchemeConfig, str | None]:
     return SchemeConfig(kind=kind, h=h, cap=cap), cap_rule
 
 
+def _refuse_low_cap(cfg: RunConfig, model: SdeModel, h_values) -> None:
+    """A cap at or below the start value would clamp every state: refuse it
+    at each step parameter the command runs."""
+    cap = cfg.get("scheme", "cap")
+    start = float(np.max(model.y0))
+    for h in h_values:
+        c = 1.0 / h if cap == "1/h" else cap
+        if c is not None and not c > start:
+            raise ConfigError(f"scheme.cap = {c:g} at h = {h:g} must exceed the start "
+                              f"value {start:g}", key="scheme.cap")
+
+
 @_refusals_as_config_errors("functional")
 def build_spec(cfg: RunConfig) -> FunctionalSpec:
     payoff = cfg.get("functional", "payoff")
@@ -152,6 +165,7 @@ def cmd_price(args) -> int:
     cfg = parse_config(args.config)
     model = build_model(cfg)
     scheme, cap_rule = build_scheme(cfg)
+    _refuse_low_cap(cfg, model, [scheme.h])
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
     ok, lines = _ui_gate(cfg, model, scheme, cap_rule, spec, seed)
@@ -190,10 +204,14 @@ def cmd_converge(args) -> int:
     model = build_model(cfg)
     spec = build_spec(cfg)
     scheme_kind = cfg.get("scheme", "kind")
+    cap = cfg.get("scheme", "cap")
+    if cap == "1/h":
+        raise ConfigError("converge needs a numeric scheme.cap, not 1/h", key="scheme.cap")
+    _refuse_low_cap(cfg, model, h_grid)
     oracle, note = _auto_oracle(cfg, model, spec)
     rep = estimator.convergence_study(model, scheme_kind, spec, h_grid,
                                       cfg.require("run", "n_paths"), seed,
-                                      oracle=oracle, oracle_note=note)
+                                      oracle=oracle, oracle_note=note, cap=cap)
     lines = _estimate_lines(cfg, [e for _, e in rep.rows])
     if oracle is not None:
         lines.append(f"oracle = {oracle:.10g} ({note})")
@@ -220,6 +238,8 @@ def cmd_check(args) -> int:
     cfg = parse_config(args.config)
     model = build_model(cfg)
     scheme, cap_rule = build_scheme(cfg)
+    h_grid = cfg.get("run", "h_grid") or [scheme.h]
+    _refuse_low_cap(cfg, model, [scheme.h, *h_grid])
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
     kinds_key = cfg.get("check", "kinds")
@@ -249,7 +269,6 @@ def cmd_check(args) -> int:
                     f"(tol {r.tol2:.3e}) dt/h={r.dt_ratio:.4g} "
                     f"{'ok' if r.passed else 'FAIL'}")
         failed |= not rep.passed
-    h_grid = cfg.get("run", "h_grid") or [scheme.h]
     ui = estimator.ui_diagnostic(model, scheme, spec, h_grid,
                                  n_paths=cfg.get("ui", "n_paths"), seed=seed,
                                  tail_tol=cfg.get("ui", "tail_tol"),

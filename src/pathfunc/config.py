@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "parse_config", "parse_config_text", "serialize_config"]
+__all__ = ["RunConfig", "parse_config", "parse_config_text"]
 
 # section -> key -> type tag ("str" | "num" | "int" | "bool" | "numlist" | "cap" | "one");
 # "one" is run.workers: read by nothing, accepted as 1 for the benchmark harness
@@ -118,6 +118,7 @@ class RunConfig:
         return _DEFAULTS[section][key]
 
     def has(self, section: str, key: str) -> bool:
+        """Whether the file sets the key; the benchmark harness reads it."""
         return key in self.values.get(section, {})
 
     def require(self, section: str, key: str):
@@ -152,30 +153,3 @@ def parse_config_text(text: str) -> RunConfig:
 def parse_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as f:
         return parse_config_text(f.read())
-
-
-def _format_value(tag: str, v) -> str:
-    if tag == "numlist":
-        return ",".join(f"{x:.17g}" for x in v)
-    if tag == "bool":
-        return "true" if v else "false"
-    if tag == "cap":
-        if v is None:
-            return "none"
-        if v == "1/h":
-            return "1/h"
-        return f"{v:.17g}"
-    if tag in ("num",):
-        return f"{v:.17g}"
-    return str(v)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse(serialize(parse(t))) == parse(t)."""
-    lines = []
-    for section in _SCHEMA:
-        for key in _SCHEMA[section]:
-            if cfg.has(section, key):
-                tag = _SCHEMA[section][key]
-                lines.append(f"{section}.{key} = {_format_value(tag, cfg.values[section][key])}")
-    return "\n".join(lines) + "\n"

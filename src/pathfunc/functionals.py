@@ -11,6 +11,12 @@ payoff g always takes the flat argument vector of length 4m + 1, laid out as
 argument 2m (the last entry of z2, with nu2 = (1/m, ..., 1)) and the terminal
 running maximum is argument 4m.
 
+Paths are observed a batch at a time: :func:`observe_args_batch` reads
+stored paths, :func:`fold_args_batch` folds a batch's states as it steps.
+Both take tau and the sampled columns from the exit and sampling rules of
+:mod:`pathfunc.paths` (``exit_times`` and ``grid_columns``), the same rules
+the per-path operators and the continuity classification use.
+
 Payoffs declare a growth class: linear-growth payoffs are only trusted after
 a uniform-integrability diagnostic (see the estimator module), and each
 built-in payoff declares the distance to its discontinuity locus so the
@@ -25,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationError, PreconditionError
-from .paths import BarrierPair, SampleVector, StepPath
+from .paths import BarrierPair, SampleVector, StepPath, exit_times, grid_columns
 
 __all__ = [
     "Growth",
@@ -94,17 +100,6 @@ class FunctionalSpec:
         return replace(self, coordinate=k)
 
 
-def _grid_columns(times: np.ndarray, instants: np.ndarray) -> np.ndarray:
-    """Column of the last grid time <= each instant: the sampling rule.
-
-    ``times`` is a shared (n+1,) grid, with instants of any shape, or a
-    (B, n+1) grid per row with (B, k) instants.
-    """
-    if times.ndim == 1:
-        return np.searchsorted(times, instants, side="right") - 1
-    return np.stack([(times <= c[:, None]).sum(axis=1) for c in instants.T], axis=1) - 1
-
-
 def observe_args_batch(times: np.ndarray, values: np.ndarray,
                        spec: FunctionalSpec) -> np.ndarray:
     """Argument vectors for a batch of paths.
@@ -116,15 +111,12 @@ def observe_args_batch(times: np.ndarray, values: np.ndarray,
     """
     V = values[:, :, spec.coordinate] if values.ndim == 3 else values
     B = V.shape[0]
-    out = (V <= spec.barriers.lower.values_on(times)) | (V >= spec.barriers.upper.values_on(times))
-    first = np.argmax(out, axis=1)
-    tau = np.where(out.any(axis=1), np.broadcast_to(times, V.shape)[np.arange(B), first], 1.0)
-
+    tau = exit_times(times, V, spec.barriers)
     M = np.maximum.accumulate(V, axis=1)
 
     def sample(A, instants):
         """A at the last grid time <= each of the (B, k) instants."""
-        return np.take_along_axis(A, _grid_columns(times, instants), axis=1)
+        return np.take_along_axis(A, grid_columns(times, instants), axis=1)
 
     fixed = np.ones((B, 1))
     z1 = sample(V, tau[:, None] * spec.nu1.entries)
@@ -146,7 +138,7 @@ def fold_args_batch(times: np.ndarray, states, spec: FunctionalSpec) -> np.ndarr
     if not spec.barriers.is_unbounded:
         raise PreconditionError("a finite barrier makes the sampled instants depend "
                                 "on tau; observe stored paths instead")
-    cols = [_grid_columns(times, nu.entries) for nu in (spec.nu1, spec.nu2, spec.nu3, spec.nu4)]
+    cols = [grid_columns(times, nu.entries) for nu in (spec.nu1, spec.nu2, spec.nu3, spec.nu4)]
     kept = np.unique(np.concatenate(cols))
     slot = {int(c): j for j, c in enumerate(kept)}
     M = None
@@ -319,23 +311,17 @@ def constant_payoff(c: float) -> FunctionalSpec:
     )
 
 
-def discontinuity_mass_estimate(spec: FunctionalSpec, paths, delta: float) -> float:
-    """Fraction of paths whose observables fall within delta of the payoff's
-    discontinuity locus.
+def discontinuity_mass_estimate(spec: FunctionalSpec, args: np.ndarray, delta: float) -> float:
+    """Fraction of the rows of an (N, 4m+1) argument block that fall within
+    delta of the payoff's discontinuity locus.
 
     A diagnostic for almost-sure continuity: the frequency should be small
     and shrink with delta.  Payoffs with no declared locus report 0.
     """
     if delta <= 0.0:
         raise PreconditionError("delta must be positive")
+    if len(args) == 0:
+        raise PreconditionError("need at least one argument row")
     if spec.locus_distance is None:
         return 0.0
-    n = 0
-    close = 0
-    for p in paths:
-        args = observe_args_batch(p.times, p.values[None], spec)
-        close += int(float(spec.locus_distance(args)[0]) < delta)
-        n += 1
-    if n == 0:
-        raise PreconditionError("need at least one path")
-    return close / n
+    return float(np.mean(spec.locus_distance(args) < delta))

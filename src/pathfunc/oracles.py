@@ -19,7 +19,6 @@ __all__ = [
     "up_and_in_call_price_quadrature",
     "reciprocal_bessel3_mean",
     "reciprocal_bessel3_mean_quadrature",
-    "bessel3_mean_quadrature",
 ]
 
 
@@ -125,10 +124,3 @@ def reciprocal_bessel3_mean(z0: float = 1.0, t: float = 1.0) -> float:
     """
     x0 = 1.0 / z0
     return float((2.0 * norm.cdf(x0 / np.sqrt(t)) - 1.0) / x0)
-
-
-def bessel3_mean_quadrature(x0: float = 1.0, t: float = 1.0) -> float:
-    """E[X(t)] for the Bessel(3) process itself (exceeds x0: upward drift)."""
-    val, _ = quad(lambda y: y * _bessel3_density(y, x0, t), 0.0,
-                  x0 + 45.0 * np.sqrt(t), limit=200)
-    return float(val)

@@ -7,6 +7,12 @@ three operators used throughout the engine: the running maximum, projection
 onto a vector of sampling instants, and the first exit time from a band
 between two continuous barriers.  Exit is detected at grid times only; the
 discrete path carries no information between grid points.
+
+The sampling rule (:func:`grid_columns`) and the exit rule
+(:func:`exit_times`) are written once, for a batch of paths on a shared grid
+or on one grid per row.  The engine's batch observation and the per-path
+operators and continuity classification here all call them, so a single
+path is a batch of one.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ __all__ = [
     "Barrier",
     "BarrierPair",
     "SampleVector",
+    "grid_columns",
+    "exit_times",
     "running_max",
     "project",
     "hitting_time",
@@ -36,6 +44,28 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False
     return a
+
+
+def grid_columns(times: np.ndarray, instants: np.ndarray) -> np.ndarray:
+    """Column of the last grid time <= each instant: the sampling rule.
+
+    ``times`` is a shared (n+1,) grid, with instants of any shape, or a
+    (B, n+1) grid per row with (B, k) instants.
+    """
+    if times.ndim == 1:
+        return np.searchsorted(times, instants, side="right") - 1
+    return np.stack([(times <= c[:, None]).sum(axis=1) for c in instants.T], axis=1) - 1
+
+
+def exit_times(times: np.ndarray, V: np.ndarray, barriers: BarrierPair) -> np.ndarray:
+    """First grid time at which each row of V leaves the open band: the exit rule.
+
+    ``V`` is a (B, n+1) block of scalar paths on the shared (n+1,) grid
+    ``times`` or on a (B, n+1) grid per row.  A row that never exits gets 1.
+    """
+    out = (V <= barriers.lower.values_on(times)) | (V >= barriers.upper.values_on(times))
+    first = np.broadcast_to(times, V.shape)[np.arange(V.shape[0]), np.argmax(out, axis=1)]
+    return np.where(out.any(axis=1), first, 1.0)
 
 
 @dataclass(frozen=True)
@@ -77,102 +107,80 @@ class StepPath:
         t = np.asarray(t, dtype=np.float64)
         if np.any(t < 0.0) or np.any(t > 1.0):
             raise DomainError("evaluation time outside [0, 1]")
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        return idx
+        return grid_columns(self.times, t)
 
     def at(self, t):
         """Path value at time t: the value at the covering grid point."""
         return self.values[self.index_at(t)]
 
 
+@dataclass(frozen=True, eq=False)
 class Barrier:
-    """One barrier: a constant level, a piecewise-linear interpolant of
-    sampled (t, level) knots, or +/- infinity.
+    """One continuous barrier: the piecewise-linear interpolant of its
+    (t, level) knots, which increase and cover [0, 1].
 
-    Constants and interpolants are continuous by construction.
+    A constant is two equal knots, and +/- infinity is two infinite knots:
+    ``np.interp`` returns the level of a flat segment, infinite or not.
     """
 
-    __slots__ = ("kind", "level", "knot_t", "knot_v")
+    knot_t: np.ndarray
+    knot_v: np.ndarray
 
-    def __init__(self, kind, level=None, knot_t=None, knot_v=None):
-        self.kind = kind
-        self.level = level
-        self.knot_t = knot_t
-        self.knot_v = knot_v
+    def __post_init__(self):
+        t, v = _freeze(np.asarray(self.knot_t)), _freeze(np.asarray(self.knot_v))
+        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
+            raise ValueError("a barrier needs matching t and level vectors")
+        if t[0] > 0.0 or t[-1] < 1.0 or np.any(np.diff(t) <= 0.0):
+            raise ValueError("barrier knots must increase and cover [0, 1]")
+        if not (np.isfinite(v).all() or (np.isinf(v[0]) and (v == v[0]).all())):
+            raise ValueError("barrier levels must be finite, or all the same infinity")
+        object.__setattr__(self, "knot_t", t)
+        object.__setattr__(self, "knot_v", v)
 
     @classmethod
     def constant(cls, level: float) -> "Barrier":
-        level = float(level)
-        if not np.isfinite(level):
-            raise ValueError("constant barrier level must be finite")
-        return cls("constant", level=level)
+        """The flat barrier at ``level``; an infinite level is never reached."""
+        return cls([0.0, 1.0], [level, level])
 
     @classmethod
     def sampled(cls, t, v) -> "Barrier":
-        t = _freeze(np.asarray(t))
-        v = _freeze(np.asarray(v))
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-            raise ValueError("sampled barrier needs matching t and level vectors")
-        if t[0] > 0.0 or t[-1] < 1.0 or np.any(np.diff(t) <= 0.0):
-            raise ValueError("sampled barrier knots must increase and cover [0, 1]")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("sampled barrier levels must be finite")
-        return cls("sampled", knot_t=t, knot_v=v)
+        return cls(t, v)
 
     @classmethod
     def minus_infinity(cls) -> "Barrier":
-        return cls("minus_inf")
+        return cls.constant(-np.inf)
 
     @classmethod
     def plus_infinity(cls) -> "Barrier":
-        return cls("plus_inf")
+        return cls.constant(np.inf)
 
     @property
     def is_infinite(self) -> bool:
-        return self.kind in ("minus_inf", "plus_inf")
+        return bool(np.isinf(self.knot_v[0]))
 
     def values_on(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=np.float64)
-        if self.kind == "constant":
-            return np.full(times.shape, self.level)
-        if self.kind == "sampled":
-            return np.interp(times, self.knot_t, self.knot_v)
-        fill = -np.inf if self.kind == "minus_inf" else np.inf
-        return np.full(times.shape, fill)
-
-    def __repr__(self):
-        if self.kind == "constant":
-            return f"Barrier.constant({self.level})"
-        if self.kind == "sampled":
-            return f"Barrier.sampled(<{self.knot_t.size} knots>)"
-        return f"Barrier.{self.kind}"
+        return np.interp(times, self.knot_t, self.knot_v)
 
 
+@dataclass(frozen=True, eq=False)
 class BarrierPair:
     """Lower and upper barrier functions with lower < upper everywhere.
 
     The ordering is checked at construction on a reference grid joined with
-    any sampled knots.
+    both barriers' knots.
     """
 
-    __slots__ = ("lower", "upper")
+    lower: Barrier
+    upper: Barrier
 
-    def __init__(self, lower: Barrier, upper: Barrier):
-        grid = [_REFERENCE_GRID]
-        for b in (lower, upper):
-            if b.kind == "sampled":
-                grid.append(b.knot_t)
-        grid = np.unique(np.concatenate(grid))
-        lo = lower.values_on(grid)
-        hi = upper.values_on(grid)
-        if not np.all(lo < hi):
+    def __post_init__(self):
+        grid = np.union1d(_REFERENCE_GRID, np.concatenate([self.lower.knot_t, self.upper.knot_t]))
+        if not np.all(self.lower.values_on(grid) < self.upper.values_on(grid)):
             raise ValueError("lower barrier must stay strictly below upper barrier")
-        self.lower = lower
-        self.upper = upper
 
     @classmethod
     def unbounded(cls) -> "BarrierPair":
-        return cls(Barrier.minus_infinity(), Barrier.plus_infinity())
+        return cls.levels(-np.inf, np.inf)
 
     @property
     def is_unbounded(self) -> bool:
@@ -181,12 +189,7 @@ class BarrierPair:
 
     @classmethod
     def levels(cls, lower: float, upper: float) -> "BarrierPair":
-        lo = Barrier.minus_infinity() if lower == -np.inf else Barrier.constant(lower)
-        hi = Barrier.plus_infinity() if upper == np.inf else Barrier.constant(upper)
-        return cls(lo, hi)
-
-    def __repr__(self):
-        return f"BarrierPair({self.lower!r}, {self.upper!r})"
+        return cls(Barrier.constant(lower), Barrier.constant(upper))
 
 
 @dataclass(frozen=True)
@@ -213,10 +216,6 @@ class SampleVector:
         """The vector (1/m, 2/m, ..., 1)."""
         return cls(np.arange(1, m + 1) / m)
 
-    def scaled(self, factor: float) -> np.ndarray:
-        """Entries multiplied by a factor in [0, 1] (stay inside [0, 1])."""
-        return self.entries * factor
-
 
 def running_max(path: StepPath) -> StepPath:
     """Prefix maximum of a scalar path on the same grid."""
@@ -231,12 +230,6 @@ def project(path: StepPath, nu) -> np.ndarray:
     return np.asarray(path.at(entries))
 
 
-def _band_on_grid(path: StepPath, barriers: BarrierPair):
-    lo = barriers.lower.values_on(path.times)
-    hi = barriers.upper.values_on(path.times)
-    return lo, hi
-
-
 def hitting_time(path: StepPath, barriers: BarrierPair) -> float:
     """First grid time at which the path leaves the open band, capped at 1.
 
@@ -244,11 +237,7 @@ def hitting_time(path: StepPath, barriers: BarrierPair) -> float:
     """
     if not path.is_scalar:
         raise PreconditionError("hitting_time is defined for scalar paths")
-    lo, hi = _band_on_grid(path, barriers)
-    out = (path.values <= lo) | (path.values >= hi)
-    if not out.any():
-        return 1.0
-    return float(path.times[int(np.argmax(out))])
+    return float(exit_times(path.times, path.values[None], barriers)[0])
 
 
 def classify_c_partition(path: StepPath, barriers: BarrierPair, tol: float | None = None) -> str:
@@ -270,22 +259,11 @@ def classify_c_partition(path: StepPath, barriers: BarrierPair, tol: float | Non
     if tau >= 1.0:
         return "C3"
     i = int(np.searchsorted(path.times, tau))
-    lo, hi = _band_on_grid(path, barriers)
-    v = path.values
-
-    def exits(side_vals, beyond):
-        # beyond(i) is True when v[i] lies strictly past the barrier at i
-        if beyond(i, tol):
-            return True  # RCLL: the value persists past the barrier after tau
-        touches = abs(v[i] - side_vals[i]) <= tol
-        return touches and i + 1 < v.size and beyond(i + 1, tol)
-
-    if v[i] >= hi[i] - tol:
-        if exits(hi, lambda j, e: v[j] > hi[j] + e):
-            return "C1"
-        return "C4"
-    if v[i] <= lo[i] + tol:
-        if exits(lo, lambda j, e: v[j] < lo[j] - e):
-            return "C2"
-        return "C4"
+    t, v = path.times[i:i + 2], path.values[i:i + 2]  # the exit column and the next
+    for cls, d in (("C1", v - barriers.upper.values_on(t)),
+                   ("C2", barriers.lower.values_on(t) - v)):
+        # d: how far past the barrier; at or past it at the exit column, the
+        # path must be strictly past it there (the step value persists) or next
+        if d[0] >= -tol:
+            return cls if (d > tol).any() else "C4"
     return "C4"

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from pathfunc.cli import main
-from pathfunc.config import (parse_config_text, serialize_config)
+from pathfunc.config import parse_config_text
 from pathfunc.errors import ConfigError
 
 CONSTANT_CFG = """
@@ -47,13 +47,6 @@ class TestConfigParsing:
     def test_comments_and_blanks(self):
         cfg = parse_config_text("# comment\n\nmodel.kind = gbm  # trailing\n")
         assert cfg.get("model", "kind") == "gbm"
-
-    def test_round_trip_identity(self):
-        text = CONSTANT_CFG + "scheme.cap = 1/h\nrun.h_grid = 0.1,0.05,0.025\n"
-        cfg = parse_config_text(text)
-        again = parse_config_text(serialize_config(cfg))
-        assert again.values == cfg.values
-        assert serialize_config(again) == serialize_config(cfg)
 
     def test_missing_required_key(self):
         cfg = parse_config_text("model.kind = gbm\n")
@@ -144,6 +137,16 @@ class TestCliPrice:
             outputs.append(capsys.readouterr().out)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    def test_cap_below_start_value_refused(self, tmp_path, capsys):
+        # a cap of -1 under x0 = 1 clamps every state: the price would read 0
+        cfg = CONSTANT_CFG.replace("functional.payoff = constant",
+                                   "functional.payoff = terminal_call\nrun.allow_linear = true")
+        path = write(tmp_path, "c.cfg", cfg.replace("functional.strike = 2.5",
+                                                    "functional.strike = 0.5")
+                     + "scheme.cap = -1\n")
+        assert main(["price", path]) == 64
+        assert "scheme.cap" in capsys.readouterr().err
+
 
 class TestCliCheck:
     def test_gbm_all_schemes_pass(self, tmp_path, capsys):
@@ -169,6 +172,21 @@ class TestCliCheck:
         path = write(tmp_path, "check.cfg", text)
         assert main(["check", path]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("z0, cap, h_grid", [("1.0", "0.5", "2^-4, 2^-6"),
+                                                  ("3.0", "1/h", "2^-1, 2^-3")])
+    def test_cap_at_or_below_start_value_refused(self, tmp_path, capsys, z0, cap, h_grid):
+        # with 1/h every h is checked: 1/2^-1 = 2 lies below z0 = 3
+        text = (
+            f"model.kind = inverse_bessel3\nmodel.z0 = {z0}\n"
+            f"scheme.kind = euler\nscheme.h = 2^-3\nscheme.cap = {cap}\n"
+            "functional.payoff = terminal_identity\n"
+            f"check.kinds = config\nrun.seed = 5\nrun.h_grid = {h_grid}\n"
+            "ui.n_paths = 500\n"
+        )
+        path = write(tmp_path, "check.cfg", text)
+        assert main(["check", path]) == 64
+        assert "scheme.cap" in capsys.readouterr().err
 
     def test_band_violation_surfaces(self, tmp_path, capsys):
         text = (
@@ -236,6 +254,36 @@ class TestCliConverge:
         assert main(["converge", path]) == 0
         out = capsys.readouterr().out
         assert "oracle = 0.2629996714" in out
+
+
+    def test_numeric_cap_reaches_every_row(self, tmp_path, capsys):
+        from pathfunc.estimator import convergence_study
+        from pathfunc.functionals import custom_terminal
+        from pathfunc.models import gbm
+        text = (
+            "model.kind = gbm\nmodel.r = 0.0\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
+            "scheme.kind = euler\nscheme.cap = 0.85\n"
+            "functional.payoff = terminal_identity\n"
+            "run.n_paths = 400\nrun.seed = 4\nrun.h_grid = 2^-3, 2^-4, 2^-5\n"
+            "output.format = csv\nrun.timing = off\n"
+        )
+        assert main(["converge", write(tmp_path, "c.cfg", text)]) == 0
+        means = [float(row.split(",")[1]) for row in capsys.readouterr().out.splitlines()[1:]]
+        rep = convergence_study(gbm(0.0, 0.3, 0.8), "euler", custom_terminal("identity"),
+                                [2**-3, 2**-4, 2**-5], 400, 4, cap=0.85)
+        assert means == [e.mean for _, e in rep.rows]
+        assert max(means) < 0.79
+
+    @pytest.mark.parametrize("cap", ["1/h", "0.5"])
+    def test_reciprocal_or_low_cap_refused(self, tmp_path, capsys, cap):
+        text = (
+            "model.kind = gbm\nmodel.r = 0.0\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
+            f"scheme.kind = euler\nscheme.cap = {cap}\n"
+            "functional.payoff = terminal_identity\n"
+            "run.n_paths = 400\nrun.h_grid = 2^-3, 2^-4, 2^-5\n"
+        )
+        assert main(["converge", write(tmp_path, "c.cfg", text)]) == 64
+        assert "scheme.cap" in capsys.readouterr().err
 
 
 class TestCliSkorohodDist:

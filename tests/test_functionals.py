@@ -253,21 +253,33 @@ class TestFold:
 
 class TestDiscontinuityMass:
     def test_empty_locus_is_zero(self):
-        p = make_path([0, 1], [1.0, 1.0])
-        assert discontinuity_mass_estimate(constant_payoff(1.0), [p], 0.1) == 0.0
+        assert discontinuity_mass_estimate(constant_payoff(1.0), np.ones((3, 5)), 0.1) == 0.0
 
     def test_path_pinned_at_barrier_flagged(self):
         spec = discrete_barrier_call(0.5, 1.0, 0.0, m=2)
-        p = make_path([0, 0.5, 1], [1.0, 1.0, 1.0])  # monitored max exactly 1
-        assert discontinuity_mass_estimate(spec, [p], 1e-6) == 1.0
+        times = np.array([0.0, 0.5, 1.0])
+        values = np.ones((4, 3))  # monitored max exactly 1 on every row
+        args = observe_args_batch(times, values, spec)
+        assert discontinuity_mass_estimate(spec, args, 1e-6) == 1.0
+
+    def test_fraction_of_rows(self):
+        spec = up_and_in_call(0.5, 1.0, 0.0, m=1)
+        args = np.zeros((8, 5))
+        args[:, 3] = [1.0, 1.0 + 1e-9, 0.5, 2.0, 0.9, 1.1, 0.0, 1.0 - 5e-7]
+        assert discontinuity_mass_estimate(spec, args, 1e-6) == 3 / 8
+
+    def test_empty_block_refused(self):
+        spec = up_and_in_call(0.5, 1.0, 0.0, m=1)
+        with pytest.raises(PreconditionError):
+            discontinuity_mass_estimate(spec, np.zeros((0, 5)), 0.1)
 
     def test_gbm_mass_small_and_decreasing_in_delta(self):
         spec = discrete_barrier_call(0.5, 1.0, 0.1, m=12)
         model = gbm(0.1, 0.3, 0.8)
         cfg = SchemeConfig("euler", h=2**-7)
-        paths = [simulate_path(model, cfg, RngStream(3, i, namespace=40))
-                 for i in range(400)]
-        f_coarse = discontinuity_mass_estimate(spec, paths, 2e-2)
-        f_fine = discontinuity_mass_estimate(spec, paths, 1e-3)
+        streams = [RngStream(3, i, namespace=40) for i in range(400)]
+        args = observe_args_batch(*simulate_values(model, cfg, streams), spec)
+        f_coarse = discontinuity_mass_estimate(spec, args, 2e-2)
+        f_fine = discontinuity_mass_estimate(spec, args, 1e-3)
         assert f_coarse <= 0.1
         assert f_fine <= f_coarse

@@ -48,6 +48,13 @@ def test_benchmark_names_exist(name):
     assert missing == []
 
 
+def test_run_config_has():
+    # bench/workload.py builds a config's model only when the file sets model.kind
+    from pathfunc.config import parse_config_text
+    cfg = parse_config_text("model.kind = gbm\n")
+    assert cfg.has("model", "kind") and not cfg.has("scheme", "h")
+
+
 def test_functional_spec_payoff_fields():
     # the tracer rebinds both payoff forms with dataclasses.replace
     from pathfunc.functionals import FunctionalSpec

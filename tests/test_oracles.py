@@ -61,10 +61,6 @@ class TestBesselOracles:
         assert oracles.reciprocal_bessel3_mean(1.0) < 1.0
         assert oracles.reciprocal_bessel3_mean(1.0) == pytest.approx(0.6826894921, abs=1e-9)
 
-    def test_bessel3_itself_drifts_upward(self):
-        # upward 1/x drift: the plain Bessel(3) mean exceeds its start
-        assert oracles.bessel3_mean_quadrature(1.0) > 1.0
-
     def test_density_normalizes(self):
         from scipy.integrate import quad
         from pathfunc.oracles import _bessel3_density

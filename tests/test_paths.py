@@ -163,15 +163,33 @@ class TestHittingTime:
     @given(step_paths(), barrier_pairs(), st.floats(0.0, 3.0, allow_nan=False))
     def test_monotone_under_widening(self, p, band, widen):
         def widened(b, sign):
-            if b.is_infinite:
-                return b
-            return Barrier.constant(b.level + sign * widen)
+            return Barrier.sampled(b.knot_t, b.knot_v + sign * widen)  # infinities stay
 
         wider = BarrierPair(widened(band.lower, -1.0), widened(band.upper, +1.0))
         assert hitting_time(p, wider) >= hitting_time(p, band)
 
 
+def reference_class(p, band, tol):
+    """The C1-C4 definition read off plainly, one grid time at a time."""
+    lo, hi = band.lower.values_on(p.times), band.upper.values_on(p.times)
+    v = p.values
+    i = next((j for j in range(v.size) if v[j] <= lo[j] or v[j] >= hi[j]), None)
+    if i is None or p.times[i] >= 1.0:
+        return "C3"
+    nxt = range(i, min(i + 2, v.size))
+    if v[i] >= hi[i] - tol:
+        return "C1" if any(v[j] > hi[j] + tol for j in nxt) else "C4"
+    if v[i] <= lo[i] + tol:
+        return "C2" if any(v[j] < lo[j] - tol for j in nxt) else "C4"
+    return "C4"
+
+
 class TestClassification:
+    @given(step_paths(), barrier_pairs())
+    def test_matches_definition(self, p, band):
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(p.values))))
+        assert classify_c_partition(p, band) == reference_class(p, band, tol)
+
     def test_non_exiting_is_c3(self):
         p = make_path([0, 1], [0, 0])
         assert classify_c_partition(p, BarrierPair.levels(-1, 1)) == "C3"
@@ -206,6 +224,18 @@ class TestBarriers:
     def test_sampled_interpolates(self):
         b = Barrier.sampled([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
         npt.assert_allclose(b.values_on([0.25, 0.5, 0.75]), [0.5, 1.0, 0.5])
+
+    @pytest.mark.parametrize("barrier", [Barrier.minus_infinity(), Barrier.constant(-2.5),
+                                         Barrier.constant(1 / 3), Barrier.plus_infinity()])
+    def test_flat_barrier_is_exactly_its_level(self, barrier):
+        # np.interp returns the level of a flat segment exactly, infinite or
+        # not, on a shared (n+1,) grid and on a (B, K+1) grid per row
+        rows = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, (4, 9)), axis=1)
+        rows[:, 0], rows[:, -1] = 0.0, 1.0
+        for grid in (np.arange(13) / 12, rows):
+            got = barrier.values_on(grid)
+            assert got.shape == grid.shape
+            assert np.all(got == barrier.knot_v[0])
 
     def test_infinite_fills(self):
         assert np.all(np.isneginf(Barrier.minus_infinity().values_on([0.0, 1.0])))
