@@ -6,16 +6,24 @@ Commands: ``price``, ``converge``, ``check``, ``counterexample``,
 command runs in one process and sums in one order, so its output does not
 depend on the environment or the core count.  ``price``, ``converge`` and
 ``check`` accept ``--workers 1`` and no other value, because the benchmark
-harness in ``bench/`` passes it.  Exit codes: 0 ok, 1 runtime error, 2
-diagnostic failure, 64 config error (a cap at or below the model's start
-value included).
+harness in ``bench/`` passes it.
+
+Every scheme a command runs -- ``scheme.h``, each h of ``run.h_grid``, each
+``check.kinds`` entry -- is built by :func:`build_scheme` and its helpers,
+as ``replace(scheme, ...)`` of the configured scheme, so a ``1/h`` cap is
+resolved by :class:`~pathfunc.schemes.SchemeConfig` at each h.  ``price``
+and ``converge`` clear the same uniform-integrability gate over the h values
+they price.  Exit codes: 0 ok, 1 runtime error, 2 diagnostic failure, 64
+config error (a refused value names its section or key; a cap at or below
+the model's start value included).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
+import contextlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,19 +44,22 @@ EXIT_DIAGNOSTIC = 2
 EXIT_CONFIG = 64
 
 
-def _refusals_as_config_errors(section: str):
-    """Report a value the section's constructors refuse as a ConfigError."""
-    def wrap(build):
-        @functools.wraps(build)
-        def run(cfg: RunConfig):
-            try:
-                return build(cfg)
-            except ConfigError:
-                raise
-            except ValueError as e:
-                raise ConfigError(f"section {section!r}: {e}", key=section) from e
-        return run
-    return wrap
+class _refusals_as_config_errors(contextlib.ContextDecorator):
+    """Report a value a constructor refuses as a ConfigError naming where it
+    came from: a section (``"scheme"``) or a single key (``"run.h_grid"``)."""
+
+    def __init__(self, where: str):
+        self.where = where
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, e, tb):
+        if isinstance(e, ValueError) and not isinstance(e, ConfigError):
+            section, _, key = self.where.partition(".")
+            named = f"section {section!r}" + (f", key {self.where!r}" if key else "")
+            raise ConfigError(f"{named}: {e}", key=self.where) from e
+        return False
 
 
 @_refusals_as_config_errors("model")
@@ -73,30 +84,45 @@ def build_model(cfg: RunConfig) -> SdeModel:
     raise ConfigError(f"unknown model kind {kind!r}", key="model.kind")
 
 
-@_refusals_as_config_errors("scheme")
-def build_scheme(cfg: RunConfig) -> tuple[SchemeConfig, str | None]:
-    kind = cfg.get("scheme", "kind")
-    if kind not in SCHEME_KINDS:
-        raise ConfigError(f"unknown scheme kind {kind!r}", key="scheme.kind")
-    h = cfg.require("scheme", "h")
-    cap = cfg.get("scheme", "cap")
-    cap_rule = None
-    if cap == "1/h":
-        cap_rule = "reciprocal"
-        cap = 1.0 / h
-    return SchemeConfig(kind=kind, h=h, cap=cap), cap_rule
+def build_scheme(cfg: RunConfig, h_key: str = "scheme.h") -> tuple[SchemeConfig, list]:
+    """The configured scheme at each step size under ``h_key`` (``scheme.h``,
+    or the sweep ``run.h_grid``), as ``(first, sweep)``.
+
+    The scheme is set one key at a time, from h = 1, so a refused value
+    names its key; each step size is ``replace(scheme, h=h)``.  The first
+    item is a :class:`SchemeConfig` (``bench/layers.py`` unpacks
+    ``scheme, _ = build_scheme(cfg)``).
+    """
+    with _refusals_as_config_errors("scheme.kind"):
+        scheme = SchemeConfig(kind=cfg.get("scheme", "kind"), h=1.0)
+    with _refusals_as_config_errors("scheme.cap"):
+        scheme = replace(scheme, cap=cfg.get("scheme", "cap"))
+    hs = cfg.require(*h_key.split("."))
+    with _refusals_as_config_errors(h_key):
+        sweep = [replace(scheme, h=h) for h in (hs if isinstance(hs, list) else [hs])]
+    if not sweep:
+        raise ConfigError(f"key {h_key!r} is empty", key=h_key)
+    return sweep[0], sweep
 
 
-def _refuse_low_cap(cfg: RunConfig, model: SdeModel, h_values) -> None:
+@_refusals_as_config_errors("check.kinds")
+def _check_schemes(cfg: RunConfig, scheme: SchemeConfig) -> list:
+    """The scheme of each ``check.kinds`` entry at the configured step size."""
+    kinds = cfg.get("check", "kinds")
+    if kinds == "config":
+        return [scheme]
+    names = SCHEME_KINDS if kinds == "all" else [k.strip() for k in kinds.split(",") if k.strip()]
+    return [replace(scheme, kind=k) for k in names]
+
+
+def _refuse_low_cap(model: SdeModel, schemes) -> None:
     """A cap at or below the start value would clamp every state: refuse it
-    at each step parameter the command runs."""
-    cap = cfg.get("scheme", "cap")
+    on each scheme the command runs."""
     start = float(np.max(model.y0))
-    for h in h_values:
-        c = 1.0 / h if cap == "1/h" else cap
-        if c is not None and not c > start:
-            raise ConfigError(f"scheme.cap = {c:g} at h = {h:g} must exceed the start "
-                              f"value {start:g}", key="scheme.cap")
+    for s in schemes:
+        if s.cap_level is not None and not s.cap_level > start:
+            raise ConfigError(f"scheme.cap = {s.cap_level:g} at h = {s.h:g} must exceed "
+                              f"the start value {start:g}", key="scheme.cap")
 
 
 @_refusals_as_config_errors("functional")
@@ -148,31 +174,32 @@ def _estimate_lines(cfg: RunConfig, rows, header=True) -> list:
     return out
 
 
-def _ui_gate(cfg, model, scheme, cap_rule, spec, seed) -> tuple[bool, list]:
-    """Run the uniform-integrability diagnostic a linear payoff requires."""
+def _ui_gate(cfg, model, spec, sweep, seed) -> tuple[bool, list]:
+    """Run the uniform-integrability diagnostic a linear payoff requires, over
+    the schemes the command prices."""
     if spec.growth.kind == "bounded" or cfg.get("run", "allow_linear"):
         return True, []
-    rep = estimator.ui_diagnostic(model, scheme, spec, [scheme.h],
+    rep = estimator.ui_diagnostic(model, sweep[0], spec, [s.h for s in sweep],
                                   n_paths=cfg.get("ui", "n_paths"), seed=seed,
-                                  tail_tol=cfg.get("ui", "tail_tol"),
-                                  cap_rule=cap_rule)
+                                  tail_tol=cfg.get("ui", "tail_tol"))
     lines = [f"ui diagnostic: {'pass' if rep.passed else 'FAIL'} "
              f"(sup second moment {rep.sup_second_moment:.4g})"]
+    if not rep.passed:
+        lines.append("refusing to price a linear-growth payoff whose tails do not "
+                     "vanish; set run.allow_linear = true to override")
     return rep.passed, lines
 
 
 def cmd_price(args) -> int:
     cfg = parse_config(args.config)
     model = build_model(cfg)
-    scheme, cap_rule = build_scheme(cfg)
-    _refuse_low_cap(cfg, model, [scheme.h])
+    scheme, sweep = build_scheme(cfg)
+    _refuse_low_cap(model, sweep)
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
-    ok, lines = _ui_gate(cfg, model, scheme, cap_rule, spec, seed)
+    ok, lines = _ui_gate(cfg, model, spec, sweep, seed)
     if not ok:
-        _emit(cfg, lines + ["refusing to price a linear-growth payoff whose "
-                            "tails do not vanish; set run.allow_linear = true "
-                            "to override"])
+        _emit(cfg, lines)
         return EXIT_DIAGNOSTIC
     est = estimator.estimate(model, scheme, spec, cfg.require("run", "n_paths"),
                              seed, ui_override=True)
@@ -197,22 +224,20 @@ def _auto_oracle(cfg: RunConfig, model, spec) -> tuple[float | None, str]:
 
 def cmd_converge(args) -> int:
     cfg = parse_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("run", "seed")
-    h_grid = cfg.require("run", "h_grid")
-    if cfg.get("model", "kind") == "tangency":
-        return _converge_tangency(cfg, h_grid)
     model = build_model(cfg)
+    scheme, sweep = build_scheme(cfg, "run.h_grid")
+    _refuse_low_cap(model, sweep)
     spec = build_spec(cfg)
-    scheme_kind = cfg.get("scheme", "kind")
-    cap = cfg.get("scheme", "cap")
-    if cap == "1/h":
-        raise ConfigError("converge needs a numeric scheme.cap, not 1/h", key="scheme.cap")
-    _refuse_low_cap(cfg, model, h_grid)
+    seed = args.seed if args.seed is not None else cfg.get("run", "seed")
+    ok, lines = _ui_gate(cfg, model, spec, sweep, seed)
+    if not ok:
+        _emit(cfg, lines)
+        return EXIT_DIAGNOSTIC
     oracle, note = _auto_oracle(cfg, model, spec)
-    rep = estimator.convergence_study(model, scheme_kind, spec, h_grid,
+    rep = estimator.convergence_study(model, scheme, spec, [s.h for s in sweep],
                                       cfg.require("run", "n_paths"), seed,
-                                      oracle=oracle, oracle_note=note, cap=cap)
-    lines = _estimate_lines(cfg, [e for _, e in rep.rows])
+                                      oracle=oracle, oracle_note=note)
+    lines += _estimate_lines(cfg, [e for _, e in rep.rows])
     if oracle is not None:
         lines.append(f"oracle = {oracle:.10g} ({note})")
         lines.append("errors: " + ", ".join(f"{e:.6g}" for e in rep.errors))
@@ -223,42 +248,25 @@ def cmd_converge(args) -> int:
     return EXIT_OK
 
 
-def _converge_tangency(cfg: RunConfig, h_grid) -> int:
-    # deterministic pseudo-scheme: the grazing parabola shifted down by h
-    rep = estimator.counterexample_tangency(h_values=tuple(h_grid))
-    lines = [f"{'h':>12} {'exit_time':>12} {'target':>12}"]
-    for h in h_grid:
-        lines.append(f"{h:12.6g} {rep.tau_h[h]:12.6f} {rep.tau:12.6f}")
-    lines.append("non_convergence_flag = True  (tangency: exit times stay at 1)")
-    _emit(cfg, lines)
-    return EXIT_OK
-
-
 def cmd_check(args) -> int:
     cfg = parse_config(args.config)
     model = build_model(cfg)
-    scheme, cap_rule = build_scheme(cfg)
-    h_grid = cfg.get("run", "h_grid") or [scheme.h]
-    _refuse_low_cap(cfg, model, [scheme.h, *h_grid])
+    scheme, _ = build_scheme(cfg)
+    sweep = build_scheme(cfg, "run.h_grid")[1] if cfg.get("run", "h_grid") else [scheme]
+    checked = _check_schemes(cfg, scheme)
+    _refuse_low_cap(model, [scheme, *sweep])
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
-    kinds_key = cfg.get("check", "kinds")
-    if kinds_key == "config":
-        kinds = [scheme.kind]
-    elif kinds_key == "all":
-        kinds = list(SCHEME_KINDS)
-    else:
-        kinds = [k.strip() for k in kinds_key.split(",") if k.strip()]
     probes = [(y, t) for y in cfg.get("check", "probes_y")
               for t in cfg.get("check", "probes_t")]
     lines = []
     failed = False
-    for kind in kinds:
+    for one in checked:
         rep = check_local_consistency(
-            model, SchemeConfig(kind=kind, h=scheme.h, cap=scheme.cap), probes,
+            model, one, probes,
             n_draws=cfg.get("check", "n_draws"), seed=seed,
             c_const=cfg.get("check", "c_const"))
-        lines.append(f"scheme {kind}: {'pass' if rep.passed else 'FAIL'}")
+        lines.append(f"scheme {one.kind}: {'pass' if rep.passed else 'FAIL'}")
         for r in rep.rows:
             if r.note:
                 lines.append(f"  probe y={r.y:g} t={r.t:g}: ERROR {r.note}")
@@ -269,10 +277,9 @@ def cmd_check(args) -> int:
                     f"(tol {r.tol2:.3e}) dt/h={r.dt_ratio:.4g} "
                     f"{'ok' if r.passed else 'FAIL'}")
         failed |= not rep.passed
-    ui = estimator.ui_diagnostic(model, scheme, spec, h_grid,
+    ui = estimator.ui_diagnostic(model, scheme, spec, [s.h for s in sweep],
                                  n_paths=cfg.get("ui", "n_paths"), seed=seed,
-                                 tail_tol=cfg.get("ui", "tail_tol"),
-                                 cap_rule=cap_rule)
+                                 tail_tol=cfg.get("ui", "tail_tol"))
     if ui.skipped:
         lines.append("ui diagnostic: skipped (bounded payoff)")
     else:

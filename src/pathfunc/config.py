@@ -16,43 +16,30 @@ from .errors import ConfigError
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text"]
 
-# section -> key -> type tag ("str" | "num" | "int" | "bool" | "numlist" | "cap" | "one");
-# "one" is run.workers: read by nothing, accepted as 1 for the benchmark harness
-_SCHEMA = {
+# section -> key -> (type tag, default); the tags are "str", "num", "int",
+# "bool", "numlist", "cap" and "one" -- run.workers: read by nothing,
+# accepted as 1 for the benchmark harness
+_KEYS = {
     "model": {
-        "kind": "str", "r": "num", "sigma": "num", "x0": "num",
-        "y0": "num", "rho": "num", "z0": "num",
+        "kind": ("str", "gbm"), "r": ("num", 0.0), "sigma": ("num", 0.2),
+        "x0": ("num", 1.0), "y0": ("num", 1.0), "rho": ("num", 0.0), "z0": ("num", 1.0),
     },
-    "scheme": {"kind": "str", "h": "num", "cap": "cap"},
+    "scheme": {"kind": ("str", "euler"), "h": ("num", None), "cap": ("cap", None)},
     "functional": {
-        "payoff": "str", "strike": "num", "barrier_level": "num",
-        "m": "int", "coordinate": "int",
+        "payoff": ("str", "terminal_identity"), "strike": ("num", 0.0),
+        "barrier_level": ("num", 1.0), "m": ("int", 1), "coordinate": ("int", 0),
     },
     "run": {
-        "n_paths": "int", "seed": "int", "workers": "one",
-        "h_grid": "numlist", "oracle": "str", "allow_linear": "bool",
-        "timing": "bool",
+        "n_paths": ("int", 10000), "seed": ("int", 0), "workers": ("one", 1),
+        "h_grid": ("numlist", None), "oracle": ("str", "none"),
+        "allow_linear": ("bool", False), "timing": ("bool", True),
     },
     "check": {
-        "probes_y": "numlist", "probes_t": "numlist", "n_draws": "int",
-        "c_const": "num", "kinds": "str",
+        "probes_y": ("numlist", [0.5, 1.0, 2.0]), "probes_t": ("numlist", [0.0, 0.5]),
+        "n_draws": ("int", 1000000), "c_const": ("num", 1.0), "kinds": ("str", "config"),
     },
-    "ui": {"n_paths": "int", "tail_tol": "num"},
-    "output": {"format": "str", "path": "str"},
-}
-
-_DEFAULTS = {
-    "model": {"kind": "gbm", "r": 0.0, "sigma": 0.2, "x0": 1.0,
-              "y0": 1.0, "rho": 0.0, "z0": 1.0},
-    "scheme": {"kind": "euler", "h": None, "cap": None},
-    "functional": {"payoff": "terminal_identity", "strike": 0.0,
-                   "barrier_level": 1.0, "m": 1, "coordinate": 0},
-    "run": {"n_paths": 10000, "seed": 0, "workers": 1, "h_grid": None,
-            "oracle": "none", "allow_linear": False, "timing": True},
-    "check": {"probes_y": [0.5, 1.0, 2.0], "probes_t": [0.0, 0.5],
-              "n_draws": 1000000, "c_const": 1.0, "kinds": "config"},
-    "ui": {"n_paths": 20000, "tail_tol": 0.05},
-    "output": {"format": "table", "path": "-"},
+    "ui": {"n_paths": ("int", 20000), "tail_tol": ("num", 0.05)},
+    "output": {"format": ("str", "table"), "path": ("str", "-")},
 }
 
 
@@ -115,7 +102,7 @@ class RunConfig:
     def get(self, section: str, key: str):
         if key in self.values.get(section, {}):
             return self.values[section][key]
-        return _DEFAULTS[section][key]
+        return _KEYS[section][key][1]
 
     def has(self, section: str, key: str) -> bool:
         """Whether the file sets the key; the benchmark harness reads it."""
@@ -142,11 +129,11 @@ def parse_config_text(text: str) -> RunConfig:
         if "." not in lhs:
             raise ConfigError(f"line {lineno}: key {lhs!r} must be section.key", key=lhs)
         section, key = lhs.split(".", 1)
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(f"unknown config section {section!r}", key=lhs)
-        if key not in _SCHEMA[section]:
+        if key not in _KEYS[section]:
             raise ConfigError(f"unknown config key {lhs!r}", key=lhs)
-        values.setdefault(section, {})[key] = _parse_value(_SCHEMA[section][key], rhs, lhs)
+        values.setdefault(section, {})[key] = _parse_value(_KEYS[section][key][0], rhs, lhs)
     return RunConfig(values=values)
 
 

@@ -169,19 +169,13 @@ class UiReport:
     tail_tol: float = 0.05
 
 
-def _resolve_cap(config: SchemeConfig, cap_rule: str | None, h: float):
-    if cap_rule == "reciprocal":
-        return 1.0 / h
-    return config.cap
-
-
 def _terminal_samples(model: SdeModel, config_h: SchemeConfig, n: int,
                       seed: int, namespace: int, coordinate: int) -> np.ndarray:
     if model.label == "inverse_bessel3":
         # Grid chains of the quadratic-volatility SDE diverge in moments, so
         # this family is sampled from its exact stopped law instead.
         gen = RngStream(seed, 0, namespace).generator()
-        return sample_reciprocal_bessel3_stopped(float(model.y0[0]), config_h.cap, n, gen)
+        return sample_reciprocal_bessel3_stopped(float(model.y0[0]), config_h.cap_level, n, gen)
     streams = [RngStream(seed, i, namespace) for i in range(n)]
     term = simulate_terminals(model, config_h, streams)
     return term[:, coordinate]
@@ -189,10 +183,10 @@ def _terminal_samples(model: SdeModel, config_h: SchemeConfig, n: int,
 
 def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
                   h_grid, n_paths: int = 20000, seed: int = 0,
-                  cutoffs=None, tail_tol: float = 0.05,
-                  cap_rule: str | None = None) -> UiReport:
+                  cutoffs=None, tail_tol: float = 0.05) -> UiReport:
     """Estimate tail expectations E[|X^h(1)| ; |X^h(1)| > A] over a grid of
-    cutoffs A and step parameters h.
+    cutoffs A and step parameters h, running ``replace(config, h=h)`` at each
+    h (a ``1/h`` cap is resolved there).
 
     Passes iff the tail at the largest cutoff stays below ``tail_tol`` for
     every h (tails must vanish uniformly for expectations of linear-growth
@@ -202,11 +196,11 @@ def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
     """
     if spec.growth.kind == "bounded":
         return UiReport(skipped=True, passed=True, tail_tol=tail_tol)
-    h_grid = list(h_grid)
-    if not h_grid:
+    schemes = [replace(config, h=h) for h in h_grid]
+    if not schemes:
         raise PreconditionError("h_grid must be nonempty")
     if cutoffs is None:
-        caps = [_resolve_cap(config, cap_rule, h) for h in h_grid]
+        caps = [s.cap_level for s in schemes]
         top = 32.0
         if all(c is not None for c in caps):
             top = max(32.0, min(caps) / 2.0)
@@ -217,15 +211,14 @@ def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
                       tail_tol=tail_tol)
     worst = 0.0
     sup_m2 = 0.0
-    for k, h in enumerate(h_grid):
-        cfg = replace(config, h=h, cap=_resolve_cap(config, cap_rule, h))
+    for k, cfg in enumerate(schemes):
         term = np.abs(_terminal_samples(model, cfg, n_paths, seed, 1000 + k,
                                         spec.coordinate))
         tails = [float(np.mean(term * (term > a))) for a in cutoffs]
         m2 = float(np.mean(term * term))
         sup_m2 = max(sup_m2, m2)
         worst = max(worst, tails[-1])
-        report.rows.append((h, cfg.cap, tails, m2))
+        report.rows.append((cfg.h, cfg.cap_level, tails, m2))
     report.sup_second_moment = sup_m2
     report.passed = worst <= tail_tol
     return report
@@ -266,12 +259,12 @@ def _convergence_flags(report: ConvergenceReport) -> None:
         report.trend_slope = float(np.polyfit(hs, np.log(errs), 1)[0])
 
 
-def convergence_study(model: SdeModel, scheme_kind: str, spec: FunctionalSpec,
+def convergence_study(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
                       h_grid, n_paths: int, seed: int, oracle: float | None = None,
                       oracle_note: str = "", bias_allowance: float = 0.35,
-                      cap: float | None = None,
                       ui_override: bool = True) -> ConvergenceReport:
-    """Run the estimator across a decreasing grid of step parameters.
+    """Run the estimator across a decreasing grid of step parameters, on
+    ``replace(config, h=h)`` at each h, as :func:`ui_diagnostic` sweeps.
 
     When an oracle is supplied the report carries |mean - oracle| per row,
     whether the errors are nonincreasing (one statistical inversion is
@@ -285,9 +278,8 @@ def convergence_study(model: SdeModel, scheme_kind: str, spec: FunctionalSpec,
         raise PreconditionError("h_grid must be strictly decreasing")
     rows = []
     for k, h in enumerate(h_grid):
-        cfg = SchemeConfig(kind=scheme_kind, h=h, cap=cap)
-        est = estimate(model, cfg, spec, n_paths, seed, namespace=100 + k,
-                       ui_override=ui_override)
+        est = estimate(model, replace(config, h=h), spec, n_paths, seed,
+                       namespace=100 + k, ui_override=ui_override)
         rows.append((h, est))
     report = ConvergenceReport(rows=rows, oracle=oracle, oracle_note=oracle_note,
                                bias_allowance=bias_allowance)

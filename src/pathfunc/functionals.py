@@ -195,28 +195,25 @@ def _uniform_spec(m: int) -> dict:
     return dict(m=m, nu1=nu, nu2=nu, nu3=nu, nu4=nu)
 
 
-def up_and_in_call(strike: float, barrier_level: float, r: float, m: int = 1,
-                   coordinate: int = 0) -> FunctionalSpec:
-    """Up-and-in call: e^{-r} (X(1) - K)^+ activated when the running
-    maximum reaches the barrier level.
-
-    The knock-in condition reads the terminal running maximum (argument 4m),
-    so the band barriers stay infinite and tau is identically 1.  Linear
-    growth; discontinuous exactly on {x_{4m} = barrier}.
-    """
+def _knock_in_call(strike: float, barrier_level: float, r: float, m: int,
+                   coordinate: int, label: str, knock_level) -> FunctionalSpec:
+    """e^{-r} (x_{2m} - K)^+ knocked in when ``knock_level`` of the (N, 4m+1)
+    argument block reaches the barrier level; linear growth, discontinuous
+    on {knock_level = barrier}.  The band stays unbounded, so tau = 1."""
+    if m < 1:
+        raise ValueError("need at least one monitoring date")
     if barrier_level <= 0.0:
         raise ValueError("barrier level must be positive")
     disc = float(np.exp(-r))
     k = float(strike)
     b = float(barrier_level)
-    mm = m
 
     def payoff_batch(x):
-        return disc * np.maximum(x[:, 2 * mm - 1] - k, 0.0) * (x[:, 4 * mm - 1] >= b)
+        hit = knock_level(x) >= b
+        return disc * np.maximum(x[:, 2 * m - 1] - k, 0.0) * hit
 
     def locus_distance(x):
-        x = np.atleast_2d(x)
-        return np.abs(x[:, 4 * mm - 1] - b)
+        return np.abs(knock_level(np.atleast_2d(x)) - b)
 
     return FunctionalSpec(
         **_uniform_spec(m),
@@ -226,8 +223,19 @@ def up_and_in_call(strike: float, barrier_level: float, r: float, m: int = 1,
         growth=Growth.linear(),
         barriers=BarrierPair.unbounded(),
         coordinate=coordinate,
-        label="up_in_call",
+        label=label,
     )
+
+
+def up_and_in_call(strike: float, barrier_level: float, r: float, m: int = 1,
+                   coordinate: int = 0) -> FunctionalSpec:
+    """Up-and-in call: e^{-r} (X(1) - K)^+ activated when the running
+    maximum reaches the barrier level.
+
+    The knock-in condition reads the terminal running maximum (argument 4m).
+    """
+    return _knock_in_call(strike, barrier_level, r, m, coordinate, "up_in_call",
+                          lambda x: x[:, 4 * m - 1])
 
 
 def discrete_barrier_call(strike: float, barrier_level: float, r: float,
@@ -236,35 +244,10 @@ def discrete_barrier_call(strike: float, barrier_level: float, r: float,
 
     The knock-in condition reads the maximum of the monitored path values
     (arguments m+1 .. 2m); the call leg reads the terminal value (argument
-    2m).  Linear growth; discontinuous on {max monitored = barrier}.
+    2m).
     """
-    if m < 1:
-        raise ValueError("need at least one monitoring date")
-    if barrier_level <= 0.0:
-        raise ValueError("barrier level must be positive")
-    disc = float(np.exp(-r))
-    k = float(strike)
-    b = float(barrier_level)
-    mm = m
-
-    def payoff_batch(x):
-        hit = np.max(x[:, mm : 2 * mm], axis=1) >= b
-        return disc * np.maximum(x[:, 2 * mm - 1] - k, 0.0) * hit
-
-    def locus_distance(x):
-        x = np.atleast_2d(x)
-        return np.abs(np.max(x[:, mm : 2 * mm], axis=1) - b)
-
-    return FunctionalSpec(
-        **_uniform_spec(m),
-        payoff=_scalar(payoff_batch),
-        payoff_batch=payoff_batch,
-        locus_distance=locus_distance,
-        growth=Growth.linear(),
-        barriers=BarrierPair.unbounded(),
-        coordinate=coordinate,
-        label="discrete_barrier_call",
-    )
+    return _knock_in_call(strike, barrier_level, r, m, coordinate, "discrete_barrier_call",
+                          lambda x: np.max(x[:, m:2 * m], axis=1))
 
 
 def custom_terminal(kind: str, strike: float = 0.0, r: float = 0.0,

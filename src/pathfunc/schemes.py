@@ -85,24 +85,35 @@ class RngStream:
 class SchemeConfig:
     """Scheme selection: kernel kind, step parameter, optional state cap.
 
-    ``cap`` truncates the state to min(y, cap) after every step; None or
-    +inf means no cap, and a NaN or -inf cap is refused.
+    The scheme at another step size is ``replace(scheme, h=...)``.  ``cap``
+    truncates the state to min(y, cap_level) after every step: a number, None
+    or +inf for no cap, or the rule ``"1/h"``, the cap 1/h at the scheme's own
+    h, which ``replace`` carries to the new h.  A NaN or -inf cap, or any
+    other string, is refused.
     """
 
     kind: str
     h: float
-    cap: float | None = None
+    cap: float | str | None = None
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if not (0.0 < self.h <= 1.0):
             raise ValueError("step parameter h must lie in (0, 1]")
-        if self.cap is not None:
+        if isinstance(self.cap, str):
+            if self.cap != "1/h":
+                raise ValueError(f"the only cap rule is '1/h', got {self.cap!r}")
+        elif self.cap is not None:
             if np.isnan(self.cap) or self.cap == -np.inf:
                 raise ValueError(f"cap must be a number or +inf, got {self.cap!r}")
             if self.cap == np.inf:
                 object.__setattr__(self, "cap", None)
+
+    @property
+    def cap_level(self) -> float | None:
+        """The level the state is capped at at this h, None when uncapped."""
+        return 1.0 / self.h if isinstance(self.cap, str) else self.cap
 
     def resolved_qu_bounds(self, model: SdeModel) -> tuple[float, float]:
         """Quasi-uniformity band lo * h <= dt <= hi * h on ``model``: exact
@@ -228,13 +239,13 @@ def _fixed_states(model: SdeModel, config: SchemeConfig, times: np.ndarray,
     """
     y = np.repeat(model.y0[None, :], n_rows, axis=0)
     yield y
-    n_steps = times.size - 1
+    n_steps, cap = times.size - 1, config.cap_level
     n = 0
     for block in blocks:
         for xi in block:
             _fixed_update(model, y, times[n], times[n + 1] - times[n], xi, out=y)
-            if config.cap is not None:
-                np.minimum(y, config.cap, out=y)
+            if cap is not None:
+                np.minimum(y, cap, out=y)
             n += 1
             if n % _FINITE_CHECK_STRIDE == 0 or n == n_steps:
                 _raise_at_first_bad_row("non-finite state during simulation",
@@ -251,6 +262,7 @@ def _run_tree_batch(model: SdeModel, config: SchemeConfig, n_rows: int, draw_sig
     row's error is raised with that row as ``batch_index``.
     """
     lo, hi = config.resolved_qu_bounds(model)
+    cap = config.cap_level
     y = np.repeat(model.y0[None, :], n_rows, axis=0)
     t = np.zeros((n_rows, 1))
     ts, ys, failure = [t.copy()], [y.copy()], None
@@ -269,8 +281,8 @@ def _run_tree_batch(model: SdeModel, config: SchemeConfig, n_rows: int, draw_sig
             qu_ok = trunc | ((lo * (1 - 1e-12) <= ratio) & (ratio <= hi * (1 + 1e-12)))
             _raise_at_first_bad_row(f"quasi-uniformity violated: dt/h outside [{lo}, {hi}]",
                                     qu_ok[:, 0], y[rows], t[rows])
-            if config.cap is not None:
-                y_next = np.minimum(y_next, config.cap)
+            if cap is not None:
+                y_next = np.minimum(y_next, cap)
             _raise_at_first_bad_row("non-finite state during simulation",
                                     np.isfinite(y_next).all(axis=1), y_next, t_next)
         except (PreconditionError, SimulationError) as e:

@@ -98,7 +98,8 @@ def test_criterion_4_convergence_to_oracle():
     spec = pf.up_and_in_call(0.5, 1.0, 0.1, m=1)
     oracle = up_and_in_call_price(0.8, 0.5, 1.0, 0.1, 0.3)
     h_grid = [2**-5, 2**-7, 2**-9, 2**-11]
-    rep = pf.convergence_study(model, "euler", spec, h_grid, 200000, seed=771,
+    rep = pf.convergence_study(model, pf.SchemeConfig("euler", h=h_grid[0]), spec, h_grid,
+                               200000, seed=771,
                                oracle=oracle, bias_allowance=CONVERGENCE_BIAS_C)
     errs = rep.errors
     inversions = sum(1 for a, b in zip(errs, errs[1:]) if b > a)

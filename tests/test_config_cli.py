@@ -224,13 +224,6 @@ class TestCliCounterexample:
 
 
 class TestCliConverge:
-    def test_tangency_pseudo_scheme_flags_nonconvergence(self, tmp_path, capsys):
-        text = "model.kind = tangency\nscheme.kind = euler\nscheme.h = 0.1\nrun.h_grid = 0.1, 0.01, 0.001\n"
-        path = write(tmp_path, "t.cfg", text)
-        assert main(["converge", path]) == 0
-        out = capsys.readouterr().out
-        assert "non_convergence_flag = True" in out
-
     def test_grid_minimum_enforced(self, tmp_path, capsys):
         text = (
             "model.kind = gbm\nmodel.r = 0.0\nmodel.sigma = 0.2\nmodel.x0 = 1.0\n"
@@ -260,6 +253,7 @@ class TestCliConverge:
         from pathfunc.estimator import convergence_study
         from pathfunc.functionals import custom_terminal
         from pathfunc.models import gbm
+        from pathfunc.schemes import SchemeConfig
         text = (
             "model.kind = gbm\nmodel.r = 0.0\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
             "scheme.kind = euler\nscheme.cap = 0.85\n"
@@ -268,22 +262,83 @@ class TestCliConverge:
             "output.format = csv\nrun.timing = off\n"
         )
         assert main(["converge", write(tmp_path, "c.cfg", text)]) == 0
-        means = [float(row.split(",")[1]) for row in capsys.readouterr().out.splitlines()[1:]]
-        rep = convergence_study(gbm(0.0, 0.3, 0.8), "euler", custom_terminal("identity"),
-                                [2**-3, 2**-4, 2**-5], 400, 4, cap=0.85)
+        gate, header, *rows = capsys.readouterr().out.splitlines()
+        assert gate.startswith("ui diagnostic: pass")
+        means = [float(row.split(",")[1]) for row in rows]
+        rep = convergence_study(gbm(0.0, 0.3, 0.8), SchemeConfig("euler", h=2**-3, cap=0.85),
+                                custom_terminal("identity"), [2**-3, 2**-4, 2**-5], 400, 4)
         assert means == [e.mean for _, e in rep.rows]
         assert max(means) < 0.79
 
-    @pytest.mark.parametrize("cap", ["1/h", "0.5"])
-    def test_reciprocal_or_low_cap_refused(self, tmp_path, capsys, cap):
+    def test_reciprocal_cap_rows_match_convergence_study(self, tmp_path, capsys):
+        # the cap 1/h is resolved at each h of the grid: 1, 2, 4 under x0 = 0.8
+        from pathfunc.estimator import convergence_study
+        from pathfunc.functionals import custom_terminal
+        from pathfunc.models import gbm
+        from pathfunc.schemes import SchemeConfig
+        text = (
+            "model.kind = gbm\nmodel.r = 0.0\nmodel.sigma = 1.0\nmodel.x0 = 0.8\n"
+            "scheme.kind = euler\nscheme.cap = 1/h\n"
+            "functional.payoff = terminal_identity\n"
+            "run.n_paths = 400\nrun.seed = 4\nrun.h_grid = 1, 2^-1, 2^-2\n"
+            "run.allow_linear = true\noutput.format = csv\nrun.timing = off\n"
+        )
+        assert main(["converge", write(tmp_path, "c.cfg", text)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        rep = convergence_study(gbm(0.0, 1.0, 0.8), SchemeConfig("euler", h=1.0, cap="1/h"),
+                                custom_terminal("identity"), [1.0, 0.5, 0.25], 400, 4)
+        assert rows == [e.csv_row(timing=False) for _, e in rep.rows]
+        assert float(rows[0].split(",")[1]) < 0.7  # the cap 1 bites at h = 1
+
+    def test_low_cap_refused(self, tmp_path, capsys):
         text = (
             "model.kind = gbm\nmodel.r = 0.0\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
-            f"scheme.kind = euler\nscheme.cap = {cap}\n"
+            "scheme.kind = euler\nscheme.cap = 0.5\n"
             "functional.payoff = terminal_identity\n"
             "run.n_paths = 400\nrun.h_grid = 2^-3, 2^-4, 2^-5\n"
         )
         assert main(["converge", write(tmp_path, "c.cfg", text)]) == 64
         assert "scheme.cap" in capsys.readouterr().err
+
+    def test_linear_payoff_clears_ui_gate(self, tmp_path, capsys):
+        # as price does: the capped reciprocal Bessel family keeps mass at the
+        # cap, so its tails do not vanish and no row is priced
+        text = (
+            "model.kind = inverse_bessel3\nmodel.z0 = 1.0\n"
+            "scheme.kind = euler\nscheme.cap = 64\n"
+            "functional.payoff = terminal_identity\n"
+            "run.n_paths = 400\nrun.h_grid = 2^-4, 2^-6, 2^-8\nui.n_paths = 5000\n"
+        )
+        assert main(["converge", write(tmp_path, "c.cfg", text)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("ui diagnostic: FAIL") and "refusing to price" in out
+        assert "mean" not in out
+
+
+REFUSAL_CFG = """
+model.kind = gbm
+model.x0 = 0.8
+scheme.kind = euler
+scheme.h = 2^-3
+functional.payoff = terminal_identity
+run.n_paths = 16
+run.h_grid = 2^-3, 2^-4, 2^-5
+check.n_draws = 1000
+ui.n_paths = 100
+"""
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("converge", "scheme.kind = bogus", "scheme.kind"),
+    ("converge", "run.h_grid = 2, 1, 0.5", "run.h_grid"),
+    ("check", "run.h_grid = 2, 0.5", "run.h_grid"),
+    ("check", "check.kinds = euler, bogus", "check.kinds"),
+])
+def test_refused_scheme_value_names_its_key(tmp_path, capsys, command, line, key):
+    # every scheme a command runs is built, and refused, before any work
+    path = write(tmp_path, "c.cfg", REFUSAL_CFG + line + "\n")
+    assert main([command, path]) == 64
+    assert f"'{key}'" in capsys.readouterr().err
 
 
 class TestCliSkorohodDist:

@@ -246,14 +246,14 @@ class TestUiDiagnostic:
 
     def test_capped_reciprocal_bessel_fails(self):
         spec = custom_terminal("identity")
-        rep = ui_diagnostic(inverse_bessel3(1.0), CFG, spec,
-                            [2**-4, 2**-6, 2**-8], n_paths=20000, seed=0,
-                            cap_rule="reciprocal")
+        rep = ui_diagnostic(inverse_bessel3(1.0), SchemeConfig("euler", h=2**-6, cap="1/h"),
+                            spec, [2**-4, 2**-6, 2**-8], n_paths=20000, seed=0)
         assert not rep.passed
         # mass of about (1 - E[Z(1)]) sits at the cap and does not vanish
         tail_gap = 1.0 - reciprocal_bessel3_mean(1.0)
         worst = max(tails[-1] for _, _, tails, _ in rep.rows)
         assert worst > 0.5 * tail_gap
+        assert [cap for _, cap, _, _ in rep.rows] == [2.0**4, 2.0**6, 2.0**8]
 
     def test_flagship_gate_rows_unchanged(self):
         # the shipped barrier config's gate: 4000 paths x 12288 steps, in
@@ -275,7 +275,7 @@ class TestConvergenceStudy:
                           drift=lambda y, t: np.zeros_like(y),
                           diffusion=lambda y, t: np.zeros_like(y)[..., None],
                           y0=np.array([1.0]))
-        rep = convergence_study(frozen, "euler", constant_payoff(4.0),
+        rep = convergence_study(frozen, CFG, constant_payoff(4.0),
                                 [2**-3, 2**-4, 2**-5], n_paths=50, seed=0,
                                 oracle=4.0)
         assert all(est.mean == 4.0 for _, est in rep.rows)
@@ -284,14 +284,14 @@ class TestConvergenceStudy:
 
     def test_grid_validation(self):
         with pytest.raises(PreconditionError):
-            convergence_study(GBM, "euler", constant_payoff(1.0), [0.1, 0.2, 0.05],
+            convergence_study(GBM, CFG, constant_payoff(1.0), [0.1, 0.2, 0.05],
                               n_paths=10, seed=0)
         with pytest.raises(PreconditionError):
-            convergence_study(GBM, "euler", constant_payoff(1.0), [0.1, 0.05],
+            convergence_study(GBM, CFG, constant_payoff(1.0), [0.1, 0.05],
                               n_paths=10, seed=0)
 
     def test_rows_keep_grid_order(self):
-        rep = convergence_study(GBM, "euler", constant_payoff(1.0),
+        rep = convergence_study(GBM, CFG, constant_payoff(1.0),
                                 [2**-3, 2**-4, 2**-5], n_paths=16, seed=0)
         assert [h for h, _ in rep.rows] == [2**-3, 2**-4, 2**-5]
 

@@ -55,6 +55,16 @@ def test_run_config_has():
     assert cfg.has("model", "kind") and not cfg.has("scheme", "h")
 
 
+def test_build_scheme_pair():
+    # bench/layers.py unpacks `scheme, _ = cli.build_scheme(cfg)` and reads the
+    # first item's kind and cap
+    from pathfunc.cli import build_scheme
+    from pathfunc.config import parse_config_text
+    from pathfunc.schemes import SchemeConfig
+    scheme, _ = build_scheme(parse_config_text("scheme.kind = euler\nscheme.h = 0.25\n"))
+    assert isinstance(scheme, SchemeConfig) and (scheme.kind, scheme.h) == ("euler", 0.25)
+
+
 def test_functional_spec_payoff_fields():
     # the tracer rebinds both payoff forms with dataclasses.replace
     from pathfunc.functionals import FunctionalSpec
