@@ -226,6 +226,8 @@ def cmd_converge(args) -> int:
     cfg = parse_config(args.config)
     model = build_model(cfg)
     scheme, sweep = build_scheme(cfg, "run.h_grid")
+    with _refusals_as_config_errors("run.h_grid"):
+        estimator.check_h_grid(s.h for s in sweep)
     _refuse_low_cap(model, sweep)
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")

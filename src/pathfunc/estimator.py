@@ -42,6 +42,7 @@ __all__ = [
     "UiReport",
     "estimate",
     "ui_diagnostic",
+    "check_h_grid",
     "convergence_study",
     "counterexample_tangency",
     "counterexample_bessel",
@@ -50,7 +51,7 @@ __all__ = [
 
 # Rows stepped together on the folded route: enough to spread numpy's
 # per-call cost of each step, and a whole number of reduction groups.
-_FOLD_ROWS = 4096
+_FOLD_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -259,6 +260,16 @@ def _convergence_flags(report: ConvergenceReport) -> None:
         report.trend_slope = float(np.polyfit(hs, np.log(errs), 1)[0])
 
 
+def check_h_grid(h_grid) -> list:
+    """A convergence sweep's step sizes as a list: three or more, strictly decreasing."""
+    h_grid = list(h_grid)
+    if len(h_grid) < 3:
+        raise PreconditionError("h_grid needs at least three entries")
+    if any(b >= a for a, b in zip(h_grid, h_grid[1:])):
+        raise PreconditionError("h_grid must be strictly decreasing")
+    return h_grid
+
+
 def convergence_study(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
                       h_grid, n_paths: int, seed: int, oracle: float | None = None,
                       oracle_note: str = "", bias_allowance: float = 0.35,
@@ -271,13 +282,8 @@ def convergence_study(model: SdeModel, config: SchemeConfig, spec: FunctionalSpe
     tolerated), and whether the smallest-h 99% interval widened by
     bias_allowance * sqrt(h) covers the oracle.
     """
-    h_grid = list(h_grid)
-    if len(h_grid) < 3:
-        raise PreconditionError("h_grid needs at least three entries")
-    if any(b >= a for a, b in zip(h_grid, h_grid[1:])):
-        raise PreconditionError("h_grid must be strictly decreasing")
     rows = []
-    for k, h in enumerate(h_grid):
+    for k, h in enumerate(check_h_grid(h_grid)):
         est = estimate(model, replace(config, h=h), spec, n_paths, seed,
                        namespace=100 + k, ui_override=ui_override)
         rows.append((h, est))

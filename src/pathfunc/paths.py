@@ -63,6 +63,8 @@ def exit_times(times: np.ndarray, V: np.ndarray, barriers: BarrierPair) -> np.nd
     ``V`` is a (B, n+1) block of scalar paths on the shared (n+1,) grid
     ``times`` or on a (B, n+1) grid per row.  A row that never exits gets 1.
     """
+    if barriers.is_unbounded:  # no finite value leaves (-inf, inf)
+        return np.ones(V.shape[0])
     out = (V <= barriers.lower.values_on(times)) | (V >= barriers.upper.values_on(times))
     first = np.broadcast_to(times, V.shape)[np.arange(V.shape[0]), np.argmax(out, axis=1)]
     return np.where(out.any(axis=1), first, 1.0)

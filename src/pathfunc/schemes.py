@@ -20,17 +20,19 @@ a :class:`StepPath`.  Paths are reproducible: every path owns a counter-based
 RNG stream keyed by (seed, namespace, stream id), so each path's draws do not
 depend on how paths are batched.
 
-The fixed grids run as a time-major stream (:func:`simulate_states`): one flat
-(B, d) state is updated in place, step by step, and each stream's draws arrive
-in time blocks of at most ``_BATCH_ELEMENTS`` elements, with the stream's
-generator suspended between blocks.  Noise memory therefore does not grow with
-the number of steps, and a consumer that folds what it needs as the states go
-by (``functionals.fold_args_batch``) stores no path at all.
+The fixed grids run as a time-major stream (:func:`simulate_states`): a flat
+(B, d) state is stepped into reused buffers, and each stream's draws arrive in
+time blocks of at most ``_BATCH_ELEMENTS`` elements from a Philox generator
+that the stream keeps for the whole grid.  Noise memory therefore does not grow
+with the number of steps, and a consumer that folds what it needs as the states
+go by (``functionals.fold_args_batch``) stores no path at all.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -153,26 +155,28 @@ def _check_finite_coeffs(b, s, y, t):
         _raise_at_first_bad_row("non-finite drift/diffusion evaluation", rows_ok, y, t)
 
 
-def _mix_noise(s, xi):
-    """sum_j sigma[..., j] * xi[..., j], accumulated in fixed column order."""
-    acc = s[..., 0] * xi[..., 0, None]
-    for j in range(1, s.shape[-1]):
-        acc = acc + s[..., j] * xi[..., j, None]
-    return acc
+def _fixed_update(model, y, t, dt, xi, out, mix):
+    """Shared update y + b dt + (sigma @ xi) sqrt(dt) of a (B, d) batch, into ``out``.
 
-
-def _fixed_update(model, y, t, dt, xi, out=None):
-    """Shared update y + b dt + sqrt(dt) * (sigma @ xi) for a (B, d) batch.
-
-    A single (1, d) state broadcasts against (B, d1) draws, so the
-    coefficients are evaluated once for all of them.  ``out=y`` updates the
-    batch in place with the same operations in the same order.
+    ``mix`` is scratch shaped like ``out``; ``y`` is left intact.  A single
+    (1, d) state broadcasts against (B, d1) draws, so the coefficients are
+    evaluated once for all of them.  Non-finite coefficients make the new
+    state non-finite, so one sum of it screens them; the exact check runs
+    only when that sum is not finite.
     """
     b = model.drift(y, t)
     s = model.diffusion(y, t)
-    _check_finite_coeffs(b, s, y, t)
-    noise = np.sqrt(dt) * _mix_noise(s, xi)
-    return np.add(np.add(y, b * dt, out=out), noise, out=out)
+    np.multiply(s[..., 0], xi[..., 0, None], out=mix)  # sum_j sigma[..., j] xi[..., j]
+    for j in range(1, s.shape[-1]):
+        np.add(mix, s[..., j] * xi[..., j, None], out=mix)
+    np.multiply(mix, np.sqrt(dt), out=mix)
+    np.add(y, np.multiply(b, dt, out=out), out=out)
+    np.add(out, mix, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(out, axis=None)
+    if not math.isfinite(total):
+        _check_finite_coeffs(b, s, y, t)  # passes when the sum overflowed on finite values
+    return out
 
 
 def binomial_variable_step(model: SdeModel, y, t, h: float, sign):
@@ -212,16 +216,13 @@ def fixed_time_grid(h: float) -> np.ndarray:
     return t
 
 
-def _draw_fixed_noise(gen: np.random.Generator, kind: str, n_steps: int, d1: int,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    if out is None:
-        out = np.empty((n_steps, d1))
+def _draw_fixed_noise(gen: np.random.Generator, kind: str, out: np.ndarray) -> None:
+    """Fill ``out`` with the kind's draws: normals, or +/-1 signs."""
     if kind == "euler":
         gen.standard_normal(out=out)
     else:
         gen.random(out=out)
         np.copysign(1.0, out - 0.5, out=out)  # uniform draw -> +/-1 sign
-    return out
 
 
 _FINITE_CHECK_STRIDE = 32
@@ -232,18 +233,20 @@ def _fixed_states(model: SdeModel, config: SchemeConfig, times: np.ndarray,
     """Advance a (B, d) batch along a shared fixed grid, as a stream.
 
     ``blocks`` yields time-major (Tb, B, d1) noise covering the grid's steps
-    in order.  Yields the state at every grid column, starting with column 0:
-    one (B, d) array updated in place, so a consumer copies what it keeps.
-    The arithmetic is elementwise, so a batch of one reproduces a single
-    simulation bit for bit.
+    in order.  Yields the state at every grid column, starting with column 0,
+    in (B, d) buffers that later steps overwrite, so a consumer copies what it
+    keeps.  The arithmetic is elementwise, so a batch of one reproduces a
+    single simulation bit for bit.
     """
     y = np.repeat(model.y0[None, :], n_rows, axis=0)
+    nxt, mix = np.empty((2,) + y.shape)
     yield y
     n_steps, cap = times.size - 1, config.cap_level
     n = 0
     for block in blocks:
         for xi in block:
-            _fixed_update(model, y, times[n], times[n + 1] - times[n], xi, out=y)
+            _fixed_update(model, y, times[n], times[n + 1] - times[n], xi, nxt, mix)
+            y, nxt = nxt, y
             if cap is not None:
                 np.minimum(y, cap, out=y)
             n += 1
@@ -301,75 +304,63 @@ def _run_tree_batch(model: SdeModel, config: SchemeConfig, n_rows: int, draw_sig
     return np.hstack(ts), np.stack(ys, axis=1)
 
 
-class _PhiloxPool:
-    """Reseats one Philox bit generator across stream keys.
-
-    Produces draw-for-draw the same output as a fresh ``Philox(key=...)``
-    per stream (checked once per process by :func:`_pool_is_exact`) while
-    skipping per-stream construction cost.  ``suspend`` saves the current
-    stream's position and ``resume`` continues it after other streams have
-    drawn.  Purely a batch-local optimization; not shared across threads.
-    """
-
-    def __init__(self):
-        self._bg = np.random.Philox(key=0)
-        self._gen = np.random.Generator(self._bg)
-        self._st = self._bg.state
-
-    def generator_for(self, stream: RngStream) -> np.random.Generator:
-        st = self._st
-        st["state"]["key"][0] = (stream.namespace << 48) | stream.stream_id
-        st["state"]["key"][1] = stream.seed % (1 << 64)
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4  # discard buffered blocks from the previous key
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
-        return self._gen
-
-    def suspend(self):
-        return self._bg.state
-
-    def resume(self, saved) -> np.random.Generator:
-        self._bg.state = saved
-        return self._gen
-
-
-class _FreshGenerators:
-    """Fallback for :class:`_PhiloxPool`: a fresh ``Philox(key=...)`` per stream."""
-
-    def generator_for(self, stream: RngStream) -> np.random.Generator:
-        self._gen = stream.generator()
-        return self._gen
-
-    def suspend(self):
-        return self._gen
-
-    def resume(self, saved) -> np.random.Generator:
-        self._gen = saved
-        return saved
+def _reseat(gen: np.random.Generator, stream: RngStream, st: dict) -> np.random.Generator:
+    """Restart ``gen`` on ``stream``'s Philox key, through the state dict ``st``."""
+    st["state"]["key"][0] = (stream.namespace << 48) | stream.stream_id
+    st["state"]["key"][1] = stream.seed % (1 << 64)
+    st["state"]["counter"][:] = 0
+    st["buffer_pos"] = 4  # discard buffered blocks from the previous key
+    st["has_uint32"] = 0
+    st["uinteger"] = 0
+    gen.bit_generator.state = st
+    return gen
 
 
 @functools.cache
-def _pool_is_exact() -> bool:
-    """Whether :class:`_PhiloxPool` draws what fresh generators draw.
+def _reseat_is_exact() -> bool:
+    """Whether a reseated generator draws what a fresh ``stream.generator()`` draws.
 
-    The pool writes numpy's private Philox state layout, so this is checked
-    once per process: a reseat over a dirty buffer, and a suspend/resume that
-    splits a stream's normals mid-block around another stream's draws.
+    :func:`_reseat` writes numpy's private Philox state layout, so this is
+    checked once per process: a reseat over a row with a part-used buffer,
+    and two rows drawing interleaved.
     """
     a, b = RngStream(7, 3, 1), RngStream(11, 5, 2)
-    pool = _PhiloxPool()
-    head = pool.generator_for(a).standard_normal(5)
-    saved = pool.suspend()
-    other = pool.generator_for(b).integers(0, 2, size=9)
-    tail = pool.resume(saved).standard_normal(6)
+    rows = [np.random.Generator(np.random.Philox(key=0)) for _ in range(2)]
+    st = rows[0].bit_generator.state
+    rows[0].integers(0, 2, size=3)
+    ga, gb = _reseat(rows[0], a, st), _reseat(rows[1], b, st)
+    head, other, tail = ga.standard_normal(5), gb.integers(0, 2, size=9), ga.standard_normal(6)
     return (np.array_equal(np.concatenate([head, tail]), a.generator().standard_normal(11))
             and np.array_equal(other, b.generator().integers(0, 2, size=9)))
 
 
-def _stream_pool():
-    return _PhiloxPool() if _pool_is_exact() else _FreshGenerators()
+# Reseatable Philox generators shared by every batch in the process: building
+# one takes about 20 us, reseating it about 3.5 us (2-vCPU Xeon VM).
+_FREE_ROWS: list = []
+
+
+@contextlib.contextmanager
+def _seated_rows(n: int):
+    """``seat(j, stream)``: row j's generator, restarted on the stream's key.
+
+    The n rows come from ``_FREE_ROWS`` (built when it runs short) and go
+    back on exit, so two live callers never share a row.  When
+    :func:`_reseat_is_exact` fails, every seat builds a fresh generator.
+    """
+    if not _reseat_is_exact():
+        yield lambda j, stream: stream.generator()
+        return
+    rows = []
+    for _ in range(n):
+        try:
+            rows.append(_FREE_ROWS.pop())
+        except IndexError:
+            rows.append(np.random.Generator(np.random.Philox(key=0)))
+    st = rows[0].bit_generator.state
+    try:
+        yield lambda j, stream: _reseat(rows[j], stream, st)
+    finally:
+        _FREE_ROWS.extend(rows)
 
 
 # Streams drawn between two copies into a time-major block; a tile this
@@ -380,38 +371,36 @@ _TILE_ROWS = 128
 def _noise_blocks(streams: Sequence[RngStream], kind: str, n_steps: int, d1: int):
     """Each stream's fixed-grid draws as time-major (Tb, B, d1) blocks.
 
-    Stream i's draws are those of one long ``_draw_fixed_noise`` call on its
-    generator, which is suspended between blocks.  A block and the tile it is
-    copied from hold at most ``_BATCH_ELEMENTS`` elements together (at least
-    one step), whatever B and the number of steps; the same buffer is yielded
-    again for every block.
+    Stream i's draws are those of one long ``_draw_fixed_noise`` call: each
+    stream keeps its own generator from block to block.  A block and the
+    tile it is copied from hold at most ``_BATCH_ELEMENTS`` elements
+    together (at least one step), whatever B and the number of steps; the
+    same buffer is yielded again for every block.
     """
     B = len(streams)
     n_tile = min(_TILE_ROWS, B)
     tb = max(1, min(n_steps, _BATCH_ELEMENTS // max(1, (B + n_tile) * d1)))
     block = np.empty((tb, B, d1))
     tile = np.empty((n_tile, tb, d1))
-    pool = _stream_pool()
-    saved = [None] * B
-    for start in range(0, n_steps, tb):
-        k = min(tb, n_steps - start)
-        more = start + k < n_steps
-        for i0 in range(0, B, _TILE_ROWS):
-            rows = range(i0, min(i0 + _TILE_ROWS, B))
-            for j, i in enumerate(rows):
-                gen = pool.resume(saved[i]) if start else pool.generator_for(streams[i])
-                _draw_fixed_noise(gen, kind, k, d1, out=tile[j, :k])
-                if more:
-                    saved[i] = pool.suspend()
-            block[:k, i0:rows.stop] = tile[:len(rows), :k].transpose(1, 0, 2)
-        yield block[:k]
+    single = tb == n_steps  # each stream draws once, so one row serves them all
+    with _seated_rows(1 if single else B) as seat:
+        gens = None if single else [seat(i, s) for i, s in enumerate(streams)]
+        for start in range(0, n_steps, tb):
+            k = min(tb, n_steps - start)
+            for i0 in range(0, B, _TILE_ROWS):
+                rows = range(i0, min(i0 + _TILE_ROWS, B))
+                for j, i in enumerate(rows):
+                    gen = seat(0, streams[i]) if single else gens[i]
+                    _draw_fixed_noise(gen, kind, tile[j, :k])
+                block[:k, i0:rows.stop] = tile[:len(rows), :k].transpose(1, 0, 2)
+            yield block[:k]
 
 
 def _stream_signs(streams: Sequence[RngStream], n: int) -> np.ndarray:
     """(B, n) block of tree signs: sign k is the stream's k-th ``integers(0, 2)``
     draw, and a block of n equals n scalar draws."""
-    pool = _stream_pool()
-    return np.stack([pool.generator_for(s).integers(0, 2, size=n) for s in streams]) * 2.0 - 1.0
+    with _seated_rows(1) as seat:
+        return np.stack([seat(0, s).integers(0, 2, size=n) for s in streams]) * 2.0 - 1.0
 
 
 def _fixed_grid_states(model: SdeModel, config: SchemeConfig, streams, noise=None):
@@ -484,7 +473,7 @@ def simulate_states(model: SdeModel, config: SchemeConfig, streams: Sequence[Rng
 
     Returns (times, states): the shared (n+1,) grid and an iterator over the
     (B, d) state of the batch at each of its columns, column 0 first.  The
-    states are one array updated in place: copy what you keep.  Memory is
+    yielded arrays are reused by later steps: copy what you keep.  Memory is
     O(B d) plus one noise block.  Stacking the states gives
     ``simulate_values`` bit for bit; a failure raises from the iterator with
     its stream as ``batch_index``.  The variable-step tree has no shared grid
@@ -570,7 +559,8 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
                 dt = config.h if t + config.h <= 1.0 else 1.0 - t
                 xi = (gen.standard_normal((n_draws, model.dim_noise))
                       if config.kind == "euler" else signs)
-                y_next = _fixed_update(model, y[None, :], t, dt, xi)
+                n = (len(xi), model.dim_state)
+                y_next = _fixed_update(model, y[None, :], t, dt, xi, np.empty(n), np.empty(n))
             dy = y_next - y
         except (PreconditionError, SimulationError) as e:
             fail(float(y[0]), t, e)

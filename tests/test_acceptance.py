@@ -174,7 +174,9 @@ def test_criterion_7_determinism(barrier_experiment, tmp_path, monkeypatch):
     # the API run must agree with the CLI run bit for bit
     csv_mean = float(outputs[0].decode().strip().splitlines()[-1].split(",")[1])
     bytes_ok &= csv_mean == est_ref.mean
-    ok = bytes_ok and env_ok
+    # and both equal the shipped flagship figures
+    shipped_ok = (est_ref.mean, est_ref.stderr) == (0.2320082791524801, 0.0042945268614370188)
+    ok = bytes_ok and env_ok and shipped_ok
     report(7, ok,
            f"repeat CSV files identical: {bytes_ok}; bytes with "
-           f"PATHFUNC_WORKERS=4 identical: {env_ok}")
+           f"PATHFUNC_WORKERS=4 identical: {env_ok}; shipped mean and stderr: {shipped_ok}")

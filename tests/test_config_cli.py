@@ -224,15 +224,21 @@ class TestCliCounterexample:
 
 
 class TestCliConverge:
-    def test_grid_minimum_enforced(self, tmp_path, capsys):
-        text = (
-            "model.kind = gbm\nmodel.r = 0.0\nmodel.sigma = 0.2\nmodel.x0 = 1.0\n"
-            "scheme.kind = euler\nscheme.h = 0.1\n"
-            "functional.payoff = constant\nfunctional.strike = 1.0\n"
-            "run.n_paths = 16\nrun.h_grid = 0.1, 0.05\n"
-        )
-        path = write(tmp_path, "c.cfg", text)
-        assert main(["converge", path]) == 1  # precondition error at runtime
+    def test_grid_minimum_enforced(self, tmp_path, capsys, monkeypatch):
+        # a refused grid exits 64 before the uniform-integrability gate simulates
+        from pathfunc import estimator
+        monkeypatch.setattr(estimator, "ui_diagnostic", None)
+        for payoff, grid in (("constant", "0.1, 0.05"), ("terminal_identity", "2^-6, 2^-8"),
+                             ("terminal_identity", "0.1, 0.05, 0.05")):
+            text = (
+                "model.kind = gbm\nmodel.r = 0.0\nmodel.sigma = 0.2\nmodel.x0 = 1.0\n"
+                "scheme.kind = euler\nscheme.h = 0.1\n"
+                f"functional.payoff = {payoff}\nfunctional.strike = 1.0\n"
+                f"run.n_paths = 16\nrun.h_grid = {grid}\n"
+            )
+            path = write(tmp_path, "c.cfg", text)
+            assert main(["converge", path]) == 64
+            assert "run.h_grid" in capsys.readouterr().err
 
     def test_small_convergence_run_with_oracle(self, tmp_path, capsys):
         text = (

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from pathfunc.errors import DomainError, PreconditionError
 from pathfunc.paths import (Barrier, BarrierPair, SampleVector, StepPath,
-                            classify_c_partition, hitting_time,
+                            classify_c_partition, exit_times, hitting_time,
                             project, running_max)
 
 from conftest import barrier_pairs, step_path_pairs_same_grid, step_paths
@@ -167,6 +167,27 @@ class TestHittingTime:
 
         wider = BarrierPair(widened(band.lower, -1.0), widened(band.upper, +1.0))
         assert hitting_time(p, wider) >= hitting_time(p, band)
+
+
+def full_exit_times(times, V, band):
+    """The exit rule evaluated on every grid time, whatever the band."""
+    out = (V <= band.lower.values_on(times)) | (V >= band.upper.values_on(times))
+    first = np.broadcast_to(times, V.shape)[np.arange(V.shape[0]), np.argmax(out, axis=1)]
+    return np.where(out.any(axis=1), first, 1.0)
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+def test_exit_times_on_unbounded_band_is_the_full_evaluation(per_row):
+    rng = np.random.default_rng(4)
+    steps = rng.uniform(0.01, 1.0, size=(5, 40))
+    times = np.concatenate([np.zeros((5, 1)), np.cumsum(steps, axis=1)], axis=1)
+    times /= times[:, -1:]
+    times = times if per_row else times[0]
+    V = rng.standard_normal((5, 41)) * np.logspace(0, 300, 41)
+    band = BarrierPair.unbounded()
+    got = exit_times(times, V, band)
+    npt.assert_array_equal(got, full_exit_times(times, V, band))
+    assert got.shape == (5,) and got.dtype == np.float64
 
 
 def reference_class(p, band, tol):

@@ -53,29 +53,29 @@ class TestRngStream:
 
     def test_pool_matches_fresh_generators(self, monkeypatch):
         # 7 streams x 2 noise columns in blocks of 3 steps (the budget holds
-        # a block and its tile): every stream is suspended and resumed
-        # around the others' draws
+        # a block and its tile): every stream keeps its own reseated row
+        # from block to block; a grid of one block seats one row per stream
         from pathfunc import schemes
         monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", 2 * 7 * 2 * 3)
         streams = [RngStream(9, i, namespace=3) for i in range(7)]
-        blocks = [b.copy() for b in schemes._noise_blocks(streams, "euler", 11, 2)]
-        assert [b.shape[0] for b in blocks] == [3, 3, 3, 2]
-        noise = np.concatenate(blocks)  # time-major (11, 7, 2)
-        for i, s in enumerate(streams):
-            npt.assert_array_equal(noise[:, i], s.generator().standard_normal((11, 2)))
+        for n_steps, sizes in ((11, [3, 3, 3, 2]), (3, [3])):
+            blocks = [b.copy() for b in schemes._noise_blocks(streams, "euler", n_steps, 2)]
+            assert [b.shape[0] for b in blocks] == sizes
+            noise = np.concatenate(blocks)  # time-major (n_steps, 7, 2)
+            for i, s in enumerate(streams):
+                npt.assert_array_equal(noise[:, i], s.generator().standard_normal((n_steps, 2)))
 
     def test_pool_falls_back_to_fresh_generators(self, monkeypatch):
-        # a pool that reseats onto the wrong key fails the self-check, and
-        # the draws then come from fresh generators, unchanged
+        # a reseat onto the wrong key fails the self-check, and the draws
+        # then come from fresh generators, unchanged
         from pathfunc import schemes
-        orig = schemes._PhiloxPool.generator_for
-        monkeypatch.setattr(schemes._PhiloxPool, "generator_for",
-                            lambda self, s: orig(self, RngStream(s.seed, s.stream_id + 1,
-                                                                 s.namespace)))
+        orig = schemes._reseat
+        monkeypatch.setattr(schemes, "_reseat", lambda gen, s, st: orig(
+            gen, RngStream(s.seed, s.stream_id + 1, s.namespace), st))
         monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", 5 * 4)
-        schemes._pool_is_exact.cache_clear()
+        schemes._reseat_is_exact.cache_clear()
         try:
-            assert not schemes._pool_is_exact()
+            assert not schemes._reseat_is_exact()
             streams = [RngStream(9, i, namespace=3) for i in range(5)]
             noise = np.concatenate([b.copy() for b in
                                     schemes._noise_blocks(streams, "binomial_fixed", 10, 1)])
@@ -85,7 +85,35 @@ class TestRngStream:
                                        np.copysign(1.0, s.generator().random(10) - 0.5))
                 npt.assert_array_equal(signs[i], s.generator().integers(0, 2, size=6) * 2.0 - 1)
         finally:
-            schemes._pool_is_exact.cache_clear()
+            schemes._reseat_is_exact.cache_clear()
+
+    def test_interleaved_iterators_match_fresh_generators(self, monkeypatch):
+        # two live state streams on a grid of several noise blocks hold
+        # disjoint rows, and give them back when they end or are closed
+        import gc
+        from pathfunc import schemes
+        gc.collect()  # rows held by earlier failures' tracebacks go back now, not mid-test
+        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", 2 * 3 * 4)  # blocks of 4 steps
+        m, cfg = gbm(0.1, 0.3, 1.0), SchemeConfig("euler", h=0.1)
+        groups = [[RngStream(5, i, namespace=k) for i in range(3)] for k in (1, 2)]
+        free = len(schemes._FREE_ROWS)
+        runs = [simulate_states(m, cfg, g)[1] for g in groups]
+        got = [[], []]
+        for pair in zip(*runs):
+            for k, y in enumerate(pair):
+                got[k].append(y.copy())
+        for run in runs:
+            assert next(run, None) is None
+        assert len(schemes._FREE_ROWS) == max(free, 6)
+        for k, g in enumerate(groups):
+            for i, s in enumerate(g):
+                p = simulate_path(m, cfg, None, forced_noise=s.generator().standard_normal((10, 1)))
+                npt.assert_array_equal(np.stack(got[k])[:, i, 0], p.values)
+        states = simulate_states(m, cfg, groups[0])[1]
+        next(states), next(states)
+        assert len(schemes._FREE_ROWS) == max(free, 6) - 3
+        states.close()
+        assert len(schemes._FREE_ROWS) == max(free, 6)
 
 
 class TestSchemeConfig:
@@ -163,6 +191,36 @@ class TestEulerStep:
                        y0=np.array([1.0]))
         with pytest.raises(SimulationError):
             simulate_path(bad, SchemeConfig("euler", h=0.01), RngStream(0))
+
+    def test_capped_infinite_drift_names_stream_state_and_t(self):
+        # the cap would hide an infinite step (min(inf, cap) = cap), so the
+        # coefficients are screened before it; the error names the first
+        # failing row with its state before the step
+        g = gbm(0.1, 0.3, 1.0)
+        bad = SdeModel("bad", 1, 1, diffusion=g.diffusion, y0=g.y0,
+                       drift=lambda y, t: np.where((t >= 0.5) & (y > 1.0), np.inf, g.drift(y, t)))
+        cfg = SchemeConfig("euler", h=2**-3, cap=3.0)
+        streams = [RngStream(1, i) for i in range(8)]
+        at_half = simulate_values(g, cfg, streams)[1][:, 4]
+        first = int(np.argmax(at_half[:, 0] > 1.0))
+        assert first > 0 and at_half[first, 0] > 1.0
+        with pytest.raises(SimulationError, match="non-finite drift/diffusion evaluation") as exc:
+            for _ in simulate_states(bad, cfg, streams)[1]:
+                pass
+        assert (exc.value.batch_index, exc.value.t) == (first, 0.5)
+        npt.assert_array_equal(exc.value.state, at_half[first])
+
+    def test_finite_state_whose_sum_overflows_runs_on(self):
+        # the screen's sum overflows; the exact check passes, silently
+        import warnings
+        huge = SdeModel("huge", 1, 1, drift=lambda y, t: np.zeros_like(y),
+                        diffusion=lambda y, t: np.zeros_like(y)[..., None],
+                        y0=np.array([1e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            term = simulate_terminals(huge, SchemeConfig("euler", h=0.25),
+                                      [RngStream(0, i) for i in range(4)])
+        npt.assert_array_equal(term, 1e308)
 
     def test_terminal_mean_matches_exponential_growth(self):
         # E[X(1)] = x0 (1 + r h)^(1/h) for the Euler chain of GBM; at
