@@ -9,7 +9,8 @@ Models flagged with a Lipschitz certificate declare a constant K such that
 |phi(y1,t1) - phi(y2,t2)| <= K (|y1-y2| + |t1-t2|^(1/2)) for both
 coefficients; ``probe_lipschitz`` spot-checks the claim on random pairs.  Models
 without the certificate (the Bessel-type examples) are meant only for the
-counter-example harnesses.
+counter-example harnesses; their exact stopped sampler is the one user of
+scipy here (``scipy.special``, imported on its first call).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import PreconditionError
 
@@ -276,6 +276,12 @@ def _norm_pdf(x):
     return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
 
 
+def _norm_cdf(x):
+    """Standard normal CDF; equals ``scipy.stats.norm.cdf`` bit for bit."""
+    from scipy.special import ndtr
+    return ndtr(x)
+
+
 def sample_reciprocal_bessel3_stopped(z0: float, cap: float | None, n: int,
                                       rng: np.random.Generator,
                                       horizon: float = 1.0) -> np.ndarray:
@@ -308,7 +314,7 @@ def sample_reciprocal_bessel3_stopped(z0: float, cap: float | None, n: int,
         if cap <= z0:
             raise ValueError("cap must exceed the initial value")
         a = 1.0 / cap
-        p_hit = (a / x0) * 2.0 * norm.cdf((a - x0) / sq)
+        p_hit = (a / x0) * 2.0 * _norm_cdf((a - x0) / sq)
 
     out = np.empty(n)
     hit = rng.random(n) < p_hit

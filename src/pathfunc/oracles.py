@@ -1,17 +1,18 @@
 """Independent reference values used to check the Monte Carlo engine.
 
 Everything here is computed without simulating chains: Black-Scholes and
-barrier-option closed forms built from the normal CDF, plus numerical
-quadratures of known transition densities.  Where a closed form exists the
-matching quadrature is also provided, so each oracle can be cross-validated
-against an independent route in the test suite.
+barrier-option closed forms built from the normal CDF (``scipy.special.ndtr``),
+plus ``scipy.integrate.quad`` quadratures of known transition densities.  Both
+are imported on first use, so importing this module loads no scipy.  Where a
+closed form exists the matching quadrature is also provided, so each oracle
+can be cross-validated against an independent route in the test suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import norm
+
+from .models import _norm_cdf
 
 __all__ = [
     "vanilla_call_price",
@@ -30,7 +31,7 @@ def vanilla_call_price(s0: float, strike: float, r: float, sigma: float,
     st = sigma * np.sqrt(t)
     d1 = (np.log(s0 / strike) + (r + 0.5 * sigma * sigma) * t) / st
     d2 = d1 - st
-    return s0 * norm.cdf(d1) - strike * np.exp(-r * t) * norm.cdf(d2)
+    return s0 * _norm_cdf(d1) - strike * np.exp(-r * t) * _norm_cdf(d2)
 
 
 def up_and_in_call_price(s0: float, strike: float, barrier: float, r: float,
@@ -54,9 +55,9 @@ def up_and_in_call_price(s0: float, strike: float, barrier: float, r: float,
     y2 = np.log(barrier / s0) / st + (1.0 + mu) * st
     pow1 = hs ** (2.0 * (mu + 1.0))
     pow2 = hs ** (2.0 * mu)
-    b_term = s0 * norm.cdf(x2) - strike * df * norm.cdf(x2 - st)
-    c_term = s0 * pow1 * norm.cdf(-y1) - strike * df * pow2 * norm.cdf(-y1 + st)
-    d_term = s0 * pow1 * norm.cdf(-y2) - strike * df * pow2 * norm.cdf(-y2 + st)
+    b_term = s0 * _norm_cdf(x2) - strike * df * _norm_cdf(x2 - st)
+    c_term = s0 * pow1 * _norm_cdf(-y1) - strike * df * pow2 * _norm_cdf(-y1 + st)
+    d_term = s0 * pow1 * _norm_cdf(-y2) - strike * df * pow2 * _norm_cdf(-y2 + st)
     return b_term - c_term + d_term
 
 
@@ -70,6 +71,7 @@ def up_and_in_call_price_quadrature(s0: float, strike: float, barrier: float,
     w >= b it is implied.  Kept deliberately independent of the closed form
     above so the two can check each other.
     """
+    from scipy.integrate import quad
     if s0 >= barrier:
         raise ValueError("quadrature form assumes the spot starts below the barrier")
     mu = (r - 0.5 * sigma * sigma) / sigma
@@ -110,6 +112,7 @@ def _bessel3_density(y, x0, t):
 def reciprocal_bessel3_mean_quadrature(z0: float = 1.0, t: float = 1.0) -> float:
     """E[Z(t)] for the reciprocal Bessel(3) from z0, by quadrature of the
     Bessel(3) transition density: integral of (1/y) p_t(x0, y) dy."""
+    from scipy.integrate import quad
     x0 = 1.0 / z0
     val, _ = quad(lambda y: _bessel3_density(y, x0, t) / y, 0.0,
                   x0 + 40.0 * np.sqrt(t), limit=200)
@@ -123,4 +126,4 @@ def reciprocal_bessel3_mean(z0: float = 1.0, t: float = 1.0) -> float:
     counter-example harness exhibits.
     """
     x0 = 1.0 / z0
-    return float((2.0 * norm.cdf(x0 / np.sqrt(t)) - 1.0) / x0)
+    return float((2.0 * _norm_cdf(x0 / np.sqrt(t)) - 1.0) / x0)

@@ -361,3 +361,54 @@ class TestCliSkorohodDist:
         assert main(["skorohod-dist", a, b]) == 64
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{b}, line 3" in err
+
+
+class TestStartupImports:
+    """scipy serves only the oracles, the quadratures and the exact
+    reciprocal-Bessel sampler, so a fresh interpreter loads it only when one
+    of them runs."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+seen = {}
+import pathfunc, pathfunc.cli as cli
+seen["import"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["price", sys.argv[1]]) == 0
+seen["price"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cli.main(["converge", sys.argv[2]]) == 0
+assert "oracle = " in out.getvalue()
+seen["converge"] = loaded()
+print(json.dumps(seen))
+"""
+
+    def test_scipy_loads_only_when_an_oracle_runs(self, tmp_path):
+        import json
+        import subprocess
+        import sys
+        here = os.path.dirname(__file__)
+        with open(os.path.join(here, os.pardir, "configs", "monthly_barrier.cfg")) as f:
+            barrier = f.read().replace("run.n_paths = 5000", "run.n_paths = 200")
+        barrier = barrier.replace("ui.n_paths = 4000", "ui.n_paths = 200")
+        assert barrier.count(" = 200\n") == 2
+        converge = (
+            "model.kind = gbm\nmodel.r = 0.1\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
+            "scheme.kind = euler\nfunctional.payoff = up_in_call\n"
+            "functional.strike = 0.5\nfunctional.barrier_level = 1.0\n"
+            "run.n_paths = 200\nrun.h_grid = 2^-3, 2^-4, 2^-5\nrun.oracle = auto\n"
+            "run.allow_linear = true\nui.n_paths = 200\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(here, os.pardir, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, write(tmp_path, "b.cfg", barrier),
+             write(tmp_path, "c.cfg", converge)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen["import"] == []
+        assert seen["price"] == []
+        assert "scipy.special" in seen["converge"]
+        assert not [m for m in seen["converge"] if m.startswith("scipy.stats")]

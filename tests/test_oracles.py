@@ -66,3 +66,35 @@ class TestBesselOracles:
         from pathfunc.oracles import _bessel3_density
         total = quad(lambda y: _bessel3_density(y, 1.0, 1.0), 0, 50, limit=200)[0]
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+class TestNormalCdf:
+    """The oracles' normal CDF is ``scipy.special.ndtr``, which is what
+    ``scipy.stats.norm.cdf`` evaluates; the shipped oracle values rest on it."""
+
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, np.nan]
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert type(got) is type(want)
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+    def test_equals_scipy_stats_bit_for_bit(self):
+        from scipy.stats import norm
+        from pathfunc.models import _norm_cdf
+        x = np.concatenate([np.random.default_rng(9).standard_normal(100_000) * 3.0,
+                            self.SPECIAL])
+        self.assert_same_bits(_norm_cdf(x), norm.cdf(x))
+        for v in list(x[:200]) + self.SPECIAL:
+            self.assert_same_bits(_norm_cdf(float(v)), norm.cdf(float(v)))
+
+    def test_shipped_oracle_values_exact(self):
+        # an erfc-based CDF moves these in the last digits
+        assert oracles.up_and_in_call_price(0.8, 0.5, 1.0, 0.1, 0.3) == 0.2629996713973059
+        assert oracles.vanilla_call_price(0.8, 0.5, 0.1, 0.3) == 0.3495590306909906
+        assert oracles.reciprocal_bessel3_mean(1.0) == 0.6826894921370859
+        assert oracles.reciprocal_bessel3_mean_quadrature(1.0) == 0.682689492137086
