@@ -20,9 +20,8 @@ from .functionals import (FunctionalSpec, Growth, constant_payoff,
                           custom_terminal, discontinuity_mass_estimate,
                           discrete_barrier_call, evaluate, observe_args_batch,
                           payoff_values, up_and_in_call)
-from .models import (LipschitzCert, SdeModel, StochVolParams, bessel3,
-                     constant_vol_params, gbm, inverse_bessel3, probe_lipschitz,
-                     stoch_vol)
+from .models import (LipschitzCert, SdeModel, bessel3, gbm, inverse_bessel3,
+                     probe_lipschitz, stoch_vol)
 from .paths import (Barrier, BarrierPair, SampleVector, StepPath,
                     classify_c_partition, hitting_time, project,
                     running_max)

@@ -32,8 +32,7 @@ from .config import RunConfig, parse_config
 from .errors import ConfigError, PathfuncError
 from .functionals import (FunctionalSpec, constant_payoff, custom_terminal,
                           discrete_barrier_call, up_and_in_call)
-from .models import (SdeModel, bessel3, constant_vol_params, gbm,
-                     inverse_bessel3, stoch_vol)
+from .models import SdeModel, bessel3, gbm, inverse_bessel3, stoch_vol
 from .paths import StepPath
 from .schemes import SCHEME_KINDS, SchemeConfig, check_local_consistency
 from .skorohod import skorohod_distance_approx
@@ -69,14 +68,9 @@ def build_model(cfg: RunConfig) -> SdeModel:
         return gbm(cfg.get("model", "r"), cfg.require("model", "sigma"),
                    cfg.require("model", "x0"))
     if kind == "stoch_vol":
-        params = constant_vol_params(
-            r=cfg.get("model", "r"),
-            sigma=cfg.require("model", "sigma"),
-            x0=cfg.require("model", "x0"),
-            rho=cfg.get("model", "rho"),
-            y0=cfg.get("model", "y0"),
-        )
-        return stoch_vol(params)
+        return stoch_vol(cfg.get("model", "r"), cfg.require("model", "sigma"),
+                         cfg.require("model", "x0"), rho=cfg.get("model", "rho"),
+                         y0=cfg.get("model", "y0"))
     if kind == "bessel3":
         return bessel3(cfg.require("model", "x0"))
     if kind == "inverse_bessel3":
@@ -158,13 +152,11 @@ def _emit(cfg: RunConfig, lines) -> None:
             f.write(text)
 
 
-def _estimate_lines(cfg: RunConfig, rows, header=True) -> list:
+def _estimate_lines(cfg: RunConfig, rows) -> list:
     """rows: list of Estimate; CSV or aligned table per output.format."""
     timing = cfg.get("run", "timing")
     if cfg.get("output", "format") == "csv":
-        out = [rows[0].csv_header()] if header else []
-        out += [e.csv_row(timing=timing) for e in rows]
-        return out
+        return [rows[0].csv_header()] + [e.csv_row(timing=timing) for e in rows]
     out = [f"{'h':>12} {'mean':>12} {'stderr':>12} {'ci_lo':>12} "
            f"{'ci_hi':>12} {'n':>8} {'elapsed':>9}"]
     for e in rows:

@@ -184,10 +184,12 @@ def _terminal_samples(model: SdeModel, config_h: SchemeConfig, n: int,
 
 def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
                   h_grid, n_paths: int = 20000, seed: int = 0,
-                  cutoffs=None, tail_tol: float = 0.05) -> UiReport:
+                  tail_tol: float = 0.05) -> UiReport:
     """Estimate tail expectations E[|X^h(1)| ; |X^h(1)| > A] over a grid of
     cutoffs A and step parameters h, running ``replace(config, h=h)`` at each
-    h (a ``1/h`` cap is resolved there).
+    h (a ``1/h`` cap is resolved there).  The cutoffs are 2, 4, 8, ..., up
+    to the first at or above 32, or above half the smallest cap when every
+    h is capped and that half is larger.
 
     Passes iff the tail at the largest cutoff stays below ``tail_tol`` for
     every h (tails must vanish uniformly for expectations of linear-growth
@@ -200,16 +202,14 @@ def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
     schemes = [replace(config, h=h) for h in h_grid]
     if not schemes:
         raise PreconditionError("h_grid must be nonempty")
-    if cutoffs is None:
-        caps = [s.cap_level for s in schemes]
-        top = 32.0
-        if all(c is not None for c in caps):
-            top = max(32.0, min(caps) / 2.0)
-        cutoffs = [2.0]
-        while cutoffs[-1] < top:
-            cutoffs.append(cutoffs[-1] * 2.0)
-    report = UiReport(skipped=False, passed=True, cutoffs=list(cutoffs),
-                      tail_tol=tail_tol)
+    caps = [s.cap_level for s in schemes]
+    top = 32.0
+    if all(c is not None for c in caps):
+        top = max(32.0, min(caps) / 2.0)
+    cutoffs = [2.0]
+    while cutoffs[-1] < top:
+        cutoffs.append(cutoffs[-1] * 2.0)
+    report = UiReport(skipped=False, passed=True, cutoffs=cutoffs, tail_tol=tail_tol)
     worst = 0.0
     sup_m2 = 0.0
     for k, cfg in enumerate(schemes):
@@ -272,10 +272,12 @@ def check_h_grid(h_grid) -> list:
 
 def convergence_study(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
                       h_grid, n_paths: int, seed: int, oracle: float | None = None,
-                      oracle_note: str = "", bias_allowance: float = 0.35,
-                      ui_override: bool = True) -> ConvergenceReport:
+                      oracle_note: str = "",
+                      bias_allowance: float = 0.35) -> ConvergenceReport:
     """Run the estimator across a decreasing grid of step parameters, on
     ``replace(config, h=h)`` at each h, as :func:`ui_diagnostic` sweeps.
+    The rows skip the growth policy: a linear payoff's gate is the caller's
+    to run over the same h values (``pathfunc converge`` does).
 
     When an oracle is supplied the report carries |mean - oracle| per row,
     whether the errors are nonincreasing (one statistical inversion is
@@ -285,7 +287,7 @@ def convergence_study(model: SdeModel, config: SchemeConfig, spec: FunctionalSpe
     rows = []
     for k, h in enumerate(check_h_grid(h_grid)):
         est = estimate(model, replace(config, h=h), spec, n_paths, seed,
-                       namespace=100 + k, ui_override=ui_override)
+                       namespace=100 + k, ui_override=True)
         rows.append((h, est))
     report = ConvergenceReport(rows=rows, oracle=oracle, oracle_note=oracle_note,
                                bias_allowance=bias_allowance)
@@ -305,22 +307,23 @@ class TangencyReport:
                 and all(v == 1.0 for v in self.tau_h.values()))
 
 
-def counterexample_tangency(n_grid: int = 2000, h_values=(0.1, 0.01, 0.001)) -> TangencyReport:
+def counterexample_tangency() -> TangencyReport:
     """The tangency pathology: a path grazing the barrier has exit time 1/2,
     every uniformly-close lower path has exit time 1.
 
     Uses the deterministic parabola 1 - (s - 1/2)^2 against the band
-    (-inf, 1) on a grid containing 1/2.  The grazing path falls in class C4,
+    (-inf, 1) on the 2000-step grid, which contains 1/2, and shifts it down
+    by h = 0.1, 0.01 and 0.001.  The grazing path falls in class C4,
     where the exit-time functional is discontinuous, so no approximation
     scheme converging merely weakly can recover tau.
     """
-    times = np.arange(n_grid + 1) / n_grid
+    times = np.arange(2001) / 2000
     base = 1.0 - (times - 0.5) ** 2
     band = BarrierPair.levels(-np.inf, 1.0)
     x = StepPath(times, base)
     tau = hitting_time(x, band)
     tau_h = {}
-    for h in h_values:
+    for h in (0.1, 0.01, 0.001):
         tau_h[h] = hitting_time(StepPath(times, base - h), band)
     return TangencyReport(tau=tau, tau_h=tau_h,
                           c_class=classify_c_partition(x, band))
@@ -340,7 +343,7 @@ class BesselReport:
 
 
 def counterexample_bessel(h_grid=(2**-4, 2**-6, 2**-8), n_paths: int = 200000,
-                          seed: int = 0, z0: float = 1.0) -> BesselReport:
+                          seed: int = 0) -> BesselReport:
     """Uniform-integrability failure for the reciprocal Bessel(3) process.
 
     For each h the process is stopped at the cap 1/h; each stopped variable
@@ -355,6 +358,7 @@ def counterexample_bessel(h_grid=(2**-4, 2**-6, 2**-8), n_paths: int = 200000,
     this quadratic-volatility SDE have exploding moments and would bury the
     effect in noise.
     """
+    z0 = 1.0
     rows = []
     for k, h in enumerate(h_grid):
         cap = 1.0 / h
@@ -385,17 +389,18 @@ class StrongReport:
 
 
 def counterexample_strong(n_grid=(100, 1000, 10000), n_rep: int = 200,
-                          substeps: int = 64, seed: int = 0) -> StrongReport:
+                          seed: int = 0) -> StrongReport:
     """No strong convergence: sqrt(N)-scaled sup-error of the piecewise
     constant interpolation of Brownian motion grows with N.
 
     Estimates sqrt(N) E[sup_t |W(t) - W(floor(Nt)/N)|] by refining each of
-    the N intervals with ``substeps`` points; only within-interval
+    the N intervals with 64 substeps; only within-interval
     increments matter, so no global path is needed.  The scaled error grows
     like sqrt(2 log N) -- the expected maximum of N iid interval suprema --
     so a strong (pathwise) rate cannot hold.
     """
     gen = RngStream(seed, 0, namespace=600).generator()
+    substeps = 64
     rows = []
     prev = -np.inf
     increasing = True

@@ -25,7 +25,7 @@ almost-sure-continuity condition can be monitored empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -95,9 +95,6 @@ class FunctionalSpec:
         for nu in (self.nu1, self.nu2, self.nu3, self.nu4):
             if len(nu) != self.m:
                 raise ValueError("all four sampling vectors must have length m")
-
-    def with_coordinate(self, k: int) -> "FunctionalSpec":
-        return replace(self, coordinate=k)
 
 
 def observe_args_batch(times: np.ndarray, values: np.ndarray,

@@ -11,6 +11,9 @@ coefficients; ``probe_lipschitz`` spot-checks the claim on random pairs.  Models
 without the certificate (the Bessel-type examples) are meant only for the
 counter-example harnesses; their exact stopped sampler is the one user of
 scipy here (``scipy.special``, imported on its first call).
+
+Every model is built from numbers, which its coefficients close over; the
+horizon is 1 throughout.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .errors import PreconditionError
 __all__ = [
     "LipschitzCert",
     "SdeModel",
-    "StochVolParams",
     "gbm",
     "bessel3",
     "inverse_bessel3",
@@ -65,10 +67,6 @@ class SdeModel:
             raise ValueError("initial state must be finite")
         y0.flags.writeable = False
         object.__setattr__(self, "y0", y0)
-
-    @property
-    def is_lipschitz_certified(self) -> bool:
-        return self.lipschitz is not None
 
 
 def gbm(r: float, sigma: float, x0: float) -> SdeModel:
@@ -154,60 +152,37 @@ def inverse_bessel3(z0: float = 1.0) -> SdeModel:
     )
 
 
-@dataclass(frozen=True)
-class StochVolParams:
-    """Parameters of the two-factor stock / volatility-factor model.
-
-    The stock follows dX = X (r dt + sigma(Y) dW) and the factor follows
-    dY = Y (mu(t) dt + b(t) dB) with corr(W, B) = rho.  ``sigma_of_y``,
-    ``mu`` and ``b_vol`` accept arrays and must return positive volatility
-    for positive factor values.
-    """
-
-    r: float
-    sigma_of_y: Callable[[np.ndarray], np.ndarray]
-    mu: Callable[[float], float]
-    b_vol: Callable[[float], float]
-    rho: float
-    x0: float
-    y0: float
-
-    def __post_init__(self):
-        if self.x0 <= 0.0 or self.y0 <= 0.0:
-            raise ValueError("initial stock and factor values must be positive")
-        if abs(self.rho) > 1.0:
-            raise ValueError("correlation must lie in [-1, 1]")
-        probe = np.linspace(1e-3, 10.0, 64)
-        if np.any(np.asarray(self.sigma_of_y(probe)) <= 0.0):
-            raise ValueError("sigma_of_y must be positive for positive factor values")
-
-
-def stoch_vol(params: StochVolParams) -> SdeModel:
+def stoch_vol(r: float, sigma: float, x0: float, rho: float = 0.0,
+              y0: float = 1.0, vol_of_vol: float = 0.0) -> SdeModel:
     """Correlated two-dimensional model for the stock price and its factor.
 
-    The two Brownian drivers are realized from independent normals via the
-    Cholesky factor [[1, 0], [rho, sqrt(1 - rho^2)]]; the first noise column
-    drives the stock and both columns mix into the factor.
+    The stock follows dX = X (r dt + sigma dW) and the factor follows
+    dY = vol_of_vol Y dB with corr(W, B) = rho; with vol_of_vol = 0 the
+    factor stays at y0 and the stock is gbm(r, sigma, x0) driven by the
+    first noise column.  The two Brownian drivers are realized from
+    independent normals via the Cholesky factor
+    [[1, 0], [rho, sqrt(1 - rho^2)]].
     """
-    r = float(params.r)
-    rho = float(params.rho)
+    if not (x0 > 0.0 and y0 > 0.0):
+        raise ValueError("initial stock and factor values must be positive")
+    if not abs(rho) <= 1.0:
+        raise ValueError("correlation must lie in [-1, 1]")
+    if not sigma > 0.0:
+        raise ValueError("sigma must be positive")
+    r, sigma, rho, b = float(r), float(sigma), float(rho), float(vol_of_vol)
     mix = float(np.sqrt(max(0.0, 1.0 - rho * rho)))
-    sigma_of_y = params.sigma_of_y
-    mu = params.mu
-    b_vol = params.b_vol
 
     def drift(y, t):
         out = np.empty_like(y)
         out[..., 0] = r * y[..., 0]
-        out[..., 1] = mu(t) * y[..., 1]
+        out[..., 1] = 0.0
         return out
 
     def diffusion(y, t):
         out = np.zeros(y.shape + (2,))
-        out[..., 0, 0] = sigma_of_y(y[..., 1]) * y[..., 0]
-        bt = b_vol(t)
-        out[..., 1, 0] = bt * y[..., 1] * rho
-        out[..., 1, 1] = bt * y[..., 1] * mix
+        out[..., 0, 0] = sigma * y[..., 0]
+        out[..., 1, 0] = b * y[..., 1] * rho
+        out[..., 1, 1] = b * y[..., 1] * mix
         return out
 
     return SdeModel(
@@ -216,39 +191,20 @@ def stoch_vol(params: StochVolParams) -> SdeModel:
         dim_noise=2,
         drift=drift,
         diffusion=diffusion,
-        y0=np.array([params.x0, params.y0]),
+        y0=np.array([x0, y0]),
         lipschitz=None,
     )
 
 
-def constant_vol_params(r: float, sigma: float, x0: float, rho: float = 0.0,
-                        y0: float = 1.0) -> StochVolParams:
-    """Degenerate parameter set: constant sigma, frozen factor.
-
-    With mu = b = 0 the factor stays at y0 and the stock reduces to
-    gbm(r, sigma, x0) driven by the first noise column.
-    """
-    return StochVolParams(
-        r=r,
-        sigma_of_y=lambda y: np.full_like(np.asarray(y, dtype=np.float64), sigma),
-        mu=lambda t: 0.0,
-        b_vol=lambda t: 0.0,
-        rho=rho,
-        x0=x0,
-        y0=y0,
-    )
-
-
-def probe_lipschitz(model: SdeModel, n_probes: int = 2000, seed: int = 0,
-             t_box: tuple[float, float] = (0.0, 1.0)) -> dict:
+def probe_lipschitz(model: SdeModel, n_probes: int = 2000, seed: int = 0) -> dict:
     """Spot-check the declared Lipschitz bound on random coefficient pairs.
 
-    Samples pairs (y1, t1), (y2, t2) inside the declared state box and
-    reports the largest observed ratio
+    Samples pairs (y1, t1), (y2, t2) inside the declared state box and the
+    unit time interval and reports the largest observed ratio
     |phi(y1,t1) - phi(y2,t2)| / (|y1-y2| + |t1-t2|^(1/2)) over both
     coefficients.  Passes iff the ratio stays below the declared K.
     """
-    if not model.is_lipschitz_certified:
+    if model.lipschitz is None:
         raise PreconditionError(f"model {model.label!r} declares no Lipschitz constant")
     cert = model.lipschitz
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -256,11 +212,11 @@ def probe_lipschitz(model: SdeModel, n_probes: int = 2000, seed: int = 0,
     lo, hi = cert.box
     y1 = rng.uniform(lo, hi, size=(n_probes, d))
     y2 = rng.uniform(lo, hi, size=(n_probes, d))
-    t1 = rng.uniform(t_box[0], t_box[1], size=n_probes)
-    t2 = rng.uniform(t_box[0], t_box[1], size=n_probes)
+    t1 = rng.uniform(0.0, 1.0, size=n_probes)
+    t2 = rng.uniform(0.0, 1.0, size=n_probes)
 
     max_ratio = 0.0
-    for phi, flatten in ((model.drift, False), (model.diffusion, True)):
+    for phi in (model.drift, model.diffusion):
         for i in range(n_probes):
             a = phi(y1[i : i + 1], t1[i])
             b = phi(y2[i : i + 1], t2[i])
@@ -283,29 +239,27 @@ def _norm_cdf(x):
 
 
 def sample_reciprocal_bessel3_stopped(z0: float, cap: float | None, n: int,
-                                      rng: np.random.Generator,
-                                      horizon: float = 1.0) -> np.ndarray:
-    """Exact draws of the reciprocal Bessel(3) value at the horizon,
-    stopped (absorbed) at the cap level.
+                                      rng: np.random.Generator) -> np.ndarray:
+    """Exact draws of the reciprocal Bessel(3) value at time 1, stopped
+    (absorbed) at the cap level.
 
     Writing Z = 1/X with X a Bessel(3) process from x0 = 1/z0, the stopped
-    value Z(T_c and horizon) is sampled without discretization error:
+    value Z(T_c and 1) is sampled without discretization error:
 
     * absorption happens iff X hits a = 1/cap, with probability
-      (a/x0) * 2 Phi((a - x0)/sqrt(horizon)) (reflection principle composed
-      with the h-transform relating Bessel(3) to Brownian motion);
-    * conditionally on no absorption, X(horizon) follows the killed
-      transition density (y/x0) * (phi(y - x0) - phi(y + x0 - 2a)), sampled
-      by rejection from the unkilled Bessel(3) density, which itself is
-      sampled exactly as |x0 e1 + W(horizon)| with W a 3-d Brownian motion.
+      (a/x0) * 2 Phi(a - x0) (reflection principle composed with the
+      h-transform relating Bessel(3) to Brownian motion);
+    * conditionally on no absorption, X(1) follows the killed transition
+      density (y/x0) * (phi(y - x0) - phi(y + x0 - 2a)), sampled by
+      rejection from the unkilled Bessel(3) density, which itself is
+      sampled exactly as |x0 e1 + W(1)| with W a 3-d Brownian motion.
 
     Because the stopped process is a bounded martingale, the draws have
     expectation exactly z0 for every cap; their weak limit as cap grows is
-    Z(horizon), whose mean (2 Phi(z0) - 1)/z0 is strictly smaller.
+    Z(1), whose mean (2 Phi(z0) - 1)/z0 is strictly smaller.
     """
     if z0 <= 0.0:
         raise ValueError("need z0 > 0")
-    sq = float(np.sqrt(horizon))
     x0 = 1.0 / z0
     if cap is None or np.isinf(cap):
         a = 0.0
@@ -314,17 +268,17 @@ def sample_reciprocal_bessel3_stopped(z0: float, cap: float | None, n: int,
         if cap <= z0:
             raise ValueError("cap must exceed the initial value")
         a = 1.0 / cap
-        p_hit = (a / x0) * 2.0 * _norm_cdf((a - x0) / sq)
+        p_hit = (a / x0) * 2.0 * _norm_cdf(a - x0)
 
     out = np.empty(n)
     hit = rng.random(n) < p_hit
     out[hit] = cap
     todo = np.flatnonzero(~hit)
     while todo.size:
-        w = rng.standard_normal((todo.size, 3)) * sq
+        w = rng.standard_normal((todo.size, 3))
         y = np.sqrt((x0 + w[:, 0]) ** 2 + w[:, 1] ** 2 + w[:, 2] ** 2)
-        den = _norm_pdf((y - x0) / sq) - _norm_pdf((y + x0) / sq)
-        num = _norm_pdf((y - x0) / sq) - _norm_pdf((y + x0 - 2.0 * a) / sq)
+        den = _norm_pdf(y - x0) - _norm_pdf(y + x0)
+        num = _norm_pdf(y - x0) - _norm_pdf(y + x0 - 2.0 * a)
         accept = (y > a) & (rng.random(todo.size) * den <= num)
         out[todo[accept]] = 1.0 / y[accept]
         todo = todo[~accept]

@@ -145,10 +145,6 @@ class Barrier:
         return cls([0.0, 1.0], [level, level])
 
     @classmethod
-    def sampled(cls, t, v) -> "Barrier":
-        return cls(t, v)
-
-    @classmethod
     def minus_infinity(cls) -> "Barrier":
         return cls.constant(-np.inf)
 
@@ -242,7 +238,7 @@ def hitting_time(path: StepPath, barriers: BarrierPair) -> float:
     return float(exit_times(path.times, path.values[None], barriers)[0])
 
 
-def classify_c_partition(path: StepPath, barriers: BarrierPair, tol: float | None = None) -> str:
+def classify_c_partition(path: StepPath, barriers: BarrierPair) -> str:
     """Regularity class of a path relative to the band: C1/C2/C3/C4.
 
     C3: never exits (exit time 1).  C1 (resp. C2): at the exit time the path
@@ -250,13 +246,12 @@ def classify_c_partition(path: StepPath, barriers: BarrierPair, tol: float | Non
     it immediately after -- either it already jumped strictly past, so the
     step value stays beyond throughout the next interval, or the next grid
     value is strictly beyond.  Everything else is C4, the tangency class on
-    which the exit time is a discontinuous functional.
+    which the exit time is a discontinuous functional.  "At" and "strictly"
+    allow a tolerance of 1e-12 times max(1, sup |path|).
     """
     if not path.is_scalar:
         raise PreconditionError("classification is defined for scalar paths")
-    if tol is None:
-        scale = max(1.0, float(np.max(np.abs(path.values))))
-        tol = 1e-12 * scale
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(path.values))))
     tau = hitting_time(path, barriers)
     if tau >= 1.0:
         return "C3"

@@ -155,14 +155,15 @@ def _check_finite_coeffs(b, s, y, t):
         _raise_at_first_bad_row("non-finite drift/diffusion evaluation", rows_ok, y, t)
 
 
-def _fixed_update(model, y, t, dt, xi, out, mix):
+def _fixed_update(model, y, t, dt, xi, out, mix) -> bool:
     """Shared update y + b dt + (sigma @ xi) sqrt(dt) of a (B, d) batch, into ``out``.
 
     ``mix`` is scratch shaped like ``out``; ``y`` is left intact.  A single
     (1, d) state broadcasts against (B, d1) draws, so the coefficients are
     evaluated once for all of them.  Non-finite coefficients make the new
     state non-finite, so one sum of it screens them; the exact check runs
-    only when that sum is not finite.
+    only when that sum is not finite.  Returns whether the sum was finite:
+    if it was, so is every entry of ``out``.
     """
     b = model.drift(y, t)
     s = model.diffusion(y, t)
@@ -174,9 +175,10 @@ def _fixed_update(model, y, t, dt, xi, out, mix):
     np.add(out, mix, out=out)
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.add.reduce(out, axis=None)
-    if not math.isfinite(total):
-        _check_finite_coeffs(b, s, y, t)  # passes when the sum overflowed on finite values
-    return out
+    if math.isfinite(total):
+        return True
+    _check_finite_coeffs(b, s, y, t)  # passes when the sum overflowed on finite values
+    return False
 
 
 def binomial_variable_step(model: SdeModel, y, t, h: float, sign):
@@ -225,9 +227,6 @@ def _draw_fixed_noise(gen: np.random.Generator, kind: str, out: np.ndarray) -> N
         np.copysign(1.0, out - 0.5, out=out)  # uniform draw -> +/-1 sign
 
 
-_FINITE_CHECK_STRIDE = 32
-
-
 def _fixed_states(model: SdeModel, config: SchemeConfig, times: np.ndarray,
                   n_rows: int, blocks):
     """Advance a (B, d) batch along a shared fixed grid, as a stream.
@@ -236,21 +235,23 @@ def _fixed_states(model: SdeModel, config: SchemeConfig, times: np.ndarray,
     in order.  Yields the state at every grid column, starting with column 0,
     in (B, d) buffers that later steps overwrite, so a consumer copies what it
     keeps.  The arithmetic is elementwise, so a batch of one reproduces a
-    single simulation bit for bit.
+    single simulation bit for bit.  The new state is checked on the step
+    whose screen fires, after the cap, so a failure names the step where it
+    first occurred; a state the cap brings back to a finite value runs on.
     """
     y = np.repeat(model.y0[None, :], n_rows, axis=0)
     nxt, mix = np.empty((2,) + y.shape)
     yield y
-    n_steps, cap = times.size - 1, config.cap_level
+    cap = config.cap_level
     n = 0
     for block in blocks:
         for xi in block:
-            _fixed_update(model, y, times[n], times[n + 1] - times[n], xi, nxt, mix)
+            screened = _fixed_update(model, y, times[n], times[n + 1] - times[n], xi, nxt, mix)
             y, nxt = nxt, y
             if cap is not None:
                 np.minimum(y, cap, out=y)
             n += 1
-            if n % _FINITE_CHECK_STRIDE == 0 or n == n_steps:
+            if not screened:
                 _raise_at_first_bad_row("non-finite state during simulation",
                                         np.isfinite(y).all(axis=1), y, float(times[n]))
             yield y
@@ -560,7 +561,8 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
                 xi = (gen.standard_normal((n_draws, model.dim_noise))
                       if config.kind == "euler" else signs)
                 n = (len(xi), model.dim_state)
-                y_next = _fixed_update(model, y[None, :], t, dt, xi, np.empty(n), np.empty(n))
+                y_next = np.empty(n)
+                _fixed_update(model, y[None, :], t, dt, xi, y_next, np.empty(n))
             dy = y_next - y
         except (PreconditionError, SimulationError) as e:
             fail(float(y[0]), t, e)

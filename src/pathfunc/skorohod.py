@@ -64,13 +64,13 @@ class TimeChange:
         return float(np.max(np.abs(self.knots_v - self.knots_t)))
 
 
-def _jump_times(path: StepPath) -> np.ndarray:
-    idx = np.flatnonzero(np.diff(path.values) != 0.0) + 1
-    return path.times[idx]
-
-
 def _jump_indices(path: StepPath) -> np.ndarray:
+    """Index i of each jump, from values[i] to values[i + 1]."""
     return np.flatnonzero(np.diff(path.values) != 0.0)
+
+
+def _jump_times(path: StepPath) -> np.ndarray:
+    return path.times[_jump_indices(path) + 1]
 
 
 def _sup_time_changed_diff(x: StepPath, y: StepPath, lam: TimeChange) -> float:
@@ -95,9 +95,9 @@ def _candidate_value(x, y, lam) -> float:
     return max(lam.deviation(), _sup_time_changed_diff(x, y, lam))
 
 
-def _directed_best(x: StepPath, y: StepPath, budget: int,
-                   max_candidates: int) -> tuple[float, TimeChange]:
-    """Best candidate time change applied to x, compared against y."""
+def _directed_best(x: StepPath, y: StepPath, budget: int) -> tuple[float, TimeChange]:
+    """Best candidate time change applied to x, compared against y, over at
+    most 3000 candidates besides the identity."""
     ident = TimeChange.identity()
     best = _candidate_value(x, y, ident)
     best_lam = ident
@@ -126,7 +126,7 @@ def _directed_best(x: StepPath, y: StepPath, budget: int,
                 continue
             if chosen and (s <= chosen[-1][0] or u <= chosen[-1][1]):
                 continue
-            if evals >= max_candidates or len(chosen) >= budget:
+            if evals >= 3000 or len(chosen) >= budget:
                 return
             sel = chosen + [(s, u)]
             kt = np.array([0.0] + [p[0] for p in sel] + [1.0])
@@ -145,8 +145,7 @@ def _directed_best(x: StepPath, y: StepPath, budget: int,
     return best, best_lam
 
 
-def skorohod_distance_with_time_change(x: StepPath, y: StepPath, budget: int = 6,
-                                       max_candidates: int = 3000):
+def skorohod_distance_with_time_change(x: StepPath, y: StepPath, budget: int = 6):
     """Approximate distance plus the time change achieving it.
 
     The returned value is an upper bound on the true infimum and never
@@ -157,17 +156,16 @@ def skorohod_distance_with_time_change(x: StepPath, y: StepPath, budget: int = 6
     """
     if not (x.is_scalar and y.is_scalar):
         raise PreconditionError("distance is defined for scalar paths")
-    d_xy, lam_xy = _directed_best(x, y, budget, max_candidates)
-    d_yx, lam_yx = _directed_best(y, x, budget, max_candidates)
+    d_xy, lam_xy = _directed_best(x, y, budget)
+    d_yx, lam_yx = _directed_best(y, x, budget)
     if d_xy <= d_yx:
         return d_xy, lam_xy
     # invert the winning reverse-direction change so it applies to x
     return d_yx, TimeChange(lam_yx.knots_v, lam_yx.knots_t)
 
 
-def skorohod_distance_approx(x: StepPath, y: StepPath, budget: int = 6,
-                             max_candidates: int = 3000) -> float:
-    d, _ = skorohod_distance_with_time_change(x, y, budget, max_candidates)
+def skorohod_distance_approx(x: StepPath, y: StepPath, budget: int = 6) -> float:
+    d, _ = skorohod_distance_with_time_change(x, y, budget)
     return d
 
 
@@ -179,13 +177,12 @@ class ProbeReport:
     applicable: bool = True
 
 
-def continuity_probe_max(x: StepPath, perturbations, budget: int = 6,
-                         tol: float = 1e-9) -> ProbeReport:
+def continuity_probe_max(x: StepPath, perturbations, budget: int = 6) -> ProbeReport:
     """Check that the running-maximum map is nonexpansive in the
     approximate distance along a perturbation sequence.
 
     Rows hold (d(x_n, x), d(M x_n, M x)); each must satisfy the second
-    <= first + tol.
+    <= first + 1e-9.
     """
     mx = running_max(x)
     rows = []
@@ -193,7 +190,7 @@ def continuity_probe_max(x: StepPath, perturbations, budget: int = 6,
     for xn in perturbations:
         d = skorohod_distance_approx(xn, x, budget)
         dm = skorohod_distance_approx(running_max(xn), mx, budget)
-        good = dm <= d + tol
+        good = dm <= d + 1e-9
         ok &= good
         rows.append((d, dm, good))
     return ProbeReport(rows=rows, passed=ok)
@@ -224,7 +221,7 @@ def continuity_probe_hitting(x: StepPath, barriers: BarrierPair, perturbations,
 
 
 def projection_continuity_probe(x: StepPath, perturbations, nu,
-                                budget: int = 6, tol: float = 1e-9) -> ProbeReport:
+                                budget: int = 6) -> ProbeReport:
     """Check the projection continuity bound along a perturbation sequence.
 
     For each x_n, with lambda the time change realizing the approximate
@@ -233,7 +230,7 @@ def projection_continuity_probe(x: StepPath, perturbations, nu,
         sum_i |x_n(nu_i) - x(nu_i)|
             <= m * sup|x(lambda(t)) - x_n(t)| + sum_i |x(lambda(nu_i)) - x(nu_i)|
 
-    which is checked directly (rows carry both sides).
+    which is checked directly, up to 1e-9 (rows carry both sides).
     """
     entries = np.asarray(nu.entries if hasattr(nu, "entries") else nu, dtype=np.float64)
     m = entries.size
@@ -245,7 +242,7 @@ def projection_continuity_probe(x: StepPath, perturbations, nu,
         lhs = float(np.sum(np.abs(xn.at(entries) - x.at(entries))))
         modulus = float(np.sum(np.abs(x.at(lam(entries)) - x.at(entries))))
         rhs = m * sup_term + modulus
-        good = lhs <= rhs + tol
+        good = lhs <= rhs + 1e-9
         ok &= good
         rows.append((lhs, rhs, good))
     return ProbeReport(rows=rows, passed=ok)

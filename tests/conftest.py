@@ -69,13 +69,13 @@ def barrier_pairs(draw):
             return Barrier.constant(draw(st.floats(lo, hi)))
         inner = draw(st.lists(st.integers(1, 63), max_size=3, unique=True))
         t = np.array(sorted([0, 64] + inner)) / 64
-        return Barrier.sampled(t, draw(st.lists(st.floats(lo, hi), min_size=t.size,
+        return Barrier(t, draw(st.lists(st.floats(lo, hi), min_size=t.size,
                                                 max_size=t.size)))
 
     lower = curve(-6.0, 0.0)
     width = curve(0.5, 8.0)
     t = np.union1d(lower.knot_t, width.knot_t)
-    upper = Barrier.sampled(t, lower.values_on(t) + width.values_on(t))
+    upper = Barrier(t, lower.values_on(t) + width.values_on(t))
     if draw(st.booleans()):
         lower = Barrier.minus_infinity()
     if draw(st.booleans()):

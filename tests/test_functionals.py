@@ -1,5 +1,6 @@
 import bisect
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -13,7 +14,7 @@ from pathfunc.functionals import (FunctionalSpec, Growth, constant_payoff,
                                   discrete_barrier_call, evaluate,
                                   fold_args_batch, observe_args_batch,
                                   up_and_in_call)
-from pathfunc.models import SdeModel, constant_vol_params, gbm, stoch_vol
+from pathfunc.models import SdeModel, gbm, stoch_vol
 from pathfunc.paths import BarrierPair, SampleVector, StepPath
 from pathfunc.schemes import (RngStream, SchemeConfig, simulate_path, simulate_states,
                               simulate_values)
@@ -90,7 +91,7 @@ class TestObserve:
         p = StepPath(times, vals)
         spec = spec_with(BarrierPair.unbounded(), m=1)
         assert path_args(p, spec)[1] == 3.0  # z2 = x(1) with m = 1
-        assert path_args(p, spec.with_coordinate(1))[1] == 30.0
+        assert path_args(p, replace(spec, coordinate=1))[1] == 30.0
 
 
 class TestEvaluate:
@@ -226,7 +227,7 @@ class TestBatchObservation:
 
 class TestFold:
     @given(st.sampled_from([(gbm(0.1, 0.4, 1.0), 0),
-                            (stoch_vol(constant_vol_params(0.1, 0.3, 1.0)), 1)]),
+                            (stoch_vol(0.1, 0.3, 1.0), 1)]),
            st.sampled_from([2**-5, 0.3, 0.07, 1 / 12]),
            st.integers(1, 4), st.data(), st.integers(0, 2**31))
     def test_fold_equals_observe(self, model_coord, h, m, data, seed):

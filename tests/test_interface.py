@@ -118,3 +118,39 @@ def test_estimate_workers_accepts_only_one():
     for value in (0, 2, 4):
         with pytest.raises(PreconditionError):
             estimate(*args, seed=0, workers=value)
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # A parameter with a default that no call sets is a knob nobody turns:
+    # its default belongs in the function body.  Scans every top-level
+    # function of the package against every call in src, tests, scripts and
+    # bench, matching calls by function name, by keyword or by position.
+    import ast
+    from pathlib import Path
+    root = Path(__file__).resolve().parents[1]
+    defaulted = {}  # (module, function, parameter) -> position, None if keyword-only
+    for f in sorted((root / "src" / "pathfunc").glob("*.py")):
+        for node in ast.parse(f.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                pos = a.posonlyargs + a.args
+                first = len(pos) - len(a.defaults)
+                for i, p in enumerate(pos[first:], start=first):
+                    defaulted[f.stem, node.name, p.arg] = i
+                for p, d in zip(a.kwonlyargs, a.kw_defaults):
+                    if d is not None:
+                        defaulted[f.stem, node.name, p.arg] = None
+    passed = set()  # (function name, parameter)
+    for d in ("src", "tests", "scripts", "bench"):
+        for f in sorted((root / d).rglob("*.py")):
+            for call in ast.walk(ast.parse(f.read_text())):
+                if not isinstance(call, ast.Call):
+                    continue
+                fn = call.func
+                name = getattr(fn, "id", None) or getattr(fn, "attr", None)
+                n_pos = sum(not isinstance(x, ast.Starred) for x in call.args)
+                passed.update((name, kw.arg) for kw in call.keywords if kw.arg)
+                passed.update((name, p) for (_, f_name, p), i in defaulted.items()
+                              if f_name == name and i is not None and i < n_pos)
+    unset = [f"{m}.{f}({p})" for (m, f, p) in sorted(defaulted) if (f, p) not in passed]
+    assert unset == []

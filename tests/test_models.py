@@ -3,8 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from pathfunc.errors import PreconditionError
-from pathfunc.models import (StochVolParams, bessel3, constant_vol_params,
-                             gbm, inverse_bessel3, probe_lipschitz,
+from pathfunc.models import (bessel3, gbm, inverse_bessel3, probe_lipschitz,
                              sample_reciprocal_bessel3_stopped, stoch_vol)
 from pathfunc.oracles import reciprocal_bessel3_mean
 from pathfunc.schemes import RngStream, SchemeConfig, simulate_path
@@ -16,7 +15,7 @@ class TestGbm:
         y = np.array([[2.0]])
         assert m.drift(y, 0.0)[0, 0] == pytest.approx(0.2)
         assert m.diffusion(y, 0.0)[0, 0, 0] == pytest.approx(0.6)
-        assert m.is_lipschitz_certified
+        assert m.lipschitz is not None
 
     def test_construction_errors(self):
         with pytest.raises(ValueError):
@@ -67,7 +66,7 @@ class TestBessel3:
         assert m.diffusion(y, 0.3)[0, 0, 0] == pytest.approx(1.0)
 
     def test_not_a5_compliant(self):
-        assert not bessel3(1.0).is_lipschitz_certified
+        assert bessel3(1.0).lipschitz is None
 
     def test_positive_initial_required(self):
         with pytest.raises(ValueError):
@@ -80,22 +79,20 @@ class TestInverseBessel3:
         y = np.array([[3.0]])
         assert m.drift(y, 0.0)[0, 0] == 0.0
         assert abs(m.diffusion(y, 0.0)[0, 0, 0]) == pytest.approx(9.0)
-        assert not m.is_lipschitz_certified
+        assert m.lipschitz is None
 
 
 class TestStochVol:
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            constant_vol_params(r=0.1, sigma=0.3, x0=-1.0)
-        with pytest.raises(ValueError):
-            constant_vol_params(r=0.1, sigma=0.3, x0=1.0, rho=1.5)
-        with pytest.raises(ValueError):
-            StochVolParams(r=0.1, sigma_of_y=lambda y: 0.0 * y, mu=lambda t: 0.0,
-                           b_vol=lambda t: 0.0, rho=0.0, x0=1.0, y0=1.0)
+        for bad in (dict(x0=-1.0), dict(x0=0.0), dict(y0=0.0), dict(y0=-1.0),
+                    dict(rho=1.5), dict(rho=-1.01), dict(sigma=0.0), dict(sigma=-0.3)):
+            with pytest.raises(ValueError):
+                stoch_vol(**{"r": 0.1, "sigma": 0.3, "x0": 1.0, **bad})
+        stoch_vol(0.1, 0.3, 1.0, rho=-1.0, y0=1e-3, vol_of_vol=0.2)  # the edges are allowed
 
     def test_degenerate_reduces_to_gbm_bitwise(self):
         # same normal draws: the stock coordinate reproduces gbm exactly
-        sv = stoch_vol(constant_vol_params(r=0.1, sigma=0.3, x0=0.8, rho=0.5))
+        sv = stoch_vol(r=0.1, sigma=0.3, x0=0.8, rho=0.5)
         g = gbm(0.1, 0.3, 0.8)
         cfg = SchemeConfig("euler", h=2**-6)
         noise = RngStream(11, 0).generator().standard_normal((64, 2))
@@ -105,10 +102,7 @@ class TestStochVol:
         assert np.all(p_sv.values[:, 1] == 1.0)
 
     def test_correlation_mixing_rho_one(self):
-        params = StochVolParams(
-            r=0.0, sigma_of_y=lambda y: np.full_like(np.asarray(y, float), 0.3),
-            mu=lambda t: 0.0, b_vol=lambda t: 0.2, rho=1.0, x0=1.0, y0=1.0)
-        m = stoch_vol(params)
+        m = stoch_vol(r=0.0, sigma=0.3, x0=1.0, rho=1.0, vol_of_vol=0.2)
         s = m.diffusion(np.array([[1.0, 1.0]]), 0.0)[0]
         # with rho = 1 the factor row loads only on the first noise column
         assert s[1, 0] == pytest.approx(0.2)
@@ -116,10 +110,7 @@ class TestStochVol:
 
     def test_zero_correlation_of_driver_increments(self):
         # sample-correlation oracle over 1e6 increment pairs
-        params = StochVolParams(
-            r=0.0, sigma_of_y=lambda y: np.full_like(np.asarray(y, float), 0.3),
-            mu=lambda t: 0.0, b_vol=lambda t: 0.2, rho=0.0, x0=1.0, y0=1.0)
-        m = stoch_vol(params)
+        m = stoch_vol(r=0.0, sigma=0.3, x0=1.0, vol_of_vol=0.2)
         n = 10**6
         xi = RngStream(21, 0).generator().standard_normal((n, 2))
         s = m.diffusion(np.ones((1, 2)), 0.0)[0]

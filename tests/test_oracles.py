@@ -64,7 +64,7 @@ class TestBesselOracles:
     def test_density_normalizes(self):
         from scipy.integrate import quad
         from pathfunc.oracles import _bessel3_density
-        total = quad(lambda y: _bessel3_density(y, 1.0, 1.0), 0, 50, limit=200)[0]
+        total = quad(lambda y: _bessel3_density(y, 1.0), 0, 50, limit=200)[0]
         assert total == pytest.approx(1.0, abs=1e-9)
 
 

@@ -150,7 +150,7 @@ class TestHittingTime:
         assert hitting_time(p, BarrierPair.levels(-1.0, 1.0)) == 0.0
 
     def test_time_dependent_barrier(self):
-        up = Barrier.sampled([0.0, 1.0], [2.0, 0.5])  # descending line
+        up = Barrier([0.0, 1.0], [2.0, 0.5])  # descending line
         band = BarrierPair(Barrier.minus_infinity(), up)
         p = make_path([0, 0.25, 0.5, 0.75, 1], [1.0, 1.0, 1.0, 1.0, 1.0])
         # upper barrier crosses level 1 at t = 2/3; first grid time after is 0.75
@@ -163,7 +163,7 @@ class TestHittingTime:
     @given(step_paths(), barrier_pairs(), st.floats(0.0, 3.0, allow_nan=False))
     def test_monotone_under_widening(self, p, band, widen):
         def widened(b, sign):
-            return Barrier.sampled(b.knot_t, b.knot_v + sign * widen)  # infinities stay
+            return Barrier(b.knot_t, b.knot_v + sign * widen)  # infinities stay
 
         wider = BarrierPair(widened(band.lower, -1.0), widened(band.upper, +1.0))
         assert hitting_time(p, wider) >= hitting_time(p, band)
@@ -240,10 +240,10 @@ class TestBarriers:
         with pytest.raises(ValueError):
             BarrierPair(Barrier.constant(1.0), Barrier.constant(0.0))
         with pytest.raises(ValueError):
-            BarrierPair(Barrier.constant(0.0), Barrier.sampled([0, 1], [1.0, -1.0]))
+            BarrierPair(Barrier.constant(0.0), Barrier([0, 1], [1.0, -1.0]))
 
     def test_sampled_interpolates(self):
-        b = Barrier.sampled([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
+        b = Barrier([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
         npt.assert_allclose(b.values_on([0.25, 0.5, 0.75]), [0.5, 1.0, 0.5])
 
     @pytest.mark.parametrize("barrier", [Barrier.minus_infinity(), Barrier.constant(-2.5),

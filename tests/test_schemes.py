@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathfunc.errors import PreconditionError, SimulationError
-from pathfunc.models import (LipschitzCert, SdeModel, constant_vol_params, gbm,
-                             stoch_vol)
+from pathfunc.models import LipschitzCert, SdeModel, gbm, stoch_vol
 from pathfunc.schemes import (RngStream, SchemeConfig, binomial_variable_step,
                               check_local_consistency, fixed_time_grid,
                               simulate_path, simulate_states, simulate_terminals,
@@ -222,6 +221,21 @@ class TestEulerStep:
                                       [RngStream(0, i) for i in range(4)])
         npt.assert_array_equal(term, 1e308)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflow_is_named_at_the_step_it_occurs(self):
+        # drift 1e308 from 1e308 with h = 2^-7: the state first leaves the
+        # floats on the step to t = 103/128, long before the last step; a
+        # cap brings it back to a finite value, and then the path runs on
+        steep = SdeModel("steep", 1, 1, drift=lambda y, t: np.full_like(y, 1e308),
+                         diffusion=lambda y, t: np.zeros_like(y)[..., None],
+                         y0=np.array([1e308]))
+        streams = [RngStream(0, i) for i in range(3)]
+        with pytest.raises(SimulationError, match="non-finite state") as exc:
+            simulate_terminals(steep, SchemeConfig("euler", h=2**-7), streams)
+        assert (exc.value.batch_index, exc.value.t) == (0, 0.8046875)
+        capped = simulate_terminals(steep, SchemeConfig("euler", h=2**-7, cap=1.5e308), streams)
+        npt.assert_array_equal(capped, 1.5e308)
+
     def test_terminal_mean_matches_exponential_growth(self):
         # E[X(1)] = x0 (1 + r h)^(1/h) for the Euler chain of GBM; at
         # h = 2^-6 that is within 1e-4 of x0 exp(r), far below 3.5 stderr
@@ -256,7 +270,7 @@ class TestBinomialFixed:
 
     def test_requires_scalar_model(self):
         # every simulation entry refuses a binomial kernel on a 2-d model
-        m2 = stoch_vol(constant_vol_params(0.1, 0.3, 1.0))
+        m2 = stoch_vol(0.1, 0.3, 1.0)
         cfg = SchemeConfig("binomial_fixed", h=2**-4)
         streams = [RngStream(0, i) for i in range(3)]
         with pytest.raises(PreconditionError, match="d = d1 = 1"):
@@ -478,7 +492,7 @@ class TestSimulatePath:
 class TestStreaming:
     @pytest.mark.parametrize("kind,model", [("euler", gbm(0.05, 0.2, 1.0)),
                                             ("binomial_fixed", gbm(0.05, 0.2, 1.0)),
-                                            ("euler", stoch_vol(constant_vol_params(0.1, 0.3, 1.0)))])
+                                            ("euler", stoch_vol(0.1, 0.3, 1.0))])
     def test_block_carry_matches_batch_of_one(self, kind, model, monkeypatch):
         # on a grid of 13 noise blocks, each batch row equals the stream run
         # alone in a single block, and terminals equal the stored paths' ends
