@@ -20,16 +20,12 @@ from .functionals import (FunctionalSpec, Growth, constant_payoff,
                           custom_terminal, discontinuity_mass_estimate,
                           discrete_barrier_call, evaluate, observe_args_batch,
                           payoff_values, up_and_in_call)
-from .models import (LipschitzCert, SdeModel, bessel3, gbm, inverse_bessel3,
-                     probe_lipschitz, stoch_vol)
+from .models import SdeModel, bessel3, gbm, inverse_bessel3, stoch_vol
 from .paths import (Barrier, BarrierPair, SampleVector, StepPath,
-                    classify_c_partition, hitting_time, project,
-                    running_max)
+                    classify_c_partition, hitting_time)
 from .schemes import (RngStream, SchemeConfig, binomial_variable_step,
                       check_local_consistency, simulate_path)
-from .skorohod import (TimeChange, continuity_probe_hitting,
-                       continuity_probe_max, projection_continuity_probe,
-                       skorohod_distance_approx,
+from .skorohod import (TimeChange, skorohod_distance_approx,
                        skorohod_distance_with_time_change)
 
 __version__ = "0.1.0"

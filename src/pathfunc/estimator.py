@@ -31,7 +31,7 @@ from .errors import (EstimationError, EvaluationError, PreconditionError,
 from .functionals import (FunctionalSpec, evaluate, fold_args_batch, observe_args_batch,
                           payoff_values)
 from .models import SdeModel, sample_reciprocal_bessel3_stopped
-from .oracles import reciprocal_bessel3_mean_quadrature
+from .oracles import reciprocal_bessel3_mean
 from .paths import BarrierPair, StepPath, classify_c_partition, hitting_time
 from .schemes import (_BATCH_ELEMENTS, RngStream, SchemeConfig, fixed_time_grid,
                       simulate_path, simulate_states, simulate_terminals, simulate_values)
@@ -349,7 +349,7 @@ def counterexample_bessel(h_grid=(2**-4, 2**-6, 2**-8), n_paths: int = 200000,
     For each h the process is stopped at the cap 1/h; each stopped variable
     is a bounded martingale, so the capped terminal mean equals z0 = 1 for
     every h even though the family converges weakly to the uncapped value
-    Z(1), whose mean -- the quadrature oracle -- is strictly below 1.  The
+    Z(1), whose mean -- the closed-form oracle -- is strictly below 1.  The
     capped family carries mass about (1 - E[Z(1)]) at height 1/h, which is
     exactly the non-vanishing tail the UI diagnostic flags.
 
@@ -367,12 +367,12 @@ def counterexample_bessel(h_grid=(2**-4, 2**-6, 2**-8), n_paths: int = 200000,
         mean = float(np.mean(draws))
         se = float(np.std(draws, ddof=1) / np.sqrt(n_paths))
         rows.append((h, cap, mean, se))
-    oracle = reciprocal_bessel3_mean_quadrature(z0)
+    oracle = reciprocal_bessel3_mean(z0)
     _, _, m_last, se_last = rows[-1]
     return BesselReport(
         rows=rows,
         oracle=oracle,
-        oracle_note="quadrature of the Bessel(3) transition density",
+        oracle_note="closed form z0 (2 Phi(1/z0) - 1)",
         capped_mean_near_start=abs(m_last - z0) <= 3.0 * se_last,
         gap_significant=(z0 - oracle) > 5.0 * se_last,
     )

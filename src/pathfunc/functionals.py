@@ -50,14 +50,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Growth:
-    """Growth class of a payoff: bounded by B, or linear growth."""
+    """Growth class of a payoff: bounded, or linear growth."""
 
     kind: str  # "bounded" | "linear"
-    bound: float | None = None
 
     @classmethod
-    def bounded(cls, B: float) -> "Growth":
-        return cls("bounded", float(B))
+    def bounded(cls) -> "Growth":
+        return cls("bounded")
 
     @classmethod
     def linear(cls) -> "Growth":
@@ -285,7 +284,7 @@ def constant_payoff(c: float) -> FunctionalSpec:
         payoff=_scalar(payoff_batch),
         payoff_batch=payoff_batch,
         locus_distance=None,
-        growth=Growth.bounded(abs(c)),
+        growth=Growth.bounded(),
         barriers=BarrierPair.unbounded(),
         label="constant",
     )

@@ -5,12 +5,9 @@ Coefficient callables are vectorized over a leading batch axis: drift maps a
 variable-step tree, to (batch, d); diffusion maps to (batch, d, d1).  Models
 are immutable and safe to share.
 
-Models flagged with a Lipschitz certificate declare a constant K such that
-|phi(y1,t1) - phi(y2,t2)| <= K (|y1-y2| + |t1-t2|^(1/2)) for both
-coefficients; ``probe_lipschitz`` spot-checks the claim on random pairs.  Models
-without the certificate (the Bessel-type examples) are meant only for the
-counter-example harnesses; their exact stopped sampler is the one user of
-scipy here (``scipy.special``, imported on its first call).
+The Bessel-type models, whose coefficients are far from Lipschitz, are meant
+only for the counter-example harnesses; their exact stopped sampler is the
+one user of scipy here (``scipy.special``, imported on its first call).
 
 Every model is built from numbers, which its coefficients close over; the
 horizon is 1 throughout.
@@ -23,26 +20,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PreconditionError
-
 __all__ = [
-    "LipschitzCert",
     "SdeModel",
     "gbm",
     "bessel3",
     "inverse_bessel3",
     "stoch_vol",
-    "probe_lipschitz",
     "sample_reciprocal_bessel3_stopped",
 ]
-
-
-@dataclass(frozen=True)
-class LipschitzCert:
-    """Declared Lipschitz/Hoelder-1/2 constant and the state box it covers."""
-
-    K: float
-    box: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -53,7 +38,6 @@ class SdeModel:
     drift: Callable[[np.ndarray, float], np.ndarray]
     diffusion: Callable[[np.ndarray, float], np.ndarray]
     y0: np.ndarray
-    lipschitz: LipschitzCert | None = None
     # Admissibility band for variable-step binomial trees: declares eps with
     # eps < |sigma| and |sigma| < 1/eps on the intended operating range.
     # Checked per step at runtime, so the declaration cannot silently lie.
@@ -93,7 +77,6 @@ def gbm(r: float, sigma: float, x0: float) -> SdeModel:
         drift=drift,
         diffusion=diffusion,
         y0=np.array([x0]),
-        lipschitz=LipschitzCert(K=max(abs(r), sigma), box=(0.0, 10.0)),
         sigma_eps=0.1,
     )
 
@@ -101,8 +84,8 @@ def gbm(r: float, sigma: float, x0: float) -> SdeModel:
 def bessel3(x0: float) -> SdeModel:
     """Bessel process of dimension 3: dX = (1/X) dt + dW.
 
-    The drift blows up at 0, so no Lipschitz certificate is attached; the
-    model is quarantined to counter-example harnesses.
+    The drift blows up at 0, so the model is not Lipschitz; it is
+    quarantined to counter-example harnesses.
     """
     if x0 <= 0.0:
         raise ValueError("bessel3 needs x0 > 0")
@@ -120,7 +103,6 @@ def bessel3(x0: float) -> SdeModel:
         drift=drift,
         diffusion=diffusion,
         y0=np.array([x0]),
-        lipschitz=None,
     )
 
 
@@ -128,9 +110,9 @@ def inverse_bessel3(z0: float = 1.0) -> SdeModel:
     """Reciprocal of a Bessel(3) process: driftless with dZ = -Z^2 dW.
 
     The canonical strict local martingale: started at z0 it satisfies
-    E[Z(1)] = (2 Phi(z0) - 1)/z0 < z0 even though Z is a positive local
+    E[Z(1)] = z0 (2 Phi(1/z0) - 1) < z0 even though Z is a positive local
     martingale.  The quadratic diffusion is far from Lipschitz, so the model
-    carries no certificate and is quarantined to counter-example harnesses.
+    is quarantined to counter-example harnesses.
     """
     if z0 <= 0.0:
         raise ValueError("inverse_bessel3 needs z0 > 0")
@@ -148,7 +130,6 @@ def inverse_bessel3(z0: float = 1.0) -> SdeModel:
         drift=drift,
         diffusion=diffusion,
         y0=np.array([z0]),
-        lipschitz=None,
     )
 
 
@@ -192,40 +173,7 @@ def stoch_vol(r: float, sigma: float, x0: float, rho: float = 0.0,
         drift=drift,
         diffusion=diffusion,
         y0=np.array([x0, y0]),
-        lipschitz=None,
     )
-
-
-def probe_lipschitz(model: SdeModel, n_probes: int = 2000, seed: int = 0) -> dict:
-    """Spot-check the declared Lipschitz bound on random coefficient pairs.
-
-    Samples pairs (y1, t1), (y2, t2) inside the declared state box and the
-    unit time interval and reports the largest observed ratio
-    |phi(y1,t1) - phi(y2,t2)| / (|y1-y2| + |t1-t2|^(1/2)) over both
-    coefficients.  Passes iff the ratio stays below the declared K.
-    """
-    if model.lipschitz is None:
-        raise PreconditionError(f"model {model.label!r} declares no Lipschitz constant")
-    cert = model.lipschitz
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    d = model.dim_state
-    lo, hi = cert.box
-    y1 = rng.uniform(lo, hi, size=(n_probes, d))
-    y2 = rng.uniform(lo, hi, size=(n_probes, d))
-    t1 = rng.uniform(0.0, 1.0, size=n_probes)
-    t2 = rng.uniform(0.0, 1.0, size=n_probes)
-
-    max_ratio = 0.0
-    for phi in (model.drift, model.diffusion):
-        for i in range(n_probes):
-            a = phi(y1[i : i + 1], t1[i])
-            b = phi(y2[i : i + 1], t2[i])
-            num = float(np.linalg.norm((a - b).ravel()))
-            den = float(np.linalg.norm(y1[i] - y2[i]) + np.sqrt(abs(t1[i] - t2[i])))
-            if den > 0.0:
-                max_ratio = max(max_ratio, num / den)
-    passed = max_ratio <= cert.K * (1.0 + 1e-9)
-    return {"max_ratio": max_ratio, "K": cert.K, "pass": passed, "n_probes": n_probes}
 
 
 def _norm_pdf(x):
@@ -256,7 +204,7 @@ def sample_reciprocal_bessel3_stopped(z0: float, cap: float | None, n: int,
 
     Because the stopped process is a bounded martingale, the draws have
     expectation exactly z0 for every cap; their weak limit as cap grows is
-    Z(1), whose mean (2 Phi(z0) - 1)/z0 is strictly smaller.
+    Z(1), whose mean z0 (2 Phi(1/z0) - 1) is strictly smaller.
     """
     if z0 <= 0.0:
         raise ValueError("need z0 > 0")

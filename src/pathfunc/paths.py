@@ -1,18 +1,16 @@
-"""Discrete right-continuous step paths on [0, 1] and the path operators.
+"""Discrete right-continuous step paths on [0, 1], barriers and the path rules.
 
 A :class:`StepPath` holds a strictly increasing time grid starting at 0 and
 ending at 1 together with one state value per grid time; the path value at
-any t is the value at the greatest grid time <= t.  On top of that sit the
-three operators used throughout the engine: the running maximum, projection
-onto a vector of sampling instants, and the first exit time from a band
-between two continuous barriers.  Exit is detected at grid times only; the
-discrete path carries no information between grid points.
+any t is the value at the greatest grid time <= t.  The first exit time
+from a band between two continuous barriers is detected at grid times only;
+the discrete path carries no information between grid points.
 
 The sampling rule (:func:`grid_columns`) and the exit rule
 (:func:`exit_times`) are written once, for a batch of paths on a shared grid
-or on one grid per row.  The engine's batch observation and the per-path
-operators and continuity classification here all call them, so a single
-path is a batch of one.
+or on one grid per row.  The engine's batch observation, :meth:`StepPath.at`,
+:func:`hitting_time` and the continuity classification all call them, so a
+single path is a batch of one.
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ __all__ = [
     "SampleVector",
     "grid_columns",
     "exit_times",
-    "running_max",
-    "project",
     "hitting_time",
     "classify_c_partition",
 ]
@@ -144,14 +140,6 @@ class Barrier:
         """The flat barrier at ``level``; an infinite level is never reached."""
         return cls([0.0, 1.0], [level, level])
 
-    @classmethod
-    def minus_infinity(cls) -> "Barrier":
-        return cls.constant(-np.inf)
-
-    @classmethod
-    def plus_infinity(cls) -> "Barrier":
-        return cls.constant(np.inf)
-
     @property
     def is_infinite(self) -> bool:
         return bool(np.isinf(self.knot_v[0]))
@@ -213,19 +201,6 @@ class SampleVector:
     def uniform(cls, m: int) -> "SampleVector":
         """The vector (1/m, 2/m, ..., 1)."""
         return cls(np.arange(1, m + 1) / m)
-
-
-def running_max(path: StepPath) -> StepPath:
-    """Prefix maximum of a scalar path on the same grid."""
-    if not path.is_scalar:
-        raise PreconditionError("running_max is defined for scalar paths")
-    return StepPath(path.times, np.maximum.accumulate(path.values))
-
-
-def project(path: StepPath, nu) -> np.ndarray:
-    """Sample the path at the instants of nu, returning an m-vector."""
-    entries = nu.entries if isinstance(nu, SampleVector) else np.asarray(nu, dtype=np.float64)
-    return np.asarray(path.at(entries))
 
 
 def hitting_time(path: StepPath, barriers: BarrierPair) -> float:

@@ -165,15 +165,15 @@ def _fixed_update(model, y, t, dt, xi, out, mix) -> bool:
     only when that sum is not finite.  Returns whether the sum was finite:
     if it was, so is every entry of ``out``.
     """
-    b = model.drift(y, t)
-    s = model.diffusion(y, t)
-    np.multiply(s[..., 0], xi[..., 0, None], out=mix)  # sum_j sigma[..., j] xi[..., j]
-    for j in range(1, s.shape[-1]):
-        np.add(mix, s[..., j] * xi[..., j, None], out=mix)
-    np.multiply(mix, np.sqrt(dt), out=mix)
-    np.add(y, np.multiply(b, dt, out=out), out=out)
-    np.add(out, mix, out=out)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # screened below, named by the caller
+        b = model.drift(y, t)
+        s = model.diffusion(y, t)
+        np.multiply(s[..., 0], xi[..., 0, None], out=mix)  # sum_j sigma[..., j] xi[..., j]
+        for j in range(1, s.shape[-1]):
+            np.add(mix, s[..., j] * xi[..., j, None], out=mix)
+        np.multiply(mix, np.sqrt(dt), out=mix)
+        np.add(y, np.multiply(b, dt, out=out), out=out)
+        np.add(out, mix, out=out)
         total = np.add.reduce(out, axis=None)
     if math.isfinite(total):
         return True

@@ -1,4 +1,4 @@
-"""Approximate Skorohod distance between step paths and continuity probes.
+"""Approximate Skorohod distance between step paths.
 
 The distance between RCLL paths is the infimum over continuous increasing
 time changes lambda (pinned at 0 and 1) of
@@ -9,8 +9,8 @@ The true infimum over all time changes is combinatorial; here it is
 approximated from above by searching a finite candidate family: the
 identity plus piecewise-linear time changes matching up to ``budget`` jump
 times of one path to nearby jump times of the other.  The result is always
-a certified upper bound, exact enough for the continuity probes: it never
-exceeds the plain sup-norm distance, and equals it when no matching helps.
+a certified upper bound: it never exceeds the plain sup-norm distance, and
+equals it when no matching helps.
 """
 
 from __future__ import annotations
@@ -20,15 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .paths import BarrierPair, StepPath, classify_c_partition, hitting_time, running_max
+from .paths import StepPath
 
 __all__ = [
     "TimeChange",
     "skorohod_distance_approx",
     "skorohod_distance_with_time_change",
-    "continuity_probe_max",
-    "continuity_probe_hitting",
-    "projection_continuity_probe",
 ]
 
 
@@ -167,82 +164,3 @@ def skorohod_distance_with_time_change(x: StepPath, y: StepPath, budget: int = 6
 def skorohod_distance_approx(x: StepPath, y: StepPath, budget: int = 6) -> float:
     d, _ = skorohod_distance_with_time_change(x, y, budget)
     return d
-
-
-@dataclass
-class ProbeReport:
-    rows: list
-    passed: bool
-    note: str = ""
-    applicable: bool = True
-
-
-def continuity_probe_max(x: StepPath, perturbations, budget: int = 6) -> ProbeReport:
-    """Check that the running-maximum map is nonexpansive in the
-    approximate distance along a perturbation sequence.
-
-    Rows hold (d(x_n, x), d(M x_n, M x)); each must satisfy the second
-    <= first + 1e-9.
-    """
-    mx = running_max(x)
-    rows = []
-    ok = True
-    for xn in perturbations:
-        d = skorohod_distance_approx(xn, x, budget)
-        dm = skorohod_distance_approx(running_max(xn), mx, budget)
-        good = dm <= d + 1e-9
-        ok &= good
-        rows.append((d, dm, good))
-    return ProbeReport(rows=rows, passed=ok)
-
-
-def continuity_probe_hitting(x: StepPath, barriers: BarrierPair, perturbations,
-                             tol: float = 1e-6) -> ProbeReport:
-    """Check convergence of exit times along a perturbation sequence.
-
-    Only meaningful on paths of class C1/C2/C3; on a C4 (tangency) input the
-    probe reports not-applicable instead, since the exit-time map is
-    genuinely discontinuous there.  Passing requires the absolute exit-time
-    errors to be nonincreasing over the last three perturbations and the
-    final error to fall below tol.
-    """
-    cls = classify_c_partition(x, barriers)
-    if cls == "C4":
-        return ProbeReport(rows=[], passed=False, applicable=False,
-                           note="not applicable: C4 (tangency class)")
-    tau = hitting_time(x, barriers)
-    rows = []
-    for xn in perturbations:
-        rows.append(abs(hitting_time(xn, barriers) - tau))
-    ok = len(rows) >= 1 and rows[-1] <= tol
-    if len(rows) >= 3:
-        ok &= rows[-3] >= rows[-2] >= rows[-1]
-    return ProbeReport(rows=rows, passed=ok, note=f"class {cls}")
-
-
-def projection_continuity_probe(x: StepPath, perturbations, nu,
-                                budget: int = 6) -> ProbeReport:
-    """Check the projection continuity bound along a perturbation sequence.
-
-    For each x_n, with lambda the time change realizing the approximate
-    distance of (x, x_n), the projection difference is bounded by
-
-        sum_i |x_n(nu_i) - x(nu_i)|
-            <= m * sup|x(lambda(t)) - x_n(t)| + sum_i |x(lambda(nu_i)) - x(nu_i)|
-
-    which is checked directly, up to 1e-9 (rows carry both sides).
-    """
-    entries = np.asarray(nu.entries if hasattr(nu, "entries") else nu, dtype=np.float64)
-    m = entries.size
-    rows = []
-    ok = True
-    for xn in perturbations:
-        _, lam = skorohod_distance_with_time_change(x, xn, budget)
-        sup_term = _sup_time_changed_diff(x, xn, lam)
-        lhs = float(np.sum(np.abs(xn.at(entries) - x.at(entries))))
-        modulus = float(np.sum(np.abs(x.at(lam(entries)) - x.at(entries))))
-        rhs = m * sup_term + modulus
-        good = lhs <= rhs + 1e-9
-        ok &= good
-        rows.append((lhs, rhs, good))
-    return ProbeReport(rows=rows, passed=ok)

@@ -77,7 +77,7 @@ def barrier_pairs(draw):
     t = np.union1d(lower.knot_t, width.knot_t)
     upper = Barrier(t, lower.values_on(t) + width.values_on(t))
     if draw(st.booleans()):
-        lower = Barrier.minus_infinity()
+        lower = Barrier.constant(-np.inf)
     if draw(st.booleans()):
-        upper = Barrier.plus_infinity()
+        upper = Barrier.constant(np.inf)
     return BarrierPair(lower, upper)

@@ -364,9 +364,9 @@ class TestCliSkorohodDist:
 
 
 class TestStartupImports:
-    """scipy serves only the oracles, the quadratures and the exact
-    reciprocal-Bessel sampler, so a fresh interpreter loads it only when one
-    of them runs."""
+    """scipy serves only the oracles and the exact reciprocal-Bessel sampler,
+    so a fresh interpreter loads it only when one of them runs, and no
+    command loads ``scipy.integrate``."""
 
     SCRIPT = """
 import contextlib, io, json, sys
@@ -382,6 +382,10 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     assert cli.main(["converge", sys.argv[2]]) == 0
 assert "oracle = " in out.getvalue()
 seen["converge"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    cli.main(["counterexample", "bessel", "--paths", "2000"])
+assert "oracle E[Z(1)] = 0.682689" in out.getvalue()
+seen["bessel"] = loaded()
 print(json.dumps(seen))
 """
 
@@ -412,3 +416,4 @@ print(json.dumps(seen))
         assert seen["price"] == []
         assert "scipy.special" in seen["converge"]
         assert not [m for m in seen["converge"] if m.startswith("scipy.stats")]
+        assert not [m for m in seen["bessel"] if m.startswith("scipy.integrate")]

@@ -339,7 +339,7 @@ class TestBoundedMeanStaysInBand:
         spec = FunctionalSpec(
             m=1, nu1=nu, nu2=nu, nu3=nu, nu4=nu,
             payoff=lambda x: float(np.tanh(x[1])),
-            growth=Growth.bounded(1.0), barriers=BarrierPair.unbounded())
+            growth=Growth.bounded(), barriers=BarrierPair.unbounded())
         est = estimate(GBM, CFG, spec, 2000, seed=17)
         assert -1.0 <= est.mean <= 1.0
         assert est.ci95[0] <= est.mean <= est.ci95[1]

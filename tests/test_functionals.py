@@ -69,7 +69,7 @@ class TestObserve:
         p = make_path([0, 0.25, 1], [0.5, 3.0, 0.25])
         nu = SampleVector([1.0, 1.0])
         spec = FunctionalSpec(m=2, nu1=nu, nu2=nu, nu3=nu, nu4=nu,
-                              payoff=lambda x: 0.0, growth=Growth.bounded(0.0),
+                              payoff=lambda x: 0.0, growth=Growth.bounded(),
                               barriers=BarrierPair.levels(-np.inf, 2.0))
         args = path_args(p, spec)
         assert args[8] == 0.25  # tau
@@ -140,7 +140,7 @@ class TestEvaluate:
             m=1, nu1=SampleVector([1.0]), nu2=SampleVector([1.0]),
             nu3=SampleVector([1.0]), nu4=SampleVector([1.0]),
             payoff=lambda x: float(np.tanh(np.sum(x))),
-            growth=Growth.bounded(1.0), barriers=BarrierPair.unbounded())
+            growth=Growth.bounded(), barriers=BarrierPair.unbounded())
         assert abs(evaluate(p, spec)) <= 1.0
 
     @given(step_paths(), st.integers(0, 2**31))
@@ -180,7 +180,7 @@ class TestBatchObservation:
         times, values = simulate_values(m, cfg, streams)
         nu = SampleVector(np.sort(rng.uniform(0, 1, size=3)))
         spec = FunctionalSpec(m=3, nu1=nu, nu2=nu, nu3=nu, nu4=nu,
-                              payoff=lambda x: 0.0, growth=Growth.bounded(0.0),
+                              payoff=lambda x: 0.0, growth=Growth.bounded(),
                               barriers=band)
         args = observe_args_batch(times, values, spec)
         for i in range(len(streams)):
@@ -203,7 +203,7 @@ class TestBatchObservation:
                               nu3=SampleVector([0.3, 0.7, 1.0]),
                               nu4=SampleVector([0.25, 0.5, 1.0]),
                               payoff=lambda x: float(x @ weights),
-                              growth=Growth.bounded(1e3),
+                              growth=Growth.bounded(),
                               barriers=BarrierPair.levels(0.4, 1.6))
         args = observe_args_batch(times, values, spec)
         assert 0 < np.count_nonzero(args[:, -1] < 1.0) < len(streams)
@@ -237,7 +237,7 @@ class TestFold:
         nus = [SampleVector(np.sort(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m,
                                                        max_size=m))))
                for _ in range(4)]
-        spec = FunctionalSpec(m, *nus, payoff=lambda x: 0.0, growth=Growth.bounded(0.0),
+        spec = FunctionalSpec(m, *nus, payoff=lambda x: 0.0, growth=Growth.bounded(),
                               barriers=BarrierPair.unbounded(), coordinate=coordinate)
         cfg = SchemeConfig("euler", h=h)
         streams = [RngStream(seed, i) for i in range(6)]

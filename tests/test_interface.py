@@ -123,8 +123,7 @@ def test_estimate_workers_accepts_only_one():
 def test_every_defaulted_parameter_has_a_caller():
     # A parameter with a default that no call sets is a knob nobody turns:
     # its default belongs in the function body.  Scans every top-level
-    # function of the package against every call in src, tests, scripts and
-    # bench, matching calls by function name, by keyword or by position.
+    # function of the package against every call in src, tests and bench, matching calls by function name, by keyword or by position.
     import ast
     from pathlib import Path
     root = Path(__file__).resolve().parents[1]
@@ -141,7 +140,7 @@ def test_every_defaulted_parameter_has_a_caller():
                     if d is not None:
                         defaulted[f.stem, node.name, p.arg] = None
     passed = set()  # (function name, parameter)
-    for d in ("src", "tests", "scripts", "bench"):
+    for d in ("src", "tests", "bench"):
         for f in sorted((root / d).rglob("*.py")):
             for call in ast.walk(ast.parse(f.read_text())):
                 if not isinstance(call, ast.Call):
@@ -154,3 +153,42 @@ def test_every_defaulted_parameter_has_a_caller():
                               if f_name == name and i is not None and i < n_pos)
     unset = [f"{m}.{f}({p})" for (m, f, p) in sorted(defaulted) if (f, p) not in passed]
     assert unset == []
+
+
+# Top-level definitions no command reaches, each kept for a stated reason.
+UNREACHED_ALLOWED = {
+    # the frozen benchmark reads both by name (BENCHMARK_NAMES)
+    ("functionals", "evaluate"),
+    ("schemes", "simulate_path"),
+    # awaits the discontinuity-mass report of `check` (ROADMAP item 8)
+    ("functionals", "discontinuity_mass_estimate"),
+}
+
+
+def test_every_definition_is_reached_from_a_command():
+    # Static call graph over the package's top-level defs and classes: a
+    # definition reaches every definition whose name it mentions as a name
+    # or an attribute.  Whatever cli.main does not reach is code that no
+    # command runs; it must be deleted or allowlisted above with a reason.
+    import ast
+    from pathlib import Path
+    mentions = {}  # (module, name) -> names its body mentions
+    for f in sorted((Path(__file__).resolve().parents[1] / "src" / "pathfunc").glob("*.py")):
+        for node in ast.parse(f.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                mentions[f.stem, node.name] = (
+                    {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                    | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+    def reached(roots):
+        seen, todo = set(), list(roots)
+        while todo:
+            key = todo.pop()
+            if key not in seen:
+                seen.add(key)
+                todo += [d for d in mentions if d[1] in mentions[key]]
+        return seen
+
+    from_main = reached([("cli", "main")])
+    assert sorted(UNREACHED_ALLOWED & from_main) == []  # a stale entry goes
+    assert sorted(set(mentions) - reached([("cli", "main"), *UNREACHED_ALLOWED])) == []

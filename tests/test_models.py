@@ -2,8 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pathfunc.errors import PreconditionError
-from pathfunc.models import (bessel3, gbm, inverse_bessel3, probe_lipschitz,
+from pathfunc.models import (bessel3, gbm, inverse_bessel3,
                              sample_reciprocal_bessel3_stopped, stoch_vol)
 from pathfunc.oracles import reciprocal_bessel3_mean
 from pathfunc.schemes import RngStream, SchemeConfig, simulate_path
@@ -15,7 +14,6 @@ class TestGbm:
         y = np.array([[2.0]])
         assert m.drift(y, 0.0)[0, 0] == pytest.approx(0.2)
         assert m.diffusion(y, 0.0)[0, 0, 0] == pytest.approx(0.6)
-        assert m.lipschitz is not None
 
     def test_construction_errors(self):
         with pytest.raises(ValueError):
@@ -37,25 +35,18 @@ class TestGbm:
         assert abs(term.mean() - 0.7) <= 3 * se
 
 
-class TestProbeLipschitz:
-    def test_gbm_ratio_bounded_by_declared_constant(self):
-        rep = probe_lipschitz(gbm(0.1, 0.3, 0.8), n_probes=800, seed=1)
-        assert rep["pass"]
-        assert rep["max_ratio"] <= 0.3 + 1e-9
-
-    def test_refuses_uncertified_model(self):
-        with pytest.raises(PreconditionError):
-            probe_lipschitz(bessel3(1.0))
-
-    def test_constant_coefficients_give_zero_ratio(self):
-        from pathfunc.models import LipschitzCert, SdeModel
-        m = SdeModel(
-            label="const", dim_state=1, dim_noise=1,
-            drift=lambda y, t: np.zeros_like(y) + 0.05,
-            diffusion=lambda y, t: (np.zeros_like(y) + 0.5)[..., None],
-            y0=np.array([1.0]), lipschitz=LipschitzCert(K=0.01, box=(0.0, 5.0)))
-        rep = probe_lipschitz(m, n_probes=300, seed=2)
-        assert rep["max_ratio"] == 0.0 and rep["pass"]
+class TestLipschitz:
+    def test_gbm_ratio_bounded_by_max_r_sigma(self):
+        # |phi(y1,t1) - phi(y2,t2)| / (|y1-y2| + |t1-t2|^(1/2)) for drift and
+        # diffusion on random pairs in [0, 10] x [0, 1] stays within max(|r|, sigma)
+        m = gbm(0.1, 0.3, 0.8)
+        rng = np.random.default_rng(1)
+        y1, y2 = rng.uniform(0.0, 10.0, (2, 800, 1))
+        t1, t2 = rng.uniform(0.0, 1.0, (2, 800, 1))  # one time per row
+        den = np.abs(y1 - y2) + np.sqrt(np.abs(t1 - t2))
+        for phi in (m.drift, m.diffusion):
+            num = np.abs(phi(y1, t1) - phi(y2, t2)).reshape(den.shape)
+            assert np.max(num / den) <= max(0.1, 0.3) + 1e-9
 
 
 class TestBessel3:
@@ -66,7 +57,11 @@ class TestBessel3:
         assert m.diffusion(y, 0.3)[0, 0, 0] == pytest.approx(1.0)
 
     def test_not_a5_compliant(self):
-        assert bessel3(1.0).lipschitz is None
+        # the drift 1/y has no Lipschitz constant near 0: its difference
+        # quotient between 1e-3 and 2e-3 is 5e5
+        drift = bessel3(1.0).drift
+        ratio = abs(drift(np.array([[1e-3]]), 0.0) - drift(np.array([[2e-3]]), 0.0))[0, 0] / 1e-3
+        assert ratio == pytest.approx(5e5)
 
     def test_positive_initial_required(self):
         with pytest.raises(ValueError):
@@ -79,7 +74,6 @@ class TestInverseBessel3:
         y = np.array([[3.0]])
         assert m.drift(y, 0.0)[0, 0] == 0.0
         assert abs(m.diffusion(y, 0.0)[0, 0, 0]) == pytest.approx(9.0)
-        assert m.lipschitz is None
 
 
 class TestStochVol:

@@ -4,6 +4,62 @@ import pytest
 from pathfunc import oracles
 
 
+def up_and_in_call_price_quadrature(s0: float, strike: float, barrier: float,
+                                    r: float, sigma: float) -> float:
+    """``oracles.up_and_in_call_price`` by integrating the joint law of the
+    terminal value and the running maximum of the driving drifted Brownian
+    motion.
+
+    With W_hat = mu s + W, the event {max exceeds b} restricted to
+    {W_hat(1) = w < b} has density exp(mu w - mu^2 / 2) phi(2b - w); for
+    w >= b it is implied.  Kept deliberately independent of the closed form
+    so the two can check each other.
+    """
+    from scipy.integrate import quad
+    if s0 >= barrier:
+        raise ValueError("quadrature form assumes the spot starts below the barrier")
+    mu = (r - 0.5 * sigma * sigma) / sigma
+    b = np.log(barrier / s0) / sigma
+    k = np.log(strike / s0) / sigma if strike > 0 else -np.inf
+
+    def phi(x):
+        return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+
+    def payoff(w):
+        return s0 * np.exp(sigma * w) - strike
+
+    def upper(w):  # w >= max(k, b): plain marginal of the drifted motion
+        return payoff(w) * phi(w - mu)
+
+    def reflected(w):  # k <= w < b: crossed the barrier and came back
+        return payoff(w) * np.exp(mu * w - 0.5 * mu * mu) * phi(2.0 * b - w)
+
+    hi = max(b, k if np.isfinite(k) else b) + 40.0
+    total, _ = quad(upper, max(b, k), hi, limit=200)
+    if k < b:
+        part, _ = quad(reflected, k, b, limit=200)
+        total += part
+    return float(np.exp(-r) * total)
+
+
+def _bessel3_density(y, x0):
+    """Time-1 transition density of the Bessel(3) process started at x0 > 0."""
+
+    def phi(x):
+        return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+
+    return (y / x0) * (phi(y - x0) - phi(y + x0))
+
+
+def reciprocal_bessel3_mean_quadrature(z0: float = 1.0) -> float:
+    """E[Z(1)] for the reciprocal Bessel(3) from z0, by quadrature of the
+    Bessel(3) transition density: integral of (1/y) p_1(x0, y) dy."""
+    from scipy.integrate import quad
+    x0 = 1.0 / z0
+    val, _ = quad(lambda y: _bessel3_density(y, x0) / y, 0.0, x0 + 40.0, limit=200)
+    return float(val)
+
+
 class TestUpAndInCall:
     @pytest.mark.parametrize("s0,k,hb,r,sigma", [
         (0.8, 0.5, 1.0, 0.1, 0.3),
@@ -13,7 +69,7 @@ class TestUpAndInCall:
     ])
     def test_closed_form_matches_quadrature(self, s0, k, hb, r, sigma):
         cf = oracles.up_and_in_call_price(s0, k, hb, r, sigma)
-        qd = oracles.up_and_in_call_price_quadrature(s0, k, hb, r, sigma)
+        qd = up_and_in_call_price_quadrature(s0, k, hb, r, sigma)
         assert cf == pytest.approx(qd, rel=1e-9, abs=1e-12)
 
     def test_dominated_by_vanilla(self):
@@ -53,7 +109,7 @@ class TestBesselOracles:
     def test_reciprocal_mean_closed_matches_quadrature(self):
         for z0 in (0.5, 1.0, 2.0):
             cf = oracles.reciprocal_bessel3_mean(z0)
-            qd = oracles.reciprocal_bessel3_mean_quadrature(z0)
+            qd = reciprocal_bessel3_mean_quadrature(z0)
             assert cf == pytest.approx(qd, rel=1e-9)
 
     def test_strict_local_martingale_gap(self):
@@ -63,7 +119,6 @@ class TestBesselOracles:
 
     def test_density_normalizes(self):
         from scipy.integrate import quad
-        from pathfunc.oracles import _bessel3_density
         total = quad(lambda y: _bessel3_density(y, 1.0), 0, 50, limit=200)[0]
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -97,4 +152,4 @@ class TestNormalCdf:
         assert oracles.up_and_in_call_price(0.8, 0.5, 1.0, 0.1, 0.3) == 0.2629996713973059
         assert oracles.vanilla_call_price(0.8, 0.5, 0.1, 0.3) == 0.3495590306909906
         assert oracles.reciprocal_bessel3_mean(1.0) == 0.6826894921370859
-        assert oracles.reciprocal_bessel3_mean_quadrature(1.0) == 0.682689492137086
+        assert reciprocal_bessel3_mean_quadrature(1.0) == 0.682689492137086

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathfunc.errors import DomainError, PreconditionError
+from pathfunc.errors import DomainError
 from pathfunc.paths import (Barrier, BarrierPair, SampleVector, StepPath,
-                            classify_c_partition, exit_times, hitting_time,
-                            project, running_max)
+                            classify_c_partition, exit_times, grid_columns,
+                            hitting_time)
 
 from conftest import barrier_pairs, step_path_pairs_same_grid, step_paths
 
@@ -62,58 +62,54 @@ class TestEval:
 
 
 class TestRunningMax:
+    # the engine's running maximum is np.maximum.accumulate along the grid
     def test_prefix_maximum(self):
-        p = make_path([0, 0.5, 1], [0.2, -0.1, 0.5])
-        npt.assert_array_equal(running_max(p).values, [0.2, 0.2, 0.5])
+        npt.assert_array_equal(np.maximum.accumulate([0.2, -0.1, 0.5]), [0.2, 0.2, 0.5])
 
     def test_parabola_peak_attained(self):
         # dense sampling of 1 - (s - 1/2)^2 on a grid containing 1/2
-        assert running_max(parabola_path()).values[-1] == 1.0
+        assert np.maximum.accumulate(parabola_path().values)[-1] == 1.0
 
     def test_monotone_fixed_point(self):
-        p = make_path([0, 0.3, 1], [1, 2, 3])
-        npt.assert_array_equal(running_max(p).values, p.values)
-
-    def test_rejects_vector_paths(self):
-        p = StepPath(np.array([0.0, 1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
-        with pytest.raises(PreconditionError):
-            running_max(p)
+        v = np.array([1.0, 2.0, 3.0])
+        npt.assert_array_equal(np.maximum.accumulate(v), v)
 
     @given(step_paths())
     def test_dominates_and_nondecreasing(self, p):
-        m = running_max(p)
-        assert np.all(m.values >= p.values)
-        assert np.all(np.diff(m.values) >= 0.0)
+        m = np.maximum.accumulate(p.values)
+        assert np.all(m >= p.values)
+        assert np.all(np.diff(m) >= 0.0)
 
     @given(step_paths())
     def test_idempotent(self, p):
-        m = running_max(p)
-        npt.assert_array_equal(running_max(m).values, m.values)
+        m = np.maximum.accumulate(p.values)
+        npt.assert_array_equal(np.maximum.accumulate(m), m)
 
     @given(step_path_pairs_same_grid())
     def test_nonexpansive_sup_norm(self, pair):
         x, y = pair
-        lhs = np.max(np.abs(running_max(x).values - running_max(y).values))
+        lhs = np.max(np.abs(np.maximum.accumulate(x.values) - np.maximum.accumulate(y.values)))
         rhs = np.max(np.abs(x.values - y.values))
         assert lhs <= rhs + 1e-15
 
 
 class TestProject:
+    # projection onto nu is the sampling rule: StepPath.at, i.e. grid_columns
     def test_terminal_projection(self):
         p = make_path([0, 0.5, 1], [1, 2, 3])
-        npt.assert_array_equal(project(p, SampleVector([1.0])), [3.0])
+        npt.assert_array_equal(p.at(SampleVector([1.0]).entries), [3.0])
 
     def test_between_grid_points_uses_left_value(self):
         p = make_path([0, 0.5, 1], [1, 2, 3])
-        npt.assert_array_equal(project(p, SampleVector([0.25, 0.75])), [1.0, 2.0])
+        npt.assert_array_equal(p.at(SampleVector([0.25, 0.75]).entries), [1.0, 2.0])
 
     def test_monthly_monitoring_values(self):
         # twelve monitoring instants on a grid that contains them
         t = np.arange(121) / 120
         p = StepPath(t, np.sin(7 * t) + 2.0)
         nu = SampleVector.uniform(12)
-        got = project(p, nu)
-        npt.assert_array_equal(got, [p.at(i / 12) for i in range(1, 13)])
+        npt.assert_array_equal(grid_columns(p.times, nu.entries), np.arange(10, 121, 10))
+        npt.assert_array_equal(p.at(nu.entries), [p.at(i / 12) for i in range(1, 13)])
 
     @given(step_paths(), st.integers(0, 2**32))
     def test_invariant_under_grid_refinement(self, p, seed):
@@ -122,7 +118,7 @@ class TestProject:
         new_times = np.unique(np.concatenate([p.times, extra]))
         refined = StepPath(new_times, p.at(new_times))
         nu = SampleVector(np.sort(rng.uniform(0.0, 1.0, size=4)))
-        npt.assert_array_equal(project(p, nu), project(refined, nu))
+        npt.assert_array_equal(p.at(nu.entries), refined.at(nu.entries))
 
     def test_sample_vector_invariants(self):
         with pytest.raises(ValueError):
@@ -151,7 +147,7 @@ class TestHittingTime:
 
     def test_time_dependent_barrier(self):
         up = Barrier([0.0, 1.0], [2.0, 0.5])  # descending line
-        band = BarrierPair(Barrier.minus_infinity(), up)
+        band = BarrierPair(Barrier.constant(-np.inf), up)
         p = make_path([0, 0.25, 0.5, 0.75, 1], [1.0, 1.0, 1.0, 1.0, 1.0])
         # upper barrier crosses level 1 at t = 2/3; first grid time after is 0.75
         assert hitting_time(p, band) == 0.75
@@ -246,8 +242,8 @@ class TestBarriers:
         b = Barrier([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
         npt.assert_allclose(b.values_on([0.25, 0.5, 0.75]), [0.5, 1.0, 0.5])
 
-    @pytest.mark.parametrize("barrier", [Barrier.minus_infinity(), Barrier.constant(-2.5),
-                                         Barrier.constant(1 / 3), Barrier.plus_infinity()])
+    @pytest.mark.parametrize("barrier", [Barrier.constant(-np.inf), Barrier.constant(-2.5),
+                                         Barrier.constant(1 / 3), Barrier.constant(np.inf)])
     def test_flat_barrier_is_exactly_its_level(self, barrier):
         # np.interp returns the level of a flat segment exactly, infinite or
         # not, on a shared (n+1,) grid and on a (B, K+1) grid per row
@@ -259,5 +255,5 @@ class TestBarriers:
             assert np.all(got == barrier.knot_v[0])
 
     def test_infinite_fills(self):
-        assert np.all(np.isneginf(Barrier.minus_infinity().values_on([0.0, 1.0])))
-        assert np.all(np.isposinf(Barrier.plus_infinity().values_on([0.0, 1.0])))
+        assert np.all(np.isneginf(Barrier.constant(-np.inf).values_on([0.0, 1.0])))
+        assert np.all(np.isposinf(Barrier.constant(np.inf).values_on([0.0, 1.0])))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathfunc.errors import PreconditionError, SimulationError
-from pathfunc.models import LipschitzCert, SdeModel, gbm, stoch_vol
+from pathfunc.models import SdeModel, gbm, stoch_vol
 from pathfunc.schemes import (RngStream, SchemeConfig, binomial_variable_step,
                               check_local_consistency, fixed_time_grid,
                               simulate_path, simulate_states, simulate_terminals,
@@ -30,7 +30,6 @@ def bounded_vol_model(y0=1.0):
         drift=lambda y, t: 0.05 * np.ones_like(y),
         diffusion=lambda y, t: (0.5 + 0.3 * np.sin(y))[..., None],
         y0=np.array([y0]),
-        lipschitz=LipschitzCert(K=0.35, box=(-5.0, 5.0)),
         sigma_eps=0.15,
     )
 
@@ -221,19 +220,23 @@ class TestEulerStep:
                                       [RngStream(0, i) for i in range(4)])
         npt.assert_array_equal(term, 1e308)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflow_is_named_at_the_step_it_occurs(self):
         # drift 1e308 from 1e308 with h = 2^-7: the state first leaves the
         # floats on the step to t = 103/128, long before the last step; a
-        # cap brings it back to a finite value, and then the path runs on
+        # cap brings it back to a finite value, and then the path runs on.
+        # The error names the overflow; numpy warns of nothing.
+        import warnings
         steep = SdeModel("steep", 1, 1, drift=lambda y, t: np.full_like(y, 1e308),
                          diffusion=lambda y, t: np.zeros_like(y)[..., None],
                          y0=np.array([1e308]))
         streams = [RngStream(0, i) for i in range(3)]
-        with pytest.raises(SimulationError, match="non-finite state") as exc:
-            simulate_terminals(steep, SchemeConfig("euler", h=2**-7), streams)
-        assert (exc.value.batch_index, exc.value.t) == (0, 0.8046875)
-        capped = simulate_terminals(steep, SchemeConfig("euler", h=2**-7, cap=1.5e308), streams)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match="non-finite state") as exc:
+                simulate_terminals(steep, SchemeConfig("euler", h=2**-7), streams)
+            assert (exc.value.batch_index, exc.value.t) == (0, 0.8046875)
+            capped = simulate_terminals(steep, SchemeConfig("euler", h=2**-7, cap=1.5e308),
+                                        streams)
         npt.assert_array_equal(capped, 1.5e308)
 
     def test_terminal_mean_matches_exponential_growth(self):
@@ -574,7 +577,7 @@ class TestLocalConsistency:
         doubled = SdeModel("sabotage", 1, 1,
                            drift=lambda y, t: 0.2 * y,
                            diffusion=base.diffusion, y0=base.y0,
-                           lipschitz=base.lipschitz, sigma_eps=base.sigma_eps)
+                           sigma_eps=base.sigma_eps)
         rep = check_local_consistency(doubled, SchemeConfig("euler", h=2**-6),
                                       [(1.0, 0.0)], n_draws=10**5, seed=3,
                                       reference=base)

@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathfunc.paths import BarrierPair, StepPath
-from pathfunc.skorohod import (TimeChange, continuity_probe_hitting,
-                               continuity_probe_max,
-                               projection_continuity_probe,
+from pathfunc.paths import BarrierPair, StepPath, classify_c_partition, hitting_time
+from pathfunc.skorohod import (TimeChange, _sup_time_changed_diff,
                                skorohod_distance_approx,
                                skorohod_distance_with_time_change)
 
@@ -124,69 +122,97 @@ class TestDistance:
 
 
 class TestMaxContinuity:
+    """The running maximum is nonexpansive: d(M xn, M x) <= d(xn, x)."""
+
     def test_identical_sequence(self):
         x = indicator_step(0.4)
-        rep = continuity_probe_max(x, [x, x])
-        assert rep.passed
-        assert all(r[0] == 0.0 and r[1] == 0.0 for r in rep.rows)
+        mx = StepPath(x.times, np.maximum.accumulate(x.values))
+        for xn in (x, x):
+            mxn = StepPath(xn.times, np.maximum.accumulate(xn.values))
+            assert skorohod_distance_approx(xn, x) == 0.0
+            assert skorohod_distance_approx(mxn, mx) == 0.0
 
     def test_vertical_shifts_commute_with_max(self):
         x = indicator_step(0.4, height=2.0)
-        perts = [StepPath(x.times, x.values + 1.0 / n) for n in (2, 4, 8, 16)]
-        rep = continuity_probe_max(x, perts)
-        assert rep.passed
-        for d, dm, ok in rep.rows:
+        mx = StepPath(x.times, np.maximum.accumulate(x.values))
+        for n in (2, 4, 8, 16):
+            xn = StepPath(x.times, x.values + 1.0 / n)
+            mxn = StepPath(xn.times, np.maximum.accumulate(xn.values))
+            d = skorohod_distance_approx(xn, x)
+            dm = skorohod_distance_approx(mxn, mx)
+            assert dm <= d + 1e-9
             assert dm == pytest.approx(d, abs=1e-12)
 
     @given(step_paths(max_interior=5), st.integers(1, 30))
     @settings(max_examples=40)
     def test_random_perturbations_nonexpansive(self, x, k):
         rng = np.random.default_rng(k)
-        perts = [StepPath(x.times, x.values + rng.uniform(-1.0, 1.0, x.times.size) / n)
-                 for n in (k, 2 * k, 4 * k)]
-        assert continuity_probe_max(x, perts, budget=3).passed
+        mx = StepPath(x.times, np.maximum.accumulate(x.values))
+        for n in (k, 2 * k, 4 * k):
+            xn = StepPath(x.times, x.values + rng.uniform(-1.0, 1.0, x.times.size) / n)
+            mxn = StepPath(xn.times, np.maximum.accumulate(xn.values))
+            d = skorohod_distance_approx(xn, x, budget=3)
+            assert skorohod_distance_approx(mxn, mx, budget=3) <= d + 1e-9
 
 
 class TestHittingContinuity:
+    """Off the tangency class C4, exit times converge along a perturbation
+    sequence: the errors do not increase and the last one is within tol."""
+
     def test_transversal_crossing_converges(self):
         times = np.linspace(0.0, 1.0, 101)
         base = 2.0 * times  # crosses level 1 transversally at t = 0.5
         band = BarrierPair.levels(-np.inf, 1.0)
         x = StepPath(times, base)
-        perts = [StepPath(times, base - 0.5 / n) for n in (4, 8, 16, 64)]
-        rep = continuity_probe_hitting(x, band, perts, tol=0.05)
-        assert rep.applicable and rep.passed
+        assert classify_c_partition(x, band) != "C4"
+        tau = hitting_time(x, band)
+        errs = [abs(hitting_time(StepPath(times, base - 0.5 / n), band) - tau)
+                for n in (4, 8, 16, 64)]
+        assert errs[-3] >= errs[-2] >= errs[-1]
+        assert errs[-1] <= 0.05
 
     def test_never_exiting_path_is_stable(self):
         times = np.linspace(0.0, 1.0, 51)
         band = BarrierPair.levels(-1.0, 1.0)
         x = StepPath(times, np.zeros_like(times))
-        perts = [StepPath(times, np.full_like(times, 0.5 / n)) for n in (2, 4, 8)]
-        rep = continuity_probe_hitting(x, band, perts, tol=1e-12)
-        assert rep.passed
-        assert all(r == 0.0 for r in rep.rows)
+        assert classify_c_partition(x, band) != "C4"
+        tau = hitting_time(x, band)
+        errs = [abs(hitting_time(StepPath(times, np.full_like(times, 0.5 / n)), band) - tau)
+                for n in (2, 4, 8)]
+        assert errs == [0.0, 0.0, 0.0]
 
     def test_tangent_path_not_applicable(self):
+        # the exit-time map is discontinuous on C4, so no convergence is owed
         t = np.arange(2001) / 2000
         x = StepPath(t, 1.0 - (t - 0.5) ** 2)
-        rep = continuity_probe_hitting(x, BarrierPair.levels(-np.inf, 1.0),
-                                       [x], tol=1e-6)
-        assert not rep.applicable
-        assert "C4" in rep.note
+        assert classify_c_partition(x, BarrierPair.levels(-np.inf, 1.0)) == "C4"
 
 
 class TestProjectionContinuity:
+    """With lambda the time change realizing the approximate distance of
+    (x, xn), the projection difference is bounded by
+
+        sum_i |xn(nu_i) - x(nu_i)|
+            <= m * sup|x(lambda(t)) - xn(t)| + sum_i |x(lambda(nu_i)) - x(nu_i)|
+    """
+
     def test_bound_holds_on_shifts(self):
         x = indicator_step(0.5)
-        perts = [StepPath(x.times, x.values + 1.0 / n) for n in (4, 16, 64)]
         nu = np.array([0.25, 0.75, 1.0])
-        rep = projection_continuity_probe(x, perts, nu)
-        assert rep.passed
+        for n in (4, 16, 64):
+            xn = StepPath(x.times, x.values + 1.0 / n)
+            _, lam = skorohod_distance_with_time_change(x, xn)
+            lhs = np.sum(np.abs(xn.at(nu) - x.at(nu)))
+            modulus = np.sum(np.abs(x.at(lam(nu)) - x.at(nu)))
+            assert lhs <= nu.size * _sup_time_changed_diff(x, xn, lam) + modulus + 1e-9
 
     @given(step_paths(max_interior=4), st.integers(1, 50))
     @settings(max_examples=30)
     def test_bound_holds_on_random_perturbations(self, x, k):
         rng = np.random.default_rng(k)
-        perts = [StepPath(x.times, x.values + rng.uniform(-1, 1, x.times.size) / (4 * k))]
+        xn = StepPath(x.times, x.values + rng.uniform(-1, 1, x.times.size) / (4 * k))
         nu = np.sort(rng.uniform(0.0, 1.0, 3))
-        assert projection_continuity_probe(x, perts, nu, budget=3).passed
+        _, lam = skorohod_distance_with_time_change(x, xn, budget=3)
+        lhs = np.sum(np.abs(xn.at(nu) - x.at(nu)))
+        modulus = np.sum(np.abs(x.at(lam(nu)) - x.at(nu)))
+        assert lhs <= nu.size * _sup_time_changed_diff(x, xn, lam) + modulus + 1e-9
