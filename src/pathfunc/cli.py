@@ -12,10 +12,10 @@ Every scheme a command runs -- ``scheme.h``, each h of ``run.h_grid``, each
 ``check.kinds`` entry -- is built by :func:`build_scheme` and its helpers,
 as ``replace(scheme, ...)`` of the configured scheme, so a ``1/h`` cap is
 resolved by :class:`~pathfunc.schemes.SchemeConfig` at each h.  ``price``
-and ``converge`` clear the same uniform-integrability gate over the h values
-they price.  Exit codes: 0 ok, 1 runtime error, 2 diagnostic failure, 64
-config error (a refused value names its section or key; a cap at or below
-the model's start value included).
+and ``converge`` judge the uniform-integrability gate on the paths they
+price; ``ui.n_paths`` serves ``check`` alone.  Exit codes: 0 ok, 1 runtime
+error, 2 diagnostic failure, 64 config error (a refused value names its
+section or key; a cap at or below the model's start value included).
 """
 
 from __future__ import annotations
@@ -166,14 +166,13 @@ def _estimate_lines(cfg: RunConfig, rows) -> list:
     return out
 
 
-def _ui_gate(cfg, model, spec, sweep, seed) -> tuple[bool, list]:
-    """Run the uniform-integrability diagnostic a linear payoff requires, over
-    the schemes the command prices."""
+def _ui_gate(cfg, spec, sweep, rows) -> tuple[bool, list]:
+    """Judge the uniform-integrability gate a linear payoff requires on the
+    terminal values of the paths priced under each scheme of the sweep (one
+    :class:`~pathfunc.estimator.Estimate` each); no second sample is drawn."""
     if spec.growth.kind == "bounded" or cfg.get("run", "allow_linear"):
         return True, []
-    rep = estimator.ui_diagnostic(model, sweep[0], spec, [s.h for s in sweep],
-                                  n_paths=cfg.get("ui", "n_paths"), seed=seed,
-                                  tail_tol=cfg.get("ui", "tail_tol"))
+    rep = estimator.tail_report(sweep, [e.terminals for e in rows], cfg.get("ui", "tail_tol"))
     lines = [f"ui diagnostic: {'pass' if rep.passed else 'FAIL'} "
              f"(sup second moment {rep.sup_second_moment:.4g})"]
     if not rep.passed:
@@ -189,14 +188,11 @@ def cmd_price(args) -> int:
     _refuse_low_cap(model, sweep)
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
-    ok, lines = _ui_gate(cfg, model, spec, sweep, seed)
-    if not ok:
-        _emit(cfg, lines)
-        return EXIT_DIAGNOSTIC
     est = estimator.estimate(model, scheme, spec, cfg.require("run", "n_paths"),
                              seed, ui_override=True)
-    _emit(cfg, lines + _estimate_lines(cfg, [est]))
-    return EXIT_OK
+    ok, lines = _ui_gate(cfg, spec, sweep, [est])
+    _emit(cfg, lines + _estimate_lines(cfg, [est]) if ok else lines)
+    return EXIT_OK if ok else EXIT_DIAGNOSTIC
 
 
 def _auto_oracle(cfg: RunConfig, model, spec) -> tuple[float | None, str]:
@@ -223,14 +219,14 @@ def cmd_converge(args) -> int:
     _refuse_low_cap(model, sweep)
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
-    ok, lines = _ui_gate(cfg, model, spec, sweep, seed)
-    if not ok:
-        _emit(cfg, lines)
-        return EXIT_DIAGNOSTIC
     oracle, note = _auto_oracle(cfg, model, spec)
     rep = estimator.convergence_study(model, scheme, spec, [s.h for s in sweep],
                                       cfg.require("run", "n_paths"), seed,
                                       oracle=oracle, oracle_note=note)
+    ok, lines = _ui_gate(cfg, spec, sweep, [e for _, e in rep.rows])
+    if not ok:
+        _emit(cfg, lines)
+        return EXIT_DIAGNOSTIC
     lines += _estimate_lines(cfg, [e for _, e in rep.rows])
     if oracle is not None:
         lines.append(f"oracle = {oracle:.10g} ({note})")

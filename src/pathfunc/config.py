@@ -18,7 +18,8 @@ __all__ = ["RunConfig", "parse_config", "parse_config_text"]
 
 # section -> key -> (type tag, default); the tags are "str", "num", "int",
 # "bool", "numlist", "cap" and "one" -- run.workers: read by nothing,
-# accepted as 1 for the benchmark harness
+# accepted as 1 for the benchmark harness.  ui.n_paths sizes the sample
+# ``check`` draws; price and converge judge the gate on the priced paths
 _KEYS = {
     "model": {
         "kind": ("str", "gbm"), "r": ("num", 0.0), "sigma": ("num", 0.2),

@@ -42,6 +42,7 @@ __all__ = [
     "UiReport",
     "estimate",
     "ui_diagnostic",
+    "tail_report",
     "check_h_grid",
     "convergence_study",
     "counterexample_tangency",
@@ -64,6 +65,8 @@ class Estimate:
     n_paths: int
     h: float
     elapsed: float
+    # each priced path's X^h(1) (argument 2m), or None if nu2 ends before t = 1
+    terminals: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def csv_row(self, timing: bool = True) -> str:
         t = f"{self.elapsed:.3f}" if timing else "0.000"
@@ -123,7 +126,9 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
 
     Deterministic given (seed, namespace, n_paths).  Aborts with the failing
     stream id if a simulation or payoff evaluation fails.  ``workers`` is
-    accepted only as 1, the value the benchmark harness passes.
+    accepted only as 1, the value the benchmark harness passes.  It keeps
+    each path's X^h(1), so ``price`` and ``converge`` judge the
+    uniform-integrability gate (:func:`tail_report`) on the paths they price.
     """
     if n_paths < 2:
         raise PreconditionError("need at least two paths for a standard error")
@@ -139,6 +144,7 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
     per_batch = bsz * max(1, _FOLD_ROWS // bsz) if folded else bsz
     total = 0.0
     total_sq = 0.0
+    terms = []
     for start in range(0, n_paths, per_batch):
         streams = [RngStream(seed, i, namespace)
                    for i in range(start, min(start + per_batch, n_paths))]
@@ -155,7 +161,10 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
             group = vals[g:g + bsz]
             total += float(np.sum(group))
             total_sq += float(np.sum(group * group))
-    return _finalize(total, total_sq, n_paths, config.h, t0)
+        terms.append(args[:, 2 * spec.m - 1].copy())
+    at_one = spec.nu2.entries[-1] == 1.0
+    return replace(_finalize(total, total_sq, n_paths, config.h, t0),
+                   terminals=np.concatenate(terms) if at_one else None)
 
 
 @dataclass
@@ -182,26 +191,18 @@ def _terminal_samples(model: SdeModel, config_h: SchemeConfig, n: int,
     return term[:, coordinate]
 
 
-def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
-                  h_grid, n_paths: int = 20000, seed: int = 0,
-                  tail_tol: float = 0.05) -> UiReport:
-    """Estimate tail expectations E[|X^h(1)| ; |X^h(1)| > A] over a grid of
-    cutoffs A and step parameters h, running ``replace(config, h=h)`` at each
-    h (a ``1/h`` cap is resolved there).  The cutoffs are 2, 4, 8, ..., up
-    to the first at or above 32, or above half the smallest cap when every
-    h is capped and that half is larger.
+def tail_report(schemes, terminals, tail_tol: float) -> UiReport:
+    """Tail expectations E[|X^h(1)| ; |X^h(1)| > A] and the second moment of
+    the terminal values sampled under each scheme, one row per scheme.  The
+    cutoffs A are 2, 4, 8, ..., up to the first at or above 32, or above
+    half the smallest cap when every scheme is capped and that half is
+    larger.
 
     Passes iff the tail at the largest cutoff stays below ``tail_tol`` for
     every h (tails must vanish uniformly for expectations of linear-growth
-    payoffs to transfer through weak convergence).  Bounded payoffs skip the
-    diagnostic.  Each row also reports the sample second moment; a bounded
-    supremum over h is the practical p = 2 sufficient condition.
+    payoffs to transfer through weak convergence).  A bounded supremum of
+    the second moment over h is the practical p = 2 sufficient condition.
     """
-    if spec.growth.kind == "bounded":
-        return UiReport(skipped=True, passed=True, tail_tol=tail_tol)
-    schemes = [replace(config, h=h) for h in h_grid]
-    if not schemes:
-        raise PreconditionError("h_grid must be nonempty")
     caps = [s.cap_level for s in schemes]
     top = 32.0
     if all(c is not None for c in caps):
@@ -212,9 +213,10 @@ def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
     report = UiReport(skipped=False, passed=True, cutoffs=cutoffs, tail_tol=tail_tol)
     worst = 0.0
     sup_m2 = 0.0
-    for k, cfg in enumerate(schemes):
-        term = np.abs(_terminal_samples(model, cfg, n_paths, seed, 1000 + k,
-                                        spec.coordinate))
+    for cfg, term in zip(schemes, terminals, strict=True):
+        if term is None:
+            raise PreconditionError("the spec's nu2 ends before t = 1: no X^h(1) to judge")
+        term = np.abs(term)
         tails = [float(np.mean(term * (term > a))) for a in cutoffs]
         m2 = float(np.mean(term * term))
         sup_m2 = max(sup_m2, m2)
@@ -223,6 +225,22 @@ def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
     report.sup_second_moment = sup_m2
     report.passed = worst <= tail_tol
     return report
+
+
+def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
+                  h_grid, n_paths: int = 20000, seed: int = 0,
+                  tail_tol: float = 0.05) -> UiReport:
+    """:func:`tail_report` of n_paths fresh terminal values at each h, drawn
+    in namespace 1000 + k under ``replace(config, h=h)`` (a ``1/h`` cap is
+    resolved there), as ``check`` runs it.  Bounded payoffs skip it."""
+    if spec.growth.kind == "bounded":
+        return UiReport(skipped=True, passed=True, tail_tol=tail_tol)
+    schemes = [replace(config, h=h) for h in h_grid]
+    if not schemes:
+        raise PreconditionError("h_grid must be nonempty")
+    samples = (_terminal_samples(model, cfg, n_paths, seed, 1000 + k, spec.coordinate)
+               for k, cfg in enumerate(schemes))
+    return tail_report(schemes, samples, tail_tol)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from pathfunc.cli import main
@@ -27,6 +28,40 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def small_barrier(tmp_path):
+    """The shipped monthly barrier config at 200 paths, written to a file."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "monthly_barrier.cfg"), encoding="utf-8") as f:
+        text = f.read().replace("run.n_paths = 5000", "run.n_paths = 200")
+    return write(tmp_path, "barrier.cfg", text)
+
+
+def no_second_sample(monkeypatch):
+    """Make any simulation of a gate-only sample raise."""
+    from pathfunc import estimator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gate drew a second sample")
+    monkeypatch.setattr(estimator, "ui_diagnostic", refuse)
+    monkeypatch.setattr(estimator, "simulate_terminals", refuse)
+
+
+TREE_CFG = """
+model.kind = gbm
+model.r = 0.1
+model.sigma = 0.3
+model.x0 = 0.8
+scheme.kind = binomial_variable
+scheme.h = 2^-6
+functional.payoff = terminal_call
+functional.strike = 0.5
+run.n_paths = 300
+run.seed = 5
+output.format = csv
+run.timing = off
+"""
 
 
 class TestConfigParsing:
@@ -136,6 +171,50 @@ class TestCliPrice:
             assert main(["price", path]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_price_simulates_each_path_once(self, tmp_path, capsys, monkeypatch):
+        # the gate reads the priced paths: no second sample is simulated
+        from pathfunc.cli import build_model, build_scheme, build_spec
+        from pathfunc.config import parse_config
+        from pathfunc.estimator import estimate
+        path = small_barrier(tmp_path)
+        cfg = parse_config(path)
+        expected = estimate(build_model(cfg), build_scheme(cfg)[0], build_spec(cfg), 200,
+                            12061, ui_override=True).csv_row(timing=False)
+        no_second_sample(monkeypatch)
+        assert main(["price", path]) == 0
+        gate, header, row = capsys.readouterr().out.splitlines()
+        assert gate.startswith("ui diagnostic: pass") and row == expected
+
+    @pytest.mark.parametrize("route", ["folded", "stored"])
+    def test_gate_reads_the_priced_sample(self, tmp_path, capsys, route):
+        # the printed second moment is that of the priced paths' X^h(1):
+        # argument 2m on the folded route and on the stored one
+        from pathfunc.cli import build_model, build_scheme, build_spec
+        from pathfunc.config import parse_config
+        from pathfunc.schemes import RngStream, simulate_terminals
+        path = small_barrier(tmp_path) if route == "folded" else write(tmp_path, "t.cfg",
+                                                                       TREE_CFG)
+        cfg = parse_config(path)
+        n, seed = cfg.get("run", "n_paths"), cfg.get("run", "seed")
+        x = simulate_terminals(build_model(cfg), build_scheme(cfg)[0],
+                               [RngStream(seed, i, 0) for i in range(n)])[:, 0]
+        assert main(["price", path]) == 0
+        gate = capsys.readouterr().out.splitlines()[0]
+        assert gate == f"ui diagnostic: pass (sup second moment {np.mean(x * x):.4g})"
+
+    def test_linear_payoff_refused_by_ui_gate(self, tmp_path, capsys):
+        # the price twin of the converge refusal: the capped Euler chain of
+        # the reciprocal Bessel process keeps tails that do not vanish
+        text = (
+            "model.kind = inverse_bessel3\nmodel.z0 = 1.0\n"
+            "scheme.kind = euler\nscheme.cap = 64\nscheme.h = 2^-4\n"
+            "functional.payoff = terminal_identity\nrun.n_paths = 400\n"
+        )
+        assert main(["price", write(tmp_path, "c.cfg", text)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("ui diagnostic: FAIL") and "refusing to price" in out
+        assert "mean" not in out
 
     def test_cap_below_start_value_refused(self, tmp_path, capsys):
         # a cap of -1 under x0 = 1 clamps every state: the price would read 0
@@ -276,6 +355,26 @@ class TestCliConverge:
         assert means == [e.mean for _, e in rep.rows]
         assert max(means) < 0.79
 
+    def test_converge_simulates_each_path_once(self, tmp_path, capsys, monkeypatch):
+        # a linear payoff's gate reads the sweep's rows: no second sample
+        from pathfunc.estimator import convergence_study
+        from pathfunc.functionals import custom_terminal
+        from pathfunc.models import gbm
+        from pathfunc.schemes import SchemeConfig
+        text = (
+            "model.kind = gbm\nmodel.r = 0.0\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
+            "scheme.kind = euler\nfunctional.payoff = terminal_identity\n"
+            "run.n_paths = 400\nrun.seed = 4\nrun.h_grid = 2^-3, 2^-4, 2^-5\n"
+            "output.format = csv\nrun.timing = off\n"
+        )
+        rep = convergence_study(gbm(0.0, 0.3, 0.8), SchemeConfig("euler", h=2**-3),
+                                custom_terminal("identity"), [2**-3, 2**-4, 2**-5], 400, 4)
+        no_second_sample(monkeypatch)
+        assert main(["converge", write(tmp_path, "c.cfg", text)]) == 0
+        gate, header, *rows = capsys.readouterr().out.splitlines()
+        assert gate.startswith("ui diagnostic: pass")
+        assert rows == [e.csv_row(timing=False) for _, e in rep.rows]
+
     def test_reciprocal_cap_rows_match_convergence_study(self, tmp_path, capsys):
         # the cap 1/h is resolved at each h of the grid: 1, 2, 4 under x0 = 0.8
         from pathfunc.estimator import convergence_study
@@ -396,8 +495,7 @@ print(json.dumps(seen))
         here = os.path.dirname(__file__)
         with open(os.path.join(here, os.pardir, "configs", "monthly_barrier.cfg")) as f:
             barrier = f.read().replace("run.n_paths = 5000", "run.n_paths = 200")
-        barrier = barrier.replace("ui.n_paths = 4000", "ui.n_paths = 200")
-        assert barrier.count(" = 200\n") == 2
+        assert barrier.count(" = 200\n") == 1
         converge = (
             "model.kind = gbm\nmodel.r = 0.1\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
             "scheme.kind = euler\nfunctional.payoff = up_in_call\n"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from pathfunc.errors import (EstimationError, PreconditionError,
                              SimulationError, UniformIntegrabilityError)
 from pathfunc.estimator import (convergence_study, counterexample_bessel,
                                 counterexample_strong, counterexample_tangency,
-                                estimate, ui_diagnostic)
+                                estimate, tail_report, ui_diagnostic)
 from pathfunc.functionals import (FunctionalSpec, Growth, constant_payoff,
                                   custom_terminal, discrete_barrier_call, evaluate,
                                   observe_args_batch, payoff_values)
@@ -13,7 +15,7 @@ from pathfunc.models import SdeModel, gbm, inverse_bessel3
 from pathfunc.oracles import reciprocal_bessel3_mean
 from pathfunc.paths import BarrierPair, SampleVector
 from pathfunc.schemes import (RngStream, SchemeConfig, simulate_path,
-                              simulate_values)
+                              simulate_terminals, simulate_values)
 
 GBM = gbm(0.1, 0.3, 0.8)
 CFG = SchemeConfig("euler", h=2**-6)
@@ -267,6 +269,29 @@ class TestUiDiagnostic:
     def test_empty_grid_rejected(self):
         with pytest.raises(PreconditionError):
             ui_diagnostic(GBM, CFG, custom_terminal("identity"), [], seed=0)
+
+    @pytest.mark.parametrize("config, band", [
+        (SchemeConfig("euler", h=2**-6), BarrierPair.unbounded()),          # folded
+        (SchemeConfig("euler", h=2**-6), BarrierPair.levels(-np.inf, 1.2)),  # stored
+        (SchemeConfig("binomial_variable", h=2**-6), BarrierPair.unbounded()),
+    ])
+    def test_estimate_keeps_the_priced_terminals(self, config, band):
+        # argument 2m of every priced path is its X^h(1), bit for bit
+        spec = replace(discrete_barrier_call(0.5, 1.0, 0.1, 4), barriers=band)
+        est = estimate(GBM, config, spec, 300, seed=7, namespace=3, ui_override=True)
+        x = simulate_terminals(GBM, config, [RngStream(7, i, 3) for i in range(300)])
+        assert np.array_equal(est.terminals, x[:, 0])
+        rep = tail_report([config], [est.terminals], 0.05)
+        assert rep.rows[0][3] == float(np.mean(x[:, 0] ** 2))
+
+    def test_gate_refuses_a_spec_that_stops_before_one(self):
+        # nu2 = (1/2,): argument 2m is X(1/2), which the gate must not read
+        half = SampleVector(np.array([0.5]))
+        spec = replace(terminal_spec(payoff_batch=lambda x: x[:, 1]), nu2=half)
+        est = estimate(GBM, CFG, spec, 100, seed=0, ui_override=True)
+        assert est.terminals is None
+        with pytest.raises(PreconditionError, match="nu2"):
+            tail_report([CFG], [est.terminals], 0.05)
 
 
 class TestConvergenceStudy:
