@@ -288,6 +288,9 @@ def cmd_check(args) -> int:
 def cmd_counterexample(args) -> int:
     name = args.name
     seed = args.seed if args.seed is not None else 0
+    paths = args.paths
+    if paths is not None and paths < 2:
+        raise ConfigError(f"--paths must be at least 2, got {paths}", key="--paths")
     lines = []
     if name == "tangency":
         rep = estimator.counterexample_tangency()
@@ -297,7 +300,7 @@ def cmd_counterexample(args) -> int:
         lines.append(f"classification of the grazing path: {rep.c_class}")
         ok = rep.passed
     elif name == "bessel":
-        rep = estimator.counterexample_bessel(seed=seed, n_paths=args.paths or 200000)
+        rep = estimator.counterexample_bessel(seed=seed, n_paths=200000 if paths is None else paths)
         lines.append(f"{'h':>12} {'cap':>10} {'capped_mean':>12} {'stderr':>10}")
         for h, cap, mean, se in rep.rows:
             lines.append(f"{h:12.6g} {cap:10.4g} {mean:12.6f} {se:10.6f}")
@@ -306,8 +309,7 @@ def cmd_counterexample(args) -> int:
         lines.append(f"oracle below 1 by more than 5 stderr: {rep.gap_significant}")
         ok = rep.passed
     elif name == "strong":
-        rep = estimator.counterexample_strong(seed=seed,
-                                              n_rep=args.paths or 200)
+        rep = estimator.counterexample_strong(seed=seed, n_rep=200 if paths is None else paths)
         lines.append(f"{'N':>8} {'sqrt(N)*sup_err':>16} {'sqrt(2 log N)':>14}")
         for N, scaled, ref in rep.rows:
             lines.append(f"{N:8d} {scaled:16.4f} {ref:14.4f}")

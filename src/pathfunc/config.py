@@ -17,9 +17,10 @@ from .errors import ConfigError
 __all__ = ["RunConfig", "parse_config", "parse_config_text"]
 
 # section -> key -> (type tag, default); the tags are "str", "num", "int",
-# "bool", "numlist", "cap" and "one" -- run.workers: read by nothing,
-# accepted as 1 for the benchmark harness.  ui.n_paths sizes the sample
-# ``check`` draws; price and converge judge the gate on the priced paths
+# "size" (a sample size, at least 2), "bool", "numlist", "cap" and "one" --
+# run.workers: read by nothing, accepted as 1 for the benchmark harness.
+# ui.n_paths sizes the sample ``check`` draws; price and converge judge the
+# gate on the priced paths
 _KEYS = {
     "model": {
         "kind": ("str", "gbm"), "r": ("num", 0.0), "sigma": ("num", 0.2),
@@ -31,15 +32,15 @@ _KEYS = {
         "barrier_level": ("num", 1.0), "m": ("int", 1), "coordinate": ("int", 0),
     },
     "run": {
-        "n_paths": ("int", 10000), "seed": ("int", 0), "workers": ("one", 1),
+        "n_paths": ("size", 10000), "seed": ("int", 0), "workers": ("one", 1),
         "h_grid": ("numlist", None), "oracle": ("str", "none"),
         "allow_linear": ("bool", False), "timing": ("bool", True),
     },
     "check": {
         "probes_y": ("numlist", [0.5, 1.0, 2.0]), "probes_t": ("numlist", [0.0, 0.5]),
-        "n_draws": ("int", 1000000), "c_const": ("num", 1.0), "kinds": ("str", "config"),
+        "n_draws": ("size", 1000000), "c_const": ("num", 1.0), "kinds": ("str", "config"),
     },
-    "ui": {"n_paths": ("int", 20000), "tail_tol": ("num", 0.05)},
+    "ui": {"n_paths": ("size", 20000), "tail_tol": ("num", 0.05)},
     "output": {"format": ("str", "table"), "path": ("str", "-")},
 }
 
@@ -64,10 +65,12 @@ def _parse_value(tag: str, text: str, key: str):
         return text
     if tag == "num":
         return _parse_number(text, key)
-    if tag == "int":
+    if tag in ("int", "size"):
         v = _parse_number(text, key)
         if v != int(v):
             raise ConfigError(f"config key {key!r}: expected an integer, got {text!r}", key=key)
+        if tag == "size" and v < 2:
+            raise ConfigError(f"config key {key!r}: need at least 2, got {text!r}", key=key)
         return int(v)
     if tag == "one":
         if _parse_value("int", text, key) != 1:

@@ -3,13 +3,11 @@
 Path i always draws from the stream keyed (seed, namespace, i), so its draws
 do not depend on how paths are batched.  The estimate runs in one process and
 sums in one order: contiguous groups of ``_batch_size`` paths, one ``np.sum``
-per group, from path 0 up, so it prints the same bytes on any core count.  A
-fixed-grid functional on an unbounded band (tau = 1) folds its observables
-while the batch steps (``simulate_states`` -> ``fold_args_batch``), several
-groups to a batch; any other functional, and the variable-step tree, stores
-each group's paths (``simulate_values`` -> ``observe_args_batch``).  Either way
-the payoff goes through ``payoff_values`` and the sums are those of one batch
-per group.
+per group, from path 0 up, so it prints the same bytes on any core count.
+Every batch takes one route: ``simulate_states`` -> ``fold_args_batch`` ->
+``payoff_values``.  The fold's keep rule (``keeps_whole_paths``) sets the
+batch size: a batch holds several groups when only the sampled columns are
+kept, and one group when whole paths are.
 
 Linear-growth payoffs are refused unless a uniform-integrability report has
 passed or the caller explicitly overrides -- expectations of such payoffs
@@ -27,9 +25,10 @@ import numpy as np
 
 from .errors import (EstimationError, EvaluationError, PreconditionError,
                      SimulationError, UniformIntegrabilityError)
-# evaluate and simulate_path go unused here; the benchmark tracer reads them by name
-from .functionals import (FunctionalSpec, evaluate, fold_args_batch, observe_args_batch,
-                          payoff_values)
+# evaluate, observe_args_batch, simulate_path and simulate_values go unused
+# here; the benchmark tracer reads them by name
+from .functionals import (FunctionalSpec, evaluate, fold_args_batch, keeps_whole_paths,
+                          observe_args_batch, payoff_values)
 from .models import SdeModel, sample_reciprocal_bessel3_stopped
 from .oracles import reciprocal_bessel3_mean
 from .paths import BarrierPair, StepPath, classify_c_partition, hitting_time
@@ -50,8 +49,8 @@ __all__ = [
     "counterexample_strong",
 ]
 
-# Rows stepped together on the folded route: enough to spread numpy's
-# per-call cost of each step, and a whole number of reduction groups.
+# Rows stepped together when only the sampled columns are kept: enough to
+# spread numpy's per-call cost of each step, and a whole number of groups.
 _FOLD_ROWS = 8192
 
 
@@ -138,10 +137,8 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
     _check_growth_policy(spec, ui_override, ui_report)
     t0 = time.perf_counter()
     bsz = _batch_size(config, model)
-    # tau = 1 on an unbounded band, so the fixed grids fold their observables
-    # as they step, in batches of several groups; other routes store paths
-    folded = config.kind != "binomial_variable" and spec.barriers.is_unbounded
-    per_batch = bsz * max(1, _FOLD_ROWS // bsz) if folded else bsz
+    whole = keeps_whole_paths(spec, config.kind != "binomial_variable")
+    per_batch = bsz if whole else bsz * max(1, _FOLD_ROWS // bsz)
     total = 0.0
     total_sq = 0.0
     terms = []
@@ -149,10 +146,7 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
         streams = [RngStream(seed, i, namespace)
                    for i in range(start, min(start + per_batch, n_paths))]
         try:
-            if folded:
-                args = fold_args_batch(*simulate_states(model, config, streams), spec)
-            else:
-                args = observe_args_batch(*simulate_values(model, config, streams), spec)
+            args = fold_args_batch(*simulate_states(model, config, streams), spec)
             vals = payoff_values(spec, args)
         except (SimulationError, EvaluationError) as e:
             sid = streams[e.batch_index].stream_id
@@ -198,10 +192,11 @@ def tail_report(schemes, terminals, tail_tol: float) -> UiReport:
     half the smallest cap when every scheme is capped and that half is
     larger.
 
-    Passes iff the tail at the largest cutoff stays below ``tail_tol`` for
-    every h (tails must vanish uniformly for expectations of linear-growth
-    payoffs to transfer through weak convergence).  A bounded supremum of
-    the second moment over h is the practical p = 2 sufficient condition.
+    Passes iff the tail at the largest cutoff is at most ``tail_tol`` for
+    every h, so a NaN tail fails (tails must vanish uniformly for
+    expectations of linear-growth payoffs to transfer through weak
+    convergence).  A bounded supremum of the second moment over h is the
+    practical p = 2 sufficient condition.
     """
     caps = [s.cap_level for s in schemes]
     top = 32.0
@@ -211,19 +206,14 @@ def tail_report(schemes, terminals, tail_tol: float) -> UiReport:
     while cutoffs[-1] < top:
         cutoffs.append(cutoffs[-1] * 2.0)
     report = UiReport(skipped=False, passed=True, cutoffs=cutoffs, tail_tol=tail_tol)
-    worst = 0.0
-    sup_m2 = 0.0
     for cfg, term in zip(schemes, terminals, strict=True):
         if term is None:
             raise PreconditionError("the spec's nu2 ends before t = 1: no X^h(1) to judge")
         term = np.abs(term)
         tails = [float(np.mean(term * (term > a))) for a in cutoffs]
-        m2 = float(np.mean(term * term))
-        sup_m2 = max(sup_m2, m2)
-        worst = max(worst, tails[-1])
-        report.rows.append((cfg.h, cfg.cap_level, tails, m2))
-    report.sup_second_moment = sup_m2
-    report.passed = worst <= tail_tol
+        report.rows.append((cfg.h, cfg.cap_level, tails, float(np.mean(term * term))))
+    report.sup_second_moment = float(np.max([r[3] for r in report.rows], initial=0.0))
+    report.passed = all(r[2][-1] <= tail_tol for r in report.rows)  # a NaN row fails
     return report
 
 

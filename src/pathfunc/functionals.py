@@ -11,11 +11,13 @@ payoff g always takes the flat argument vector of length 4m + 1, laid out as
 argument 2m (the last entry of z2, with nu2 = (1/m, ..., 1)) and the terminal
 running maximum is argument 4m.
 
-Paths are observed a batch at a time: :func:`observe_args_batch` reads
-stored paths, :func:`fold_args_batch` folds a batch's states as it steps.
-Both take tau and the sampled columns from the exit and sampling rules of
-:mod:`pathfunc.paths` (``exit_times`` and ``grid_columns``), the same rules
-the per-path operators and the continuity classification use.
+Paths are observed a batch at a time by one observer, :func:`fold_args_batch`:
+it folds a batch's states column by column and keeps the coordinate and its
+running maximum where the payoff can read them (:func:`keeps_whole_paths`);
+:func:`observe_args_batch` feeds it stored paths.  tau and the samples follow
+the exit and sampling rules of :mod:`pathfunc.paths` (``exit_times`` and
+``grid_columns``), the same rules the per-path operators and the continuity
+classification use.
 
 Payoffs declare a growth class: linear-growth payoffs are only trusted after
 a uniform-integrability diagnostic (see the estimator module), and each
@@ -25,7 +27,7 @@ almost-sure-continuity condition can be monitored empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -39,6 +41,7 @@ __all__ = [
     "evaluate",
     "observe_args_batch",
     "fold_args_batch",
+    "keeps_whole_paths",
     "payoff_values",
     "up_and_in_call",
     "discrete_barrier_call",
@@ -96,46 +99,29 @@ class FunctionalSpec:
                 raise ValueError("all four sampling vectors must have length m")
 
 
-def observe_args_batch(times: np.ndarray, values: np.ndarray,
-                       spec: FunctionalSpec) -> np.ndarray:
-    """Argument vectors for a batch of paths.
-
-    ``values`` has shape (B, n+1, d), or (B, n+1) for scalar paths, on a
-    shared (n+1,) grid ``times`` or on a (B, n+1) grid per row, which may end
-    by repeating t = 1.  Returns the (B, 4m+1) block laid out as
-    [z1 | z2 | z3 | z4 | tau]; each row depends only on its own path.
-    """
-    V = values[:, :, spec.coordinate] if values.ndim == 3 else values
-    B = V.shape[0]
-    tau = exit_times(times, V, spec.barriers)
-    M = np.maximum.accumulate(V, axis=1)
-
-    def sample(A, instants):
-        """A at the last grid time <= each of the (B, k) instants."""
-        return np.take_along_axis(A, grid_columns(times, instants), axis=1)
-
-    fixed = np.ones((B, 1))
-    z1 = sample(V, tau[:, None] * spec.nu1.entries)
-    z2 = sample(V, fixed * spec.nu2.entries)
-    z3 = sample(M, tau[:, None] * spec.nu3.entries)
-    z4 = sample(M, fixed * spec.nu4.entries)
-    return np.concatenate([z1, z2, z3, z4, tau[:, None]], axis=1)
+def keeps_whole_paths(spec: FunctionalSpec, shared_grid: bool) -> bool:
+    """The keep rule of :func:`fold_args_batch`: whether the payoff can read
+    any column.  Only an unbounded band (tau = 1) on a shared grid pins the
+    sampled instants to fixed columns, so only then are the rest dropped."""
+    return not (shared_grid and spec.barriers.is_unbounded)
 
 
 def fold_args_batch(times: np.ndarray, states, spec: FunctionalSpec) -> np.ndarray:
-    """:func:`observe_args_batch` folded over a batch's states as they arrive.
+    """Argument vectors for a batch of paths, folded over their states.
 
-    ``states`` yields the (B, d) state at each column of the shared grid
-    ``times`` in order, as returned by ``schemes.simulate_states``.  The spec's band
-    must be unbounded: then tau = 1 exactly and every sampled instant is a
-    fixed column, so only the running maximum and the states at those columns
-    are kept.  Equals ``observe_args_batch`` of the stored paths bit for bit.
+    ``states`` yields the (B, d) state at each column in order, as returned
+    by ``schemes.simulate_states``, on a shared (n+1,) grid ``times`` or on a
+    (B, n+1) grid per row, which may end by repeating t = 1.  The coordinate
+    and its running maximum are kept at the columns the payoff can read
+    (:func:`keeps_whole_paths`); tau and the samples then follow the exit and
+    sampling rules on the kept times.  Returns the (B, 4m+1) block laid out
+    as [z1 | z2 | z3 | z4 | tau]; each row depends only on its own path.
     """
-    if not spec.barriers.is_unbounded:
-        raise PreconditionError("a finite barrier makes the sampled instants depend "
-                                "on tau; observe stored paths instead")
-    cols = [grid_columns(times, nu.entries) for nu in (spec.nu1, spec.nu2, spec.nu3, spec.nu4)]
-    kept = np.unique(np.concatenate(cols))
+    nus = (spec.nu1, spec.nu2, spec.nu3, spec.nu4)
+    if keeps_whole_paths(spec, times.ndim == 1):
+        kept = np.arange(times.shape[-1])
+    else:
+        kept = np.unique(np.concatenate([grid_columns(times, nu.entries) for nu in nus]))
     slot = {int(c): j for j, c in enumerate(kept)}
     M = None
     for col, y in enumerate(states):
@@ -149,8 +135,21 @@ def fold_args_batch(times: np.ndarray, states, spec: FunctionalSpec) -> np.ndarr
         if j is not None:
             V_at[:, j] = v
             M_at[:, j] = M
-    z = [A[:, np.searchsorted(kept, c)] for A, c in zip((V_at, V_at, M_at, M_at), cols)]
-    return np.concatenate(z + [np.ones((M.size, 1))], axis=1)
+    t = times[..., kept]
+    tau = exit_times(t, V_at, spec.barriers)[:, None]
+    one = np.ones_like(tau)
+    z = [np.take_along_axis(A, grid_columns(t, s * nu.entries), axis=1)
+         for A, s, nu in zip((V_at, V_at, M_at, M_at), (tau, one, tau, one), nus)]
+    return np.concatenate(z + [tau], axis=1)
+
+
+def observe_args_batch(times: np.ndarray, values: np.ndarray,
+                       spec: FunctionalSpec) -> np.ndarray:
+    """:func:`fold_args_batch` of stored paths: ``values`` is a (B, n+1, d)
+    block, or a (B, n+1) block read as coordinate 0."""
+    if values.ndim == 2:
+        values, spec = values[:, :, None], replace(spec, coordinate=0)
+    return fold_args_batch(times, values.swapaxes(0, 1), spec)
 
 
 def payoff_values(spec: FunctionalSpec, args: np.ndarray) -> np.ndarray:

@@ -20,12 +20,14 @@ a :class:`StepPath`.  Paths are reproducible: every path owns a counter-based
 RNG stream keyed by (seed, namespace, stream id), so each path's draws do not
 depend on how paths are batched.
 
-The fixed grids run as a time-major stream (:func:`simulate_states`): a flat
-(B, d) state is stepped into reused buffers, and each stream's draws arrive in
-time blocks of at most ``_BATCH_ELEMENTS`` elements from a Philox generator
-that the stream keeps for the whole grid.  Noise memory therefore does not grow
-with the number of steps, and a consumer that folds what it needs as the states
-go by (``functionals.fold_args_batch``) stores no path at all.
+Every kind is read as a stream of states (:func:`simulate_states`).  The
+fixed grids step it as it is read: a flat (B, d) state is stepped into reused
+buffers, and each stream's draws arrive in time blocks of at most
+``_BATCH_ELEMENTS`` elements from a Philox generator that the stream keeps for
+the whole grid.  Noise memory therefore does not grow with the number of
+steps, and the observer (``functionals.fold_args_batch``) stores only the
+columns its payoff can read.  The tree's rows step on grids of their own, so
+it stores its batch (:func:`simulate_values`) and streams the columns.
 """
 
 from __future__ import annotations
@@ -419,17 +421,12 @@ def _fixed_grid_states(model: SdeModel, config: SchemeConfig, streams, noise=Non
     return times, _fixed_states(model, config, times, len(streams), blocks)
 
 
-def _simulate(model: SdeModel, config: SchemeConfig, streams, keep_path: bool, noise=None):
-    """(times, values) of a batch; ``noise`` replaces the streams' draws."""
+def _simulate(model: SdeModel, config: SchemeConfig, streams, noise=None):
+    """(times, values) of a stored batch; ``noise`` replaces the streams' draws."""
     if config.kind == "binomial_variable":
         draw = (lambda n: noise) if noise is not None else (lambda n: _stream_signs(streams, n))
-        times, values = _run_tree_batch(model, config, len(streams), draw)
-        return times, values if keep_path else values[:, -1]
+        return _run_tree_batch(model, config, len(streams), draw)
     times, states = _fixed_grid_states(model, config, streams, noise)
-    if not keep_path:
-        for y in states:
-            pass
-        return times, y
     values = np.empty((len(streams), times.size, model.dim_state))
     for col, y in enumerate(states):
         values[:, col] = y
@@ -446,7 +443,7 @@ def simulate_path(model: SdeModel, config: SchemeConfig, rng: RngStream, *,
     +/-1 sign per step for the tree.  Scalar models yield flat-valued paths.
     """
     noise = None if forced_noise is None else np.asarray(forced_noise, dtype=np.float64)[None]
-    times, values = _simulate(model, config, [rng], True, noise)
+    times, values = _simulate(model, config, [rng], noise)
     if times.ndim == 2:  # strip the tree's padding
         end = int(np.argmax(times[0] == 1.0)) + 1
         times, values = times[0, :end], values[:, :end]
@@ -461,28 +458,30 @@ def simulate_values(model: SdeModel, config: SchemeConfig, streams: Sequence[Rng
     row, padded after t = 1 with t = 1 and the terminal value.  A failure's
     ``batch_index`` is its stream.
     """
-    return _simulate(model, config, streams, keep_path=True)
-
-
-def simulate_terminals(model: SdeModel, config: SchemeConfig, streams: Sequence[RngStream]) -> np.ndarray:
-    """Terminal states only, shape (B, d); fixed grids do not store whole paths."""
-    return _simulate(model, config, streams, keep_path=False)[1]
+    return _simulate(model, config, streams)
 
 
 def simulate_states(model: SdeModel, config: SchemeConfig, streams: Sequence[RngStream]):
-    """The fixed-grid engine as a stream of states, for consumers that fold.
+    """A batch as a stream of states, for consumers that fold.
 
-    Returns (times, states): the shared (n+1,) grid and an iterator over the
-    (B, d) state of the batch at each of its columns, column 0 first.  The
-    yielded arrays are reused by later steps: copy what you keep.  Memory is
-    O(B d) plus one noise block.  Stacking the states gives
-    ``simulate_values`` bit for bit; a failure raises from the iterator with
-    its stream as ``batch_index``.  The variable-step tree has no shared grid
-    and is refused.
+    Returns (times, states): the grid as :func:`simulate_values` returns it,
+    and an iterator over the batch's (B, d) state at each column, column 0
+    first, in arrays later steps may reuse: copy what you keep.  Stacking the
+    states gives ``simulate_values`` bit for bit.  The fixed grids step as
+    the states are read, in O(B d) memory plus one noise block; the tree
+    yields the columns of its stored batch.  A failure's ``batch_index`` is
+    its stream.
     """
     if config.kind == "binomial_variable":
-        raise PreconditionError("binomial_variable has no shared grid to stream")
+        times, values = simulate_values(model, config, streams)
+        return times, iter(values.swapaxes(0, 1))
     return _fixed_grid_states(model, config, streams)
+
+
+def simulate_terminals(model: SdeModel, config: SchemeConfig, streams: Sequence[RngStream]) -> np.ndarray:
+    """Terminal states only, shape (B, d): the last of :func:`simulate_states`."""
+    *_, last = simulate_states(model, config, streams)[1]
+    return last
 
 
 @dataclass

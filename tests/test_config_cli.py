@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+CAP_DEMO = Path(__file__).resolve().parents[1] / "configs" / "check_bessel_cap.cfg"
 
 
 def small_barrier(tmp_path):
@@ -92,8 +96,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("scheme.h = fast\n")
 
+    @pytest.mark.parametrize("command, key", [("price", "run.n_paths"),
+                                              ("check", "ui.n_paths"),
+                                              ("check", "check.n_draws")])
+    def test_sample_size_below_two_refused(self, tmp_path, capsys, command, key):
+        # the shipped failure demo with an empty sample once passed its gate
+        # on NaN tails; one draw gave NaN residuals or a stderr of 0/0
+        for value in ("0", "1"):
+            text = CAP_DEMO.read_text(encoding="utf-8") + f"{key} = {value}\n"
+            assert main([command, write(tmp_path, "c.cfg", text)]) == 64
+            assert f"{key!r}" in capsys.readouterr().err
+
 
 class TestCliPrice:
+    def test_tree_row_pinned(self, tmp_path, capsys):
+        # the variable-step tree's priced row and gate line, byte for byte
+        assert main(["price", write(tmp_path, "t.cfg", TREE_CFG)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "ui diagnostic: pass (sup second moment 0.8184)",
+            "h,mean,stderr,ci_lo,ci_hi,n,elapsed",
+            "0.015625,0.33320463627003988,0.013293250765221677,0.30714986477020539,"
+            "0.35925940776987436,300,0.000"]
+
     def test_constant_payoff_exact(self, tmp_path, capsys):
         path = write(tmp_path, "c.cfg", CONSTANT_CFG)
         assert main(["price", path]) == 0
@@ -189,7 +213,8 @@ class TestCliPrice:
     @pytest.mark.parametrize("route", ["folded", "stored"])
     def test_gate_reads_the_priced_sample(self, tmp_path, capsys, route):
         # the printed second moment is that of the priced paths' X^h(1):
-        # argument 2m on the folded route and on the stored one
+        # argument 2m when the fold keeps the sampled columns (the flagship)
+        # and when it keeps every column of a stored batch (the tree)
         from pathfunc.cli import build_model, build_scheme, build_spec
         from pathfunc.config import parse_config
         from pathfunc.schemes import RngStream, simulate_terminals
@@ -294,6 +319,15 @@ class TestCliCounterexample:
     def test_strong_small(self, capsys):
         assert main(["counterexample", "strong", "--paths", "40"]) == 0
         assert "increasing: True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, paths", [("bessel", "0"), ("bessel", "-5"),
+                                             ("bessel", "1"), ("strong", "-3"),
+                                             ("strong", "0")])
+    def test_paths_below_two_refused(self, capsys, name, paths):
+        # 0 used to run the default, -5 to raise a traceback, 1 and -3 to
+        # print NaN or -0.0000 rows
+        assert main(["counterexample", name, "--paths", paths]) == 64
+        assert "--paths" in capsys.readouterr().err
 
     def test_workers_refused(self):
         # counter-examples run in one process and never read a worker count

@@ -207,7 +207,8 @@ class TestEstimate:
 
     def test_finite_band_matches_per_path_reference(self):
         # a band the paths leave, and a payoff of tau-scaled z1 and z3 and
-        # tau: the stored-path route against evaluate of each single path
+        # tau: the batched fold, which keeps every column, against evaluate
+        # of each single path
         m = 2
         spec = FunctionalSpec(m=m, nu1=SampleVector([0.5, 1.0]), nu2=SampleVector([0.5, 1.0]),
                               nu3=SampleVector([0.25, 1.0]), nu4=SampleVector([0.5, 1.0]),
@@ -271,8 +272,8 @@ class TestUiDiagnostic:
             ui_diagnostic(GBM, CFG, custom_terminal("identity"), [], seed=0)
 
     @pytest.mark.parametrize("config, band", [
-        (SchemeConfig("euler", h=2**-6), BarrierPair.unbounded()),          # folded
-        (SchemeConfig("euler", h=2**-6), BarrierPair.levels(-np.inf, 1.2)),  # stored
+        (SchemeConfig("euler", h=2**-6), BarrierPair.unbounded()),          # sampled columns
+        (SchemeConfig("euler", h=2**-6), BarrierPair.levels(-np.inf, 1.2)),  # every column
         (SchemeConfig("binomial_variable", h=2**-6), BarrierPair.unbounded()),
     ])
     def test_estimate_keeps_the_priced_terminals(self, config, band):
@@ -283,6 +284,14 @@ class TestUiDiagnostic:
         assert np.array_equal(est.terminals, x[:, 0])
         rep = tail_report([config], [est.terminals], 0.05)
         assert rep.rows[0][3] == float(np.mean(x[:, 0] ** 2))
+
+    def test_nan_row_fails_the_gate(self):
+        # a NaN tail is not at most tail_tol, wherever its row falls
+        fine, nan = np.array([0.5, 1.0]), np.array([np.nan, 1.0])
+        for terminals in ([nan, fine], [fine, nan]):
+            rep = tail_report([CFG, replace(CFG, h=2**-7)], terminals, 0.05)
+            assert not rep.passed and np.isnan(rep.sup_second_moment)
+        assert tail_report([CFG], [fine], 0.05).passed
 
     def test_gate_refuses_a_spec_that_stops_before_one(self):
         # nu2 = (1/2,): argument 2m is X(1/2), which the gate must not read

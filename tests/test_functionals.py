@@ -22,6 +22,13 @@ from pathfunc.schemes import (RngStream, SchemeConfig, simulate_path, simulate_s
 from conftest import barrier_pairs, step_paths
 
 
+# sigma in [0.2, 0.8] everywhere: a safe band for the variable-step tree
+BOUNDED_VOL = SdeModel("bounded_vol", 1, 1,
+                       drift=lambda y, t: 0.05 * np.ones_like(y),
+                       diffusion=lambda y, t: (0.5 + 0.3 * np.sin(y))[..., None],
+                       y0=np.array([1.0]), sigma_eps=0.15)
+
+
 def make_path(times, values):
     return StepPath(np.asarray(times, dtype=float), np.asarray(values, dtype=float))
 
@@ -189,10 +196,7 @@ class TestBatchObservation:
     def test_padded_row_grids_match_evaluate(self):
         # tree paths on their own grids, padded after t = 1, against a band
         # they cross, with tau-scaled sampling in z1 and z3
-        m = SdeModel("bounded_vol", 1, 1,
-                     drift=lambda y, t: 0.05 * np.ones_like(y),
-                     diffusion=lambda y, t: (0.5 + 0.3 * np.sin(y))[..., None],
-                     y0=np.array([1.0]), sigma_eps=0.15)
+        m = BOUNDED_VOL
         cfg = SchemeConfig("binomial_variable", h=2**-6)
         streams = [RngStream(21, i) for i in range(16)]
         times, values = simulate_values(m, cfg, streams)
@@ -226,30 +230,41 @@ class TestBatchObservation:
 
 
 class TestFold:
-    @given(st.sampled_from([(gbm(0.1, 0.4, 1.0), 0),
-                            (stoch_vol(0.1, 0.3, 1.0), 1)]),
+    @given(st.sampled_from([("euler", gbm(0.1, 0.4, 1.0), 0),
+                            ("euler", stoch_vol(0.1, 0.3, 1.0), 1),
+                            ("binomial_variable", BOUNDED_VOL, 0)]),
            st.sampled_from([2**-5, 0.3, 0.07, 1 / 12]),
-           st.integers(1, 4), st.data(), st.integers(0, 2**31))
-    def test_fold_equals_observe(self, model_coord, h, m, data, seed):
-        # unbounded band: folding the stream of states equals observing the
-        # stored paths, on grids whose last step is truncated too
-        model, coordinate = model_coord
+           st.integers(1, 4), barrier_pairs(), st.data(), st.integers(0, 2**31))
+    def test_fold_equals_reference(self, scheme, h, m, band, data, seed):
+        # folding the stream of states gives each row's arguments as read
+        # off the definitions, on grids whose last step is truncated, on the
+        # tree's padded per-row grids, and on infinite, constant and
+        # time-varying bands alike
+        kind, model, coordinate = scheme
         nus = [SampleVector(np.sort(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m,
                                                        max_size=m))))
                for _ in range(4)]
         spec = FunctionalSpec(m, *nus, payoff=lambda x: 0.0, growth=Growth.bounded(),
-                              barriers=BarrierPair.unbounded(), coordinate=coordinate)
-        cfg = SchemeConfig("euler", h=h)
+                              barriers=band, coordinate=coordinate)
+        cfg = SchemeConfig(kind, h=h)
         streams = [RngStream(seed, i) for i in range(6)]
         times, values = simulate_values(model, cfg, streams)
         folded = fold_args_batch(*simulate_states(model, cfg, streams), spec)
-        npt.assert_array_equal(folded, observe_args_batch(times, values, spec))
+        row_times = np.broadcast_to(times, values.shape[:2])
+        for i in range(len(streams)):
+            npt.assert_array_equal(folded[i], reference_args(row_times[i],
+                                                             values[i, :, coordinate], spec))
 
-    def test_finite_band_refused(self):
-        spec = spec_with(BarrierPair.levels(0.5, 2.0))
-        cfg = SchemeConfig("euler", h=2**-4)
-        with pytest.raises(PreconditionError, match="tau"):
-            fold_args_batch(*simulate_states(gbm(0.1, 0.3, 1.0), cfg, [RngStream(0)]), spec)
+    def test_finite_band_folds_to_reference(self):
+        # some rows leave the band and some do not; z1 and z3 sample at tau
+        spec = spec_with(BarrierPair.levels(0.7, 1.3), m=3)
+        model, cfg = gbm(0.1, 0.3, 1.0), SchemeConfig("euler", h=2**-6)
+        streams = [RngStream(4, i) for i in range(32)]
+        times, values = simulate_values(model, cfg, streams)
+        folded = fold_args_batch(*simulate_states(model, cfg, streams), spec)
+        assert 0 < np.count_nonzero(folded[:, -1] < 1.0) < len(streams)
+        for i in range(len(streams)):
+            npt.assert_array_equal(folded[i], reference_args(times, values[i, :, 0], spec))
 
 
 class TestDiscontinuityMass:

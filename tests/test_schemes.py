@@ -528,10 +528,16 @@ class TestStreaming:
         assert B * n_steps > _BATCH_ELEMENTS
         assert peak < 1.1 * 8 * _BATCH_ELEMENTS < 8 * B * n_steps
 
-    def test_tree_has_no_state_stream(self):
-        with pytest.raises(PreconditionError, match="no shared grid"):
-            simulate_states(bounded_vol_model(), SchemeConfig("binomial_variable", h=2**-6),
-                            [RngStream(0)])
+    def test_tree_states_stack_to_stored_batch(self):
+        # the tree streams its stored batch: per-row grids, padded after t = 1
+        model, cfg = bounded_vol_model(), SchemeConfig("binomial_variable", h=2**-6)
+        streams = [RngStream(8, i) for i in range(9)]
+        times, values = simulate_values(model, cfg, streams)
+        s_times, states = simulate_states(model, cfg, streams)
+        npt.assert_array_equal(s_times, times)
+        assert times.shape == values.shape[:2] and len(set(np.argmax(times == 1.0, axis=1))) > 1
+        npt.assert_array_equal(np.stack([y.copy() for y in states], axis=1), values)
+        npt.assert_array_equal(simulate_terminals(model, cfg, streams), values[:, -1])
 
 
 class TestSecondMomentStability:
