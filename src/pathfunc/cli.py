@@ -289,6 +289,9 @@ def cmd_counterexample(args) -> int:
     name = args.name
     seed = args.seed if args.seed is not None else 0
     paths = args.paths
+    for flag, value in (("--paths", paths), ("--seed", args.seed)):
+        if name == "tangency" and value is not None:
+            raise ConfigError(f"{flag} has no effect on tangency, which draws nothing", key=flag)
     if paths is not None and paths < 2:
         raise ConfigError(f"--paths must be at least 2, got {paths}", key="--paths")
     lines = []

@@ -316,9 +316,21 @@ class TestCliCounterexample:
         out = capsys.readouterr().out
         assert "oracle" in out and "0.68" in out
 
+    @pytest.mark.parametrize("flag, value", [("--paths", "7"), ("--seed", "3")])
+    def test_tangency_refuses_draw_flags(self, capsys, flag, value):
+        # tangency draws nothing, so both flags used to be ignored with exit 0
+        assert main(["counterexample", "tangency", flag, value]) == 64
+        assert flag in capsys.readouterr().err
+
     def test_strong_small(self, capsys):
+        # the whole stdout, computed with whole (b, N, 64) blocks of draws
         assert main(["counterexample", "strong", "--paths", "40"]) == 0
-        assert "increasing: True" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "       N  sqrt(N)*sup_err  sqrt(2 log N)\n"
+            "     100           2.8321         3.0349\n"
+            "    1000           3.5614         3.7169\n"
+            "   10000           4.1943         4.2919\n"
+            "strictly increasing: True\n")
 
     @pytest.mark.parametrize("name, paths", [("bessel", "0"), ("bessel", "-5"),
                                              ("bessel", "1"), ("strong", "-3"),

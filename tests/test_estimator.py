@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -354,6 +356,29 @@ class TestCounterexamples:
         # magnitudes track sqrt(2 log N) within a loose band
         assert 0.7 * r1 <= s1 <= 1.1 * r1
         assert 0.7 * r2 <= s2 <= 1.1 * r2
+
+    def test_strong_rows_pinned(self):
+        # computed with whole (b, N, 64) blocks: N = 3000 spans three tiles,
+        # the last partial, and 25 repetitions leave a partial sum group of 5
+        rep = counterexample_strong(n_grid=(100, 3000), n_rep=25, seed=7)
+        assert rep.rows == [(100, 2.8098384707529185, 3.034854258770293),
+                            (3000, 3.901647891221749, 4.00159157527358)]
+        assert rep.strictly_increasing
+
+    def test_strong_report_is_json(self):
+        rep = counterexample_strong(n_grid=(10, 20), n_rep=2, seed=1)
+        assert type(rep.strictly_increasing) is bool
+        json.dumps({"rows": rep.rows, "strictly_increasing": rep.strictly_increasing})
+
+    def test_strong_working_set_does_not_grow_with_n(self):
+        # 4 x 10 000 x 64 draws in one block would take 20 MB; one tile is 512 KB
+        tracemalloc.start()
+        try:
+            counterexample_strong(n_grid=(10000,), n_rep=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestDiscreteBarrierSmoke:
