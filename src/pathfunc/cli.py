@@ -5,8 +5,8 @@ Commands: ``price``, ``converge``, ``check``, ``counterexample``,
 :mod:`pathfunc.config`).  All but ``skorohod-dist`` take ``--seed``.  Every
 command runs in one process and sums in one order, so its output does not
 depend on the environment or the core count.  ``price``, ``converge`` and
-``check`` accept ``--workers 1`` and no other value, because the benchmark
-harness in ``bench/`` passes it.
+``check`` accept only ``--workers 1``, which ``bench/`` passes.  Noise may
+be drawn on several threads, each stream from its own key, moving no byte.
 
 Every scheme a command runs -- ``scheme.h``, each h of ``run.h_grid``, each
 ``check.kinds`` entry -- is built by :func:`build_scheme` and its helpers,

@@ -1,9 +1,9 @@
 """Monte Carlo estimation of path functionals with reproducible streams.
 
 Path i always draws from the stream keyed (seed, namespace, i), so its draws
-do not depend on how paths are batched.  The estimate runs in one process and
-sums in one order: contiguous groups of ``_batch_size`` paths, one ``np.sum``
-per group, from path 0 up, so it prints the same bytes on any core count.
+depend neither on batching nor on how many threads draw.  The estimate sums
+in one order: contiguous groups of ``_batch_size`` paths, one ``np.sum`` per
+group, from path 0 up, so it prints the same bytes on any core count.
 Every batch takes one route: ``simulate_states`` -> ``fold_args_batch`` ->
 ``payoff_values``.  The fold's keep rule (``keeps_whole_paths``) sets the
 batch size: a batch holds several groups when only the sampled columns are

@@ -35,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -78,11 +79,15 @@ class RngStream:
     stream_id: int = 0
     namespace: int = 0
 
-    def generator(self) -> np.random.Generator:
+    @property
+    def key(self) -> tuple[int, int]:
+        """The checked Philox key words (low, high) every generator of the stream reads."""
         if not (0 <= self.stream_id < 1 << 48 and 0 <= self.namespace < 1 << 16):
             raise ValueError("stream_id must fit 48 bits and namespace 16 bits")
-        key = ((self.seed % (1 << 64)) << 64) | (self.namespace << 48) | self.stream_id
-        return np.random.Generator(np.random.Philox(key=key))
+        return (self.namespace << 48) | self.stream_id, self.seed % (1 << 64)
+
+    def generator(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=np.array(self.key, np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -309,8 +314,8 @@ def _run_tree_batch(model: SdeModel, config: SchemeConfig, n_rows: int, draw_sig
 
 def _reseat(gen: np.random.Generator, stream: RngStream, st: dict) -> np.random.Generator:
     """Restart ``gen`` on ``stream``'s Philox key, through the state dict ``st``."""
-    st["state"]["key"][0] = (stream.namespace << 48) | stream.stream_id
-    st["state"]["key"][1] = stream.seed % (1 << 64)
+    key = st["state"]["key"]
+    key[0], key[1] = stream.key
     st["state"]["counter"][:] = 0
     st["buffer_pos"] = 4  # discard buffered blocks from the previous key
     st["has_uint32"] = 0
@@ -347,8 +352,8 @@ def _seated_rows(n: int):
     """``seat(j, stream)``: row j's generator, restarted on the stream's key.
 
     The n rows come from ``_FREE_ROWS`` (built when it runs short) and go
-    back on exit, so two live callers never share a row.  When
-    :func:`_reseat_is_exact` fails, every seat builds a fresh generator.
+    back on exit; two live callers, threads included, share no row and no
+    state dict.  If :func:`_reseat_is_exact` fails, seats build new generators.
     """
     if not _reseat_is_exact():
         yield lambda j, stream: stream.generator()
@@ -359,43 +364,68 @@ def _seated_rows(n: int):
             rows.append(_FREE_ROWS.pop())
         except IndexError:
             rows.append(np.random.Generator(np.random.Philox(key=0)))
-    st = rows[0].bit_generator.state
+    st = rows[0].bit_generator.state if rows else None
     try:
         yield lambda j, stream: _reseat(rows[j], stream, st)
     finally:
         _FREE_ROWS.extend(rows)
 
 
-# Streams drawn between two copies into a time-major block; a tile this
-# narrow keeps the transposing copy within the cache.
-_TILE_ROWS = 128
+def _drawers() -> int:
+    """The CPUs this process may run on (every CPU where affinity is unknown)."""
+    return len(getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0))
+
+
+@functools.cache
+def _pool(pid: int):
+    """Process ``pid``'s drawer threads (a forked child inherits no threads)."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="pathfunc-noise")
+
+
+_TILE_ROWS = 128  # streams a tile holds: few enough that its transposing copy stays in cache
+_SPLIT_DRAWS = 256  # fewest draws a stream in a split block: its GIL-held call takes ~6 us
 
 
 def _noise_blocks(streams: Sequence[RngStream], kind: str, n_steps: int, d1: int):
     """Each stream's fixed-grid draws as time-major (Tb, B, d1) blocks.
 
     Stream i's draws are those of one long ``_draw_fixed_noise`` call: each
-    stream keeps its own generator from block to block.  A block and the
-    tile it is copied from hold at most ``_BATCH_ELEMENTS`` elements
-    together (at least one step), whatever B and the number of steps; the
-    same buffer is yielded again for every block.
+    stream keeps its own generator from block to block.  W drawers (this
+    thread and W - 1 of ``_pool``) fill a block, drawer w every W-th tile of
+    streams through its own tile: W is the CPU count, at most one a tile, or 1
+    below ``_SPLIT_DRAWS`` draws a stream.  A block is whole when yielded, so
+    no byte depends on W.  A block and its W tiles hold at most
+    ``_BATCH_ELEMENTS`` elements (at least one step), whatever B and the number
+    of steps; the same buffer is yielded again for every block.
     """
     B = len(streams)
-    n_tile = min(_TILE_ROWS, B)
-    tb = max(1, min(n_steps, _BATCH_ELEMENTS // max(1, (B + n_tile) * d1)))
+    W, n_tile = max(1, min(_drawers(), -(-B // _TILE_ROWS))), min(_TILE_ROWS, B)
+    tb = max(1, min(n_steps, _BATCH_ELEMENTS // max(1, (B + W * n_tile) * d1)))
     block = np.empty((tb, B, d1))
-    tile = np.empty((n_tile, tb, d1))
-    single = tb == n_steps  # each stream draws once, so one row serves them all
-    with _seated_rows(1 if single else B) as seat:
-        gens = None if single else [seat(i, s) for i, s in enumerate(streams)]
-        for start in range(0, n_steps, tb):
-            k = min(tb, n_steps - start)
-            for i0 in range(0, B, _TILE_ROWS):
+    tiles = np.empty((W, n_tile, tb, d1))
+    single = tb == n_steps  # each stream draws once, so a drawer's one row serves them all
+    def fill(w, n_w, k):  # drawer w of n_w: tiles w, w + n_w, ...
+        with _seated_rows(int(single)) as seat:
+            for i0 in range(w * _TILE_ROWS, B, n_w * _TILE_ROWS):
                 rows = range(i0, min(i0 + _TILE_ROWS, B))
                 for j, i in enumerate(rows):
                     gen = seat(0, streams[i]) if single else gens[i]
-                    _draw_fixed_noise(gen, kind, tile[j, :k])
-                block[:k, i0:rows.stop] = tile[:len(rows), :k].transpose(1, 0, 2)
+                    _draw_fixed_noise(gen, kind, tiles[w, j, :k])
+                block[:k, i0:rows.stop] = tiles[w, :len(rows), :k].transpose(1, 0, 2)
+
+    with _seated_rows(0 if single else B) as seat:
+        gens = None if single else [seat(i, s) for i, s in enumerate(streams)]
+        for start in range(0, n_steps, tb):
+            k = min(tb, n_steps - start)
+            n_w = W if k * d1 >= _SPLIT_DRAWS else 1
+            futures = [_pool(os.getpid()).submit(fill, w, n_w, k) for w in range(1, n_w)]
+            try:
+                fill(0, n_w, k)
+            finally:  # joins the drawers: no draw outlives its block
+                errors = [e for e in (f.exception() for f in futures) if e]
+            if errors:
+                raise errors[0]
             yield block[:k]
 
 

@@ -511,15 +511,17 @@ class TestCliSkorohodDist:
 class TestStartupImports:
     """scipy serves only the oracles and the exact reciprocal-Bessel sampler,
     so a fresh interpreter loads it only when one of them runs, and no
-    command loads ``scipy.integrate``."""
+    command loads ``scipy.integrate``.  Importing starts no thread: the noise
+    drawers' pool and ``concurrent.futures`` come with the first split block."""
 
     SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, threading
 def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 seen = {}
 import pathfunc, pathfunc.cli as cli
 seen["import"] = loaded()
+seen["pool"] = ["concurrent.futures" in sys.modules, threading.active_count()]
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["price", sys.argv[1]]) == 0
 seen["price"] = loaded()
@@ -557,6 +559,7 @@ print(json.dumps(seen))
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
         assert seen["import"] == []
+        assert seen["pool"] == [False, 1]
         assert seen["price"] == []
         assert "scipy.special" in seen["converge"]
         assert not [m for m in seen["converge"] if m.startswith("scipy.stats")]
