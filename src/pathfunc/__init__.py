@@ -11,12 +11,12 @@ they do not.
 
 from .errors import (ConfigError, DomainError, EstimationError,
                      EvaluationError, PathfuncError, PreconditionError,
-                     SimulationError, UniformIntegrabilityError)
+                     SimulationError)
 from .estimator import (ConvergenceReport, Estimate, UiReport,
                         convergence_study, counterexample_bessel,
                         counterexample_strong, counterexample_tangency,
                         estimate, ui_diagnostic)
-from .functionals import (FunctionalSpec, Growth, constant_payoff,
+from .functionals import (FunctionalSpec, constant_payoff,
                           custom_terminal, discontinuity_mass_estimate,
                           discrete_barrier_call, evaluate, observe_args_batch,
                           payoff_values, up_and_in_call)

@@ -12,10 +12,11 @@ Every scheme a command runs -- ``scheme.h``, each h of ``run.h_grid``, each
 ``check.kinds`` entry -- is built by :func:`build_scheme` and its helpers,
 as ``replace(scheme, ...)`` of the configured scheme, so a ``1/h`` cap is
 resolved by :class:`~pathfunc.schemes.SchemeConfig` at each h.  ``price``
-and ``converge`` judge the uniform-integrability gate on the paths they
-price; ``ui.n_paths`` serves ``check`` alone.  Exit codes: 0 ok, 1 runtime
-error, 2 diagnostic failure, 64 config error (a refused value names its
-section or key; a cap at or below the model's start value included).
+and ``converge`` judge a linear payoff's uniform-integrability gate on the
+paths they price, ``check`` on ``ui.n_paths`` fresh ones.  Exit codes: 0 ok,
+1 runtime error (naming the failing stream), 2 diagnostic failure, 64 config
+error (a refused value names its section or key; a cap at or below the
+model's start value included).
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def _ui_gate(cfg, spec, sweep, rows) -> tuple[bool, list]:
     """Judge the uniform-integrability gate a linear payoff requires on the
     terminal values of the paths priced under each scheme of the sweep (one
     :class:`~pathfunc.estimator.Estimate` each); no second sample is drawn."""
-    if spec.growth.kind == "bounded" or cfg.get("run", "allow_linear"):
+    if spec.bounded or cfg.get("run", "allow_linear"):
         return True, []
     rep = estimator.tail_report(sweep, [e.terminals for e in rows], cfg.get("ui", "tail_tol"))
     lines = [f"ui diagnostic: {'pass' if rep.passed else 'FAIL'} "
@@ -188,8 +189,7 @@ def cmd_price(args) -> int:
     _refuse_low_cap(model, sweep)
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
-    est = estimator.estimate(model, scheme, spec, cfg.require("run", "n_paths"),
-                             seed, ui_override=True)
+    est = estimator.estimate(model, scheme, spec, cfg.require("run", "n_paths"), seed)
     ok, lines = _ui_gate(cfg, spec, sweep, [est])
     _emit(cfg, lines + _estimate_lines(cfg, [est]) if ok else lines)
     return EXIT_OK if ok else EXIT_DIAGNOSTIC
@@ -267,12 +267,12 @@ def cmd_check(args) -> int:
                     f"(tol {r.tol2:.3e}) dt/h={r.dt_ratio:.4g} "
                     f"{'ok' if r.passed else 'FAIL'}")
         failed |= not rep.passed
-    ui = estimator.ui_diagnostic(model, scheme, spec, [s.h for s in sweep],
-                                 n_paths=cfg.get("ui", "n_paths"), seed=seed,
-                                 tail_tol=cfg.get("ui", "tail_tol"))
-    if ui.skipped:
+    if spec.bounded:
         lines.append("ui diagnostic: skipped (bounded payoff)")
     else:
+        ui = estimator.ui_diagnostic(model, scheme, spec, [s.h for s in sweep],
+                                     n_paths=cfg.get("ui", "n_paths"), seed=seed,
+                                     tail_tol=cfg.get("ui", "tail_tol"))
         lines.append(f"ui diagnostic: {'pass' if ui.passed else 'FAIL'} "
                      f"(tail tol {ui.tail_tol:g}, "
                      f"sup second moment {ui.sup_second_moment:.4g})")
@@ -280,7 +280,7 @@ def cmd_check(args) -> int:
             cap_s = "none" if cap is None else f"{cap:g}"
             lines.append(f"  h={h:g} cap={cap_s}: tail@{ui.cutoffs[-1]:g} = "
                          f"{tails[-1]:.4g}, E[X^2] = {m2:.4g}")
-    failed |= not ui.passed
+        failed |= not ui.passed
     _emit(cfg, lines)
     return EXIT_DIAGNOSTIC if failed else EXIT_OK
 
@@ -303,7 +303,8 @@ def cmd_counterexample(args) -> int:
         lines.append(f"classification of the grazing path: {rep.c_class}")
         ok = rep.passed
     elif name == "bessel":
-        rep = estimator.counterexample_bessel(seed=seed, n_paths=200000 if paths is None else paths)
+        rep = estimator.counterexample_bessel(
+            seed=seed, **({} if paths is None else {"n_paths": paths}))
         lines.append(f"{'h':>12} {'cap':>10} {'capped_mean':>12} {'stderr':>10}")
         for h, cap, mean, se in rep.rows:
             lines.append(f"{h:12.6g} {cap:10.4g} {mean:12.6f} {se:10.6f}")
@@ -312,7 +313,8 @@ def cmd_counterexample(args) -> int:
         lines.append(f"oracle below 1 by more than 5 stderr: {rep.gap_significant}")
         ok = rep.passed
     elif name == "strong":
-        rep = estimator.counterexample_strong(seed=seed, n_rep=200 if paths is None else paths)
+        rep = estimator.counterexample_strong(
+            seed=seed, **({} if paths is None else {"n_rep": paths}))
         lines.append(f"{'N':>8} {'sqrt(N)*sup_err':>16} {'sqrt(2 log N)':>14}")
         for N, scaled, ref in rep.rows:
             lines.append(f"{N:8d} {scaled:16.4f} {ref:14.4f}")

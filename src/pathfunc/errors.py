@@ -41,10 +41,6 @@ class EstimationError(PathfuncError, RuntimeError):
         self.stream_id = stream_id
 
 
-class UniformIntegrabilityError(PathfuncError, RuntimeError):
-    """Refusal to estimate a linear-growth payoff without a UI check."""
-
-
 class ConfigError(PathfuncError, ValueError):
     """A run configuration is malformed; carries the offending key."""
 

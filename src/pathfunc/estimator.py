@@ -9,11 +9,11 @@ Every batch takes one route: ``simulate_states`` -> ``fold_args_batch`` ->
 batch size: a batch holds several groups when only the sampled columns are
 kept, and one group when whole paths are.
 
-Linear-growth payoffs are refused unless a uniform-integrability report has
-passed or the caller explicitly overrides -- expectations of such payoffs
-under a weakly convergent family are only trustworthy when the family's
-tails vanish uniformly, and the reciprocal-Bessel harness below shows what
-goes wrong otherwise.
+``estimate`` prices whatever payoff it is given and keeps each path's
+X^h(1).  Expectations of a linear-growth payoff under a weakly convergent
+family are only trustworthy when the family's tails vanish uniformly, so
+the commands judge that gate (:func:`tail_report`) on those values; the
+reciprocal-Bessel harness below shows what goes wrong otherwise.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (EstimationError, EvaluationError, PreconditionError,
-                     SimulationError, UniformIntegrabilityError)
+from .errors import EstimationError, EvaluationError, PreconditionError, SimulationError
 # evaluate, observe_args_batch, simulate_path and simulate_values go unused
 # here; the benchmark tracer reads them by name
 from .functionals import (FunctionalSpec, evaluate, fold_args_batch, keeps_whole_paths,
@@ -109,36 +108,26 @@ def _batch_size(config: SchemeConfig, model: SdeModel) -> int:
     return max(16, min(16384, _BATCH_ELEMENTS // per_path))
 
 
-def _check_growth_policy(spec: FunctionalSpec, ui_override: bool, ui_report) -> None:
-    if spec.growth.kind == "bounded":
-        return
-    if ui_override:
-        return
-    if ui_report is not None and getattr(ui_report, "passed", False):
-        return
-    raise UniformIntegrabilityError(
-        "payoff has linear growth: run ui_diagnostic and pass its report, "
-        "or set ui_override=True"
-    )
-
-
 def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
              n_paths: int, seed: int, workers: int = 1, namespace: int = 0,
-             ui_override: bool = False, ui_report=None) -> Estimate:
+             ui_override: bool = True) -> Estimate:
     """Sample mean of the functional over n_paths independent chain paths.
 
-    Deterministic given (seed, namespace, n_paths).  Aborts with the failing
-    stream id if a simulation or payoff evaluation fails.  ``workers`` is
-    accepted only as 1, the value the benchmark harness passes.  It keeps
-    each path's X^h(1), so ``price`` and ``converge`` judge the
-    uniform-integrability gate (:func:`tail_report`) on the paths they price.
+    Deterministic given (seed, namespace, n_paths).  A failed simulation or
+    payoff evaluation aborts with an error that names the failing stream.
+    ``workers`` is accepted only as 1 and ``ui_override`` only as True, the
+    values the benchmark harness passes.  Any payoff is priced, keeping each
+    path's X^h(1): ``price`` and ``converge`` judge the uniform-integrability
+    gate (:func:`tail_report`) on the paths they price.
     """
     if n_paths < 2:
         raise PreconditionError("need at least two paths for a standard error")
     if workers != 1:
         raise PreconditionError(f"workers must be 1 (got {workers!r}): "
                                 "the estimate runs in one process")
-    _check_growth_policy(spec, ui_override, ui_report)
+    if ui_override is not True:
+        raise PreconditionError(f"ui_override must be True (got {ui_override!r}): "
+                                "the commands judge the uniform-integrability gate")
     t0 = time.perf_counter()
     bsz = _batch_size(config, model)
     whole = keeps_whole_paths(spec, config.kind != "binomial_variable")
@@ -154,7 +143,8 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
             vals = payoff_values(spec, args)
         except (SimulationError, EvaluationError) as e:
             sid = streams[e.batch_index].stream_id
-            raise EstimationError(f"path simulation failed: {e}", stream_id=sid) from e
+            raise EstimationError(f"stream {sid}: path simulation failed: {e}",
+                                  stream_id=sid) from e
         for g in range(0, vals.size, bsz):
             group = vals[g:g + bsz]
             total += float(np.sum(group))
@@ -169,12 +159,11 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
 class UiReport:
     """Tail-expectation diagnostic for uniform integrability."""
 
-    skipped: bool
     passed: bool
-    cutoffs: list = field(default_factory=list)
-    rows: list = field(default_factory=list)  # (h, cap, [tail per cutoff], second_moment)
-    sup_second_moment: float = float("nan")
-    tail_tol: float = 0.05
+    tail_tol: float
+    cutoffs: list
+    rows: list  # (h, cap, [tail per cutoff], second_moment)
+    sup_second_moment: float
 
 
 def _terminal_samples(model: SdeModel, config_h: SchemeConfig, n: int,
@@ -209,16 +198,16 @@ def tail_report(schemes, terminals, tail_tol: float) -> UiReport:
     cutoffs = [2.0]
     while cutoffs[-1] < top:
         cutoffs.append(cutoffs[-1] * 2.0)
-    report = UiReport(skipped=False, passed=True, cutoffs=cutoffs, tail_tol=tail_tol)
+    rows = []
     for cfg, term in zip(schemes, terminals, strict=True):
         if term is None:
             raise PreconditionError("the spec's nu2 ends before t = 1: no X^h(1) to judge")
         term = np.abs(term)
         tails = [float(np.mean(term * (term > a))) for a in cutoffs]
-        report.rows.append((cfg.h, cfg.cap_level, tails, float(np.mean(term * term))))
-    report.sup_second_moment = float(np.max([r[3] for r in report.rows], initial=0.0))
-    report.passed = all(r[2][-1] <= tail_tol for r in report.rows)  # a NaN row fails
-    return report
+        rows.append((cfg.h, cfg.cap_level, tails, float(np.mean(term * term))))
+    return UiReport(passed=all(r[2][-1] <= tail_tol for r in rows),  # a NaN row fails
+                    tail_tol=tail_tol, cutoffs=cutoffs, rows=rows,
+                    sup_second_moment=float(np.max([r[3] for r in rows], initial=0.0)))
 
 
 def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
@@ -226,9 +215,7 @@ def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
                   tail_tol: float = 0.05) -> UiReport:
     """:func:`tail_report` of n_paths fresh terminal values at each h, drawn
     in namespace 1000 + k under ``replace(config, h=h)`` (a ``1/h`` cap is
-    resolved there), as ``check`` runs it.  Bounded payoffs skip it."""
-    if spec.growth.kind == "bounded":
-        return UiReport(skipped=True, passed=True, tail_tol=tail_tol)
+    resolved there), as ``check`` runs it on a linear-growth payoff."""
     schemes = [replace(config, h=h) for h in h_grid]
     if not schemes:
         raise PreconditionError("h_grid must be nonempty")
@@ -288,8 +275,8 @@ def convergence_study(model: SdeModel, config: SchemeConfig, spec: FunctionalSpe
                       bias_allowance: float = 0.35) -> ConvergenceReport:
     """Run the estimator across a decreasing grid of step parameters, on
     ``replace(config, h=h)`` at each h, as :func:`ui_diagnostic` sweeps.
-    The rows skip the growth policy: a linear payoff's gate is the caller's
-    to run over the same h values (``pathfunc converge`` does).
+    A linear payoff's uniform-integrability gate is the caller's to judge on
+    the rows' terminal values (``pathfunc converge`` does).
 
     When an oracle is supplied the report carries |mean - oracle| per row,
     whether the errors are nonincreasing (one statistical inversion is
@@ -298,8 +285,7 @@ def convergence_study(model: SdeModel, config: SchemeConfig, spec: FunctionalSpe
     """
     rows = []
     for k, h in enumerate(check_h_grid(h_grid)):
-        est = estimate(model, replace(config, h=h), spec, n_paths, seed,
-                       namespace=100 + k, ui_override=True)
+        est = estimate(model, replace(config, h=h), spec, n_paths, seed, namespace=100 + k)
         rows.append((h, est))
     report = ConvergenceReport(rows=rows, oracle=oracle, oracle_note=oracle_note,
                                bias_allowance=bias_allowance)

@@ -19,10 +19,10 @@ the exit and sampling rules of :mod:`pathfunc.paths` (``exit_times`` and
 ``grid_columns``), the same rules the per-path operators and the continuity
 classification use.
 
-Payoffs declare a growth class: linear-growth payoffs are only trusted after
-a uniform-integrability diagnostic (see the estimator module), and each
-built-in payoff declares the distance to its discontinuity locus so the
-almost-sure-continuity condition can be monitored empirically.
+Payoffs declare whether they are bounded (the commands judge a linear
+payoff's uniform-integrability gate), and each built-in payoff declares the
+distance to its discontinuity locus so the almost-sure-continuity condition
+can be monitored empirically.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import EvaluationError, PreconditionError
 from .paths import BarrierPair, SampleVector, StepPath, exit_times, grid_columns
 
 __all__ = [
-    "Growth",
     "FunctionalSpec",
     "evaluate",
     "observe_args_batch",
@@ -52,21 +51,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Growth:
-    """Growth class of a payoff: bounded, or linear growth."""
-
-    kind: str  # "bounded" | "linear"
-
-    @classmethod
-    def bounded(cls) -> "Growth":
-        return cls("bounded")
-
-    @classmethod
-    def linear(cls) -> "Growth":
-        return cls("linear")
-
-
-@dataclass(frozen=True)
 class FunctionalSpec:
     """The four sampling vectors, barriers, and payoff of one functional.
 
@@ -76,8 +60,9 @@ class FunctionalSpec:
     derive ``payoff`` from it.  A custom payoff may give ``payoff`` alone;
     :func:`payoff_values` then applies it row by row.  ``locus_distance`` maps
     argument vectors to the distance from the payoff's discontinuity set
-    (vectorized over a leading axis).  ``coordinate`` picks the scalar state
-    component the barriers and payoff read on multi-dimensional models.
+    (vectorized over a leading axis).  ``bounded`` is False for a payoff of
+    linear growth.  ``coordinate`` picks the scalar state component the
+    barriers and payoff read on multi-dimensional models.
     """
 
     m: int
@@ -86,7 +71,7 @@ class FunctionalSpec:
     nu3: SampleVector
     nu4: SampleVector
     payoff: Callable[[np.ndarray], float]
-    growth: Growth
+    bounded: bool
     barriers: BarrierPair
     coordinate: int = 0
     payoff_batch: Callable[[np.ndarray], np.ndarray] | None = None
@@ -215,7 +200,7 @@ def _knock_in_call(strike: float, barrier_level: float, r: float, m: int,
         payoff=_scalar(payoff_batch),
         payoff_batch=payoff_batch,
         locus_distance=locus_distance,
-        growth=Growth.linear(),
+        bounded=False,
         barriers=BarrierPair.unbounded(),
         coordinate=coordinate,
         label=label,
@@ -267,7 +252,7 @@ def custom_terminal(kind: str, strike: float = 0.0, r: float = 0.0,
         payoff=_scalar(payoff_batch),
         payoff_batch=payoff_batch,
         locus_distance=None,
-        growth=Growth.linear(),
+        bounded=False,
         barriers=BarrierPair.unbounded(),
         coordinate=coordinate,
         label=f"terminal_{kind}",
@@ -283,7 +268,7 @@ def constant_payoff(c: float) -> FunctionalSpec:
         payoff=_scalar(payoff_batch),
         payoff_batch=payoff_batch,
         locus_distance=None,
-        growth=Growth.bounded(),
+        bounded=True,
         barriers=BarrierPair.unbounded(),
         label="constant",
     )

@@ -41,7 +41,7 @@ def barrier_experiment():
     spec = pf.discrete_barrier_call(0.5, 1.0, 0.1, 12)
     cfg = SchemeConfig("euler", h=1 / 12288)
     t0 = time.perf_counter()
-    est = pf.estimate(model, cfg, spec, 5000, seed=12061, ui_override=True)
+    est = pf.estimate(model, cfg, spec, 5000, seed=12061)
     return est, time.perf_counter() - t0
 
 
@@ -82,8 +82,7 @@ def test_criterion_3_martingale_check():
     t0 = time.perf_counter()
     model = pf.gbm(0.0, 0.3, 0.8)
     est = pf.estimate(model, SchemeConfig("euler", h=2**-10),
-                      pf.custom_terminal("identity"), 10**5, seed=229,
-                      ui_override=True)
+                      pf.custom_terminal("identity"), 10**5, seed=229)
     elapsed = time.perf_counter() - t0
     dev = abs(est.mean - 0.8)
     ok = dev <= 3 * est.stderr and elapsed <= 60.0

@@ -204,7 +204,7 @@ class TestCliPrice:
         path = small_barrier(tmp_path)
         cfg = parse_config(path)
         expected = estimate(build_model(cfg), build_scheme(cfg)[0], build_spec(cfg), 200,
-                            12061, ui_override=True).csv_row(timing=False)
+                            12061).csv_row(timing=False)
         no_second_sample(monkeypatch)
         assert main(["price", path]) == 0
         gate, header, row = capsys.readouterr().out.splitlines()
@@ -241,6 +241,20 @@ class TestCliPrice:
         assert out.startswith("ui diagnostic: FAIL") and "refusing to price" in out
         assert "mean" not in out
 
+    def test_exploding_chain_names_its_stream(self, tmp_path, capsys):
+        # the capped Euler chain of the reciprocal Bessel process leaves the
+        # reals on stream 1671: a runtime error that names the stream
+        text = (
+            "model.kind = inverse_bessel3\nmodel.z0 = 1\n"
+            "scheme.kind = euler\nscheme.h = 2^-6\nscheme.cap = 1/h\n"
+            "functional.payoff = terminal_identity\nrun.n_paths = 2000\nrun.seed = 0\n"
+        )
+        assert main(["price", write(tmp_path, "c.cfg", text)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: stream 1671: path simulation failed: "
+                           "non-finite drift/diffusion evaluation\n")
+
     def test_cap_below_start_value_refused(self, tmp_path, capsys):
         # a cap of -1 under x0 = 1 clamps every state: the price would read 0
         cfg = CONSTANT_CFG.replace("functional.payoff = constant",
@@ -276,6 +290,14 @@ class TestCliCheck:
         path = write(tmp_path, "check.cfg", text)
         assert main(["check", path]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_bounded_payoff_skips_ui_diagnostic(self, tmp_path, capsys, monkeypatch):
+        # the command decides the skip: no tail sample is drawn
+        no_second_sample(monkeypatch)
+        assert main(["check", write(tmp_path, "c.cfg", CONSTANT_CFG)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "scheme euler: pass"
+        assert out[-1] == "ui diagnostic: skipped (bounded payoff)"
 
     @pytest.mark.parametrize("z0, cap, h_grid", [("1.0", "0.5", "2^-4, 2^-6"),
                                                   ("3.0", "1/h", "2^-1, 2^-3")])

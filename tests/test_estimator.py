@@ -5,12 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pathfunc.errors import (EstimationError, PreconditionError,
-                             SimulationError, UniformIntegrabilityError)
+from pathfunc.errors import EstimationError, PreconditionError, SimulationError
 from pathfunc.estimator import (convergence_study, counterexample_bessel,
                                 counterexample_strong, counterexample_tangency,
                                 estimate, tail_report, ui_diagnostic)
-from pathfunc.functionals import (FunctionalSpec, Growth, constant_payoff,
+from pathfunc.functionals import (FunctionalSpec, constant_payoff,
                                   custom_terminal, discrete_barrier_call, evaluate,
                                   observe_args_batch, payoff_values)
 from pathfunc.models import SdeModel, gbm, inverse_bessel3
@@ -27,7 +26,7 @@ def terminal_spec(payoff=None, payoff_batch=None):
     """A payoff of the terminal value (argument 1) given in either form."""
     nu = SampleVector.uniform(1)
     return FunctionalSpec(m=1, nu1=nu, nu2=nu, nu3=nu, nu4=nu, payoff=payoff,
-                          payoff_batch=payoff_batch, growth=Growth.linear(),
+                          payoff_batch=payoff_batch, bounded=False,
                           barriers=BarrierPair.unbounded())
 
 
@@ -39,15 +38,12 @@ class TestEstimate:
 
     def test_driftless_terminal_matches_start(self):
         m = gbm(0.0, 0.3, 0.8)
-        est = estimate(m, CFG, custom_terminal("identity"), 20000, seed=1,
-                       ui_override=True)
+        est = estimate(m, CFG, custom_terminal("identity"), 20000, seed=1)
         assert abs(est.mean - 0.8) <= 3 * est.stderr
 
     def test_bitwise_reproducibility(self):
-        a = estimate(GBM, CFG, custom_terminal("call", strike=0.5), 5000,
-                     seed=9, ui_override=True)
-        b = estimate(GBM, CFG, custom_terminal("call", strike=0.5), 5000,
-                     seed=9, ui_override=True)
+        a = estimate(GBM, CFG, custom_terminal("call", strike=0.5), 5000, seed=9)
+        b = estimate(GBM, CFG, custom_terminal("call", strike=0.5), 5000, seed=9)
         assert a.mean == b.mean and a.stderr == b.stderr
 
     @pytest.mark.parametrize("workers", [0, 2, 4, 7])
@@ -55,29 +51,17 @@ class TestEstimate:
         # one process, one summation order: a worker count cannot regroup sums
         with pytest.raises(PreconditionError):
             estimate(GBM, CFG, custom_terminal("call", strike=0.5), 64, seed=9,
-                     workers=workers, ui_override=True)
+                     workers=workers)
 
     def test_stderr_scaling_with_sample_size(self):
         spec = custom_terminal("call", strike=0.5)
         ratios = []
         for seed in (11, 12, 13, 14):
-            small = estimate(GBM, CFG, spec, 4000, seed=seed, ui_override=True)
-            big = estimate(GBM, CFG, spec, 16000, seed=seed, ui_override=True)
+            small = estimate(GBM, CFG, spec, 4000, seed=seed)
+            big = estimate(GBM, CFG, spec, 16000, seed=seed)
             ratios.append(big.stderr / small.stderr)
         # quadrupling the sample roughly halves the standard error
         assert 0.4 <= float(np.mean(ratios)) <= 0.6
-
-    def test_refuses_linear_growth_without_clearance(self):
-        spec = custom_terminal("identity")
-        with pytest.raises(UniformIntegrabilityError):
-            estimate(GBM, CFG, spec, 100, seed=0)
-
-    def test_accepts_linear_growth_with_passing_report(self):
-        spec = custom_terminal("identity")
-        rep = ui_diagnostic(GBM, CFG, spec, [2**-5], n_paths=2000, seed=0)
-        assert rep.passed
-        est = estimate(GBM, CFG, spec, 500, seed=0, ui_report=rep)
-        assert np.isfinite(est.mean)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
@@ -150,7 +134,7 @@ class TestEstimate:
         first_bad = int(np.argmax(values[:, -1, 0] > 1.0))
         assert first_bad > 0
         with pytest.raises(EstimationError) as exc:
-            estimate(GBM, cfg, spec, 100, seed=0, ui_override=True)
+            estimate(GBM, cfg, spec, 100, seed=0)
         assert exc.value.stream_id == first_bad
 
     @pytest.mark.parametrize("kind", ["euler", "binomial_variable"])
@@ -162,7 +146,7 @@ class TestEstimate:
         first_bad = int(np.argmax(np.array(terminals) > 1.0))
         assert first_bad > 0
         with pytest.raises(EstimationError) as exc:
-            estimate(GBM, cfg, spec, 100, seed=0, ui_override=True)
+            estimate(GBM, cfg, spec, 100, seed=0)
         assert exc.value.stream_id == first_bad
 
     def test_folded_batches_keep_group_sums(self, monkeypatch):
@@ -172,7 +156,7 @@ class TestEstimate:
         monkeypatch.setattr(estimator, "_batch_size", lambda config, model: 8)
         spec = discrete_barrier_call(0.5, 1.0, 0.1, 4)
         n = 100
-        est = estimate(GBM, CFG, spec, n, seed=5, ui_override=True)
+        est = estimate(GBM, CFG, spec, n, seed=5)
         total = total_sq = 0.0
         for start in range(0, n, 8):
             streams = [RngStream(5, i) for i in range(start, min(start + 8, n))]
@@ -216,14 +200,14 @@ class TestEstimate:
                               nu3=SampleVector([0.25, 1.0]), nu4=SampleVector([0.5, 1.0]),
                               payoff=None,
                               payoff_batch=lambda x: x[:, 0] + 2.0 * x[:, 2 * m] + x[:, 4 * m],
-                              growth=Growth.linear(), barriers=BarrierPair.levels(0.6, 1.1))
+                              bounded=False, barriers=BarrierPair.levels(0.6, 1.1))
         n = 300
         vals = np.array([evaluate(simulate_path(GBM, CFG, RngStream(3, i)), spec)
                          for i in range(n)])
         taus = observe_args_batch(*simulate_values(GBM, CFG, [RngStream(3, i) for i in range(n)]),
                                   spec)[:, -1]
         assert 0 < np.count_nonzero(taus < 1.0) < n
-        est = estimate(GBM, CFG, spec, n, seed=3, ui_override=True)
+        est = estimate(GBM, CFG, spec, n, seed=3)
         mean = float(np.sum(vals)) / n
         assert est.mean == mean
         assert est.stderr == float(np.sqrt((float(np.sum(vals * vals)) - n * mean * mean)
@@ -239,14 +223,10 @@ class TestEstimate:
 
 
 class TestUiDiagnostic:
-    def test_bounded_payoff_skipped(self):
-        rep = ui_diagnostic(GBM, CFG, constant_payoff(1.0), [2**-4], seed=0)
-        assert rep.skipped and rep.passed
-
     def test_gbm_linear_passes(self):
         spec = custom_terminal("identity")
         rep = ui_diagnostic(GBM, CFG, spec, [2**-4, 2**-6], n_paths=4000, seed=0)
-        assert not rep.skipped and rep.passed
+        assert rep.passed
         assert rep.sup_second_moment < 2.0
 
     def test_capped_reciprocal_bessel_fails(self):
@@ -281,7 +261,7 @@ class TestUiDiagnostic:
     def test_estimate_keeps_the_priced_terminals(self, config, band):
         # argument 2m of every priced path is its X^h(1), bit for bit
         spec = replace(discrete_barrier_call(0.5, 1.0, 0.1, 4), barriers=band)
-        est = estimate(GBM, config, spec, 300, seed=7, namespace=3, ui_override=True)
+        est = estimate(GBM, config, spec, 300, seed=7, namespace=3)
         x = simulate_terminals(GBM, config, [RngStream(7, i, 3) for i in range(300)])
         assert np.array_equal(est.terminals, x[:, 0])
         rep = tail_report([config], [est.terminals], 0.05)
@@ -299,7 +279,7 @@ class TestUiDiagnostic:
         # nu2 = (1/2,): argument 2m is X(1/2), which the gate must not read
         half = SampleVector(np.array([0.5]))
         spec = replace(terminal_spec(payoff_batch=lambda x: x[:, 1]), nu2=half)
-        est = estimate(GBM, CFG, spec, 100, seed=0, ui_override=True)
+        est = estimate(GBM, CFG, spec, 100, seed=0)
         assert est.terminals is None
         with pytest.raises(PreconditionError, match="nu2"):
             tail_report([CFG], [est.terminals], 0.05)
@@ -385,20 +365,20 @@ class TestDiscreteBarrierSmoke:
     def test_estimate_in_plausible_band(self):
         spec = discrete_barrier_call(0.5, 1.0, 0.1, 12)
         cfg = SchemeConfig("euler", h=1 / 1536)
-        est = estimate(GBM, cfg, spec, 4000, seed=8, ui_override=True)
+        est = estimate(GBM, cfg, spec, 4000, seed=8)
         # coarse run stays in the neighbourhood of the fine-step value
         assert 0.20 <= est.mean <= 0.27
 
 
 class TestBoundedMeanStaysInBand:
     def test_mean_of_bounded_payoff_within_bound(self):
-        from pathfunc.functionals import FunctionalSpec, Growth
+        from pathfunc.functionals import FunctionalSpec
         from pathfunc.paths import BarrierPair, SampleVector
         nu = SampleVector([1.0])
         spec = FunctionalSpec(
             m=1, nu1=nu, nu2=nu, nu3=nu, nu4=nu,
             payoff=lambda x: float(np.tanh(x[1])),
-            growth=Growth.bounded(), barriers=BarrierPair.unbounded())
+            bounded=True, barriers=BarrierPair.unbounded())
         est = estimate(GBM, CFG, spec, 2000, seed=17)
         assert -1.0 <= est.mean <= 1.0
         assert est.ci95[0] <= est.mean <= est.ci95[1]

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pathfunc.errors import EvaluationError, PreconditionError
-from pathfunc.functionals import (FunctionalSpec, Growth, constant_payoff,
+from pathfunc.functionals import (FunctionalSpec, constant_payoff,
                                   discontinuity_mass_estimate,
                                   discrete_barrier_call, evaluate,
                                   fold_args_batch, observe_args_batch,
@@ -38,7 +38,7 @@ def spec_with(barriers, m=2, payoff=None):
     return FunctionalSpec(
         m=m, nu1=nu, nu2=nu, nu3=nu, nu4=nu,
         payoff=payoff or (lambda x: float(np.sum(x))),
-        growth=Growth.linear(), barriers=barriers)
+        bounded=False, barriers=barriers)
 
 
 def path_args(p, spec):
@@ -76,7 +76,7 @@ class TestObserve:
         p = make_path([0, 0.25, 1], [0.5, 3.0, 0.25])
         nu = SampleVector([1.0, 1.0])
         spec = FunctionalSpec(m=2, nu1=nu, nu2=nu, nu3=nu, nu4=nu,
-                              payoff=lambda x: 0.0, growth=Growth.bounded(),
+                              payoff=lambda x: 0.0, bounded=True,
                               barriers=BarrierPair.levels(-np.inf, 2.0))
         args = path_args(p, spec)
         assert args[8] == 0.25  # tau
@@ -147,7 +147,7 @@ class TestEvaluate:
             m=1, nu1=SampleVector([1.0]), nu2=SampleVector([1.0]),
             nu3=SampleVector([1.0]), nu4=SampleVector([1.0]),
             payoff=lambda x: float(np.tanh(np.sum(x))),
-            growth=Growth.bounded(), barriers=BarrierPair.unbounded())
+            bounded=True, barriers=BarrierPair.unbounded())
         assert abs(evaluate(p, spec)) <= 1.0
 
     @given(step_paths(), st.integers(0, 2**31))
@@ -187,7 +187,7 @@ class TestBatchObservation:
         times, values = simulate_values(m, cfg, streams)
         nu = SampleVector(np.sort(rng.uniform(0, 1, size=3)))
         spec = FunctionalSpec(m=3, nu1=nu, nu2=nu, nu3=nu, nu4=nu,
-                              payoff=lambda x: 0.0, growth=Growth.bounded(),
+                              payoff=lambda x: 0.0, bounded=True,
                               barriers=band)
         args = observe_args_batch(times, values, spec)
         for i in range(len(streams)):
@@ -207,7 +207,7 @@ class TestBatchObservation:
                               nu3=SampleVector([0.3, 0.7, 1.0]),
                               nu4=SampleVector([0.25, 0.5, 1.0]),
                               payoff=lambda x: float(x @ weights),
-                              growth=Growth.bounded(),
+                              bounded=True,
                               barriers=BarrierPair.levels(0.4, 1.6))
         args = observe_args_batch(times, values, spec)
         assert 0 < np.count_nonzero(args[:, -1] < 1.0) < len(streams)
@@ -244,7 +244,7 @@ class TestFold:
         nus = [SampleVector(np.sort(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m,
                                                        max_size=m))))
                for _ in range(4)]
-        spec = FunctionalSpec(m, *nus, payoff=lambda x: 0.0, growth=Growth.bounded(),
+        spec = FunctionalSpec(m, *nus, payoff=lambda x: 0.0, bounded=True,
                               barriers=band, coordinate=coordinate)
         cfg = SchemeConfig(kind, h=h)
         streams = [RngStream(seed, i) for i in range(6)]

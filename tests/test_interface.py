@@ -120,6 +120,21 @@ def test_estimate_workers_accepts_only_one():
             estimate(*args, seed=0, workers=value)
 
 
+def test_estimate_ui_override_accepts_only_true():
+    # the commands judge the uniform-integrability gate; estimate prices what
+    # it is given and keeps the flag only because the harness passes True
+    from pathfunc.errors import PreconditionError
+    from pathfunc.estimator import estimate
+    from pathfunc.functionals import custom_terminal
+    from pathfunc.models import gbm
+    from pathfunc.schemes import SchemeConfig
+    args = (gbm(0.0, 0.2, 1.0), SchemeConfig("euler", h=0.25), custom_terminal("identity"), 16)
+    assert estimate(*args, seed=0, ui_override=True).n_paths == 16
+    for value in (False, None, 1):
+        with pytest.raises(PreconditionError):
+            estimate(*args, seed=0, ui_override=value)
+
+
 def test_every_defaulted_parameter_has_a_caller():
     # A parameter with a default that no call sets is a knob nobody turns:
     # its default belongs in the function body.  Scans every top-level
