@@ -5,9 +5,9 @@ depend neither on batching nor on how many threads draw.  The estimate sums
 in one order: contiguous groups of ``_batch_size`` paths, one ``np.sum`` per
 group, from path 0 up, so it prints the same bytes on any core count.
 Every batch takes one route: ``simulate_states`` -> ``fold_args_batch`` ->
-``payoff_values``.  The fold's keep rule (``keeps_whole_paths``) sets the
-batch size: a batch holds several groups when only the sampled columns are
-kept, and one group when whole paths are.
+``payoff_values``, the tree's included.  The fold's keep rule
+(``keeps_whole_paths``) sets the batch size: a batch holds several groups
+when only the sampled instants are kept, and one group when whole paths are.
 
 ``estimate`` prices whatever payoff it is given and keeps each path's
 X^h(1).  Expectations of a linear-growth payoff under a weakly convergent
@@ -48,7 +48,7 @@ __all__ = [
     "counterexample_strong",
 ]
 
-# Rows stepped together when only the sampled columns are kept: enough to
+# Rows stepped together when only the sampled instants are kept: enough to
 # spread numpy's per-call cost of each step, and a whole number of groups.
 _FOLD_ROWS = 8192
 
@@ -95,10 +95,11 @@ def _finalize(total: float, total_sq: float, n: int, h: float, t0: float) -> Est
 
 
 def _batch_size(config: SchemeConfig, model: SdeModel) -> int:
-    """Paths per reduction group: a stored batch of paths within the memory
-    budget, sized by the longest row -- the fixed grid, or the
-    ceil(1 / (lo h)) + 1 times the tree's band admits.  The estimate sums
-    each group on its own, so the group size fixes its bytes."""
+    """Paths per reduction group, sized by the longest row -- the fixed grid,
+    or the ceil(1 / (lo h)) + 1 times the tree's band admits -- so that a
+    stored batch of paths fits the memory budget.  A batch that keeps whole
+    paths is one group; a streamed one, the tree's too, holds several.  The
+    estimate sums each group on its own, so the group size fixes its bytes."""
     if config.kind == "binomial_variable":
         lo, _ = config.resolved_qu_bounds(model)
         n_times = int(np.ceil(1.0 / (lo * config.h))) + 1
@@ -130,10 +131,8 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
                                 "the commands judge the uniform-integrability gate")
     t0 = time.perf_counter()
     bsz = _batch_size(config, model)
-    whole = keeps_whole_paths(spec, config.kind != "binomial_variable")
-    per_batch = bsz if whole else bsz * max(1, _FOLD_ROWS // bsz)
-    total = 0.0
-    total_sq = 0.0
+    per_batch = bsz if keeps_whole_paths(spec) else bsz * max(1, _FOLD_ROWS // bsz)
+    total = total_sq = 0.0
     terms = []
     for start in range(0, n_paths, per_batch):
         streams = [RngStream(seed, i, namespace)

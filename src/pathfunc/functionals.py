@@ -12,8 +12,9 @@ argument 2m (the last entry of z2, with nu2 = (1/m, ..., 1)) and the terminal
 running maximum is argument 4m.
 
 Paths are observed a batch at a time by one observer, :func:`fold_args_batch`:
-it folds a batch's states column by column and keeps the coordinate and its
-running maximum where the payoff can read them (:func:`keeps_whole_paths`);
+it folds a batch's columns as they are stepped, on a shared grid or the
+tree's grids per row, and keeps the coordinate and its running maximum where
+the payoff can read them (:func:`keeps_whole_paths`);
 :func:`observe_args_batch` feeds it stored paths.  tau and the samples follow
 the exit and sampling rules of :mod:`pathfunc.paths` (``exit_times`` and
 ``grid_columns``), the same rules the per-path operators and the continuity
@@ -84,43 +85,57 @@ class FunctionalSpec:
                 raise ValueError("all four sampling vectors must have length m")
 
 
-def keeps_whole_paths(spec: FunctionalSpec, shared_grid: bool) -> bool:
+def keeps_whole_paths(spec: FunctionalSpec) -> bool:
     """The keep rule of :func:`fold_args_batch`: whether the payoff can read
-    any column.  Only an unbounded band (tau = 1) on a shared grid pins the
-    sampled instants to fixed columns, so only then are the rest dropped."""
-    return not (shared_grid and spec.barriers.is_unbounded)
+    any column.  Only an unbounded band (tau = 1) pins the sampled instants,
+    so only then are the other columns dropped."""
+    return not spec.barriers.is_unbounded
 
 
-def fold_args_batch(times: np.ndarray, states, spec: FunctionalSpec) -> np.ndarray:
+def fold_args_batch(times: np.ndarray | None, states, spec: FunctionalSpec) -> np.ndarray:
     """Argument vectors for a batch of paths, folded over their states.
 
-    ``states`` yields the (B, d) state at each column in order, as returned
-    by ``schemes.simulate_states``, on a shared (n+1,) grid ``times`` or on a
-    (B, n+1) grid per row, which may end by repeating t = 1.  The coordinate
-    and its running maximum are kept at the columns the payoff can read
-    (:func:`keeps_whole_paths`); tau and the samples then follow the exit and
-    sampling rules on the kept times.  Returns the (B, 4m+1) block laid out
-    as [z1 | z2 | z3 | z4 | tau]; each row depends only on its own path.
+    ``states`` yields each column in order: the (B, d) state on ``times``, a
+    shared (n+1,) grid or stored (B, n+1) grids per row, or with ``times``
+    None the tree's (B, 1) times and (B, d) state (``schemes.simulate_states``),
+    on grids per row that may end by repeating t = 1.  The coordinate and its
+    running maximum are kept where the payoff can read them
+    (:func:`keeps_whole_paths`); on streamed grids per row an instant s takes
+    the last column with t <= s by overwriting.  tau and the samples then
+    follow the exit and sampling rules on the kept times.  Returns the
+    (B, 4m+1) block [z1 | z2 | z3 | z4 | tau]; each row reads only its path.
     """
     nus = (spec.nu1, spec.nu2, spec.nu3, spec.nu4)
-    if keeps_whole_paths(spec, times.ndim == 1):
+    if times is None and keeps_whole_paths(spec):  # store the rows' grids
+        ts, states = zip(*((t.copy(), y.copy()) for t, y in states))
+        times = np.hstack(ts)
+    if times is None:  # the instants, as tau = 1
+        kept = np.unique(np.concatenate([nu.entries for nu in nus]))
+    elif keeps_whole_paths(spec) or times.ndim == 2:  # stored grids per row are whole
         kept = np.arange(times.shape[-1])
     else:
         kept = np.unique(np.concatenate([grid_columns(times, nu.entries) for nu in nus]))
     slot = {int(c): j for j, c in enumerate(kept)}
     M = None
     for col, y in enumerate(states):
+        if times is None:
+            t, y = y
         v = y[:, spec.coordinate]
         if M is None:
             M = v.copy()
             V_at, M_at = np.empty((M.size, kept.size)), np.empty((M.size, kept.size))
         else:
             np.maximum(M, v, out=M)
+        if times is None:
+            at = t <= kept
+            np.copyto(V_at, v[:, None], where=at)
+            np.copyto(M_at, M[:, None], where=at)
+            continue
         j = slot.get(col)
         if j is not None:
             V_at[:, j] = v
             M_at[:, j] = M
-    t = times[..., kept]
+    t = kept if times is None else times[..., kept]
     tau = exit_times(t, V_at, spec.barriers)[:, None]
     one = np.ones_like(tau)
     z = [np.take_along_axis(A, grid_columns(t, s * nu.entries), axis=1)

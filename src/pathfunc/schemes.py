@@ -20,14 +20,13 @@ a :class:`StepPath`.  Paths are reproducible: every path owns a counter-based
 RNG stream keyed by (seed, namespace, stream id), so each path's draws do not
 depend on how paths are batched.
 
-Every kind is read as a stream of states (:func:`simulate_states`).  The
-fixed grids step it as it is read: a flat (B, d) state is stepped into reused
-buffers, and each stream's draws arrive in time blocks of at most
-``_BATCH_ELEMENTS`` elements from a Philox generator that the stream keeps for
-the whole grid.  Noise memory therefore does not grow with the number of
-steps, and the observer (``functionals.fold_args_batch``) stores only the
-columns its payoff can read.  The tree's rows step on grids of their own, so
-it stores its batch (:func:`simulate_values`) and streams the columns.
+Every kind is a stream of states (:func:`simulate_states`), stepped as it
+is read into reused buffers, so the observer (``functionals.fold_args_batch``)
+stores only the columns its payoff can read.  On the fixed grids each stream's
+draws arrive in time blocks of at most ``_BATCH_ELEMENTS`` elements from a
+Philox generator that the stream keeps for the whole grid.  The tree's rows
+step on grids of their own, so each column also brings the rows' times, and
+each row reads its signs from raw Philox words, 64 at a time.
 """
 
 from __future__ import annotations
@@ -58,6 +57,8 @@ __all__ = [
 ]
 
 SCHEME_KINDS = ("euler", "binomial_fixed", "binomial_variable")
+_BAD_COEFFS = "non-finite drift/diffusion evaluation"
+_BAD_STATE = "non-finite state during simulation"
 
 # Memory budget of one simulated block, in float64 elements: a time-major
 # noise block on the fixed grids, and the stored batch of paths on the routes
@@ -148,29 +149,27 @@ def _require_sigma_band(model: SdeModel) -> float:
 
 
 def _raise_at_first_bad_row(message, rows_ok, y, t):
-    """Raise SimulationError at the first row not ok, if any, as ``batch_index``."""
-    if not rows_ok.all():
+    """Raise SimulationError at the first row not ok (None: all are), as ``batch_index``."""
+    if rows_ok is not None and not rows_ok.all():
         bad = int(np.argmin(rows_ok))
         e = SimulationError(message, state=y[bad], t=float(np.broadcast_to(t, y.shape)[bad, 0]))
         e.batch_index = bad
         raise e
 
 
-def _check_finite_coeffs(b, s, y, t):
-    if not (np.isfinite(b).all() and np.isfinite(s).all()):
-        rows_ok = np.isfinite(b).all(axis=-1) & np.isfinite(s).all(axis=(-2, -1))
-        _raise_at_first_bad_row("non-finite drift/diffusion evaluation", rows_ok, y, t)
+def _finite_rows(b, s):
+    return np.isfinite(b).all(axis=-1) & np.isfinite(s).all(axis=(-2, -1))
 
 
-def _fixed_update(model, y, t, dt, xi, out, mix) -> bool:
+def _fixed_update(model, y, t, dt, xi, out, mix):
     """Shared update y + b dt + (sigma @ xi) sqrt(dt) of a (B, d) batch, into ``out``.
 
     ``mix`` is scratch shaped like ``out``; ``y`` is left intact.  A single
     (1, d) state broadcasts against (B, d1) draws, so the coefficients are
     evaluated once for all of them.  Non-finite coefficients make the new
-    state non-finite, so one sum of it screens them; the exact check runs
-    only when that sum is not finite.  Returns whether the sum was finite:
-    if it was, so is every entry of ``out``.
+    state non-finite, so one sum of it screens them.  Returns None when that
+    sum is finite, as is then every entry of ``out``; else whether each
+    row's coefficients were finite (all of them when the sum overflowed).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # screened below, named by the caller
         b = model.drift(y, t)
@@ -183,9 +182,8 @@ def _fixed_update(model, y, t, dt, xi, out, mix) -> bool:
         np.add(out, mix, out=out)
         total = np.add.reduce(out, axis=None)
     if math.isfinite(total):
-        return True
-    _check_finite_coeffs(b, s, y, t)  # passes when the sum overflowed on finite values
-    return False
+        return None
+    return _finite_rows(b, s)
 
 
 def binomial_variable_step(model: SdeModel, y, t, h: float, sign):
@@ -198,7 +196,7 @@ def binomial_variable_step(model: SdeModel, y, t, h: float, sign):
     eps = _require_sigma_band(model)
     b = model.drift(y, t)
     s = model.diffusion(y, t)
-    _check_finite_coeffs(b, s, y, t)
+    _raise_at_first_bad_row(_BAD_COEFFS, _finite_rows(b, s), y, t)
     sig = s[:, :, 0]
     in_band = ((np.abs(sig) > eps) & (np.abs(sig) < 1.0 / eps))[:, 0]
     if not in_band.all():
@@ -242,51 +240,54 @@ def _fixed_states(model: SdeModel, config: SchemeConfig, times: np.ndarray,
     in order.  Yields the state at every grid column, starting with column 0,
     in (B, d) buffers that later steps overwrite, so a consumer copies what it
     keeps.  The arithmetic is elementwise, so a batch of one reproduces a
-    single simulation bit for bit.  The new state is checked on the step
-    whose screen fires, after the cap, so a failure names the step where it
-    first occurred; a state the cap brings back to a finite value runs on.
+    single simulation bit for bit.  When the screen fires, rows whose
+    coefficients or capped new state are not finite restart from y0; after
+    the last column the lowest such row's first error is raised, as it would
+    be alone, with that row as ``batch_index``.
     """
     y = np.repeat(model.y0[None, :], n_rows, axis=0)
     nxt, mix = np.empty((2,) + y.shape)
     yield y
     cap = config.cap_level
-    n = 0
+    n, failure = 0, None
     for block in blocks:
         for xi in block:
-            screened = _fixed_update(model, y, times[n], times[n + 1] - times[n], xi, nxt, mix)
+            coeffs_ok = _fixed_update(model, y, times[n], times[n + 1] - times[n], xi, nxt, mix)
             y, nxt = nxt, y
             if cap is not None:
                 np.minimum(y, cap, out=y)
             n += 1
-            if not screened:
-                _raise_at_first_bad_row("non-finite state during simulation",
-                                        np.isfinite(y).all(axis=1), y, float(times[n]))
+            if coeffs_ok is not None:  # the screen fired; nxt holds the states before the step
+                ok = coeffs_ok & np.isfinite(y).all(axis=1)
+                r = int(np.argmin(ok))
+                if not ok[r] and (failure is None or r < failure.batch_index):
+                    at = (_BAD_STATE, y, n) if coeffs_ok[r] else (_BAD_COEFFS, nxt, n - 1)
+                    failure = SimulationError(at[0], state=at[1][r].copy(), t=float(times[at[2]]))
+                    failure.batch_index = r
+                y[~ok] = model.y0
             yield y
+    if failure is not None:
+        raise failure
 
 
-def _run_tree_batch(model: SdeModel, config: SchemeConfig, n_rows: int, draw_signs):
-    """Advance ``n_rows`` tree paths together to t = 1, as :func:`simulate_values`.
+def _tree_states(model: SdeModel, config: SchemeConfig, n_rows: int, sign):
+    """Advance ``n_rows`` tree paths together to t = 1, as a stream.
 
-    ``draw_signs(n)`` gives every row's first n +/-1 draws as an (n_rows, n)
-    block: 64 at first, twice as many whenever the rows run out.  A failing
-    row leaves the batch with the rows after it; at the end the lowest failing
-    row's error is raised with that row as ``batch_index``.
+    Yields each column as it is stepped, column 0 first: the rows' (B, 1)
+    times and (B, d) states, in arrays later steps overwrite; a row that has
+    reached t = 1 repeats it and its terminal state.  ``sign(k, rows)`` gives
+    the +/-1 column of step k for the active ``rows``.  A failing row leaves
+    the batch with the rows after it; after the last column the lowest
+    failing row's error is raised with that row as ``batch_index``.
     """
-    lo, hi = config.resolved_qu_bounds(model)
-    cap = config.cap_level
-    y = np.repeat(model.y0[None, :], n_rows, axis=0)
-    t = np.zeros((n_rows, 1))
-    ts, ys, failure = [t.copy()], [y.copy()], None
-    active = np.ones(n_rows, dtype=bool)
-    signs = draw_signs(64)
+    (lo, hi), cap = config.resolved_qu_bounds(model), config.cap_level
+    y, t = np.repeat(model.y0[None, :], n_rows, axis=0), np.zeros((n_rows, 1))
+    k, failure, active = 0, None, np.ones(n_rows, dtype=bool)
+    yield t, y
     while active.any():
-        k = len(ts) - 1
-        if k == signs.shape[1]:
-            signs = draw_signs(2 * k)
         rows = np.flatnonzero(active)
         try:
-            dt, y_next = binomial_variable_step(model, y[rows], t[rows], config.h,
-                                                signs[rows, k, None])
+            dt, y_next = binomial_variable_step(model, y[rows], t[rows], config.h, sign(k, rows))
             t_next, ratio = t[rows] + dt, dt / config.h
             trunc = t_next >= 1.0 - 1e-15
             qu_ok = trunc | ((lo * (1 - 1e-12) <= ratio) & (ratio <= hi * (1 + 1e-12)))
@@ -294,8 +295,7 @@ def _run_tree_batch(model: SdeModel, config: SchemeConfig, n_rows: int, draw_sig
                                     qu_ok[:, 0], y[rows], t[rows])
             if cap is not None:
                 y_next = np.minimum(y_next, cap)
-            _raise_at_first_bad_row("non-finite state during simulation",
-                                    np.isfinite(y_next).all(axis=1), y_next, t_next)
+            _raise_at_first_bad_row(_BAD_STATE, np.isfinite(y_next).all(axis=1), y_next, t_next)
         except (PreconditionError, SimulationError) as e:
             r = int(rows[e.batch_index])
             failure = e if isinstance(e, SimulationError) else SimulationError(
@@ -305,11 +305,10 @@ def _run_tree_batch(model: SdeModel, config: SchemeConfig, n_rows: int, draw_sig
             continue
         y[rows], t[rows] = y_next, np.where(trunc, 1.0, t_next)
         active[rows] = ~trunc[:, 0]
-        ts.append(t.copy())
-        ys.append(y.copy())
+        k += 1
+        yield t, y
     if failure is not None:
         raise failure
-    return np.hstack(ts), np.stack(ys, axis=1)
 
 
 def _reseat(gen: np.random.Generator, stream: RngStream, st: dict) -> np.random.Generator:
@@ -330,7 +329,7 @@ def _reseat_is_exact() -> bool:
 
     :func:`_reseat` writes numpy's private Philox state layout, so this is
     checked once per process: a reseat over a row with a part-used buffer,
-    and two rows drawing interleaved.
+    two rows drawing interleaved, and raw words before and after ``advance``.
     """
     a, b = RngStream(7, 3, 1), RngStream(11, 5, 2)
     rows = [np.random.Generator(np.random.Philox(key=0)) for _ in range(2)]
@@ -338,8 +337,11 @@ def _reseat_is_exact() -> bool:
     rows[0].integers(0, 2, size=3)
     ga, gb = _reseat(rows[0], a, st), _reseat(rows[1], b, st)
     head, other, tail = ga.standard_normal(5), gb.integers(0, 2, size=9), ga.standard_normal(6)
+    raw = [np.concatenate([g.random_raw(5), g.advance(8).random_raw(3)])  # the tree's signs
+           for g in (_reseat(rows[1], b, st).bit_generator, b.generator().bit_generator)]
     return (np.array_equal(np.concatenate([head, tail]), a.generator().standard_normal(11))
-            and np.array_equal(other, b.generator().integers(0, 2, size=9)))
+            and np.array_equal(other, b.generator().integers(0, 2, size=9))
+            and np.array_equal(*raw))
 
 
 # Reseatable Philox generators shared by every batch in the process: building
@@ -429,16 +431,28 @@ def _noise_blocks(streams: Sequence[RngStream], kind: str, n_steps: int, d1: int
             yield block[:k]
 
 
-def _stream_signs(streams: Sequence[RngStream], n: int) -> np.ndarray:
-    """(B, n) block of tree signs: sign k is the stream's k-th ``integers(0, 2)``
-    draw, and a block of n equals n scalar draws."""
-    with _seated_rows(1) as seat:
-        return np.stack([seat(0, s).integers(0, 2, size=n) for s in streams]) * 2.0 - 1.0
+def _stream_signs(streams: Sequence[RngStream]):
+    """``sign(k, rows)``: the k-th ``integers(0, 2)`` draws of the streams in
+    ``rows`` as a +/-1 column: bit 31 (k even) or 63 (k odd) of raw Philox
+    word k // 2 on numpy's Lemire path.  A row reads 64 signs at a time: at
+    k = 64 j a reseat and ``advance(8 j)`` give words 32 j to 32 j + 31."""
+    words = np.empty((len(streams), 32), np.uint64)
+
+    def sign(k, rows):
+        if k % 64 == 0:
+            with _seated_rows(1) as seat:  # one row, reseated stream by stream
+                gens = (seat(0, streams[i]).bit_generator for i in rows)
+                words[rows] = [(g.advance(k // 8) if k else g).random_raw(32) for g in gens]
+        return ((words[rows, k % 64 // 2, None] >> (31 + 32 * (k % 2))) & 1) * 2.0 - 1.0
+    return sign
 
 
-def _fixed_grid_states(model: SdeModel, config: SchemeConfig, streams, noise=None):
-    """(times, state stream) of a fixed-grid batch; ``noise`` is a path-major
-    (B, n_steps, d1) array replacing the streams' draws."""
+def _grid_states(model: SdeModel, config: SchemeConfig, streams, noise=None):
+    """:func:`simulate_states`, ``noise`` replacing the draws: path-major
+    (B, n_steps, d1) on the fixed grids, (B, n) signs, n >= steps, on the tree."""
+    if config.kind == "binomial_variable":
+        sign = _stream_signs(streams) if noise is None else lambda k, rows: noise[rows, k, None]
+        return None, _tree_states(model, config, len(streams), sign)
     config.resolved_qu_bounds(model)  # refuses binomial kernels on vector models
     times = fixed_time_grid(config.h)
     n_steps, d1 = times.size - 1, model.dim_noise
@@ -453,10 +467,10 @@ def _fixed_grid_states(model: SdeModel, config: SchemeConfig, streams, noise=Non
 
 def _simulate(model: SdeModel, config: SchemeConfig, streams, noise=None):
     """(times, values) of a stored batch; ``noise`` replaces the streams' draws."""
-    if config.kind == "binomial_variable":
-        draw = (lambda n: noise) if noise is not None else (lambda n: _stream_signs(streams, n))
-        return _run_tree_batch(model, config, len(streams), draw)
-    times, states = _fixed_grid_states(model, config, streams, noise)
+    times, states = _grid_states(model, config, streams, noise)
+    if times is None:  # the tree's per-row grids
+        ts, ys = zip(*((t.copy(), y.copy()) for t, y in states))
+        return np.hstack(ts), np.stack(ys, axis=1)
     values = np.empty((len(streams), times.size, model.dim_state))
     for col, y in enumerate(states):
         values[:, col] = y
@@ -494,24 +508,20 @@ def simulate_values(model: SdeModel, config: SchemeConfig, streams: Sequence[Rng
 def simulate_states(model: SdeModel, config: SchemeConfig, streams: Sequence[RngStream]):
     """A batch as a stream of states, for consumers that fold.
 
-    Returns (times, states): the grid as :func:`simulate_values` returns it,
-    and an iterator over the batch's (B, d) state at each column, column 0
-    first, in arrays later steps may reuse: copy what you keep.  Stacking the
-    states gives ``simulate_values`` bit for bit.  The fixed grids step as
-    the states are read, in O(B d) memory plus one noise block; the tree
-    yields the columns of its stored batch.  A failure's ``batch_index`` is
-    its stream.
+    Returns (times, states): the fixed grids' shared (n+1,) grid and the
+    batch's (B, d) state at each column, column 0 first, or on the tree None
+    and each column's (B, 1) times and (B, d) states.  Columns are stepped as
+    they are read, in arrays later steps may reuse: copy what you keep.
+    Stacking them gives ``simulate_values`` bit for bit.  A failure's
+    ``batch_index`` is its stream.
     """
-    if config.kind == "binomial_variable":
-        times, values = simulate_values(model, config, streams)
-        return times, iter(values.swapaxes(0, 1))
-    return _fixed_grid_states(model, config, streams)
+    return _grid_states(model, config, streams)
 
 
 def simulate_terminals(model: SdeModel, config: SchemeConfig, streams: Sequence[RngStream]) -> np.ndarray:
     """Terminal states only, shape (B, d): the last of :func:`simulate_states`."""
     *_, last = simulate_states(model, config, streams)[1]
-    return last
+    return last[1] if isinstance(last, tuple) else last  # the tree's (times, states)
 
 
 @dataclass
@@ -591,7 +601,8 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
                       if config.kind == "euler" else signs)
                 n = (len(xi), model.dim_state)
                 y_next = np.empty(n)
-                _fixed_update(model, y[None, :], t, dt, xi, y_next, np.empty(n))
+                _raise_at_first_bad_row(_BAD_COEFFS, _fixed_update(
+                    model, y[None, :], t, dt, xi, y_next, np.empty(n)), y[None, :], t)
             dy = y_next - y
         except (PreconditionError, SimulationError) as e:
             fail(float(y[0]), t, e)

@@ -243,16 +243,31 @@ class TestCliPrice:
 
     def test_exploding_chain_names_its_stream(self, tmp_path, capsys):
         # the capped Euler chain of the reciprocal Bessel process leaves the
-        # reals on stream 1671: a runtime error that names the stream
+        # reals on streams 32 and 1671: a runtime error that names the lowest
+        # stream that fails when simulated alone
+        from pathfunc.cli import build_model, build_scheme
+        from pathfunc.config import parse_config
+        from pathfunc.errors import SimulationError
+        from pathfunc.schemes import RngStream, simulate_terminals
         text = (
             "model.kind = inverse_bessel3\nmodel.z0 = 1\n"
             "scheme.kind = euler\nscheme.h = 2^-6\nscheme.cap = 1/h\n"
             "functional.payoff = terminal_identity\nrun.n_paths = 2000\nrun.seed = 0\n"
         )
-        assert main(["price", write(tmp_path, "c.cfg", text)]) == 1
+        path = write(tmp_path, "c.cfg", text)
+        cfg = parse_config(path)
+        model, scheme = build_model(cfg), build_scheme(cfg)[0]
+        failing = []
+        for i in range(33):
+            try:
+                simulate_terminals(model, scheme, [RngStream(0, i)])
+            except SimulationError:
+                failing.append(i)
+        assert failing == [32]
+        assert main(["price", path]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == ("error: stream 1671: path simulation failed: "
+        assert out.err == ("error: stream 32: path simulation failed: "
                            "non-finite drift/diffusion evaluation\n")
 
     def test_cap_below_start_value_refused(self, tmp_path, capsys):

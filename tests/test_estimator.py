@@ -222,6 +222,69 @@ class TestEstimate:
         assert len(row.split(",")) == len(header.split(","))
 
 
+TREE = SchemeConfig("binomial_variable", h=2**-8)  # the variable-step tree of the benchmark
+TREE_SPECS = [custom_terminal("call", strike=0.5, r=0.1), discrete_barrier_call(0.5, 1.0, 0.1, 12)]
+
+
+class TestTreeStream:
+    def test_workload_row_pinned(self):
+        # 10 000 paths in two streamed batches of 26 groups of 312 paths
+        est = estimate(GBM, TREE, TREE_SPECS[0], 10000, seed=0)
+        assert (est.mean, est.stderr) == (0.34973352838473992, 0.0024002647720187164)
+
+    @pytest.mark.parametrize("spec", TREE_SPECS, ids=["terminal_call", "discrete_barrier_call"])
+    def test_no_byte_depends_on_the_batch(self, spec, monkeypatch):
+        # one group a batch (33 batches), the default 26 groups (2 batches),
+        # or every path in one batch: the same sums, group by group; with
+        # m = 12 each row is sampled at 12 instants of its own grid
+        from pathfunc import estimator
+        runs = []
+        for rows in (1, estimator._FOLD_ROWS, 10**6):
+            monkeypatch.setattr(estimator, "_FOLD_ROWS", rows)
+            runs.append(estimate(GBM, TREE, spec, 10000, seed=0))
+        for est in runs[1:]:
+            assert replace(est, elapsed=0.0) == replace(runs[0], elapsed=0.0)
+            np.testing.assert_array_equal(est.terminals, runs[0].terminals)
+        if spec.m == 12:
+            assert (runs[0].mean, runs[0].stderr) == (0.23481639625549955, 0.0030503342993871063)
+
+    def test_memory_does_not_grow_with_the_steps(self):
+        # an unbounded band streams 2000 rows at once: a row keeps its state,
+        # its samples and 32 words of signs, not its path (about 36 steps at
+        # h = 2^-6, 570 at h = 2^-10, where its path would take 18 MB)
+        bounded = SdeModel("bounded_vol", 1, 1, drift=lambda y, t: 0.05 * np.ones_like(y),
+                           diffusion=lambda y, t: (0.5 + 0.3 * np.sin(y))[..., None],
+                           y0=np.array([1.0]), sigma_eps=0.15)
+        spec = TREE_SPECS[1]
+        estimate(bounded, replace(TREE, h=2**-6), spec, 16, seed=0)  # one-time set-up
+        peaks = []
+        for h in (2**-6, 2**-10):
+            tracemalloc.start()
+            try:
+                estimate(bounded, replace(TREE, h=h), spec, 2000, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+    def test_finite_band_is_one_group_a_batch(self, monkeypatch):
+        # a finite band keeps whole paths, so a batch is one stored group of
+        # 1249 paths at h = 2^-6; an unbounded band streams them all at once
+        from pathfunc import estimator
+        sizes, states = [], estimator.simulate_states
+        monkeypatch.setattr(estimator, "simulate_states",
+                            lambda m, c, streams: sizes.append(len(streams)) or states(m, c, streams))
+        nu = SampleVector.uniform(1)
+        band = FunctionalSpec(m=1, nu1=nu, nu2=nu, nu3=nu, nu4=nu, payoff=None, bounded=True,
+                              payoff_batch=lambda x: x[:, -1], barriers=BarrierPair.levels(0.5, 1.2))
+        cfg = replace(TREE, h=2**-6)
+        assert estimate(GBM, cfg, band, 3000, seed=0).mean < 1.0
+        assert sizes == [1249, 1249, 502]
+        sizes.clear()
+        estimate(GBM, cfg, TREE_SPECS[0], 3000, seed=0)
+        assert sizes == [3000]
+
+
 class TestUiDiagnostic:
     def test_gbm_linear_passes(self):
         spec = custom_terminal("identity")

@@ -34,6 +34,13 @@ def bounded_vol_model(y0=1.0):
     )
 
 
+def sign_block(streams, n):
+    """The tree's first n signs of every stream, as a (B, n) block."""
+    from pathfunc.schemes import _stream_signs
+    sign, rows = _stream_signs(streams), np.arange(len(streams))
+    return np.hstack([sign(k, rows) for k in range(n)])
+
+
 class TestRngStream:
     def test_reproducible_and_distinct(self):
         a = RngStream(1, 0).generator().standard_normal(8)
@@ -77,11 +84,11 @@ class TestRngStream:
             streams = [RngStream(9, i, namespace=3) for i in range(5)]
             noise = np.concatenate([b.copy() for b in
                                     schemes._noise_blocks(streams, "binomial_fixed", 10, 1)])
-            signs = schemes._stream_signs(streams, 6)
+            signs = sign_block(streams, 130)  # three windows of raw words
             for i, s in enumerate(streams):
                 npt.assert_array_equal(noise[:, i, 0],
                                        np.copysign(1.0, s.generator().random(10) - 0.5))
-                npt.assert_array_equal(signs[i], s.generator().integers(0, 2, size=6) * 2.0 - 1)
+                npt.assert_array_equal(signs[i], s.generator().integers(0, 2, size=130) * 2.0 - 1)
         finally:
             schemes._reseat_is_exact.cache_clear()
 
@@ -125,7 +132,7 @@ class TestRngStream:
             with pytest.raises(ValueError):
                 bad.generator()
             with pytest.raises(ValueError):
-                schemes._stream_signs([bad], 4)
+                sign_block([bad], 4)
             streams = [RngStream(3, i) for i in range(300)]
             streams[200] = bad  # tile 1: drawer 1 seats it on a one-block grid
             for n_steps, rows in ((300, 2), (3000, 300)):  # one block; several
@@ -303,21 +310,49 @@ class TestEulerStep:
 
     def test_capped_infinite_drift_names_stream_state_and_t(self):
         # the cap would hide an infinite step (min(inf, cap) = cap), so the
-        # coefficients are screened before it; the error names the first
-        # failing row with its state before the step
+        # coefficients are screened before it; the error names the lowest
+        # failing row with its state before the step, though a higher row
+        # fails on an earlier step
         g = gbm(0.1, 0.3, 1.0)
         bad = SdeModel("bad", 1, 1, diffusion=g.diffusion, y0=g.y0,
                        drift=lambda y, t: np.where((t >= 0.5) & (y > 1.0), np.inf, g.drift(y, t)))
         cfg = SchemeConfig("euler", h=2**-3, cap=3.0)
         streams = [RngStream(1, i) for i in range(8)]
-        at_half = simulate_values(g, cfg, streams)[1][:, 4]
-        first = int(np.argmax(at_half[:, 0] > 1.0))
-        assert first > 0 and at_half[first, 0] > 1.0
+        values = simulate_values(g, cfg, streams)[1]
+        fails = values[:, 4:-1, 0] > 1.0  # the states stepped from at t >= 1/2
+        first = int(np.argmax(fails.any(axis=1)))
+        col = 4 + int(np.argmax(fails[first]))
+        assert first > 0 and col > 4 and fails[first + 1:, 0].any()
         with pytest.raises(SimulationError, match="non-finite drift/diffusion evaluation") as exc:
             for _ in simulate_states(bad, cfg, streams)[1]:
                 pass
-        assert (exc.value.batch_index, exc.value.t) == (first, 0.5)
-        npt.assert_array_equal(exc.value.state, at_half[first])
+        assert (exc.value.batch_index, exc.value.t) == (first, col / 8)
+        npt.assert_array_equal(exc.value.state, values[first, col])
+
+    def test_lowest_failing_row_is_named_when_it_fails_last(self):
+        # forced noise: row 2 fails on its coefficients on the first step,
+        # row 1 on its state on the second, row 0 on its coefficients on the
+        # last; the batch names row 0 as row 0 alone fails, and the failed
+        # rows' restarts leave row 3 as it is alone
+        from pathfunc import schemes
+        m = SdeModel("blowup", 1, 1, drift=lambda y, t: np.where(y > 2.0, np.inf, 0.0),
+                     diffusion=lambda y, t: np.ones_like(y)[..., None], y0=np.array([1.0]))
+        cfg = SchemeConfig("euler", h=0.25)
+        noise = np.zeros((4, 4, 1))
+        noise[:3, :, 0] = [[0, 0, 4, 0], [0, np.inf, 0, 0], [4, 0, 0, 0]]
+        noise[3, :, 0] = [1, -1, 0.5, 0.5]
+        states = schemes._grid_states(m, cfg, [None] * 4, noise)[1]
+        got = []
+        with pytest.raises(SimulationError) as exc:
+            for y in states:
+                got.append(y[3, 0])
+        with pytest.raises(SimulationError) as alone:
+            simulate_path(m, cfg, None, forced_noise=noise[0])
+        assert exc.value.batch_index == 0 and len(got) == 5
+        assert (str(exc.value), exc.value.t) == (str(alone.value), alone.value.t) == (
+            "non-finite drift/diffusion evaluation", 0.75)
+        npt.assert_array_equal(exc.value.state, [3.0])
+        npt.assert_array_equal(got, simulate_path(m, cfg, None, forced_noise=noise[3]).values)
 
     def test_finite_state_whose_sum_overflows_runs_on(self):
         # the screen's sum overflows; the exact check passes, silently
@@ -464,14 +499,20 @@ def tree_reference(model, h, stream):
 
 class TestTreeBatch:
     def test_sign_block_equals_scalar_draws(self):
+        # sign k is the stream's k-th scalar integers(0, 2) draw, read from
+        # raw words in windows of 64, also when only some rows ask for it
         from pathfunc.schemes import _stream_signs
         streams = [RngStream(4, i, namespace=9) for i in range(5)]
-        block = _stream_signs(streams, 40)
-        for i, s in enumerate(streams):
+        block = sign_block(streams, 200)
+        expected = []
+        for s in streams:
             gen = s.generator()
-            expected = [float(gen.integers(0, 2) * 2 - 1) for _ in range(40)]
-            npt.assert_array_equal(block[i], expected)
-        npt.assert_array_equal(_stream_signs(streams, 15), block[:, :15])
+            expected.append([float(gen.integers(0, 2) * 2 - 1) for _ in range(200)])
+        npt.assert_array_equal(block, expected)
+        sign = _stream_signs(streams)
+        for k in range(200):  # rows 0 and 3 leave after steps 70 and 130
+            rows = np.array([i for i, end in enumerate((70, 200, 200, 130, 200)) if k < end])
+            npt.assert_array_equal(sign(k, rows)[:, 0], block[rows, k])
 
     def test_batch_row_equals_single_path(self):
         m = bounded_vol_model()
@@ -646,14 +687,16 @@ class TestStreaming:
         self.test_noise_memory_is_one_block()
 
     def test_tree_states_stack_to_stored_batch(self):
-        # the tree streams its stored batch: per-row grids, padded after t = 1
+        # the tree's stream stacks to its stored batch: per-row grids, padded after t = 1
         model, cfg = bounded_vol_model(), SchemeConfig("binomial_variable", h=2**-6)
         streams = [RngStream(8, i) for i in range(9)]
         times, values = simulate_values(model, cfg, streams)
         s_times, states = simulate_states(model, cfg, streams)
-        npt.assert_array_equal(s_times, times)
+        assert s_times is None  # each column brings its rows' times
+        ts, ys = zip(*((t.copy(), y.copy()) for t, y in states))
+        npt.assert_array_equal(np.hstack(ts), times)
         assert times.shape == values.shape[:2] and len(set(np.argmax(times == 1.0, axis=1))) > 1
-        npt.assert_array_equal(np.stack([y.copy() for y in states], axis=1), values)
+        npt.assert_array_equal(np.stack(ys, axis=1), values)
         npt.assert_array_equal(simulate_terminals(model, cfg, streams), values[:, -1])
 
 
