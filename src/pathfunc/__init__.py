@@ -20,7 +20,7 @@ from .functionals import (FunctionalSpec, constant_payoff,
                           custom_terminal, discontinuity_mass_estimate,
                           discrete_barrier_call, evaluate, observe_args_batch,
                           payoff_values, up_and_in_call)
-from .models import SdeModel, bessel3, gbm, inverse_bessel3, stoch_vol
+from .models import SdeModel, gbm, inverse_bessel3, stoch_vol
 from .paths import (Barrier, BarrierPair, SampleVector, StepPath,
                     classify_c_partition, hitting_time)
 from .schemes import (RngStream, SchemeConfig, binomial_variable_step,

@@ -7,6 +7,8 @@ command runs in one process and sums in one order, so its output does not
 depend on the environment or the core count.  ``price``, ``converge`` and
 ``check`` accept only ``--workers 1``, which ``bench/`` passes.  Noise may
 be drawn on several threads, each stream from its own key, moving no byte.
+``price`` and ``converge`` print their rows as CSV; ``run.oracle`` is
+``none`` or ``auto`` (the closed form a run has, if any).
 
 Every scheme a command runs -- ``scheme.h``, each h of ``run.h_grid``, each
 ``check.kinds`` entry -- is built by :func:`build_scheme` and its helpers,
@@ -16,7 +18,7 @@ and ``converge`` judge a linear payoff's uniform-integrability gate on the
 paths they price, ``check`` on ``ui.n_paths`` fresh ones.  Exit codes: 0 ok,
 1 runtime error (naming the failing stream), 2 diagnostic failure, 64 config
 error (a refused value names its section or key; a cap at or below the
-model's start value included).
+model's start value and a ``check.probes_t`` time outside [0, 1) included).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .config import RunConfig, parse_config
 from .errors import ConfigError, PathfuncError
 from .functionals import (FunctionalSpec, constant_payoff, custom_terminal,
                           discrete_barrier_call, up_and_in_call)
-from .models import SdeModel, bessel3, gbm, inverse_bessel3, stoch_vol
+from .models import SdeModel, gbm, inverse_bessel3, stoch_vol
 from .paths import StepPath
 from .schemes import SCHEME_KINDS, SchemeConfig, check_local_consistency
 from .skorohod import skorohod_distance_approx
@@ -72,8 +74,6 @@ def build_model(cfg: RunConfig) -> SdeModel:
         return stoch_vol(cfg.get("model", "r"), cfg.require("model", "sigma"),
                          cfg.require("model", "x0"), rho=cfg.get("model", "rho"),
                          y0=cfg.get("model", "y0"))
-    if kind == "bessel3":
-        return bessel3(cfg.require("model", "x0"))
     if kind == "inverse_bessel3":
         return inverse_bessel3(cfg.get("model", "z0"))
     raise ConfigError(f"unknown model kind {kind!r}", key="model.kind")
@@ -124,20 +124,17 @@ def _refuse_low_cap(model: SdeModel, schemes) -> None:
 def build_spec(cfg: RunConfig) -> FunctionalSpec:
     payoff = cfg.get("functional", "payoff")
     r = cfg.get("model", "r")
-    coord = cfg.get("functional", "coordinate")
     if payoff == "up_in_call":
         return up_and_in_call(cfg.require("functional", "strike"),
                               cfg.require("functional", "barrier_level"), r,
-                              m=cfg.get("functional", "m"), coordinate=coord)
+                              m=cfg.get("functional", "m"))
     if payoff == "discrete_barrier_call":
         return discrete_barrier_call(cfg.require("functional", "strike"),
                                      cfg.require("functional", "barrier_level"), r,
-                                     m=cfg.require("functional", "m"),
-                                     coordinate=coord)
+                                     m=cfg.require("functional", "m"))
     if payoff in ("terminal_identity", "terminal_call", "terminal_put"):
         return custom_terminal(payoff.split("_", 1)[1],
-                               strike=cfg.get("functional", "strike"), r=r,
-                               coordinate=coord)
+                               strike=cfg.get("functional", "strike"), r=r)
     if payoff == "constant":
         return constant_payoff(cfg.get("functional", "strike"))
     raise ConfigError(f"unknown payoff kind {payoff!r}", key="functional.payoff")
@@ -154,17 +151,9 @@ def _emit(cfg: RunConfig, lines) -> None:
 
 
 def _estimate_lines(cfg: RunConfig, rows) -> list:
-    """rows: list of Estimate; CSV or aligned table per output.format."""
+    """rows: list of Estimate, as CSV (the one output.format)."""
     timing = cfg.get("run", "timing")
-    if cfg.get("output", "format") == "csv":
-        return [rows[0].csv_header()] + [e.csv_row(timing=timing) for e in rows]
-    out = [f"{'h':>12} {'mean':>12} {'stderr':>12} {'ci_lo':>12} "
-           f"{'ci_hi':>12} {'n':>8} {'elapsed':>9}"]
-    for e in rows:
-        t = f"{e.elapsed:9.3f}" if timing else f"{0.0:9.3f}"
-        out.append(f"{e.h:12.6g} {e.mean:12.6f} {e.stderr:12.6f} "
-                   f"{e.ci95[0]:12.6f} {e.ci95[1]:12.6f} {e.n_paths:8d} {t}")
-    return out
+    return [rows[0].csv_header()] + [e.csv_row(timing=timing) for e in rows]
 
 
 def _ui_gate(cfg, spec, sweep, rows) -> tuple[bool, list]:
@@ -173,7 +162,7 @@ def _ui_gate(cfg, spec, sweep, rows) -> tuple[bool, list]:
     :class:`~pathfunc.estimator.Estimate` each); no second sample is drawn."""
     if spec.bounded or cfg.get("run", "allow_linear"):
         return True, []
-    rep = estimator.tail_report(sweep, [e.terminals for e in rows], cfg.get("ui", "tail_tol"))
+    rep = estimator.tail_report(sweep, [e.terminals for e in rows])
     lines = [f"ui diagnostic: {'pass' if rep.passed else 'FAIL'} "
              f"(sup second moment {rep.sup_second_moment:.4g})"]
     if not rep.passed:
@@ -196,18 +185,15 @@ def cmd_price(args) -> int:
 
 
 def _auto_oracle(cfg: RunConfig, model, spec) -> tuple[float | None, str]:
-    mode = cfg.get("run", "oracle")
-    if mode == "none":
-        return None, ""
-    if mode == "auto":
-        if spec.label == "up_in_call" and model.label == "gbm":
-            v = oracles.up_and_in_call_price(
-                cfg.require("model", "x0"), cfg.require("functional", "strike"),
-                cfg.require("functional", "barrier_level"),
-                cfg.get("model", "r"), cfg.require("model", "sigma"))
-            return v, "reflection-principle closed form"
-        return None, ""
-    return float(mode), "user supplied"
+    """The closed form that ``run.oracle = auto`` finds for the run, if any."""
+    if (cfg.get("run", "oracle") == "auto" and spec.label == "up_in_call"
+            and model.label == "gbm"):
+        v = oracles.up_and_in_call_price(
+            cfg.require("model", "x0"), cfg.require("functional", "strike"),
+            cfg.require("functional", "barrier_level"),
+            cfg.get("model", "r"), cfg.require("model", "sigma"))
+        return v, "reflection-principle closed form"
+    return None, ""
 
 
 def cmd_converge(args) -> int:
@@ -247,15 +233,16 @@ def cmd_check(args) -> int:
     _refuse_low_cap(model, [scheme, *sweep])
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
-    probes = [(y, t) for y in cfg.get("check", "probes_y")
-              for t in cfg.get("check", "probes_t")]
+    probes_t = cfg.get("check", "probes_t")
+    if not all(0.0 <= t < 1.0 for t in probes_t):  # a NaN time fails too
+        raise ConfigError(f"check.probes_t = {', '.join(f'{t:g}' for t in probes_t)}: "
+                          "every probe time must lie in [0, 1)", key="check.probes_t")
+    probes = [(y, t) for y in cfg.get("check", "probes_y") for t in probes_t]
     lines = []
     failed = False
     for one in checked:
-        rep = check_local_consistency(
-            model, one, probes,
-            n_draws=cfg.get("check", "n_draws"), seed=seed,
-            c_const=cfg.get("check", "c_const"))
+        rep = check_local_consistency(model, one, probes,
+                                      n_draws=cfg.get("check", "n_draws"), seed=seed)
         lines.append(f"scheme {one.kind}: {'pass' if rep.passed else 'FAIL'}")
         for r in rep.rows:
             if r.note:
@@ -271,8 +258,7 @@ def cmd_check(args) -> int:
         lines.append("ui diagnostic: skipped (bounded payoff)")
     else:
         ui = estimator.ui_diagnostic(model, scheme, spec, [s.h for s in sweep],
-                                     n_paths=cfg.get("ui", "n_paths"), seed=seed,
-                                     tail_tol=cfg.get("ui", "tail_tol"))
+                                     n_paths=cfg.get("ui", "n_paths"), seed=seed)
         lines.append(f"ui diagnostic: {'pass' if ui.passed else 'FAIL'} "
                      f"(tail tol {ui.tail_tol:g}, "
                      f"sup second moment {ui.sup_second_moment:.4g})")
@@ -351,7 +337,7 @@ def _read_path_csv(path: str) -> StepPath:
 def cmd_skorohod_dist(args) -> int:
     x = _read_path_csv(args.path_a)
     y = _read_path_csv(args.path_b)
-    d = skorohod_distance_approx(x, y, budget=args.budget)
+    d = skorohod_distance_approx(x, y)
     sys.stdout.write(f"{d:.17g}\n")
     return EXIT_OK
 
@@ -396,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="approximate Skorohod distance of two CSV paths")
     sp.add_argument("path_a")
     sp.add_argument("path_b")
-    sp.add_argument("--budget", type=int, default=6)
     sp.set_defaults(func=cmd_skorohod_dist)
     return p
 

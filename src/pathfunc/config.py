@@ -16,9 +16,10 @@ from .errors import ConfigError
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text"]
 
-# section -> key -> (type tag, default); the tags are "str", "num", "int",
-# "size" (a sample size, at least 2), "bool", "numlist", "cap" and "one" --
-# run.workers: read by nothing, accepted as 1 for the benchmark harness.
+# section -> key -> (type tag, default); a tag is "str", "num", "int",
+# "size" (a sample size, at least 2), "bool", "numlist", "cap", "one"
+# (run.workers: read by nothing, accepted as 1 for the benchmark harness)
+# or a tuple of the accepted words.
 # ui.n_paths sizes the sample ``check`` draws; price and converge judge the
 # gate on the priced paths
 _KEYS = {
@@ -29,19 +30,19 @@ _KEYS = {
     "scheme": {"kind": ("str", "euler"), "h": ("num", None), "cap": ("cap", None)},
     "functional": {
         "payoff": ("str", "terminal_identity"), "strike": ("num", 0.0),
-        "barrier_level": ("num", 1.0), "m": ("int", 1), "coordinate": ("int", 0),
+        "barrier_level": ("num", 1.0), "m": ("int", 1),
     },
     "run": {
         "n_paths": ("size", 10000), "seed": ("int", 0), "workers": ("one", 1),
-        "h_grid": ("numlist", None), "oracle": ("str", "none"),
+        "h_grid": ("numlist", None), "oracle": (("none", "auto"), "none"),
         "allow_linear": ("bool", False), "timing": ("bool", True),
     },
     "check": {
         "probes_y": ("numlist", [0.5, 1.0, 2.0]), "probes_t": ("numlist", [0.0, 0.5]),
-        "n_draws": ("size", 1000000), "c_const": ("num", 1.0), "kinds": ("str", "config"),
+        "n_draws": ("size", 1000000), "kinds": ("str", "config"),
     },
-    "ui": {"n_paths": ("size", 20000), "tail_tol": ("num", 0.05)},
-    "output": {"format": ("str", "table"), "path": ("str", "-")},
+    "ui": {"n_paths": ("size", 20000)},
+    "output": {"format": (("csv",), "csv"), "path": ("str", "-")},
 }
 
 
@@ -59,8 +60,13 @@ def _parse_number(text: str, key: str) -> float:
         raise ConfigError(f"config key {key!r}: cannot parse number {text!r}", key=key) from e
 
 
-def _parse_value(tag: str, text: str, key: str):
+def _parse_value(tag: str | tuple, text: str, key: str):
     text = text.strip()
+    if isinstance(tag, tuple):
+        if text not in tag:
+            raise ConfigError(f"config key {key!r}: expected one of {', '.join(tag)}, "
+                              f"got {text!r}", key=key)
+        return text
     if tag == "str":
         return text
     if tag == "num":

@@ -1,7 +1,7 @@
 """Payoff specifications and the full path-functional assembly.
 
-For one scalar path x with exit time tau against the configured barriers,
-the engine evaluates
+For one scalar path x (state column 0) with exit time tau against the
+configured barriers, the engine evaluates
 
     g(Pi(x, tau nu1), Pi(x, nu2), Pi(M(x), tau nu3), Pi(M(x), nu4), tau)
 
@@ -13,7 +13,7 @@ running maximum is argument 4m.
 
 Paths are observed a batch at a time by one observer, :func:`fold_args_batch`:
 it folds a batch's columns as they are stepped, on a shared grid or the
-tree's grids per row, and keeps the coordinate and its running maximum where
+tree's grids per row, and keeps column 0 and its running maximum where
 the payoff can read them (:func:`keeps_whole_paths`);
 :func:`observe_args_batch` feeds it stored paths.  tau and the samples follow
 the exit and sampling rules of :mod:`pathfunc.paths` (``exit_times`` and
@@ -28,7 +28,7 @@ can be monitored empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -62,8 +62,7 @@ class FunctionalSpec:
     :func:`payoff_values` then applies it row by row.  ``locus_distance`` maps
     argument vectors to the distance from the payoff's discontinuity set
     (vectorized over a leading axis).  ``bounded`` is False for a payoff of
-    linear growth.  ``coordinate`` picks the scalar state component the
-    barriers and payoff read on multi-dimensional models.
+    linear growth.  The barriers and payoff read column 0 of the state.
     """
 
     m: int
@@ -74,7 +73,6 @@ class FunctionalSpec:
     payoff: Callable[[np.ndarray], float]
     bounded: bool
     barriers: BarrierPair
-    coordinate: int = 0
     payoff_batch: Callable[[np.ndarray], np.ndarray] | None = None
     locus_distance: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = "custom"
@@ -98,7 +96,7 @@ def fold_args_batch(times: np.ndarray | None, states, spec: FunctionalSpec) -> n
     ``states`` yields each column in order: the (B, d) state on ``times``, a
     shared (n+1,) grid or stored (B, n+1) grids per row, or with ``times``
     None the tree's (B, 1) times and (B, d) state (``schemes.simulate_states``),
-    on grids per row that may end by repeating t = 1.  The coordinate and its
+    on grids per row that may end by repeating t = 1.  Column 0 and its
     running maximum are kept where the payoff can read them
     (:func:`keeps_whole_paths`); on streamed grids per row an instant s takes
     the last column with t <= s by overwriting.  tau and the samples then
@@ -120,7 +118,7 @@ def fold_args_batch(times: np.ndarray | None, states, spec: FunctionalSpec) -> n
     for col, y in enumerate(states):
         if times is None:
             t, y = y
-        v = y[:, spec.coordinate]
+        v = y[:, 0]
         if M is None:
             M = v.copy()
             V_at, M_at = np.empty((M.size, kept.size)), np.empty((M.size, kept.size))
@@ -146,9 +144,9 @@ def fold_args_batch(times: np.ndarray | None, states, spec: FunctionalSpec) -> n
 def observe_args_batch(times: np.ndarray, values: np.ndarray,
                        spec: FunctionalSpec) -> np.ndarray:
     """:func:`fold_args_batch` of stored paths: ``values`` is a (B, n+1, d)
-    block, or a (B, n+1) block read as coordinate 0."""
+    or a (B, n+1) block."""
     if values.ndim == 2:
-        values, spec = values[:, :, None], replace(spec, coordinate=0)
+        values = values[:, :, None]
     return fold_args_batch(times, values.swapaxes(0, 1), spec)
 
 
@@ -173,10 +171,8 @@ def payoff_values(spec: FunctionalSpec, args: np.ndarray) -> np.ndarray:
 
 
 def evaluate(path: StepPath, spec: FunctionalSpec) -> float:
-    """Payoff of one path, evaluated as a batch of one.
-
-    Multi-dimensional paths are read through the configured coordinate.
-    """
+    """Payoff of one path, evaluated as a batch of one; a multi-dimensional
+    path is read in column 0."""
     return float(payoff_values(spec, observe_args_batch(path.times, path.values[None], spec))[0])
 
 
@@ -191,7 +187,7 @@ def _uniform_spec(m: int) -> dict:
 
 
 def _knock_in_call(strike: float, barrier_level: float, r: float, m: int,
-                   coordinate: int, label: str, knock_level) -> FunctionalSpec:
+                   label: str, knock_level) -> FunctionalSpec:
     """e^{-r} (x_{2m} - K)^+ knocked in when ``knock_level`` of the (N, 4m+1)
     argument block reaches the barrier level; linear growth, discontinuous
     on {knock_level = barrier}.  The band stays unbounded, so tau = 1."""
@@ -217,36 +213,34 @@ def _knock_in_call(strike: float, barrier_level: float, r: float, m: int,
         locus_distance=locus_distance,
         bounded=False,
         barriers=BarrierPair.unbounded(),
-        coordinate=coordinate,
         label=label,
     )
 
 
-def up_and_in_call(strike: float, barrier_level: float, r: float, m: int = 1,
-                   coordinate: int = 0) -> FunctionalSpec:
+def up_and_in_call(strike: float, barrier_level: float, r: float,
+                   m: int = 1) -> FunctionalSpec:
     """Up-and-in call: e^{-r} (X(1) - K)^+ activated when the running
     maximum reaches the barrier level.
 
     The knock-in condition reads the terminal running maximum (argument 4m).
     """
-    return _knock_in_call(strike, barrier_level, r, m, coordinate, "up_in_call",
+    return _knock_in_call(strike, barrier_level, r, m, "up_in_call",
                           lambda x: x[:, 4 * m - 1])
 
 
 def discrete_barrier_call(strike: float, barrier_level: float, r: float,
-                          m: int, coordinate: int = 0) -> FunctionalSpec:
+                          m: int) -> FunctionalSpec:
     """Up-and-in call with the barrier monitored at the m instants i/m.
 
     The knock-in condition reads the maximum of the monitored path values
     (arguments m+1 .. 2m); the call leg reads the terminal value (argument
     2m).
     """
-    return _knock_in_call(strike, barrier_level, r, m, coordinate, "discrete_barrier_call",
+    return _knock_in_call(strike, barrier_level, r, m, "discrete_barrier_call",
                           lambda x: np.max(x[:, m:2 * m], axis=1))
 
 
-def custom_terminal(kind: str, strike: float = 0.0, r: float = 0.0,
-                    coordinate: int = 0) -> FunctionalSpec:
+def custom_terminal(kind: str, strike: float = 0.0, r: float = 0.0) -> FunctionalSpec:
     """Payoffs of the terminal value only: identity, call or put.
 
     ``identity`` returns the discounted terminal value itself and is the
@@ -269,7 +263,6 @@ def custom_terminal(kind: str, strike: float = 0.0, r: float = 0.0,
         locus_distance=None,
         bounded=False,
         barriers=BarrierPair.unbounded(),
-        coordinate=coordinate,
         label=f"terminal_{kind}",
     )
 

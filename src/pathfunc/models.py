@@ -5,9 +5,9 @@ Coefficient callables are vectorized over a leading batch axis: drift maps a
 variable-step tree, to (batch, d); diffusion maps to (batch, d, d1).  Models
 are immutable and safe to share.
 
-The Bessel-type models, whose coefficients are far from Lipschitz, are meant
-only for the counter-example harnesses; their exact stopped sampler is the
-one user of scipy here (``scipy.special``, imported on its first call).
+The reciprocal Bessel(3) model, whose diffusion is far from Lipschitz, is
+meant only for the counter-example harnesses; its exact stopped sampler is
+the one user of scipy here (``scipy.special``, imported on its first call).
 
 Every model is built from numbers, which its coefficients close over; the
 horizon is 1 throughout.
@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "SdeModel",
     "gbm",
-    "bessel3",
     "inverse_bessel3",
     "stoch_vol",
     "sample_reciprocal_bessel3_stopped",
@@ -78,31 +77,6 @@ def gbm(r: float, sigma: float, x0: float) -> SdeModel:
         diffusion=diffusion,
         y0=np.array([x0]),
         sigma_eps=0.1,
-    )
-
-
-def bessel3(x0: float) -> SdeModel:
-    """Bessel process of dimension 3: dX = (1/X) dt + dW.
-
-    The drift blows up at 0, so the model is not Lipschitz; it is
-    quarantined to counter-example harnesses.
-    """
-    if x0 <= 0.0:
-        raise ValueError("bessel3 needs x0 > 0")
-
-    def drift(y, t):
-        return 1.0 / y
-
-    def diffusion(y, t):
-        return np.ones_like(y)[..., None]
-
-    return SdeModel(
-        label="bessel3",
-        dim_state=1,
-        dim_noise=1,
-        drift=drift,
-        diffusion=diffusion,
-        y0=np.array([x0]),
     )
 
 

@@ -551,8 +551,7 @@ class ConsistencyReport:
 
 
 def check_local_consistency(model: SdeModel, config: SchemeConfig,
-                            probes: Iterable, n_draws: int = 10**6,
-                            seed: int = 0, c_const: float = 1.0,
+                            probes: Iterable, n_draws: int = 10**6, seed: int = 0,
                             reference: SdeModel | None = None) -> ConsistencyReport:
     """Empirical check of the local-consistency moment conditions.
 
@@ -564,7 +563,7 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
         r1 = (E[dY] - E[dt] b(y,t)) / E[dt]
         r2 = (var[dY] - E[dt] sigma sigma'(y,t)) / E[dt]
 
-    and a probe passes when |r| <= c_const * h + 4 standard errors and the
+    and a probe passes when |r| <= h + 4 standard errors and the
     realized dt stays inside the declared quasi-uniformity band.  Passing a
     separate ``reference`` model measures the kernel of ``model`` against
     the reference coefficients (used to demonstrate detection of a
@@ -623,8 +622,8 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
         r2_mat = (cov - dt * a_ref) / dt
         r1 = float(np.max(np.abs(r1_vec)))
         r2 = float(np.max(np.abs(r2_mat)))
-        tol1 = c_const * config.h + float(np.max(4.0 * se1 / dt))
-        tol2 = c_const * config.h + float(np.max(4.0 * np.abs(se2) / dt))
+        tol1 = config.h + float(np.max(4.0 * se1 / dt))
+        tol2 = config.h + float(np.max(4.0 * np.abs(se2) / dt))
         ratio = dt / config.h
         qu_ok = lo * (1 - 1e-12) <= ratio <= hi * (1 + 1e-12)
         ok = (r1 <= tol1) and (r2 <= tol2) and qu_ok

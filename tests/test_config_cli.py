@@ -79,7 +79,8 @@ class TestConfigParsing:
             parse_config_text("scheme.stepsize = 0.1\n")
         with pytest.raises(ConfigError):
             parse_config_text("grid.h = 0.1\n")
-        for key in ("model.mu", "model.b_vol", "ui.cutoff_max"):  # read by nothing
+        for key in ("model.mu", "model.b_vol", "ui.cutoff_max",  # read by nothing
+                    "functional.coordinate", "check.c_const", "ui.tail_tol"):
             with pytest.raises(ConfigError):
                 parse_config_text(f"{key} = 0.5\n")
 
@@ -125,6 +126,16 @@ class TestCliPrice:
         assert out[0] == "h,mean,stderr,ci_lo,ci_hi,n,elapsed"
         fields = out[1].split(",")
         assert float(fields[1]) == 2.5 and float(fields[2]) == 0.0
+
+    def test_output_is_csv_and_only_csv(self, tmp_path, capsys):
+        # the default prints the CSV rows; any other format is refused
+        text = CONSTANT_CFG.replace("output.format = csv\n", "")
+        assert main(["price", write(tmp_path, "c.cfg", text)]) == 0
+        assert capsys.readouterr().out.startswith("h,mean,stderr,ci_lo,ci_hi,n,elapsed\n")
+        for fmt in ("table", "json"):
+            text = CONSTANT_CFG.replace("output.format = csv", f"output.format = {fmt}")
+            assert main(["price", write(tmp_path, "c.cfg", text)]) == 64
+            assert "'output.format'" in capsys.readouterr().err
 
     def test_missing_h_is_config_error(self, tmp_path, capsys):
         path = write(tmp_path, "bad.cfg", "model.kind = gbm\nmodel.x0 = 1\nrun.n_paths = 16\n")
@@ -341,6 +352,19 @@ class TestCliCheck:
         assert main(["check", path]) == 2
         assert "band" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("probes_t", ["0.5, 1.0", "1.5", "-0.5", "nan"])
+    def test_probe_time_outside_unit_interval_refused(self, tmp_path, capsys, probes_t):
+        # t = 1 once printed r1 = nan FAIL rows and t = -0.5 passed as ok
+        text = (
+            "model.kind = gbm\nmodel.r = 0.1\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
+            "scheme.kind = euler\nscheme.h = 2^-6\n"
+            "functional.payoff = terminal_identity\n"
+            f"check.kinds = all\ncheck.probes_t = {probes_t}\ncheck.n_draws = 1000\n"
+            "ui.n_paths = 200\nrun.seed = 5\n"
+        )
+        assert main(["check", write(tmp_path, "check.cfg", text)]) == 64
+        assert "check.probes_t" in capsys.readouterr().err
+
 
 class TestCliCounterexample:
     def test_tangency(self, capsys):
@@ -416,6 +440,19 @@ class TestCliConverge:
         out = capsys.readouterr().out
         assert "oracle = 0.2629996714" in out
 
+    @pytest.mark.parametrize("value", ["autoo", "nan", "0.26"])
+    def test_oracle_is_auto_or_none(self, tmp_path, capsys, value):
+        # a typo once escaped as a ValueError traceback, and nan printed
+        # non_convergence_flag = True with exit 0
+        text = (
+            "model.kind = gbm\nmodel.r = 0.1\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
+            "scheme.kind = euler\nfunctional.payoff = up_in_call\n"
+            "functional.strike = 0.5\nfunctional.barrier_level = 1.0\n"
+            "run.n_paths = 200\nrun.h_grid = 2^-3, 2^-4, 2^-5\n"
+            f"run.oracle = {value}\nrun.allow_linear = true\n"
+        )
+        assert main(["converge", write(tmp_path, "c.cfg", text)]) == 64
+        assert "'run.oracle'" in capsys.readouterr().err
 
     def test_numeric_cap_reaches_every_row(self, tmp_path, capsys):
         from pathfunc.estimator import convergence_study

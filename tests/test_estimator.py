@@ -327,16 +327,16 @@ class TestUiDiagnostic:
         est = estimate(GBM, config, spec, 300, seed=7, namespace=3)
         x = simulate_terminals(GBM, config, [RngStream(7, i, 3) for i in range(300)])
         assert np.array_equal(est.terminals, x[:, 0])
-        rep = tail_report([config], [est.terminals], 0.05)
+        rep = tail_report([config], [est.terminals])
         assert rep.rows[0][3] == float(np.mean(x[:, 0] ** 2))
 
     def test_nan_row_fails_the_gate(self):
         # a NaN tail is not at most tail_tol, wherever its row falls
         fine, nan = np.array([0.5, 1.0]), np.array([np.nan, 1.0])
         for terminals in ([nan, fine], [fine, nan]):
-            rep = tail_report([CFG, replace(CFG, h=2**-7)], terminals, 0.05)
+            rep = tail_report([CFG, replace(CFG, h=2**-7)], terminals)
             assert not rep.passed and np.isnan(rep.sup_second_moment)
-        assert tail_report([CFG], [fine], 0.05).passed
+        assert tail_report([CFG], [fine]).passed
 
     def test_gate_refuses_a_spec_that_stops_before_one(self):
         # nu2 = (1/2,): argument 2m is X(1/2), which the gate must not read
@@ -345,7 +345,7 @@ class TestUiDiagnostic:
         est = estimate(GBM, CFG, spec, 100, seed=0)
         assert est.terminals is None
         with pytest.raises(PreconditionError, match="nu2"):
-            tail_report([CFG], [est.terminals], 0.05)
+            tail_report([CFG], [est.terminals])
 
 
 class TestConvergenceStudy:

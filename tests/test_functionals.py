@@ -1,6 +1,5 @@
 import bisect
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -97,8 +96,8 @@ class TestObserve:
         vals = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
         p = StepPath(times, vals)
         spec = spec_with(BarrierPair.unbounded(), m=1)
-        assert path_args(p, spec)[1] == 3.0  # z2 = x(1) with m = 1
-        assert path_args(p, replace(spec, coordinate=1))[1] == 30.0
+        # every payoff reads column 0: z2 = x(1) and z4 = M(1) with m = 1
+        assert path_args(p, spec)[[1, 3]].tolist() == [3.0, 3.0]
 
 
 class TestEvaluate:
@@ -230,9 +229,9 @@ class TestBatchObservation:
 
 
 class TestFold:
-    @given(st.sampled_from([("euler", gbm(0.1, 0.4, 1.0), 0),
-                            ("euler", stoch_vol(0.1, 0.3, 1.0), 1),
-                            ("binomial_variable", BOUNDED_VOL, 0)]),
+    @given(st.sampled_from([("euler", gbm(0.1, 0.4, 1.0)),
+                            ("euler", stoch_vol(0.1, 0.3, 1.0)),
+                            ("binomial_variable", BOUNDED_VOL)]),
            st.sampled_from([2**-5, 0.3, 0.07, 1 / 12]),
            st.integers(1, 4), barrier_pairs(), st.data(), st.integers(0, 2**31))
     def test_fold_equals_reference(self, scheme, h, m, band, data, seed):
@@ -240,12 +239,12 @@ class TestFold:
         # off the definitions, on grids whose last step is truncated, on the
         # tree's padded per-row grids, and on infinite, constant and
         # time-varying bands alike
-        kind, model, coordinate = scheme
+        kind, model = scheme
         nus = [SampleVector(np.sort(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m,
                                                        max_size=m))))
                for _ in range(4)]
         spec = FunctionalSpec(m, *nus, payoff=lambda x: 0.0, bounded=True,
-                              barriers=band, coordinate=coordinate)
+                              barriers=band)
         cfg = SchemeConfig(kind, h=h)
         streams = [RngStream(seed, i) for i in range(6)]
         times, values = simulate_values(model, cfg, streams)
@@ -253,7 +252,7 @@ class TestFold:
         row_times = np.broadcast_to(times, values.shape[:2])
         for i in range(len(streams)):
             npt.assert_array_equal(folded[i], reference_args(row_times[i],
-                                                             values[i, :, coordinate], spec))
+                                                             values[i, :, 0], spec))
 
     def test_finite_band_folds_to_reference(self):
         # some rows leave the band and some do not; z1 and z3 sample at tau

@@ -209,3 +209,53 @@ def test_every_definition_is_reached_from_a_command():
     from_main = reached([("cli", "main")])
     assert sorted(UNREACHED_ALLOWED & from_main) == []  # a stale entry goes
     assert sorted(set(mentions) - reached([("cli", "main"), *UNREACHED_ALLOWED])) == []
+
+
+# Config keys no shipped config and no benchmark input sets, each kept for a
+# stated reason.  Every other key, and every command-line option, must have
+# a setter there: a value nothing sets is a knob nobody turns.
+UNSET_ALLOWED = {
+    # the stochastic-volatility barrier config of ROADMAP item 5 sets these
+    "model.y0", "model.rho",
+    # where a deployment writes a run's output; every run here prints it
+    "output.path",
+}
+
+
+def _benchmark_runs(tmp_path):
+    """The config files and command lines of every benchmark workload, at
+    both sizes, as the benchmark builds them."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "bench" / "workload.py"
+    spec = importlib.util.spec_from_file_location("bench_workload", path)
+    workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload)
+    configs, commands = [], []
+    for name in workload.WORKLOADS:
+        for size in workload.SIZES:
+            work = tmp_path / f"{name}-{size}"
+            work.mkdir()
+            inputs = workload.INPUTS[name](workload.Ctx(name, 0, size, False, work))
+            configs += inputs.configs
+            commands += inputs.commands
+    return configs, commands
+
+
+def test_every_config_key_and_option_has_a_setter(tmp_path):
+    from pathlib import Path
+
+    from pathfunc.cli import _build_parser
+    from pathfunc.config import _KEYS, parse_config
+    configs, commands = _benchmark_runs(tmp_path)
+    configs += sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    set_keys = {f"{section}.{key}" for c in configs
+                for section, keys in parse_config(str(c)).values.items() for key in keys}
+    keys = {f"{section}.{key}" for section in _KEYS for key in _KEYS[section]}
+    assert sorted(UNSET_ALLOWED & set_keys) == []  # a stale entry goes
+    assert sorted(keys - set_keys - UNSET_ALLOWED) == []
+    passed = {arg for argv in commands for arg in argv if arg.startswith("--")}
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    options = {opt for sp in subparsers.choices.values() for a in sp._actions
+               for opt in a.option_strings if opt not in ("-h", "--help")}
+    assert sorted(options - passed) == []

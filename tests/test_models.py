@@ -2,8 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pathfunc.models import (bessel3, gbm, inverse_bessel3,
-                             sample_reciprocal_bessel3_stopped, stoch_vol)
+from pathfunc.models import (gbm, inverse_bessel3, sample_reciprocal_bessel3_stopped,
+                             stoch_vol)
 from pathfunc.oracles import reciprocal_bessel3_mean
 from pathfunc.schemes import RngStream, SchemeConfig, simulate_path
 
@@ -47,25 +47,6 @@ class TestLipschitz:
         for phi in (m.drift, m.diffusion):
             num = np.abs(phi(y1, t1) - phi(y2, t2)).reshape(den.shape)
             assert np.max(num / den) <= max(0.1, 0.3) + 1e-9
-
-
-class TestBessel3:
-    def test_drift_and_diffusion(self):
-        m = bessel3(1.0)
-        y = np.array([[2.0]])
-        assert m.drift(y, 0.3)[0, 0] == pytest.approx(0.5)
-        assert m.diffusion(y, 0.3)[0, 0, 0] == pytest.approx(1.0)
-
-    def test_not_a5_compliant(self):
-        # the drift 1/y has no Lipschitz constant near 0: its difference
-        # quotient between 1e-3 and 2e-3 is 5e5
-        drift = bessel3(1.0).drift
-        ratio = abs(drift(np.array([[1e-3]]), 0.0) - drift(np.array([[2e-3]]), 0.0))[0, 0] / 1e-3
-        assert ratio == pytest.approx(5e5)
-
-    def test_positive_initial_required(self):
-        with pytest.raises(ValueError):
-            bessel3(0.0)
 
 
 class TestInverseBessel3:
