@@ -17,8 +17,8 @@ resolved by :class:`~pathfunc.schemes.SchemeConfig` at each h.  ``price``
 and ``converge`` judge a linear payoff's uniform-integrability gate on the
 paths they price, ``check`` on ``ui.n_paths`` fresh ones.  Exit codes: 0 ok,
 1 runtime error (naming the failing stream), 2 diagnostic failure, 64 config
-error (a refused value names its section or key; a cap at or below the
-model's start value and a ``check.probes_t`` time outside [0, 1) included).
+error (a refused value names its section or key: a cap at or below the start
+value, an empty probe list and a probe time outside [0, 1) among them).
 """
 
 from __future__ import annotations
@@ -233,11 +233,14 @@ def cmd_check(args) -> int:
     _refuse_low_cap(model, [scheme, *sweep])
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
-    probes_t = cfg.get("check", "probes_t")
+    probes_y, probes_t = cfg.get("check", "probes_y"), cfg.get("check", "probes_t")
+    for key, values in (("check.probes_y", probes_y), ("check.probes_t", probes_t)):
+        if not values:
+            raise ConfigError(f"key {key!r} is empty: no probe to measure", key=key)
     if not all(0.0 <= t < 1.0 for t in probes_t):  # a NaN time fails too
         raise ConfigError(f"check.probes_t = {', '.join(f'{t:g}' for t in probes_t)}: "
                           "every probe time must lie in [0, 1)", key="check.probes_t")
-    probes = [(y, t) for y in cfg.get("check", "probes_y") for t in probes_t]
+    probes = [(y, t) for y in probes_y for t in probes_t]
     lines = []
     failed = False
     for one in checked:

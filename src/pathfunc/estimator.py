@@ -18,6 +18,7 @@ reciprocal-Bessel harness below shows what goes wrong otherwise.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field, replace
 
@@ -31,8 +32,8 @@ from .functionals import (FunctionalSpec, evaluate, fold_args_batch, keeps_whole
 from .models import SdeModel, sample_reciprocal_bessel3_stopped
 from .oracles import reciprocal_bessel3_mean
 from .paths import BarrierPair, StepPath, classify_c_partition, hitting_time
-from .schemes import (_BATCH_ELEMENTS, RngStream, SchemeConfig, fixed_time_grid,
-                      simulate_path, simulate_states, simulate_terminals, simulate_values)
+from .schemes import (_BATCH_ELEMENTS, RngStream, SchemeConfig, simulate_path,
+                      simulate_states, simulate_terminals, simulate_values)
 
 __all__ = [
     "Estimate",
@@ -99,18 +100,22 @@ def _finalize(total: float, total_sq: float, n: int, h: float, t0: float) -> Est
 
 
 def _batch_size(config: SchemeConfig, model: SdeModel) -> int:
-    """Paths per reduction group, sized by the longest row -- the fixed grid,
-    or the ceil(1 / (lo h)) + 1 times the tree's band admits -- so that a
-    stored batch of paths fits the memory budget.  A batch that keeps whole
+    """Paths per reduction group: a stored batch of its longest rows
+    (``config.max_times``) fits the memory budget.  A batch that keeps whole
     paths is one group; a streamed one, the tree's too, holds several.  The
     estimate sums each group on its own, so the group size fixes its bytes."""
-    if config.kind == "binomial_variable":
-        lo, _ = config.resolved_qu_bounds(model)
-        n_times = int(np.ceil(1.0 / (lo * config.h))) + 1
-    else:
-        n_times = fixed_time_grid(config.h).size
-    per_path = max(1, n_times * model.dim_state)
+    per_path = max(1, config.max_times(model) * model.dim_state)
     return max(16, min(16384, _BATCH_ELEMENTS // per_path))
+
+
+@contextlib.contextmanager
+def _naming_streams(streams):
+    """Re-raise a failed path or payoff as an EstimationError naming its stream."""
+    try:
+        yield
+    except (SimulationError, EvaluationError) as e:
+        sid = streams[e.batch_index].stream_id
+        raise EstimationError(f"stream {sid}: path simulation failed: {e}", stream_id=sid) from e
 
 
 def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
@@ -141,13 +146,9 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
     for start in range(0, n_paths, per_batch):
         streams = [RngStream(seed, i, namespace)
                    for i in range(start, min(start + per_batch, n_paths))]
-        try:
+        with _naming_streams(streams):
             args = fold_args_batch(*simulate_states(model, config, streams), spec)
             vals = payoff_values(spec, args)
-        except (SimulationError, EvaluationError) as e:
-            sid = streams[e.batch_index].stream_id
-            raise EstimationError(f"stream {sid}: path simulation failed: {e}",
-                                  stream_id=sid) from e
         for g in range(0, vals.size, bsz):
             group = vals[g:g + bsz]
             total += float(np.sum(group))
@@ -177,7 +178,8 @@ def _terminal_samples(model: SdeModel, config_h: SchemeConfig, n: int,
         gen = RngStream(seed, 0, namespace).generator()
         return sample_reciprocal_bessel3_stopped(float(model.y0[0]), config_h.cap_level, n, gen)
     streams = [RngStream(seed, i, namespace) for i in range(n)]
-    return simulate_terminals(model, config_h, streams)[:, 0]
+    with _naming_streams(streams):
+        return simulate_terminals(model, config_h, streams)[:, 0]
 
 
 def tail_report(schemes, terminals) -> UiReport:

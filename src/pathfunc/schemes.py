@@ -8,17 +8,18 @@ Three scheme kinds are provided:
   probabilities, scalar models only;
 * ``binomial_variable``: state-dependent step dt = h / sigma(y,t)^2 with
   spatial jumps b dt +/- sqrt(h), admissible only while sigma stays inside a
-  declared band eps < |sigma| < 1/eps.
+  declared band eps < |sigma| < 1/eps, which every step checks.
 
 Every kind steps a batch of paths together; a single path is a batch of one.
 The fixed-step kinds share one update, differing only in its draws (normals
 or +/-1 signs), on one grid; the variable-step tree steps its rows with
 :func:`binomial_variable_step`, each on its own grid.  The consistency checker
 measures these same two kernels.  All kinds truncate the final step so the
-grid lands exactly on t = 1, and ``simulate_path`` emits the realized grid as
-a :class:`StepPath`.  Paths are reproducible: every path owns a counter-based
-RNG stream keyed by (seed, namespace, stream id), so each path's draws do not
-depend on how paths are batched.
+grid lands exactly on t = 1; every other step is h, or in [eps^2 h, h / eps^2]
+on the tree, so quasi-uniformity holds by construction.  ``simulate_path``
+emits the realized grid as a :class:`StepPath`.  Paths are reproducible:
+every path owns a counter-based RNG stream keyed by (seed, namespace, stream
+id), so each path's draws do not depend on how paths are batched.
 
 Every kind is a stream of states (:func:`simulate_states`), stepped as it
 is read into reused buffers, so the observer (``functionals.fold_args_batch``)
@@ -125,18 +126,17 @@ class SchemeConfig:
         """The level the state is capped at at this h, None when uncapped."""
         return 1.0 / self.h if isinstance(self.cap, str) else self.cap
 
-    def resolved_qu_bounds(self, model: SdeModel) -> tuple[float, float]:
-        """Quasi-uniformity band lo * h <= dt <= hi * h on ``model``: exact
-        (1, 1) for the fixed-step kernels, (eps^2, 1/eps^2) from the model's
-        declared sigma band for the variable-step tree.  Every simulation
-        entry and the consistency checker resolve it first, so it also
-        refuses models the kernel cannot run."""
+    def max_times(self, model: SdeModel) -> int:
+        """The most grid times a path of ``model`` can take: the fixed grid's,
+        or ceil(1 / (eps^2 h)) + 1 on the tree, whose steps are at least
+        eps^2 h.  Every simulation entry and the consistency checker call it
+        first, so it also refuses models the kernel cannot run."""
         if self.kind != "euler" and (model.dim_state, model.dim_noise) != (1, 1):
             raise PreconditionError("binomial kernels require d = d1 = 1")
         if self.kind == "binomial_variable":
             eps = _require_sigma_band(model)
-            return (eps * eps, 1.0 / (eps * eps))
-        return (1.0, 1.0)
+            return math.ceil(1.0 / (eps * eps * self.h)) + 1
+        return fixed_time_grid(self.h).size
 
 
 def _require_sigma_band(model: SdeModel) -> float:
@@ -280,7 +280,7 @@ def _tree_states(model: SdeModel, config: SchemeConfig, n_rows: int, sign):
     the batch with the rows after it; after the last column the lowest
     failing row's error is raised with that row as ``batch_index``.
     """
-    (lo, hi), cap = config.resolved_qu_bounds(model), config.cap_level
+    cap = config.cap_level
     y, t = np.repeat(model.y0[None, :], n_rows, axis=0), np.zeros((n_rows, 1))
     k, failure, active = 0, None, np.ones(n_rows, dtype=bool)
     yield t, y
@@ -288,11 +288,8 @@ def _tree_states(model: SdeModel, config: SchemeConfig, n_rows: int, sign):
         rows = np.flatnonzero(active)
         try:
             dt, y_next = binomial_variable_step(model, y[rows], t[rows], config.h, sign(k, rows))
-            t_next, ratio = t[rows] + dt, dt / config.h
+            t_next = t[rows] + dt
             trunc = t_next >= 1.0 - 1e-15
-            qu_ok = trunc | ((lo * (1 - 1e-12) <= ratio) & (ratio <= hi * (1 + 1e-12)))
-            _raise_at_first_bad_row(f"quasi-uniformity violated: dt/h outside [{lo}, {hi}]",
-                                    qu_ok[:, 0], y[rows], t[rows])
             if cap is not None:
                 y_next = np.minimum(y_next, cap)
             _raise_at_first_bad_row(_BAD_STATE, np.isfinite(y_next).all(axis=1), y_next, t_next)
@@ -450,10 +447,10 @@ def _stream_signs(streams: Sequence[RngStream]):
 def _grid_states(model: SdeModel, config: SchemeConfig, streams, noise=None):
     """:func:`simulate_states`, ``noise`` replacing the draws: path-major
     (B, n_steps, d1) on the fixed grids, (B, n) signs, n >= steps, on the tree."""
+    config.max_times(model)  # refuses models the kernel cannot run
     if config.kind == "binomial_variable":
         sign = _stream_signs(streams) if noise is None else lambda k, rows: noise[rows, k, None]
         return None, _tree_states(model, config, len(streams), sign)
-    config.resolved_qu_bounds(model)  # refuses binomial kernels on vector models
     times = fixed_time_grid(config.h)
     n_steps, d1 = times.size - 1, model.dim_noise
     if noise is None:
@@ -534,7 +531,6 @@ class ConsistencyRow:
     tol1: float
     tol2: float
     dt_ratio: float
-    qu_ok: bool
     passed: bool
     note: str = ""
 
@@ -563,8 +559,9 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
         r1 = (E[dY] - E[dt] b(y,t)) / E[dt]
         r2 = (var[dY] - E[dt] sigma sigma'(y,t)) / E[dt]
 
-    and a probe passes when |r| <= h + 4 standard errors and the
-    realized dt stays inside the declared quasi-uniformity band.  Passing a
+    and a probe passes when |r| <= h + 4 standard errors.  The realized
+    dt / h is reported, not judged: the steps are quasi-uniform by
+    construction, and a step truncated at t = 1 is shorter.  Passing a
     separate ``reference`` model measures the kernel of ``model`` against
     the reference coefficients (used to demonstrate detection of a
     sabotaged kernel).
@@ -575,10 +572,10 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
     def fail(y, t, e):
         report.rows.append(ConsistencyRow(
             y=y, t=t, method="n/a", r1=np.nan, r2=np.nan, tol1=0.0, tol2=0.0,
-            dt_ratio=np.nan, qu_ok=False, passed=False, note=str(e)))
+            dt_ratio=np.nan, passed=False, note=str(e)))
 
     try:
-        lo, hi = config.resolved_qu_bounds(model)
+        config.max_times(model)  # refuses models the kernel cannot run
     except PreconditionError as e:
         fail(np.nan, np.nan, e)
         return report
@@ -624,10 +621,7 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
         r2 = float(np.max(np.abs(r2_mat)))
         tol1 = config.h + float(np.max(4.0 * se1 / dt))
         tol2 = config.h + float(np.max(4.0 * np.abs(se2) / dt))
-        ratio = dt / config.h
-        qu_ok = lo * (1 - 1e-12) <= ratio <= hi * (1 + 1e-12)
-        ok = (r1 <= tol1) and (r2 <= tol2) and qu_ok
         report.rows.append(ConsistencyRow(
-            y=float(y[0]), t=t, method=method, r1=r1, r2=r2,
-            tol1=tol1, tol2=tol2, dt_ratio=ratio, qu_ok=qu_ok, passed=ok))
+            y=float(y[0]), t=t, method=method, r1=r1, r2=r2, tol1=tol1, tol2=tol2,
+            dt_ratio=dt / config.h, passed=(r1 <= tol1) and (r2 <= tol2)))
     return report

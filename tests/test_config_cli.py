@@ -365,6 +365,50 @@ class TestCliCheck:
         assert main(["check", write(tmp_path, "check.cfg", text)]) == 64
         assert "check.probes_t" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["check.probes_y", "check.probes_t"])
+    def test_empty_probe_list_refused(self, tmp_path, capsys, key):
+        # an empty list once printed `scheme ...: pass` for every kernel
+        # without measuring one moment
+        text = CONSTANT_CFG + f"check.kinds = all\ncheck.n_draws = 1000\n{key} =\n"
+        assert main(["check", write(tmp_path, "check.cfg", text)]) == 64
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"config error: key {key!r} is empty: no probe to measure\n"
+
+    def test_truncated_final_step_passes(self, tmp_path, capsys):
+        # at t = 0.99 the last step is 0.01 = 0.64 h: a probe passes on its
+        # moment residuals, and dt / h is reported, not judged
+        text = (
+            "model.kind = gbm\nmodel.r = 0.1\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
+            "scheme.kind = euler\nscheme.h = 2^-6\nfunctional.payoff = constant\n"
+            "check.kinds = all\ncheck.probes_t = 0.99\ncheck.n_draws = 100000\n"
+            "run.seed = 52\n"
+        )
+        assert main(["check", write(tmp_path, "check.cfg", text)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("scheme")] == [
+            "scheme euler: pass", "scheme binomial_fixed: pass",
+            "scheme binomial_variable: pass"]
+        probes = [line for line in out if line.startswith("  probe")]
+        assert len(probes) == 9
+        assert all(line.endswith("dt/h=0.64 ok") for line in probes)
+
+    def test_ui_sample_failure_names_its_stream(self, tmp_path, capsys):
+        # check's fresh tail sample reports a failed path as price does
+        text = (
+            "model.kind = gbm\nmodel.sigma = 1e120\nmodel.x0 = 1\n"
+            "scheme.kind = euler\nscheme.h = 2^-6\n"
+            "functional.payoff = terminal_identity\nrun.allow_linear = true\n"
+            "check.n_draws = 1000\nui.n_paths = 100\nrun.n_paths = 100\n"
+        )
+        path = write(tmp_path, "c.cfg", text)
+        expected = ("error: stream 0: path simulation failed: "
+                    "non-finite drift/diffusion evaluation\n")
+        for command in ("price", "check"):
+            assert main([command, path]) == 1
+            out = capsys.readouterr()
+            assert (out.out, out.err) == ("", expected)
+
 
 class TestCliCounterexample:
     def test_tangency(self, capsys):

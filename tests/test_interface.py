@@ -211,6 +211,36 @@ def test_every_definition_is_reached_from_a_command():
     assert sorted(set(mentions) - reached([("cli", "main"), *UNREACHED_ALLOWED])) == []
 
 
+# Imports a module never uses, each kept for a stated reason.
+UNUSED_IMPORTS_ALLOWED = {
+    # the frozen benchmark times estimate minus its calls to these, looked up
+    # on the estimator module by name (bench/layers.py::_estimator_self)
+    ("estimator", "evaluate"),
+    ("estimator", "observe_args_batch"),
+    ("estimator", "simulate_path"),
+    ("estimator", "simulate_values"),
+}
+
+
+def test_every_import_is_used():
+    # A name a module imports but never mentions is a dependency nothing
+    # needs.  __init__.py imports to re-export, so it is exempt.
+    import ast
+    from pathlib import Path
+    unused = set()
+    for f in sorted((Path(__file__).resolve().parents[1] / "src" / "pathfunc").glob("*.py")):
+        if f.name == "__init__.py":
+            continue
+        tree = ast.parse(f.read_text())
+        imported = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused |= {(f.stem, name) for name in imported - used}
+    assert sorted(UNUSED_IMPORTS_ALLOWED - unused) == []  # a stale entry goes
+    assert sorted(unused - UNUSED_IMPORTS_ALLOWED) == []
+
+
 # Config keys no shipped config and no benchmark input sets, each kept for a
 # stated reason.  Every other key, and every command-line option, must have
 # a setter there: a value nothing sets is a knob nobody turns.

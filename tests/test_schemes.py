@@ -643,6 +643,15 @@ class TestSimulatePath:
                 n_steps = int(np.searchsorted(p.times, t_probe, side="right")) - 1
                 assert n_steps <= K * t_probe / h + 1
 
+    @pytest.mark.parametrize("kind", ["euler", "binomial_fixed", "binomial_variable"])
+    def test_rows_fit_max_times(self, kind):
+        # the estimator sizes its batches by the longest row a scheme admits
+        m, cfg = bounded_vol_model(), SchemeConfig(kind, h=2**-5)
+        times, _ = simulate_values(m, cfg, [RngStream(55, sid) for sid in range(20)])
+        assert times.shape[-1] <= cfg.max_times(m)
+        if kind != "binomial_variable":  # every fixed-grid row is the longest
+            assert times.shape[-1] == cfg.max_times(m)
+
 
 class TestStreaming:
     @pytest.mark.parametrize("kind,model", [("euler", gbm(0.05, 0.2, 1.0)),
