@@ -9,9 +9,8 @@ estimates converge, and harnesses for the classical counter-examples where
 they do not.
 """
 
-from .errors import (ConfigError, DomainError, EstimationError,
-                     EvaluationError, PathfuncError, PreconditionError,
-                     SimulationError)
+from .errors import (ConfigError, EstimationError, EvaluationError,
+                     PathfuncError, PreconditionError, SimulationError)
 from .estimator import (ConvergenceReport, Estimate, UiReport,
                         convergence_study, counterexample_bessel,
                         counterexample_strong, counterexample_tangency,

@@ -15,10 +15,12 @@ Every scheme a command runs -- ``scheme.h``, each h of ``run.h_grid``, each
 as ``replace(scheme, ...)`` of the configured scheme, so a ``1/h`` cap is
 resolved by :class:`~pathfunc.schemes.SchemeConfig` at each h.  ``price``
 and ``converge`` judge a linear payoff's uniform-integrability gate on the
-paths they price, ``check`` on ``ui.n_paths`` fresh ones.  Exit codes: 0 ok,
-1 runtime error (naming the failing stream), 2 diagnostic failure, 64 config
-error (a refused value names its section or key: a cap at or below the start
-value, an empty probe list and a probe time outside [0, 1) among them).
+paths they price, ``check`` on ``ui.n_paths`` fresh ones that
+:func:`~pathfunc.estimator.estimate` prices in namespaces 1000 + k.  Exit
+codes: 0 ok, 1 runtime error (naming the failing stream), 2 diagnostic
+failure (a probe with non-finite moments among them), 64 config error (a
+refused value names its section or key: a cap at or below the start value,
+an empty probe list and a probe time outside [0, 1) among them).
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class _refusals_as_config_errors(contextlib.ContextDecorator):
         if isinstance(e, ValueError) and not isinstance(e, ConfigError):
             section, _, key = self.where.partition(".")
             named = f"section {section!r}" + (f", key {self.where!r}" if key else "")
-            raise ConfigError(f"{named}: {e}", key=self.where) from e
+            raise ConfigError(f"{named}: {e}") from e
         return False
 
 
@@ -76,7 +78,7 @@ def build_model(cfg: RunConfig) -> SdeModel:
                          y0=cfg.get("model", "y0"))
     if kind == "inverse_bessel3":
         return inverse_bessel3(cfg.get("model", "z0"))
-    raise ConfigError(f"unknown model kind {kind!r}", key="model.kind")
+    raise ConfigError(f"unknown model kind {kind!r}")
 
 
 def build_scheme(cfg: RunConfig, h_key: str = "scheme.h") -> tuple[SchemeConfig, list]:
@@ -96,7 +98,7 @@ def build_scheme(cfg: RunConfig, h_key: str = "scheme.h") -> tuple[SchemeConfig,
     with _refusals_as_config_errors(h_key):
         sweep = [replace(scheme, h=h) for h in (hs if isinstance(hs, list) else [hs])]
     if not sweep:
-        raise ConfigError(f"key {h_key!r} is empty", key=h_key)
+        raise ConfigError(f"key {h_key!r} is empty")
     return sweep[0], sweep
 
 
@@ -117,7 +119,7 @@ def _refuse_low_cap(model: SdeModel, schemes) -> None:
     for s in schemes:
         if s.cap_level is not None and not s.cap_level > start:
             raise ConfigError(f"scheme.cap = {s.cap_level:g} at h = {s.h:g} must exceed "
-                              f"the start value {start:g}", key="scheme.cap")
+                              f"the start value {start:g}")
 
 
 @_refusals_as_config_errors("functional")
@@ -137,7 +139,7 @@ def build_spec(cfg: RunConfig) -> FunctionalSpec:
                                strike=cfg.get("functional", "strike"), r=r)
     if payoff == "constant":
         return constant_payoff(cfg.get("functional", "strike"))
-    raise ConfigError(f"unknown payoff kind {payoff!r}", key="functional.payoff")
+    raise ConfigError(f"unknown payoff kind {payoff!r}")
 
 
 def _emit(cfg: RunConfig, lines) -> None:
@@ -208,7 +210,7 @@ def cmd_converge(args) -> int:
     oracle, note = _auto_oracle(cfg, model, spec)
     rep = estimator.convergence_study(model, scheme, spec, [s.h for s in sweep],
                                       cfg.require("run", "n_paths"), seed,
-                                      oracle=oracle, oracle_note=note)
+                                      oracle=oracle)
     ok, lines = _ui_gate(cfg, spec, sweep, [e for _, e in rep.rows])
     if not ok:
         _emit(cfg, lines)
@@ -236,10 +238,10 @@ def cmd_check(args) -> int:
     probes_y, probes_t = cfg.get("check", "probes_y"), cfg.get("check", "probes_t")
     for key, values in (("check.probes_y", probes_y), ("check.probes_t", probes_t)):
         if not values:
-            raise ConfigError(f"key {key!r} is empty: no probe to measure", key=key)
+            raise ConfigError(f"key {key!r} is empty: no probe to measure")
     if not all(0.0 <= t < 1.0 for t in probes_t):  # a NaN time fails too
         raise ConfigError(f"check.probes_t = {', '.join(f'{t:g}' for t in probes_t)}: "
-                          "every probe time must lie in [0, 1)", key="check.probes_t")
+                          "every probe time must lie in [0, 1)")
     probes = [(y, t) for y in probes_y for t in probes_t]
     lines = []
     failed = False
@@ -280,9 +282,9 @@ def cmd_counterexample(args) -> int:
     paths = args.paths
     for flag, value in (("--paths", paths), ("--seed", args.seed)):
         if name == "tangency" and value is not None:
-            raise ConfigError(f"{flag} has no effect on tangency, which draws nothing", key=flag)
+            raise ConfigError(f"{flag} has no effect on tangency, which draws nothing")
     if paths is not None and paths < 2:
-        raise ConfigError(f"--paths must be at least 2, got {paths}", key="--paths")
+        raise ConfigError(f"--paths must be at least 2, got {paths}")
     lines = []
     if name == "tangency":
         rep = estimator.counterexample_tangency()
@@ -297,7 +299,7 @@ def cmd_counterexample(args) -> int:
         lines.append(f"{'h':>12} {'cap':>10} {'capped_mean':>12} {'stderr':>10}")
         for h, cap, mean, se in rep.rows:
             lines.append(f"{h:12.6g} {cap:10.4g} {mean:12.6f} {se:10.6f}")
-        lines.append(f"oracle E[Z(1)] = {rep.oracle:.6f} ({rep.oracle_note})")
+        lines.append(f"oracle E[Z(1)] = {rep.oracle:.6f} (closed form z0 (2 Phi(1/z0) - 1))")
         lines.append(f"capped mean within 3 stderr of 1: {rep.capped_mean_near_start}")
         lines.append(f"oracle below 1 by more than 5 stderr: {rep.gap_significant}")
         ok = rep.passed
@@ -310,7 +312,7 @@ def cmd_counterexample(args) -> int:
         lines.append(f"strictly increasing: {rep.strictly_increasing}")
         ok = rep.passed
     else:
-        raise ConfigError(f"unknown counterexample {name!r}", key="name")
+        raise ConfigError(f"unknown counterexample {name!r}")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_DIAGNOSTIC
 

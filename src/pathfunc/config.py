@@ -57,7 +57,7 @@ def _parse_number(text: str, key: str) -> float:
             return float(num) / float(den)
         return float(text)
     except (ValueError, ZeroDivisionError) as e:
-        raise ConfigError(f"config key {key!r}: cannot parse number {text!r}", key=key) from e
+        raise ConfigError(f"config key {key!r}: cannot parse number {text!r}") from e
 
 
 def _parse_value(tag: str | tuple, text: str, key: str):
@@ -65,7 +65,7 @@ def _parse_value(tag: str | tuple, text: str, key: str):
     if isinstance(tag, tuple):
         if text not in tag:
             raise ConfigError(f"config key {key!r}: expected one of {', '.join(tag)}, "
-                              f"got {text!r}", key=key)
+                              f"got {text!r}")
         return text
     if tag == "str":
         return text
@@ -74,14 +74,14 @@ def _parse_value(tag: str | tuple, text: str, key: str):
     if tag in ("int", "size"):
         v = _parse_number(text, key)
         if v != int(v):
-            raise ConfigError(f"config key {key!r}: expected an integer, got {text!r}", key=key)
+            raise ConfigError(f"config key {key!r}: expected an integer, got {text!r}")
         if tag == "size" and v < 2:
-            raise ConfigError(f"config key {key!r}: need at least 2, got {text!r}", key=key)
+            raise ConfigError(f"config key {key!r}: need at least 2, got {text!r}")
         return int(v)
     if tag == "one":
         if _parse_value("int", text, key) != 1:
             raise ConfigError(f"config key {key!r}: only 1 is accepted, got {text!r}; "
-                              "every run uses one process", key=key)
+                              "every run uses one process")
         return 1
     if tag == "bool":
         low = text.lower()
@@ -89,7 +89,7 @@ def _parse_value(tag: str | tuple, text: str, key: str):
             return True
         if low in ("false", "off", "no", "0"):
             return False
-        raise ConfigError(f"config key {key!r}: expected a boolean, got {text!r}", key=key)
+        raise ConfigError(f"config key {key!r}: expected a boolean, got {text!r}")
     if tag == "numlist":
         return [_parse_number(p, key) for p in text.split(",") if p.strip()]
     if tag == "cap":
@@ -121,8 +121,7 @@ class RunConfig:
     def require(self, section: str, key: str):
         v = self.get(section, key)
         if v is None:
-            raise ConfigError(f"missing required config key {section}.{key}",
-                              key=f"{section}.{key}")
+            raise ConfigError(f"missing required config key {section}.{key}")
         return v
 
 
@@ -137,12 +136,12 @@ def parse_config_text(text: str) -> RunConfig:
         lhs, rhs = line.split("=", 1)
         lhs = lhs.strip()
         if "." not in lhs:
-            raise ConfigError(f"line {lineno}: key {lhs!r} must be section.key", key=lhs)
+            raise ConfigError(f"line {lineno}: key {lhs!r} must be section.key")
         section, key = lhs.split(".", 1)
         if section not in _KEYS:
-            raise ConfigError(f"unknown config section {section!r}", key=lhs)
+            raise ConfigError(f"unknown config section {section!r}")
         if key not in _KEYS[section]:
-            raise ConfigError(f"unknown config key {lhs!r}", key=lhs)
+            raise ConfigError(f"unknown config key {lhs!r}")
         values.setdefault(section, {})[key] = _parse_value(_KEYS[section][key][0], rhs, lhs)
     return RunConfig(values=values)
 

@@ -5,10 +5,6 @@ class PathfuncError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DomainError(PathfuncError, ValueError):
-    """An argument lies outside the domain an operation is defined on."""
-
-
 class PreconditionError(PathfuncError, ValueError):
     """A declared precondition of an operation is violated."""
 
@@ -26,11 +22,7 @@ class SimulationError(PathfuncError, RuntimeError):
 
 
 class EvaluationError(PathfuncError, RuntimeError):
-    """A payoff returned a non-finite value; carries its argument vector."""
-
-    def __init__(self, message, observables=None):
-        super().__init__(message)
-        self.observables = observables
+    """A payoff returned a non-finite value."""
 
 
 class EstimationError(PathfuncError, RuntimeError):
@@ -42,8 +34,4 @@ class EstimationError(PathfuncError, RuntimeError):
 
 
 class ConfigError(PathfuncError, ValueError):
-    """A run configuration is malformed; carries the offending key."""
-
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key
+    """A run configuration is malformed; the message names the offending key."""

@@ -12,13 +12,14 @@ when only the sampled instants are kept, and one group when whole paths are.
 ``estimate`` prices whatever payoff it is given and keeps each path's
 X^h(1).  Expectations of a linear-growth payoff under a weakly convergent
 family are only trustworthy when the family's tails vanish uniformly, so
-the commands judge that gate (:func:`tail_report`) on those values; the
+the commands judge that gate (:func:`tail_report`) on those values:
+``price`` and ``converge`` on the paths they price, ``check`` on fresh paths
+priced in namespaces 1000 + k (:func:`ui_diagnostic`).  The
 reciprocal-Bessel harness below shows what goes wrong otherwise.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, field, replace
 
@@ -33,7 +34,7 @@ from .models import SdeModel, sample_reciprocal_bessel3_stopped
 from .oracles import reciprocal_bessel3_mean
 from .paths import BarrierPair, StepPath, classify_c_partition, hitting_time
 from .schemes import (_BATCH_ELEMENTS, RngStream, SchemeConfig, simulate_path,
-                      simulate_states, simulate_terminals, simulate_values)
+                      simulate_states, simulate_values)
 
 __all__ = [
     "Estimate",
@@ -56,6 +57,11 @@ _FOLD_ROWS = 8192
 # The uniform-integrability gate's bound on the tail expectation at the
 # largest cutoff (tail_report).
 _TAIL_TOL = 0.05
+
+# A convergence sweep's oracle is covered when the smallest-h 99% interval,
+# widened by this constant times sqrt(h) for the chain's O(sqrt(h)) barrier
+# bias, contains it (_convergence_flags).
+_BIAS_ALLOWANCE = 0.35
 
 # counterexample_strong's one reused buffer: 512 KB of float64 fits a 2 MB
 # per-core L2; whole (b, N, 64) blocks peaked at 138 MB RSS at N = 10 000.
@@ -108,16 +114,6 @@ def _batch_size(config: SchemeConfig, model: SdeModel) -> int:
     return max(16, min(16384, _BATCH_ELEMENTS // per_path))
 
 
-@contextlib.contextmanager
-def _naming_streams(streams):
-    """Re-raise a failed path or payoff as an EstimationError naming its stream."""
-    try:
-        yield
-    except (SimulationError, EvaluationError) as e:
-        sid = streams[e.batch_index].stream_id
-        raise EstimationError(f"stream {sid}: path simulation failed: {e}", stream_id=sid) from e
-
-
 def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
              n_paths: int, seed: int, workers: int = 1, namespace: int = 0,
              ui_override: bool = True) -> Estimate:
@@ -127,8 +123,8 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
     payoff evaluation aborts with an error that names the failing stream.
     ``workers`` is accepted only as 1 and ``ui_override`` only as True, the
     values the benchmark harness passes.  Any payoff is priced, keeping each
-    path's X^h(1): ``price`` and ``converge`` judge the uniform-integrability
-    gate (:func:`tail_report`) on the paths they price.
+    path's X^h(1): the commands judge the uniform-integrability gate
+    (:func:`tail_report`) on priced paths.
     """
     if n_paths < 2:
         raise PreconditionError("need at least two paths for a standard error")
@@ -146,9 +142,13 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
     for start in range(0, n_paths, per_batch):
         streams = [RngStream(seed, i, namespace)
                    for i in range(start, min(start + per_batch, n_paths))]
-        with _naming_streams(streams):
+        try:
             args = fold_args_batch(*simulate_states(model, config, streams), spec)
             vals = payoff_values(spec, args)
+        except (SimulationError, EvaluationError) as e:
+            sid = streams[e.batch_index].stream_id
+            raise EstimationError(f"stream {sid}: path simulation failed: {e}",
+                                  stream_id=sid) from e
         for g in range(0, vals.size, bsz):
             group = vals[g:g + bsz]
             total += float(np.sum(group))
@@ -170,16 +170,14 @@ class UiReport:
     sup_second_moment: float
 
 
-def _terminal_samples(model: SdeModel, config_h: SchemeConfig, n: int,
-                      seed: int, namespace: int) -> np.ndarray:
+def _terminal_samples(model: SdeModel, config_h: SchemeConfig, spec: FunctionalSpec,
+                      n: int, seed: int, namespace: int) -> np.ndarray:
     if model.label == "inverse_bessel3":
         # Grid chains of the quadratic-volatility SDE diverge in moments, so
         # this family is sampled from its exact stopped law instead.
         gen = RngStream(seed, 0, namespace).generator()
         return sample_reciprocal_bessel3_stopped(float(model.y0[0]), config_h.cap_level, n, gen)
-    streams = [RngStream(seed, i, namespace) for i in range(n)]
-    with _naming_streams(streams):
-        return simulate_terminals(model, config_h, streams)[:, 0]
+    return estimate(model, config_h, spec, n, seed, namespace=namespace).terminals
 
 
 def tail_report(schemes, terminals) -> UiReport:
@@ -216,15 +214,16 @@ def tail_report(schemes, terminals) -> UiReport:
 
 def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
                   h_grid, n_paths: int = 20000, seed: int = 0) -> UiReport:
-    """:func:`tail_report` of n_paths fresh terminal values at each h, drawn
-    in namespace 1000 + k under ``replace(config, h=h)`` (a ``1/h`` cap is
-    resolved there), as ``check`` runs it on a linear-growth payoff.  Every
-    payoff reads column 0, so ``spec`` goes unread; the benchmark harness
-    passes it by position."""
+    """:func:`tail_report` of the X^h(1) of n_paths fresh paths at each h,
+    priced by :func:`estimate` in namespace 1000 + k under
+    ``replace(config, h=h)`` (a ``1/h`` cap is resolved there), as ``check``
+    runs it on a linear-growth payoff; the reciprocal-Bessel family is drawn
+    from its exact stopped law instead.  A failing path is named by its
+    stream, as in ``price``."""
     schemes = [replace(config, h=h) for h in h_grid]
     if not schemes:
         raise PreconditionError("h_grid must be nonempty")
-    samples = (_terminal_samples(model, cfg, n_paths, seed, 1000 + k)
+    samples = (_terminal_samples(model, cfg, spec, n_paths, seed, 1000 + k)
                for k, cfg in enumerate(schemes))
     return tail_report(schemes, samples)
 
@@ -235,8 +234,6 @@ class ConvergenceReport:
 
     rows: list  # (h, Estimate), h decreasing
     oracle: float | None = None
-    oracle_note: str = ""
-    bias_allowance: float = 0.0
     errors: list = field(default_factory=list)
     trend_slope: float | None = None
     errors_nonincreasing: bool | None = None
@@ -257,7 +254,7 @@ def _convergence_flags(report: ConvergenceReport) -> None:
     inversions = sum(1 for a, b in zip(errs, errs[1:]) if b > a * (1.0 + 1e-12))
     report.errors_nonincreasing = inversions <= 1
     h_last, est_last = report.rows[-1]
-    allowance = 2.576 * est_last.stderr + report.bias_allowance * np.sqrt(h_last)
+    allowance = 2.576 * est_last.stderr + _BIAS_ALLOWANCE * np.sqrt(h_last)
     report.oracle_covered = errs[-1] <= allowance
     if all(e > 0.0 for e in errs):
         hs = np.log([h for h, _ in report.rows])
@@ -275,9 +272,8 @@ def check_h_grid(h_grid) -> list:
 
 
 def convergence_study(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
-                      h_grid, n_paths: int, seed: int, oracle: float | None = None,
-                      oracle_note: str = "",
-                      bias_allowance: float = 0.35) -> ConvergenceReport:
+                      h_grid, n_paths: int, seed: int,
+                      oracle: float | None = None) -> ConvergenceReport:
     """Run the estimator across a decreasing grid of step parameters, on
     ``replace(config, h=h)`` at each h, as :func:`ui_diagnostic` sweeps.
     A linear payoff's uniform-integrability gate is the caller's to judge on
@@ -286,14 +282,13 @@ def convergence_study(model: SdeModel, config: SchemeConfig, spec: FunctionalSpe
     When an oracle is supplied the report carries |mean - oracle| per row,
     whether the errors are nonincreasing (one statistical inversion is
     tolerated), and whether the smallest-h 99% interval widened by
-    bias_allowance * sqrt(h) covers the oracle.
+    ``_BIAS_ALLOWANCE`` * sqrt(h) covers the oracle.
     """
     rows = []
     for k, h in enumerate(check_h_grid(h_grid)):
         est = estimate(model, replace(config, h=h), spec, n_paths, seed, namespace=100 + k)
         rows.append((h, est))
-    report = ConvergenceReport(rows=rows, oracle=oracle, oracle_note=oracle_note,
-                               bias_allowance=bias_allowance)
+    report = ConvergenceReport(rows=rows, oracle=oracle)
     _convergence_flags(report)
     return report
 
@@ -336,7 +331,6 @@ def counterexample_tangency() -> TangencyReport:
 class BesselReport:
     rows: list  # (h, cap, mean, stderr)
     oracle: float
-    oracle_note: str
     capped_mean_near_start: bool
     gap_significant: bool
 
@@ -345,16 +339,16 @@ class BesselReport:
         return self.capped_mean_near_start and self.gap_significant
 
 
-def counterexample_bessel(h_grid=(2**-4, 2**-6, 2**-8), n_paths: int = 200000,
-                          seed: int = 0) -> BesselReport:
+def counterexample_bessel(n_paths: int = 200000, seed: int = 0) -> BesselReport:
     """Uniform-integrability failure for the reciprocal Bessel(3) process.
 
-    For each h the process is stopped at the cap 1/h; each stopped variable
-    is a bounded martingale, so the capped terminal mean equals z0 = 1 for
-    every h even though the family converges weakly to the uncapped value
-    Z(1), whose mean -- the closed-form oracle -- is strictly below 1.  The
-    capped family carries mass about (1 - E[Z(1)]) at height 1/h, which is
-    exactly the non-vanishing tail the UI diagnostic flags.
+    For each h = 2^-4, 2^-6, 2^-8 the process is stopped at the cap 1/h;
+    each stopped variable is a bounded martingale, so the capped terminal
+    mean equals z0 = 1 for every h even though the family converges weakly
+    to the uncapped value Z(1), whose mean -- the closed-form oracle -- is
+    strictly below 1.  The capped family carries mass about (1 - E[Z(1)])
+    at height 1/h, which is exactly the non-vanishing tail the UI diagnostic
+    flags.
 
     Sampling uses the exact stopped law (absorption probability from the
     reflection principle, terminal density by rejection); grid chains of
@@ -363,7 +357,7 @@ def counterexample_bessel(h_grid=(2**-4, 2**-6, 2**-8), n_paths: int = 200000,
     """
     z0 = 1.0
     rows = []
-    for k, h in enumerate(h_grid):
+    for k, h in enumerate((2**-4, 2**-6, 2**-8)):
         cap = 1.0 / h
         gen = RngStream(seed, 0, namespace=500 + k).generator()
         draws = sample_reciprocal_bessel3_stopped(z0, cap, n_paths, gen)
@@ -375,7 +369,6 @@ def counterexample_bessel(h_grid=(2**-4, 2**-6, 2**-8), n_paths: int = 200000,
     return BesselReport(
         rows=rows,
         oracle=oracle,
-        oracle_note="closed form z0 (2 Phi(1/z0) - 1)",
         capped_mean_near_start=abs(m_last - z0) <= 3.0 * se_last,
         gap_significant=(z0 - oracle) > 5.0 * se_last,
     )

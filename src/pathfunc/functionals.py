@@ -164,7 +164,7 @@ def payoff_values(spec: FunctionalSpec, args: np.ndarray) -> np.ndarray:
     finite = np.isfinite(vals)
     if not finite.all():
         bad = int(np.argmin(finite))
-        e = EvaluationError("payoff returned a non-finite value", observables=args[bad])
+        e = EvaluationError("payoff returned a non-finite value")
         e.batch_index = bad
         raise e
     return vals

@@ -37,10 +37,8 @@ def up_and_in_call_price(s0: float, strike: float, barrier: float, r: float,
     Standard barrier-option closed form assembled from the reflection
     principle; requires the spot to start below the barrier.
     """
-    if s0 >= barrier:
-        return vanilla_call_price(s0, strike, r, sigma)
-    if strike >= barrier:
-        # knock-in is implied whenever the call finishes in the money
+    if s0 >= barrier or strike >= barrier:
+        # knocked in at the start, or whenever the call finishes in the money
         return vanilla_call_price(s0, strike, r, sigma)
     mu = (r - 0.5 * sigma * sigma) / (sigma * sigma)
     df = np.exp(-r)

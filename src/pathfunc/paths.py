@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import PreconditionError
 
 __all__ = [
     "StepPath",
@@ -104,7 +104,7 @@ class StepPath:
         """Grid index covering time t (vectorized)."""
         t = np.asarray(t, dtype=np.float64)
         if np.any(t < 0.0) or np.any(t > 1.0):
-            raise DomainError("evaluation time outside [0, 1]")
+            raise PreconditionError("evaluation time outside [0, 1]")
         return grid_columns(self.times, t)
 
     def at(self, t):

@@ -218,8 +218,6 @@ def fixed_time_grid(h: float) -> np.ndarray:
     n = int(round(inv)) if abs(inv - round(inv)) < 1e-9 else int(np.ceil(inv))
     t = np.arange(n + 1) * h
     t[-1] = 1.0
-    if t.size >= 2 and t[-2] >= 1.0:
-        t = np.delete(t, -2)
     return t
 
 
@@ -546,6 +544,7 @@ class ConsistencyReport:
         return all(r.passed for r in self.rows)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite moment is an ERROR row
 def check_local_consistency(model: SdeModel, config: SchemeConfig,
                             probes: Iterable, n_draws: int = 10**6, seed: int = 0,
                             reference: SdeModel | None = None) -> ConsistencyReport:
@@ -559,9 +558,11 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
         r1 = (E[dY] - E[dt] b(y,t)) / E[dt]
         r2 = (var[dY] - E[dt] sigma sigma'(y,t)) / E[dt]
 
-    and a probe passes when |r| <= h + 4 standard errors.  The realized
-    dt / h is reported, not judged: the steps are quasi-uniform by
-    construction, and a step truncated at t = 1 is shorter.  Passing a
+    and a probe passes when |r| <= h + 4 standard errors; a residual or
+    tolerance that is not finite (coefficients that overflow the moments)
+    makes the probe an error row.  The realized dt / h is reported, not
+    judged: the steps are quasi-uniform by construction, and a step
+    truncated at t = 1 is shorter.  Passing a
     separate ``reference`` model measures the kernel of ``model`` against
     the reference coefficients (used to demonstrate detection of a
     sabotaged kernel).
@@ -621,6 +622,9 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
         r2 = float(np.max(np.abs(r2_mat)))
         tol1 = config.h + float(np.max(4.0 * se1 / dt))
         tol2 = config.h + float(np.max(4.0 * np.abs(se2) / dt))
+        if not np.isfinite([r1, r2, tol1, tol2]).all():
+            fail(float(y[0]), t, "non-finite moment residual or tolerance")
+            continue
         report.rows.append(ConsistencyRow(
             y=float(y[0]), t=t, method=method, r1=r1, r2=r2, tol1=tol1, tol2=tol2,
             dt_ratio=dt / config.h, passed=(r1 <= tol1) and (r2 <= tol2)))

@@ -128,8 +128,6 @@ def _directed_best(x: StepPath, y: StepPath, budget: int) -> tuple[float, TimeCh
             sel = chosen + [(s, u)]
             kt = np.array([0.0] + [p[0] for p in sel] + [1.0])
             kv = np.array([0.0] + [p[1] for p in sel] + [1.0])
-            if np.any(np.diff(kv) <= 0.0):
-                continue
             lam = TimeChange(kt, kv)
             evals += 1
             val = _candidate_value(x, y, lam)

@@ -98,8 +98,7 @@ def test_criterion_4_convergence_to_oracle():
     oracle = up_and_in_call_price(0.8, 0.5, 1.0, 0.1, 0.3)
     h_grid = [2**-5, 2**-7, 2**-9, 2**-11]
     rep = pf.convergence_study(model, pf.SchemeConfig("euler", h=h_grid[0]), spec, h_grid,
-                               200000, seed=771,
-                               oracle=oracle, bias_allowance=CONVERGENCE_BIAS_C)
+                               200000, seed=771, oracle=oracle)
     errs = rep.errors
     inversions = sum(1 for a, b in zip(errs, errs[1:]) if b > a)
     h_last, est_last = rep.rows[-1]
@@ -117,8 +116,7 @@ def test_criterion_5_counterexample_fidelity():
     tang_ok = (tang.tau == 0.5 and tang.c_class == "C4"
                and all(v == 1.0 for v in tang.tau_h.values()))
 
-    bes = pf.counterexample_bessel(h_grid=(2**-4, 2**-6, 2**-8),
-                                   n_paths=200000, seed=1)
+    bes = pf.counterexample_bessel(n_paths=200000, seed=1)
     _, _, mean_last, se_last = bes.rows[-1]
     bes_ok = (abs(mean_last - 1.0) <= 3 * se_last
               and (1.0 - bes.oracle) > 5 * se_last)

@@ -31,7 +31,52 @@ def write(tmp_path, name, text):
     return str(p)
 
 
-CAP_DEMO = Path(__file__).resolve().parents[1] / "configs" / "check_bessel_cap.cfg"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CAP_DEMO = CONFIGS / "check_bessel_cap.cfg"
+
+# Every byte `check` prints on the shipped configs, with its exit code.
+SHIPPED_CHECKS = {
+    "check_gbm.cfg": (0, """\
+scheme euler: pass
+  probe y=0.5 t=0 [monte_carlo]: r1=8.156e-04 (tol 2.042e-02) r2=1.118e-05 (tol 1.575e-02) dt/h=1 ok
+  probe y=0.5 t=0.5 [monte_carlo]: r1=6.276e-04 (tol 2.043e-02) r2=2.079e-05 (tol 1.575e-02) dt/h=1 ok
+  probe y=1 t=0 [monte_carlo]: r1=3.870e-03 (tol 2.522e-02) r2=1.277e-04 (tol 1.613e-02) dt/h=1 ok
+  probe y=1 t=0.5 [monte_carlo]: r1=2.908e-03 (tol 2.524e-02) r2=2.377e-04 (tol 1.614e-02) dt/h=1 ok
+  probe y=2 t=0 [monte_carlo]: r1=3.851e-04 (tol 3.482e-02) r2=2.419e-04 (tol 1.766e-02) dt/h=1 ok
+  probe y=2 t=0.5 [monte_carlo]: r1=1.146e-02 (tol 3.482e-02) r2=1.527e-04 (tol 1.766e-02) dt/h=1 ok
+scheme binomial_fixed: pass
+  probe y=0.5 t=0 [enumeration]: r1=1.069e-15 (tol 1.562e-02) r2=4.163e-17 (tol 1.562e-02) dt/h=1 ok
+  probe y=0.5 t=0.5 [enumeration]: r1=1.069e-15 (tol 1.562e-02) r2=4.163e-17 (tol 1.562e-02) dt/h=1 ok
+  probe y=1 t=0 [enumeration]: r1=2.137e-15 (tol 1.562e-02) r2=1.665e-16 (tol 1.562e-02) dt/h=1 ok
+  probe y=1 t=0.5 [enumeration]: r1=2.137e-15 (tol 1.562e-02) r2=1.665e-16 (tol 1.562e-02) dt/h=1 ok
+  probe y=2 t=0 [enumeration]: r1=4.274e-15 (tol 1.562e-02) r2=6.661e-16 (tol 1.562e-02) dt/h=1 ok
+  probe y=2 t=0.5 [enumeration]: r1=4.274e-15 (tol 1.562e-02) r2=6.661e-16 (tol 1.562e-02) dt/h=1 ok
+scheme binomial_variable: pass
+  probe y=0.5 t=0 [enumeration]: r1=1.998e-17 (tol 1.562e-02) r2=2.498e-18 (tol 1.562e-02) dt/h=44.44 ok
+  probe y=0.5 t=0.5 [enumeration]: r1=4.163e-17 (tol 1.562e-02) r2=6.939e-18 (tol 1.562e-02) dt/h=32 ok
+  probe y=1 t=0 [enumeration]: r1=2.798e-16 (tol 1.562e-02) r2=0.000e+00 (tol 1.562e-02) dt/h=11.11 ok
+  probe y=1 t=0.5 [enumeration]: r1=2.798e-16 (tol 1.562e-02) r2=0.000e+00 (tol 1.562e-02) dt/h=11.11 ok
+  probe y=2 t=0 [enumeration]: r1=4.556e-15 (tol 1.562e-02) r2=3.997e-17 (tol 1.562e-02) dt/h=2.778 ok
+  probe y=2 t=0.5 [enumeration]: r1=4.556e-15 (tol 1.562e-02) r2=3.997e-17 (tol 1.562e-02) dt/h=2.778 ok
+ui diagnostic: pass (tail tol 0.05, sup second moment 0.8674)
+  h=0.0625 cap=none: tail@32 = 0, E[X^2] = 0.8535
+  h=0.015625 cap=none: tail@32 = 0, E[X^2] = 0.8674
+  h=0.00390625 cap=none: tail@32 = 0, E[X^2] = 0.8619
+"""),
+    "check_bessel_cap.cfg": (2, """\
+scheme euler: pass
+  probe y=0.5 t=0 [monte_carlo]: r1=2.245e-03 (tol 2.362e-02) r2=1.590e-05 (tol 1.598e-02) dt/h=1 ok
+  probe y=0.5 t=0.5 [monte_carlo]: r1=3.039e-03 (tol 2.363e-02) r2=6.568e-05 (tol 1.598e-02) dt/h=1 ok
+  probe y=1 t=0 [monte_carlo]: r1=4.153e-03 (tol 4.766e-02) r2=2.245e-03 (tol 2.129e-02) dt/h=1 ok
+  probe y=1 t=0.5 [monte_carlo]: r1=1.371e-02 (tol 4.761e-02) r2=1.023e-03 (tol 2.128e-02) dt/h=1 ok
+  probe y=2 t=0 [monte_carlo]: r1=3.211e-03 (tol 1.436e-01) r2=1.620e-03 (tol 1.061e-01) dt/h=1 ok
+  probe y=2 t=0.5 [monte_carlo]: r1=4.547e-02 (tol 1.435e-01) r2=2.435e-02 (tol 1.060e-01) dt/h=1 ok
+ui diagnostic: FAIL (tail tol 0.05, sup second moment 92.45)
+  h=0.0625 cap=16: tail@32 = 0, E[X^2] = 6.086
+  h=0.015625 cap=64: tail@32 = 0.2944, E[X^2] = 19.56
+  h=0.00390625 cap=256: tail@32 = 0.3584, E[X^2] = 92.45
+"""),
+}
 
 
 def small_barrier(tmp_path):
@@ -49,7 +94,7 @@ def no_second_sample(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the gate drew a second sample")
     monkeypatch.setattr(estimator, "ui_diagnostic", refuse)
-    monkeypatch.setattr(estimator, "simulate_terminals", refuse)
+    monkeypatch.setattr(estimator, "_terminal_samples", refuse)
 
 
 TREE_CFG = """
@@ -316,6 +361,26 @@ class TestCliCheck:
         path = write(tmp_path, "check.cfg", text)
         assert main(["check", path]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_CHECKS))
+    def test_shipped_config_output(self, capsys, name):
+        code, out = SHIPPED_CHECKS[name]
+        assert main(["check", str(CONFIGS / name)]) == code
+        assert capsys.readouterr().out == out
+
+    def test_overflowing_moments_are_error_rows(self, tmp_path, capsys):
+        # sigma = 1e200 overflows the coefficients' products: each probe is an
+        # ERROR row, not a residual against an infinite tolerance, and no
+        # numpy warning escapes
+        text = ("model.kind = gbm\nmodel.sigma = 1e200\nscheme.kind = euler\n"
+                "scheme.h = 2^-6\nfunctional.payoff = constant\ncheck.kinds = euler\n"
+                "check.n_draws = 1000\n")
+        assert main(["check", write(tmp_path, "c.cfg", text)]) == 2
+        error = "ERROR non-finite moment residual or tolerance"
+        assert capsys.readouterr().out.splitlines() == (
+            ["scheme euler: FAIL"]
+            + [f"  probe y={y} t={t}: {error}" for y in ("0.5", "1", "2") for t in ("0", "0.5")]
+            + ["ui diagnostic: skipped (bounded payoff)"])
 
     def test_bounded_payoff_skips_ui_diagnostic(self, tmp_path, capsys, monkeypatch):
         # the command decides the skip: no tail sample is drawn

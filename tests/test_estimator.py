@@ -316,6 +316,21 @@ class TestUiDiagnostic:
         with pytest.raises(PreconditionError):
             ui_diagnostic(GBM, CFG, custom_terminal("identity"), [], seed=0)
 
+    @pytest.mark.parametrize("config, n", [
+        (SchemeConfig("euler", h=2**-6), 20000),  # two estimate batches at h = 2^-8
+        (SchemeConfig("binomial_variable", h=2**-6), 2000),
+    ], ids=["euler", "tree"])
+    def test_rows_are_those_of_the_terminal_kernel(self, config, n):
+        # estimate prices the sample in namespace 1000 + k; the kernel is
+        # elementwise, so its batches give the one-block terminals bit for bit
+        hs = [2**-6, 2**-8]
+        rep = ui_diagnostic(GBM, config, custom_terminal("identity"), hs, n_paths=n, seed=3)
+        schemes = [replace(config, h=h) for h in hs]
+        want = tail_report(schemes, [
+            simulate_terminals(GBM, s, [RngStream(3, i, 1000 + k) for i in range(n)])[:, 0]
+            for k, s in enumerate(schemes)])
+        assert rep.rows == want.rows and rep.cutoffs == want.cutoffs
+
     @pytest.mark.parametrize("config, band", [
         (SchemeConfig("euler", h=2**-6), BarrierPair.unbounded()),          # sampled columns
         (SchemeConfig("euler", h=2**-6), BarrierPair.levels(-np.inf, 1.2)),  # every column

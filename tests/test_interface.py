@@ -135,10 +135,25 @@ def test_estimate_ui_override_accepts_only_true():
             estimate(*args, seed=0, ui_override=value)
 
 
+# Defaulted parameters that only tests set, each kept for a stated reason.
+SET_BY_TESTS_ALLOWED = {
+    # test seams: forced draws, and a reference model that sabotages a kernel
+    ("schemes", "simulate_path", "forced_noise"),
+    ("schemes", "check_local_consistency", "reference"),
+    # tests shrink the work
+    ("estimator", "counterexample_strong", "n_grid"),
+    ("skorohod", "skorohod_distance_approx", "budget"),
+    # the stochastic-volatility factor no config key sets yet (ROADMAP item 5)
+    ("models", "stoch_vol", "vol_of_vol"),
+}
+
+
 def test_every_defaulted_parameter_has_a_caller():
-    # A parameter with a default that no call sets is a knob nobody turns:
-    # its default belongs in the function body.  Scans every top-level
-    # function of the package against every call in src, tests and bench, matching calls by function name, by keyword or by position.
+    # A parameter with a default that no program call sets is a knob nobody
+    # turns: its default belongs in the function body.  Scans every
+    # top-level function of the package against every call in src and
+    # bench, matching calls by function name, by keyword or by position; a
+    # test setting a value does not make it a knob.
     import ast
     from pathlib import Path
     root = Path(__file__).resolve().parents[1]
@@ -155,7 +170,7 @@ def test_every_defaulted_parameter_has_a_caller():
                     if d is not None:
                         defaulted[f.stem, node.name, p.arg] = None
     passed = set()  # (function name, parameter)
-    for d in ("src", "tests", "bench"):
+    for d in ("src", "bench"):
         for f in sorted((root / d).rglob("*.py")):
             for call in ast.walk(ast.parse(f.read_text())):
                 if not isinstance(call, ast.Call):
@@ -166,16 +181,20 @@ def test_every_defaulted_parameter_has_a_caller():
                 passed.update((name, kw.arg) for kw in call.keywords if kw.arg)
                 passed.update((name, p) for (_, f_name, p), i in defaulted.items()
                               if f_name == name and i is not None and i < n_pos)
-    unset = [f"{m}.{f}({p})" for (m, f, p) in sorted(defaulted) if (f, p) not in passed]
-    assert unset == []
+    unset = {key for key in defaulted if key[1:] not in passed}
+    assert sorted(SET_BY_TESTS_ALLOWED - unset) == []  # a stale entry goes
+    assert sorted(unset - SET_BY_TESTS_ALLOWED) == []
 
 
 # Top-level definitions no command reaches, each kept for a stated reason.
 UNREACHED_ALLOWED = {
     # the frozen benchmark reads these by name (BENCHMARK_NAMES); estimate
-    # streams the tree since it stopped storing it through simulate_values
+    # streams the tree since it stopped storing it through simulate_values,
+    # and check's tail sample is priced by estimate since it stopped drawing
+    # it through simulate_terminals
     ("functionals", "evaluate"),
     ("schemes", "simulate_path"),
+    ("schemes", "simulate_terminals"),
     ("schemes", "simulate_values"),
     # awaits the discontinuity-mass report of `check` (ROADMAP item 8)
     ("functionals", "discontinuity_mass_estimate"),

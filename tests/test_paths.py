@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathfunc.errors import DomainError
+from pathfunc.errors import PreconditionError
 from pathfunc.paths import (Barrier, BarrierPair, SampleVector, StepPath,
                             classify_c_partition, exit_times, grid_columns,
                             hitting_time)
@@ -40,9 +40,9 @@ class TestEval:
 
     def test_out_of_range_rejected(self):
         p = make_path([0, 1], [1, 1])
-        with pytest.raises(DomainError):
+        with pytest.raises(PreconditionError):
             p.at(1.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(PreconditionError):
             p.at(-0.1)
 
     def test_invariants_enforced(self):
