@@ -20,8 +20,8 @@ from .functionals import (FunctionalSpec, constant_payoff,
                           discrete_barrier_call, evaluate, observe_args_batch,
                           payoff_values, up_and_in_call)
 from .models import SdeModel, gbm, inverse_bessel3, stoch_vol
-from .paths import (Barrier, BarrierPair, SampleVector, StepPath,
-                    classify_c_partition, hitting_time)
+from .paths import (BarrierPair, SampleVector, StepPath, classify_c_partition,
+                    hitting_time)
 from .schemes import (RngStream, SchemeConfig, binomial_variable_step,
                       check_local_consistency, simulate_path)
 from .skorohod import (TimeChange, skorohod_distance_approx,

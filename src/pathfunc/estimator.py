@@ -93,7 +93,7 @@ class Estimate:
 
 def _finalize(total: float, total_sq: float, n: int, h: float, t0: float) -> Estimate:
     mean = total / n
-    var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+    var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
     stderr = float(np.sqrt(var / n))
     return Estimate(
         mean=float(mean),
@@ -317,7 +317,7 @@ def counterexample_tangency() -> TangencyReport:
     """
     times = np.arange(2001) / 2000
     base = 1.0 - (times - 0.5) ** 2
-    band = BarrierPair.levels(-np.inf, 1.0)
+    band = BarrierPair(-np.inf, 1.0)
     x = StepPath(times, base)
     tau = hitting_time(x, band)
     tau_h = {}

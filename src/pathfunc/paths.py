@@ -1,10 +1,11 @@
-"""Discrete right-continuous step paths on [0, 1], barriers and the path rules.
+"""Discrete right-continuous step paths on [0, 1], bands and the path rules.
 
 A :class:`StepPath` holds a strictly increasing time grid starting at 0 and
 ending at 1 together with one state value per grid time; the path value at
-any t is the value at the greatest grid time <= t.  The first exit time
-from a band between two continuous barriers is detected at grid times only;
-the discrete path carries no information between grid points.
+any t is the value at the greatest grid time <= t.  A :class:`BarrierPair`
+is a band between two constant levels.  The first exit time from it is
+detected at grid times only; the discrete path carries no information
+between grid points.
 
 The sampling rule (:func:`grid_columns`) and the exit rule
 (:func:`exit_times`) are written once, for a batch of paths on a shared grid
@@ -23,7 +24,6 @@ from .errors import PreconditionError
 
 __all__ = [
     "StepPath",
-    "Barrier",
     "BarrierPair",
     "SampleVector",
     "grid_columns",
@@ -31,10 +31,6 @@ __all__ = [
     "hitting_time",
     "classify_c_partition",
 ]
-
-# Barriers are validated on this grid (plus their own knots) at construction.
-_REFERENCE_GRID = np.linspace(0.0, 1.0, 1001)
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -57,11 +53,11 @@ def exit_times(times: np.ndarray, V: np.ndarray, barriers: BarrierPair) -> np.nd
     """First grid time at which each row of V leaves the open band: the exit rule.
 
     ``V`` is a (B, n+1) block of scalar paths on the shared (n+1,) grid
-    ``times`` or on a (B, n+1) grid per row.  A row that never exits gets 1.
+    ``times`` or on a (B, n+1) grid per row; a value at or beyond either
+    level has left.  A row that never exits gets 1, so every finite row does
+    on an unbounded band.
     """
-    if barriers.is_unbounded:  # no finite value leaves (-inf, inf)
-        return np.ones(V.shape[0])
-    out = (V <= barriers.lower.values_on(times)) | (V >= barriers.upper.values_on(times))
+    out = (V <= barriers.lower) | (V >= barriers.upper)
     first = np.broadcast_to(times, V.shape)[np.arange(V.shape[0]), np.argmax(out, axis=1)]
     return np.where(out.any(axis=1), first, 1.0)
 
@@ -112,70 +108,30 @@ class StepPath:
         return self.values[self.index_at(t)]
 
 
-@dataclass(frozen=True, eq=False)
-class Barrier:
-    """One continuous barrier: the piecewise-linear interpolant of its
-    (t, level) knots, which increase and cover [0, 1].
-
-    A constant is two equal knots, and +/- infinity is two infinite knots:
-    ``np.interp`` returns the level of a flat segment, infinite or not.
-    """
-
-    knot_t: np.ndarray
-    knot_v: np.ndarray
-
-    def __post_init__(self):
-        t, v = _freeze(np.asarray(self.knot_t)), _freeze(np.asarray(self.knot_v))
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-            raise ValueError("a barrier needs matching t and level vectors")
-        if t[0] > 0.0 or t[-1] < 1.0 or np.any(np.diff(t) <= 0.0):
-            raise ValueError("barrier knots must increase and cover [0, 1]")
-        if not (np.isfinite(v).all() or (np.isinf(v[0]) and (v == v[0]).all())):
-            raise ValueError("barrier levels must be finite, or all the same infinity")
-        object.__setattr__(self, "knot_t", t)
-        object.__setattr__(self, "knot_v", v)
-
-    @classmethod
-    def constant(cls, level: float) -> "Barrier":
-        """The flat barrier at ``level``; an infinite level is never reached."""
-        return cls([0.0, 1.0], [level, level])
-
-    @property
-    def is_infinite(self) -> bool:
-        return bool(np.isinf(self.knot_v[0]))
-
-    def values_on(self, times) -> np.ndarray:
-        return np.interp(times, self.knot_t, self.knot_v)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BarrierPair:
-    """Lower and upper barrier functions with lower < upper everywhere.
+    """The band between two constant levels, ``lower < upper``.
 
-    The ordering is checked at construction on a reference grid joined with
-    both barriers' knots.
+    Either level may be infinite, and an infinite one is never reached;
+    NaN is refused, since it compares neither way.
     """
 
-    lower: Barrier
-    upper: Barrier
+    lower: float
+    upper: float
 
     def __post_init__(self):
-        grid = np.union1d(_REFERENCE_GRID, np.concatenate([self.lower.knot_t, self.upper.knot_t]))
-        if not np.all(self.lower.values_on(grid) < self.upper.values_on(grid)):
-            raise ValueError("lower barrier must stay strictly below upper barrier")
+        if not self.lower < self.upper:
+            raise ValueError(f"lower level must lie strictly below upper "
+                             f"(got {self.lower!r}, {self.upper!r})")
 
     @classmethod
     def unbounded(cls) -> "BarrierPair":
-        return cls.levels(-np.inf, np.inf)
+        return cls(-np.inf, np.inf)
 
     @property
     def is_unbounded(self) -> bool:
-        """Both barriers infinite: no finite path ever exits, so tau = 1."""
-        return self.lower.is_infinite and self.upper.is_infinite
-
-    @classmethod
-    def levels(cls, lower: float, upper: float) -> "BarrierPair":
-        return cls(Barrier.constant(lower), Barrier.constant(upper))
+        """Both levels infinite: no finite path ever exits, so tau = 1."""
+        return self.lower == -np.inf and self.upper == np.inf
 
 
 @dataclass(frozen=True)
@@ -217,7 +173,7 @@ def classify_c_partition(path: StepPath, barriers: BarrierPair) -> str:
     """Regularity class of a path relative to the band: C1/C2/C3/C4.
 
     C3: never exits (exit time 1).  C1 (resp. C2): at the exit time the path
-    is at or beyond the upper (resp. lower) barrier and sits strictly beyond
+    is at or beyond the upper (resp. lower) level and sits strictly beyond
     it immediately after -- either it already jumped strictly past, so the
     step value stays beyond throughout the next interval, or the next grid
     value is strictly beyond.  Everything else is C4, the tangency class on
@@ -231,10 +187,9 @@ def classify_c_partition(path: StepPath, barriers: BarrierPair) -> str:
     if tau >= 1.0:
         return "C3"
     i = int(np.searchsorted(path.times, tau))
-    t, v = path.times[i:i + 2], path.values[i:i + 2]  # the exit column and the next
-    for cls, d in (("C1", v - barriers.upper.values_on(t)),
-                   ("C2", barriers.lower.values_on(t) - v)):
-        # d: how far past the barrier; at or past it at the exit column, the
+    v = path.values[i:i + 2]  # the exit column and the next
+    for cls, d in (("C1", v - barriers.upper), ("C2", barriers.lower - v)):
+        # d: how far past the level; at or past it at the exit column, the
         # path must be strictly past it there (the step value persists) or next
         if d[0] >= -tol:
             return cls if (d > tol).any() else "C4"

@@ -477,9 +477,14 @@ class TestCliCheck:
 
 class TestCliCounterexample:
     def test_tangency(self, capsys):
+        # the whole stdout: the one shipped command on a finite band
         assert main(["counterexample", "tangency"]) == 0
-        out = capsys.readouterr().out
-        assert "0.5" in out and "C4" in out
+        assert capsys.readouterr().out == (
+            "exit time of the grazing path: 0.5\n"
+            "  shifted down by h=0.1: exit time 1.0\n"
+            "  shifted down by h=0.01: exit time 1.0\n"
+            "  shifted down by h=0.001: exit time 1.0\n"
+            "classification of the grazing path: C4\n")
 
     def test_bessel(self, capsys):
         assert main(["counterexample", "bessel", "--paths", "40000", "--seed", "2"]) == 0

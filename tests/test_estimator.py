@@ -200,7 +200,7 @@ class TestEstimate:
                               nu3=SampleVector([0.25, 1.0]), nu4=SampleVector([0.5, 1.0]),
                               payoff=None,
                               payoff_batch=lambda x: x[:, 0] + 2.0 * x[:, 2 * m] + x[:, 4 * m],
-                              bounded=False, barriers=BarrierPair.levels(0.6, 1.1))
+                              bounded=False, barriers=BarrierPair(0.6, 1.1))
         n = 300
         vals = np.array([evaluate(simulate_path(GBM, CFG, RngStream(3, i)), spec)
                          for i in range(n)])
@@ -276,7 +276,7 @@ class TestTreeStream:
                             lambda m, c, streams: sizes.append(len(streams)) or states(m, c, streams))
         nu = SampleVector.uniform(1)
         band = FunctionalSpec(m=1, nu1=nu, nu2=nu, nu3=nu, nu4=nu, payoff=None, bounded=True,
-                              payoff_batch=lambda x: x[:, -1], barriers=BarrierPair.levels(0.5, 1.2))
+                              payoff_batch=lambda x: x[:, -1], barriers=BarrierPair(0.5, 1.2))
         cfg = replace(TREE, h=2**-6)
         assert estimate(GBM, cfg, band, 3000, seed=0).mean < 1.0
         assert sizes == [1249, 1249, 502]
@@ -332,8 +332,8 @@ class TestUiDiagnostic:
         assert rep.rows == want.rows and rep.cutoffs == want.cutoffs
 
     @pytest.mark.parametrize("config, band", [
-        (SchemeConfig("euler", h=2**-6), BarrierPair.unbounded()),          # sampled columns
-        (SchemeConfig("euler", h=2**-6), BarrierPair.levels(-np.inf, 1.2)),  # every column
+        (SchemeConfig("euler", h=2**-6), BarrierPair.unbounded()),     # sampled columns
+        (SchemeConfig("euler", h=2**-6), BarrierPair(-np.inf, 1.2)),  # every column
         (SchemeConfig("binomial_variable", h=2**-6), BarrierPair.unbounded()),
     ])
     def test_estimate_keeps_the_priced_terminals(self, config, band):

@@ -49,9 +49,8 @@ def reference_args(times, x, spec):
     """Plain-Python [z1 | z2 | z3 | z4 | tau] of one scalar path, read off
     the definitions: first grid exit time, running maximum, right-continuous
     sampling."""
-    lo = spec.barriers.lower.values_on(times)
-    hi = spec.barriers.upper.values_on(times)
-    tau = next((t for t, v, a, b in zip(times, x, lo, hi) if v <= a or v >= b), 1.0)
+    lo, hi = spec.barriers.lower, spec.barriers.upper
+    tau = next((t for t, v in zip(times, x) if v <= lo or v >= hi), 1.0)
     run_max = list(itertools.accumulate(x, max))
 
     def at(vals, s):
@@ -76,7 +75,7 @@ class TestObserve:
         nu = SampleVector([1.0, 1.0])
         spec = FunctionalSpec(m=2, nu1=nu, nu2=nu, nu3=nu, nu4=nu,
                               payoff=lambda x: 0.0, bounded=True,
-                              barriers=BarrierPair.levels(-np.inf, 2.0))
+                              barriers=BarrierPair(-np.inf, 2.0))
         args = path_args(p, spec)
         assert args[8] == 0.25  # tau
         npt.assert_array_equal(args[0:2], [3.0, 3.0])  # z1 = x(tau) twice
@@ -86,7 +85,7 @@ class TestObserve:
         n = 2000
         t = np.arange(n + 1) / n
         p = StepPath(t, 1.0 - (t - 0.5) ** 2)
-        spec = spec_with(BarrierPair.levels(-np.inf, 1.0), m=2)
+        spec = spec_with(BarrierPair(-np.inf, 1.0), m=2)
         args = path_args(p, spec)
         assert args[8] == 0.5  # tau
         assert args[7] == 1.0  # terminal running maximum reaches the peak
@@ -207,7 +206,7 @@ class TestBatchObservation:
                               nu4=SampleVector([0.25, 0.5, 1.0]),
                               payoff=lambda x: float(x @ weights),
                               bounded=True,
-                              barriers=BarrierPair.levels(0.4, 1.6))
+                              barriers=BarrierPair(0.4, 1.6))
         args = observe_args_batch(times, values, spec)
         assert 0 < np.count_nonzero(args[:, -1] < 1.0) < len(streams)
         assert len({p.times.size for p in paths}) > 1
@@ -237,8 +236,8 @@ class TestFold:
     def test_fold_equals_reference(self, scheme, h, m, band, data, seed):
         # folding the stream of states gives each row's arguments as read
         # off the definitions, on grids whose last step is truncated, on the
-        # tree's padded per-row grids, and on infinite, constant and
-        # time-varying bands alike
+        # tree's padded per-row grids, and on infinite, half-infinite and
+        # finite bands alike
         kind, model = scheme
         nus = [SampleVector(np.sort(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m,
                                                        max_size=m))))
@@ -256,7 +255,7 @@ class TestFold:
 
     def test_finite_band_folds_to_reference(self):
         # some rows leave the band and some do not; z1 and z3 sample at tau
-        spec = spec_with(BarrierPair.levels(0.7, 1.3), m=3)
+        spec = spec_with(BarrierPair(0.7, 1.3), m=3)
         model, cfg = gbm(0.1, 0.3, 1.0), SchemeConfig("euler", h=2**-6)
         streams = [RngStream(4, i) for i in range(32)]
         times, values = simulate_values(model, cfg, streams)

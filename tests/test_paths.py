@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pathfunc.errors import PreconditionError
-from pathfunc.paths import (Barrier, BarrierPair, SampleVector, StepPath,
+from pathfunc.paths import (BarrierPair, SampleVector, StepPath,
                             classify_c_partition, exit_times, grid_columns,
                             hitting_time)
 
@@ -21,7 +21,7 @@ def parabola_path(n=2000, shift=0.0):
     return StepPath(t, 1.0 - (t - 0.5) ** 2 - shift)
 
 
-UPPER_ONE = BarrierPair.levels(-np.inf, 1.0)
+UPPER_ONE = BarrierPair(-np.inf, 1.0)
 
 
 class TestEval:
@@ -139,18 +139,11 @@ class TestHittingTime:
 
     def test_constant_inside_band(self):
         p = make_path([0, 1], [0, 0])
-        assert hitting_time(p, BarrierPair.levels(-1.0, 1.0)) == 1.0
+        assert hitting_time(p, BarrierPair(-1.0, 1.0)) == 1.0
 
     def test_starts_outside(self):
         p = make_path([0, 1], [2.0, 0.0])
-        assert hitting_time(p, BarrierPair.levels(-1.0, 1.0)) == 0.0
-
-    def test_time_dependent_barrier(self):
-        up = Barrier([0.0, 1.0], [2.0, 0.5])  # descending line
-        band = BarrierPair(Barrier.constant(-np.inf), up)
-        p = make_path([0, 0.25, 0.5, 0.75, 1], [1.0, 1.0, 1.0, 1.0, 1.0])
-        # upper barrier crosses level 1 at t = 2/3; first grid time after is 0.75
-        assert hitting_time(p, band) == 0.75
+        assert hitting_time(p, BarrierPair(-1.0, 1.0)) == 0.0
 
     @given(step_paths(), barrier_pairs())
     def test_unbounded_band_never_exits(self, p, band):
@@ -158,18 +151,26 @@ class TestHittingTime:
 
     @given(step_paths(), barrier_pairs(), st.floats(0.0, 3.0, allow_nan=False))
     def test_monotone_under_widening(self, p, band, widen):
-        def widened(b, sign):
-            return Barrier(b.knot_t, b.knot_v + sign * widen)  # infinities stay
-
-        wider = BarrierPair(widened(band.lower, -1.0), widened(band.upper, +1.0))
+        wider = BarrierPair(band.lower - widen, band.upper + widen)  # infinities stay
         assert hitting_time(p, wider) >= hitting_time(p, band)
 
 
 def full_exit_times(times, V, band):
-    """The exit rule evaluated on every grid time, whatever the band."""
-    out = (V <= band.lower.values_on(times)) | (V >= band.upper.values_on(times))
-    first = np.broadcast_to(times, V.shape)[np.arange(V.shape[0]), np.argmax(out, axis=1)]
-    return np.where(out.any(axis=1), first, 1.0)
+    """The exit rule read off plainly, one grid time of one row at a time."""
+    rows = np.broadcast_to(times, V.shape)
+    return np.array([next((t for t, v in zip(ts, vs) if v <= band.lower or v >= band.upper), 1.0)
+                     for ts, vs in zip(rows, V)])
+
+
+@given(step_path_pairs_same_grid(), barrier_pairs())
+def test_exit_times_match_reference(pair, band):
+    # two rows on the shared grid and on that grid repeated per row
+    x, y = pair
+    V = np.stack([x.values, y.values])
+    for times in (x.times, np.stack([x.times, x.times])):
+        got = exit_times(times, V, band)
+        assert got.shape == (2,) and got.dtype == np.float64
+        npt.assert_array_equal(got, full_exit_times(times, V, band))
 
 
 @pytest.mark.parametrize("per_row", [False, True])
@@ -188,16 +189,16 @@ def test_exit_times_on_unbounded_band_is_the_full_evaluation(per_row):
 
 def reference_class(p, band, tol):
     """The C1-C4 definition read off plainly, one grid time at a time."""
-    lo, hi = band.lower.values_on(p.times), band.upper.values_on(p.times)
+    lo, hi = band.lower, band.upper
     v = p.values
-    i = next((j for j in range(v.size) if v[j] <= lo[j] or v[j] >= hi[j]), None)
+    i = next((j for j in range(v.size) if v[j] <= lo or v[j] >= hi), None)
     if i is None or p.times[i] >= 1.0:
         return "C3"
     nxt = range(i, min(i + 2, v.size))
-    if v[i] >= hi[i] - tol:
-        return "C1" if any(v[j] > hi[j] + tol for j in nxt) else "C4"
-    if v[i] <= lo[i] + tol:
-        return "C2" if any(v[j] < lo[j] - tol for j in nxt) else "C4"
+    if v[i] >= hi - tol:
+        return "C1" if any(v[j] > hi + tol for j in nxt) else "C4"
+    if v[i] <= lo + tol:
+        return "C2" if any(v[j] < lo - tol for j in nxt) else "C4"
     return "C4"
 
 
@@ -209,7 +210,7 @@ class TestClassification:
 
     def test_non_exiting_is_c3(self):
         p = make_path([0, 1], [0, 0])
-        assert classify_c_partition(p, BarrierPair.levels(-1, 1)) == "C3"
+        assert classify_c_partition(p, BarrierPair(-1, 1)) == "C3"
 
     def test_transversal_crossing_is_c1(self):
         p = make_path([0, 0.5, 1], [0.0, 1.5, 2.0])
@@ -217,7 +218,7 @@ class TestClassification:
 
     def test_transversal_lower_crossing_is_c2(self):
         p = make_path([0, 0.5, 1], [0.0, -1.5, -2.0])
-        assert classify_c_partition(p, BarrierPair.levels(-1.0, np.inf)) == "C2"
+        assert classify_c_partition(p, BarrierPair(-1.0, np.inf)) == "C2"
 
     def test_tangency_is_c4(self):
         assert classify_c_partition(parabola_path(), UPPER_ONE) == "C4"
@@ -232,28 +233,8 @@ class TestClassification:
 
 
 class TestBarriers:
-    def test_ordering_validated(self):
+    @pytest.mark.parametrize("lower, upper", [(1.0, 0.0), (1.0, 1.0), (np.nan, 1.0),
+                                              (0.0, np.nan), (np.inf, np.inf)])
+    def test_ordering_validated(self, lower, upper):
         with pytest.raises(ValueError):
-            BarrierPair(Barrier.constant(1.0), Barrier.constant(0.0))
-        with pytest.raises(ValueError):
-            BarrierPair(Barrier.constant(0.0), Barrier([0, 1], [1.0, -1.0]))
-
-    def test_sampled_interpolates(self):
-        b = Barrier([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
-        npt.assert_allclose(b.values_on([0.25, 0.5, 0.75]), [0.5, 1.0, 0.5])
-
-    @pytest.mark.parametrize("barrier", [Barrier.constant(-np.inf), Barrier.constant(-2.5),
-                                         Barrier.constant(1 / 3), Barrier.constant(np.inf)])
-    def test_flat_barrier_is_exactly_its_level(self, barrier):
-        # np.interp returns the level of a flat segment exactly, infinite or
-        # not, on a shared (n+1,) grid and on a (B, K+1) grid per row
-        rows = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, (4, 9)), axis=1)
-        rows[:, 0], rows[:, -1] = 0.0, 1.0
-        for grid in (np.arange(13) / 12, rows):
-            got = barrier.values_on(grid)
-            assert got.shape == grid.shape
-            assert np.all(got == barrier.knot_v[0])
-
-    def test_infinite_fills(self):
-        assert np.all(np.isneginf(Barrier.constant(-np.inf).values_on([0.0, 1.0])))
-        assert np.all(np.isposinf(Barrier.constant(np.inf).values_on([0.0, 1.0])))
+            BarrierPair(lower, upper)

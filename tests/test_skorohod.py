@@ -162,7 +162,7 @@ class TestHittingContinuity:
     def test_transversal_crossing_converges(self):
         times = np.linspace(0.0, 1.0, 101)
         base = 2.0 * times  # crosses level 1 transversally at t = 0.5
-        band = BarrierPair.levels(-np.inf, 1.0)
+        band = BarrierPair(-np.inf, 1.0)
         x = StepPath(times, base)
         assert classify_c_partition(x, band) != "C4"
         tau = hitting_time(x, band)
@@ -173,7 +173,7 @@ class TestHittingContinuity:
 
     def test_never_exiting_path_is_stable(self):
         times = np.linspace(0.0, 1.0, 51)
-        band = BarrierPair.levels(-1.0, 1.0)
+        band = BarrierPair(-1.0, 1.0)
         x = StepPath(times, np.zeros_like(times))
         assert classify_c_partition(x, band) != "C4"
         tau = hitting_time(x, band)
@@ -185,7 +185,7 @@ class TestHittingContinuity:
         # the exit-time map is discontinuous on C4, so no convergence is owed
         t = np.arange(2001) / 2000
         x = StepPath(t, 1.0 - (t - 0.5) ** 2)
-        assert classify_c_partition(x, BarrierPair.levels(-np.inf, 1.0)) == "C4"
+        assert classify_c_partition(x, BarrierPair(-np.inf, 1.0)) == "C4"
 
 
 class TestProjectionContinuity:
