@@ -24,7 +24,6 @@ from .paths import (BarrierPair, SampleVector, StepPath, classify_c_partition,
                     hitting_time)
 from .schemes import (RngStream, SchemeConfig, binomial_variable_step,
                       check_local_consistency, simulate_path)
-from .skorohod import (TimeChange, skorohod_distance_approx,
-                       skorohod_distance_with_time_change)
+from .skorohod import skorohod_distance_approx
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ paths they price, ``check`` on ``ui.n_paths`` fresh ones that
 codes: 0 ok, 1 runtime error (naming the failing stream), 2 diagnostic
 failure (a probe with non-finite moments among them), 64 config error (a
 refused value names its section or key: a cap at or below the start value,
-an empty probe list and a probe time outside [0, 1) among them).
+an empty probe or scheme list and a probe time outside [0, 1) among them).
 """
 
 from __future__ import annotations
@@ -109,6 +109,8 @@ def _check_schemes(cfg: RunConfig, scheme: SchemeConfig) -> list:
     if kinds == "config":
         return [scheme]
     names = SCHEME_KINDS if kinds == "all" else [k.strip() for k in kinds.split(",") if k.strip()]
+    if not names:
+        raise ConfigError("key 'check.kinds' is empty: no scheme to check")
     return [replace(scheme, kind=k) for k in names]
 
 
@@ -384,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_counterexample)
 
     sp = sub.add_parser("skorohod-dist",
-                        help="approximate Skorohod distance of two CSV paths")
+                        help="Skorohod J1 distance of two CSV paths")
     sp.add_argument("path_a")
     sp.add_argument("path_b")
     sp.set_defaults(func=cmd_skorohod_dist)

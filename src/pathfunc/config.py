@@ -10,6 +10,7 @@ naturally written in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -56,7 +57,7 @@ def _parse_number(text: str, key: str) -> float:
             num, den = text.split("/", 1)
             return float(num) / float(den)
         return float(text)
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise ConfigError(f"config key {key!r}: cannot parse number {text!r}") from e
 
 
@@ -73,7 +74,7 @@ def _parse_value(tag: str | tuple, text: str, key: str):
         return _parse_number(text, key)
     if tag in ("int", "size"):
         v = _parse_number(text, key)
-        if v != int(v):
+        if not (math.isfinite(v) and v == int(v)):
             raise ConfigError(f"config key {key!r}: expected an integer, got {text!r}")
         if tag == "size" and v < 2:
             raise ConfigError(f"config key {key!r}: need at least 2, got {text!r}")

@@ -107,7 +107,7 @@ def _finalize(total: float, total_sq: float, n: int, h: float, t0: float) -> Est
 
 def _batch_size(config: SchemeConfig, model: SdeModel) -> int:
     """Paths per reduction group: a stored batch of its longest rows
-    (``config.max_times``) fits the memory budget.  A batch that keeps whole
+    (``config.max_times``) fits the memory cap.  A batch that keeps whole
     paths is one group; a streamed one, the tree's too, holds several.  The
     estimate sums each group on its own, so the group size fixes its bytes."""
     per_path = max(1, config.max_times(model) * model.dim_state)

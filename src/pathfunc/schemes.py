@@ -61,7 +61,7 @@ SCHEME_KINDS = ("euler", "binomial_fixed", "binomial_variable")
 _BAD_COEFFS = "non-finite drift/diffusion evaluation"
 _BAD_STATE = "non-finite state during simulation"
 
-# Memory budget of one simulated block, in float64 elements: a time-major
+# Memory cap of one simulated block, in float64 elements: a time-major
 # noise block on the fixed grids, and the stored batch of paths on the routes
 # that keep whole paths (the estimator sizes those batches from it).
 _BATCH_ELEMENTS = 8_000_000

@@ -19,6 +19,17 @@ settings.load_profile("acceptance")
 MASTER_SEED = 20240601
 
 
+def bench_workload():
+    """bench/workload.py, loaded as a module: the benchmark's own inputs."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "bench" / "workload.py"
+    spec = importlib.util.spec_from_file_location("bench_workload", path)
+    workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload)
+    return workload
+
+
 @pytest.fixture(scope="session")
 def master_seed():
     return MASTER_SEED

@@ -136,16 +136,27 @@ def test_criterion_5_counterexample_fidelity():
 def test_criterion_6_property_suites_configuration():
     # the property suites themselves run in this same pytest session
     # (test_paths, test_schemes, test_functionals, test_skorohod, ...);
-    # here we pin that they execute with enough derandomized cases.
+    # here we pin that they execute with enough derandomized cases, and that
+    # no test lowers the count with its own max_examples.
+    import ast
+    from pathlib import Path
     prof = hyp_settings()
     ok = prof.max_examples >= 200 and prof.derandomize
     expected = ["test_paths.py", "test_schemes.py", "test_functionals.py",
                 "test_estimator.py", "test_skorohod.py"]
     present = [f for f in expected if os.path.exists(os.path.join(HERE, f))]
     ok &= len(present) == len(expected)
+    lowered = [f"{f.name}:{kw.value.lineno}"
+               for f in sorted(Path(HERE).glob("*.py"))
+               for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call) for kw in node.keywords
+               if kw.arg == "max_examples"
+               and not (isinstance(kw.value, ast.Constant)
+                        and kw.value.value >= prof.max_examples)]
+    ok &= lowered == []
     report(6, ok,
            f"property modules {present} run at >= {prof.max_examples} "
-           f"derandomized cases per property")
+           f"derandomized cases per property; lowered at {lowered}")
 
 
 def test_criterion_7_determinism(barrier_experiment, tmp_path, monkeypatch):

@@ -8,6 +8,8 @@ from pathfunc.cli import main
 from pathfunc.config import parse_config_text
 from pathfunc.errors import ConfigError
 
+from conftest import bench_workload
+
 CONSTANT_CFG = """
 model.kind = gbm
 model.r = 0.0
@@ -152,6 +154,15 @@ class TestConfigParsing:
             text = CAP_DEMO.read_text(encoding="utf-8") + f"{key} = {value}\n"
             assert main([command, write(tmp_path, "c.cfg", text)]) == 64
             assert f"{key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("run.n_paths", "inf"), ("run.n_paths", "nan"),
+                                            ("run.seed", "inf"), ("run.n_paths", "1e400"),
+                                            ("run.workers", "-inf"), ("run.seed", "2^2000")])
+    def test_non_finite_integer_refused(self, tmp_path, capsys, key, value):
+        # int() of these once escaped as an OverflowError or ValueError traceback
+        assert main(["price", write(tmp_path, "c.cfg", CONSTANT_CFG + f"{key} = {value}\n")]) == 64
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"config error: config key {key!r}: ")
 
 
 class TestCliPrice:
@@ -440,6 +451,15 @@ class TestCliCheck:
         assert out.out == ""
         assert out.err == f"config error: key {key!r} is empty: no probe to measure\n"
 
+    @pytest.mark.parametrize("kinds", [",", ""])
+    def test_empty_scheme_list_refused(self, tmp_path, capsys, kinds):
+        # an empty list once checked no scheme and exited 0
+        text = CONSTANT_CFG + f"check.n_draws = 1000\ncheck.kinds = {kinds}\n"
+        assert main(["check", write(tmp_path, "check.cfg", text)]) == 64
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "config error: key 'check.kinds' is empty: no scheme to check\n"
+
     def test_truncated_final_step_passes(self, tmp_path, capsys):
         # at t = 0.99 the last step is 0.01 = 0.64 h: a probe passes on its
         # moment residuals, and dt / h is reported, not judged
@@ -694,6 +714,21 @@ class TestCliSkorohodDist:
         assert main(["skorohod-dist", a, b]) == 64
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{b}, line 3" in err
+
+    @pytest.mark.parametrize("seed, printed", [(3, "0.015154791119385336\n"),
+                                               (7, "0.017943120974030558\n"),
+                                               (101, "0.018411784333485226\n")])
+    def test_benchmark_pair_printed_bytes(self, tmp_path, capsys, seed, printed):
+        # the diagnostics workload's pairs, written as the benchmark writes
+        # them; on these the former matched-jump bound printed the same bytes
+        workload = bench_workload()
+        a, b, _ = workload.skorohod_pair(seed)
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        workload._write_path(pa, *a)
+        workload._write_path(pb, *b)
+        for argv in ([pa, pb], [pb, pa]):
+            assert main(["skorohod-dist", *map(str, argv)]) == 0
+            assert capsys.readouterr() == (printed, "")
 
 
 class TestStartupImports:

@@ -14,6 +14,8 @@ import pytest
 
 import pathfunc
 
+from conftest import bench_workload
+
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pathfunc.__path__))
 
 # module -> names bench/layers.py and bench/workload.py read from it
@@ -142,7 +144,6 @@ SET_BY_TESTS_ALLOWED = {
     ("schemes", "check_local_consistency", "reference"),
     # tests shrink the work
     ("estimator", "counterexample_strong", "n_grid"),
-    ("skorohod", "skorohod_distance_approx", "budget"),
     # the stochastic-volatility factor no config key sets yet (ROADMAP item 5)
     ("models", "stoch_vol", "vol_of_vol"),
 }
@@ -274,12 +275,7 @@ UNSET_ALLOWED = {
 def _benchmark_runs(tmp_path):
     """The config files and command lines of every benchmark workload, at
     both sizes, as the benchmark builds them."""
-    import importlib.util
-    from pathlib import Path
-    path = Path(__file__).resolve().parents[1] / "bench" / "workload.py"
-    spec = importlib.util.spec_from_file_location("bench_workload", path)
-    workload = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workload)
+    workload = bench_workload()
     configs, commands = [], []
     for name in workload.WORKLOADS:
         for size in workload.SIZES:

@@ -145,8 +145,8 @@ class TestHittingTime:
         p = make_path([0, 1], [2.0, 0.0])
         assert hitting_time(p, BarrierPair(-1.0, 1.0)) == 0.0
 
-    @given(step_paths(), barrier_pairs())
-    def test_unbounded_band_never_exits(self, p, band):
+    @given(step_paths())
+    def test_unbounded_band_never_exits(self, p):
         assert hitting_time(p, BarrierPair.unbounded()) == 1.0
 
     @given(step_paths(), barrier_pairs(), st.floats(0.0, 3.0, allow_nan=False))

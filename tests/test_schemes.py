@@ -3,7 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pathfunc.errors import PreconditionError, SimulationError
@@ -619,7 +619,6 @@ class TestSimulatePath:
         assert np.all(np.diff(p.times) > 0)
 
     @given(st.integers(0, 200))
-    @settings(max_examples=25)
     def test_quasi_uniformity_along_variable_paths(self, sid):
         m = bounded_vol_model()
         h = 2**-5
