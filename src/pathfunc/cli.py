@@ -18,9 +18,10 @@ and ``converge`` judge a linear payoff's uniform-integrability gate on the
 paths they price, ``check`` on ``ui.n_paths`` fresh ones that
 :func:`~pathfunc.estimator.estimate` prices in namespaces 1000 + k.  Exit
 codes: 0 ok, 1 runtime error (naming the failing stream), 2 diagnostic
-failure (a probe with non-finite moments among them), 64 config error (a
-refused value names its section or key: a cap at or below the start value,
-an empty probe or scheme list and a probe time outside [0, 1) among them).
+failure (a probe with non-finite moments, or a ``check.kinds`` entry the
+model cannot run), 64 config error naming its section or key (a non-finite
+number, a ``scheme.kind`` that cannot run the model, a cap at or below the
+start value, an empty list, a probe time outside [0, 1)).
 """
 
 from __future__ import annotations
@@ -114,11 +115,13 @@ def _check_schemes(cfg: RunConfig, scheme: SchemeConfig) -> list:
     return [replace(scheme, kind=k) for k in names]
 
 
-def _refuse_low_cap(model: SdeModel, schemes) -> None:
-    """A cap at or below the start value would clamp every state: refuse it
-    on each scheme the command runs."""
+@_refusals_as_config_errors("scheme.kind")
+def _refuse_unrunnable(model: SdeModel, schemes) -> None:
+    """Refuse each scheme the command runs whose kernel cannot run the model,
+    or whose cap, at or below the start value, would clamp every state."""
     start = float(np.max(model.y0))
     for s in schemes:
+        s.max_times(model)
         if s.cap_level is not None and not s.cap_level > start:
             raise ConfigError(f"scheme.cap = {s.cap_level:g} at h = {s.h:g} must exceed "
                               f"the start value {start:g}")
@@ -179,7 +182,7 @@ def cmd_price(args) -> int:
     cfg = parse_config(args.config)
     model = build_model(cfg)
     scheme, sweep = build_scheme(cfg)
-    _refuse_low_cap(model, sweep)
+    _refuse_unrunnable(model, sweep)
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
     est = estimator.estimate(model, scheme, spec, cfg.require("run", "n_paths"), seed)
@@ -206,7 +209,7 @@ def cmd_converge(args) -> int:
     scheme, sweep = build_scheme(cfg, "run.h_grid")
     with _refusals_as_config_errors("run.h_grid"):
         estimator.check_h_grid(s.h for s in sweep)
-    _refuse_low_cap(model, sweep)
+    _refuse_unrunnable(model, sweep)
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
     oracle, note = _auto_oracle(cfg, model, spec)
@@ -234,7 +237,7 @@ def cmd_check(args) -> int:
     scheme, _ = build_scheme(cfg)
     sweep = build_scheme(cfg, "run.h_grid")[1] if cfg.get("run", "h_grid") else [scheme]
     checked = _check_schemes(cfg, scheme)
-    _refuse_low_cap(model, [scheme, *sweep])
+    _refuse_unrunnable(model, [scheme, *sweep])
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
     probes_y, probes_t = cfg.get("check", "probes_y"), cfg.get("check", "probes_t")

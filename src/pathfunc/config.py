@@ -5,7 +5,7 @@ one assignment per line, ``#`` comments, no nesting.  Unknown keys are
 rejected rather than ignored -- a typo must fail loudly, not silently
 change the experiment.  Numeric values accept plain literals plus the
 fraction (``1/12288``) and power (``2^-9``) forms that step grids are
-naturally written in.
+naturally written in; every number but a cap must be finite.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from .errors import ConfigError
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text"]
 
-# section -> key -> (type tag, default); a tag is "str", "num", "int",
-# "size" (a sample size, at least 2), "bool", "numlist", "cap", "one"
-# (run.workers: read by nothing, accepted as 1 for the benchmark harness)
-# or a tuple of the accepted words.
+# section -> key -> (type tag, default); a tag is "str", "num" (finite),
+# "int", "size" (a sample size, at least 2), "bool", "numlist", "cap" (may
+# be inf), "one" (run.workers: read by nothing, accepted as 1 for the
+# benchmark harness) or a tuple of the accepted words.
 # ui.n_paths sizes the sample ``check`` draws; price and converge judge the
 # gate on the priced paths
 _KEYS = {
@@ -47,18 +47,22 @@ _KEYS = {
 }
 
 
-def _parse_number(text: str, key: str) -> float:
+def _parse_number(text: str, key: str, finite: bool = True) -> float:
     text = text.strip()
     try:
         if "^" in text:
             base, exp = text.split("^", 1)
-            return float(base) ** float(exp)
-        if "/" in text:
+            v = float(base) ** float(exp)
+        elif "/" in text:
             num, den = text.split("/", 1)
-            return float(num) / float(den)
-        return float(text)
+            v = float(num) / float(den)
+        else:
+            v = float(text)
     except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise ConfigError(f"config key {key!r}: cannot parse number {text!r}") from e
+    if finite and not math.isfinite(v):
+        raise ConfigError(f"config key {key!r}: expected a finite number, got {text!r}")
+    return v
 
 
 def _parse_value(tag: str | tuple, text: str, key: str):
@@ -74,7 +78,7 @@ def _parse_value(tag: str | tuple, text: str, key: str):
         return _parse_number(text, key)
     if tag in ("int", "size"):
         v = _parse_number(text, key)
-        if not (math.isfinite(v) and v == int(v)):
+        if v != int(v):
             raise ConfigError(f"config key {key!r}: expected an integer, got {text!r}")
         if tag == "size" and v < 2:
             raise ConfigError(f"config key {key!r}: need at least 2, got {text!r}")
@@ -99,7 +103,7 @@ def _parse_value(tag: str | tuple, text: str, key: str):
             return None
         if low == "1/h":
             return "1/h"
-        return _parse_number(text, key)
+        return _parse_number(text, key, finite=False)
     raise AssertionError(f"unknown schema tag {tag}")
 
 

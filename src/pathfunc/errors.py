@@ -10,15 +10,8 @@ class PreconditionError(PathfuncError, ValueError):
 
 
 class SimulationError(PathfuncError, RuntimeError):
-    """A step kernel produced or encountered a non-finite state.
-
-    Carries the state and time at which the failure occurred.
-    """
-
-    def __init__(self, message, state=None, t=None):
-        super().__init__(message)
-        self.state = state
-        self.t = t
+    """A step kernel produced or encountered a non-finite state; a batch
+    names its lowest failing row as ``batch_index``."""
 
 
 class EvaluationError(PathfuncError, RuntimeError):

@@ -55,14 +55,12 @@ __all__ = [
 class FunctionalSpec:
     """The four sampling vectors, barriers, and payoff of one functional.
 
-    ``payoff_batch`` maps an (N, 4m+1) block of argument vectors to (N,)
-    values; ``payoff`` maps one flat (4m+1,) vector to a float.  The
-    built-in payoffs write their formula once, as ``payoff_batch``, and
-    derive ``payoff`` from it.  A custom payoff may give ``payoff`` alone;
-    :func:`payoff_values` then applies it row by row.  ``locus_distance`` maps
-    argument vectors to the distance from the payoff's discontinuity set
-    (vectorized over a leading axis).  ``bounded`` is False for a payoff of
-    linear growth.  The barriers and payoff read column 0 of the state.
+    ``payoff_batch``, the one form of the payoff, maps an (N, 4m+1) block of
+    argument vectors to (N,) values; one vector is a block of one row.
+    ``locus_distance`` maps such a block to each row's distance from the
+    payoff's discontinuity set.  ``bounded`` is False for a payoff of linear
+    growth.  The barriers and payoff read column 0 of the state.  No code
+    reads ``payoff``; it stays for the benchmark's tracer, which rebinds it.
     """
 
     m: int
@@ -70,10 +68,10 @@ class FunctionalSpec:
     nu2: SampleVector
     nu3: SampleVector
     nu4: SampleVector
-    payoff: Callable[[np.ndarray], float]
+    payoff_batch: Callable[[np.ndarray], np.ndarray]
     bounded: bool
     barriers: BarrierPair
-    payoff_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    payoff: Callable | None = None
     locus_distance: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = "custom"
 
@@ -151,16 +149,12 @@ def observe_args_batch(times: np.ndarray, values: np.ndarray,
 
 
 def payoff_values(spec: FunctionalSpec, args: np.ndarray) -> np.ndarray:
-    """The spec's payoff applied to each row of an (N, 4m+1) argument block.
+    """The spec's ``payoff_batch`` of an (N, 4m+1) argument block.
 
-    Uses ``payoff_batch`` when the spec has one, else ``payoff`` row by row.
     Raises :class:`EvaluationError` on the first non-finite value and
     records its row as ``batch_index``.
     """
-    if spec.payoff_batch is not None:
-        vals = np.asarray(spec.payoff_batch(args), dtype=np.float64)
-    else:
-        vals = np.array([float(spec.payoff(a)) for a in args])
+    vals = np.asarray(spec.payoff_batch(args), dtype=np.float64)
     finite = np.isfinite(vals)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -174,11 +168,6 @@ def evaluate(path: StepPath, spec: FunctionalSpec) -> float:
     """Payoff of one path, evaluated as a batch of one; a multi-dimensional
     path is read in column 0."""
     return float(payoff_values(spec, observe_args_batch(path.times, path.values[None], spec))[0])
-
-
-def _scalar(payoff_batch):
-    """The one-vector form of a batch payoff."""
-    return lambda x: float(payoff_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
 def _uniform_spec(m: int) -> dict:
@@ -204,11 +193,10 @@ def _knock_in_call(strike: float, barrier_level: float, r: float, m: int,
         return disc * np.maximum(x[:, 2 * m - 1] - k, 0.0) * hit
 
     def locus_distance(x):
-        return np.abs(knock_level(np.atleast_2d(x)) - b)
+        return np.abs(knock_level(x) - b)
 
     return FunctionalSpec(
         **_uniform_spec(m),
-        payoff=_scalar(payoff_batch),
         payoff_batch=payoff_batch,
         locus_distance=locus_distance,
         bounded=False,
@@ -258,7 +246,6 @@ def custom_terminal(kind: str, strike: float = 0.0, r: float = 0.0) -> Functiona
         raise ValueError(f"unknown terminal payoff kind {kind!r}")
     return FunctionalSpec(
         **_uniform_spec(1),
-        payoff=_scalar(payoff_batch),
         payoff_batch=payoff_batch,
         locus_distance=None,
         bounded=False,
@@ -273,7 +260,6 @@ def constant_payoff(c: float) -> FunctionalSpec:
     payoff_batch = lambda x: np.full(x.shape[0], c)
     return FunctionalSpec(
         **_uniform_spec(1),
-        payoff=_scalar(payoff_batch),
         payoff_batch=payoff_batch,
         locus_distance=None,
         bounded=True,

@@ -148,12 +148,11 @@ def _require_sigma_band(model: SdeModel) -> float:
     return float(model.sigma_eps)
 
 
-def _raise_at_first_bad_row(message, rows_ok, y, t):
+def _raise_at_first_bad_row(message, rows_ok):
     """Raise SimulationError at the first row not ok (None: all are), as ``batch_index``."""
     if rows_ok is not None and not rows_ok.all():
-        bad = int(np.argmin(rows_ok))
-        e = SimulationError(message, state=y[bad], t=float(np.broadcast_to(t, y.shape)[bad, 0]))
-        e.batch_index = bad
+        e = SimulationError(message)
+        e.batch_index = int(np.argmin(rows_ok))
         raise e
 
 
@@ -196,7 +195,7 @@ def binomial_variable_step(model: SdeModel, y, t, h: float, sign):
     eps = _require_sigma_band(model)
     b = model.drift(y, t)
     s = model.diffusion(y, t)
-    _raise_at_first_bad_row(_BAD_COEFFS, _finite_rows(b, s), y, t)
+    _raise_at_first_bad_row(_BAD_COEFFS, _finite_rows(b, s))
     sig = s[:, :, 0]
     in_band = ((np.abs(sig) > eps) & (np.abs(sig) < 1.0 / eps))[:, 0]
     if not in_band.all():
@@ -255,12 +254,11 @@ def _fixed_states(model: SdeModel, config: SchemeConfig, times: np.ndarray,
             if cap is not None:
                 np.minimum(y, cap, out=y)
             n += 1
-            if coeffs_ok is not None:  # the screen fired; nxt holds the states before the step
+            if coeffs_ok is not None:  # the screen fired
                 ok = coeffs_ok & np.isfinite(y).all(axis=1)
                 r = int(np.argmin(ok))
                 if not ok[r] and (failure is None or r < failure.batch_index):
-                    at = (_BAD_STATE, y, n) if coeffs_ok[r] else (_BAD_COEFFS, nxt, n - 1)
-                    failure = SimulationError(at[0], state=at[1][r].copy(), t=float(times[at[2]]))
+                    failure = SimulationError(_BAD_STATE if coeffs_ok[r] else _BAD_COEFFS)
                     failure.batch_index = r
                 y[~ok] = model.y0
             yield y
@@ -290,13 +288,11 @@ def _tree_states(model: SdeModel, config: SchemeConfig, n_rows: int, sign):
             trunc = t_next >= 1.0 - 1e-15
             if cap is not None:
                 y_next = np.minimum(y_next, cap)
-            _raise_at_first_bad_row(_BAD_STATE, np.isfinite(y_next).all(axis=1), y_next, t_next)
+            _raise_at_first_bad_row(_BAD_STATE, np.isfinite(y_next).all(axis=1))
         except (PreconditionError, SimulationError) as e:
-            r = int(rows[e.batch_index])
-            failure = e if isinstance(e, SimulationError) else SimulationError(
-                str(e), state=y[r], t=float(t[r, 0]))  # a band violation on a realized state
-            failure.batch_index = r
-            active[r:] = False
+            failure = SimulationError(str(e))  # a band violation too
+            failure.batch_index = int(rows[e.batch_index])
+            active[failure.batch_index:] = False
             continue
         y[rows], t[rows] = y_next, np.where(trunc, 1.0, t_next)
         active[rows] = ~trunc[:, 0]
@@ -599,7 +595,7 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
                 n = (len(xi), model.dim_state)
                 y_next = np.empty(n)
                 _raise_at_first_bad_row(_BAD_COEFFS, _fixed_update(
-                    model, y[None, :], t, dt, xi, y_next, np.empty(n)), y[None, :], t)
+                    model, y[None, :], t, dt, xi, y_next, np.empty(n)))
             dy = y_next - y
         except (PreconditionError, SimulationError) as e:
             fail(float(y[0]), t, e)

@@ -164,6 +164,19 @@ class TestConfigParsing:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith(f"config error: config key {key!r}: ")
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("price", "model.r", "nan"), ("price", "model.r", "inf"), ("price", "model.sigma", "nan"),
+        ("price", "functional.strike", "nan"), ("price", "functional.barrier_level", "nan"),
+        ("price", "scheme.h", "-inf"), ("converge", "run.h_grid", "2^-3, 1e400, 2^-5"),
+        ("check", "check.probes_y", "nan"), ("check", "check.probes_y", "0.5, -inf")])
+    def test_non_finite_number_refused(self, tmp_path, capsys, command, key, value):
+        # barrier_level = nan once priced an up-and-in call at 0 with exit 0,
+        # model.r = nan failed stream 0 with exit 1, and probes_y = nan
+        # printed ERROR rows with exit 2
+        assert main([command, write(tmp_path, "c.cfg", CONSTANT_CFG + f"{key} = {value}\n")]) == 64
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"config error: config key {key!r}: ")
+
 
 class TestCliPrice:
     def test_tree_row_pinned(self, tmp_path, capsys):
@@ -698,6 +711,35 @@ def test_refused_scheme_value_names_its_key(tmp_path, capsys, command, line, key
     path = write(tmp_path, "c.cfg", REFUSAL_CFG + line + "\n")
     assert main([command, path]) == 64
     assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, model, kind, reason", [
+    ("price", "inverse_bessel3", "binomial_variable", "declares no sigma band"),
+    ("converge", "stoch_vol", "binomial_fixed", "binomial kernels require d = d1 = 1"),
+    ("check", "inverse_bessel3", "binomial_variable", "declares no sigma band"),
+])
+def test_kernel_the_model_cannot_run_names_scheme_kind(tmp_path, capsys, command, model,
+                                                       kind, reason):
+    # these once exited 1 with `error: ...`, naming no key
+    text = (REFUSAL_CFG.replace("model.kind = gbm", f"model.kind = {model}")
+            .replace("scheme.kind = euler", f"scheme.kind = {kind}"))
+    assert main([command, write(tmp_path, "c.cfg", text)]) == 64
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("config error: section 'scheme', key 'scheme.kind': ")
+    assert reason in out.err
+
+
+def test_check_kind_the_model_cannot_run_is_an_error_row(tmp_path, capsys):
+    # a check.kinds entry is measured, not refused: its probe is an ERROR row
+    text = (REFUSAL_CFG.replace("model.kind = gbm", "model.kind = inverse_bessel3")
+            .replace("functional.payoff = terminal_identity", "functional.payoff = constant")
+            + "check.kinds = all\n")
+    assert main(["check", write(tmp_path, "c.cfg", text)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    i = out.index("scheme binomial_variable: FAIL")
+    assert out[i + 1].startswith("  probe y=nan t=nan: ERROR model 'inverse_bessel3' "
+                                 "declares no sigma band")
 
 
 class TestCliSkorohodDist:

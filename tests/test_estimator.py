@@ -22,12 +22,11 @@ GBM = gbm(0.1, 0.3, 0.8)
 CFG = SchemeConfig("euler", h=2**-6)
 
 
-def terminal_spec(payoff=None, payoff_batch=None):
-    """A payoff of the terminal value (argument 1) given in either form."""
+def terminal_spec(payoff_batch):
+    """A payoff of the terminal value (argument 1 of each row)."""
     nu = SampleVector.uniform(1)
-    return FunctionalSpec(m=1, nu1=nu, nu2=nu, nu3=nu, nu4=nu, payoff=payoff,
-                          payoff_batch=payoff_batch, bounded=False,
-                          barriers=BarrierPair.unbounded())
+    return FunctionalSpec(m=1, nu1=nu, nu2=nu, nu3=nu, nu4=nu, payoff_batch=payoff_batch,
+                          bounded=False, barriers=BarrierPair.unbounded())
 
 
 class TestEstimate:
@@ -129,7 +128,7 @@ class TestEstimate:
     def test_nan_batch_payoff_raises_with_first_bad_stream(self):
         # NaN wherever the terminal value ends above 1
         cfg = SchemeConfig("euler", h=2**-4)
-        spec = terminal_spec(payoff_batch=lambda x: np.where(x[:, 1] <= 1.0, x[:, 1], np.nan))
+        spec = terminal_spec(lambda x: np.where(x[:, 1] <= 1.0, x[:, 1], np.nan))
         _, values = simulate_values(GBM, cfg, [RngStream(0, i) for i in range(100)])
         first_bad = int(np.argmax(values[:, -1, 0] > 1.0))
         assert first_bad > 0
@@ -139,9 +138,11 @@ class TestEstimate:
 
     @pytest.mark.parametrize("kind", ["euler", "binomial_variable"])
     def test_scalar_payoff_failure_names_stream(self, kind):
-        # a payoff given only in scalar form, NaN above 1 on some paths
+        # a payoff written for one path and mapped over the rows of the
+        # block, NaN above 1 on some paths
         cfg = SchemeConfig(kind, h={"euler": 2**-4, "binomial_variable": 2**-8}[kind])
-        spec = terminal_spec(payoff=lambda x: x[1] if x[1] <= 1.0 else float("nan"))
+        spec = terminal_spec(lambda x: np.array(
+            [row[1] if row[1] <= 1.0 else float("nan") for row in x]))
         terminals = [simulate_path(GBM, cfg, RngStream(0, i)).values[-1] for i in range(100)]
         first_bad = int(np.argmax(np.array(terminals) > 1.0))
         assert first_bad > 0
@@ -198,7 +199,6 @@ class TestEstimate:
         m = 2
         spec = FunctionalSpec(m=m, nu1=SampleVector([0.5, 1.0]), nu2=SampleVector([0.5, 1.0]),
                               nu3=SampleVector([0.25, 1.0]), nu4=SampleVector([0.5, 1.0]),
-                              payoff=None,
                               payoff_batch=lambda x: x[:, 0] + 2.0 * x[:, 2 * m] + x[:, 4 * m],
                               bounded=False, barriers=BarrierPair(0.6, 1.1))
         n = 300
@@ -275,7 +275,7 @@ class TestTreeStream:
         monkeypatch.setattr(estimator, "simulate_states",
                             lambda m, c, streams: sizes.append(len(streams)) or states(m, c, streams))
         nu = SampleVector.uniform(1)
-        band = FunctionalSpec(m=1, nu1=nu, nu2=nu, nu3=nu, nu4=nu, payoff=None, bounded=True,
+        band = FunctionalSpec(m=1, nu1=nu, nu2=nu, nu3=nu, nu4=nu, bounded=True,
                               payoff_batch=lambda x: x[:, -1], barriers=BarrierPair(0.5, 1.2))
         cfg = replace(TREE, h=2**-6)
         assert estimate(GBM, cfg, band, 3000, seed=0).mean < 1.0
@@ -416,11 +416,11 @@ class TestCounterexamples:
         assert 0.7 * r2 <= s2 <= 1.1 * r2
 
     def test_strong_rows_pinned(self):
-        # computed with whole (b, N, 64) blocks: N = 3000 spans three tiles,
-        # the last partial, and 25 repetitions leave a partial sum group of 5
+        # N = 3000 spans three tiles, the last partial; the 25 suprema are
+        # summed in one np.sum
         rep = counterexample_strong(n_grid=(100, 3000), n_rep=25, seed=7)
         assert rep.rows == [(100, 2.8098384707529185, 3.034854258770293),
-                            (3000, 3.901647891221749, 4.00159157527358)]
+                            (3000, 3.90164789122175, 4.00159157527358)]
         assert rep.strictly_increasing
 
     def test_strong_report_is_json(self):
@@ -455,7 +455,7 @@ class TestBoundedMeanStaysInBand:
         nu = SampleVector([1.0])
         spec = FunctionalSpec(
             m=1, nu1=nu, nu2=nu, nu3=nu, nu4=nu,
-            payoff=lambda x: float(np.tanh(x[1])),
+            payoff_batch=lambda x: np.tanh(x[:, 1]),
             bounded=True, barriers=BarrierPair.unbounded())
         est = estimate(GBM, CFG, spec, 2000, seed=17)
         assert -1.0 <= est.mean <= 1.0

@@ -32,12 +32,17 @@ def make_path(times, values):
     return StepPath(np.asarray(times, dtype=float), np.asarray(values, dtype=float))
 
 
-def spec_with(barriers, m=2, payoff=None):
+def spec_with(barriers, m=2, payoff_batch=None):
     nu = SampleVector.uniform(m)
     return FunctionalSpec(
         m=m, nu1=nu, nu2=nu, nu3=nu, nu4=nu,
-        payoff=payoff or (lambda x: float(np.sum(x))),
+        payoff_batch=payoff_batch or (lambda x: np.sum(x, axis=1)),
         bounded=False, barriers=barriers)
+
+
+def payoff_of(spec, args):
+    """The payoff of one argument vector, as a block of one row."""
+    return float(spec.payoff_batch(np.asarray(args, dtype=np.float64)[None, :])[0])
 
 
 def path_args(p, spec):
@@ -74,7 +79,7 @@ class TestObserve:
         p = make_path([0, 0.25, 1], [0.5, 3.0, 0.25])
         nu = SampleVector([1.0, 1.0])
         spec = FunctionalSpec(m=2, nu1=nu, nu2=nu, nu3=nu, nu4=nu,
-                              payoff=lambda x: 0.0, bounded=True,
+                              payoff_batch=lambda x: np.zeros(len(x)), bounded=True,
                               barriers=BarrierPair(-np.inf, 2.0))
         args = path_args(p, spec)
         assert args[8] == 0.25  # tau
@@ -111,31 +116,31 @@ class TestEvaluate:
         args[12:24] = 0.6
         args[17] = 1.1
         args[23] = 0.6
-        assert spec.payoff(args) == pytest.approx(np.exp(-0.1) * 0.1)
+        assert payoff_of(spec, args) == pytest.approx(np.exp(-0.1) * 0.1)
         # out-of-the-money terminal 0.4: zero
         args[23] = 0.4
         args2 = args.copy()
-        assert spec.payoff(args2) == 0.0
+        assert payoff_of(spec, args2) == 0.0
 
     def test_up_in_call_examples(self):
         spec = up_and_in_call(strike=0.5, barrier_level=1.0, r=0.07, m=1)
         args = np.array([0.0, 1.0, 0.0, 1.0, 1.0])  # terminal 1, running max 1
-        assert spec.payoff(args) == pytest.approx(np.exp(-0.07) * 0.5)
+        assert payoff_of(spec, args) == pytest.approx(np.exp(-0.07) * 0.5)
         args[3] = 0.99  # barrier not reached
-        assert spec.payoff(args) == 0.0
+        assert payoff_of(spec, args) == 0.0
         args[3] = 1.5
         args[1] = 0.5  # at the strike: zero intrinsic
-        assert spec.payoff(args) == 0.0
+        assert payoff_of(spec, args) == 0.0
 
     def test_single_monitor_reduction(self):
         spec = discrete_barrier_call(strike=0.5, barrier_level=1.0, r=0.0, m=1)
         args = np.array([0.0, 1.2, 0.0, 0.0, 1.0])
-        assert spec.payoff(args) == pytest.approx(0.7)
+        assert payoff_of(spec, args) == pytest.approx(0.7)
 
     def test_nonfinite_payoff_raises(self):
         p = make_path([0, 1], [1.0, 2.0])
         bad = spec_with(BarrierPair.unbounded(), m=1,
-                        payoff=lambda x: float("nan"))
+                        payoff_batch=lambda x: np.full(len(x), np.nan))
         with pytest.raises(EvaluationError):
             evaluate(p, bad)
 
@@ -144,7 +149,7 @@ class TestEvaluate:
         spec = FunctionalSpec(
             m=1, nu1=SampleVector([1.0]), nu2=SampleVector([1.0]),
             nu3=SampleVector([1.0]), nu4=SampleVector([1.0]),
-            payoff=lambda x: float(np.tanh(np.sum(x))),
+            payoff_batch=lambda x: np.tanh(np.sum(x, axis=1)),
             bounded=True, barriers=BarrierPair.unbounded())
         assert abs(evaluate(p, spec)) <= 1.0
 
@@ -161,18 +166,18 @@ class TestEvaluate:
         spec = discrete_barrier_call(0.5, 1.0, 0.0, m=4)
         args = np.zeros(17)
         args[4:8] = [0.7, 0.8, 0.9, 0.95]  # monitored values, below barrier
-        base = spec.payoff(args)
+        base = payoff_of(spec, args)
         assert base == 0.0
         bumped = args.copy()
         bumped[5] = 1.0  # raising one monitored value can only help
-        assert spec.payoff(bumped) >= base
+        assert payoff_of(spec, bumped) >= base
 
     def test_unbounded_band_payoff_ignores_z1_z3(self):
         spec = up_and_in_call(0.5, 1.0, 0.1, m=2)
         args = np.array([9.0, 9.0, 0.8, 1.2, 9.0, 9.0, 1.0, 1.3, 1.0])
         scrambled = args.copy()
         scrambled[[0, 1, 4, 5]] = -7.0  # z1 and z3 are inert for this payoff
-        assert spec.payoff(args) == spec.payoff(scrambled)
+        assert payoff_of(spec, args) == payoff_of(spec, scrambled)
 
 
 class TestBatchObservation:
@@ -185,7 +190,7 @@ class TestBatchObservation:
         times, values = simulate_values(m, cfg, streams)
         nu = SampleVector(np.sort(rng.uniform(0, 1, size=3)))
         spec = FunctionalSpec(m=3, nu1=nu, nu2=nu, nu3=nu, nu4=nu,
-                              payoff=lambda x: 0.0, bounded=True,
+                              payoff_batch=lambda x: np.zeros(len(x)), bounded=True,
                               barriers=band)
         args = observe_args_batch(times, values, spec)
         for i in range(len(streams)):
@@ -204,7 +209,7 @@ class TestBatchObservation:
                               nu2=SampleVector([0.1, 0.6, 1.0]),
                               nu3=SampleVector([0.3, 0.7, 1.0]),
                               nu4=SampleVector([0.25, 0.5, 1.0]),
-                              payoff=lambda x: float(x @ weights),
+                              payoff_batch=lambda x: x @ weights,
                               bounded=True,
                               barriers=BarrierPair(0.4, 1.6))
         args = observe_args_batch(times, values, spec)
@@ -215,7 +220,7 @@ class TestBatchObservation:
             assert float(args[i] @ weights) == evaluate(p, spec)
 
     def test_batch_payoff_matches_scalar(self):
-        # both forms against the formula written out per row: the call leg
+        # the block against the formula written out per row: the call leg
         # reads the last monitored value, the knock-in their maximum
         spec = discrete_barrier_call(0.5, 1.0, 0.1, m=12)
         rng = np.random.default_rng(0)
@@ -224,7 +229,6 @@ class TestBatchObservation:
                              for a in args])
         assert 0 < np.count_nonzero(expected) < 64
         npt.assert_array_equal(spec.payoff_batch(args), expected)
-        npt.assert_array_equal([spec.payoff(a) for a in args], expected)
 
 
 class TestFold:
@@ -242,7 +246,7 @@ class TestFold:
         nus = [SampleVector(np.sort(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m,
                                                        max_size=m))))
                for _ in range(4)]
-        spec = FunctionalSpec(m, *nus, payoff=lambda x: 0.0, bounded=True,
+        spec = FunctionalSpec(m, *nus, payoff_batch=lambda x: np.zeros(len(x)), bounded=True,
                               barriers=band)
         cfg = SchemeConfig(kind, h=h)
         streams = [RngStream(seed, i) for i in range(6)]

@@ -68,10 +68,23 @@ def test_build_scheme_pair():
 
 
 def test_functional_spec_payoff_fields():
-    # the tracer rebinds both payoff forms with dataclasses.replace
+    # the tracer rebinds both fields with dataclasses.replace, though only
+    # payoff_batch is a payoff form (see the next test)
     from pathfunc.functionals import FunctionalSpec
     fields = {f.name for f in dataclasses.fields(FunctionalSpec) if f.init}
     assert {"payoff", "payoff_batch"} <= fields
+
+
+def test_no_module_reads_payoff():
+    # payoff_batch is the one payoff form: no code in the package reads the
+    # payoff field, which stays for the tracer alone
+    import ast
+    from pathlib import Path
+    src = Path(__file__).resolve().parents[1] / "src" / "pathfunc"
+    reads = [f"{f.name}:{n.lineno}" for f in sorted(src.glob("*.py"))
+             for n in ast.walk(ast.parse(f.read_text()))
+             if isinstance(n, ast.Attribute) and n.attr == "payoff"]
+    assert reads == []
 
 
 # The benchmark harness still passes a worker count on three surfaces; each
