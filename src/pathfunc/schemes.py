@@ -542,8 +542,8 @@ class ConsistencyReport:
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite moment is an ERROR row
 def check_local_consistency(model: SdeModel, config: SchemeConfig,
-                            probes: Iterable, n_draws: int = 10**6, seed: int = 0,
-                            reference: SdeModel | None = None) -> ConsistencyReport:
+                            probes: Iterable, n_draws: int = 10**6,
+                            seed: int = 0) -> ConsistencyReport:
     """Empirical check of the local-consistency moment conditions.
 
     At each probe (y, t) the kernel's one-step conditional mean and variance
@@ -558,12 +558,8 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
     tolerance that is not finite (coefficients that overflow the moments)
     makes the probe an error row.  The realized dt / h is reported, not
     judged: the steps are quasi-uniform by construction, and a step
-    truncated at t = 1 is shorter.  Passing a
-    separate ``reference`` model measures the kernel of ``model`` against
-    the reference coefficients (used to demonstrate detection of a
-    sabotaged kernel).
+    truncated at t = 1 is shorter.
     """
-    ref = reference if reference is not None else model
     report = ConsistencyReport(kind=config.kind, h=config.h)
 
     def fail(y, t, e):
@@ -581,9 +577,8 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
     for y_p, t_p in probes:
         y = np.atleast_1d(np.asarray(y_p, dtype=np.float64))
         t = float(t_p)
-        b_ref = ref.drift(y[None, :], t)[0]
-        s_ref = ref.diffusion(y[None, :], t)[0]
-        a_ref = s_ref @ s_ref.T
+        b = model.drift(y[None, :], t)[0]
+        s = model.diffusion(y[None, :], t)[0]
         try:
             if config.kind == "binomial_variable":
                 dt, y_next = binomial_variable_step(model, y[None, :], t, config.h, signs)
@@ -612,8 +607,8 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
             se1 = np.zeros_like(mean)
             se2 = np.zeros_like(cov)
             method = "enumeration"
-        r1_vec = (mean - dt * b_ref) / dt
-        r2_mat = (cov - dt * a_ref) / dt
+        r1_vec = (mean - dt * b) / dt
+        r2_mat = (cov - dt * (s @ s.T)) / dt
         r1 = float(np.max(np.abs(r1_vec)))
         r2 = float(np.max(np.abs(r2_mat)))
         tol1 = config.h + float(np.max(4.0 * se1 / dt))

@@ -18,6 +18,23 @@ settings.load_profile("acceptance")
 
 MASTER_SEED = 20240601
 
+# A small price on the variable-step tree: 300 paths at h = 2^-6, with the
+# gate line of a linear payoff.
+TREE_CFG = """
+model.kind = gbm
+model.r = 0.1
+model.sigma = 0.3
+model.x0 = 0.8
+scheme.kind = binomial_variable
+scheme.h = 2^-6
+functional.payoff = terminal_call
+functional.strike = 0.5
+run.n_paths = 300
+run.seed = 5
+output.format = csv
+run.timing = off
+"""
+
 
 def bench_workload():
     """bench/workload.py, loaded as a module: the benchmark's own inputs."""

@@ -8,7 +8,7 @@ from pathfunc.cli import main
 from pathfunc.config import parse_config_text
 from pathfunc.errors import ConfigError
 
-from conftest import bench_workload
+from conftest import TREE_CFG
 
 CONSTANT_CFG = """
 model.kind = gbm
@@ -36,51 +36,6 @@ def write(tmp_path, name, text):
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CAP_DEMO = CONFIGS / "check_bessel_cap.cfg"
 
-# Every byte `check` prints on the shipped configs, with its exit code.
-SHIPPED_CHECKS = {
-    "check_gbm.cfg": (0, """\
-scheme euler: pass
-  probe y=0.5 t=0 [monte_carlo]: r1=8.156e-04 (tol 2.042e-02) r2=1.118e-05 (tol 1.575e-02) dt/h=1 ok
-  probe y=0.5 t=0.5 [monte_carlo]: r1=6.276e-04 (tol 2.043e-02) r2=2.079e-05 (tol 1.575e-02) dt/h=1 ok
-  probe y=1 t=0 [monte_carlo]: r1=3.870e-03 (tol 2.522e-02) r2=1.277e-04 (tol 1.613e-02) dt/h=1 ok
-  probe y=1 t=0.5 [monte_carlo]: r1=2.908e-03 (tol 2.524e-02) r2=2.377e-04 (tol 1.614e-02) dt/h=1 ok
-  probe y=2 t=0 [monte_carlo]: r1=3.851e-04 (tol 3.482e-02) r2=2.419e-04 (tol 1.766e-02) dt/h=1 ok
-  probe y=2 t=0.5 [monte_carlo]: r1=1.146e-02 (tol 3.482e-02) r2=1.527e-04 (tol 1.766e-02) dt/h=1 ok
-scheme binomial_fixed: pass
-  probe y=0.5 t=0 [enumeration]: r1=1.069e-15 (tol 1.562e-02) r2=4.163e-17 (tol 1.562e-02) dt/h=1 ok
-  probe y=0.5 t=0.5 [enumeration]: r1=1.069e-15 (tol 1.562e-02) r2=4.163e-17 (tol 1.562e-02) dt/h=1 ok
-  probe y=1 t=0 [enumeration]: r1=2.137e-15 (tol 1.562e-02) r2=1.665e-16 (tol 1.562e-02) dt/h=1 ok
-  probe y=1 t=0.5 [enumeration]: r1=2.137e-15 (tol 1.562e-02) r2=1.665e-16 (tol 1.562e-02) dt/h=1 ok
-  probe y=2 t=0 [enumeration]: r1=4.274e-15 (tol 1.562e-02) r2=6.661e-16 (tol 1.562e-02) dt/h=1 ok
-  probe y=2 t=0.5 [enumeration]: r1=4.274e-15 (tol 1.562e-02) r2=6.661e-16 (tol 1.562e-02) dt/h=1 ok
-scheme binomial_variable: pass
-  probe y=0.5 t=0 [enumeration]: r1=1.998e-17 (tol 1.562e-02) r2=2.498e-18 (tol 1.562e-02) dt/h=44.44 ok
-  probe y=0.5 t=0.5 [enumeration]: r1=4.163e-17 (tol 1.562e-02) r2=6.939e-18 (tol 1.562e-02) dt/h=32 ok
-  probe y=1 t=0 [enumeration]: r1=2.798e-16 (tol 1.562e-02) r2=0.000e+00 (tol 1.562e-02) dt/h=11.11 ok
-  probe y=1 t=0.5 [enumeration]: r1=2.798e-16 (tol 1.562e-02) r2=0.000e+00 (tol 1.562e-02) dt/h=11.11 ok
-  probe y=2 t=0 [enumeration]: r1=4.556e-15 (tol 1.562e-02) r2=3.997e-17 (tol 1.562e-02) dt/h=2.778 ok
-  probe y=2 t=0.5 [enumeration]: r1=4.556e-15 (tol 1.562e-02) r2=3.997e-17 (tol 1.562e-02) dt/h=2.778 ok
-ui diagnostic: pass (tail tol 0.05, sup second moment 0.8674)
-  h=0.0625 cap=none: tail@32 = 0, E[X^2] = 0.8535
-  h=0.015625 cap=none: tail@32 = 0, E[X^2] = 0.8674
-  h=0.00390625 cap=none: tail@32 = 0, E[X^2] = 0.8619
-"""),
-    "check_bessel_cap.cfg": (2, """\
-scheme euler: pass
-  probe y=0.5 t=0 [monte_carlo]: r1=2.245e-03 (tol 2.362e-02) r2=1.590e-05 (tol 1.598e-02) dt/h=1 ok
-  probe y=0.5 t=0.5 [monte_carlo]: r1=3.039e-03 (tol 2.363e-02) r2=6.568e-05 (tol 1.598e-02) dt/h=1 ok
-  probe y=1 t=0 [monte_carlo]: r1=4.153e-03 (tol 4.766e-02) r2=2.245e-03 (tol 2.129e-02) dt/h=1 ok
-  probe y=1 t=0.5 [monte_carlo]: r1=1.371e-02 (tol 4.761e-02) r2=1.023e-03 (tol 2.128e-02) dt/h=1 ok
-  probe y=2 t=0 [monte_carlo]: r1=3.211e-03 (tol 1.436e-01) r2=1.620e-03 (tol 1.061e-01) dt/h=1 ok
-  probe y=2 t=0.5 [monte_carlo]: r1=4.547e-02 (tol 1.435e-01) r2=2.435e-02 (tol 1.060e-01) dt/h=1 ok
-ui diagnostic: FAIL (tail tol 0.05, sup second moment 92.45)
-  h=0.0625 cap=16: tail@32 = 0, E[X^2] = 6.086
-  h=0.015625 cap=64: tail@32 = 0.2944, E[X^2] = 19.56
-  h=0.00390625 cap=256: tail@32 = 0.3584, E[X^2] = 92.45
-"""),
-}
-
-
 def small_barrier(tmp_path):
     """The shipped monthly barrier config at 200 paths, written to a file."""
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
@@ -97,22 +52,6 @@ def no_second_sample(monkeypatch):
         raise AssertionError("the gate drew a second sample")
     monkeypatch.setattr(estimator, "ui_diagnostic", refuse)
     monkeypatch.setattr(estimator, "_terminal_samples", refuse)
-
-
-TREE_CFG = """
-model.kind = gbm
-model.r = 0.1
-model.sigma = 0.3
-model.x0 = 0.8
-scheme.kind = binomial_variable
-scheme.h = 2^-6
-functional.payoff = terminal_call
-functional.strike = 0.5
-run.n_paths = 300
-run.seed = 5
-output.format = csv
-run.timing = off
-"""
 
 
 class TestConfigParsing:
@@ -179,15 +118,6 @@ class TestConfigParsing:
 
 
 class TestCliPrice:
-    def test_tree_row_pinned(self, tmp_path, capsys):
-        # the variable-step tree's priced row and gate line, byte for byte
-        assert main(["price", write(tmp_path, "t.cfg", TREE_CFG)]) == 0
-        assert capsys.readouterr().out.splitlines() == [
-            "ui diagnostic: pass (sup second moment 0.8184)",
-            "h,mean,stderr,ci_lo,ci_hi,n,elapsed",
-            "0.015625,0.33320463627003988,0.013293250765221677,0.30714986477020539,"
-            "0.35925940776987436,300,0.000"]
-
     def test_constant_payoff_exact(self, tmp_path, capsys):
         path = write(tmp_path, "c.cfg", CONSTANT_CFG)
         assert main(["price", path]) == 0
@@ -237,26 +167,27 @@ class TestCliPrice:
         b = capsys.readouterr().out
         assert a != b
 
-    def test_bytes_ignore_workers_env_and_core_count(self, tmp_path, monkeypatch):
-        # one summation order: a stale PATHFUNC_WORKERS or another core count
-        # must not move a single byte
+    def test_bytes_ignore_workers_env_and_core_count(self, tmp_path, capsys, monkeypatch):
+        # one summation order: the noise drawers' count moves no byte.  At
+        # h = 2^-8 a stream draws 256 normals a block, enough to split 300
+        # streams (three tiles) across 3 drawers; 1 drawer never asks the pool
+        from pathfunc import schemes
+        real_pool, used = schemes._pool, []
+        monkeypatch.setattr(schemes, "_pool", lambda pid: used.append(pid) or real_pool(pid))
         cfg = CONSTANT_CFG.replace("functional.payoff = constant",
                                    "functional.payoff = terminal_call")
         cfg = cfg.replace("functional.strike = 2.5", "functional.strike = 0.9")
-        cfg = cfg.replace("run.n_paths = 64", "run.n_paths = 2000\nrun.allow_linear = true")
-        cfg = cfg.replace("run.workers = 1\n", "")
-        target = tmp_path / "out.csv"
-        path = write(tmp_path, "c.cfg", cfg + f"output.path = {target}\n")
-        monkeypatch.delenv("PATHFUNC_WORKERS", raising=False)
+        cfg = cfg.replace("scheme.h = 0.125", "scheme.h = 2^-8")
+        cfg = cfg.replace("run.n_paths = 64", "run.n_paths = 300\nrun.allow_linear = true")
+        path = write(tmp_path, "c.cfg", cfg)
         outputs = []
-        for env, cores in ((None, 1), ("4", 1), (None, 8)):
-            if env is not None:
-                monkeypatch.setenv("PATHFUNC_WORKERS", env)
-            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        for w in (1, 3):
+            monkeypatch.setattr(schemes, "_drawers", lambda: w)
+            used.clear()
             assert main(["price", path]) == 0
-            outputs.append(target.read_bytes())
-            monkeypatch.delenv("PATHFUNC_WORKERS", raising=False)
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+            outputs.append(capsys.readouterr().out)
+            assert len(used) > 0 if w > 1 else not used
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("key, value", [("scheme.h", "2"), ("model.sigma", "-1"),
                                             ("scheme.cap", "nan"), ("scheme.cap", "-inf")])
@@ -386,12 +317,6 @@ class TestCliCheck:
         assert main(["check", path]) == 2
         assert "FAIL" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("name", sorted(SHIPPED_CHECKS))
-    def test_shipped_config_output(self, capsys, name):
-        code, out = SHIPPED_CHECKS[name]
-        assert main(["check", str(CONFIGS / name)]) == code
-        assert capsys.readouterr().out == out
-
     def test_overflowing_moments_are_error_rows(self, tmp_path, capsys):
         # sigma = 1e200 overflows the coefficients' products: each probe is an
         # ERROR row, not a residual against an infinite tolerance, and no
@@ -509,16 +434,6 @@ class TestCliCheck:
 
 
 class TestCliCounterexample:
-    def test_tangency(self, capsys):
-        # the whole stdout: the one shipped command on a finite band
-        assert main(["counterexample", "tangency"]) == 0
-        assert capsys.readouterr().out == (
-            "exit time of the grazing path: 0.5\n"
-            "  shifted down by h=0.1: exit time 1.0\n"
-            "  shifted down by h=0.01: exit time 1.0\n"
-            "  shifted down by h=0.001: exit time 1.0\n"
-            "classification of the grazing path: C4\n")
-
     def test_bessel(self, capsys):
         assert main(["counterexample", "bessel", "--paths", "40000", "--seed", "2"]) == 0
         out = capsys.readouterr().out
@@ -531,14 +446,12 @@ class TestCliCounterexample:
         assert flag in capsys.readouterr().err
 
     def test_strong_small(self, capsys):
-        # the whole stdout, computed with whole (b, N, 64) blocks of draws
-        assert main(["counterexample", "strong", "--paths", "40"]) == 0
-        assert capsys.readouterr().out == (
-            "       N  sqrt(N)*sup_err  sqrt(2 log N)\n"
-            "     100           2.8321         3.0349\n"
-            "    1000           3.5614         3.7169\n"
-            "   10000           4.1943         4.2919\n"
-            "strictly increasing: True\n")
+        # --paths sets the repetitions: the rows are those of n_rep = 10
+        from pathfunc.estimator import counterexample_strong
+        assert main(["counterexample", "strong", "--paths", "10"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:4]
+        assert rows == [f"{n:8d} {scaled:16.4f} {ref:14.4f}"
+                        for n, scaled, ref in counterexample_strong(n_rep=10).rows]
 
     @pytest.mark.parametrize("name, paths", [("bessel", "0"), ("bessel", "-5"),
                                              ("bessel", "1"), ("strong", "-3"),
@@ -756,22 +669,6 @@ class TestCliSkorohodDist:
         assert main(["skorohod-dist", a, b]) == 64
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{b}, line 3" in err
-
-    @pytest.mark.parametrize("seed, printed", [(3, "0.015154791119385336\n"),
-                                               (7, "0.017943120974030558\n"),
-                                               (101, "0.018411784333485226\n")])
-    def test_benchmark_pair_printed_bytes(self, tmp_path, capsys, seed, printed):
-        # the diagnostics workload's pairs, written as the benchmark writes
-        # them; on these the former matched-jump bound printed the same bytes
-        workload = bench_workload()
-        a, b, _ = workload.skorohod_pair(seed)
-        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-        workload._write_path(pa, *a)
-        workload._write_path(pb, *b)
-        for argv in ([pa, pb], [pb, pa]):
-            assert main(["skorohod-dist", *map(str, argv)]) == 0
-            assert capsys.readouterr() == (printed, "")
-
 
 class TestStartupImports:
     """scipy serves only the oracles and the exact reciprocal-Bessel sampler,

@@ -152,11 +152,8 @@ def test_estimate_ui_override_accepts_only_true():
 
 # Defaulted parameters that only tests set, each kept for a stated reason.
 SET_BY_TESTS_ALLOWED = {
-    # test seams: forced draws, and a reference model that sabotages a kernel
+    # the test seam of forced draws
     ("schemes", "simulate_path", "forced_noise"),
-    ("schemes", "check_local_consistency", "reference"),
-    # tests shrink the work
-    ("estimator", "counterexample_strong", "n_grid"),
     # the stochastic-volatility factor no config key sets yet (ROADMAP item 5)
     ("models", "stoch_vol", "vol_of_vol"),
 }

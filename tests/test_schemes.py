@@ -742,15 +742,18 @@ class TestLocalConsistency:
             assert max(r.r1 for r in rep.rows) <= 1e-12
             assert max(r.r2 for r in rep.rows) <= 1e-12
 
-    def test_sabotaged_drift_flagged(self):
-        base = gbm(0.1, 0.3, 0.8)
-        doubled = SdeModel("sabotage", 1, 1,
-                           drift=lambda y, t: 0.2 * y,
-                           diffusion=base.diffusion, y0=base.y0,
-                           sigma_eps=base.sigma_eps)
-        rep = check_local_consistency(doubled, SchemeConfig("euler", h=2**-6),
-                                      [(1.0, 0.0)], n_draws=10**5, seed=3,
-                                      reference=base)
+    def test_sabotaged_drift_flagged(self, monkeypatch):
+        # a kernel whose step adds 0.1 y dt to the drift the model declares
+        from pathfunc import schemes
+        real = schemes._fixed_update
+
+        def biased(model, y, t, dt, xi, out, mix):
+            bad = real(model, y, t, dt, xi, out, mix)
+            out += 0.1 * y * dt
+            return bad
+        monkeypatch.setattr(schemes, "_fixed_update", biased)
+        rep = check_local_consistency(gbm(0.1, 0.3, 0.8), SchemeConfig("euler", h=2**-6),
+                                      [(1.0, 0.0)], n_draws=10**5, seed=3)
         assert not rep.passed
         assert rep.rows[0].r1 == pytest.approx(0.1, abs=0.02)
 
