@@ -11,17 +11,18 @@ be drawn on several threads, each stream from its own key, moving no byte.
 ``none`` or ``auto`` (the closed form a run has, if any).
 
 Every scheme a command runs -- ``scheme.h``, each h of ``run.h_grid``, each
-``check.kinds`` entry -- is built by :func:`build_scheme` and its helpers,
-as ``replace(scheme, ...)`` of the configured scheme, so a ``1/h`` cap is
-resolved by :class:`~pathfunc.schemes.SchemeConfig` at each h.  ``price``
-and ``converge`` judge a linear payoff's uniform-integrability gate on the
-paths they price, ``check`` on ``ui.n_paths`` fresh ones that
+kind of ``check.kinds = all`` -- is ``replace(scheme, ...)`` of the scheme
+:func:`build_scheme` configures, so a ``1/h`` cap is resolved by
+:class:`~pathfunc.schemes.SchemeConfig` at each h.
+``price`` and ``converge`` judge a linear payoff's uniform-integrability gate
+on the paths they price, ``check`` on ``ui.n_paths`` fresh ones that
 :func:`~pathfunc.estimator.estimate` prices in namespaces 1000 + k.  Exit
 codes: 0 ok, 1 runtime error (naming the failing stream), 2 diagnostic
-failure (a probe with non-finite moments, or a ``check.kinds`` entry the
-model cannot run), 64 config error naming its section or key (a non-finite
-number, a ``scheme.kind`` that cannot run the model, a cap at or below the
-start value, an empty list, a probe time outside [0, 1)).
+failure (a probe with non-finite moments, or a checked kind the model cannot
+run), 64 config error naming its section or key (a value the parser refuses:
+a non-finite number, an empty list, a word not listed; a ``scheme.kind``
+that cannot run the model, a cap at or below the start value, a probe time
+outside [0, 1)).
 """
 
 from __future__ import annotations
@@ -49,22 +50,18 @@ EXIT_DIAGNOSTIC = 2
 EXIT_CONFIG = 64
 
 
-class _refusals_as_config_errors(contextlib.ContextDecorator):
+@contextlib.contextmanager
+def _refusals_as_config_errors(where: str):
     """Report a value a constructor refuses as a ConfigError naming where it
     came from: a section (``"scheme"``) or a single key (``"run.h_grid"``)."""
-
-    def __init__(self, where: str):
-        self.where = where
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, e, tb):
-        if isinstance(e, ValueError) and not isinstance(e, ConfigError):
-            section, _, key = self.where.partition(".")
-            named = f"section {section!r}" + (f", key {self.where!r}" if key else "")
-            raise ConfigError(f"{named}: {e}") from e
-        return False
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as e:
+        section, _, key = where.partition(".")
+        named = f"section {section!r}" + (f", key {where!r}" if key else "")
+        raise ConfigError(f"{named}: {e}") from e
 
 
 @_refusals_as_config_errors("model")
@@ -98,21 +95,7 @@ def build_scheme(cfg: RunConfig, h_key: str = "scheme.h") -> tuple[SchemeConfig,
     hs = cfg.require(*h_key.split("."))
     with _refusals_as_config_errors(h_key):
         sweep = [replace(scheme, h=h) for h in (hs if isinstance(hs, list) else [hs])]
-    if not sweep:
-        raise ConfigError(f"key {h_key!r} is empty")
     return sweep[0], sweep
-
-
-@_refusals_as_config_errors("check.kinds")
-def _check_schemes(cfg: RunConfig, scheme: SchemeConfig) -> list:
-    """The scheme of each ``check.kinds`` entry at the configured step size."""
-    kinds = cfg.get("check", "kinds")
-    if kinds == "config":
-        return [scheme]
-    names = SCHEME_KINDS if kinds == "all" else [k.strip() for k in kinds.split(",") if k.strip()]
-    if not names:
-        raise ConfigError("key 'check.kinds' is empty: no scheme to check")
-    return [replace(scheme, kind=k) for k in names]
 
 
 @_refusals_as_config_errors("scheme.kind")
@@ -139,7 +122,7 @@ def build_spec(cfg: RunConfig) -> FunctionalSpec:
         return discrete_barrier_call(cfg.require("functional", "strike"),
                                      cfg.require("functional", "barrier_level"), r,
                                      m=cfg.require("functional", "m"))
-    if payoff in ("terminal_identity", "terminal_call", "terminal_put"):
+    if payoff in ("terminal_identity", "terminal_call"):
         return custom_terminal(payoff.split("_", 1)[1],
                                strike=cfg.get("functional", "strike"), r=r)
     if payoff == "constant":
@@ -236,14 +219,12 @@ def cmd_check(args) -> int:
     model = build_model(cfg)
     scheme, _ = build_scheme(cfg)
     sweep = build_scheme(cfg, "run.h_grid")[1] if cfg.get("run", "h_grid") else [scheme]
-    checked = _check_schemes(cfg, scheme)
+    checked = ([scheme] if cfg.get("check", "kinds") == "config"
+               else [replace(scheme, kind=k) for k in SCHEME_KINDS])
     _refuse_unrunnable(model, [scheme, *sweep])
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
     probes_y, probes_t = cfg.get("check", "probes_y"), cfg.get("check", "probes_t")
-    for key, values in (("check.probes_y", probes_y), ("check.probes_t", probes_t)):
-        if not values:
-            raise ConfigError(f"key {key!r} is empty: no probe to measure")
     if not all(0.0 <= t < 1.0 for t in probes_t):  # a NaN time fails too
         raise ConfigError(f"check.probes_t = {', '.join(f'{t:g}' for t in probes_t)}: "
                           "every probe time must lie in [0, 1)")

@@ -5,7 +5,9 @@ one assignment per line, ``#`` comments, no nesting.  Unknown keys are
 rejected rather than ignored -- a typo must fail loudly, not silently
 change the experiment.  Numeric values accept plain literals plus the
 fraction (``1/12288``) and power (``2^-9``) forms that step grids are
-naturally written in; every number but a cap must be finite.
+naturally written in; every number must be finite.  Each value has one
+spelling: a list holds at least one number, a cap is ``1/h`` or a number
+(no cap is the key left out), and a word key takes only its listed words.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from .errors import ConfigError
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text"]
 
-# section -> key -> (type tag, default); a tag is "str", "num" (finite),
-# "int", "size" (a sample size, at least 2), "bool", "numlist", "cap" (may
-# be inf), "one" (run.workers: read by nothing, accepted as 1 for the
-# benchmark harness) or a tuple of the accepted words.
+# section -> key -> (type tag, default); a tag is "str", "num", "int",
+# "size" (a sample size, at least 2), "bool", "numlist" (at least one
+# number), "cap" ("1/h" or a number), "one" (run.workers: read by nothing,
+# accepted as 1 for the benchmark harness) or a tuple of the accepted words.
 # ui.n_paths sizes the sample ``check`` draws; price and converge judge the
 # gate on the priced paths
 _KEYS = {
@@ -40,14 +42,14 @@ _KEYS = {
     },
     "check": {
         "probes_y": ("numlist", [0.5, 1.0, 2.0]), "probes_t": ("numlist", [0.0, 0.5]),
-        "n_draws": ("size", 1000000), "kinds": ("str", "config"),
+        "n_draws": ("size", 1000000), "kinds": (("config", "all"), "config"),
     },
     "ui": {"n_paths": ("size", 20000)},
     "output": {"format": (("csv",), "csv"), "path": ("str", "-")},
 }
 
 
-def _parse_number(text: str, key: str, finite: bool = True) -> float:
+def _parse_number(text: str, key: str) -> float:
     text = text.strip()
     try:
         if "^" in text:
@@ -60,7 +62,7 @@ def _parse_number(text: str, key: str, finite: bool = True) -> float:
             v = float(text)
     except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise ConfigError(f"config key {key!r}: cannot parse number {text!r}") from e
-    if finite and not math.isfinite(v):
+    if not math.isfinite(v):
         raise ConfigError(f"config key {key!r}: expected a finite number, got {text!r}")
     return v
 
@@ -96,14 +98,12 @@ def _parse_value(tag: str | tuple, text: str, key: str):
             return False
         raise ConfigError(f"config key {key!r}: expected a boolean, got {text!r}")
     if tag == "numlist":
-        return [_parse_number(p, key) for p in text.split(",") if p.strip()]
+        values = [_parse_number(p, key) for p in text.split(",") if p.strip()]
+        if not values:
+            raise ConfigError(f"config key {key!r}: expected at least one number, got {text!r}")
+        return values
     if tag == "cap":
-        low = text.lower()
-        if low in ("none", "inf", "+inf"):
-            return None
-        if low == "1/h":
-            return "1/h"
-        return _parse_number(text, key, finite=False)
+        return text if text == "1/h" else _parse_number(text, key)
     raise AssertionError(f"unknown schema tag {tag}")
 
 

@@ -182,10 +182,8 @@ def _terminal_samples(model: SdeModel, config_h: SchemeConfig, spec: FunctionalS
 
 def tail_report(schemes, terminals) -> UiReport:
     """Tail expectations E[|X^h(1)| ; |X^h(1)| > A] and the second moment of
-    the terminal values sampled under each scheme, one row per scheme.  The
-    cutoffs A are 2, 4, 8, ..., up to the first at or above 32, or above
-    half the smallest cap when every scheme is capped and that half is
-    larger.
+    the terminal values sampled under each scheme, one row per scheme, at
+    the cutoffs A = 2, 4, 8, 16, 32.
 
     Passes iff the tail at the largest cutoff is at most ``_TAIL_TOL`` for
     every h, so a NaN tail fails (tails must vanish uniformly for
@@ -193,13 +191,7 @@ def tail_report(schemes, terminals) -> UiReport:
     convergence).  A bounded supremum of the second moment over h is the
     practical p = 2 sufficient condition.
     """
-    caps = [s.cap_level for s in schemes]
-    top = 32.0
-    if all(c is not None for c in caps):
-        top = max(32.0, min(caps) / 2.0)
-    cutoffs = [2.0]
-    while cutoffs[-1] < top:
-        cutoffs.append(cutoffs[-1] * 2.0)
+    cutoffs = [2.0, 4.0, 8.0, 16.0, 32.0]
     rows = []
     for cfg, term in zip(schemes, terminals, strict=True):
         if term is None:

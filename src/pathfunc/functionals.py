@@ -229,7 +229,7 @@ def discrete_barrier_call(strike: float, barrier_level: float, r: float,
 
 
 def custom_terminal(kind: str, strike: float = 0.0, r: float = 0.0) -> FunctionalSpec:
-    """Payoffs of the terminal value only: identity, call or put.
+    """Payoffs of the terminal value only: identity or call.
 
     ``identity`` returns the discounted terminal value itself and is the
     payoff used by the martingale sanity checks.
@@ -240,8 +240,6 @@ def custom_terminal(kind: str, strike: float = 0.0, r: float = 0.0) -> Functiona
         payoff_batch = lambda x: disc * x[:, 1]
     elif kind == "call":
         payoff_batch = lambda x: disc * np.maximum(x[:, 1] - k, 0.0)
-    elif kind == "put":
-        payoff_batch = lambda x: disc * np.maximum(k - x[:, 1], 0.0)
     else:
         raise ValueError(f"unknown terminal payoff kind {kind!r}")
     return FunctionalSpec(

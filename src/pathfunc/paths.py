@@ -9,9 +9,9 @@ between grid points.
 
 The sampling rule (:func:`grid_columns`) and the exit rule
 (:func:`exit_times`) are written once, for a batch of paths on a shared grid
-or on one grid per row.  The engine's batch observation, :meth:`StepPath.at`,
-:func:`hitting_time` and the continuity classification all call them, so a
-single path is a batch of one.
+or on one grid per row.  The engine's batch observation, :func:`hitting_time`
+and the continuity classification all call them, so a single path is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -95,17 +95,6 @@ class StepPath:
     @property
     def is_scalar(self) -> bool:
         return self.values.ndim == 1
-
-    def index_at(self, t):
-        """Grid index covering time t (vectorized)."""
-        t = np.asarray(t, dtype=np.float64)
-        if np.any(t < 0.0) or np.any(t > 1.0):
-            raise PreconditionError("evaluation time outside [0, 1]")
-        return grid_columns(self.times, t)
-
-    def at(self, t):
-        """Path value at time t: the value at the covering grid point."""
-        return self.values[self.index_at(t)]
 
 
 @dataclass(frozen=True)

@@ -97,10 +97,10 @@ class SchemeConfig:
     """Scheme selection: kernel kind, step parameter, optional state cap.
 
     The scheme at another step size is ``replace(scheme, h=...)``.  ``cap``
-    truncates the state to min(y, cap_level) after every step: a number, None
-    or +inf for no cap, or the rule ``"1/h"``, the cap 1/h at the scheme's own
-    h, which ``replace`` carries to the new h.  A NaN or -inf cap, or any
-    other string, is refused.
+    truncates the state to min(y, cap_level) after every step: a finite
+    number, None for no cap, or the rule ``"1/h"``, the cap 1/h at the
+    scheme's own h, which ``replace`` carries to the new h.  A non-finite cap,
+    or any other string, is refused.
     """
 
     kind: str
@@ -115,11 +115,8 @@ class SchemeConfig:
         if isinstance(self.cap, str):
             if self.cap != "1/h":
                 raise ValueError(f"the only cap rule is '1/h', got {self.cap!r}")
-        elif self.cap is not None:
-            if np.isnan(self.cap) or self.cap == -np.inf:
-                raise ValueError(f"cap must be a number or +inf, got {self.cap!r}")
-            if self.cap == np.inf:
-                object.__setattr__(self, "cap", None)
+        elif self.cap is not None and not math.isfinite(self.cap):
+            raise ValueError(f"cap must be a finite number, got {self.cap!r}")
 
     @property
     def cap_level(self) -> float | None:
@@ -531,8 +528,6 @@ class ConsistencyRow:
 
 @dataclass
 class ConsistencyReport:
-    kind: str
-    h: float
     rows: list = field(default_factory=list)
 
     @property
@@ -547,9 +542,10 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
     """Empirical check of the local-consistency moment conditions.
 
     At each probe (y, t) the kernel's one-step conditional mean and variance
-    are measured -- exactly, by enumerating the two outcomes, for the
-    binomial kernels, and by Monte Carlo with ``n_draws`` samples for the
-    Euler kernel.  Residuals are
+    are measured from the state ``model.y0`` with its first coordinate set
+    to y -- exactly, by enumerating the two outcomes, for the binomial
+    kernels, and by Monte Carlo with ``n_draws`` samples for the Euler
+    kernel.  Residuals are
 
         r1 = (E[dY] - E[dt] b(y,t)) / E[dt]
         r2 = (var[dY] - E[dt] sigma sigma'(y,t)) / E[dt]
@@ -560,7 +556,7 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
     judged: the steps are quasi-uniform by construction, and a step
     truncated at t = 1 is shorter.
     """
-    report = ConsistencyReport(kind=config.kind, h=config.h)
+    report = ConsistencyReport()
 
     def fail(y, t, e):
         report.rows.append(ConsistencyRow(
@@ -575,7 +571,8 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
     gen = RngStream(seed, 0, namespace=977).generator()
     signs = np.array([[1.0], [-1.0]])  # the two binomial outcomes as a 2-row batch
     for y_p, t_p in probes:
-        y = np.atleast_1d(np.asarray(y_p, dtype=np.float64))
+        y = model.y0.copy()
+        y[0] = y_p
         t = float(t_p)
         b = model.drift(y[None, :], t)[0]
         s = model.diffusion(y[None, :], t)[0]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from pathfunc.paths import BarrierPair, StepPath
+from pathfunc.paths import BarrierPair, StepPath, grid_columns
 
 # Property suites run 200 derandomized cases per property; the acceptance
 # criteria require at least that many under a fixed master randomness.
@@ -17,6 +17,12 @@ settings.register_profile(
 settings.load_profile("acceptance")
 
 MASTER_SEED = 20240601
+
+
+def value_at(path, t):
+    """The path's value at each time t: its value at the last grid time <= t."""
+    return path.values[grid_columns(path.times, np.asarray(t, dtype=np.float64))]
+
 
 # A small price on the variable-step tree: 300 paths at h = 2^-6, with the
 # gate line of a linear payoff.

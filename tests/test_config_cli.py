@@ -107,11 +107,24 @@ class TestConfigParsing:
         ("price", "model.r", "nan"), ("price", "model.r", "inf"), ("price", "model.sigma", "nan"),
         ("price", "functional.strike", "nan"), ("price", "functional.barrier_level", "nan"),
         ("price", "scheme.h", "-inf"), ("converge", "run.h_grid", "2^-3, 1e400, 2^-5"),
-        ("check", "check.probes_y", "nan"), ("check", "check.probes_y", "0.5, -inf")])
+        ("check", "check.probes_y", "nan"), ("check", "check.probes_y", "0.5, -inf"),
+        ("price", "scheme.cap", "nan"), ("price", "scheme.cap", "-inf")])
     def test_non_finite_number_refused(self, tmp_path, capsys, command, key, value):
         # barrier_level = nan once priced an up-and-in call at 0 with exit 0,
         # model.r = nan failed stream 0 with exit 1, and probes_y = nan
         # printed ERROR rows with exit 2
+        assert main([command, write(tmp_path, "c.cfg", CONSTANT_CFG + f"{key} = {value}\n")]) == 64
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"config error: config key {key!r}: ")
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("price", "scheme.cap", "none"), ("price", "scheme.cap", "inf"),
+        ("price", "scheme.cap", "+inf"), ("check", "check.kinds", "euler"),
+        ("check", "run.h_grid", ""), ("converge", "run.h_grid", "")])
+    def test_one_spelling_per_value(self, tmp_path, capsys, command, key, value):
+        # no cap is the key left out and check.kinds is `config` or `all`;
+        # an empty h grid once let `check` judge the gate at scheme.h alone
+        # with exit 0, while `converge` refused it
         assert main([command, write(tmp_path, "c.cfg", CONSTANT_CFG + f"{key} = {value}\n")]) == 64
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith(f"config error: config key {key!r}: ")
@@ -189,23 +202,11 @@ class TestCliPrice:
             assert len(used) > 0 if w > 1 else not used
         assert outputs[1] == outputs[0]
 
-    @pytest.mark.parametrize("key, value", [("scheme.h", "2"), ("model.sigma", "-1"),
-                                            ("scheme.cap", "nan"), ("scheme.cap", "-inf")])
+    @pytest.mark.parametrize("key, value", [("scheme.h", "2"), ("model.sigma", "-1")])
     def test_refused_value_is_config_error(self, tmp_path, capsys, key, value):
         path = write(tmp_path, "c.cfg", CONSTANT_CFG + f"{key} = {value}\n")
         assert main(["price", path]) == 64
         assert f"section {key.split('.')[0]!r}" in capsys.readouterr().err
-
-    def test_infinite_cap_means_no_cap(self, tmp_path, capsys):
-        cfg = CONSTANT_CFG.replace("functional.payoff = constant",
-                                   "functional.payoff = terminal_call")
-        cfg = cfg.replace("run.n_paths = 64", "run.n_paths = 64\nrun.allow_linear = true")
-        outputs = []
-        for cap in ("none", "inf", "+inf"):
-            path = write(tmp_path, "c.cfg", cfg + f"scheme.cap = {cap}\n")
-            assert main(["price", path]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_price_simulates_each_path_once(self, tmp_path, capsys, monkeypatch):
         # the gate reads the priced paths: no second sample is simulated
@@ -322,7 +323,7 @@ class TestCliCheck:
         # ERROR row, not a residual against an infinite tolerance, and no
         # numpy warning escapes
         text = ("model.kind = gbm\nmodel.sigma = 1e200\nscheme.kind = euler\n"
-                "scheme.h = 2^-6\nfunctional.payoff = constant\ncheck.kinds = euler\n"
+                "scheme.h = 2^-6\nfunctional.payoff = constant\ncheck.kinds = config\n"
                 "check.n_draws = 1000\n")
         assert main(["check", write(tmp_path, "c.cfg", text)]) == 2
         error = "ERROR non-finite moment residual or tolerance"
@@ -330,6 +331,25 @@ class TestCliCheck:
             ["scheme euler: FAIL"]
             + [f"  probe y={y} t={t}: {error}" for y in ("0.5", "1", "2") for t in ("0", "0.5")]
             + ["ui diagnostic: skipped (bounded payoff)"])
+
+    def test_stoch_vol_probes_its_first_coordinate(self, tmp_path, capsys):
+        # each probe state is model.y0 with its first coordinate set to y; a
+        # scalar probe state once ended `check` on stoch_vol with an
+        # IndexError traceback
+        text = ("model.kind = stoch_vol\nmodel.sigma = 0.2\nmodel.rho = 0.5\n"
+                "scheme.kind = euler\nscheme.h = 2^-6\nfunctional.payoff = constant\n"
+                "check.n_draws = 100000\nrun.seed = 5\n")
+        assert main(["check", write(tmp_path, "c.cfg", text + "check.kinds = config\n")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "scheme euler: pass"
+        assert len([line for line in out if line.endswith(" dt/h=1 ok")]) == 6
+        assert main(["check", write(tmp_path, "c.cfg", text + "check.kinds = all\n")]) == 2
+        out_all = capsys.readouterr().out.splitlines()
+        assert out_all[:7] == out[:7]
+        for kind in ("binomial_fixed", "binomial_variable"):
+            i = out_all.index(f"scheme {kind}: FAIL")
+            assert out_all[i + 1] == ("  probe y=nan t=nan: "
+                                      "ERROR binomial kernels require d = d1 = 1")
 
     def test_bounded_payoff_skips_ui_diagnostic(self, tmp_path, capsys, monkeypatch):
         # the command decides the skip: no tail sample is drawn
@@ -382,21 +402,24 @@ class TestCliCheck:
     @pytest.mark.parametrize("key", ["check.probes_y", "check.probes_t"])
     def test_empty_probe_list_refused(self, tmp_path, capsys, key):
         # an empty list once printed `scheme ...: pass` for every kernel
-        # without measuring one moment
+        # without measuring one moment; the parser refuses it
         text = CONSTANT_CFG + f"check.kinds = all\ncheck.n_draws = 1000\n{key} =\n"
         assert main(["check", write(tmp_path, "check.cfg", text)]) == 64
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == f"config error: key {key!r} is empty: no probe to measure\n"
+        assert out.err == (f"config error: config key {key!r}: "
+                           "expected at least one number, got ''\n")
 
     @pytest.mark.parametrize("kinds", [",", ""])
     def test_empty_scheme_list_refused(self, tmp_path, capsys, kinds):
-        # an empty list once checked no scheme and exited 0
+        # an empty list once checked no scheme and exited 0; check.kinds is
+        # now a word, so the parser refuses it
         text = CONSTANT_CFG + f"check.n_draws = 1000\ncheck.kinds = {kinds}\n"
         assert main(["check", write(tmp_path, "check.cfg", text)]) == 64
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "config error: key 'check.kinds' is empty: no scheme to check\n"
+        assert out.err == ("config error: config key 'check.kinds': expected one of config, all, "
+                           f"got {kinds!r}\n")
 
     def test_truncated_final_step_passes(self, tmp_path, capsys):
         # at t = 0.99 the last step is 0.01 = 0.64 h: a probe passes on its

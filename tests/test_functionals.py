@@ -18,7 +18,7 @@ from pathfunc.paths import BarrierPair, SampleVector, StepPath
 from pathfunc.schemes import (RngStream, SchemeConfig, simulate_path, simulate_states,
                               simulate_values)
 
-from conftest import barrier_pairs, step_paths
+from conftest import barrier_pairs, step_paths, value_at
 
 
 # sigma in [0.2, 0.8] everywhere: a safe band for the variable-step tree
@@ -159,7 +159,7 @@ class TestEvaluate:
         spec = discrete_barrier_call(0.5, 1.0, 0.05, m=3)
         extra = rng.uniform(0.0, 1.0, size=6)
         refined = StepPath(np.unique(np.concatenate([p.times, extra])),
-                           p.at(np.unique(np.concatenate([p.times, extra]))))
+                           value_at(p, np.unique(np.concatenate([p.times, extra]))))
         assert evaluate(p, spec) == evaluate(refined, spec)
 
     def test_monotone_in_monitored_values(self):

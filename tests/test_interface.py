@@ -197,7 +197,7 @@ def test_every_defaulted_parameter_has_a_caller():
     assert sorted(unset - SET_BY_TESTS_ALLOWED) == []
 
 
-# Top-level definitions no command reaches, each kept for a stated reason.
+# Definitions no command reaches, each kept for a stated reason.
 UNREACHED_ALLOWED = {
     # the frozen benchmark reads these by name (BENCHMARK_NAMES); estimate
     # streams the tree since it stopped storing it through simulate_values,
@@ -209,23 +209,43 @@ UNREACHED_ALLOWED = {
     ("schemes", "simulate_values"),
     # awaits the discontinuity-mass report of `check` (ROADMAP item 8)
     ("functionals", "discontinuity_mass_estimate"),
+    # bench/workload.py reads it (ROADMAP item 1)
+    ("config", "RunConfig.has"),
 }
 
 
 def test_every_definition_is_reached_from_a_command():
-    # Static call graph over the package's top-level defs and classes: a
-    # definition reaches every definition whose name it mentions as a name
-    # or an attribute.  Whatever cli.main does not reach is code that no
-    # command runs; it must be deleted or allowlisted above with a reason.
+    # Static call graph over the package's top-level defs and classes and
+    # their methods and properties.  A definition reaches every top-level
+    # definition whose name it mentions as a name or an attribute, and every
+    # method it names as an attribute (`x.name`).  A class's own mentions
+    # leave out its non-dunder method bodies, which run only when reached.
+    # Whatever cli.main does not reach is code that no command runs; it must
+    # be deleted or allowlisted above with a reason.
     import ast
     from pathlib import Path
-    mentions = {}  # (module, name) -> names its body mentions
+    names, attrs = {}, {}  # definition -> the names, the attributes its body mentions
+
+    def record(key, nodes):
+        walked = [n for node in nodes for n in ast.walk(node)]
+        names[key] = {n.id for n in walked if isinstance(n, ast.Name)}
+        attrs[key] = {n.attr for n in walked if isinstance(n, ast.Attribute)}
+
     for f in sorted((Path(__file__).resolve().parents[1] / "src" / "pathfunc").glob("*.py")):
         for node in ast.parse(f.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                mentions[f.stem, node.name] = (
-                    {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-                    | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+            if isinstance(node, ast.FunctionDef):
+                record((f.stem, node.name), [node])
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)
+                           and not m.name.startswith("__")]
+                for m in methods:
+                    record((f.stem, f"{node.name}.{m.name}"), [m])
+                record((f.stem, node.name), [*node.bases, *node.decorator_list,
+                                             *(n for n in node.body if n not in methods)])
+
+    def reaches(key, d):
+        _, dot, name = d[1].rpartition(".")
+        return name in attrs[key] if dot else name in names[key] | attrs[key]
 
     def reached(roots):
         seen, todo = set(), list(roots)
@@ -233,12 +253,12 @@ def test_every_definition_is_reached_from_a_command():
             key = todo.pop()
             if key not in seen:
                 seen.add(key)
-                todo += [d for d in mentions if d[1] in mentions[key]]
+                todo += [d for d in names if reaches(key, d)]
         return seen
 
     from_main = reached([("cli", "main")])
     assert sorted(UNREACHED_ALLOWED & from_main) == []  # a stale entry goes
-    assert sorted(set(mentions) - reached([("cli", "main"), *UNREACHED_ALLOWED])) == []
+    assert sorted(set(names) - reached([("cli", "main"), *UNREACHED_ALLOWED])) == []
 
 
 # Imports a module never uses, each kept for a stated reason.

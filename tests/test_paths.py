@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathfunc.errors import PreconditionError
 from pathfunc.paths import (BarrierPair, SampleVector, StepPath,
                             classify_c_partition, exit_times, grid_columns,
                             hitting_time)
 
-from conftest import barrier_pairs, step_path_pairs_same_grid, step_paths
+from conftest import barrier_pairs, step_path_pairs_same_grid, step_paths, value_at
 
 
 def make_path(times, values):
@@ -27,23 +26,16 @@ UPPER_ONE = BarrierPair(-np.inf, 1.0)
 class TestEval:
     def test_between_grid_points(self):
         p = make_path([0, 0.5, 1], [1, 2, 3])
-        assert p.at(0.7) == 2.0
+        assert value_at(p, 0.7) == 2.0
 
     def test_left_endpoint(self):
         p = make_path([0, 0.5, 1], [1, 2, 3])
-        assert p.at(0.0) == 1.0
+        assert value_at(p, 0.0) == 1.0
 
     def test_right_continuity_on_grid_point(self):
         p = make_path([0, 0.5, 1], [1, 2, 3])
-        assert p.at(0.5) == 2.0
-        assert p.at(1.0) == 3.0
-
-    def test_out_of_range_rejected(self):
-        p = make_path([0, 1], [1, 1])
-        with pytest.raises(PreconditionError):
-            p.at(1.5)
-        with pytest.raises(PreconditionError):
-            p.at(-0.1)
+        assert value_at(p, 0.5) == 2.0
+        assert value_at(p, 1.0) == 3.0
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -94,14 +86,14 @@ class TestRunningMax:
 
 
 class TestProject:
-    # projection onto nu is the sampling rule: StepPath.at, i.e. grid_columns
+    # projection onto nu is the sampling rule, grid_columns
     def test_terminal_projection(self):
         p = make_path([0, 0.5, 1], [1, 2, 3])
-        npt.assert_array_equal(p.at(SampleVector([1.0]).entries), [3.0])
+        npt.assert_array_equal(value_at(p, SampleVector([1.0]).entries), [3.0])
 
     def test_between_grid_points_uses_left_value(self):
         p = make_path([0, 0.5, 1], [1, 2, 3])
-        npt.assert_array_equal(p.at(SampleVector([0.25, 0.75]).entries), [1.0, 2.0])
+        npt.assert_array_equal(value_at(p, SampleVector([0.25, 0.75]).entries), [1.0, 2.0])
 
     def test_monthly_monitoring_values(self):
         # twelve monitoring instants on a grid that contains them
@@ -109,16 +101,17 @@ class TestProject:
         p = StepPath(t, np.sin(7 * t) + 2.0)
         nu = SampleVector.uniform(12)
         npt.assert_array_equal(grid_columns(p.times, nu.entries), np.arange(10, 121, 10))
-        npt.assert_array_equal(p.at(nu.entries), [p.at(i / 12) for i in range(1, 13)])
+        npt.assert_array_equal(value_at(p, nu.entries),
+                               [value_at(p, i / 12) for i in range(1, 13)])
 
     @given(step_paths(), st.integers(0, 2**32))
     def test_invariant_under_grid_refinement(self, p, seed):
         rng = np.random.default_rng(seed)
         extra = rng.uniform(0.0, 1.0, size=5)
         new_times = np.unique(np.concatenate([p.times, extra]))
-        refined = StepPath(new_times, p.at(new_times))
+        refined = StepPath(new_times, value_at(p, new_times))
         nu = SampleVector(np.sort(rng.uniform(0.0, 1.0, size=4)))
-        npt.assert_array_equal(p.at(nu.entries), refined.at(nu.entries))
+        npt.assert_array_equal(value_at(p, nu.entries), value_at(refined, nu.entries))
 
     def test_sample_vector_invariants(self):
         with pytest.raises(ValueError):

@@ -239,14 +239,13 @@ class TestSchemeConfig:
 
     def test_cap_forms(self):
         import dataclasses
-        assert SchemeConfig("euler", h=0.5, cap=math.inf).cap is None
-        assert SchemeConfig("euler", h=0.5, cap=math.inf).cap_level is None
+        assert SchemeConfig("euler", h=0.5).cap_level is None
         assert SchemeConfig("euler", h=0.5, cap=2.0).cap_level == 2.0
         rule = SchemeConfig("euler", h=0.5, cap="1/h")
         assert rule.cap == "1/h" and rule.cap_level == 2.0
         moved = dataclasses.replace(rule, h=2**-6)
         assert moved.cap == "1/h" and moved.cap_level == 64.0
-        for bad in (math.nan, -math.inf, "1/H", "2/h", "none", ""):
+        for bad in (math.nan, -math.inf, math.inf, "1/H", "2/h", "none", ""):
             with pytest.raises(ValueError):
                 SchemeConfig("euler", h=0.5, cap=bad)
 

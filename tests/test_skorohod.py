@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pathfunc.paths import BarrierPair, StepPath, classify_c_partition, hitting_time
 from pathfunc.skorohod import skorohod_distance_approx
 
-from conftest import step_path_pairs_same_grid, step_paths
+from conftest import step_path_pairs_same_grid, step_paths, value_at
 
 
 def indicator_step(at, height=1.0, grid=None):
@@ -18,7 +18,7 @@ def indicator_step(at, height=1.0, grid=None):
 def sup_distance(x, y):
     grid = np.unique(np.concatenate([x.times, y.times]))
     pts = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])])
-    return float(np.max(np.abs(x.at(pts) - y.at(pts))))
+    return float(np.max(np.abs(value_at(x, pts) - value_at(y, pts))))
 
 
 def discrete_frechet(x, y, n):
@@ -31,7 +31,7 @@ def discrete_frechet(x, y, n):
     """
     s = np.arange(n) / n
     cost = np.maximum(np.abs(np.subtract.outer(s, s)),
-                      np.abs(np.subtract.outer(x.at(s), y.at(s))))
+                      np.abs(np.subtract.outer(value_at(x, s), value_at(y, s))))
     c = np.full((n, n), np.inf)
     for p in range(n):
         for q in range(n):
@@ -181,7 +181,7 @@ class TestProjectionContinuity:
         jumps = x.times[1:][np.diff(x.values) != 0.0]
         nu = np.unique(np.concatenate([np.arange(1000) / 1000, x.times[:-1], xn.times[:-1]]))
         far = nu[np.all(np.abs(nu[:, None] - jumps[None, :]) > d + 1e-12, axis=1)]
-        assert np.all(np.abs(xn.at(far) - x.at(far)) <= d + 1e-12)
+        assert np.all(np.abs(value_at(xn, far) - value_at(x, far)) <= d + 1e-12)
 
     def test_bound_holds_on_shifts(self):
         x = indicator_step(0.5)
