@@ -12,17 +12,17 @@ be drawn on several threads, each stream from its own key, moving no byte.
 
 Every scheme a command runs -- ``scheme.h``, each h of ``run.h_grid``, each
 kind of ``check.kinds = all`` -- is ``replace(scheme, ...)`` of the scheme
-:func:`build_scheme` configures, so a ``1/h`` cap is resolved by
-:class:`~pathfunc.schemes.SchemeConfig` at each h.
+:func:`build_scheme` configures; no chain is ever clamped.
 ``price`` and ``converge`` judge a linear payoff's uniform-integrability gate
 on the paths they price, ``check`` on ``ui.n_paths`` fresh ones that
-:func:`~pathfunc.estimator.estimate` prices in namespaces 1000 + k.  Exit
-codes: 0 ok, 1 runtime error (naming the failing stream), 2 diagnostic
+:func:`~pathfunc.estimator.estimate` prices in namespaces 1000 + k (the
+reciprocal-Bessel family's are drawn from its exact law stopped at 1/h).
+Exit codes: 0 ok, 1 runtime error (naming the failing stream), 2 diagnostic
 failure (a probe with non-finite moments, or a checked kind the model cannot
 run), 64 config error naming its section or key (a value the parser refuses:
 a non-finite number, an empty list, a word not listed; a ``scheme.kind``
-that cannot run the model, a cap at or below the start value, a probe time
-outside [0, 1)).
+that cannot run the model, a probe time outside [0, 1), a ``model.z0`` not
+below 1/h where ``check`` draws that law, an unwritable ``output.path``).
 """
 
 from __future__ import annotations
@@ -90,8 +90,6 @@ def build_scheme(cfg: RunConfig, h_key: str = "scheme.h") -> tuple[SchemeConfig,
     """
     with _refusals_as_config_errors("scheme.kind"):
         scheme = SchemeConfig(kind=cfg.get("scheme", "kind"), h=1.0)
-    with _refusals_as_config_errors("scheme.cap"):
-        scheme = replace(scheme, cap=cfg.get("scheme", "cap"))
     hs = cfg.require(*h_key.split("."))
     with _refusals_as_config_errors(h_key):
         sweep = [replace(scheme, h=h) for h in (hs if isinstance(hs, list) else [hs])]
@@ -100,14 +98,9 @@ def build_scheme(cfg: RunConfig, h_key: str = "scheme.h") -> tuple[SchemeConfig,
 
 @_refusals_as_config_errors("scheme.kind")
 def _refuse_unrunnable(model: SdeModel, schemes) -> None:
-    """Refuse each scheme the command runs whose kernel cannot run the model,
-    or whose cap, at or below the start value, would clamp every state."""
-    start = float(np.max(model.y0))
+    """Refuse each scheme the command runs whose kernel cannot run the model."""
     for s in schemes:
         s.max_times(model)
-        if s.cap_level is not None and not s.cap_level > start:
-            raise ConfigError(f"scheme.cap = {s.cap_level:g} at h = {s.h:g} must exceed "
-                              f"the start value {start:g}")
 
 
 @_refusals_as_config_errors("functional")
@@ -136,8 +129,11 @@ def _emit(cfg: RunConfig, lines) -> None:
     if path in ("-", "", None):
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as e:
+            raise ConfigError(f"config key 'output.path': {e.strerror}: {path!r}") from e
 
 
 def _estimate_lines(cfg: RunConfig, rows) -> list:
@@ -146,13 +142,13 @@ def _estimate_lines(cfg: RunConfig, rows) -> list:
     return [rows[0].csv_header()] + [e.csv_row(timing=timing) for e in rows]
 
 
-def _ui_gate(cfg, spec, sweep, rows) -> tuple[bool, list]:
+def _ui_gate(cfg, spec, rows) -> tuple[bool, list]:
     """Judge the uniform-integrability gate a linear payoff requires on the
-    terminal values of the paths priced under each scheme of the sweep (one
+    terminal values of the paths priced at each h of the sweep (one
     :class:`~pathfunc.estimator.Estimate` each); no second sample is drawn."""
     if spec.bounded or cfg.get("run", "allow_linear"):
         return True, []
-    rep = estimator.tail_report(sweep, [e.terminals for e in rows])
+    rep = estimator.tail_report((e.h, None, e.terminals) for e in rows)
     lines = [f"ui diagnostic: {'pass' if rep.passed else 'FAIL'} "
              f"(sup second moment {rep.sup_second_moment:.4g})"]
     if not rep.passed:
@@ -169,7 +165,7 @@ def cmd_price(args) -> int:
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
     est = estimator.estimate(model, scheme, spec, cfg.require("run", "n_paths"), seed)
-    ok, lines = _ui_gate(cfg, spec, sweep, [est])
+    ok, lines = _ui_gate(cfg, spec, [est])
     _emit(cfg, lines + _estimate_lines(cfg, [est]) if ok else lines)
     return EXIT_OK if ok else EXIT_DIAGNOSTIC
 
@@ -199,7 +195,7 @@ def cmd_converge(args) -> int:
     rep = estimator.convergence_study(model, scheme, spec, [s.h for s in sweep],
                                       cfg.require("run", "n_paths"), seed,
                                       oracle=oracle)
-    ok, lines = _ui_gate(cfg, spec, sweep, [e for _, e in rep.rows])
+    ok, lines = _ui_gate(cfg, spec, [e for _, e in rep.rows])
     if not ok:
         _emit(cfg, lines)
         return EXIT_DIAGNOSTIC
@@ -228,6 +224,9 @@ def cmd_check(args) -> int:
     if not all(0.0 <= t < 1.0 for t in probes_t):  # a NaN time fails too
         raise ConfigError(f"check.probes_t = {', '.join(f'{t:g}' for t in probes_t)}: "
                           "every probe time must lie in [0, 1)")
+    if not spec.bounded:  # refused before anything is drawn
+        with _refusals_as_config_errors("model.z0"):
+            estimator.stop_levels(model, [s.h for s in sweep])
     probes = [(y, t) for y in probes_y for t in probes_t]
     lines = []
     failed = False
@@ -251,11 +250,11 @@ def cmd_check(args) -> int:
         ui = estimator.ui_diagnostic(model, scheme, spec, [s.h for s in sweep],
                                      n_paths=cfg.get("ui", "n_paths"), seed=seed)
         lines.append(f"ui diagnostic: {'pass' if ui.passed else 'FAIL'} "
-                     f"(tail tol {ui.tail_tol:g}, "
+                     f"(tail tol {estimator.TAIL_TOL:g}, "
                      f"sup second moment {ui.sup_second_moment:.4g})")
         for h, cap, tails, m2 in ui.rows:
             cap_s = "none" if cap is None else f"{cap:g}"
-            lines.append(f"  h={h:g} cap={cap_s}: tail@{ui.cutoffs[-1]:g} = "
+            lines.append(f"  h={h:g} cap={cap_s}: tail@{estimator.TAIL_CUTOFFS[-1]:g} = "
                          f"{tails[-1]:.4g}, E[X^2] = {m2:.4g}")
         failed |= not ui.passed
     _emit(cfg, lines)

@@ -6,8 +6,8 @@ rejected rather than ignored -- a typo must fail loudly, not silently
 change the experiment.  Numeric values accept plain literals plus the
 fraction (``1/12288``) and power (``2^-9``) forms that step grids are
 naturally written in; every number must be finite.  Each value has one
-spelling: a list holds at least one number, a cap is ``1/h`` or a number
-(no cap is the key left out), and a word key takes only its listed words.
+spelling: a list holds at least one number, and a word key takes only its
+listed words.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ __all__ = ["RunConfig", "parse_config", "parse_config_text"]
 
 # section -> key -> (type tag, default); a tag is "str", "num", "int",
 # "size" (a sample size, at least 2), "bool", "numlist" (at least one
-# number), "cap" ("1/h" or a number), "one" (run.workers: read by nothing,
-# accepted as 1 for the benchmark harness) or a tuple of the accepted words.
+# number), "one" (run.workers: read by nothing, accepted as 1 for the
+# benchmark harness) or a tuple of the accepted words.
 # ui.n_paths sizes the sample ``check`` draws; price and converge judge the
 # gate on the priced paths
 _KEYS = {
@@ -30,7 +30,7 @@ _KEYS = {
         "kind": ("str", "gbm"), "r": ("num", 0.0), "sigma": ("num", 0.2),
         "x0": ("num", 1.0), "y0": ("num", 1.0), "rho": ("num", 0.0), "z0": ("num", 1.0),
     },
-    "scheme": {"kind": ("str", "euler"), "h": ("num", None), "cap": ("cap", None)},
+    "scheme": {"kind": ("str", "euler"), "h": ("num", None)},
     "functional": {
         "payoff": ("str", "terminal_identity"), "strike": ("num", 0.0),
         "barrier_level": ("num", 1.0), "m": ("int", 1),
@@ -54,7 +54,7 @@ def _parse_number(text: str, key: str) -> float:
     try:
         if "^" in text:
             base, exp = text.split("^", 1)
-            v = float(base) ** float(exp)
+            v = math.pow(float(base), float(exp))  # a complex power is a ValueError
         elif "/" in text:
             num, den = text.split("/", 1)
             v = float(num) / float(den)
@@ -102,8 +102,6 @@ def _parse_value(tag: str | tuple, text: str, key: str):
         if not values:
             raise ConfigError(f"config key {key!r}: expected at least one number, got {text!r}")
         return values
-    if tag == "cap":
-        return text if text == "1/h" else _parse_number(text, key)
     raise AssertionError(f"unknown schema tag {tag}")
 
 

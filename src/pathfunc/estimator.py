@@ -30,7 +30,7 @@ from .errors import EstimationError, EvaluationError, PreconditionError, Simulat
 # here; the benchmark tracer reads them by name
 from .functionals import (FunctionalSpec, evaluate, fold_args_batch, keeps_whole_paths,
                           observe_args_batch, payoff_values)
-from .models import SdeModel, sample_reciprocal_bessel3_stopped
+from .models import SdeModel, inverse_bessel3, sample_reciprocal_bessel3_stopped
 from .oracles import reciprocal_bessel3_mean
 from .paths import BarrierPair, StepPath, classify_c_partition, hitting_time
 from .schemes import (_BATCH_ELEMENTS, RngStream, SchemeConfig, simulate_path,
@@ -43,6 +43,7 @@ __all__ = [
     "estimate",
     "ui_diagnostic",
     "tail_report",
+    "stop_levels",
     "check_h_grid",
     "convergence_study",
     "counterexample_tangency",
@@ -54,9 +55,10 @@ __all__ = [
 # spread numpy's per-call cost of each step, and a whole number of groups.
 _FOLD_ROWS = 8192
 
-# The uniform-integrability gate's bound on the tail expectation at the
-# largest cutoff (tail_report).
-_TAIL_TOL = 0.05
+# The uniform-integrability gate's cutoffs A, and its bound on the tail
+# expectation at the largest one (tail_report).
+TAIL_CUTOFFS = (2.0, 4.0, 8.0, 16.0, 32.0)
+TAIL_TOL = 0.05
 
 # A convergence sweep's oracle is covered when the smallest-h 99% interval,
 # widened by this constant times sqrt(h) for the chain's O(sqrt(h)) barrier
@@ -164,43 +166,43 @@ class UiReport:
     """Tail-expectation diagnostic for uniform integrability."""
 
     passed: bool
-    tail_tol: float
-    cutoffs: list
-    rows: list  # (h, cap, [tail per cutoff], second_moment)
+    rows: list  # (h, stop level or None, [tail per cutoff], second_moment)
     sup_second_moment: float
 
 
-def _terminal_samples(model: SdeModel, config_h: SchemeConfig, spec: FunctionalSpec,
-                      n: int, seed: int, namespace: int) -> np.ndarray:
-    if model.label == "inverse_bessel3":
-        # Grid chains of the quadratic-volatility SDE diverge in moments, so
-        # this family is sampled from its exact stopped law instead.
-        gen = RngStream(seed, 0, namespace).generator()
-        return sample_reciprocal_bessel3_stopped(float(model.y0[0]), config_h.cap_level, n, gen)
-    return estimate(model, config_h, spec, n, seed, namespace=namespace).terminals
+def stop_levels(model: SdeModel, h_grid) -> list:
+    """The level the tail sample at each h is stopped (absorbed) at: 1/h for
+    the reciprocal-Bessel(3) family, drawn from its exact stopped law since
+    its grid chains diverge in moments, and None for a chain, which is priced
+    and never clamped.  A start value at or above some 1/h is refused."""
+    if model.label != "inverse_bessel3":
+        return [None for _ in h_grid]
+    levels = [1.0 / h for h in h_grid]
+    if not min(levels) > model.y0[0]:
+        raise PreconditionError(f"start value {model.y0[0]:g} is not below 1/h = {min(levels):g}")
+    return levels
 
 
-def tail_report(schemes, terminals) -> UiReport:
-    """Tail expectations E[|X^h(1)| ; |X^h(1)| > A] and the second moment of
-    the terminal values sampled under each scheme, one row per scheme, at
-    the cutoffs A = 2, 4, 8, 16, 32.
+def tail_report(samples) -> UiReport:
+    """Tail expectations E[|X^h(1)| ; |X^h(1)| > A] at the cutoffs A of
+    ``TAIL_CUTOFFS``, and the second moment, of each sample ``(h, level,
+    terminal values)``, as one row ``(h, level, tails, second moment)``:
+    ``level`` is where the sample was stopped, None for a chain.
 
-    Passes iff the tail at the largest cutoff is at most ``_TAIL_TOL`` for
+    Passes iff the tail at the largest cutoff is at most ``TAIL_TOL`` for
     every h, so a NaN tail fails (tails must vanish uniformly for
     expectations of linear-growth payoffs to transfer through weak
     convergence).  A bounded supremum of the second moment over h is the
     practical p = 2 sufficient condition.
     """
-    cutoffs = [2.0, 4.0, 8.0, 16.0, 32.0]
     rows = []
-    for cfg, term in zip(schemes, terminals, strict=True):
+    for h, level, term in samples:
         if term is None:
             raise PreconditionError("the spec's nu2 ends before t = 1: no X^h(1) to judge")
         term = np.abs(term)
-        tails = [float(np.mean(term * (term > a))) for a in cutoffs]
-        rows.append((cfg.h, cfg.cap_level, tails, float(np.mean(term * term))))
-    return UiReport(passed=all(r[2][-1] <= _TAIL_TOL for r in rows),  # a NaN row fails
-                    tail_tol=_TAIL_TOL, cutoffs=cutoffs, rows=rows,
+        tails = [float(np.mean(term * (term > a))) for a in TAIL_CUTOFFS]
+        rows.append((h, level, tails, float(np.mean(term * term))))
+    return UiReport(passed=all(r[2][-1] <= TAIL_TOL for r in rows), rows=rows,  # NaN fails
                     sup_second_moment=float(np.max([r[3] for r in rows], initial=0.0)))
 
 
@@ -208,16 +210,22 @@ def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
                   h_grid, n_paths: int = 20000, seed: int = 0) -> UiReport:
     """:func:`tail_report` of the X^h(1) of n_paths fresh paths at each h,
     priced by :func:`estimate` in namespace 1000 + k under
-    ``replace(config, h=h)`` (a ``1/h`` cap is resolved there), as ``check``
-    runs it on a linear-growth payoff; the reciprocal-Bessel family is drawn
-    from its exact stopped law instead.  A failing path is named by its
-    stream, as in ``price``."""
+    ``replace(config, h=h)``, as ``check`` runs it on a linear-growth payoff;
+    the reciprocal-Bessel family is drawn from its exact law stopped at
+    :func:`stop_levels`, which refuses a start value before anything is
+    drawn.  A failing path is named by its stream, as in ``price``."""
     schemes = [replace(config, h=h) for h in h_grid]
     if not schemes:
         raise PreconditionError("h_grid must be nonempty")
-    samples = (_terminal_samples(model, cfg, spec, n_paths, seed, 1000 + k)
-               for k, cfg in enumerate(schemes))
-    return tail_report(schemes, samples)
+    levels = stop_levels(model, [s.h for s in schemes])
+
+    def sample(k, s, level):  # X^h(1) in namespace 1000 + k
+        if level is None:
+            return estimate(model, s, spec, n_paths, seed, namespace=1000 + k).terminals
+        gen = RngStream(seed, 0, 1000 + k).generator()
+        return sample_reciprocal_bessel3_stopped(float(model.y0[0]), level, n_paths, gen)
+    return tail_report((s.h, level, sample(k, s, level))
+                       for k, (s, level) in enumerate(zip(schemes, levels)))
 
 
 @dataclass
@@ -334,7 +342,8 @@ class BesselReport:
 def counterexample_bessel(n_paths: int = 200000, seed: int = 0) -> BesselReport:
     """Uniform-integrability failure for the reciprocal Bessel(3) process.
 
-    For each h = 2^-4, 2^-6, 2^-8 the process is stopped at the cap 1/h;
+    For each h = 2^-4, 2^-6, 2^-8 the process is stopped at the cap 1/h of
+    :func:`stop_levels`, the level ``check`` draws its tail sample at;
     each stopped variable is a bounded martingale, so the capped terminal
     mean equals z0 = 1 for every h even though the family converges weakly
     to the uncapped value Z(1), whose mean -- the closed-form oracle -- is
@@ -348,9 +357,9 @@ def counterexample_bessel(n_paths: int = 200000, seed: int = 0) -> BesselReport:
     effect in noise.
     """
     z0 = 1.0
+    hs = (2**-4, 2**-6, 2**-8)
     rows = []
-    for k, h in enumerate((2**-4, 2**-6, 2**-8)):
-        cap = 1.0 / h
+    for k, (h, cap) in enumerate(zip(hs, stop_levels(inverse_bessel3(z0), hs))):
         gen = RngStream(seed, 0, namespace=500 + k).generator()
         draws = sample_reciprocal_bessel3_stopped(z0, cap, n_paths, gen)
         mean = float(np.mean(draws))

@@ -180,17 +180,11 @@ def sample_reciprocal_bessel3_stopped(z0: float, cap: float | None, n: int,
     expectation exactly z0 for every cap; their weak limit as cap grows is
     Z(1), whose mean z0 (2 Phi(1/z0) - 1) is strictly smaller.
     """
-    if z0 <= 0.0:
-        raise ValueError("need z0 > 0")
+    if not (z0 > 0.0 and (cap is None or cap > z0)):
+        raise ValueError("need z0 > 0, and a cap, if any, above it")
     x0 = 1.0 / z0
-    if cap is None or np.isinf(cap):
-        a = 0.0
-        p_hit = 0.0
-    else:
-        if cap <= z0:
-            raise ValueError("cap must exceed the initial value")
-        a = 1.0 / cap
-        p_hit = (a / x0) * 2.0 * _norm_cdf(a - x0)
+    a = 0.0 if cap is None else 1.0 / cap  # a = 0: X never hits it
+    p_hit = (a / x0) * 2.0 * _norm_cdf(a - x0)
 
     out = np.empty(n)
     hit = rng.random(n) < p_hit

@@ -40,6 +40,8 @@ def up_and_in_call_price(s0: float, strike: float, barrier: float, r: float,
     if s0 >= barrier or strike >= barrier:
         # knocked in at the start, or whenever the call finishes in the money
         return vanilla_call_price(s0, strike, r, sigma)
+    if sigma <= 0.0:  # the path s0 e^{rt} knocks in iff it reaches the barrier
+        return vanilla_call_price(s0, strike, r, sigma) if s0 * np.exp(r) >= barrier else 0.0
     mu = (r - 0.5 * sigma * sigma) / (sigma * sigma)
     df = np.exp(-r)
     hs = barrier / s0

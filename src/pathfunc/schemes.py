@@ -94,34 +94,24 @@ class RngStream:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme selection: kernel kind, step parameter, optional state cap.
+    """Scheme selection: kernel kind and step parameter.
 
-    The scheme at another step size is ``replace(scheme, h=...)``.  ``cap``
-    truncates the state to min(y, cap_level) after every step: a finite
-    number, None for no cap, or the rule ``"1/h"``, the cap 1/h at the
-    scheme's own h, which ``replace`` carries to the new h.  A non-finite cap,
-    or any other string, is refused.
+    The scheme at another step size is ``replace(scheme, h=...)``.  No chain
+    is ever clamped: ``cap`` is accepted only as None, the value the
+    benchmark harness passes, and anything else is refused.
     """
 
     kind: str
     h: float
-    cap: float | str | None = None
+    cap: None = None
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if not (0.0 < self.h <= 1.0):
             raise ValueError("step parameter h must lie in (0, 1]")
-        if isinstance(self.cap, str):
-            if self.cap != "1/h":
-                raise ValueError(f"the only cap rule is '1/h', got {self.cap!r}")
-        elif self.cap is not None and not math.isfinite(self.cap):
-            raise ValueError(f"cap must be a finite number, got {self.cap!r}")
-
-    @property
-    def cap_level(self) -> float | None:
-        """The level the state is capped at at this h, None when uncapped."""
-        return 1.0 / self.h if isinstance(self.cap, str) else self.cap
+        if self.cap is not None:
+            raise ValueError(f"cap must be None (got {self.cap!r}): no chain is clamped")
 
     def max_times(self, model: SdeModel) -> int:
         """The most grid times a path of ``model`` can take: the fixed grid's,
@@ -226,8 +216,7 @@ def _draw_fixed_noise(gen: np.random.Generator, kind: str, out: np.ndarray) -> N
         np.copysign(1.0, out - 0.5, out=out)  # uniform draw -> +/-1 sign
 
 
-def _fixed_states(model: SdeModel, config: SchemeConfig, times: np.ndarray,
-                  n_rows: int, blocks):
+def _fixed_states(model: SdeModel, times: np.ndarray, n_rows: int, blocks):
     """Advance a (B, d) batch along a shared fixed grid, as a stream.
 
     ``blocks`` yields time-major (Tb, B, d1) noise covering the grid's steps
@@ -235,21 +224,18 @@ def _fixed_states(model: SdeModel, config: SchemeConfig, times: np.ndarray,
     in (B, d) buffers that later steps overwrite, so a consumer copies what it
     keeps.  The arithmetic is elementwise, so a batch of one reproduces a
     single simulation bit for bit.  When the screen fires, rows whose
-    coefficients or capped new state are not finite restart from y0; after
+    coefficients or new state are not finite restart from y0; after
     the last column the lowest such row's first error is raised, as it would
     be alone, with that row as ``batch_index``.
     """
     y = np.repeat(model.y0[None, :], n_rows, axis=0)
     nxt, mix = np.empty((2,) + y.shape)
     yield y
-    cap = config.cap_level
     n, failure = 0, None
     for block in blocks:
         for xi in block:
             coeffs_ok = _fixed_update(model, y, times[n], times[n + 1] - times[n], xi, nxt, mix)
             y, nxt = nxt, y
-            if cap is not None:
-                np.minimum(y, cap, out=y)
             n += 1
             if coeffs_ok is not None:  # the screen fired
                 ok = coeffs_ok & np.isfinite(y).all(axis=1)
@@ -273,7 +259,6 @@ def _tree_states(model: SdeModel, config: SchemeConfig, n_rows: int, sign):
     the batch with the rows after it; after the last column the lowest
     failing row's error is raised with that row as ``batch_index``.
     """
-    cap = config.cap_level
     y, t = np.repeat(model.y0[None, :], n_rows, axis=0), np.zeros((n_rows, 1))
     k, failure, active = 0, None, np.ones(n_rows, dtype=bool)
     yield t, y
@@ -283,8 +268,6 @@ def _tree_states(model: SdeModel, config: SchemeConfig, n_rows: int, sign):
             dt, y_next = binomial_variable_step(model, y[rows], t[rows], config.h, sign(k, rows))
             t_next = t[rows] + dt
             trunc = t_next >= 1.0 - 1e-15
-            if cap is not None:
-                y_next = np.minimum(y_next, cap)
             _raise_at_first_bad_row(_BAD_STATE, np.isfinite(y_next).all(axis=1))
         except (PreconditionError, SimulationError) as e:
             failure = SimulationError(str(e))  # a band violation too
@@ -450,7 +433,7 @@ def _grid_states(model: SdeModel, config: SchemeConfig, streams, noise=None):
         raise ValueError(f"forced noise must have shape {(n_steps, d1)}")
     else:
         blocks = [noise.transpose(1, 0, 2)]
-    return times, _fixed_states(model, config, times, len(streams), blocks)
+    return times, _fixed_states(model, times, len(streams), blocks)
 
 
 def _simulate(model: SdeModel, config: SchemeConfig, streams, noise=None):

@@ -51,7 +51,7 @@ def no_second_sample(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the gate drew a second sample")
     monkeypatch.setattr(estimator, "ui_diagnostic", refuse)
-    monkeypatch.setattr(estimator, "_terminal_samples", refuse)
+    monkeypatch.setattr(estimator, "sample_reciprocal_bessel3_stopped", refuse)
 
 
 class TestConfigParsing:
@@ -66,7 +66,8 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("grid.h = 0.1\n")
         for key in ("model.mu", "model.b_vol", "ui.cutoff_max",  # read by nothing
-                    "functional.coordinate", "check.c_const", "ui.tail_tol"):
+                    "functional.coordinate", "check.c_const", "ui.tail_tol",
+                    "scheme.cap"):  # no chain is clamped
             with pytest.raises(ConfigError):
                 parse_config_text(f"{key} = 0.5\n")
 
@@ -108,23 +109,23 @@ class TestConfigParsing:
         ("price", "functional.strike", "nan"), ("price", "functional.barrier_level", "nan"),
         ("price", "scheme.h", "-inf"), ("converge", "run.h_grid", "2^-3, 1e400, 2^-5"),
         ("check", "check.probes_y", "nan"), ("check", "check.probes_y", "0.5, -inf"),
-        ("price", "scheme.cap", "nan"), ("price", "scheme.cap", "-inf")])
+        ("price", "scheme.h", "-2^0.5")])
     def test_non_finite_number_refused(self, tmp_path, capsys, command, key, value):
         # barrier_level = nan once priced an up-and-in call at 0 with exit 0,
-        # model.r = nan failed stream 0 with exit 1, and probes_y = nan
-        # printed ERROR rows with exit 2
+        # model.r = nan failed stream 0 with exit 1, probes_y = nan printed
+        # ERROR rows with exit 2, and the complex power -2^0.5 ended in a
+        # TypeError traceback
         assert main([command, write(tmp_path, "c.cfg", CONSTANT_CFG + f"{key} = {value}\n")]) == 64
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith(f"config error: config key {key!r}: ")
 
     @pytest.mark.parametrize("command, key, value", [
-        ("price", "scheme.cap", "none"), ("price", "scheme.cap", "inf"),
-        ("price", "scheme.cap", "+inf"), ("check", "check.kinds", "euler"),
+        ("check", "check.kinds", "euler"),
         ("check", "run.h_grid", ""), ("converge", "run.h_grid", "")])
     def test_one_spelling_per_value(self, tmp_path, capsys, command, key, value):
-        # no cap is the key left out and check.kinds is `config` or `all`;
-        # an empty h grid once let `check` judge the gate at scheme.h alone
-        # with exit 0, while `converge` refused it
+        # check.kinds is `config` or `all`; an empty h grid once let `check`
+        # judge the gate at scheme.h alone with exit 0, while `converge`
+        # refused it
         assert main([command, write(tmp_path, "c.cfg", CONSTANT_CFG + f"{key} = {value}\n")]) == 64
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith(f"config error: config key {key!r}: ")
@@ -202,6 +203,15 @@ class TestCliPrice:
             assert len(used) > 0 if w > 1 else not used
         assert outputs[1] == outputs[0]
 
+    def test_unwritable_output_path_is_config_error(self, tmp_path, capsys):
+        # a directory once ended the run in an IsADirectoryError traceback
+        for target in (tmp_path, tmp_path / "missing" / "out.csv"):
+            path = write(tmp_path, "c.cfg", CONSTANT_CFG + f"output.path = {target}\n")
+            assert main(["price", path]) == 64
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith("config error: config key 'output.path': ")
+
     @pytest.mark.parametrize("key, value", [("scheme.h", "2"), ("model.sigma", "-1")])
     def test_refused_value_is_config_error(self, tmp_path, capsys, key, value):
         path = write(tmp_path, "c.cfg", CONSTANT_CFG + f"{key} = {value}\n")
@@ -241,11 +251,11 @@ class TestCliPrice:
         assert gate == f"ui diagnostic: pass (sup second moment {np.mean(x * x):.4g})"
 
     def test_linear_payoff_refused_by_ui_gate(self, tmp_path, capsys):
-        # the price twin of the converge refusal: the capped Euler chain of
-        # the reciprocal Bessel process keeps tails that do not vanish
+        # the price twin of the converge refusal: the Euler chain of gbm with
+        # sigma = 2 keeps tails that do not vanish
         text = (
-            "model.kind = inverse_bessel3\nmodel.z0 = 1.0\n"
-            "scheme.kind = euler\nscheme.cap = 64\nscheme.h = 2^-4\n"
+            "model.kind = gbm\nmodel.sigma = 2\n"
+            "scheme.kind = euler\nscheme.h = 2^-4\n"
             "functional.payoff = terminal_identity\nrun.n_paths = 400\n"
         )
         assert main(["price", write(tmp_path, "c.cfg", text)]) == 2
@@ -254,43 +264,33 @@ class TestCliPrice:
         assert "mean" not in out
 
     def test_exploding_chain_names_its_stream(self, tmp_path, capsys):
-        # the capped Euler chain of the reciprocal Bessel process leaves the
-        # reals on streams 32 and 1671: a runtime error that names the lowest
-        # stream that fails when simulated alone
+        # the Euler chain of the reciprocal Bessel process leaves the reals
+        # on 38 of 2000 streams, 15 and 32 first: a runtime error that names
+        # the lowest stream that fails when simulated alone
         from pathfunc.cli import build_model, build_scheme
         from pathfunc.config import parse_config
         from pathfunc.errors import SimulationError
         from pathfunc.schemes import RngStream, simulate_terminals
         text = (
             "model.kind = inverse_bessel3\nmodel.z0 = 1\n"
-            "scheme.kind = euler\nscheme.h = 2^-6\nscheme.cap = 1/h\n"
+            "scheme.kind = euler\nscheme.h = 2^-6\n"
             "functional.payoff = terminal_identity\nrun.n_paths = 2000\nrun.seed = 0\n"
         )
         path = write(tmp_path, "c.cfg", text)
         cfg = parse_config(path)
         model, scheme = build_model(cfg), build_scheme(cfg)[0]
         failing = []
-        for i in range(33):
+        for i in range(16):
             try:
                 simulate_terminals(model, scheme, [RngStream(0, i)])
             except SimulationError:
                 failing.append(i)
-        assert failing == [32]
+        assert failing == [15]
         assert main(["price", path]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == ("error: stream 32: path simulation failed: "
+        assert out.err == ("error: stream 15: path simulation failed: "
                            "non-finite drift/diffusion evaluation\n")
-
-    def test_cap_below_start_value_refused(self, tmp_path, capsys):
-        # a cap of -1 under x0 = 1 clamps every state: the price would read 0
-        cfg = CONSTANT_CFG.replace("functional.payoff = constant",
-                                   "functional.payoff = terminal_call\nrun.allow_linear = true")
-        path = write(tmp_path, "c.cfg", cfg.replace("functional.strike = 2.5",
-                                                    "functional.strike = 0.5")
-                     + "scheme.cap = -1\n")
-        assert main(["price", path]) == 64
-        assert "scheme.cap" in capsys.readouterr().err
 
 
 class TestCliCheck:
@@ -307,9 +307,10 @@ class TestCliCheck:
         assert out.count("pass") >= 3
 
     def test_capped_reciprocal_bessel_fails_with_exit_2(self, tmp_path, capsys):
+        # the tail sample is the family's exact law stopped at the cap 1/h
         text = (
             "model.kind = inverse_bessel3\nmodel.z0 = 1.0\n"
-            "scheme.kind = euler\nscheme.h = 2^-6\nscheme.cap = 1/h\n"
+            "scheme.kind = euler\nscheme.h = 2^-6\n"
             "functional.payoff = terminal_identity\n"
             "check.kinds = config\nrun.seed = 5\nrun.h_grid = 2^-4, 2^-6\n"
             "ui.n_paths = 5000\n"
@@ -359,20 +360,27 @@ class TestCliCheck:
         assert out[0] == "scheme euler: pass"
         assert out[-1] == "ui diagnostic: skipped (bounded payoff)"
 
-    @pytest.mark.parametrize("z0, cap, h_grid", [("1.0", "0.5", "2^-4, 2^-6"),
-                                                  ("3.0", "1/h", "2^-1, 2^-3")])
-    def test_cap_at_or_below_start_value_refused(self, tmp_path, capsys, z0, cap, h_grid):
-        # with 1/h every h is checked: 1/2^-1 = 2 lies below z0 = 3
+    @pytest.mark.parametrize("z0, h_grid", [("1.0", "1, 2^-3"), ("3.0", "2^-3, 2^-1")])
+    def test_cap_at_or_below_start_value_refused(self, tmp_path, capsys, monkeypatch, z0, h_grid):
+        # the tail sample is stopped at the cap 1/h, which must exceed z0 at
+        # every h of the sweep: 1/1 = 1 is not above 1, nor 1/2^-1 = 2 above
+        # 3.  The refusal comes before any draw, and only where the stopped
+        # law is drawn: a bounded payoff draws no tail sample
         text = (
             f"model.kind = inverse_bessel3\nmodel.z0 = {z0}\n"
-            f"scheme.kind = euler\nscheme.h = 2^-3\nscheme.cap = {cap}\n"
-            "functional.payoff = terminal_identity\n"
-            f"check.kinds = config\nrun.seed = 5\nrun.h_grid = {h_grid}\n"
+            "scheme.kind = euler\nscheme.h = 2^-3\n"
+            f"check.kinds = config\ncheck.n_draws = 1000\nrun.h_grid = {h_grid}\n"
             "ui.n_paths = 500\n"
         )
-        path = write(tmp_path, "check.cfg", text)
-        assert main(["check", path]) == 64
-        assert "scheme.cap" in capsys.readouterr().err
+        path = write(tmp_path, "check.cfg", text + "functional.payoff = terminal_identity\n")
+        with monkeypatch.context() as m:
+            m.setattr("pathfunc.cli.check_local_consistency", lambda *a, **k: 1 / 0)
+            assert main(["check", path]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("config error: section 'model', key 'model.z0': ")
+        path = write(tmp_path, "check.cfg", text + "functional.payoff = constant\n")
+        assert main(["check", path]) != 64
+        assert "model.z0" not in capsys.readouterr().err
 
     def test_band_violation_surfaces(self, tmp_path, capsys):
         text = (
@@ -523,6 +531,19 @@ class TestCliConverge:
         out = capsys.readouterr().out
         assert "oracle = 0.2629996714" in out
 
+    @pytest.mark.parametrize("x0, oracle", [("0.95", "0.497581291"), ("0.8", "0")])
+    def test_zero_volatility_oracle(self, tmp_path, capsys, x0, oracle):
+        # the path x0 e^{rt} knocks in at barrier 1 from 0.95 but not from
+        # 0.8; the closed form once divided by sigma = 0 in a traceback
+        text = (
+            f"model.kind = gbm\nmodel.r = 0.1\nmodel.sigma = 0\nmodel.x0 = {x0}\n"
+            "scheme.kind = euler\nfunctional.payoff = up_in_call\n"
+            "functional.strike = 0.5\nfunctional.barrier_level = 1.0\n"
+            "run.n_paths = 16\nrun.h_grid = 2^-4, 2^-5, 2^-6\nrun.oracle = auto\n"
+        )
+        assert main(["converge", write(tmp_path, "c.cfg", text)]) == 0
+        assert f"oracle = {oracle} (reflection-principle closed form)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("value", ["autoo", "nan", "0.26"])
     def test_oracle_is_auto_or_none(self, tmp_path, capsys, value):
         # a typo once escaped as a ValueError traceback, and nan printed
@@ -536,27 +557,6 @@ class TestCliConverge:
         )
         assert main(["converge", write(tmp_path, "c.cfg", text)]) == 64
         assert "'run.oracle'" in capsys.readouterr().err
-
-    def test_numeric_cap_reaches_every_row(self, tmp_path, capsys):
-        from pathfunc.estimator import convergence_study
-        from pathfunc.functionals import custom_terminal
-        from pathfunc.models import gbm
-        from pathfunc.schemes import SchemeConfig
-        text = (
-            "model.kind = gbm\nmodel.r = 0.0\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
-            "scheme.kind = euler\nscheme.cap = 0.85\n"
-            "functional.payoff = terminal_identity\n"
-            "run.n_paths = 400\nrun.seed = 4\nrun.h_grid = 2^-3, 2^-4, 2^-5\n"
-            "output.format = csv\nrun.timing = off\n"
-        )
-        assert main(["converge", write(tmp_path, "c.cfg", text)]) == 0
-        gate, header, *rows = capsys.readouterr().out.splitlines()
-        assert gate.startswith("ui diagnostic: pass")
-        means = [float(row.split(",")[1]) for row in rows]
-        rep = convergence_study(gbm(0.0, 0.3, 0.8), SchemeConfig("euler", h=2**-3, cap=0.85),
-                                custom_terminal("identity"), [2**-3, 2**-4, 2**-5], 400, 4)
-        assert means == [e.mean for _, e in rep.rows]
-        assert max(means) < 0.79
 
     def test_converge_simulates_each_path_once(self, tmp_path, capsys, monkeypatch):
         # a linear payoff's gate reads the sweep's rows: no second sample
@@ -578,44 +578,13 @@ class TestCliConverge:
         assert gate.startswith("ui diagnostic: pass")
         assert rows == [e.csv_row(timing=False) for _, e in rep.rows]
 
-    def test_reciprocal_cap_rows_match_convergence_study(self, tmp_path, capsys):
-        # the cap 1/h is resolved at each h of the grid: 1, 2, 4 under x0 = 0.8
-        from pathfunc.estimator import convergence_study
-        from pathfunc.functionals import custom_terminal
-        from pathfunc.models import gbm
-        from pathfunc.schemes import SchemeConfig
-        text = (
-            "model.kind = gbm\nmodel.r = 0.0\nmodel.sigma = 1.0\nmodel.x0 = 0.8\n"
-            "scheme.kind = euler\nscheme.cap = 1/h\n"
-            "functional.payoff = terminal_identity\n"
-            "run.n_paths = 400\nrun.seed = 4\nrun.h_grid = 1, 2^-1, 2^-2\n"
-            "run.allow_linear = true\noutput.format = csv\nrun.timing = off\n"
-        )
-        assert main(["converge", write(tmp_path, "c.cfg", text)]) == 0
-        rows = capsys.readouterr().out.splitlines()[1:]
-        rep = convergence_study(gbm(0.0, 1.0, 0.8), SchemeConfig("euler", h=1.0, cap="1/h"),
-                                custom_terminal("identity"), [1.0, 0.5, 0.25], 400, 4)
-        assert rows == [e.csv_row(timing=False) for _, e in rep.rows]
-        assert float(rows[0].split(",")[1]) < 0.7  # the cap 1 bites at h = 1
-
-    def test_low_cap_refused(self, tmp_path, capsys):
-        text = (
-            "model.kind = gbm\nmodel.r = 0.0\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
-            "scheme.kind = euler\nscheme.cap = 0.5\n"
-            "functional.payoff = terminal_identity\n"
-            "run.n_paths = 400\nrun.h_grid = 2^-3, 2^-4, 2^-5\n"
-        )
-        assert main(["converge", write(tmp_path, "c.cfg", text)]) == 64
-        assert "scheme.cap" in capsys.readouterr().err
-
     def test_linear_payoff_clears_ui_gate(self, tmp_path, capsys):
-        # as price does: the capped reciprocal Bessel family keeps mass at the
-        # cap, so its tails do not vanish and no row is priced
+        # as price does: the Euler chains of gbm with sigma = 2 keep tails
+        # that do not vanish, so no row is priced
         text = (
-            "model.kind = inverse_bessel3\nmodel.z0 = 1.0\n"
-            "scheme.kind = euler\nscheme.cap = 64\n"
+            "model.kind = gbm\nmodel.sigma = 2\nscheme.kind = euler\n"
             "functional.payoff = terminal_identity\n"
-            "run.n_paths = 400\nrun.h_grid = 2^-4, 2^-6, 2^-8\nui.n_paths = 5000\n"
+            "run.n_paths = 400\nrun.h_grid = 2^-4, 2^-6, 2^-8\n"
         )
         assert main(["converge", write(tmp_path, "c.cfg", text)]) == 2
         out = capsys.readouterr().out

@@ -294,7 +294,7 @@ class TestUiDiagnostic:
 
     def test_capped_reciprocal_bessel_fails(self):
         spec = custom_terminal("identity")
-        rep = ui_diagnostic(inverse_bessel3(1.0), SchemeConfig("euler", h=2**-6, cap="1/h"),
+        rep = ui_diagnostic(inverse_bessel3(1.0), SchemeConfig("euler", h=2**-6),
                             spec, [2**-4, 2**-6, 2**-8], n_paths=20000, seed=0)
         assert not rep.passed
         # mass of about (1 - E[Z(1)]) sits at the cap and does not vanish
@@ -326,10 +326,11 @@ class TestUiDiagnostic:
         hs = [2**-6, 2**-8]
         rep = ui_diagnostic(GBM, config, custom_terminal("identity"), hs, n_paths=n, seed=3)
         schemes = [replace(config, h=h) for h in hs]
-        want = tail_report(schemes, [
-            simulate_terminals(GBM, s, [RngStream(3, i, 1000 + k) for i in range(n)])[:, 0]
-            for k, s in enumerate(schemes)])
-        assert rep.rows == want.rows and rep.cutoffs == want.cutoffs
+        want = tail_report(
+            (s.h, None,
+             simulate_terminals(GBM, s, [RngStream(3, i, 1000 + k) for i in range(n)])[:, 0])
+            for k, s in enumerate(schemes))
+        assert rep.rows == want.rows
 
     @pytest.mark.parametrize("config, band", [
         (SchemeConfig("euler", h=2**-6), BarrierPair.unbounded()),     # sampled columns
@@ -342,16 +343,16 @@ class TestUiDiagnostic:
         est = estimate(GBM, config, spec, 300, seed=7, namespace=3)
         x = simulate_terminals(GBM, config, [RngStream(7, i, 3) for i in range(300)])
         assert np.array_equal(est.terminals, x[:, 0])
-        rep = tail_report([config], [est.terminals])
+        rep = tail_report([(config.h, None, est.terminals)])
         assert rep.rows[0][3] == float(np.mean(x[:, 0] ** 2))
 
     def test_nan_row_fails_the_gate(self):
-        # a NaN tail is not at most tail_tol, wherever its row falls
+        # a NaN tail is not at most TAIL_TOL, wherever its row falls
         fine, nan = np.array([0.5, 1.0]), np.array([np.nan, 1.0])
         for terminals in ([nan, fine], [fine, nan]):
-            rep = tail_report([CFG, replace(CFG, h=2**-7)], terminals)
+            rep = tail_report(zip([CFG.h, 2**-7], [None, None], terminals))
             assert not rep.passed and np.isnan(rep.sup_second_moment)
-        assert tail_report([CFG], [fine]).passed
+        assert tail_report([(CFG.h, None, fine)]).passed
 
     def test_gate_refuses_a_spec_that_stops_before_one(self):
         # nu2 = (1/2,): argument 2m is X(1/2), which the gate must not read
@@ -360,7 +361,7 @@ class TestUiDiagnostic:
         est = estimate(GBM, CFG, spec, 100, seed=0)
         assert est.terminals is None
         with pytest.raises(PreconditionError, match="nu2"):
-            tail_report([CFG], [est.terminals])
+            tail_report([(CFG.h, None, est.terminals)])
 
 
 class TestConvergenceStudy:

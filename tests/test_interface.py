@@ -59,12 +59,24 @@ def test_run_config_has():
 
 def test_build_scheme_pair():
     # bench/layers.py unpacks `scheme, _ = cli.build_scheme(cfg)` and reads the
-    # first item's kind and cap
+    # first item's kind and cap, which is None (see the next test)
     from pathfunc.cli import build_scheme
     from pathfunc.config import parse_config_text
     from pathfunc.schemes import SchemeConfig
     scheme, _ = build_scheme(parse_config_text("scheme.kind = euler\nscheme.h = 0.25\n"))
     assert isinstance(scheme, SchemeConfig) and (scheme.kind, scheme.h) == ("euler", 0.25)
+    assert scheme.cap is None
+
+
+def test_scheme_cap_accepts_only_none():
+    # no chain is clamped; the field stays only because bench/layers.py passes
+    # `SchemeConfig(..., cap=scheme.cap)`
+    import math
+    from pathfunc.schemes import SchemeConfig
+    assert SchemeConfig("euler", h=0.5, cap=None).cap is None
+    for value in (2.0, 0.0, math.inf, math.nan, "1/h", "none"):
+        with pytest.raises(ValueError):
+            SchemeConfig("euler", h=0.5, cap=value)
 
 
 def test_functional_spec_payoff_fields():

@@ -89,6 +89,14 @@ class TestUpAndInCall:
         cf = oracles.up_and_in_call_price(1.0, 0.5, 1.0, 0.1, 0.3)
         assert cf == pytest.approx(oracles.vanilla_call_price(1.0, 0.5, 0.1, 0.3))
 
+    @pytest.mark.parametrize("s0, r, knocks_in", [(0.95, 0.1, True), (0.8, 0.1, False),
+                                                  (0.95, -0.1, False)])
+    def test_zero_volatility_is_the_deterministic_path(self, s0, r, knocks_in):
+        # the path s0 e^{rt} knocks in iff s0 max(1, e^r) >= 1, then pays
+        # (s0 - K e^{-r})^+
+        cf = oracles.up_and_in_call_price(s0, 0.5, 1.0, r, 0.0)
+        assert cf == (max(0.0, s0 - 0.5 * np.exp(-r)) if knocks_in else 0.0)
+
 
 class TestVanillaCall:
     def test_known_value(self):

@@ -237,17 +237,6 @@ class TestSchemeConfig:
         import dataclasses
         assert [f.name for f in dataclasses.fields(SchemeConfig)] == ["kind", "h", "cap"]
 
-    def test_cap_forms(self):
-        import dataclasses
-        assert SchemeConfig("euler", h=0.5).cap_level is None
-        assert SchemeConfig("euler", h=0.5, cap=2.0).cap_level == 2.0
-        rule = SchemeConfig("euler", h=0.5, cap="1/h")
-        assert rule.cap == "1/h" and rule.cap_level == 2.0
-        moved = dataclasses.replace(rule, h=2**-6)
-        assert moved.cap == "1/h" and moved.cap_level == 64.0
-        for bad in (math.nan, -math.inf, math.inf, "1/H", "2/h", "none", ""):
-            with pytest.raises(ValueError):
-                SchemeConfig("euler", h=0.5, cap=bad)
 
 
 class TestGrid:
@@ -308,13 +297,12 @@ class TestEulerStep:
             simulate_path(bad, SchemeConfig("euler", h=0.01), RngStream(0))
 
     def test_capped_infinite_drift_names_stream(self):
-        # the cap would hide an infinite step (min(inf, cap) = cap), so the
-        # coefficients are screened before it; the error names the lowest
-        # failing row, though a higher row fails on an earlier step
+        # the error names the lowest failing row, though a higher row fails
+        # on an earlier step
         g = gbm(0.1, 0.3, 1.0)
         bad = SdeModel("bad", 1, 1, diffusion=g.diffusion, y0=g.y0,
                        drift=lambda y, t: np.where((t >= 0.5) & (y > 1.0), np.inf, g.drift(y, t)))
-        cfg = SchemeConfig("euler", h=2**-3, cap=3.0)
+        cfg = SchemeConfig("euler", h=2**-3)
         streams = [RngStream(1, i) for i in range(8)]
         values = simulate_values(g, cfg, streams)[1]
         fails = values[:, 4:-1, 0] > 1.0  # the states stepped from at t >= 1/2
@@ -363,9 +351,8 @@ class TestEulerStep:
 
     def test_overflow_is_named_without_a_warning(self):
         # drift 1e308 from 1e308 with h = 2^-7: the state first leaves the
-        # floats on the step to t = 103/128, long before the last step; a
-        # cap brings it back to a finite value, and then the path runs on.
-        # The error names the overflow and its row; numpy warns of nothing.
+        # floats on the step to t = 103/128, long before the last step.  The
+        # error names the overflow and its row; numpy warns of nothing.
         import warnings
         steep = SdeModel("steep", 1, 1, drift=lambda y, t: np.full_like(y, 1e308),
                          diffusion=lambda y, t: np.zeros_like(y)[..., None],
@@ -376,9 +363,6 @@ class TestEulerStep:
             with pytest.raises(SimulationError, match="non-finite state") as exc:
                 simulate_terminals(steep, SchemeConfig("euler", h=2**-7), streams)
             assert exc.value.batch_index == 0
-            capped = simulate_terminals(steep, SchemeConfig("euler", h=2**-7, cap=1.5e308),
-                                        streams)
-        npt.assert_array_equal(capped, 1.5e308)
 
     def test_terminal_mean_matches_exponential_growth(self):
         # E[X(1)] = x0 (1 + r h)^(1/h) for the Euler chain of GBM; at
@@ -596,16 +580,6 @@ class TestSimulatePath:
             b = simulate_path(m, cfg, RngStream(7, 3))
             npt.assert_array_equal(a.values, b.values)
             assert a.times[-1] == 1.0
-
-    def test_cap_truncates_state(self):
-        # pure upward drift 1 with cap 1.25: path saturates at the cap
-        m = SdeModel("driftup", 1, 1,
-                     drift=lambda y, t: np.ones_like(y),
-                     diffusion=lambda y, t: np.zeros_like(y)[..., None],
-                     y0=np.array([1.0]))
-        p = simulate_path(m, SchemeConfig("euler", h=0.125, cap=1.25), RngStream(0))
-        assert p.values.max() == 1.25
-        assert p.values[-1] == 1.25
 
     def test_variable_step_grid_lands_on_one(self):
         m = bounded_vol_model()
