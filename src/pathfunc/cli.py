@@ -123,14 +123,17 @@ def build_spec(cfg: RunConfig) -> FunctionalSpec:
     raise ConfigError(f"unknown payoff kind {payoff!r}")
 
 
-def _emit(cfg: RunConfig, lines) -> None:
+def _emit(cfg: RunConfig, lines=()) -> None:
+    """Write ``lines`` to ``output.path``, or to stdout when it is unset or "-".
+    With no lines the path is opened for append and closed: each command checks
+    it so before drawing anything, and a run that then fails truncates no file."""
     path = cfg.get("output", "path")
-    text = "\n".join(lines) + "\n"
+    text = "".join(line + "\n" for line in lines)
     if path in ("-", "", None):
         sys.stdout.write(text)
     else:
         try:
-            with open(path, "w", encoding="utf-8") as f:
+            with open(path, "w" if lines else "a", encoding="utf-8") as f:
                 f.write(text)
         except OSError as e:
             raise ConfigError(f"config key 'output.path': {e.strerror}: {path!r}") from e
@@ -164,6 +167,7 @@ def cmd_price(args) -> int:
     _refuse_unrunnable(model, sweep)
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
+    _emit(cfg)
     est = estimator.estimate(model, scheme, spec, cfg.require("run", "n_paths"), seed)
     ok, lines = _ui_gate(cfg, spec, [est])
     _emit(cfg, lines + _estimate_lines(cfg, [est]) if ok else lines)
@@ -192,6 +196,7 @@ def cmd_converge(args) -> int:
     spec = build_spec(cfg)
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
     oracle, note = _auto_oracle(cfg, model, spec)
+    _emit(cfg)
     rep = estimator.convergence_study(model, scheme, spec, [s.h for s in sweep],
                                       cfg.require("run", "n_paths"), seed,
                                       oracle=oracle)
@@ -227,6 +232,7 @@ def cmd_check(args) -> int:
     if not spec.bounded:  # refused before anything is drawn
         with _refusals_as_config_errors("model.z0"):
             estimator.stop_levels(model, [s.h for s in sweep])
+    _emit(cfg)
     probes = [(y, t) for y in probes_y for t in probes_t]
     lines = []
     failed = False

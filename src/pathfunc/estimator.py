@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import schemes
 from .errors import EstimationError, EvaluationError, PreconditionError, SimulationError
 # evaluate, observe_args_batch, simulate_path and simulate_values go unused
 # here; the benchmark tracer reads them by name
@@ -65,8 +66,8 @@ TAIL_TOL = 0.05
 # bias, contains it (_convergence_flags).
 _BIAS_ALLOWANCE = 0.35
 
-# counterexample_strong's one reused buffer: 512 KB of float64 fits a 2 MB
-# per-core L2; whole (b, N, 64) blocks peaked at 138 MB RSS at N = 10 000.
+# counterexample_strong's tile budget, shared by its drawers: 512 KB fits a
+# 2 MB per-core L2; whole (b, N, 64) blocks peaked at 138 MB RSS at N = 10^4.
 _STRONG_TILE = 2**16
 
 
@@ -214,10 +215,10 @@ def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
     the reciprocal-Bessel family is drawn from its exact law stopped at
     :func:`stop_levels`, which refuses a start value before anything is
     drawn.  A failing path is named by its stream, as in ``price``."""
-    schemes = [replace(config, h=h) for h in h_grid]
-    if not schemes:
+    sweep = [replace(config, h=h) for h in h_grid]
+    if not sweep:
         raise PreconditionError("h_grid must be nonempty")
-    levels = stop_levels(model, [s.h for s in schemes])
+    levels = stop_levels(model, [s.h for s in sweep])
 
     def sample(k, s, level):  # X^h(1) in namespace 1000 + k
         if level is None:
@@ -225,7 +226,7 @@ def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
         gen = RngStream(seed, 0, 1000 + k).generator()
         return sample_reciprocal_bessel3_stopped(float(model.y0[0]), level, n_paths, gen)
     return tail_report((s.h, level, sample(k, s, level))
-                       for k, (s, level) in enumerate(zip(schemes, levels)))
+                       for k, (s, level) in enumerate(zip(sweep, levels)))
 
 
 @dataclass
@@ -395,27 +396,29 @@ def counterexample_strong(n_rep: int = 200, seed: int = 0) -> StrongReport:
     like sqrt(2 log N) -- the expected maximum of N iid interval suprema --
     so a strong (pathwise) rate cannot hold.
 
-    Each repetition streams its intervals through one reused tile, so the
-    working set does not grow with N; the n_rep suprema are summed once.
+    Repetition r of row k draws from ``RngStream(seed, r, 600 + k)``.  W =
+    min(CPUs, n_rep) drawers take repetitions w, w + W, ..., each through a
+    tile of its own; the W tiles share ``_STRONG_TILE``, so the working set
+    grows with neither N nor W.  The suprema are summed once, in repetition
+    order, so no byte depends on W.
     """
-    gen = RngStream(seed, 0, namespace=600).generator()
     substeps = 64
-    tile = np.empty((_STRONG_TILE // substeps, substeps))
+    W = max(1, min(schemes._drawers(), n_rep))
+    tiles = np.empty((W, max(1, _STRONG_TILE // substeps // W), substeps))
     rows = []
-    prev = -np.inf
-    increasing = True
-    for N in (100, 1000, 10000):
+    for k, N in enumerate((100, 1000, 10000)):
         sqrt_dt = np.sqrt(1.0 / (N * substeps))
         sup = np.zeros(n_rep)
-        for rep in range(n_rep):
-            for lo in range(0, N, len(tile)):
-                t = tile[:N - lo]
-                gen.standard_normal(out=t)
-                np.multiply(t, sqrt_dt, out=t)
-                np.cumsum(t, axis=1, out=t)
-                sup[rep] = max(sup[rep], t.max(), -t.min())
-        scaled = float(np.sqrt(N) * np.sum(sup) / n_rep)
-        rows.append((N, scaled, float(np.sqrt(2.0 * np.log(N)))))
-        increasing &= scaled > prev
-        prev = scaled
-    return StrongReport(rows=rows, strictly_increasing=increasing)
+        def fill(w):  # drawer w: repetitions w, w + W, ...
+            with schemes._seated_rows(1) as seat:
+                for rep in range(w, n_rep, W):
+                    gen = seat(0, RngStream(seed, rep, 600 + k))
+                    for lo in range(0, N, tiles.shape[1]):
+                        t = tiles[w, :N - lo]
+                        gen.standard_normal(out=t)
+                        np.multiply(t, sqrt_dt, out=t)
+                        np.cumsum(t, axis=1, out=t)
+                        sup[rep] = max(sup[rep], t.max(), -t.min())
+        schemes._fan_out(W, fill)
+        rows.append((N, float(np.sqrt(N) * np.sum(sup) / n_rep), float(np.sqrt(2.0 * np.log(N)))))
+    return StrongReport(rows=rows, strictly_increasing=all(np.diff([r[1] for r in rows]) > 0))

@@ -203,14 +203,33 @@ class TestCliPrice:
             assert len(used) > 0 if w > 1 else not used
         assert outputs[1] == outputs[0]
 
-    def test_unwritable_output_path_is_config_error(self, tmp_path, capsys):
-        # a directory once ended the run in an IsADirectoryError traceback
-        for target in (tmp_path, tmp_path / "missing" / "out.csv"):
-            path = write(tmp_path, "c.cfg", CONSTANT_CFG + f"output.path = {target}\n")
-            assert main(["price", path]) == 64
-            out = capsys.readouterr()
-            assert out.out == ""
-            assert out.err.startswith("config error: config key 'output.path': ")
+    def test_unwritable_output_path_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # a directory once ended the run in an IsADirectoryError traceback,
+        # and only after the whole run: now each command refuses the path
+        # before drawing, and a run that fails after the check leaves an
+        # existing file as it was
+        from pathfunc import cli, estimator
+        from pathfunc.errors import SimulationError
+
+        def fail(*args, **kwargs):
+            raise SimulationError("drawn")
+        for name in ("estimate", "convergence_study"):
+            monkeypatch.setattr(estimator, name, fail)
+        monkeypatch.setattr(cli, "check_local_consistency", fail)
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier run\n")
+        for command in ("price", "converge", "check"):
+            for target in (tmp_path, tmp_path / "missing" / "out.csv", kept):
+                text = CONSTANT_CFG + f"run.h_grid = 0.5, 0.25, 0.125\noutput.path = {target}\n"
+                code = main([command, write(tmp_path, "c.cfg", text)])
+                out = capsys.readouterr()
+                assert out.out == ""
+                if target == kept:
+                    assert (code, out.err) == (1, "error: drawn\n")
+                else:
+                    assert code == 64
+                    assert out.err.startswith("config error: config key 'output.path': ")
+        assert kept.read_text() == "earlier run\n"
 
     @pytest.mark.parametrize("key, value", [("scheme.h", "2"), ("model.sigma", "-1")])
     def test_refused_value_is_config_error(self, tmp_path, capsys, key, value):

@@ -421,15 +421,67 @@ class TestCounterexamples:
         assert type(rep.strictly_increasing) is bool
         json.dumps({"rows": rep.rows, "strictly_increasing": rep.strictly_increasing})
 
-    def test_strong_working_set_does_not_grow_with_n(self):
-        # 4 x 10 000 x 64 draws in one block would take 20 MB; one tile is 512 KB
-        tracemalloc.start()
+    def test_strong_working_set_does_not_grow_with_n(self, monkeypatch):
+        # 4 x 10 000 x 64 draws in one block would take 20 MB; the tiles of
+        # one drawer or of three share 512 KB
+        from pathfunc import schemes
+        for w in (1, 3):
+            monkeypatch.setattr(schemes, "_drawers", lambda: w)
+            tracemalloc.start()
+            try:
+                counterexample_strong(n_rep=4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20
+
+    def test_strong_repetitions_replay_from_their_keys(self):
+        # repetition r of row k is stream (4, r, 600 + k), drawn in one call
+        rep = counterexample_strong(n_rep=3, seed=4)
+        for k, (N, scaled, _) in enumerate(rep.rows):
+            sup = np.zeros(3)
+            for r in range(3):
+                draws = RngStream(4, r, 600 + k).generator().standard_normal((N, 64))
+                path = np.cumsum(draws * np.sqrt(1.0 / (N * 64)), axis=1)
+                sup[r] = np.abs(path).max()
+            assert scaled == float(np.sqrt(N) * np.sum(sup) / 3)
+
+    def test_strong_drawer_count_moves_no_byte(self, capsys, monkeypatch):
+        # 8 repetitions on 1, 2 and 3 drawers, switching threads often; 3 may
+        # exceed the CPU count, and 1 drawer never asks the pool
+        import sys
+        from pathfunc import schemes
+        from pathfunc.cli import main
+        real_pool, used = schemes._pool, []
+        monkeypatch.setattr(schemes, "_pool", lambda pid: used.append(pid) or real_pool(pid))
+        outputs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            counterexample_strong(n_rep=4)
-            peak = tracemalloc.get_traced_memory()[1]
+            for w in (1, 2, 3):
+                monkeypatch.setattr(schemes, "_drawers", lambda: w)
+                used.clear()
+                assert main(["counterexample", "strong", "--paths", "8"]) == 0
+                outputs.append(capsys.readouterr().out)
+                assert len(used) > 0 if w > 1 else not used
         finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+            sys.setswitchinterval(interval)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_strong_drawer_error_reaches_caller(self, monkeypatch):
+        # drawer 1 fails on a pool thread; the join raises it on the caller's
+        import threading
+        from pathfunc import schemes
+        seated = schemes._seated_rows
+
+        def failing(n):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("drawer 1 failed")
+            return seated(n)
+        monkeypatch.setattr(schemes, "_drawers", lambda: 2)
+        monkeypatch.setattr(schemes, "_seated_rows", failing)
+        with pytest.raises(RuntimeError, match="drawer 1 failed"):
+            counterexample_strong(n_rep=4)
 
 
 class TestDiscreteBarrierSmoke:
