@@ -37,8 +37,7 @@ _KEYS = {
     },
     "run": {
         "n_paths": ("size", 10000), "seed": ("int", 0), "workers": ("one", 1),
-        "h_grid": ("numlist", None), "oracle": (("none", "auto"), "none"),
-        "allow_linear": ("bool", False), "timing": ("bool", True),
+        "h_grid": ("numlist", None), "allow_linear": ("bool", False), "timing": ("bool", True),
     },
     "check": {
         "probes_y": ("numlist", [0.5, 1.0, 2.0]), "probes_t": ("numlist", [0.0, 0.5]),
@@ -79,9 +78,13 @@ def _parse_value(tag: str | tuple, text: str, key: str):
     if tag == "num":
         return _parse_number(text, key)
     if tag in ("int", "size"):
-        v = _parse_number(text, key)
-        if v != int(v):
-            raise ConfigError(f"config key {key!r}: expected an integer, got {text!r}")
+        try:
+            v = int(text)  # exact, where a float rounds past 2^53
+        except ValueError:  # a fraction, power or exponent
+            v = _parse_number(text, key)
+            if v != int(v) or abs(v) > 2**53:
+                raise ConfigError(f"config key {key!r}: expected an integer of magnitude "
+                                  f"at most 2^53 or plain digits, got {text!r}")
         if tag == "size" and v < 2:
             raise ConfigError(f"config key {key!r}: need at least 2, got {text!r}")
         return int(v)

@@ -205,15 +205,10 @@ def _knock_in_call(strike: float, barrier_level: float, r: float, m: int,
     )
 
 
-def up_and_in_call(strike: float, barrier_level: float, r: float,
-                   m: int = 1) -> FunctionalSpec:
-    """Up-and-in call: e^{-r} (X(1) - K)^+ activated when the running
-    maximum reaches the barrier level.
-
-    The knock-in condition reads the terminal running maximum (argument 4m).
-    """
-    return _knock_in_call(strike, barrier_level, r, m, "up_in_call",
-                          lambda x: x[:, 4 * m - 1])
+def up_and_in_call(strike: float, barrier_level: float, r: float) -> FunctionalSpec:
+    """Up-and-in call: e^{-r} (X(1) - K)^+ activated when the running maximum
+    M(1), argument 4 of the spec that samples t = 1 alone, reaches the barrier."""
+    return _knock_in_call(strike, barrier_level, r, 1, "up_in_call", lambda x: x[:, 3])
 
 
 def discrete_barrier_call(strike: float, barrier_level: float, r: float,

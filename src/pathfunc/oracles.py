@@ -22,8 +22,8 @@ __all__ = [
 
 
 def vanilla_call_price(s0: float, strike: float, r: float, sigma: float) -> float:
-    """Black-Scholes European call expiring at 1."""
-    if sigma <= 0.0:
+    """Black-Scholes European call expiring at 1, for any strike."""
+    if sigma <= 0.0 or strike <= 0.0:  # X(1) = s0 e^r, or a call exercised on every path
         return max(0.0, s0 - strike * np.exp(-r))
     d1 = (np.log(s0 / strike) + (r + 0.5 * sigma * sigma)) / sigma
     d2 = d1 - sigma
@@ -35,7 +35,7 @@ def up_and_in_call_price(s0: float, strike: float, barrier: float, r: float,
     """Continuously monitored up-and-in call under geometric Brownian motion.
 
     Standard barrier-option closed form assembled from the reflection
-    principle; requires the spot to start below the barrier.
+    principle.  At K <= 0 every path exercises the call and the y1 term is 0.
     """
     if s0 >= barrier or strike >= barrier:
         # knocked in at the start, or whenever the call finishes in the money
@@ -46,12 +46,14 @@ def up_and_in_call_price(s0: float, strike: float, barrier: float, r: float,
     df = np.exp(-r)
     hs = barrier / s0
     x2 = np.log(s0 / barrier) / sigma + (1.0 + mu) * sigma
-    y1 = np.log(barrier * barrier / (s0 * strike)) / sigma + (1.0 + mu) * sigma
     y2 = np.log(barrier / s0) / sigma + (1.0 + mu) * sigma
     pow1 = hs ** (2.0 * (mu + 1.0))
     pow2 = hs ** (2.0 * mu)
     b_term = s0 * _norm_cdf(x2) - strike * df * _norm_cdf(x2 - sigma)
-    c_term = s0 * pow1 * _norm_cdf(-y1) - strike * df * pow2 * _norm_cdf(-y1 + sigma)
+    c_term = 0.0
+    if strike > 0.0:
+        y1 = np.log(barrier * barrier / (s0 * strike)) / sigma + (1.0 + mu) * sigma
+        c_term = s0 * pow1 * _norm_cdf(-y1) - strike * df * pow2 * _norm_cdf(-y1 + sigma)
     d_term = s0 * pow1 * _norm_cdf(-y2) - strike * df * pow2 * _norm_cdf(-y2 + sigma)
     return b_term - c_term + d_term
 

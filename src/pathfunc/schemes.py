@@ -457,17 +457,14 @@ def simulate_path(model: SdeModel, config: SchemeConfig, rng: RngStream, *,
                   forced_noise=None) -> StepPath:
     """Simulate one chain path from the model's initial state to t = 1.
 
-    The path is a batch of one, with the tree's padding stripped.
+    The path is a batch of one; a one-row tree batch ends at its own t = 1.
     ``forced_noise`` substitutes the draws of ``rng``: (n_steps, d1) normals
     for euler or +/-1 signs for binomial_fixed, or a sequence of at least one
     +/-1 sign per step for the tree.  Scalar models yield flat-valued paths.
     """
     noise = None if forced_noise is None else np.asarray(forced_noise, dtype=np.float64)[None]
     times, values = _simulate(model, config, [rng], noise)
-    if times.ndim == 2:  # strip the tree's padding
-        end = int(np.argmax(times[0] == 1.0)) + 1
-        times, values = times[0, :end], values[:, :end]
-    return StepPath(times, values[0, :, 0] if model.dim_state == 1 else values[0])
+    return StepPath(times.reshape(-1), values[0, :, 0] if model.dim_state == 1 else values[0])
 
 
 def simulate_values(model: SdeModel, config: SchemeConfig, streams: Sequence[RngStream]):

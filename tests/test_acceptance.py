@@ -94,7 +94,7 @@ def test_criterion_3_martingale_check():
 def test_criterion_4_convergence_to_oracle():
     t0 = time.perf_counter()
     model = pf.gbm(0.1, 0.3, 0.8)
-    spec = pf.up_and_in_call(0.5, 1.0, 0.1, m=1)
+    spec = pf.up_and_in_call(0.5, 1.0, 0.1)
     oracle = up_and_in_call_price(0.8, 0.5, 1.0, 0.1, 0.3)
     h_grid = [2**-5, 2**-7, 2**-9, 2**-11]
     rep = pf.convergence_study(model, pf.SchemeConfig("euler", h=h_grid[0]), spec, h_grid,

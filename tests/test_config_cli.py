@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pathfunc import oracles
 from pathfunc.cli import main
 from pathfunc.config import parse_config_text
 from pathfunc.errors import ConfigError
@@ -56,9 +57,11 @@ def no_second_sample(monkeypatch):
 
 class TestConfigParsing:
     def test_number_forms(self):
-        cfg = parse_config_text("scheme.h = 1/12288\nrun.h_grid = 2^-5, 2^-7\n")
+        cfg = parse_config_text("scheme.h = 1/12288\nrun.h_grid = 2^-5, 2^-7\n"
+                                "run.seed = -2^53\nrun.n_paths = 1e3\n")
         assert cfg.get("scheme", "h") == pytest.approx(1.0 / 12288)
         assert cfg.get("run", "h_grid") == [2**-5, 2**-7]
+        assert (cfg.get("run", "seed"), cfg.get("run", "n_paths")) == (-2**53, 1000)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -67,7 +70,8 @@ class TestConfigParsing:
             parse_config_text("grid.h = 0.1\n")
         for key in ("model.mu", "model.b_vol", "ui.cutoff_max",  # read by nothing
                     "functional.coordinate", "check.c_const", "ui.tail_tol",
-                    "scheme.cap"):  # no chain is clamped
+                    "scheme.cap",  # no chain is clamped
+                    "run.oracle"):  # converge reports any closed form its run has
             with pytest.raises(ConfigError):
                 parse_config_text(f"{key} = 0.5\n")
 
@@ -97,9 +101,13 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key, value", [("run.n_paths", "inf"), ("run.n_paths", "nan"),
                                             ("run.seed", "inf"), ("run.n_paths", "1e400"),
-                                            ("run.workers", "-inf"), ("run.seed", "2^2000")])
+                                            ("run.workers", "-inf"), ("run.seed", "2^2000"),
+                                            ("run.seed", "2^60"), ("run.seed", "1e17")])
     def test_non_finite_integer_refused(self, tmp_path, capsys, key, value):
-        # int() of these once escaped as an OverflowError or ValueError traceback
+        # int() of these once escaped as an OverflowError or ValueError traceback.
+        # A power or exponent is read through a float, so beyond 2^53 it is
+        # refused even where the float is exact (2^60, 1e17): plain digits are
+        # the one spelling of a larger integer
         assert main(["price", write(tmp_path, "c.cfg", CONSTANT_CFG + f"{key} = {value}\n")]) == 64
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith(f"config error: config key {key!r}: ")
@@ -180,6 +188,23 @@ class TestCliPrice:
         main(["price", path, "--seed", "2"])
         b = capsys.readouterr().out
         assert a != b
+
+    def test_config_seed_reads_as_the_seed_flag(self, tmp_path, capsys):
+        # run.seed = 2^53 + 1 once read back through a float as 2^53 and
+        # priced other streams than the same --seed
+        cfg = CONSTANT_CFG.replace("functional.payoff = constant",
+                                   "functional.payoff = terminal_call")
+        cfg = cfg.replace("functional.strike = 2.5", "functional.strike = 0.9")
+        cfg = cfg.replace("run.n_paths = 64", "run.n_paths = 100\nrun.allow_linear = true")
+        rows = []
+        for seed in (2**53 + 1, 2**53):
+            assert main(["price", write(tmp_path, "s.cfg", cfg.replace(
+                "run.seed = 3", f"run.seed = {seed}"))]) == 0
+            from_config = capsys.readouterr().out
+            assert main(["price", write(tmp_path, "c.cfg", cfg), "--seed", str(seed)]) == 0
+            assert from_config == capsys.readouterr().out
+            rows.append(from_config)
+        assert rows[0] != rows[1]
 
     def test_bytes_ignore_workers_env_and_core_count(self, tmp_path, capsys, monkeypatch):
         # one summation order: the noise drawers' count moves no byte.  At
@@ -543,7 +568,7 @@ class TestCliConverge:
             "functional.payoff = up_in_call\nfunctional.strike = 0.5\n"
             "functional.barrier_level = 1.0\n"
             "run.n_paths = 2000\nrun.seed = 4\nrun.h_grid = 2^-4, 2^-5, 2^-6\n"
-            "run.oracle = auto\nrun.allow_linear = true\noutput.format = csv\n"
+            "run.allow_linear = true\noutput.format = csv\n"
         )
         path = write(tmp_path, "c.cfg", text)
         assert main(["converge", path]) == 0
@@ -558,24 +583,26 @@ class TestCliConverge:
             f"model.kind = gbm\nmodel.r = 0.1\nmodel.sigma = 0\nmodel.x0 = {x0}\n"
             "scheme.kind = euler\nfunctional.payoff = up_in_call\n"
             "functional.strike = 0.5\nfunctional.barrier_level = 1.0\n"
-            "run.n_paths = 16\nrun.h_grid = 2^-4, 2^-5, 2^-6\nrun.oracle = auto\n"
+            "run.n_paths = 16\nrun.h_grid = 2^-4, 2^-5, 2^-6\n"
         )
         assert main(["converge", write(tmp_path, "c.cfg", text)]) == 0
         assert f"oracle = {oracle} (reflection-principle closed form)" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("value", ["autoo", "nan", "0.26"])
-    def test_oracle_is_auto_or_none(self, tmp_path, capsys, value):
-        # a typo once escaped as a ValueError traceback, and nan printed
-        # non_convergence_flag = True with exit 0
+    @pytest.mark.parametrize("x0", ["1.0", "0.8"])
+    def test_unset_strike_has_an_oracle(self, tmp_path, capsys, x0):
+        # functional.strike defaults to 0, where the closed form once divided
+        # by zero in a traceback; from x0 = 1 the call is knocked in at the start
         text = (
-            "model.kind = gbm\nmodel.r = 0.1\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
+            f"model.kind = gbm\nmodel.r = 0.1\nmodel.sigma = 0.3\nmodel.x0 = {x0}\n"
             "scheme.kind = euler\nfunctional.payoff = up_in_call\n"
-            "functional.strike = 0.5\nfunctional.barrier_level = 1.0\n"
-            "run.n_paths = 200\nrun.h_grid = 2^-3, 2^-4, 2^-5\n"
-            f"run.oracle = {value}\nrun.allow_linear = true\n"
+            "functional.barrier_level = 1.0\n"
+            "run.n_paths = 200\nrun.h_grid = 2^-3, 2^-4, 2^-5\nrun.allow_linear = true\n"
         )
-        assert main(["converge", write(tmp_path, "c.cfg", text)]) == 64
-        assert "'run.oracle'" in capsys.readouterr().err
+        assert main(["converge", write(tmp_path, "c.cfg", text)]) == 0
+        oracle = oracles.up_and_in_call_price(float(x0), 0.0, 1.0, 0.1, 0.3)
+        assert np.isfinite(oracle)
+        assert f"oracle = {oracle:.10g} (reflection-principle closed form)" in \
+            capsys.readouterr().out
 
     def test_converge_simulates_each_path_once(self, tmp_path, capsys, monkeypatch):
         # a linear payoff's gate reads the sweep's rows: no second sample
@@ -721,7 +748,7 @@ print(json.dumps(seen))
             "model.kind = gbm\nmodel.r = 0.1\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
             "scheme.kind = euler\nfunctional.payoff = up_in_call\n"
             "functional.strike = 0.5\nfunctional.barrier_level = 1.0\n"
-            "run.n_paths = 200\nrun.h_grid = 2^-3, 2^-4, 2^-5\nrun.oracle = auto\n"
+            "run.n_paths = 200\nrun.h_grid = 2^-3, 2^-4, 2^-5\n"
             "run.allow_linear = true\nui.n_paths = 200\n"
         )
         env = dict(os.environ, PYTHONPATH=os.path.join(here, os.pardir, "src"))

@@ -123,7 +123,7 @@ class TestEvaluate:
         assert payoff_of(spec, args2) == 0.0
 
     def test_up_in_call_examples(self):
-        spec = up_and_in_call(strike=0.5, barrier_level=1.0, r=0.07, m=1)
+        spec = up_and_in_call(strike=0.5, barrier_level=1.0, r=0.07)
         args = np.array([0.0, 1.0, 0.0, 1.0, 1.0])  # terminal 1, running max 1
         assert payoff_of(spec, args) == pytest.approx(np.exp(-0.07) * 0.5)
         args[3] = 0.99  # barrier not reached
@@ -173,10 +173,10 @@ class TestEvaluate:
         assert payoff_of(spec, bumped) >= base
 
     def test_unbounded_band_payoff_ignores_z1_z3(self):
-        spec = up_and_in_call(0.5, 1.0, 0.1, m=2)
-        args = np.array([9.0, 9.0, 0.8, 1.2, 9.0, 9.0, 1.0, 1.3, 1.0])
+        spec = up_and_in_call(0.5, 1.0, 0.1)
+        args = np.array([9.0, 0.8, 9.0, 1.3, 1.0])
         scrambled = args.copy()
-        scrambled[[0, 1, 4, 5]] = -7.0  # z1 and z3 are inert for this payoff
+        scrambled[[0, 2]] = -7.0  # z1 and z3 are inert for this payoff
         assert payoff_of(spec, args) == payoff_of(spec, scrambled)
 
 
@@ -281,13 +281,13 @@ class TestDiscontinuityMass:
         assert discontinuity_mass_estimate(spec, args, 1e-6) == 1.0
 
     def test_fraction_of_rows(self):
-        spec = up_and_in_call(0.5, 1.0, 0.0, m=1)
+        spec = up_and_in_call(0.5, 1.0, 0.0)
         args = np.zeros((8, 5))
         args[:, 3] = [1.0, 1.0 + 1e-9, 0.5, 2.0, 0.9, 1.1, 0.0, 1.0 - 5e-7]
         assert discontinuity_mass_estimate(spec, args, 1e-6) == 3 / 8
 
     def test_empty_block_refused(self):
-        spec = up_and_in_call(0.5, 1.0, 0.0, m=1)
+        spec = up_and_in_call(0.5, 1.0, 0.0)
         with pytest.raises(PreconditionError):
             discontinuity_mass_estimate(spec, np.zeros((0, 5)), 0.1)
 

@@ -57,6 +57,32 @@ def test_run_config_has():
     assert cfg.has("model", "kind") and not cfg.has("scheme", "h")
 
 
+def test_require_names_only_keys_without_a_default():
+    # RunConfig.require refuses a key the file leaves unset; on a key with a
+    # default it can never refuse, so such a call is a get.  build_scheme
+    # requires the step-size key it is given, scheme.h unless told otherwise.
+    import ast
+    import inspect
+    from pathlib import Path
+
+    from pathfunc.cli import build_scheme
+    from pathfunc.config import _KEYS
+    named = [inspect.signature(build_scheme).parameters["h_key"].default]
+    for f in sorted((Path(__file__).resolve().parents[1] / "src" / "pathfunc").glob("*.py")):
+        for call in ast.walk(ast.parse(f.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            fn = getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+            literal = [a.value for a in call.args if isinstance(a, ast.Constant)]
+            if fn == "require" and len(literal) == 2:
+                named.append(".".join(literal))
+            elif fn == "build_scheme" and len(literal) == 1:
+                named.append(literal[0])
+    assert {"scheme.h", "run.h_grid"} <= set(named)  # the scan sees the calls
+    defaulted = [k for k in named if _KEYS[k.split(".")[0]][k.split(".")[1]][1] is not None]
+    assert defaulted == []
+
+
 def test_build_scheme_pair():
     # bench/layers.py unpacks `scheme, _ = cli.build_scheme(cfg)` and reads the
     # first item's kind and cap, which is None (see the next test)

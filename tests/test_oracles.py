@@ -66,6 +66,8 @@ class TestUpAndInCall:
         (0.9, 0.7, 1.1, 0.05, 0.2),
         (0.5, 0.4, 1.5, 0.0, 0.5),
         (0.95, 0.2, 1.05, 0.02, 0.4),
+        (0.8, 0.0, 1.0, 0.1, 0.3),  # K <= 0: the call is exercised on every path
+        (0.9, -0.3, 1.1, 0.05, 0.2),
     ])
     def test_closed_form_matches_quadrature(self, s0, k, hb, r, sigma):
         cf = oracles.up_and_in_call_price(s0, k, hb, r, sigma)
@@ -111,6 +113,12 @@ class TestVanillaCall:
 
     def test_zero_volatility(self):
         assert oracles.vanilla_call_price(1.0, 0.5, 0.0, 0.0) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("strike", [0.0, -0.4])
+    def test_nonpositive_strike_is_the_forward(self, strike):
+        # X(1) > 0, so (X(1) - K)^+ = X(1) - K, priced s0 - K e^{-r}
+        v = oracles.vanilla_call_price(0.8, strike, 0.1, 0.3)
+        assert v == pytest.approx(0.8 - strike * np.exp(-0.1), rel=1e-15)
 
 
 class TestBesselOracles:

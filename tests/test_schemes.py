@@ -508,6 +508,20 @@ class TestTreeBatch:
             assert np.all(values[i, n:, 0] == p.values[-1])
         npt.assert_array_equal(simulate_terminals(m, cfg, streams), values[:, -1])
 
+    def test_single_path_is_its_row_cut_at_its_first_t1(self):
+        # a batch of one row stops at its own t = 1, so simulate_path needs
+        # no padding strip; a shorter row of the 3-row batch is padded
+        m = bounded_vol_model()
+        cfg = SchemeConfig("binomial_variable", h=2**-6)
+        streams = [RngStream(42, i) for i in range(3)]
+        times, values = simulate_values(m, cfg, streams)
+        ends = [int(np.argmax(row == 1.0)) + 1 for row in times]
+        assert min(ends) < times.shape[1]
+        for s, row_t, row_y, end in zip(streams, times, values, ends):
+            p = simulate_path(m, cfg, s)
+            npt.assert_array_equal(p.times, row_t[:end])
+            npt.assert_array_equal(p.values, row_y[:end, 0])
+
     def test_time_dependent_sigma_matches_python_reference(self):
         # sigma grows with t, so each row must see its own time column
         m = SdeModel("timevol", 1, 1,
