@@ -20,9 +20,10 @@ reciprocal-Bessel family's are drawn from its exact law stopped at 1/h).
 Exit codes: 0 ok, 1 runtime error (naming the failing stream), 2 diagnostic
 failure (a probe with non-finite moments, or a checked kind the model cannot
 run), 64 config error naming its section or key (a value the parser refuses:
-a non-finite number, an empty list, a word not listed; a ``scheme.kind``
-that cannot run the model, a probe time outside [0, 1), a ``model.z0`` not
-below 1/h where ``check`` draws that law, an unwritable ``output.path``).
+a non-finite number, an empty list, a word not listed; a ``functional`` key
+the payoff does not read, a ``scheme.kind`` that cannot run the model, a
+probe time outside [0, 1), a ``model.z0`` not below 1/h where ``check``
+draws that law, an unwritable ``output.path``).
 """
 
 from __future__ import annotations
@@ -102,23 +103,29 @@ def _refuse_unrunnable(model: SdeModel, schemes) -> None:
         s.max_times(model)
 
 
+# the functional keys each payoff reads; build_spec refuses a set key its payoff does not read
+_PAYOFF_KEYS = {"terminal_identity": "", "terminal_call": "strike", "constant": "strike",
+                "up_in_call": "strike barrier_level",
+                "discrete_barrier_call": "strike barrier_level m"}
+
+
 @_refusals_as_config_errors("functional")
 def build_spec(cfg: RunConfig) -> FunctionalSpec:
     payoff = cfg.get("functional", "payoff")
+    if payoff not in _PAYOFF_KEYS:
+        raise ConfigError(f"unknown payoff kind {payoff!r}")
+    for key in ("strike", "barrier_level", "m"):
+        if cfg.has("functional", key) and key not in _PAYOFF_KEYS[payoff].split():
+            raise ConfigError(f"config key 'functional.{key}': payoff {payoff} does not read it")
+    strike, barrier = cfg.get("functional", "strike"), cfg.get("functional", "barrier_level")
     r = cfg.get("model", "r")
     if payoff == "up_in_call":
-        return up_and_in_call(cfg.get("functional", "strike"),
-                              cfg.get("functional", "barrier_level"), r)
+        return up_and_in_call(strike, barrier, r)
     if payoff == "discrete_barrier_call":
-        return discrete_barrier_call(cfg.get("functional", "strike"),
-                                     cfg.get("functional", "barrier_level"), r,
-                                     m=cfg.get("functional", "m"))
-    if payoff in ("terminal_identity", "terminal_call"):
-        return custom_terminal(payoff.split("_", 1)[1],
-                               strike=cfg.get("functional", "strike"), r=r)
+        return discrete_barrier_call(strike, barrier, r, m=cfg.get("functional", "m"))
     if payoff == "constant":
-        return constant_payoff(cfg.get("functional", "strike"))
-    raise ConfigError(f"unknown payoff kind {payoff!r}")
+        return constant_payoff(strike)
+    return custom_terminal(payoff.split("_", 1)[1], strike=strike, r=r)
 
 
 def _emit(cfg: RunConfig, lines=()) -> None:
@@ -294,9 +301,10 @@ def cmd_counterexample(args) -> int:
     elif name == "strong":
         rep = estimator.counterexample_strong(
             seed=seed, **({} if paths is None else {"n_rep": paths}))
-        lines.append(f"{'N':>8} {'sqrt(N)*sup_err':>16} {'sqrt(2 log N)':>14}")
-        for N, scaled, ref in rep.rows:
-            lines.append(f"{N:8d} {scaled:16.4f} {ref:14.4f}")
+        lines.append(f"{'N':>8} {'sqrt(N)*sup_err':>16} {'stderr':>8} {'exact':>8} "
+                     f"{'sqrt(2 log N)':>14}")
+        for N, scaled, se, exact, ref in rep.rows:
+            lines.append(f"{N:8d} {scaled:16.4f} {se:8.4f} {exact:8.4f} {ref:14.4f}")
         lines.append(f"strictly increasing: {rep.strictly_increasing}")
         ok = rep.passed
     sys.stdout.write("\n".join(lines) + "\n")

@@ -121,7 +121,7 @@ class RunConfig:
         return _KEYS[section][key][1]
 
     def has(self, section: str, key: str) -> bool:
-        """Whether the file sets the key; the benchmark harness reads it."""
+        """Whether the file sets the key; ``build_spec`` and the benchmark read it."""
         return key in self.values.get(section, {})
 
     def require(self, section: str, key: str):

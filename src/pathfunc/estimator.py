@@ -15,7 +15,9 @@ family are only trustworthy when the family's tails vanish uniformly, so
 the commands judge that gate (:func:`tail_report`) on those values:
 ``price`` and ``converge`` on the paths they price, ``check`` on fresh paths
 priced in namespaces 1000 + k (:func:`ui_diagnostic`).  The
-reciprocal-Bessel harness below shows what goes wrong otherwise.
+reciprocal-Bessel harness below shows what goes wrong otherwise.  The
+strong counter-example draws each repetition's largest interval error from
+its exact law, one uniform each, and prints that law's exact mean beside it.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import schemes
 from .errors import EstimationError, EvaluationError, PreconditionError, SimulationError
 # evaluate, observe_args_batch, simulate_path and simulate_values go unused
 # here; the benchmark tracer reads them by name
 from .functionals import (FunctionalSpec, evaluate, fold_args_batch, keeps_whole_paths,
                           observe_args_batch, payoff_values)
-from .models import SdeModel, inverse_bessel3, sample_reciprocal_bessel3_stopped
-from .oracles import reciprocal_bessel3_mean
+from .models import (SdeModel, inverse_bessel3, sample_reciprocal_bessel3_stopped,
+                     sample_sup_abs_bm_max)
+from .oracles import reciprocal_bessel3_mean, sup_abs_bm_max_mean
 from .paths import BarrierPair, StepPath, classify_c_partition, hitting_time
 from .schemes import (_BATCH_ELEMENTS, RngStream, SchemeConfig, simulate_path,
                       simulate_states, simulate_values)
@@ -65,10 +67,6 @@ TAIL_TOL = 0.05
 # widened by this constant times sqrt(h) for the chain's O(sqrt(h)) barrier
 # bias, contains it (_convergence_flags).
 _BIAS_ALLOWANCE = 0.35
-
-# counterexample_strong's tile budget, shared by its drawers: 512 KB fits a
-# 2 MB per-core L2; whole (b, N, 64) blocks peaked at 138 MB RSS at N = 10^4.
-_STRONG_TILE = 2**16
 
 
 @dataclass(frozen=True)
@@ -378,7 +376,7 @@ def counterexample_bessel(n_paths: int = 200000, seed: int = 0) -> BesselReport:
 
 @dataclass
 class StrongReport:
-    rows: list  # (N, scaled_error, reference sqrt(2 log N))
+    rows: list  # (N, mean of M_N, its stderr, exact E[M_N], reference sqrt(2 log N))
     strictly_increasing: bool
 
     @property
@@ -390,35 +388,17 @@ def counterexample_strong(n_rep: int = 200, seed: int = 0) -> StrongReport:
     """No strong convergence: sqrt(N)-scaled sup-error of the piecewise
     constant interpolation of Brownian motion grows with N.
 
-    Estimates sqrt(N) E[sup_t |W(t) - W(floor(Nt)/N)|] by refining each of
-    the N intervals with 64 substeps; only within-interval
-    increments matter, so no global path is needed.  The scaled error grows
-    like sqrt(2 log N) -- the expected maximum of N iid interval suprema --
+    W(t) - W(i/N) on interval i is a Brownian motion of its own, so
+    sqrt(N) sup_t |W(t) - W(floor(Nt)/N)| is M_N, the largest of N iid
+    copies of S = sup_[0,1] |B|.  Repetition r of row k draws it exactly from
+    one uniform of ``RngStream(seed, r, 600 + k)``; a row holds the mean,
+    its standard error and the exact E[M_N].  They grow like sqrt(2 log N),
     so a strong (pathwise) rate cannot hold.
-
-    Repetition r of row k draws from ``RngStream(seed, r, 600 + k)``.  W =
-    min(CPUs, n_rep) drawers take repetitions w, w + W, ..., each through a
-    tile of its own; the W tiles share ``_STRONG_TILE``, so the working set
-    grows with neither N nor W.  The suprema are summed once, in repetition
-    order, so no byte depends on W.
     """
-    substeps = 64
-    W = max(1, min(schemes._drawers(), n_rep))
-    tiles = np.empty((W, max(1, _STRONG_TILE // substeps // W), substeps))
     rows = []
     for k, N in enumerate((100, 1000, 10000)):
-        sqrt_dt = np.sqrt(1.0 / (N * substeps))
-        sup = np.zeros(n_rep)
-        def fill(w):  # drawer w: repetitions w, w + W, ...
-            with schemes._seated_rows(1) as seat:
-                for rep in range(w, n_rep, W):
-                    gen = seat(0, RngStream(seed, rep, 600 + k))
-                    for lo in range(0, N, tiles.shape[1]):
-                        t = tiles[w, :N - lo]
-                        gen.standard_normal(out=t)
-                        np.multiply(t, sqrt_dt, out=t)
-                        np.cumsum(t, axis=1, out=t)
-                        sup[rep] = max(sup[rep], t.max(), -t.min())
-        schemes._fan_out(W, fill)
-        rows.append((N, float(np.sqrt(N) * np.sum(sup) / n_rep), float(np.sqrt(2.0 * np.log(N)))))
+        u = [RngStream(seed, r, 600 + k).generator().random() for r in range(n_rep)]
+        sup = sample_sup_abs_bm_max(N, u)
+        rows.append((N, float(np.mean(sup)), float(np.std(sup, ddof=1) / np.sqrt(n_rep)),
+                     sup_abs_bm_max_mean(N), float(np.sqrt(2.0 * np.log(N)))))
     return StrongReport(rows=rows, strictly_increasing=all(np.diff([r[1] for r in rows]) > 0))

@@ -6,8 +6,9 @@ variable-step tree, to (batch, d); diffusion maps to (batch, d, d1).  Models
 are immutable and safe to share.
 
 The reciprocal Bessel(3) model, whose diffusion is far from Lipschitz, is
-meant only for the counter-example harnesses; its exact stopped sampler is
-the one user of scipy here (``scipy.special``, imported on its first call).
+meant only for the counter-example harnesses.  Its exact stopped sampler and
+the law of sup_[0,1] |B| that the strong counter-example draws from are the
+users of scipy here (``scipy.special``, imported on first call).
 
 Every model is built from numbers, which its coefficients close over; the
 horizon is 1 throughout.
@@ -26,6 +27,8 @@ __all__ = [
     "inverse_bessel3",
     "stoch_vol",
     "sample_reciprocal_bessel3_stopped",
+    "sup_abs_bm_survival",
+    "sample_sup_abs_bm_max",
 ]
 
 
@@ -158,6 +161,33 @@ def _norm_cdf(x):
     """Standard normal CDF; equals ``scipy.stats.norm.cdf`` bit for bit."""
     from scipy.special import ndtr
     return ndtr(x)
+
+
+def _sup_abs_series(x):
+    """s(x) by its theta series, 1 - (4/pi) sum_j (-1)^j/(2j + 1) exp(-(2j + 1)^2 pi^2/(8x^2)),
+    and by its reflection series, 4 sum_j (-1)^j Phibar((2j + 1) x)."""
+    x, j = np.asarray(x, dtype=np.float64)[..., None], np.arange(20)  # 20 terms: 1e-15 on [0.3, 3]
+    odd, alt = 2.0 * j + 1.0, (-1.0) ** j
+    theta = np.sum(alt / odd * np.exp(-(odd * np.pi / x) ** 2 / 8.0), axis=-1)
+    return 1.0 - 4.0 / np.pi * theta, 4.0 * np.sum(alt * _norm_cdf(-odd * x), axis=-1)
+
+
+def sup_abs_bm_survival(x):
+    """s(x) = P(S > x) for x > 0 and S = sup_[0,1] |B| (Borodin & Salminen
+    2002): the theta series below x = 1, the reflection series from 1 on."""
+    return np.where(np.asarray(x) < 1.0, *_sup_abs_series(x))
+
+
+def sample_sup_abs_bm_max(n: int, u) -> np.ndarray:
+    """Exact draws of M_n, the largest of n iid copies of S, one per uniform
+    u in [0, 1): the root of s(x) = 1 - (1 - u)^(1/n), found by 64 halvings
+    of [0, 12] (M_n > 12 has probability below n 1e-32, and reads 12)."""
+    target = -np.expm1(np.log1p(-np.asarray(u, dtype=np.float64)) / n)
+    lo, hi = np.zeros_like(target), np.full_like(target, 12.0)
+    for _ in range(64):
+        mid = (lo + hi) / 2.0
+        lo, hi = np.where(sup_abs_bm_survival(mid) > target, (mid, hi), (lo, mid))
+    return (lo + hi) / 2.0
 
 
 def sample_reciprocal_bessel3_stopped(z0: float, cap: float | None, n: int,

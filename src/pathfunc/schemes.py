@@ -356,17 +356,6 @@ def _pool(pid: int):
     return ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="pathfunc-noise")
 
 
-def _fan_out(n_w: int, fill) -> None:
-    """Run ``fill(w)``: drawers 1..n_w-1 on ``_pool``, 0 here; join all, raise the first error."""
-    futures = [_pool(os.getpid()).submit(fill, w) for w in range(1, n_w)]
-    try:
-        fill(0)
-    finally:
-        errors = [e for e in (f.exception() for f in futures) if e]
-    if errors:
-        raise errors[0]
-
-
 _TILE_ROWS = 128  # streams a tile holds: few enough that its transposing copy stays in cache
 _SPLIT_DRAWS = 256  # fewest draws a stream in a split block: its GIL-held call takes ~6 us
 
@@ -403,7 +392,13 @@ def _noise_blocks(streams: Sequence[RngStream], kind: str, n_steps: int, d1: int
         for start in range(0, n_steps, tb):
             k = min(tb, n_steps - start)
             n_w = W if k * d1 >= _SPLIT_DRAWS else 1
-            _fan_out(n_w, lambda w: fill(w, n_w, k))
+            futures = [_pool(os.getpid()).submit(fill, w, n_w, k) for w in range(1, n_w)]
+            try:
+                fill(0, n_w, k)
+            finally:  # join every drawer, also when one raised; raise the first error
+                errors = [e for e in (f.exception() for f in futures) if e]
+            if errors:
+                raise errors[0]
             yield block[:k]
 
 

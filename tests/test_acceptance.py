@@ -128,7 +128,7 @@ def test_criterion_5_counterexample_fidelity():
            f"tangency (tau, tau_h, class) = (0.5, 1.0, C4): {tang_ok}; "
            f"capped mean {mean_last:.4f} +- {se_last:.4f} vs oracle "
            f"{bes.oracle:.4f}: {bes_ok}; "
-           f"scaled sup-errors {['%.3f' % s for _, s, _ in strong.rows]} "
+           f"scaled sup-errors {['%.3f' % row[1] for row in strong.rows]} "
            f"increasing: {strong.strictly_increasing}; {elapsed:.1f}s")
 
 

@@ -169,6 +169,36 @@ class TestCliPrice:
     def test_missing_file_is_config_error(self):
         assert main(["price", "/nonexistent/nowhere.cfg"]) == 64
 
+    @pytest.mark.parametrize("payoff, key", [
+        ("terminal_identity", "strike"), ("terminal_call", "m"),
+        ("terminal_call", "barrier_level"), ("constant", "m"), ("up_in_call", "m")])
+    @pytest.mark.parametrize("command", ["price", "converge", "check"])
+    def test_functional_key_the_payoff_does_not_read_is_refused(self, tmp_path, capsys,
+                                                                payoff, key, command):
+        # functional.m = 4 on a terminal_call once printed the unchanged row
+        text = (CONSTANT_CFG.replace("functional.payoff = constant", f"functional.payoff = {payoff}")
+                .replace("functional.strike = 2.5\n", "")
+                + f"functional.{key} = 4\nrun.h_grid = 2^-3, 2^-4, 2^-5\n")
+        assert main([command, write(tmp_path, "c.cfg", text)]) == 64
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"config error: config key 'functional.{key}': payoff {payoff}")
+
+    def test_functional_keys_the_payoff_reads_are_accepted(self, tmp_path, capsys):
+        # each payoff with every key it reads set, and the unset keys at their defaults
+        reads = {"terminal_identity": "", "terminal_call": "strike", "constant": "strike",
+                 "up_in_call": "strike barrier_level",
+                 "discrete_barrier_call": "strike barrier_level m"}
+        values = {"strike": "0.9", "barrier_level": "1.1", "m": "4"}
+        for payoff, keys in reads.items():
+            text = (CONSTANT_CFG.replace("functional.payoff = constant",
+                                         f"functional.payoff = {payoff}")
+                    .replace("functional.strike = 2.5\n", "")
+                    + "".join(f"functional.{k} = {values[k]}\n" for k in keys.split())
+                    + "run.allow_linear = true\n")
+            assert main(["price", write(tmp_path, "c.cfg", text)]) == 0, payoff
+            assert capsys.readouterr().out.startswith("h,mean,stderr")
+
     def test_deterministic_bytes_with_timing_off(self, tmp_path, capsys):
         path = write(tmp_path, "c.cfg", CONSTANT_CFG)
         main(["price", path])
@@ -525,8 +555,8 @@ class TestCliCounterexample:
         from pathfunc.estimator import counterexample_strong
         assert main(["counterexample", "strong", "--paths", "10"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:4]
-        assert rows == [f"{n:8d} {scaled:16.4f} {ref:14.4f}"
-                        for n, scaled, ref in counterexample_strong(n_rep=10).rows]
+        assert rows == [f"{n:8d} {scaled:16.4f} {se:8.4f} {exact:8.4f} {ref:14.4f}"
+                        for n, scaled, se, exact, ref in counterexample_strong(n_rep=10).rows]
 
     @pytest.mark.parametrize("name, paths", [("bessel", "0"), ("bessel", "-5"),
                                              ("bessel", "1"), ("strong", "-3"),
@@ -709,9 +739,9 @@ class TestCliSkorohodDist:
         assert err.startswith("config error:") and f"{b}, line 3" in err
 
 class TestStartupImports:
-    """scipy serves only the oracles and the exact reciprocal-Bessel sampler,
-    so a fresh interpreter loads it only when one of them runs, and no
-    command loads ``scipy.integrate``.  Importing starts no thread: the noise
+    """scipy serves only the oracles and the exact samplers (reciprocal
+    Bessel, the largest of n suprema of |B|), so a fresh interpreter loads it
+    only when one of them runs, and no command loads ``scipy.integrate``.  Importing starts no thread: the noise
     drawers' pool and ``concurrent.futures`` come with the first split block."""
 
     SCRIPT = """
@@ -725,6 +755,10 @@ seen["pool"] = ["concurrent.futures" in sys.modules, threading.active_count()]
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["price", sys.argv[1]]) == 0
 seen["price"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cli.main(["counterexample", "strong", "--paths", "20"]) == 0
+assert "strictly increasing: " in out.getvalue()
+seen["strong"] = loaded()
 with contextlib.redirect_stdout(io.StringIO()) as out:
     assert cli.main(["converge", sys.argv[2]]) == 0
 assert "oracle = " in out.getvalue()
@@ -761,6 +795,9 @@ print(json.dumps(seen))
         assert seen["import"] == []
         assert seen["pool"] == [False, 1]
         assert seen["price"] == []
+        # the law of sup |B| needs the normal CDF, and its mean a fixed rule
+        assert "scipy.special" in seen["strong"]
+        assert not [m for m in seen["strong"] if m.startswith(("scipy.integrate", "scipy.stats"))]
         assert "scipy.special" in seen["converge"]
         assert not [m for m in seen["converge"] if m.startswith("scipy.stats")]
         assert not [m for m in seen["bessel"] if m.startswith("scipy.integrate")]

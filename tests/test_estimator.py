@@ -411,77 +411,36 @@ class TestCounterexamples:
     def test_strong_error_grows(self):
         rep = counterexample_strong(n_rep=20, seed=5)
         assert rep.strictly_increasing
-        assert [n for n, _, _ in rep.rows] == [100, 1000, 10000]
+        assert [row[0] for row in rep.rows] == [100, 1000, 10000]
         # magnitudes track sqrt(2 log N) within a loose band
-        for _, scaled, ref in rep.rows:
+        for _, scaled, _, exact, ref in rep.rows:
             assert 0.7 * ref <= scaled <= 1.1 * ref
+            assert 0.7 * ref <= exact <= ref
 
     def test_strong_report_is_json(self):
         rep = counterexample_strong(n_rep=2, seed=1)
         assert type(rep.strictly_increasing) is bool
         json.dumps({"rows": rep.rows, "strictly_increasing": rep.strictly_increasing})
 
-    def test_strong_working_set_does_not_grow_with_n(self, monkeypatch):
-        # 4 x 10 000 x 64 draws in one block would take 20 MB; the tiles of
-        # one drawer or of three share 512 KB
-        from pathfunc import schemes
-        for w in (1, 3):
-            monkeypatch.setattr(schemes, "_drawers", lambda: w)
-            tracemalloc.start()
-            try:
-                counterexample_strong(n_rep=4)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2 * 2**20
-
     def test_strong_repetitions_replay_from_their_keys(self):
-        # repetition r of row k is stream (4, r, 600 + k), drawn in one call
+        # repetition r of row k is the first uniform of stream (4, r, 600 + k),
+        # mapped alone through the exact quantile of M_N
+        from pathfunc.models import sample_sup_abs_bm_max
+        from pathfunc.oracles import sup_abs_bm_max_mean
         rep = counterexample_strong(n_rep=3, seed=4)
-        for k, (N, scaled, _) in enumerate(rep.rows):
-            sup = np.zeros(3)
-            for r in range(3):
-                draws = RngStream(4, r, 600 + k).generator().standard_normal((N, 64))
-                path = np.cumsum(draws * np.sqrt(1.0 / (N * 64)), axis=1)
-                sup[r] = np.abs(path).max()
-            assert scaled == float(np.sqrt(N) * np.sum(sup) / 3)
+        for k, (N, scaled, se, exact, ref) in enumerate(rep.rows):
+            sup = [float(sample_sup_abs_bm_max(N, RngStream(4, r, 600 + k).generator().random()))
+                   for r in range(3)]
+            assert scaled == float(np.mean(sup))
+            assert se == float(np.std(sup, ddof=1) / np.sqrt(3))
+            assert (exact, ref) == (sup_abs_bm_max_mean(N), float(np.sqrt(2.0 * np.log(N))))
 
-    def test_strong_drawer_count_moves_no_byte(self, capsys, monkeypatch):
-        # 8 repetitions on 1, 2 and 3 drawers, switching threads often; 3 may
-        # exceed the CPU count, and 1 drawer never asks the pool
-        import sys
-        from pathfunc import schemes
-        from pathfunc.cli import main
-        real_pool, used = schemes._pool, []
-        monkeypatch.setattr(schemes, "_pool", lambda pid: used.append(pid) or real_pool(pid))
-        outputs = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for w in (1, 2, 3):
-                monkeypatch.setattr(schemes, "_drawers", lambda: w)
-                used.clear()
-                assert main(["counterexample", "strong", "--paths", "8"]) == 0
-                outputs.append(capsys.readouterr().out)
-                assert len(used) > 0 if w > 1 else not used
-        finally:
-            sys.setswitchinterval(interval)
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-
-    def test_strong_drawer_error_reaches_caller(self, monkeypatch):
-        # drawer 1 fails on a pool thread; the join raises it on the caller's
-        import threading
-        from pathfunc import schemes
-        seated = schemes._seated_rows
-
-        def failing(n):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("drawer 1 failed")
-            return seated(n)
-        monkeypatch.setattr(schemes, "_drawers", lambda: 2)
-        monkeypatch.setattr(schemes, "_seated_rows", failing)
-        with pytest.raises(RuntimeError, match="drawer 1 failed"):
-            counterexample_strong(n_rep=4)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_strong_rows_lie_near_their_exact_mean(self, seed):
+        # the draws are exact, so no discretisation bias separates the two
+        # columns: 4 stderr holds each row with probability 0.99994
+        for _, scaled, se, exact, _ in counterexample_strong(n_rep=200, seed=seed).rows:
+            assert abs(scaled - exact) <= 4.0 * se
 
 
 class TestDiscreteBarrierSmoke:

@@ -247,8 +247,6 @@ UNREACHED_ALLOWED = {
     ("schemes", "simulate_values"),
     # awaits the discontinuity-mass report of `check` (ROADMAP item 8)
     ("functionals", "discontinuity_mass_estimate"),
-    # bench/workload.py reads it (ROADMAP item 1)
-    ("config", "RunConfig.has"),
 }
 
 

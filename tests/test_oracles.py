@@ -139,6 +139,47 @@ class TestBesselOracles:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+class TestSupAbsBrownian:
+    """The law of S = sup_[0,1] |B| and of M_n, the largest of n iid copies,
+    which the strong counter-example samples and prints the mean of."""
+
+    @staticmethod
+    def tail(n):  # P(M_n > x) = 1 - (1 - s(x))^n
+        from pathfunc.models import sup_abs_bm_survival
+
+        def f(x):
+            with np.errstate(divide="ignore"):  # s = 1 near 0
+                return -np.expm1(n * np.log1p(-sup_abs_bm_survival(x)))
+        return f
+
+    def test_reflection_and_theta_series_agree(self):
+        from pathfunc.models import _sup_abs_series
+        theta, reflection = _sup_abs_series(np.linspace(0.3, 3.0, 2701))
+        assert np.max(np.abs(theta - reflection)) <= 1e-12
+        assert 0.0 < reflection.min() and theta.max() < 1.0
+
+    def test_mean_of_s_is_sqrt_pi_over_2(self):
+        # E[sup_[0,1] |B|] = sqrt(pi/2)
+        assert abs(oracles.sup_abs_bm_max_mean(1) - np.sqrt(np.pi / 2.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [100, 1000, 10000])
+    def test_gauss_legendre_mean_matches_adaptive_quadrature(self, n):
+        from scipy.integrate import quad
+        qd = quad(self.tail(n), 0.0, 12.0, points=[0.5, 1, 2, 3, 4, 5, 6],
+                  limit=200, epsabs=1e-13, epsrel=1e-13)[0]
+        assert abs(oracles.sup_abs_bm_max_mean(n) - qd) <= 1e-10
+
+    def test_sampled_maxima_follow_their_law(self):
+        # Kolmogorov-Smirnov distance of 20 000 draws of M_1000 from
+        # (1 - s)^1000, inside the 99% Dvoretzky-Kiefer-Wolfowitz band
+        from pathfunc.models import sample_sup_abs_bm_max
+        n, size = 1000, 20000
+        draws = np.sort(sample_sup_abs_bm_max(n, np.random.default_rng(11).random(size)))
+        cdf = 1.0 - self.tail(n)(draws)
+        ks = max(np.max(np.arange(1, size + 1) / size - cdf), np.max(cdf - np.arange(size) / size))
+        assert ks <= np.sqrt(np.log(2.0 / 0.01) / (2.0 * size))
+
+
 class TestNormalCdf:
     """The oracles' normal CDF is ``scipy.special.ndtr``, which is what
     ``scipy.stats.norm.cdf`` evaluates; the shipped oracle values rest on it."""

@@ -174,6 +174,25 @@ class TestRngStream:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_drawer_error_reaches_caller(self, monkeypatch):
+        # drawer 1 fails on a pool thread; the join raises it on the caller's,
+        # on a one-block grid and on a block of several
+        import threading
+        from pathfunc import schemes
+        seated = schemes._seated_rows
+
+        def failing(n):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("drawer 1 failed")
+            return seated(n)
+        monkeypatch.setattr(schemes, "_drawers", lambda: 2)
+        monkeypatch.setattr(schemes, "_seated_rows", failing)
+        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", (300 + 256) * 1000)  # 1000-step blocks
+        streams = [RngStream(3, i) for i in range(300)]
+        for n_steps in (300, 3000):
+            with pytest.raises(RuntimeError, match="drawer 1 failed"):
+                next(schemes._noise_blocks(streams, "euler", n_steps, 1))
+
     def test_concurrent_seats_share_no_state(self):
         # drawers reseat rows at once, each through a state dict of its own:
         # four threads, switching as often as the interpreter allows
