@@ -2,11 +2,11 @@
 
 Commands: ``price``, ``converge``, ``check``, ``counterexample``,
 ``skorohod-dist``.  Experiments are described by flat config files (see
-:mod:`pathfunc.config`).  All but ``skorohod-dist`` take ``--seed``.  Every
-command runs in one process and sums in one order, so its output does not
+:mod:`pathfunc.config`).  All but ``skorohod-dist`` take ``--seed``.  A
+command may price its paths in one forked process per CPU, each path from
+its own key, and sums their values in one order, so its output does not
 depend on the environment or the core count.  ``price``, ``converge`` and
-``check`` accept only ``--workers 1``, which ``bench/`` passes.  Noise may
-be drawn on several threads, each stream from its own key, moving no byte.
+``check`` accept only ``--workers 1``, which ``bench/`` passes.
 ``price`` and ``converge`` print their rows as CSV; ``converge`` also
 reports them against the closed form its run has, if any.
 
@@ -353,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if workers:
             # kept only because the benchmark harness passes --workers 1
             sp.add_argument("--workers", type=int, choices=[1], default=1,
-                            help="accepted only as 1: every run uses one process")
+                            help="accepted only as 1: the process count comes from the CPUs")
 
     sp = sub.add_parser("price", help="estimate the functional once")
     sp.add_argument("config")

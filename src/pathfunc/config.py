@@ -91,7 +91,7 @@ def _parse_value(tag: str | tuple, text: str, key: str):
     if tag == "one":
         if _parse_value("int", text, key) != 1:
             raise ConfigError(f"config key {key!r}: only 1 is accepted, got {text!r}; "
-                              "every run uses one process")
+                              "a run sets its process count from the CPUs")
         return 1
     if tag == "bool":
         low = text.lower()

@@ -1,7 +1,7 @@
 """Monte Carlo estimation of path functionals with reproducible streams.
 
 Path i always draws from the stream keyed (seed, namespace, i), so its draws
-depend neither on batching nor on how many threads draw.  The estimate sums
+depend neither on batching nor on which process prices it.  The estimate sums
 in one order: contiguous groups of ``_batch_size`` paths, one ``np.sum`` per
 group, from path 0 up, so it prints the same bytes on any core count.
 Every batch takes one route: ``simulate_states`` -> ``fold_args_batch`` ->
@@ -22,6 +22,8 @@ its exact law, one uniform each, and prints that law's exact mean beside it.
 
 from __future__ import annotations
 
+import os
+import pickle
 import time
 from dataclasses import dataclass, field, replace
 
@@ -57,6 +59,8 @@ __all__ = [
 # Rows stepped together when only the sampled instants are kept: enough to
 # spread numpy's per-call cost of each step, and a whole number of groups.
 _FOLD_ROWS = 8192
+
+_MIN_RANGE = 1024  # fewest paths a forked range prices: a fork 1-3 ms, 1024 32-step paths 6 ms
 
 # The uniform-integrability gate's cutoffs A, and its bound on the tail
 # expectation at the largest one (tail_report).
@@ -115,49 +119,100 @@ def _batch_size(config: SchemeConfig, model: SdeModel) -> int:
     return max(16, min(16384, _BATCH_ELEMENTS // per_path))
 
 
+def _child(w: int, run) -> None:
+    """Pickle ``run()`` or its error into pipe end ``w``; ``os._exit`` skips flush and atexit."""
+    try:
+        try:
+            data = pickle.dumps(run())
+        except BaseException as e:  # sent to the caller, which raises it
+            try:
+                data = pickle.dumps(e)
+            except Exception:  # an exception that does not pickle
+                data = pickle.dumps(RuntimeError(f"{type(e).__name__}: {e}"))
+        with open(w, "wb") as f:
+            f.write(data)
+    finally:
+        os._exit(0)
+
+
+def _priced(price, n_paths: int) -> list:
+    """``price(start, stop)`` of W near-equal ranges in path order, W the usable CPUs
+    cut to ranges of ``_MIN_RANGE`` paths; forked children price all but the first.
+    The first failing range raises, as does a child that dies or sends nothing."""
+    cpus = len(getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0))
+    W = max(1, min(cpus, n_paths // _MIN_RANGE)) if hasattr(os, "fork") else 1
+    cuts = [n_paths * w // W for w in range(W + 1)]
+    kids = {}  # pid -> its pipe's read end, until reaped
+    try:
+        for a, b in zip(cuts[1:-1], cuts[2:]):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                _child(w, lambda: price(a, b))
+            os.close(w)
+            kids[pid] = open(r, "rb")
+        parts = [price(0, cuts[1])]
+        for k, pid in enumerate(list(kids), 1):
+            data = kids[pid].read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            kids.pop(pid).close()
+            out = pickle.loads(data) if code == 0 and data else EstimationError(
+                f"pricing paths {cuts[k]} to {cuts[k + 1] - 1}: {len(data)} bytes, status {code}")
+            if isinstance(out, BaseException):
+                raise out
+            parts.append(out)
+        return parts
+    finally:
+        for pid, f in kids.items():
+            f.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+
+
 def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
              n_paths: int, seed: int, workers: int = 1, namespace: int = 0,
              ui_override: bool = True) -> Estimate:
     """Sample mean of the functional over n_paths independent chain paths.
 
-    Deterministic given (seed, namespace, n_paths).  A failed simulation or
-    payoff evaluation aborts with an error that names the failing stream.
-    ``workers`` is accepted only as 1 and ``ui_override`` only as True, the
-    values the benchmark harness passes.  Any payoff is priced, keeping each
-    path's X^h(1): the commands judge the uniform-integrability gate
-    (:func:`tail_report`) on priced paths.
+    Deterministic given (seed, namespace, n_paths), however :func:`_priced`
+    splits the paths.  A failed simulation or payoff evaluation aborts with an
+    error that names the failing stream.  ``workers`` is accepted only as 1
+    and ``ui_override`` only as True, the values the benchmark harness passes.
+    Any payoff is priced, keeping each path's X^h(1): the commands judge the
+    uniform-integrability gate (:func:`tail_report`) on priced paths.
     """
     if n_paths < 2:
         raise PreconditionError("need at least two paths for a standard error")
     if workers != 1:
         raise PreconditionError(f"workers must be 1 (got {workers!r}): "
-                                "the estimate runs in one process")
+                                "the estimate sets its process count from the CPUs")
     if ui_override is not True:
         raise PreconditionError(f"ui_override must be True (got {ui_override!r}): "
                                 "the commands judge the uniform-integrability gate")
     t0 = time.perf_counter()
     bsz = _batch_size(config, model)
     per_batch = bsz if keeps_whole_paths(spec) else bsz * max(1, _FOLD_ROWS // bsz)
+    def price(start, stop):  # payoff values and X^h(1) (argument 2m) of paths start..stop-1
+        vals, terms = [], []
+        for a in range(start, stop, per_batch):
+            streams = [RngStream(seed, i, namespace) for i in range(a, min(a + per_batch, stop))]
+            try:
+                args = fold_args_batch(*simulate_states(model, config, streams), spec)
+                vals.append(payoff_values(spec, args))
+            except (SimulationError, EvaluationError) as e:
+                sid = streams[e.batch_index].stream_id
+                raise EstimationError(f"stream {sid}: path simulation failed: {e}",
+                                      stream_id=sid) from e
+            terms.append(args[:, 2 * spec.m - 1].copy())
+        return np.concatenate(vals), np.concatenate(terms)
+    vals, terms = (np.concatenate(p) for p in zip(*_priced(price, n_paths)))
     total = total_sq = 0.0
-    terms = []
-    for start in range(0, n_paths, per_batch):
-        streams = [RngStream(seed, i, namespace)
-                   for i in range(start, min(start + per_batch, n_paths))]
-        try:
-            args = fold_args_batch(*simulate_states(model, config, streams), spec)
-            vals = payoff_values(spec, args)
-        except (SimulationError, EvaluationError) as e:
-            sid = streams[e.batch_index].stream_id
-            raise EstimationError(f"stream {sid}: path simulation failed: {e}",
-                                  stream_id=sid) from e
-        for g in range(0, vals.size, bsz):
-            group = vals[g:g + bsz]
-            total += float(np.sum(group))
-            total_sq += float(np.sum(group * group))
-        terms.append(args[:, 2 * spec.m - 1].copy())
+    for g in range(0, n_paths, bsz):
+        group = vals[g:g + bsz]
+        total += float(np.sum(group))
+        total_sq += float(np.sum(group * group))
     at_one = spec.nu2.entries[-1] == 1.0
     return replace(_finalize(total, total_sq, n_paths, config.h, t0),
-                   terminals=np.concatenate(terms) if at_one else None)
+                   terminals=terms if at_one else None)
 
 
 @dataclass

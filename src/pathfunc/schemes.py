@@ -19,15 +19,16 @@ grid lands exactly on t = 1; every other step is h, or in [eps^2 h, h / eps^2]
 on the tree, so quasi-uniformity holds by construction.  ``simulate_path``
 emits the realized grid as a :class:`StepPath`.  Paths are reproducible:
 every path owns a counter-based RNG stream keyed by (seed, namespace, stream
-id), so each path's draws do not depend on how paths are batched.
+id), so each path's draws depend neither on batching nor on the process.
 
 Every kind is a stream of states (:func:`simulate_states`), stepped as it
 is read into reused buffers, so the observer (``functionals.fold_args_batch``)
 stores only the columns its payoff can read.  On the fixed grids each stream's
-draws arrive in time blocks of at most ``_BATCH_ELEMENTS`` elements from a
-Philox generator that the stream keeps for the whole grid.  The tree's rows
-step on grids of their own, so each column also brings the rows' times, and
-each row reads its signs from raw Philox words, 64 at a time.
+draws arrive on the calling thread in time blocks of at most
+``_BATCH_ELEMENTS`` elements from a Philox generator that the stream keeps
+for the whole grid.  The tree's rows step on grids of their own, so each
+column also brings the rows' times, and each row reads its signs from raw
+Philox words, 64 at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -344,61 +344,36 @@ def _seated_rows(n: int):
         _FREE_ROWS.extend(rows)
 
 
-def _drawers() -> int:
-    """The CPUs this process may run on (every CPU where affinity is unknown)."""
-    return len(getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0))
-
-
-@functools.cache
-def _pool(pid: int):
-    """Process ``pid``'s drawer threads (a forked child inherits no threads)."""
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="pathfunc-noise")
-
-
 _TILE_ROWS = 128  # streams a tile holds: few enough that its transposing copy stays in cache
-_SPLIT_DRAWS = 256  # fewest draws a stream in a split block: its GIL-held call takes ~6 us
 
 
 def _noise_blocks(streams: Sequence[RngStream], kind: str, n_steps: int, d1: int):
     """Each stream's fixed-grid draws as time-major (Tb, B, d1) blocks.
 
     Stream i's draws are those of one long ``_draw_fixed_noise`` call: each
-    stream keeps its own generator from block to block.  W drawers (this
-    thread and W - 1 of ``_pool``) fill a block, drawer w every W-th tile of
-    streams through its own tile: W is the CPU count, at most one a tile, or 1
-    below ``_SPLIT_DRAWS`` draws a stream.  A block is whole when yielded, so
-    no byte depends on W.  A block and its W tiles hold at most
-    ``_BATCH_ELEMENTS`` elements (at least one step), whatever B and the number
-    of steps; the same buffer is yielded again for every block.
+    stream keeps its own generator from block to block, drawn into a tile of
+    ``_TILE_ROWS`` streams that is copied in transposed.  A block and its tile
+    hold at most ``_BATCH_ELEMENTS`` elements (at least one step), whatever B
+    and the number of steps; the same buffer is yielded again for every block.
     """
-    B = len(streams)
-    W, n_tile = max(1, min(_drawers(), -(-B // _TILE_ROWS))), min(_TILE_ROWS, B)
-    tb = max(1, min(n_steps, _BATCH_ELEMENTS // max(1, (B + W * n_tile) * d1)))
-    block = np.empty((tb, B, d1))
-    tiles = np.empty((W, n_tile, tb, d1))
-    single = tb == n_steps  # each stream draws once, so a drawer's one row serves them all
-    def fill(w, n_w, k):  # drawer w of n_w: tiles w, w + n_w, ...
-        with _seated_rows(int(single)) as seat:
-            for i0 in range(w * _TILE_ROWS, B, n_w * _TILE_ROWS):
-                rows = range(i0, min(i0 + _TILE_ROWS, B))
-                for j, i in enumerate(rows):
-                    gen = seat(0, streams[i]) if single else gens[i]
-                    _draw_fixed_noise(gen, kind, tiles[w, j, :k])
-                block[:k, i0:rows.stop] = tiles[w, :len(rows), :k].transpose(1, 0, 2)
-
-    with _seated_rows(0 if single else B) as seat:
+    B, n_tile = len(streams), min(_TILE_ROWS, len(streams))
+    tb = max(1, min(n_steps, _BATCH_ELEMENTS // max(1, (B + n_tile) * d1)))
+    # one buffer of at least the cap (64 MB) holds both: glibc maps that much afresh and
+    # unmaps it when freed, where freeing less would raise its mmap threshold for good
+    buf = np.empty(max(_BATCH_ELEMENTS, tb * (B + n_tile) * d1))
+    block = buf[:tb * B * d1].reshape(tb, B, d1)
+    tile = buf[tb * B * d1:tb * (B + n_tile) * d1].reshape(n_tile, tb, d1)
+    single = tb == n_steps  # each stream draws once, so one row serves them all
+    with _seated_rows(1 if single else B) as seat:
         gens = None if single else [seat(i, s) for i, s in enumerate(streams)]
         for start in range(0, n_steps, tb):
             k = min(tb, n_steps - start)
-            n_w = W if k * d1 >= _SPLIT_DRAWS else 1
-            futures = [_pool(os.getpid()).submit(fill, w, n_w, k) for w in range(1, n_w)]
-            try:
-                fill(0, n_w, k)
-            finally:  # join every drawer, also when one raised; raise the first error
-                errors = [e for e in (f.exception() for f in futures) if e]
-            if errors:
-                raise errors[0]
+            for i0 in range(0, B, _TILE_ROWS):
+                rows = range(i0, min(i0 + _TILE_ROWS, B))
+                for j, i in enumerate(rows):
+                    gen = seat(0, streams[i]) if single else gens[i]
+                    _draw_fixed_noise(gen, kind, tile[j, :k])
+                block[:k, i0:rows.stop] = tile[:len(rows), :k].transpose(1, 0, 2)
             yield block[:k]
 
 

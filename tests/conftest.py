@@ -42,6 +42,12 @@ run.timing = off
 """
 
 
+def set_cpus(monkeypatch, n):
+    """Make this process see n usable CPUs, as ``estimate`` counts them."""
+    import os
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(n), raising=False)
+
+
 def bench_workload():
     """bench/workload.py, loaded as a module: the benchmark's own inputs."""
     import importlib.util

@@ -9,7 +9,7 @@ from pathfunc.cli import main
 from pathfunc.config import parse_config_text
 from pathfunc.errors import ConfigError
 
-from conftest import TREE_CFG
+from conftest import TREE_CFG, set_cpus
 
 CONSTANT_CFG = """
 model.kind = gbm
@@ -236,27 +236,31 @@ class TestCliPrice:
             rows.append(from_config)
         assert rows[0] != rows[1]
 
-    def test_bytes_ignore_workers_env_and_core_count(self, tmp_path, capsys, monkeypatch):
-        # one summation order: the noise drawers' count moves no byte.  At
-        # h = 2^-8 a stream draws 256 normals a block, enough to split 300
-        # streams (three tiles) across 3 drawers; 1 drawer never asks the pool
-        from pathfunc import schemes
-        real_pool, used = schemes._pool, []
-        monkeypatch.setattr(schemes, "_pool", lambda pid: used.append(pid) or real_pool(pid))
-        cfg = CONSTANT_CFG.replace("functional.payoff = constant",
-                                   "functional.payoff = terminal_call")
-        cfg = cfg.replace("functional.strike = 2.5", "functional.strike = 0.9")
-        cfg = cfg.replace("scheme.h = 0.125", "scheme.h = 2^-8")
-        cfg = cfg.replace("run.n_paths = 64", "run.n_paths = 300\nrun.allow_linear = true")
-        path = write(tmp_path, "c.cfg", cfg)
+    @pytest.mark.parametrize("kind", ["euler", "binomial_fixed", "binomial_variable"])
+    def test_bytes_ignore_the_process_split(self, kind, tmp_path, capsys, monkeypatch):
+        # one summation order: pricing in 1, 2 or 3 processes moves no byte of
+        # price's and converge's rows or check's lines.  Ranges of 50 paths
+        # split each 301-path run, and 3 processes may exceed the CPU count
+        from pathfunc import estimator
+        real, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+        monkeypatch.setattr(estimator, "_MIN_RANGE", 50)
+        path = write(tmp_path, "c.cfg", (
+            "model.kind = gbm\nmodel.r = 0.1\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
+            f"scheme.kind = {kind}\nscheme.h = 2^-6\nfunctional.payoff = up_in_call\n"
+            "functional.strike = 0.5\nfunctional.barrier_level = 1.0\n"
+            "run.n_paths = 301\nrun.seed = 4\nrun.h_grid = 2^-4, 2^-5, 2^-6\n"
+            "run.allow_linear = true\nrun.timing = off\ncheck.probes_y = 0.8\n"
+            "check.probes_t = 0.0\ncheck.n_draws = 1000\nui.n_paths = 301\n"))
         outputs = []
-        for w in (1, 3):
-            monkeypatch.setattr(schemes, "_drawers", lambda: w)
-            used.clear()
-            assert main(["price", path]) == 0
+        for cpus in (1, 2, 3):
+            set_cpus(monkeypatch, cpus)
+            forks.clear()
+            for command in ("price", "converge", "check"):
+                assert main([command, path]) == 0, command
             outputs.append(capsys.readouterr().out)
-            assert len(used) > 0 if w > 1 else not used
-        assert outputs[1] == outputs[0]
+            assert len(forks) == (cpus - 1) * (1 + 3 + 3)  # price, converge, check's UI rows
+        assert "ui diagnostic: pass" in outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_unwritable_output_path_is_config_error(self, tmp_path, capsys, monkeypatch):
         # a directory once ended the run in an IsADirectoryError traceback,
@@ -741,20 +745,24 @@ class TestCliSkorohodDist:
 class TestStartupImports:
     """scipy serves only the oracles and the exact samplers (reciprocal
     Bessel, the largest of n suprema of |B|), so a fresh interpreter loads it
-    only when one of them runs, and no command loads ``scipy.integrate``.  Importing starts no thread: the noise
-    drawers' pool and ``concurrent.futures`` come with the first split block."""
+    only when one of them runs, and no command loads ``scipy.integrate``.
+    ``price`` starts no thread and loads no ``concurrent.futures``, even when
+    ``estimate`` splits its paths across forked processes."""
 
     SCRIPT = """
-import contextlib, io, json, sys, threading
+import contextlib, io, json, os, sys, threading
 def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 seen = {}
 import pathfunc, pathfunc.cli as cli
 seen["import"] = loaded()
-seen["pool"] = ["concurrent.futures" in sys.modules, threading.active_count()]
+seen["threads"] = [threading.active_count()]
+os.sched_getaffinity, cli.estimator._MIN_RANGE = (lambda pid: range(2)), 2  # price forks
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["price", sys.argv[1]]) == 0
 seen["price"] = loaded()
+seen["threads"].append(threading.active_count())
+seen["futures"] = "concurrent.futures" in sys.modules  # scipy.special loads it later
 with contextlib.redirect_stdout(io.StringIO()) as out:
     assert cli.main(["counterexample", "strong", "--paths", "20"]) == 0
 assert "strictly increasing: " in out.getvalue()
@@ -793,7 +801,7 @@ print(json.dumps(seen))
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
         assert seen["import"] == []
-        assert seen["pool"] == [False, 1]
+        assert seen["threads"] == [1, 1] and seen["futures"] is False
         assert seen["price"] == []
         # the law of sup |B| needs the normal CDF, and its mean a fixed rule
         assert "scipy.special" in seen["strong"]

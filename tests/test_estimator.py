@@ -1,10 +1,13 @@
 import json
+import os
+import signal
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import set_cpus
 from pathfunc.errors import EstimationError, PreconditionError, SimulationError
 from pathfunc.estimator import (convergence_study, counterexample_bessel,
                                 counterexample_strong, counterexample_tangency,
@@ -47,7 +50,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("workers", [0, 2, 4, 7])
     def test_workers_other_than_one_refused(self, workers):
-        # one process, one summation order: a worker count cannot regroup sums
+        # the process count comes from the CPUs; workers sets nothing
         with pytest.raises(PreconditionError):
             estimate(GBM, CFG, custom_terminal("call", strike=0.5), 64, seed=9,
                      workers=workers)
@@ -248,10 +251,12 @@ class TestTreeStream:
         if spec.m == 12:
             assert (runs[0].mean, runs[0].stderr) == (0.23481639625549955, 0.0030503342993871063)
 
-    def test_memory_does_not_grow_with_the_steps(self):
+    def test_memory_does_not_grow_with_the_steps(self, monkeypatch):
         # an unbounded band streams 2000 rows at once: a row keeps its state,
         # its samples and 32 words of signs, not its path (about 36 steps at
-        # h = 2^-6, 570 at h = 2^-10, where its path would take 18 MB)
+        # h = 2^-6, 570 at h = 2^-10, where its path would take 18 MB).
+        # One process, so tracemalloc sees every row
+        set_cpus(monkeypatch, 1)
         bounded = SdeModel("bounded_vol", 1, 1, drift=lambda y, t: 0.05 * np.ones_like(y),
                            diffusion=lambda y, t: (0.5 + 0.3 * np.sin(y))[..., None],
                            y0=np.array([1.0]), sigma_eps=0.15)
@@ -269,8 +274,10 @@ class TestTreeStream:
 
     def test_finite_band_is_one_group_a_batch(self, monkeypatch):
         # a finite band keeps whole paths, so a batch is one stored group of
-        # 1249 paths at h = 2^-6; an unbounded band streams them all at once
+        # 1249 paths at h = 2^-6; an unbounded band streams them all at once.
+        # One process, so the spy sees every batch
         from pathfunc import estimator
+        set_cpus(monkeypatch, 1)
         sizes, states = [], estimator.simulate_states
         monkeypatch.setattr(estimator, "simulate_states",
                             lambda m, c, streams: sizes.append(len(streams)) or states(m, c, streams))
@@ -283,6 +290,115 @@ class TestTreeStream:
         sizes.clear()
         estimate(GBM, cfg, TREE_SPECS[0], 3000, seed=0)
         assert sizes == [3000]
+
+
+def raise_unpicklable():
+    class Local(Exception):
+        pass
+    raise Local("odd")
+
+
+class TestProcessSplit:
+    """``estimate`` prices ranges of 2 or more paths in up to 3 processes,
+    however many CPUs there are; every failure raises in the caller, and
+    no child outlives the call."""
+
+    @pytest.fixture(autouse=True)
+    def split(self, monkeypatch):
+        from pathfunc import estimator
+        monkeypatch.setattr(estimator, "_MIN_RANGE", 2)
+        set_cpus(monkeypatch, 3)
+        yield estimator
+        with pytest.raises(ChildProcessError):  # no child is left
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_terminals_ignore_the_split(self, split, monkeypatch):
+        runs = []
+        for cpus in (1, 2, 3):
+            set_cpus(monkeypatch, cpus)
+            runs.append(estimate(GBM, CFG, custom_terminal("call", strike=0.5), 1001, seed=9))
+        for est in runs[1:]:
+            assert replace(est, elapsed=0.0) == replace(runs[0], elapsed=0.0)
+            np.testing.assert_array_equal(est.terminals, runs[0].terminals)
+
+    def test_lowest_failing_stream_over_ranges(self, split, monkeypatch):
+        # the drift turns infinite once a path climbs above 1.8: in three
+        # ranges of the first failing stream's length, the caller's range
+        # has no failure and both children's have some
+        m = SdeModel("blowup", 1, 1, drift=lambda y, t: np.where(y > 1.8, np.inf, 0.0),
+                     diffusion=lambda y, t: 0.5 * np.ones_like(y)[..., None],
+                     y0=np.array([1.0]))
+        cfg = SchemeConfig("euler", h=2**-4)
+
+        def fails(i):
+            try:
+                simulate_path(m, cfg, RngStream(1, i))
+            except SimulationError:
+                return True
+            return False
+        bad = [i for i in range(200) if fails(i)]
+        n = 3 * bad[0]
+        assert bad[0] > 0 and any(2 * bad[0] <= i < n for i in bad)
+        errors = []
+        for cpus in (1, 3):
+            set_cpus(monkeypatch, cpus)
+            with pytest.raises(EstimationError) as exc:
+                estimate(m, cfg, constant_payoff(1.0), n, seed=1)
+            errors.append((exc.value.stream_id, str(exc.value)))
+        assert errors[1] == errors[0] == (bad[0], f"stream {bad[0]}: path simulation failed: "
+                                                  "non-finite drift/diffusion evaluation")
+
+    @pytest.mark.parametrize("end, error, match", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), EstimationError, "0 bytes, status -9"),
+        (lambda: os._exit(3), EstimationError, "0 bytes, status 3"),
+        (lambda: os._exit(0), EstimationError, "0 bytes, status 0"),
+        (lambda: {}["unexpected"], KeyError, "unexpected"),
+        (raise_unpicklable, RuntimeError, "Local: odd"),
+    ], ids=["killed", "exit_3", "no_payload", "exception", "unpicklable"])
+    def test_a_failing_child_raises(self, split, monkeypatch, end, error, match):
+        real = split.simulate_states
+
+        def states(model, config, streams):
+            if streams[0].stream_id > 0:  # a child's range
+                end()
+            return real(model, config, streams)
+        monkeypatch.setattr(split, "simulate_states", states)
+        with pytest.raises(error, match=match):
+            estimate(GBM, CFG, constant_payoff(1.0), 300, seed=0)
+
+    def test_interrupt_kills_the_children(self, split, monkeypatch):
+        import time
+        real = split.simulate_states
+
+        def states(model, config, streams):
+            if streams[0].stream_id == 0:  # the caller's range
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return real(model, config, streams)
+        monkeypatch.setattr(split, "simulate_states", states)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            estimate(GBM, CFG, constant_payoff(1.0), 300, seed=0)
+        assert time.perf_counter() - t0 < 30
+
+    def test_unflushed_stdout_is_written_once(self, tmp_path):
+        # a child ends by os._exit, so it never flushes the stdout it inherits
+        import subprocess
+        import sys
+        from conftest import TREE_CFG
+        script = ("import os, sys\nfrom pathfunc import cli, estimator\n"
+                  "os.sched_getaffinity = lambda pid: range(2)\nestimator._MIN_RANGE = 2\n"
+                  "print('unflushed line')\nsys.exit(cli.main(['price', sys.argv[1]]))\n")
+        cfg, out = tmp_path / "tree.cfg", tmp_path / "out.txt"
+        cfg.write_text(TREE_CFG)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # block-buffered
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        with open(out, "w") as f:
+            proc = subprocess.run([sys.executable, "-c", script, str(cfg)], stdout=f,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        text = out.read_text()
+        assert text.count("unflushed line") == 1 and text.count("h,mean") == 1
 
 
 class TestUiDiagnostic:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import set_cpus
 from pathfunc.errors import PreconditionError, SimulationError
 from pathfunc.models import SdeModel, gbm, stoch_vol
 from pathfunc.schemes import (RngStream, SchemeConfig, binomial_variable_step,
@@ -122,20 +123,19 @@ class TestRngStream:
 
     def test_key_range_is_checked_on_every_route(self, monkeypatch):
         # a stream id past 48 bits would spill into the namespace word: the
-        # reseated rows refuse it as generator() does, also from a drawer thread
+        # reseated rows refuse it as generator() does
         import gc
         from pathfunc import schemes
         gc.collect()
-        monkeypatch.setattr(schemes, "_drawers", lambda: 2)
-        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", (300 + 256) * 1000)  # 1000-step blocks
+        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", (300 + 128) * 1000)  # 1000-step blocks
         for bad in (RngStream(3, 2**48 + 5, 0), RngStream(3, 5, namespace=2**16)):
             with pytest.raises(ValueError):
                 bad.generator()
             with pytest.raises(ValueError):
                 sign_block([bad], 4)
             streams = [RngStream(3, i) for i in range(300)]
-            streams[200] = bad  # tile 1: drawer 1 seats it on a one-block grid
-            for n_steps, rows in ((300, 2), (3000, 300)):  # one block; several
+            streams[200] = bad  # in tile 1
+            for n_steps, rows in ((300, 1), (3000, 300)):  # one block; several
                 free = len(schemes._FREE_ROWS)
                 with pytest.raises(ValueError):
                     next(schemes._noise_blocks(streams, "euler", n_steps, 1))
@@ -143,66 +143,37 @@ class TestRngStream:
         assert RngStream(-1, 5, 1).key == ((1 << 48) | 5, 2**64 - 1)
 
     @pytest.mark.parametrize("kind", ["euler", "binomial_fixed"])
-    def test_drawer_count_moves_no_byte(self, kind, monkeypatch):
+    def test_block_size_moves_no_byte(self, kind, monkeypatch):
         # 300 streams (two full tiles and a part) with d1 = 2 on one block and
-        # on several, whose last is too short to split, drawn by 1, 2 and 3
-        # drawers, switching threads often; 3 may exceed the CPU count
-        import sys
+        # on blocks of 150 steps, whose last is shorter
         from pathfunc import schemes
-        real_pool, used = schemes._pool, []
-        monkeypatch.setattr(schemes, "_pool", lambda pid: used.append(pid) or real_pool(pid))
         streams = [RngStream(4, i, namespace=7) for i in range(300)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for budget, n_steps in ((schemes._BATCH_ELEMENTS, 200), (2 * 300 * 2 * 150, 1000)):
+        whole = schemes._BATCH_ELEMENTS
+        for n_steps in (200, 1000):
+            got = []
+            for budget, sizes in ((whole, [n_steps]),
+                                  ((300 + 128) * 2 * 150, [150] * (n_steps // 150) + [n_steps % 150])):
                 monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", budget)
-                got = []
-                for w in (1, 2, 3):
-                    monkeypatch.setattr(schemes, "_drawers", lambda: w)
-                    used.clear()
-                    got.append(np.concatenate([b.copy() for b in schemes._noise_blocks(
-                        streams, kind, n_steps, 2)]))
-                    assert len(used) > 0 if w > 1 else not used
-                npt.assert_array_equal(got[0], got[1])
-                npt.assert_array_equal(got[0], got[2])
-                for i in (0, 129, 299):
-                    gen = streams[i].generator()
-                    want = (gen.standard_normal((n_steps, 2)) if kind == "euler"
-                            else np.copysign(1.0, gen.random((n_steps, 2)) - 0.5))
-                    npt.assert_array_equal(got[0][:, i], want)
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_drawer_error_reaches_caller(self, monkeypatch):
-        # drawer 1 fails on a pool thread; the join raises it on the caller's,
-        # on a one-block grid and on a block of several
-        import threading
-        from pathfunc import schemes
-        seated = schemes._seated_rows
-
-        def failing(n):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("drawer 1 failed")
-            return seated(n)
-        monkeypatch.setattr(schemes, "_drawers", lambda: 2)
-        monkeypatch.setattr(schemes, "_seated_rows", failing)
-        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", (300 + 256) * 1000)  # 1000-step blocks
-        streams = [RngStream(3, i) for i in range(300)]
-        for n_steps in (300, 3000):
-            with pytest.raises(RuntimeError, match="drawer 1 failed"):
-                next(schemes._noise_blocks(streams, "euler", n_steps, 1))
+                blocks = [b.copy() for b in schemes._noise_blocks(streams, kind, n_steps, 2)]
+                assert [b.shape[0] for b in blocks] == sizes
+                got.append(np.concatenate(blocks))
+            npt.assert_array_equal(got[0], got[1])
+            for i in (0, 129, 299):
+                gen = streams[i].generator()
+                want = (gen.standard_normal((n_steps, 2)) if kind == "euler"
+                        else np.copysign(1.0, gen.random((n_steps, 2)) - 0.5))
+                npt.assert_array_equal(got[0][:, i], want)
 
     def test_concurrent_seats_share_no_state(self):
-        # drawers reseat rows at once, each through a state dict of its own:
-        # four threads, switching as often as the interpreter allows
+        # callers on several threads reseat rows at once, each through a state
+        # dict of its own: four threads, switching as often as the interpreter allows
         import sys
         import threading
         from pathfunc import schemes
         groups = [[RngStream(5, i, namespace=w) for i in range(1500)] for w in range(4)]
         wrong = []
 
-        def drawer(streams):
+        def reseat(streams):
             with schemes._seated_rows(1) as seat:
                 for s in streams:
                     if tuple(seat(0, s).bit_generator.state["state"]["key"]) != s.key:
@@ -210,7 +181,7 @@ class TestRngStream:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=drawer, args=(g,)) for g in groups]
+            threads = [threading.Thread(target=reseat, args=(g,)) for g in groups]
             for t in threads:
                 t.start()
             for t in threads:
@@ -219,27 +190,12 @@ class TestRngStream:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and wrong == []
 
-    def test_short_blocks_stay_on_the_calling_thread(self, monkeypatch):
-        # under _SPLIT_DRAWS draws a stream per block, the pool is never asked
-        from pathfunc import schemes
-
-        def no_pool(pid):
-            raise AssertionError("pool reached")
-        monkeypatch.setattr(schemes, "_drawers", lambda: 2)
-        monkeypatch.setattr(schemes, "_pool", no_pool)
-        streams = [RngStream(4, i) for i in range(300)]
-        blocks = list(schemes._noise_blocks(streams, "euler", 127, 2))  # one block of 254
-        assert [b.shape for b in blocks] == [(127, 300, 2)]
-        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", (300 + 256) * 255)
-        assert [b.shape[0] for b in schemes._noise_blocks(streams, "euler", 600, 1)] == [255] * 2 + [90]
-
-    def test_closed_stream_returns_split_rows(self, monkeypatch):
-        # a half-read batch drawn on two drawers gives back every row on close
+    def test_closed_stream_returns_its_rows(self, monkeypatch):
+        # a half-read batch of several noise blocks gives back every row on close
         import gc
         from pathfunc import schemes
         gc.collect()
-        monkeypatch.setattr(schemes, "_drawers", lambda: 2)
-        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", (300 + 256) * 300)  # 300-step blocks
+        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", (300 + 128) * 300)  # 300-step blocks
         m, cfg = gbm(0.1, 0.3, 1.0), SchemeConfig("euler", h=2**-10)
         streams = [RngStream(6, i) for i in range(300)]
         free = len(schemes._FREE_ROWS)
@@ -673,11 +629,13 @@ class TestStreaming:
         states = [y.copy() for y in simulate_states(model, cfg, streams)[1]]
         npt.assert_array_equal(np.stack(states, axis=1), values)
 
-    def test_noise_memory_is_one_block(self):
+    def test_noise_memory_is_one_block(self, monkeypatch):
         # 1000 streams x 16384 steps would be 131 MB of noise at once; the
-        # blocks keep it to 64 MB (block and tile) whatever the grid length
+        # blocks keep it to 64 MB (block and tile) whatever the grid length.
+        # One process: tracemalloc sees no forked child
         import tracemalloc
         from pathfunc.schemes import _BATCH_ELEMENTS
+        set_cpus(monkeypatch, 1)
         B, h = 1000, 2**-14
         n_steps = fixed_time_grid(h).size - 1
         streams = [RngStream(3, i) for i in range(B)]
@@ -690,11 +648,11 @@ class TestStreaming:
         assert B * n_steps > _BATCH_ELEMENTS
         assert peak < 1.1 * 8 * _BATCH_ELEMENTS < 8 * B * n_steps
 
-    def test_noise_memory_is_one_block_on_two_drawers(self, monkeypatch):
-        # the block and both drawers' tiles share the one budget
-        from pathfunc import schemes
-        monkeypatch.setattr(schemes, "_drawers", lambda: 2)
-        self.test_noise_memory_is_one_block()
+    def test_empty_batch_is_empty(self):
+        # an empty batch draws nothing and steps nothing
+        m, cfg = gbm(0.1, 0.3, 0.8), SchemeConfig("euler", h=0.25)
+        assert simulate_terminals(m, cfg, []).shape == (0, 1)
+        assert simulate_values(m, cfg, [])[1].shape == (0, 5, 1)
 
     def test_tree_states_stack_to_stored_batch(self):
         # the tree's stream stacks to its stored batch: per-row grids, padded after t = 1
