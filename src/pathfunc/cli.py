@@ -19,11 +19,12 @@ on the paths they price, ``check`` on ``ui.n_paths`` fresh ones that
 reciprocal-Bessel family's are drawn from its exact law stopped at 1/h).
 Exit codes: 0 ok, 1 runtime error (naming the failing stream), 2 diagnostic
 failure (a probe with non-finite moments, or a checked kind the model cannot
-run), 64 config error naming its section or key (a value the parser refuses:
-a non-finite number, an empty list, a word not listed; a ``functional`` key
-the payoff does not read, a ``scheme.kind`` that cannot run the model, a
-probe time outside [0, 1), a ``model.z0`` not below 1/h where ``check``
-draws that law, an unwritable ``output.path``).
+run), 64 config error naming its section, key or flag (a value the parser
+refuses: a non-finite number, an empty list, a word not listed; a ``model``
+or ``functional`` key the model kind or payoff does not read, a seed outside
+[0, 2^64), a ``scheme.kind`` that cannot run the model, a probe time outside
+[0, 1), a ``model.z0`` not below 1/h where ``check`` draws that law, an
+unwritable ``output.path``).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .functionals import (FunctionalSpec, constant_payoff, custom_terminal,
                           discrete_barrier_call, up_and_in_call)
 from .models import SdeModel, gbm, inverse_bessel3, stoch_vol
 from .paths import StepPath
-from .schemes import SCHEME_KINDS, SchemeConfig, check_local_consistency
+from .schemes import SCHEME_KINDS, RngStream, SchemeConfig, check_local_consistency
 from .skorohod import skorohod_distance_approx
 
 EXIT_OK = 0
@@ -54,28 +55,27 @@ EXIT_CONFIG = 64
 @contextlib.contextmanager
 def _refusals_as_config_errors(where: str):
     """Report a value a constructor refuses as a ConfigError naming where it
-    came from: a section (``"scheme"``) or a single key (``"run.h_grid"``)."""
+    came from: a section (``"scheme"``), a key (``"run.h_grid"``) or a flag."""
     try:
         yield
     except ConfigError:
         raise
     except ValueError as e:
         section, _, key = where.partition(".")
-        named = f"section {section!r}" + (f", key {where!r}" if key else "")
+        named = where if where[0] == "-" else f"section {section!r}" + (key and f", key {where!r}")
         raise ConfigError(f"{named}: {e}") from e
 
 
 @_refusals_as_config_errors("model")
 def build_model(cfg: RunConfig) -> SdeModel:
-    kind = cfg.get("model", "kind")
+    get = lambda key: cfg.get("model", key)
+    kind = get("kind")
     if kind == "gbm":
-        return gbm(cfg.get("model", "r"), cfg.get("model", "sigma"), cfg.get("model", "x0"))
+        return gbm(get("r"), get("sigma"), get("x0"))
     if kind == "stoch_vol":
-        return stoch_vol(cfg.get("model", "r"), cfg.get("model", "sigma"),
-                         cfg.get("model", "x0"), rho=cfg.get("model", "rho"),
-                         y0=cfg.get("model", "y0"))
+        return stoch_vol(get("r"), get("sigma"), get("x0"), rho=get("rho"), y0=get("y0"))
     if kind == "inverse_bessel3":
-        return inverse_bessel3(cfg.get("model", "z0"))
+        return inverse_bessel3(get("z0"))
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -103,35 +103,42 @@ def _refuse_unrunnable(model: SdeModel, schemes) -> None:
         s.max_times(model)
 
 
-# the functional keys each payoff reads; build_spec refuses a set key its payoff does not read
-_PAYOFF_KEYS = {"terminal_identity": "", "terminal_call": "strike", "constant": "strike",
-                "up_in_call": "strike barrier_level",
-                "discrete_barrier_call": "strike barrier_level m"}
-
-
 @_refusals_as_config_errors("functional")
 def build_spec(cfg: RunConfig) -> FunctionalSpec:
     payoff = cfg.get("functional", "payoff")
-    if payoff not in _PAYOFF_KEYS:
-        raise ConfigError(f"unknown payoff kind {payoff!r}")
-    for key in ("strike", "barrier_level", "m"):
-        if cfg.has("functional", key) and key not in _PAYOFF_KEYS[payoff].split():
-            raise ConfigError(f"config key 'functional.{key}': payoff {payoff} does not read it")
-    strike, barrier = cfg.get("functional", "strike"), cfg.get("functional", "barrier_level")
-    r = cfg.get("model", "r")
-    if payoff == "up_in_call":
-        return up_and_in_call(strike, barrier, r)
-    if payoff == "discrete_barrier_call":
-        return discrete_barrier_call(strike, barrier, r, m=cfg.get("functional", "m"))
+    get = lambda key: cfg.get("functional", key)
     if payoff == "constant":
-        return constant_payoff(strike)
-    return custom_terminal(payoff.split("_", 1)[1], strike=strike, r=r)
+        return constant_payoff(get("strike"))
+    r = cfg.get("model", "r")  # every other payoff discounts by it
+    if payoff == "terminal_identity":
+        return custom_terminal("identity", r=r)
+    if payoff == "terminal_call":
+        return custom_terminal("call", strike=get("strike"), r=r)
+    if payoff == "up_in_call":
+        return up_and_in_call(get("strike"), get("barrier_level"), r)
+    if payoff == "discrete_barrier_call":
+        return discrete_barrier_call(get("strike"), get("barrier_level"), r, m=get("m"))
+    raise ConfigError(f"unknown payoff kind {payoff!r}")
+
+
+def _seed(args, cfg: RunConfig | None = None) -> int:
+    """``--seed``, else ``run.seed`` (0 with no config), refused unless it keys a stream."""
+    seed = args.seed if args.seed is not None else cfg.get("run", "seed") if cfg else 0
+    with _refusals_as_config_errors("--seed" if args.seed is not None else "run.seed"):
+        RngStream(seed).key  # the one check of a seed's range
+    return seed
 
 
 def _emit(cfg: RunConfig, lines=()) -> None:
     """Write ``lines`` to ``output.path``, or to stdout when it is unset or "-".
-    With no lines the path is opened for append and closed: each command checks
-    it so before drawing anything, and a run that then fails truncates no file."""
+    With no lines, each command's check before it draws: a ``model`` or
+    ``functional`` key the file sets and nothing read is refused, and the path
+    is opened for append and closed, so a run that then fails truncates no file."""
+    if not lines:
+        for section, kind, noun in (("model", "kind", "model"), ("functional", "payoff", "payoff")):
+            for key in cfg.unread(section):
+                raise ConfigError(f"config key '{section}.{key}': "
+                                  f"{noun} {cfg.get(section, kind)} does not read it")
     path = cfg.get("output", "path")
     text = "".join(line + "\n" for line in lines)
     if path in ("-", "", None):
@@ -171,7 +178,7 @@ def cmd_price(args) -> int:
     scheme, sweep = build_scheme(cfg)
     _refuse_unrunnable(model, sweep)
     spec = build_spec(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("run", "seed")
+    seed = _seed(args, cfg)
     _emit(cfg)
     est = estimator.estimate(model, scheme, spec, cfg.get("run", "n_paths"), seed)
     ok, lines = _ui_gate(cfg, spec, [est])
@@ -198,7 +205,7 @@ def cmd_converge(args) -> int:
         estimator.check_h_grid(s.h for s in sweep)
     _refuse_unrunnable(model, sweep)
     spec = build_spec(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("run", "seed")
+    seed = _seed(args, cfg)
     oracle, note = _oracle(cfg, model, spec)
     _emit(cfg)
     rep = estimator.convergence_study(model, scheme, spec, [s.h for s in sweep],
@@ -228,7 +235,7 @@ def cmd_check(args) -> int:
                else [replace(scheme, kind=k) for k in SCHEME_KINDS])
     _refuse_unrunnable(model, [scheme, *sweep])
     spec = build_spec(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("run", "seed")
+    seed = _seed(args, cfg)
     probes_y, probes_t = cfg.get("check", "probes_y"), cfg.get("check", "probes_t")
     if not all(0.0 <= t < 1.0 for t in probes_t):
         raise ConfigError(f"check.probes_t = {', '.join(f'{t:g}' for t in probes_t)}: "
@@ -272,14 +279,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    name = args.name
-    seed = args.seed if args.seed is not None else 0
-    paths = args.paths
+    name, paths = args.name, args.paths
     for flag, value in (("--paths", paths), ("--seed", args.seed)):
         if name == "tangency" and value is not None:
             raise ConfigError(f"{flag} has no effect on tangency, which draws nothing")
     if paths is not None and paths < 2:
         raise ConfigError(f"--paths must be at least 2, got {paths}")
+    seed = _seed(args)
     lines = []
     if name == "tangency":
         rep = estimator.counterexample_tangency()
@@ -347,34 +353,22 @@ def _build_parser() -> argparse.ArgumentParser:
                                             "path-dependent functionals")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, workers=True):
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override run.seed")
-        if workers:
-            # kept only because the benchmark harness passes --workers 1
-            sp.add_argument("--workers", type=int, choices=[1], default=1,
-                            help="accepted only as 1: the process count comes from the CPUs")
-
-    sp = sub.add_parser("price", help="estimate the functional once")
-    sp.add_argument("config")
-    add_common(sp)
-    sp.set_defaults(func=cmd_price)
-
-    sp = sub.add_parser("converge", help="estimate across run.h_grid")
-    sp.add_argument("config")
-    add_common(sp)
-    sp.set_defaults(func=cmd_converge)
-
-    sp = sub.add_parser("check", help="local consistency + uniform "
-                                      "integrability diagnostics")
-    sp.add_argument("config")
-    add_common(sp)
-    sp.set_defaults(func=cmd_check)
+    for name, func, text in (("price", cmd_price, "estimate the functional once"),
+                             ("converge", cmd_converge, "estimate across run.h_grid"),
+                             ("check", cmd_check, "local consistency + uniform "
+                                                  "integrability diagnostics")):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("config")
+        sp.add_argument("--seed", type=int, default=None, help="override run.seed")
+        # kept only because the benchmark harness passes --workers 1
+        sp.add_argument("--workers", type=int, choices=[1], default=1,
+                        help="accepted only as 1: the process count comes from the CPUs")
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("counterexample", help="run a named counter-example")
     sp.add_argument("name", choices=["tangency", "bessel", "strong"])
     sp.add_argument("--paths", type=int, default=None)
-    add_common(sp, workers=False)
+    sp.add_argument("--seed", type=int, default=None, help="seed of the draws (default 0)")
     sp.set_defaults(func=cmd_counterexample)
 
     sp = sub.add_parser("skorohod-dist",

@@ -3,11 +3,11 @@
 The format is deliberately minimal so runs can be archived and diffed:
 one assignment per line, ``#`` comments, no nesting.  Unknown keys are
 rejected rather than ignored -- a typo must fail loudly, not silently
-change the experiment.  Numeric values accept plain literals plus the
-fraction (``1/12288``) and power (``2^-9``) forms that step grids are
-naturally written in; every number must be finite.  Each value has one
-spelling: a list holds at least one number, and a word key takes only its
-listed words.
+change the experiment.  So far that holds in ``model`` and ``functional``
+for a known key no ``get`` returned, too.  Numbers may be plain or
+fractions (``1/12288``) and powers (``2^-9``), as step grids are written,
+and must be finite.  Each value has one spelling: a list holds at least
+one number, and a word key takes only its listed words.
 """
 
 from __future__ import annotations
@@ -114,15 +114,19 @@ class RunConfig:
     parsing, so every field here is schema-checked."""
 
     values: dict = field(default_factory=dict)
+    read: set = field(default_factory=set)  # (section, key) of each get
 
     def get(self, section: str, key: str):
-        if key in self.values.get(section, {}):
-            return self.values[section][key]
-        return _KEYS[section][key][1]
+        self.read.add((section, key))
+        return self.values.get(section, {}).get(key, _KEYS[section][key][1])
 
     def has(self, section: str, key: str) -> bool:
-        """Whether the file sets the key; ``build_spec`` and the benchmark read it."""
+        """Whether the file sets the key; only the benchmark asks."""
         return key in self.values.get(section, {})
+
+    def unread(self, section: str) -> list:
+        """The keys of ``section`` the file sets and no ``get`` has returned."""
+        return [k for k in self.values.get(section, {}) if (section, k) not in self.read]
 
     def require(self, section: str, key: str):
         v = self.get(section, key)

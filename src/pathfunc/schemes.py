@@ -84,9 +84,11 @@ class RngStream:
     @property
     def key(self) -> tuple[int, int]:
         """The checked Philox key words (low, high) every generator of the stream reads."""
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"a seed must lie in [0, 2^64), got {self.seed}")
         if not (0 <= self.stream_id < 1 << 48 and 0 <= self.namespace < 1 << 16):
             raise ValueError("stream_id must fit 48 bits and namespace 16 bits")
-        return (self.namespace << 48) | self.stream_id, self.seed % (1 << 64)
+        return (self.namespace << 48) | self.stream_id, self.seed
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=np.array(self.key, np.uint64)))

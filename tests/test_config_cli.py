@@ -716,8 +716,9 @@ def test_kernel_the_model_cannot_run_names_scheme_kind(tmp_path, capsys, command
 
 
 def test_check_kind_the_model_cannot_run_is_an_error_row(tmp_path, capsys):
-    # a check.kinds entry is measured, not refused: its probe is an ERROR row
-    text = (REFUSAL_CFG.replace("model.kind = gbm", "model.kind = inverse_bessel3")
+    # a check.kinds entry is measured, not refused: its probe is an ERROR row;
+    # inverse_bessel3 does not read gbm's x0
+    text = (REFUSAL_CFG.replace("model.kind = gbm\nmodel.x0 = 0.8", "model.kind = inverse_bessel3")
             .replace("functional.payoff = terminal_identity", "functional.payoff = constant")
             + "check.kinds = all\n")
     assert main(["check", write(tmp_path, "c.cfg", text)]) == 2
@@ -725,6 +726,59 @@ def test_check_kind_the_model_cannot_run_is_an_error_row(tmp_path, capsys):
     i = out.index("scheme binomial_variable: FAIL")
     assert out[i + 1].startswith("  probe y=nan t=nan: ERROR model 'inverse_bessel3' "
                                  "declares no sigma band")
+
+
+@pytest.mark.parametrize("kind, payoff, line, refused", [
+    ("gbm", "terminal_call", "model.rho = 0.9", True),
+    ("gbm", "terminal_call", "model.z0 = 5", True),
+    ("gbm", "terminal_call", "model.y0 = 3", True),
+    ("stoch_vol", "terminal_call", "model.z0 = 5", True),
+    ("inverse_bessel3", "terminal_identity", "model.sigma = 0.3", True),
+    ("inverse_bessel3", "terminal_identity", "model.x0 = 0.8", True),
+    ("inverse_bessel3", "constant", "model.r = 0.05", True),
+    ("inverse_bessel3", "terminal_identity", "model.r = 0.05", False),  # discounts by it
+])
+@pytest.mark.parametrize("command", ["price", "converge", "check"])
+def test_model_key_the_run_does_not_read_is_refused(tmp_path, capsys, command, kind, payoff,
+                                                    line, refused):
+    # model.rho = 0.9 on a gbm terminal_call once printed the unchanged row
+    text = (REFUSAL_CFG.replace("model.kind = gbm\nmodel.x0 = 0.8", f"model.kind = {kind}")
+            .replace("functional.payoff = terminal_identity", f"functional.payoff = {payoff}")
+            + f"{line}\nrun.allow_linear = true\n")
+    code = main([command, write(tmp_path, "c.cfg", text)])
+    out = capsys.readouterr()
+    key = line.split(" =")[0]
+    if refused:
+        assert (code, out.out) == (64, "")
+        assert out.err == f"config error: config key {key!r}: model {kind} does not read it\n"
+    else:  # the run goes on: its Euler chains may yet explode (exit 1)
+        assert code != 64 and "config error" not in out.err
+
+
+@pytest.mark.parametrize("argv", [["price", "{cfg}"], ["converge", "{cfg}"], ["check", "{cfg}"],
+                                  ["price", "{cfg}", "--seed", "{seed}"],
+                                  ["check", "{cfg}", "--seed", "{seed}"],
+                                  ["counterexample", "strong", "--seed", "{seed}"],
+                                  ["counterexample", "bessel", "--seed", "{seed}"]])
+def test_seed_outside_64_bits_refused(tmp_path, capsys, argv):
+    # seeds were reduced modulo 2^64: -1 printed the rows of 2^64 - 1, and
+    # 2^64 those of 0
+    where = "--seed" if "--seed" in argv else "section 'run', key 'run.seed'"
+    for seed in (-1, 2**64):
+        cfg = write(tmp_path, "c.cfg", REFUSAL_CFG + f"run.seed = {seed}\n")
+        assert main([a.format(cfg=cfg, seed=seed) for a in argv]) == 64
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"config error: {where}: a seed must lie in [0, 2^64), got {seed}\n"
+
+
+def test_largest_seed_prices(tmp_path, capsys):
+    # 2^64 - 1 is the last seed a stream takes, from the flag as from the file
+    cfg = REFUSAL_CFG + "run.allow_linear = true\nrun.timing = off\n"
+    assert main(["price", write(tmp_path, "c.cfg", cfg), "--seed", str(2**64 - 1)]) == 0
+    flag = capsys.readouterr().out
+    assert main(["price", write(tmp_path, "c.cfg", cfg + f"run.seed = {2**64 - 1}\n")]) == 0
+    assert capsys.readouterr().out == flag
 
 
 class TestCliSkorohodDist:

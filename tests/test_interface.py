@@ -245,6 +245,9 @@ UNREACHED_ALLOWED = {
     ("schemes", "simulate_path"),
     ("schemes", "simulate_terminals"),
     ("schemes", "simulate_values"),
+    # bench/workload.py builds a config's model only when the file sets
+    # model.kind; no command asks, since each reads the keys it uses
+    ("config", "RunConfig.has"),
     # awaits the discontinuity-mass report of `check` (ROADMAP item 8)
     ("functionals", "discontinuity_mass_estimate"),
 }
@@ -370,3 +373,39 @@ def test_every_config_key_and_option_has_a_setter(tmp_path):
     options = {opt for sp in subparsers.choices.values() for a in sp._actions
                for opt in a.option_strings if opt not in ("-h", "--help")}
     assert sorted(options - passed) == []
+
+
+# The command that runs each shipped config, as tests/test_golden.py runs it.
+SHIPPED_COMMANDS = {"check_bessel_cap.cfg": "check", "check_gbm.cfg": "check",
+                    "converge_upin.cfg": "converge", "monthly_barrier.cfg": "price"}
+
+
+def test_every_config_sets_only_keys_its_command_reads(tmp_path, monkeypatch, capsys):
+    # price, converge and check refuse a model or functional key that the file
+    # sets and the run does not read, at the _emit with no lines each makes
+    # before it draws.  Each benchmark input and shipped config runs its
+    # command up to that call and stops there.
+    from pathlib import Path
+
+    from pathfunc import cli
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    assert sorted(SHIPPED_COMMANDS) == sorted(c.name for c in configs.glob("*.cfg"))
+    runs = [argv for argv in _benchmark_runs(tmp_path)[1] if argv[0] in SHIPPED_COMMANDS.values()]
+    runs += [[command, str(configs / name)] for name, command in SHIPPED_COMMANDS.items()]
+    assert {argv[0] for argv in runs} == {"price", "converge", "check"}
+    emit = cli._emit
+
+    class Checked(Exception):
+        pass
+
+    def stop(cfg, lines=()):
+        emit(cfg, lines)
+        raise Checked
+    monkeypatch.setattr(cli, "_emit", stop)
+    refused = []
+    for argv in runs:
+        try:
+            refused.append((argv, cli.main(argv), capsys.readouterr().err))
+        except Checked:
+            pass
+    assert refused == []

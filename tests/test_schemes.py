@@ -140,7 +140,10 @@ class TestRngStream:
                 with pytest.raises(ValueError):
                     next(schemes._noise_blocks(streams, "euler", n_steps, 1))
                 assert len(schemes._FREE_ROWS) == max(free, rows)
-        assert RngStream(-1, 5, 1).key == ((1 << 48) | 5, 2**64 - 1)
+        for seed in (-1, 2**64):  # once reduced modulo 2^64, so -1 aliased 2^64 - 1
+            with pytest.raises(ValueError, match="seed"):
+                RngStream(seed, 5, 1).key
+        assert RngStream(2**64 - 1, 5, 1).key == ((1 << 48) | 5, 2**64 - 1)
 
     @pytest.mark.parametrize("kind", ["euler", "binomial_fixed"])
     def test_block_size_moves_no_byte(self, kind, monkeypatch):
