@@ -3,10 +3,10 @@
 Commands: ``price``, ``converge``, ``check``, ``counterexample``,
 ``skorohod-dist``.  Experiments are described by flat config files (see
 :mod:`pathfunc.config`).  All but ``skorohod-dist`` take ``--seed``.  A
-command may price its paths in one forked process per CPU, each path from
-its own key, and sums their values in one order, so its output does not
-depend on the environment or the core count.  ``price``, ``converge`` and
-``check`` accept only ``--workers 1``, which ``bench/`` passes.
+command may price its paths, probes or rows in one forked process per CPU,
+each from its own key, and sums their values in one order, so its output
+does not depend on the environment or the core count.  ``price``,
+``converge`` and ``check`` accept only ``--workers 1``, which ``bench/`` passes.
 ``price`` and ``converge`` print their rows as CSV; ``converge`` also
 reports them against the closed form its run has, if any.
 
@@ -122,11 +122,14 @@ def build_spec(cfg: RunConfig) -> FunctionalSpec:
 
 
 def _seed(args, cfg: RunConfig | None = None) -> int:
-    """``--seed``, else ``run.seed`` (0 with no config), refused unless it keys a stream."""
-    seed = args.seed if args.seed is not None else cfg.get("run", "seed") if cfg else 0
-    with _refusals_as_config_errors("--seed" if args.seed is not None else "run.seed"):
-        RngStream(seed).key  # the one check of a seed's range
-    return seed
+    """``--seed``, else ``run.seed`` (0 with no config).  Each one given is
+    refused unless it keys a stream: a bad ``run.seed`` even under ``--seed``."""
+    seed = cfg.get("run", "seed") if cfg else 0
+    for where, value in (("--seed", args.seed), ("run.seed", seed)):
+        if value is not None:
+            with _refusals_as_config_errors(where):
+                RngStream(value).key  # the one check of a seed's range
+    return seed if args.seed is None else args.seed
 
 
 def _emit(cfg: RunConfig, lines=()) -> None:

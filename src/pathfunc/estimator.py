@@ -1,9 +1,11 @@
 """Monte Carlo estimation of path functionals with reproducible streams.
 
 Path i always draws from the stream keyed (seed, namespace, i), so its draws
-depend neither on batching nor on which process prices it.  The estimate sums
-in one order: contiguous groups of ``_batch_size`` paths, one ``np.sum`` per
-group, from path 0 up, so it prints the same bytes on any core count.
+depend neither on batching nor on which process prices it (``schemes._priced``
+splits the paths, and the reciprocal-Bessel counter-example's rows).  The
+estimate sums in one order: contiguous groups of ``_batch_size`` paths, one
+``np.sum`` per group, from path 0 up, so it prints the same bytes on any core
+count.
 Every batch takes one route: ``simulate_states`` -> ``fold_args_batch`` ->
 ``payoff_values``, the tree's included.  The fold's keep rule
 (``keeps_whole_paths``) sets the batch size: a batch holds several groups
@@ -22,8 +24,6 @@ its exact law, one uniform each, and prints that law's exact mean beside it.
 
 from __future__ import annotations
 
-import os
-import pickle
 import time
 from dataclasses import dataclass, field, replace
 
@@ -38,8 +38,8 @@ from .models import (SdeModel, inverse_bessel3, sample_reciprocal_bessel3_stoppe
                      sample_sup_abs_bm_max)
 from .oracles import reciprocal_bessel3_mean, sup_abs_bm_max_mean
 from .paths import BarrierPair, StepPath, classify_c_partition, hitting_time
-from .schemes import (_BATCH_ELEMENTS, RngStream, SchemeConfig, simulate_path,
-                      simulate_states, simulate_values)
+from .schemes import (_BATCH_ELEMENTS, _FORK_DRAWS, RngStream, SchemeConfig, _priced,
+                      simulate_path, simulate_states, simulate_values)
 
 __all__ = [
     "Estimate",
@@ -119,55 +119,6 @@ def _batch_size(config: SchemeConfig, model: SdeModel) -> int:
     return max(16, min(16384, _BATCH_ELEMENTS // per_path))
 
 
-def _child(w: int, run) -> None:
-    """Pickle ``run()`` or its error into pipe end ``w``; ``os._exit`` skips flush and atexit."""
-    try:
-        try:
-            data = pickle.dumps(run())
-        except BaseException as e:  # sent to the caller, which raises it
-            try:
-                data = pickle.dumps(e)
-            except Exception:  # an exception that does not pickle
-                data = pickle.dumps(RuntimeError(f"{type(e).__name__}: {e}"))
-        with open(w, "wb") as f:
-            f.write(data)
-    finally:
-        os._exit(0)
-
-
-def _priced(price, n_paths: int) -> list:
-    """``price(start, stop)`` of W near-equal ranges in path order, W the usable CPUs
-    cut to ranges of ``_MIN_RANGE`` paths; forked children price all but the first.
-    The first failing range raises, as does a child that dies or sends nothing."""
-    cpus = len(getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0))
-    W = max(1, min(cpus, n_paths // _MIN_RANGE)) if hasattr(os, "fork") else 1
-    cuts = [n_paths * w // W for w in range(W + 1)]
-    kids = {}  # pid -> its pipe's read end, until reaped
-    try:
-        for a, b in zip(cuts[1:-1], cuts[2:]):
-            r, w = os.pipe()
-            if (pid := os.fork()) == 0:
-                _child(w, lambda: price(a, b))
-            os.close(w)
-            kids[pid] = open(r, "rb")
-        parts = [price(0, cuts[1])]
-        for k, pid in enumerate(list(kids), 1):
-            data = kids[pid].read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            kids.pop(pid).close()
-            out = pickle.loads(data) if code == 0 and data else EstimationError(
-                f"pricing paths {cuts[k]} to {cuts[k + 1] - 1}: {len(data)} bytes, status {code}")
-            if isinstance(out, BaseException):
-                raise out
-            parts.append(out)
-        return parts
-    finally:
-        for pid, f in kids.items():
-            f.close()
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
-
-
 def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
              n_paths: int, seed: int, workers: int = 1, namespace: int = 0,
              ui_override: bool = True) -> Estimate:
@@ -204,7 +155,7 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
                                       stream_id=sid) from e
             terms.append(args[:, 2 * spec.m - 1].copy())
         return np.concatenate(vals), np.concatenate(terms)
-    vals, terms = (np.concatenate(p) for p in zip(*_priced(price, n_paths)))
+    vals, terms = (np.concatenate(p) for p in zip(*_priced(price, n_paths, _MIN_RANGE)))
     total = total_sq = 0.0
     for g in range(0, n_paths, bsz):
         group = vals[g:g + bsz]
@@ -412,13 +363,16 @@ def counterexample_bessel(n_paths: int = 200000, seed: int = 0) -> BesselReport:
     """
     z0 = 1.0
     hs = (2**-4, 2**-6, 2**-8)
-    rows = []
-    for k, (h, cap) in enumerate(zip(hs, stop_levels(inverse_bessel3(z0), hs))):
+    caps = stop_levels(inverse_bessel3(z0), hs)
+
+    def row(k):  # (h, cap, mean, stderr), drawn in namespace 500 + k
         gen = RngStream(seed, 0, namespace=500 + k).generator()
-        draws = sample_reciprocal_bessel3_stopped(z0, cap, n_paths, gen)
-        mean = float(np.mean(draws))
-        se = float(np.std(draws, ddof=1) / np.sqrt(n_paths))
-        rows.append((h, cap, mean, se))
+        z = sample_reciprocal_bessel3_stopped(z0, caps[k], n_paths, gen)
+        return hs[k], caps[k], float(np.mean(z)), float(np.std(z, ddof=1) / np.sqrt(n_paths))
+    # nearly every stopped draw takes five: a uniform, then three normals and a uniform
+    parts = _priced(lambda a, b: [row(k) for k in range(a, b)], len(hs),
+                    -(-_FORK_DRAWS // (5 * n_paths)))
+    rows = [r for part in parts for r in part]
     oracle = reciprocal_bessel3_mean(z0)
     _, _, m_last, se_last = rows[-1]
     return BesselReport(

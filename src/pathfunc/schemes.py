@@ -29,6 +29,11 @@ draws arrive on the calling thread in time blocks of at most
 for the whole grid.  The tree's rows step on grids of their own, so each
 column also brings the rows' times, and each row reads its signs from raw
 Philox words, 64 at a time.
+
+:func:`_priced` splits work items -- ``estimate``'s paths, the checker's
+Euler probes, ``counterexample_bessel``'s rows -- into one forked range per
+usable CPU and returns their results in item order; each item draws from a
+key of its own, so no result depends on the split.
 """
 
 from __future__ import annotations
@@ -36,12 +41,14 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, SimulationError
+from .errors import EstimationError, PreconditionError, SimulationError
 from .models import SdeModel
 from .paths import StepPath
 
@@ -65,6 +72,10 @@ _BAD_STATE = "non-finite state during simulation"
 # noise block on the fixed grids, and the stored batch of paths on the routes
 # that keep whole paths (the estimator sizes those batches from it).
 _BATCH_ELEMENTS = 8_000_000
+
+# Fewest random draws a forked range of consistency probes or Bessel rows
+# makes (_priced): a fork costs 1-3 ms, 10^5 normals about 1.5 ms.
+_FORK_DRAWS = 2**18
 
 
 @dataclass(frozen=True)
@@ -469,6 +480,56 @@ def simulate_terminals(model: SdeModel, config: SchemeConfig, streams: Sequence[
     return last[1] if isinstance(last, tuple) else last  # the tree's (times, states)
 
 
+def _child(w: int, run) -> None:
+    """Pickle ``run()`` or its error into pipe end ``w``; ``os._exit`` skips flush and atexit."""
+    try:
+        try:
+            data = pickle.dumps(run())
+        except BaseException as e:  # sent to the caller, which raises it
+            try:
+                data = pickle.dumps(e)
+            except Exception:  # an exception that does not pickle
+                data = pickle.dumps(RuntimeError(f"{type(e).__name__}: {e}"))
+        with open(w, "wb") as f:
+            f.write(data)
+    finally:
+        os._exit(0)
+
+
+def _priced(price, n: int, min_range: int) -> list:
+    """``price(start, stop)`` of W near-equal ranges of n work items (paths, probes
+    or rows) in order, W the usable CPUs cut to ranges of ``min_range`` items, the
+    fewest worth a fork; the caller prices the first range, forked children the rest.
+    The first failing range raises, as does a child that dies or sends nothing."""
+    cpus = len(getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0))
+    W = max(1, min(cpus, n // min_range)) if hasattr(os, "fork") else 1
+    cuts = [n * w // W for w in range(W + 1)]
+    kids = {}  # pid -> its pipe's read end, until reaped
+    try:
+        for a, b in zip(cuts[1:-1], cuts[2:]):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                _child(w, lambda: price(a, b))
+            os.close(w)
+            kids[pid] = open(r, "rb")
+        parts = [price(0, cuts[1])]
+        for k, pid in enumerate(list(kids), 1):
+            data = kids[pid].read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            kids.pop(pid).close()
+            out = pickle.loads(data) if code == 0 and data else EstimationError(
+                f"pricing items {cuts[k]} to {cuts[k + 1] - 1}: {len(data)} bytes, status {code}")
+            if isinstance(out, BaseException):
+                raise out
+            parts.append(out)
+        return parts
+    finally:
+        for pid, f in kids.items():
+            f.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+
+
 @dataclass
 class ConsistencyRow:
     y: float
@@ -492,7 +553,6 @@ class ConsistencyReport:
         return all(r.passed for r in self.rows)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite moment is an ERROR row
 def check_local_consistency(model: SdeModel, config: SchemeConfig,
                             probes: Iterable, n_draws: int = 10**6,
                             seed: int = 0) -> ConsistencyReport:
@@ -502,7 +562,9 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
     are measured from the state ``model.y0`` with its first coordinate set
     to y -- exactly, by enumerating the two outcomes, for the binomial
     kernels, and by Monte Carlo with ``n_draws`` samples for the Euler
-    kernel.  Residuals are
+    kernel, probe k drawing from ``RngStream(seed, k, 977)`` alone, split by
+    :func:`_priced` in ranges of at least ``_FORK_DRAWS`` normals and joined
+    in probe order, so no row depends on the CPU count.  Residuals are
 
         r1 = (E[dY] - E[dt] b(y,t)) / E[dt]
         r2 = (var[dY] - E[dt] sigma sigma'(y,t)) / E[dt]
@@ -513,46 +575,45 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
     judged: the steps are quasi-uniform by construction, and a step
     truncated at t = 1 is shorter.
     """
-    report = ConsistencyReport()
-
     def fail(y, t, e):
-        report.rows.append(ConsistencyRow(
-            y=y, t=t, method="n/a", r1=np.nan, r2=np.nan, tol1=0.0, tol2=0.0,
-            dt_ratio=np.nan, passed=False, note=str(e)))
-
+        return ConsistencyRow(y=y, t=t, method="n/a", r1=np.nan, r2=np.nan, tol1=0.0,
+                              tol2=0.0, dt_ratio=np.nan, passed=False, note=str(e))
     try:
         config.max_times(model)  # refuses models the kernel cannot run
     except PreconditionError as e:
-        fail(np.nan, np.nan, e)
-        return report
-    gen = RngStream(seed, 0, namespace=977).generator()
-    signs = np.array([[1.0], [-1.0]])  # the two binomial outcomes as a 2-row batch
-    for y_p, t_p in probes:
+        return ConsistencyReport([fail(np.nan, np.nan, e)])
+    probes = list(probes)
+    euler = config.kind == "euler"
+    # the Euler draws or the two binomial outcomes; each process's probes share the buffers
+    xi = np.empty((n_draws, model.dim_noise)) if euler else np.array([[1.0], [-1.0]])
+    out, mix = np.empty((2, len(xi), model.dim_state))
+
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite moment is an ERROR row
+    def probe(k) -> ConsistencyRow:
         y = model.y0.copy()
-        y[0] = y_p
-        t = float(t_p)
+        y[0] = probes[k][0]
+        t = float(probes[k][1])
         b = model.drift(y[None, :], t)[0]
         s = model.diffusion(y[None, :], t)[0]
         try:
             if config.kind == "binomial_variable":
-                dt, y_next = binomial_variable_step(model, y[None, :], t, config.h, signs)
+                dt, y_next = binomial_variable_step(model, y[None, :], t, config.h, xi)
                 dt = float(dt[0, 0])
             else:
                 dt = config.h if t + config.h <= 1.0 else 1.0 - t
-                xi = (gen.standard_normal((n_draws, model.dim_noise))
-                      if config.kind == "euler" else signs)
-                n = (len(xi), model.dim_state)
-                y_next = np.empty(n)
+                if euler:
+                    RngStream(seed, k, 977).generator().standard_normal(out=xi)
                 _raise_at_first_bad_row(_BAD_COEFFS, _fixed_update(
-                    model, y[None, :], t, dt, xi, y_next, np.empty(n)))
-            dy = y_next - y
+                    model, y[None, :], t, dt, xi, out, mix))
+                y_next = out
+            dy = np.subtract(y_next, y, out=y_next)
         except (PreconditionError, SimulationError) as e:
-            fail(float(y[0]), t, e)
-            continue
-        if config.kind == "euler":
+            return fail(float(y[0]), t, e)
+        if euler:
             mean = dy.mean(axis=0)
-            cov = np.atleast_2d(np.cov(dy, rowvar=False, ddof=1))
-            se1 = dy.std(axis=0, ddof=1) / np.sqrt(n_draws)
+            dev = np.subtract(dy, mean, out=mix)  # einsum, not np.cov's BLAS product: one thread
+            cov = np.einsum("ni,nj->ij", dev, dev) / (n_draws - 1)
+            se1 = np.sqrt(np.diagonal(cov) / n_draws)
             se2 = cov * np.sqrt(2.0 / (n_draws - 1))
             method = "monte_carlo"
         else:  # the two equally likely outcomes give the moments exactly
@@ -568,9 +629,11 @@ def check_local_consistency(model: SdeModel, config: SchemeConfig,
         tol1 = config.h + float(np.max(4.0 * se1 / dt))
         tol2 = config.h + float(np.max(4.0 * np.abs(se2) / dt))
         if not np.isfinite([r1, r2, tol1, tol2]).all():
-            fail(float(y[0]), t, "non-finite moment residual or tolerance")
-            continue
-        report.rows.append(ConsistencyRow(
+            return fail(float(y[0]), t, "non-finite moment residual or tolerance")
+        return ConsistencyRow(
             y=float(y[0]), t=t, method=method, r1=r1, r2=r2, tol1=tol1, tol2=tol2,
-            dt_ratio=dt / config.h, passed=(r1 <= tol1) and (r2 <= tol2)))
-    return report
+            dt_ratio=dt / config.h, passed=(r1 <= tol1) and (r2 <= tol2))
+
+    min_range = -(-_FORK_DRAWS // xi.size)  # a binomial probe's 2 outcomes: one range
+    parts = _priced(lambda a, b: [probe(k) for k in range(a, b)], len(probes), min_range)
+    return ConsistencyReport([r for part in parts for r in part])

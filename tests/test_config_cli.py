@@ -262,6 +262,28 @@ class TestCliPrice:
             assert len(forks) == (cpus - 1) * (1 + 3 + 3)  # price, converge, check's UI rows
         assert "ui diagnostic: pass" in outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    def test_check_probes_ignore_the_process_split(self, tmp_path, capsys, monkeypatch):
+        # six Euler probes of 1000 draws, in ranges of two probes: 1, 2 or 3
+        # processes print the same bytes, and the bounded payoff draws no
+        # tail sample, so each fork is the probes'
+        from pathfunc import schemes
+        real, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+        monkeypatch.setattr(schemes, "_FORK_DRAWS", 2000)
+        path = write(tmp_path, "c.cfg", (
+            "model.kind = gbm\nmodel.sigma = 0.3\nmodel.x0 = 0.8\nscheme.kind = euler\n"
+            "scheme.h = 2^-6\nfunctional.payoff = constant\ncheck.kinds = config\n"
+            "check.n_draws = 1000\nrun.seed = 8\n"))
+        outputs = []
+        for cpus in (1, 2, 3):
+            set_cpus(monkeypatch, cpus)
+            forks.clear()
+            assert main(["check", path]) == 0
+            outputs.append(capsys.readouterr().out)
+            assert len(forks) == cpus - 1
+        assert outputs[0].count(" ok\n") == 6
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_unwritable_output_path_is_config_error(self, tmp_path, capsys, monkeypatch):
         # a directory once ended the run in an IsADirectoryError traceback,
         # and only after the whole run: now each command refuses the path
@@ -770,6 +792,31 @@ def test_seed_outside_64_bits_refused(tmp_path, capsys, argv):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"config error: {where}: a seed must lie in [0, 2^64), got {seed}\n"
+
+
+CALL_CFG = (REFUSAL_CFG.replace("terminal_identity", "terminal_call")
+            + "functional.strike = 0.5\nrun.timing = off\n")
+
+
+@pytest.mark.parametrize("command", ["price", "converge", "check"])
+def test_bad_run_seed_refused_under_the_seed_flag(tmp_path, capsys, command):
+    # --seed once replaced run.seed before it was checked, so a file with
+    # run.seed = -1 ran under --seed 5 and failed without it
+    cfg = write(tmp_path, "c.cfg", CALL_CFG + "run.seed = -1\n")
+    assert main([command, cfg, "--seed", "5"]) == 64
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("config error: section 'run', key 'run.seed': "
+                       "a seed must lie in [0, 2^64), got -1\n")
+
+
+def test_seed_flag_overrides_a_valid_run_seed(tmp_path, capsys):
+    assert main(["price", write(tmp_path, "c.cfg", CALL_CFG + "run.seed = 3\n"), "--seed", "5"]) == 0
+    flag = capsys.readouterr().out
+    assert main(["price", write(tmp_path, "c.cfg", CALL_CFG + "run.seed = 5\n")]) == 0
+    assert capsys.readouterr().out == flag
+    assert main(["price", write(tmp_path, "c.cfg", CALL_CFG + "run.seed = 3\n")]) == 0
+    assert capsys.readouterr().out != flag
 
 
 def test_largest_seed_prices(tmp_path, capsys):

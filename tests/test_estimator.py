@@ -401,6 +401,21 @@ class TestProcessSplit:
         assert text.count("unflushed line") == 1 and text.count("h,mean") == 1
 
 
+    def test_bessel_rows_ignore_the_process_split(self, split, monkeypatch):
+        # each row draws from its own key (seed, 0, 500 + k): one row per
+        # process moves no byte
+        real, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+        monkeypatch.setattr(split, "_FORK_DRAWS", 1)
+        reports = []
+        for cpus in (1, 2, 3):
+            set_cpus(monkeypatch, cpus)
+            forks.clear()
+            reports.append(counterexample_bessel(n_paths=2000, seed=4))
+            assert len(forks) == cpus - 1
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 class TestUiDiagnostic:
     def test_gbm_linear_passes(self):
         spec = custom_terminal("identity")

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -730,3 +731,61 @@ class TestLocalConsistency:
                                       [(0.01, 0.0)], seed=3)
         assert not rep.passed
         assert "band" in rep.rows[0].note
+
+
+class TestConsistencyProcessSplit:
+    """The Euler probes split between processes like ``estimate``'s paths:
+    probe k draws from ``RngStream(seed, k, 977)`` alone, and the rows come
+    back in probe order, so the report does not depend on the CPU count."""
+
+    MODEL, CFG, N = gbm(0.1, 0.3, 0.8), SchemeConfig("euler", h=2**-6), 1000
+
+    @pytest.fixture(autouse=True)
+    def forks(self, monkeypatch):
+        from pathfunc import schemes
+        real, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+        monkeypatch.setattr(schemes, "_FORK_DRAWS", 2 * self.N)  # ranges of two probes
+        yield forks
+        with pytest.raises(ChildProcessError):  # no child is left
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_rows_ignore_the_process_split(self, forks, monkeypatch):
+        reports = []
+        for cpus in (1, 2, 3):
+            set_cpus(monkeypatch, cpus)
+            forks.clear()
+            reports.append(check_local_consistency(self.MODEL, self.CFG, PROBES,
+                                                   n_draws=self.N, seed=7))
+            assert len(forks) == cpus - 1
+        assert reports[0].passed and len(reports[0].rows) == len(PROBES)
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_a_probe_replays_from_its_own_key(self, monkeypatch):
+        # the first and last probes' residuals from their own stream's draws
+        set_cpus(monkeypatch, 3)
+        rows = check_local_consistency(self.MODEL, self.CFG, PROBES, n_draws=self.N, seed=7).rows
+        h = self.CFG.h
+        for k in (0, len(PROBES) - 1):
+            y, t = PROBES[k]
+            b = self.MODEL.drift(np.array([[y]]), t)[0, 0]
+            s = self.MODEL.diffusion(np.array([[y]]), t)[0, 0, 0]
+            xi = RngStream(7, k, 977).generator().standard_normal((self.N, 1))[:, 0]
+            dy = b * h + s * math.sqrt(h) * xi
+            assert rows[k].r1 == pytest.approx(abs(dy.mean() - h * b) / h, rel=1e-6)
+            assert rows[k].r2 == pytest.approx(abs(dy.var(ddof=1) - h * s * s) / h, rel=1e-6)
+
+    def test_error_row_from_a_child(self, forks, monkeypatch):
+        # the drift turns infinite above 1.5: the last range's probes, priced
+        # in the second child, are ERROR rows, as in one process
+        m = SdeModel("blowup", 1, 1, drift=lambda y, t: np.where(y > 1.5, np.inf, 0.1 * y),
+                     diffusion=lambda y, t: 0.3 * y[..., None], y0=np.array([0.8]))
+        reports = []
+        for cpus in (1, 3):
+            set_cpus(monkeypatch, cpus)
+            forks.clear()
+            reports.append(check_local_consistency(m, self.CFG, PROBES, n_draws=self.N, seed=7))
+            assert len(forks) == cpus - 1
+        assert repr(reports[1]) == repr(reports[0])  # an ERROR row's NaN is not == itself
+        assert [r.note for r in reports[1].rows[4:]] == ["non-finite drift/diffusion evaluation"] * 2
+        assert all(r.passed for r in reports[1].rows[:4])
