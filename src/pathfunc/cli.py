@@ -20,11 +20,11 @@ reciprocal-Bessel family's are drawn from its exact law stopped at 1/h).
 Exit codes: 0 ok, 1 runtime error (naming the failing stream), 2 diagnostic
 failure (a probe with non-finite moments, or a checked kind the model cannot
 run), 64 config error naming its section, key or flag (a value the parser
-refuses: a non-finite number, an empty list, a word not listed; a ``model``
-or ``functional`` key the model kind or payoff does not read, a seed outside
-[0, 2^64), a ``scheme.kind`` that cannot run the model, a probe time outside
-[0, 1), a ``model.z0`` not below 1/h where ``check`` draws that law, an
-unwritable ``output.path``).
+refuses: a non-finite number, a second spelling, a word not listed; a
+``model`` or ``functional`` key the model kind or payoff does not read, a
+seed outside [0, 2^64), a ``scheme.kind`` that cannot run the model, a probe
+time outside [0, 1), a ``model.x0`` not below 1/h where ``check`` draws that
+law, an unwritable ``output.path``, an input file that cannot be read).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import estimator, oracles
-from .config import RunConfig, parse_config
+from .config import RunConfig, parse_config, read_input
 from .errors import ConfigError, PathfuncError
 from .functionals import (FunctionalSpec, constant_payoff, custom_terminal,
                           discrete_barrier_call, up_and_in_call)
@@ -75,7 +75,7 @@ def build_model(cfg: RunConfig) -> SdeModel:
     if kind == "stoch_vol":
         return stoch_vol(get("r"), get("sigma"), get("x0"), rho=get("rho"), y0=get("y0"))
     if kind == "inverse_bessel3":
-        return inverse_bessel3(get("z0"))
+        return inverse_bessel3(get("x0"))
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -133,7 +133,7 @@ def _seed(args, cfg: RunConfig | None = None) -> int:
 
 
 def _emit(cfg: RunConfig, lines=()) -> None:
-    """Write ``lines`` to ``output.path``, or to stdout when it is unset or "-".
+    """Write ``lines`` to ``output.path``, or to stdout when it is "-".
     With no lines, each command's check before it draws: a ``model`` or
     ``functional`` key the file sets and nothing read is refused, and the path
     is opened for append and closed, so a run that then fails truncates no file."""
@@ -144,7 +144,7 @@ def _emit(cfg: RunConfig, lines=()) -> None:
                                   f"{noun} {cfg.get(section, kind)} does not read it")
     path = cfg.get("output", "path")
     text = "".join(line + "\n" for line in lines)
-    if path in ("-", "", None):
+    if path == "-":
         sys.stdout.write(text)
     else:
         try:
@@ -244,7 +244,7 @@ def cmd_check(args) -> int:
         raise ConfigError(f"check.probes_t = {', '.join(f'{t:g}' for t in probes_t)}: "
                           "every probe time must lie in [0, 1)")
     if not spec.bounded:  # refused before anything is drawn
-        with _refusals_as_config_errors("model.z0"):
+        with _refusals_as_config_errors("model.x0"):
             estimator.stop_levels(model, [s.h for s in sweep])
     _emit(cfg)
     probes = [(y, t) for y in probes_y for t in probes_t]
@@ -321,20 +321,20 @@ def cmd_counterexample(args) -> int:
 
 
 def _read_path_csv(path: str) -> StepPath:
+    """Rows of exactly ``t,value``, after an optional ``t,value`` header."""
     rows = {}  # time -> value
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.lower().startswith("t,"):
-                continue
-            try:
-                t, v = (float(x) for x in line.split(",")[:2])
-            except ValueError:
-                t = v = np.nan
-            if not np.isfinite([t, v]).all() or t in rows:
-                raise ConfigError(f"{path}, line {lineno}: expected 't,value' with finite "
-                                  f"numbers and a time not seen before, got {line!r}")
-            rows[t] = v
+    for lineno, raw in enumerate(read_input(path).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#") or (line == "t,value" and not rows):
+            continue
+        try:
+            t, v = (float(x) for x in line.split(","))  # two fields, no more
+        except ValueError:
+            t = v = np.nan
+        if not np.isfinite([t, v]).all() or t in rows:
+            raise ConfigError(f"{path}, line {lineno}: expected 't,value' with finite "
+                              f"numbers and a time not seen before, got {line!r}")
+        rows[t] = v
     times = np.array(sorted(rows))
     try:
         return StepPath(times, np.array([rows[t] for t in times]))
@@ -387,7 +387,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as e:
+    except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return EXIT_CONFIG
     except PathfuncError as e:

@@ -6,8 +6,9 @@ rejected rather than ignored -- a typo must fail loudly, not silently
 change the experiment.  So far that holds in ``model`` and ``functional``
 for a known key no ``get`` returned, too.  Numbers may be plain or
 fractions (``1/12288``) and powers (``2^-9``), as step grids are written,
-and must be finite.  Each value has one spelling: a list holds at least
-one number, and a word key takes only its listed words.
+and must be finite.  Each value has one spelling: a bool is ``true`` or
+``false``, a list has a number between each pair of commas, a number is
+ASCII without ``_``, a string is not empty, and a word is one listed.
 """
 
 from __future__ import annotations
@@ -19,16 +20,17 @@ from .errors import ConfigError
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text"]
 
-# section -> key -> (type tag, default); a tag is "str", "num", "int",
-# "size" (a sample size, at least 2), "bool", "numlist" (at least one
-# number), "one" (run.workers: read by nothing, accepted as 1 for the
-# benchmark harness) or a tuple of the accepted words.
-# ui.n_paths sizes the sample ``check`` draws; price and converge judge the
-# gate on the priced paths
+# section -> key -> (type tag, default); a tag is "str" (not empty), "num",
+# "int" (plain digits, or at most 2^53 as a fraction, power or exponent),
+# "size" (an int, at least 2), "bool" (true or false), "numlist" (numbers
+# joined by commas) or a tuple of the accepted words.  model.x0 starts every
+# model's first coordinate; run.workers is read by nothing (the benchmark
+# sets it); ui.n_paths sizes ``check``'s sample (price and converge judge
+# the gate on the priced paths)
 _KEYS = {
     "model": {
         "kind": ("str", "gbm"), "r": ("num", 0.0), "sigma": ("num", 0.2),
-        "x0": ("num", 1.0), "y0": ("num", 1.0), "rho": ("num", 0.0), "z0": ("num", 1.0),
+        "x0": ("num", 1.0), "y0": ("num", 1.0), "rho": ("num", 0.0),
     },
     "scheme": {"kind": ("str", "euler"), "h": ("num", None)},
     "functional": {
@@ -36,7 +38,7 @@ _KEYS = {
         "barrier_level": ("num", 1.0), "m": ("int", 1),
     },
     "run": {
-        "n_paths": ("size", 10000), "seed": ("int", 0), "workers": ("one", 1),
+        "n_paths": ("size", 10000), "seed": ("int", 0), "workers": (("1",), "1"),
         "h_grid": ("numlist", None), "allow_linear": ("bool", False), "timing": ("bool", True),
     },
     "check": {
@@ -49,8 +51,9 @@ _KEYS = {
 
 
 def _parse_number(text: str, key: str) -> float:
-    text = text.strip()
     try:
+        if "_" in text or not text.isascii():  # float() reads 1_000 and Arabic-Indic digits
+            raise ValueError(text)
         if "^" in text:
             base, exp = text.split("^", 1)
             v = math.pow(float(base), float(exp))  # a complex power is a ValueError
@@ -67,44 +70,36 @@ def _parse_number(text: str, key: str) -> float:
 
 
 def _parse_value(tag: str | tuple, text: str, key: str):
-    text = text.strip()
     if isinstance(tag, tuple):
         if text not in tag:
             raise ConfigError(f"config key {key!r}: expected one of {', '.join(tag)}, "
                               f"got {text!r}")
         return text
     if tag == "str":
+        if not text:
+            raise ConfigError(f"config key {key!r}: expected a value, got ''")
         return text
     if tag == "num":
         return _parse_number(text, key)
     if tag in ("int", "size"):
+        v = _parse_number(text, key)
         try:
-            v = int(text)  # exact, where a float rounds past 2^53
+            v = int(text)  # plain digits: exact, where a float rounds past 2^53
         except ValueError:  # a fraction, power or exponent
-            v = _parse_number(text, key)
             if v != int(v) or abs(v) > 2**53:
                 raise ConfigError(f"config key {key!r}: expected an integer of magnitude "
                                   f"at most 2^53 or plain digits, got {text!r}")
         if tag == "size" and v < 2:
             raise ConfigError(f"config key {key!r}: need at least 2, got {text!r}")
         return int(v)
-    if tag == "one":
-        if _parse_value("int", text, key) != 1:
-            raise ConfigError(f"config key {key!r}: only 1 is accepted, got {text!r}; "
-                              "a run sets its process count from the CPUs")
-        return 1
     if tag == "bool":
-        low = text.lower()
-        if low in ("true", "on", "yes", "1"):
-            return True
-        if low in ("false", "off", "no", "0"):
-            return False
-        raise ConfigError(f"config key {key!r}: expected a boolean, got {text!r}")
+        if text not in ("true", "false"):
+            raise ConfigError(f"config key {key!r}: expected true or false, got {text!r}")
+        return text == "true"
     if tag == "numlist":
-        values = [_parse_number(p, key) for p in text.split(",") if p.strip()]
-        if not values:
+        if not text:
             raise ConfigError(f"config key {key!r}: expected at least one number, got {text!r}")
-        return values
+        return [_parse_number(p.strip(), key) for p in text.split(",")]
     raise AssertionError(f"unknown schema tag {tag}")
 
 
@@ -145,17 +140,21 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'section.key = value', got {raw!r}")
         lhs, rhs = line.split("=", 1)
         lhs = lhs.strip()
-        if "." not in lhs:
-            raise ConfigError(f"line {lineno}: key {lhs!r} must be section.key")
-        section, key = lhs.split(".", 1)
-        if section not in _KEYS:
-            raise ConfigError(f"unknown config section {section!r}")
-        if key not in _KEYS[section]:
+        section, _, key = lhs.partition(".")
+        if key not in _KEYS.get(section, {}):
             raise ConfigError(f"unknown config key {lhs!r}")
-        values.setdefault(section, {})[key] = _parse_value(_KEYS[section][key][0], rhs, lhs)
+        values.setdefault(section, {})[key] = _parse_value(_KEYS[section][key][0], rhs.strip(), lhs)
     return RunConfig(values=values)
 
 
+def read_input(path: str) -> str:
+    """The text of an input file; one that cannot be read is a ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: cannot read it: {getattr(e, 'strerror', e)}") from e
+
+
 def parse_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config_text(f.read())
+    return parse_config_text(read_input(path))

@@ -83,16 +83,16 @@ def gbm(r: float, sigma: float, x0: float) -> SdeModel:
     )
 
 
-def inverse_bessel3(z0: float = 1.0) -> SdeModel:
+def inverse_bessel3(x0: float = 1.0) -> SdeModel:
     """Reciprocal of a Bessel(3) process: driftless with dZ = -Z^2 dW.
 
-    The canonical strict local martingale: started at z0 it satisfies
-    E[Z(1)] = z0 (2 Phi(1/z0) - 1) < z0 even though Z is a positive local
+    The canonical strict local martingale: started at x0 it satisfies
+    E[Z(1)] = x0 (2 Phi(1/x0) - 1) < x0 even though Z is a positive local
     martingale.  The quadratic diffusion is far from Lipschitz, so the model
     is quarantined to counter-example harnesses.
     """
-    if z0 <= 0.0:
-        raise ValueError("inverse_bessel3 needs z0 > 0")
+    if x0 <= 0.0:
+        raise ValueError("inverse_bessel3 needs x0 > 0")
 
     def drift(y, t):
         return np.zeros_like(y)
@@ -106,7 +106,7 @@ def inverse_bessel3(z0: float = 1.0) -> SdeModel:
         dim_noise=1,
         drift=drift,
         diffusion=diffusion,
-        y0=np.array([z0]),
+        y0=np.array([x0]),
     )
 
 

@@ -38,7 +38,7 @@ functional.strike = 0.5
 run.n_paths = 300
 run.seed = 5
 output.format = csv
-run.timing = off
+run.timing = false
 """
 
 

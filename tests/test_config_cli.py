@@ -24,7 +24,7 @@ run.n_paths = 64
 run.seed = 3
 run.workers = 1
 output.format = csv
-run.timing = off
+run.timing = false
 """
 
 
@@ -139,6 +139,35 @@ class TestConfigParsing:
         assert out.out == "" and out.err.startswith(f"config error: config key {key!r}: ")
 
 
+    @pytest.mark.parametrize("line", [
+        "run.allow_linear = on", "run.timing = off", "run.allow_linear = yes",
+        "run.timing = True", "run.timing = 1", "run.h_grid = 2^-4,,2^-5",
+        "run.h_grid = 2^-4, 2^-5,", "run.n_paths = 1_000", "run.n_paths = \u0661\u0660\u0660",
+        "run.workers = 1.0", "output.path =", "model.z0 = 1"])
+    @pytest.mark.parametrize("command", ["price", "converge", "check"])
+    def test_second_spelling_refused(self, tmp_path, capsys, command, line):
+        # each once read as another spelling of a value: on, off, yes, True
+        # and 1 as bools, an empty list item as none, 1_000 and Arabic-Indic
+        # digits as 1000 and 100, 1.0 as the worker count 1, an empty path as
+        # stdout, and model.z0 as the start value model.x0 now sets for every model
+        text = CONSTANT_CFG + f"run.h_grid = 0.5, 0.25, 0.125\n{line}\n"
+        assert main([command, write(tmp_path, "c.cfg", text)]) == 64
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("config error: ")
+        assert repr(line.split(" =")[0]) in out.err
+
+    @pytest.mark.parametrize("command", ["price", "converge", "check"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, command):
+        # a directory, or a file that is not UTF-8, once ended in an
+        # IsADirectoryError or UnicodeDecodeError traceback with exit 1
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(CONSTANT_CFG.encode() + b"\xff\n")
+        for path in (tmp_path, binary):
+            assert main([command, str(path)]) == 64
+            out = capsys.readouterr()
+            assert out.out == "" and out.err.startswith(f"config error: {path}: cannot read it: ")
+
+
 class TestCliPrice:
     def test_constant_payoff_exact(self, tmp_path, capsys):
         path = write(tmp_path, "c.cfg", CONSTANT_CFG)
@@ -250,7 +279,7 @@ class TestCliPrice:
             f"scheme.kind = {kind}\nscheme.h = 2^-6\nfunctional.payoff = up_in_call\n"
             "functional.strike = 0.5\nfunctional.barrier_level = 1.0\n"
             "run.n_paths = 301\nrun.seed = 4\nrun.h_grid = 2^-4, 2^-5, 2^-6\n"
-            "run.allow_linear = true\nrun.timing = off\ncheck.probes_y = 0.8\n"
+            "run.allow_linear = true\nrun.timing = false\ncheck.probes_y = 0.8\n"
             "check.probes_t = 0.0\ncheck.n_draws = 1000\nui.n_paths = 301\n"))
         outputs = []
         for cpus in (1, 2, 3):
@@ -372,7 +401,7 @@ class TestCliPrice:
         from pathfunc.errors import SimulationError
         from pathfunc.schemes import RngStream, simulate_terminals
         text = (
-            "model.kind = inverse_bessel3\nmodel.z0 = 1\n"
+            "model.kind = inverse_bessel3\nmodel.x0 = 1\n"
             "scheme.kind = euler\nscheme.h = 2^-6\n"
             "functional.payoff = terminal_identity\nrun.n_paths = 2000\nrun.seed = 0\n"
         )
@@ -409,7 +438,7 @@ class TestCliCheck:
     def test_capped_reciprocal_bessel_fails_with_exit_2(self, tmp_path, capsys):
         # the tail sample is the family's exact law stopped at the cap 1/h
         text = (
-            "model.kind = inverse_bessel3\nmodel.z0 = 1.0\n"
+            "model.kind = inverse_bessel3\nmodel.x0 = 1.0\n"
             "scheme.kind = euler\nscheme.h = 2^-6\n"
             "functional.payoff = terminal_identity\n"
             "check.kinds = config\nrun.seed = 5\nrun.h_grid = 2^-4, 2^-6\n"
@@ -460,14 +489,14 @@ class TestCliCheck:
         assert out[0] == "scheme euler: pass"
         assert out[-1] == "ui diagnostic: skipped (bounded payoff)"
 
-    @pytest.mark.parametrize("z0, h_grid", [("1.0", "1, 2^-3"), ("3.0", "2^-3, 2^-1")])
-    def test_cap_at_or_below_start_value_refused(self, tmp_path, capsys, monkeypatch, z0, h_grid):
-        # the tail sample is stopped at the cap 1/h, which must exceed z0 at
+    @pytest.mark.parametrize("x0, h_grid", [("1.0", "1, 2^-3"), ("3.0", "2^-3, 2^-1")])
+    def test_cap_at_or_below_start_value_refused(self, tmp_path, capsys, monkeypatch, x0, h_grid):
+        # the tail sample is stopped at the cap 1/h, which must exceed x0 at
         # every h of the sweep: 1/1 = 1 is not above 1, nor 1/2^-1 = 2 above
         # 3.  The refusal comes before any draw, and only where the stopped
         # law is drawn: a bounded payoff draws no tail sample
         text = (
-            f"model.kind = inverse_bessel3\nmodel.z0 = {z0}\n"
+            f"model.kind = inverse_bessel3\nmodel.x0 = {x0}\n"
             "scheme.kind = euler\nscheme.h = 2^-3\n"
             f"check.kinds = config\ncheck.n_draws = 1000\nrun.h_grid = {h_grid}\n"
             "ui.n_paths = 500\n"
@@ -477,10 +506,10 @@ class TestCliCheck:
             m.setattr("pathfunc.cli.check_local_consistency", lambda *a, **k: 1 / 0)
             assert main(["check", path]) == 64
         err = capsys.readouterr().err
-        assert err.startswith("config error: section 'model', key 'model.z0': ")
+        assert err.startswith("config error: section 'model', key 'model.x0': ")
         path = write(tmp_path, "check.cfg", text + "functional.payoff = constant\n")
         assert main(["check", path]) != 64
-        assert "model.z0" not in capsys.readouterr().err
+        assert "model.x0" not in capsys.readouterr().err
 
     def test_band_violation_surfaces(self, tmp_path, capsys):
         text = (
@@ -670,7 +699,7 @@ class TestCliConverge:
             "model.kind = gbm\nmodel.r = 0.0\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
             "scheme.kind = euler\nfunctional.payoff = terminal_identity\n"
             "run.n_paths = 400\nrun.seed = 4\nrun.h_grid = 2^-3, 2^-4, 2^-5\n"
-            "output.format = csv\nrun.timing = off\n"
+            "output.format = csv\nrun.timing = false\n"
         )
         rep = convergence_study(gbm(0.0, 0.3, 0.8), SchemeConfig("euler", h=2**-3),
                                 custom_terminal("identity"), [2**-3, 2**-4, 2**-5], 400, 4)
@@ -739,7 +768,7 @@ def test_kernel_the_model_cannot_run_names_scheme_kind(tmp_path, capsys, command
 
 def test_check_kind_the_model_cannot_run_is_an_error_row(tmp_path, capsys):
     # a check.kinds entry is measured, not refused: its probe is an ERROR row;
-    # inverse_bessel3 does not read gbm's x0
+    # inverse_bessel3 starts at the default x0 = 1
     text = (REFUSAL_CFG.replace("model.kind = gbm\nmodel.x0 = 0.8", "model.kind = inverse_bessel3")
             .replace("functional.payoff = terminal_identity", "functional.payoff = constant")
             + "check.kinds = all\n")
@@ -752,11 +781,11 @@ def test_check_kind_the_model_cannot_run_is_an_error_row(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind, payoff, line, refused", [
     ("gbm", "terminal_call", "model.rho = 0.9", True),
-    ("gbm", "terminal_call", "model.z0 = 5", True),
     ("gbm", "terminal_call", "model.y0 = 3", True),
-    ("stoch_vol", "terminal_call", "model.z0 = 5", True),
+    ("inverse_bessel3", "terminal_identity", "model.y0 = 3", True),
+    ("inverse_bessel3", "terminal_identity", "model.rho = 0.9", True),
     ("inverse_bessel3", "terminal_identity", "model.sigma = 0.3", True),
-    ("inverse_bessel3", "terminal_identity", "model.x0 = 0.8", True),
+    ("inverse_bessel3", "terminal_identity", "model.x0 = 0.8", False),  # its start value
     ("inverse_bessel3", "constant", "model.r = 0.05", True),
     ("inverse_bessel3", "terminal_identity", "model.r = 0.05", False),  # discounts by it
 ])
@@ -795,7 +824,7 @@ def test_seed_outside_64_bits_refused(tmp_path, capsys, argv):
 
 
 CALL_CFG = (REFUSAL_CFG.replace("terminal_identity", "terminal_call")
-            + "functional.strike = 0.5\nrun.timing = off\n")
+            + "functional.strike = 0.5\nrun.timing = false\n")
 
 
 @pytest.mark.parametrize("command", ["price", "converge", "check"])
@@ -821,7 +850,7 @@ def test_seed_flag_overrides_a_valid_run_seed(tmp_path, capsys):
 
 def test_largest_seed_prices(tmp_path, capsys):
     # 2^64 - 1 is the last seed a stream takes, from the flag as from the file
-    cfg = REFUSAL_CFG + "run.allow_linear = true\nrun.timing = off\n"
+    cfg = REFUSAL_CFG + "run.allow_linear = true\nrun.timing = false\n"
     assert main(["price", write(tmp_path, "c.cfg", cfg), "--seed", str(2**64 - 1)]) == 0
     flag = capsys.readouterr().out
     assert main(["price", write(tmp_path, "c.cfg", cfg + f"run.seed = {2**64 - 1}\n")]) == 0
@@ -835,13 +864,28 @@ class TestCliSkorohodDist:
         assert main(["skorohod-dist", a, b]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(0.01, abs=1e-12)
 
-    @pytest.mark.parametrize("bad_line", ["0.5,x", "0.5", "0,2", "0.5,nan", "inf,1"])
+    @pytest.mark.parametrize("bad_line", ["0.5,x", "0.5", "0,2", "0.5,nan", "inf,1",
+                                          "0.5,1,junk", "T,junk", "t,value"])
     def test_malformed_csv_is_config_error(self, tmp_path, capsys, bad_line):
+        # a row is exactly t,value and the header comes before the first row:
+        # 0.5,1,junk once read as (0.5, 1), and T,junk was skipped as a header
         a = write(tmp_path, "a.csv", "t,value\n0,0\n1,1\n")
         b = write(tmp_path, "b.csv", f"t,value\n0,0\n{bad_line}\n1,1\n")
         assert main(["skorohod-dist", a, b]) == 64
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{b}, line 3" in err
+
+    def test_unreadable_csv_is_config_error(self, tmp_path, capsys):
+        # as for a config: a directory or a file that is not UTF-8 once ended
+        # in a traceback with exit 1
+        a = write(tmp_path, "a.csv", "t,value\n0,0\n1,1\n")
+        binary = tmp_path / "b.csv"
+        binary.write_bytes(b"t,value\n0,0\n\xff,1\n")
+        for path in (tmp_path, binary):
+            for argv in ([a, str(path)], [str(path), a]):
+                assert main(["skorohod-dist", *argv]) == 64
+                out = capsys.readouterr()
+                assert out.out == "" and out.err.startswith(f"config error: {path}: cannot read it: ")
 
 class TestStartupImports:
     """scipy serves only the oracles and the exact samplers (reciprocal

@@ -52,7 +52,7 @@ COMMANDS = {
     "check_gbm": shipped("check", "check_gbm.cfg"),
     # the shipped up-and-in sweep at 20 000 paths, without timings
     "converge_upin": written("converge", (CONFIGS / "converge_upin.cfg").read_text(
-        encoding="utf-8") + "\nrun.n_paths = 20000\nrun.timing = off\n"),
+        encoding="utf-8") + "\nrun.n_paths = 20000\nrun.timing = false\n"),
     "counterexample_bessel": lambda tmp_path: ["counterexample", "bessel"],
     "counterexample_strong": lambda tmp_path: ["counterexample", "strong"],
     "counterexample_tangency": lambda tmp_path: ["counterexample", "tangency"],
@@ -60,7 +60,7 @@ COMMANDS = {
     "price_tree_gate": written("price", TREE_CFG),
     # the variable_tree workload's price, without timings
     "price_variable_tree": written("price", WORKLOAD.TREE_CONFIG.format(n_paths=10000)
-                                   + "run.timing = off\n"),
+                                   + "run.timing = false\n"),
     **{f"skorohod_dist_{seed}{'_swapped' * swapped}": skorohod_pair(seed, swapped)
        for seed in (3, 7, 101) for swapped in (False, True)},
 }

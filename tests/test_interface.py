@@ -135,7 +135,7 @@ functional.payoff = constant
 functional.strike = 1.0
 run.n_paths = 16
 run.workers = 1
-run.timing = off
+run.timing = false
 output.format = csv
 """
 
@@ -152,10 +152,11 @@ def test_cli_workers_flag_accepts_only_one(command):
 
 
 def test_config_workers_accepts_only_one():
+    # run.workers is the word 1: 1.0 and 2^0 are other spellings of it
     from pathfunc.config import parse_config_text
     from pathfunc.errors import ConfigError
-    assert parse_config_text(BENCH_CFG).get("run", "workers") == 1
-    for value in ("0", "2", "4", "1.5"):
+    assert parse_config_text(BENCH_CFG).get("run", "workers") == "1"
+    for value in ("0", "2", "4", "1.5", "1.0", "2^0", "01"):
         with pytest.raises(ConfigError):
             parse_config_text(BENCH_CFG.replace("run.workers = 1", f"run.workers = {value}"))
 
