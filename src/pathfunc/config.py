@@ -8,7 +8,7 @@ for a known key no ``get`` returned, too.  Numbers may be plain or
 fractions (``1/12288``) and powers (``2^-9``), as step grids are written,
 and must be finite.  Each value has one spelling: a bool is ``true`` or
 ``false``, a list has a number between each pair of commas, a number is
-ASCII without ``_``, a string is not empty, and a word is one listed.
+ASCII without ``_`` or blanks, a string is not empty, and a word is one listed.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ _KEYS = {
 
 def _parse_number(text: str, key: str) -> float:
     try:
-        if "_" in text or not text.isascii():  # float() reads 1_000 and Arabic-Indic digits
-            raise ValueError(text)
+        if "_" in text or not text.isascii() or text.split() != [text]:
+            raise ValueError(text)  # float() reads 1_000, Arabic-Indic digits, "2 ^ -5"
         if "^" in text:
             base, exp = text.split("^", 1)
             v = math.pow(float(base), float(exp))  # a complex power is a ValueError
@@ -99,7 +99,10 @@ def _parse_value(tag: str | tuple, text: str, key: str):
     if tag == "numlist":
         if not text:
             raise ConfigError(f"config key {key!r}: expected at least one number, got {text!r}")
-        return [_parse_number(p.strip(), key) for p in text.split(",")]
+        items = [p.strip() for p in text.split(",")]
+        if "" in items:
+            raise ConfigError(f"config key {key!r}: list item {items.index('') + 1} is empty")
+        return [_parse_number(p, key) for p in items]
     raise AssertionError(f"unknown schema tag {tag}")
 
 

@@ -38,8 +38,8 @@ from .models import (SdeModel, inverse_bessel3, sample_reciprocal_bessel3_stoppe
                      sample_sup_abs_bm_max)
 from .oracles import reciprocal_bessel3_mean, sup_abs_bm_max_mean
 from .paths import BarrierPair, StepPath, classify_c_partition, hitting_time
-from .schemes import (_BATCH_ELEMENTS, _FORK_DRAWS, RngStream, SchemeConfig, _priced,
-                      simulate_path, simulate_states, simulate_values)
+from .schemes import (_BATCH_ELEMENTS, _FORK_DRAWS, RngStream, SchemeConfig, _grid_states,
+                      _priced, _seated_rows, _stream_keys, simulate_path, simulate_values)
 
 __all__ = [
     "Estimate",
@@ -145,12 +145,12 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
     def price(start, stop):  # payoff values and X^h(1) (argument 2m) of paths start..stop-1
         vals, terms = [], []
         for a in range(start, stop, per_batch):
-            streams = [RngStream(seed, i, namespace) for i in range(a, min(a + per_batch, stop))]
+            keys = _stream_keys(seed, namespace, a, min(a + per_batch, stop))
             try:
-                args = fold_args_batch(*simulate_states(model, config, streams), spec)
+                args = fold_args_batch(*_grid_states(model, config, keys), spec)
                 vals.append(payoff_values(spec, args))
             except (SimulationError, EvaluationError) as e:
-                sid = streams[e.batch_index].stream_id
+                sid = a + e.batch_index
                 raise EstimationError(f"stream {sid}: path simulation failed: {e}",
                                       stream_id=sid) from e
             terms.append(args[:, 2 * spec.m - 1].copy())
@@ -406,7 +406,8 @@ def counterexample_strong(n_rep: int = 200, seed: int = 0) -> StrongReport:
     """
     rows = []
     for k, N in enumerate((100, 1000, 10000)):
-        u = [RngStream(seed, r, 600 + k).generator().random() for r in range(n_rep)]
+        with _seated_rows(1) as seat:  # one generator, reseated repetition by repetition
+            u = [seat(0, key).random() for key in _stream_keys(seed, 600 + k, 0, n_rep)]
         sup = sample_sup_abs_bm_max(N, u)
         rows.append((N, float(np.mean(sup)), float(np.std(sup, ddof=1) / np.sqrt(n_rep)),
                      sup_abs_bm_max_mean(N), float(np.sqrt(2.0 * np.log(N)))))

@@ -20,6 +20,8 @@ on the tree, so quasi-uniformity holds by construction.  ``simulate_path``
 emits the realized grid as a :class:`StepPath`.  Paths are reproducible:
 every path owns a counter-based RNG stream keyed by (seed, namespace, stream
 id), so each path's draws depend neither on batching nor on the process.
+Below the public entries the engine reads Philox key pairs (:func:`_stream_keys`
+for ``estimate``), each drawn from a pooled generator reseated onto it (:func:`_reseat`).
 
 Every kind is a stream of states (:func:`simulate_states`), stepped as it
 is read into reused buffers, so the observer (``functionals.fold_args_batch``)
@@ -103,6 +105,12 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=np.array(self.key, np.uint64)))
+
+
+def _stream_keys(seed: int, namespace: int, start: int, stop: int) -> list:
+    """``RngStream(seed, i, namespace).key`` for i in start..stop-1, range-checked once."""
+    high = RngStream(seed, max(start, stop - 1), namespace).key[1]
+    return [((namespace << 48) | i, high) for i in range(start, stop)]
 
 
 @dataclass(frozen=True)
@@ -295,54 +303,56 @@ def _tree_states(model: SdeModel, config: SchemeConfig, n_rows: int, sign):
         raise failure
 
 
-def _reseat(gen: np.random.Generator, stream: RngStream, st: dict) -> np.random.Generator:
-    """Restart ``gen`` on ``stream``'s Philox key, through the state dict ``st``."""
-    key = st["state"]["key"]
-    key[0], key[1] = stream.key
-    st["state"]["counter"][:] = 0
-    st["buffer_pos"] = 4  # discard buffered blocks from the previous key
-    st["has_uint32"] = 0
-    st["uinteger"] = 0
+def _reseat(gen: np.random.Generator, key, st: dict) -> np.random.Generator:
+    """Restart ``gen`` on Philox ``key`` through ``st``, an :func:`_int_state`."""
+    st["state"]["key"] = key
     gen.bit_generator.state = st
     return gen
 
 
+def _int_state() -> dict:  # counter 0, buffer empty: numpy's setter reads ints 2x faster
+    return {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [0, 0]},
+            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 @functools.cache
 def _reseat_is_exact() -> bool:
-    """Whether a reseated generator draws what a fresh ``stream.generator()`` draws.
+    """Whether a reseated generator draws what a fresh ``RngStream.generator()`` draws.
 
-    :func:`_reseat` writes numpy's private Philox state layout, so this is
-    checked once per process: a reseat over a row with a part-used buffer,
-    two rows drawing interleaved, and raw words before and after ``advance``.
+    :func:`_reseat` writes numpy's private Philox state layout, so once per process
+    this checks its fields, a reseat over a row with a part-used buffer, two rows
+    drawing interleaved (one on the largest key), and raw words around ``advance``.
     """
-    a, b = RngStream(7, 3, 1), RngStream(11, 5, 2)
     rows = [np.random.Generator(np.random.Philox(key=0)) for _ in range(2)]
-    st = rows[0].bit_generator.state
+    st, got = _int_state(), rows[0].bit_generator.state
+    if (got.keys(), got["state"].keys()) != (st.keys(), st["state"].keys()):
+        return False  # a layout the setter may refuse
+    a, b = RngStream(7, 3, 1), RngStream(2**64 - 1, 2**48 - 3, 2**16 - 1)
     rows[0].integers(0, 2, size=3)
-    ga, gb = _reseat(rows[0], a, st), _reseat(rows[1], b, st)
+    ga, gb = _reseat(rows[0], a.key, st), _reseat(rows[1], b.key, st)
     head, other, tail = ga.standard_normal(5), gb.integers(0, 2, size=9), ga.standard_normal(6)
     raw = [np.concatenate([g.random_raw(5), g.advance(8).random_raw(3)])  # the tree's signs
-           for g in (_reseat(rows[1], b, st).bit_generator, b.generator().bit_generator)]
+           for g in (_reseat(rows[1], b.key, st).bit_generator, b.generator().bit_generator)]
     return (np.array_equal(np.concatenate([head, tail]), a.generator().standard_normal(11))
             and np.array_equal(other, b.generator().integers(0, 2, size=9))
             and np.array_equal(*raw))
 
 
 # Reseatable Philox generators shared by every batch in the process: building
-# one takes about 20 us, reseating it about 3.5 us (2-vCPU Xeon VM).
+# one takes 10-18 us, reseating it about 0.55 us (one CPU of a 2-vCPU Xeon VM).
 _FREE_ROWS: list = []
 
 
 @contextlib.contextmanager
 def _seated_rows(n: int):
-    """``seat(j, stream)``: row j's generator, restarted on the stream's key.
+    """``seat(j, key)``: row j's generator, restarted on Philox ``key``.
 
     The n rows come from ``_FREE_ROWS`` (built when it runs short) and go
     back on exit; two live callers, threads included, share no row and no
     state dict.  If :func:`_reseat_is_exact` fails, seats build new generators.
     """
     if not _reseat_is_exact():
-        yield lambda j, stream: stream.generator()
+        yield lambda j, key: np.random.Generator(np.random.Philox(key=np.array(key, np.uint64)))
         return
     rows = []
     for _ in range(n):
@@ -350,9 +360,9 @@ def _seated_rows(n: int):
             rows.append(_FREE_ROWS.pop())
         except IndexError:
             rows.append(np.random.Generator(np.random.Philox(key=0)))
-    st = rows[0].bit_generator.state if rows else None
+    st = _int_state()
     try:
-        yield lambda j, stream: _reseat(rows[j], stream, st)
+        yield lambda j, key: _reseat(rows[j], key, st)
     finally:
         _FREE_ROWS.extend(rows)
 
@@ -360,16 +370,16 @@ def _seated_rows(n: int):
 _TILE_ROWS = 128  # streams a tile holds: few enough that its transposing copy stays in cache
 
 
-def _noise_blocks(streams: Sequence[RngStream], kind: str, n_steps: int, d1: int):
+def _noise_blocks(keys: Sequence, kind: str, n_steps: int, d1: int):
     """Each stream's fixed-grid draws as time-major (Tb, B, d1) blocks.
 
-    Stream i's draws are those of one long ``_draw_fixed_noise`` call: each
-    stream keeps its own generator from block to block, drawn into a tile of
-    ``_TILE_ROWS`` streams that is copied in transposed.  A block and its tile
-    hold at most ``_BATCH_ELEMENTS`` elements (at least one step), whatever B
-    and the number of steps; the same buffer is yielded again for every block.
+    Stream i's draws (Philox key ``keys[i]``) are one long ``_draw_fixed_noise``
+    call's: each stream keeps its own generator from block to block, drawn into
+    a tile of ``_TILE_ROWS`` streams that is copied in transposed.  A block and its
+    tile hold at most ``_BATCH_ELEMENTS`` elements (at least one step), whatever
+    B and the number of steps; the same buffer is yielded again for every block.
     """
-    B, n_tile = len(streams), min(_TILE_ROWS, len(streams))
+    B, n_tile = len(keys), min(_TILE_ROWS, len(keys))
     tb = max(1, min(n_steps, _BATCH_ELEMENTS // max(1, (B + n_tile) * d1)))
     # one buffer of at least the cap (64 MB) holds both: glibc maps that much afresh and
     # unmaps it when freed, where freeing less would raise its mmap threshold for good
@@ -378,59 +388,59 @@ def _noise_blocks(streams: Sequence[RngStream], kind: str, n_steps: int, d1: int
     tile = buf[tb * B * d1:tb * (B + n_tile) * d1].reshape(n_tile, tb, d1)
     single = tb == n_steps  # each stream draws once, so one row serves them all
     with _seated_rows(1 if single else B) as seat:
-        gens = None if single else [seat(i, s) for i, s in enumerate(streams)]
+        gens = None if single else [seat(i, key) for i, key in enumerate(keys)]
         for start in range(0, n_steps, tb):
             k = min(tb, n_steps - start)
             for i0 in range(0, B, _TILE_ROWS):
-                rows = range(i0, min(i0 + _TILE_ROWS, B))
-                for j, i in enumerate(rows):
-                    gen = seat(0, streams[i]) if single else gens[i]
-                    _draw_fixed_noise(gen, kind, tile[j, :k])
-                block[:k, i0:rows.stop] = tile[:len(rows), :k].transpose(1, 0, 2)
+                n = min(_TILE_ROWS, B - i0)
+                rows = map(seat, [0] * n, keys[i0:i0 + n]) if single else gens[i0:i0 + n]
+                for gen, out in zip(rows, tile[:n, :k]):
+                    _draw_fixed_noise(gen, kind, out)
+                block[:k, i0:i0 + n] = tile[:n, :k].transpose(1, 0, 2)
             yield block[:k]
 
 
-def _stream_signs(streams: Sequence[RngStream]):
-    """``sign(k, rows)``: the k-th ``integers(0, 2)`` draws of the streams in
-    ``rows`` as a +/-1 column: bit 31 (k even) or 63 (k odd) of raw Philox
+def _stream_signs(keys: Sequence):
+    """``sign(k, rows)``: the k-th ``integers(0, 2)`` draws of Philox keys
+    ``keys[rows]`` as a +/-1 column: bit 31 (k even) or 63 (k odd) of raw Philox
     word k // 2 on numpy's Lemire path.  A row reads 64 signs at a time: at
     k = 64 j a reseat and ``advance(8 j)`` give words 32 j to 32 j + 31."""
-    words = np.empty((len(streams), 32), np.uint64)
+    words = np.empty((len(keys), 32), np.uint64)
 
     def sign(k, rows):
         if k % 64 == 0:
             with _seated_rows(1) as seat:  # one row, reseated stream by stream
-                gens = (seat(0, streams[i]).bit_generator for i in rows)
+                gens = (seat(0, keys[i]).bit_generator for i in rows)
                 words[rows] = [(g.advance(k // 8) if k else g).random_raw(32) for g in gens]
         return ((words[rows, k % 64 // 2, None] >> (31 + 32 * (k % 2))) & 1) * 2.0 - 1.0
     return sign
 
 
-def _grid_states(model: SdeModel, config: SchemeConfig, streams, noise=None):
-    """:func:`simulate_states`, ``noise`` replacing the draws: path-major
-    (B, n_steps, d1) on the fixed grids, (B, n) signs, n >= steps, on the tree."""
+def _grid_states(model: SdeModel, config: SchemeConfig, keys, noise=None):
+    """:func:`simulate_states` on Philox ``keys``, ``noise`` replacing the draws:
+    path-major (B, n_steps, d1) on the fixed grids, (B, n) signs, n >= steps, on the tree."""
     config.max_times(model)  # refuses models the kernel cannot run
     if config.kind == "binomial_variable":
-        sign = _stream_signs(streams) if noise is None else lambda k, rows: noise[rows, k, None]
-        return None, _tree_states(model, config, len(streams), sign)
+        sign = _stream_signs(keys) if noise is None else lambda k, rows: noise[rows, k, None]
+        return None, _tree_states(model, config, len(keys), sign)
     times = fixed_time_grid(config.h)
     n_steps, d1 = times.size - 1, model.dim_noise
     if noise is None:
-        blocks = _noise_blocks(streams, config.kind, n_steps, d1)
+        blocks = _noise_blocks(keys, config.kind, n_steps, d1)
     elif noise.shape[1:] != (n_steps, d1):
         raise ValueError(f"forced noise must have shape {(n_steps, d1)}")
     else:
         blocks = [noise.transpose(1, 0, 2)]
-    return times, _fixed_states(model, times, len(streams), blocks)
+    return times, _fixed_states(model, times, len(keys), blocks)
 
 
-def _simulate(model: SdeModel, config: SchemeConfig, streams, noise=None):
-    """(times, values) of a stored batch; ``noise`` replaces the streams' draws."""
-    times, states = _grid_states(model, config, streams, noise)
+def _simulate(model: SdeModel, config: SchemeConfig, keys, noise=None):
+    """(times, values) of a stored batch; ``noise`` replaces the keyed draws."""
+    times, states = _grid_states(model, config, keys, noise)
     if times is None:  # the tree's per-row grids
         ts, ys = zip(*((t.copy(), y.copy()) for t, y in states))
         return np.hstack(ts), np.stack(ys, axis=1)
-    values = np.empty((len(streams), times.size, model.dim_state))
+    values = np.empty((len(keys), times.size, model.dim_state))
     for col, y in enumerate(states):
         values[:, col] = y
     return times, values
@@ -446,7 +456,7 @@ def simulate_path(model: SdeModel, config: SchemeConfig, rng: RngStream, *,
     +/-1 sign per step for the tree.  Scalar models yield flat-valued paths.
     """
     noise = None if forced_noise is None else np.asarray(forced_noise, dtype=np.float64)[None]
-    times, values = _simulate(model, config, [rng], noise)
+    times, values = _simulate(model, config, [rng.key if noise is None else None], noise)
     return StepPath(times.reshape(-1), values[0, :, 0] if model.dim_state == 1 else values[0])
 
 
@@ -458,7 +468,7 @@ def simulate_values(model: SdeModel, config: SchemeConfig, streams: Sequence[Rng
     row, padded after t = 1 with t = 1 and the terminal value.  A failure's
     ``batch_index`` is its stream.
     """
-    return _simulate(model, config, streams)
+    return _simulate(model, config, [s.key for s in streams])
 
 
 def simulate_states(model: SdeModel, config: SchemeConfig, streams: Sequence[RngStream]):
@@ -471,7 +481,7 @@ def simulate_states(model: SdeModel, config: SchemeConfig, streams: Sequence[Rng
     Stacking them gives ``simulate_values`` bit for bit.  A failure's
     ``batch_index`` is its stream.
     """
-    return _grid_states(model, config, streams)
+    return _grid_states(model, config, [s.key for s in streams])
 
 
 def simulate_terminals(model: SdeModel, config: SchemeConfig, streams: Sequence[RngStream]) -> np.ndarray:

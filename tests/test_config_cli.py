@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("scheme.h = fast\n")
 
+    def test_blank_inside_a_number_refused(self):
+        # "2 ^ -5" and "1 / 8" once parsed as 2^-5 and 1/8: a second spelling
+        for text in ("2 ^ -5", "2^ -5", "2 ^-5", "1 / 8", "1/ 8", "1 /8", "1 e3"):
+            msg = f"'scheme.h': cannot parse number '{text}'"
+            with pytest.raises(ConfigError, match=re.escape(msg)):
+                parse_config_text(f"scheme.h = {text}\n")
+        with pytest.raises(ConfigError, match=r"'run.h_grid': cannot parse number '2\^ -4'"):
+            parse_config_text("run.h_grid = 1/8, 2^ -4\n")
+
+    @pytest.mark.parametrize("grid, item", [("2^-4, , 2^-6", 2), ("2^-4,,2^-5", 2),
+                                            ("2^-4, 2^-5,", 3), (", 2^-5", 1)])
+    def test_empty_list_item_named_by_position(self, grid, item):
+        # once only "cannot parse number ''", naming neither the list nor the item
+        with pytest.raises(ConfigError, match=f"'run.h_grid': list item {item} is empty"):
+            parse_config_text(f"run.h_grid = {grid}\n")
+
     @pytest.mark.parametrize("command, key", [("price", "run.n_paths"),
                                               ("check", "ui.n_paths"),
                                               ("check", "check.n_draws")])
@@ -143,13 +160,15 @@ class TestConfigParsing:
         "run.allow_linear = on", "run.timing = off", "run.allow_linear = yes",
         "run.timing = True", "run.timing = 1", "run.h_grid = 2^-4,,2^-5",
         "run.h_grid = 2^-4, 2^-5,", "run.n_paths = 1_000", "run.n_paths = \u0661\u0660\u0660",
-        "run.workers = 1.0", "output.path =", "model.z0 = 1"])
+        "run.workers = 1.0", "output.path =", "model.z0 = 1", "scheme.h = 2 ^ -5",
+        "run.h_grid = 1 / 8, 2^ -4"])
     @pytest.mark.parametrize("command", ["price", "converge", "check"])
     def test_second_spelling_refused(self, tmp_path, capsys, command, line):
         # each once read as another spelling of a value: on, off, yes, True
         # and 1 as bools, an empty list item as none, 1_000 and Arabic-Indic
         # digits as 1000 and 100, 1.0 as the worker count 1, an empty path as
-        # stdout, and model.z0 as the start value model.x0 now sets for every model
+        # stdout, model.z0 as the start value model.x0 now sets for every model,
+        # and numbers with blanks inside as 2^-5, 1/8 and 2^-4
         text = CONSTANT_CFG + f"run.h_grid = 0.5, 0.25, 0.125\n{line}\n"
         assert main([command, write(tmp_path, "c.cfg", text)]) == 64
         out = capsys.readouterr()

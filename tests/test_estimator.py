@@ -278,9 +278,9 @@ class TestTreeStream:
         # One process, so the spy sees every batch
         from pathfunc import estimator
         set_cpus(monkeypatch, 1)
-        sizes, states = [], estimator.simulate_states
-        monkeypatch.setattr(estimator, "simulate_states",
-                            lambda m, c, streams: sizes.append(len(streams)) or states(m, c, streams))
+        sizes, states = [], estimator._grid_states
+        monkeypatch.setattr(estimator, "_grid_states",
+                            lambda m, c, keys: sizes.append(len(keys)) or states(m, c, keys))
         nu = SampleVector.uniform(1)
         band = FunctionalSpec(m=1, nu1=nu, nu2=nu, nu3=nu, nu4=nu, bounded=True,
                               payoff_batch=lambda x: x[:, -1], barriers=BarrierPair(0.5, 1.2))
@@ -356,26 +356,26 @@ class TestProcessSplit:
         (raise_unpicklable, RuntimeError, "Local: odd"),
     ], ids=["killed", "exit_3", "no_payload", "exception", "unpicklable"])
     def test_a_failing_child_raises(self, split, monkeypatch, end, error, match):
-        real = split.simulate_states
+        real = split._grid_states
 
-        def states(model, config, streams):
-            if streams[0].stream_id > 0:  # a child's range
+        def states(model, config, keys):
+            if keys[0][0] > 0:  # a child's range: stream ids from 1 up, namespace 0
                 end()
-            return real(model, config, streams)
-        monkeypatch.setattr(split, "simulate_states", states)
+            return real(model, config, keys)
+        monkeypatch.setattr(split, "_grid_states", states)
         with pytest.raises(error, match=match):
             estimate(GBM, CFG, constant_payoff(1.0), 300, seed=0)
 
     def test_interrupt_kills_the_children(self, split, monkeypatch):
         import time
-        real = split.simulate_states
+        real = split._grid_states
 
-        def states(model, config, streams):
-            if streams[0].stream_id == 0:  # the caller's range
+        def states(model, config, keys):
+            if keys[0][0] == 0:  # the caller's range: stream 0 of namespace 0
                 raise KeyboardInterrupt
             time.sleep(60)
-            return real(model, config, streams)
-        monkeypatch.setattr(split, "simulate_states", states)
+            return real(model, config, keys)
+        monkeypatch.setattr(split, "_grid_states", states)
         t0 = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             estimate(GBM, CFG, constant_payoff(1.0), 300, seed=0)

@@ -39,7 +39,7 @@ def bounded_vol_model(y0=1.0):
 def sign_block(streams, n):
     """The tree's first n signs of every stream, as a (B, n) block."""
     from pathfunc.schemes import _stream_signs
-    sign, rows = _stream_signs(streams), np.arange(len(streams))
+    sign, rows = _stream_signs([s.key for s in streams]), np.arange(len(streams))
     return np.hstack([sign(k, rows) for k in range(n)])
 
 
@@ -66,7 +66,8 @@ class TestRngStream:
         monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", 2 * 7 * 2 * 3)
         streams = [RngStream(9, i, namespace=3) for i in range(7)]
         for n_steps, sizes in ((11, [3, 3, 3, 2]), (3, [3])):
-            blocks = [b.copy() for b in schemes._noise_blocks(streams, "euler", n_steps, 2)]
+            blocks = [b.copy() for b in
+                      schemes._noise_blocks([s.key for s in streams], "euler", n_steps, 2)]
             assert [b.shape[0] for b in blocks] == sizes
             noise = np.concatenate(blocks)  # time-major (n_steps, 7, 2)
             for i, s in enumerate(streams):
@@ -77,20 +78,36 @@ class TestRngStream:
         # then come from fresh generators, unchanged
         from pathfunc import schemes
         orig = schemes._reseat
-        monkeypatch.setattr(schemes, "_reseat", lambda gen, s, st: orig(
-            gen, RngStream(s.seed, s.stream_id + 1, s.namespace), st))
+        monkeypatch.setattr(schemes, "_reseat", lambda gen, key, st: orig(
+            gen, (key[0] + 1, key[1]), st))
         monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", 5 * 4)
         schemes._reseat_is_exact.cache_clear()
         try:
             assert not schemes._reseat_is_exact()
             streams = [RngStream(9, i, namespace=3) for i in range(5)]
+            keys = [s.key for s in streams]
             noise = np.concatenate([b.copy() for b in
-                                    schemes._noise_blocks(streams, "binomial_fixed", 10, 1)])
+                                    schemes._noise_blocks(keys, "binomial_fixed", 10, 1)])
             signs = sign_block(streams, 130)  # three windows of raw words
             for i, s in enumerate(streams):
                 npt.assert_array_equal(noise[:, i, 0],
                                        np.copysign(1.0, s.generator().random(10) - 0.5))
                 npt.assert_array_equal(signs[i], s.generator().integers(0, 2, size=130) * 2.0 - 1)
+        finally:
+            schemes._reseat_is_exact.cache_clear()
+
+    def test_changed_state_layout_falls_back(self, monkeypatch):
+        # a Philox state with other fields than the reseat writes is refused
+        # before any reseat, and the draws come from fresh generators
+        from pathfunc import schemes
+        orig = schemes._int_state
+        monkeypatch.setattr(schemes, "_int_state", lambda: {**orig(), "generation": 0})
+        schemes._reseat_is_exact.cache_clear()
+        try:
+            assert not schemes._reseat_is_exact()
+            s = RngStream(9, 1, 3)
+            noise = next(schemes._noise_blocks([s.key], "euler", 5, 1))
+            npt.assert_array_equal(noise[:, 0, 0], s.generator().standard_normal(5))
         finally:
             schemes._reseat_is_exact.cache_clear()
 
@@ -122,29 +139,78 @@ class TestRngStream:
         states.close()
         assert len(schemes._FREE_ROWS) == max(free, 6)
 
-    def test_key_range_is_checked_on_every_route(self, monkeypatch):
+    def test_reseat_is_exact_on_this_numpy(self):
+        # the reseat writes numpy's private Philox state layout: a numpy that
+        # changes it fails here, not silently at 10-18 us a fresh generator
+        from pathfunc import schemes
+        schemes._reseat_is_exact.cache_clear()
+        assert schemes._reseat_is_exact()
+
+    def test_key_range_is_checked_on_every_route(self):
         # a stream id past 48 bits would spill into the namespace word: the
-        # reseated rows refuse it as generator() does
+        # public entries' keys and estimate's batch keys refuse it as
+        # generator() does, before any row is seated
         import gc
         from pathfunc import schemes
+        from pathfunc.estimator import estimate
+        from pathfunc.functionals import constant_payoff
         gc.collect()
-        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", (300 + 128) * 1000)  # 1000-step blocks
-        for bad in (RngStream(3, 2**48 + 5, 0), RngStream(3, 5, namespace=2**16)):
+        m, tree = gbm(0.1, 0.3, 1.0), bounded_vol_model()
+        spec = constant_payoff(1.0)
+        for bad in (RngStream(3, 2**48 + 5, 0), RngStream(3, 5, namespace=2**16),
+                    RngStream(-1, 5, 1), RngStream(2**64, 5, 1)):
             with pytest.raises(ValueError):
                 bad.generator()
-            with pytest.raises(ValueError):
-                sign_block([bad], 4)
             streams = [RngStream(3, i) for i in range(300)]
             streams[200] = bad  # in tile 1
-            for n_steps, rows in ((300, 1), (3000, 300)):  # one block; several
-                free = len(schemes._FREE_ROWS)
+            free = len(schemes._FREE_ROWS)
+            for model, kind in ((m, "euler"), (m, "binomial_fixed"), (tree, "binomial_variable")):
+                cfg = SchemeConfig(kind, h=0.1)
+                for entry in (simulate_states, simulate_values, simulate_terminals):
+                    with pytest.raises(ValueError):
+                        entry(model, cfg, streams)
                 with pytest.raises(ValueError):
-                    next(schemes._noise_blocks(streams, "euler", n_steps, 1))
-                assert len(schemes._FREE_ROWS) == max(free, rows)
+                    simulate_path(model, cfg, bad)
+            assert len(schemes._FREE_ROWS) == free
+        for seed, ns, start, stop in ((3, 0, 2**48 - 1, 2**48 + 1), (3, 2**16, 0, 5),
+                                      (-1, 1, 0, 5), (2**64, 1, 0, 5)):
+            with pytest.raises(ValueError):
+                schemes._stream_keys(seed, ns, start, stop)
+            if start == 0:
+                with pytest.raises(ValueError):
+                    estimate(m, SchemeConfig("euler", h=0.1), spec, 10, seed, namespace=ns)
         for seed in (-1, 2**64):  # once reduced modulo 2^64, so -1 aliased 2^64 - 1
             with pytest.raises(ValueError, match="seed"):
                 RngStream(seed, 5, 1).key
         assert RngStream(2**64 - 1, 5, 1).key == ((1 << 48) | 5, 2**64 - 1)
+
+    @pytest.mark.parametrize("kind", ["euler", "binomial_fixed", "signs"])
+    def test_edge_keys_draw_what_their_streams_draw(self, kind, monkeypatch):
+        # the largest seed, namespace and stream ids: estimate's batch keys are
+        # the RngStream list's, and draw as its fresh generators do, on one
+        # noise block and on several, across the tile boundary (rows 127, 128)
+        from pathfunc import schemes
+        seed, ns, ids = 2**64 - 1, 2**16 - 1, range(2**48 - 200, 2**48)
+        streams = [RngStream(seed, i, ns) for i in ids]
+        keys = schemes._stream_keys(seed, ns, ids.start, ids.stop)
+        assert keys == [s.key for s in streams]
+        rows = (0, 127, 128, 199)
+        if kind == "signs":
+            block = sign_block(streams, 130)  # three windows of raw words
+            for i in rows:
+                want = streams[i].generator().integers(0, 2, size=130) * 2.0 - 1
+                npt.assert_array_equal(block[i], want)
+            return
+        for budget, n_blocks in ((schemes._BATCH_ELEMENTS, 1), ((200 + 128) * 20, 4)):
+            monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", budget)
+            blocks = [b.copy() for b in schemes._noise_blocks(keys, kind, 70, 1)]
+            assert len(blocks) == n_blocks
+            noise = np.concatenate(blocks)[:, :, 0]
+            for i in rows:
+                gen = streams[i].generator()
+                want = (gen.standard_normal(70) if kind == "euler"
+                        else np.copysign(1.0, gen.random(70) - 0.5))
+                npt.assert_array_equal(noise[:, i], want)
 
     @pytest.mark.parametrize("kind", ["euler", "binomial_fixed"])
     def test_block_size_moves_no_byte(self, kind, monkeypatch):
@@ -158,7 +224,8 @@ class TestRngStream:
             for budget, sizes in ((whole, [n_steps]),
                                   ((300 + 128) * 2 * 150, [150] * (n_steps // 150) + [n_steps % 150])):
                 monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", budget)
-                blocks = [b.copy() for b in schemes._noise_blocks(streams, kind, n_steps, 2)]
+                blocks = [b.copy() for b in
+                          schemes._noise_blocks([s.key for s in streams], kind, n_steps, 2)]
                 assert [b.shape[0] for b in blocks] == sizes
                 got.append(np.concatenate(blocks))
             npt.assert_array_equal(got[0], got[1])
@@ -180,7 +247,7 @@ class TestRngStream:
         def reseat(streams):
             with schemes._seated_rows(1) as seat:
                 for s in streams:
-                    if tuple(seat(0, s).bit_generator.state["state"]["key"]) != s.key:
+                    if tuple(seat(0, s.key).bit_generator.state["state"]["key"]) != s.key:
                         wrong.append(s)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -467,7 +534,7 @@ class TestTreeBatch:
             gen = s.generator()
             expected.append([float(gen.integers(0, 2) * 2 - 1) for _ in range(200)])
         npt.assert_array_equal(block, expected)
-        sign = _stream_signs(streams)
+        sign = _stream_signs([s.key for s in streams])
         for k in range(200):  # rows 0 and 3 leave after steps 70 and 130
             rows = np.array([i for i, end in enumerate((70, 200, 200, 130, 200)) if k < end])
             npt.assert_array_equal(sign(k, rows)[:, 0], block[rows, k])
