@@ -6,7 +6,7 @@ splits the paths, and the reciprocal-Bessel counter-example's rows).  The
 estimate sums in one order: contiguous groups of ``_batch_size`` paths, one
 ``np.sum`` per group, from path 0 up, so it prints the same bytes on any core
 count.
-Every batch takes one route: ``simulate_states`` -> ``fold_args_batch`` ->
+Every batch takes one route: ``schemes._grid_states`` -> ``fold_args_batch`` ->
 ``payoff_values``, the tree's included.  The fold's keep rule
 (``keeps_whole_paths``) sets the batch size: a batch holds several groups
 when only the sampled instants are kept, and one group when whole paths are.
@@ -96,7 +96,8 @@ class Estimate:
         return "h,mean,stderr,ci_lo,ci_hi,n,elapsed"
 
 
-def _finalize(total: float, total_sq: float, n: int, h: float, t0: float) -> Estimate:
+def _finalize(total: float, total_sq: float, n: int, h: float, t0: float,
+              terminals: np.ndarray | None) -> Estimate:
     mean = total / n
     var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
     stderr = float(np.sqrt(var / n))
@@ -107,6 +108,7 @@ def _finalize(total: float, total_sq: float, n: int, h: float, t0: float) -> Est
         n_paths=n,
         h=h,
         elapsed=time.perf_counter() - t0,
+        terminals=terminals,
     )
 
 
@@ -162,8 +164,7 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
         total += float(np.sum(group))
         total_sq += float(np.sum(group * group))
     at_one = spec.nu2.entries[-1] == 1.0
-    return replace(_finalize(total, total_sq, n_paths, config.h, t0),
-                   terminals=terms if at_one else None)
+    return _finalize(total, total_sq, n_paths, config.h, t0, terms if at_one else None)
 
 
 @dataclass
@@ -233,7 +234,7 @@ def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
                        for k, (s, level) in enumerate(zip(sweep, levels)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvergenceReport:
     """Per-h estimates against an optional independent reference value."""
 
@@ -251,19 +252,19 @@ class ConvergenceReport:
         return not (self.errors_nonincreasing and self.oracle_covered)
 
 
-def _convergence_flags(report: ConvergenceReport) -> None:
-    if report.oracle is None:
-        return
-    errs = [abs(est.mean - report.oracle) for _, est in report.rows]
-    report.errors = errs
+def _convergence_flags(rows: list, oracle: float | None) -> dict:
+    """The :class:`ConvergenceReport` fields that judge ``rows`` against ``oracle``."""
+    if oracle is None:
+        return {}
+    errs = [abs(est.mean - oracle) for _, est in rows]
     inversions = sum(1 for a, b in zip(errs, errs[1:]) if b > a * (1.0 + 1e-12))
-    report.errors_nonincreasing = inversions <= 1
-    h_last, est_last = report.rows[-1]
+    h_last, est_last = rows[-1]
     allowance = 2.576 * est_last.stderr + _BIAS_ALLOWANCE * np.sqrt(h_last)
-    report.oracle_covered = errs[-1] <= allowance
+    slope = None
     if all(e > 0.0 for e in errs):
-        hs = np.log([h for h, _ in report.rows])
-        report.trend_slope = float(np.polyfit(hs, np.log(errs), 1)[0])
+        slope = float(np.polyfit(np.log([h for h, _ in rows]), np.log(errs), 1)[0])
+    return dict(errors=errs, trend_slope=slope, errors_nonincreasing=inversions <= 1,
+                oracle_covered=errs[-1] <= allowance)
 
 
 def check_h_grid(h_grid) -> list:
@@ -293,9 +294,7 @@ def convergence_study(model: SdeModel, config: SchemeConfig, spec: FunctionalSpe
     for k, h in enumerate(check_h_grid(h_grid)):
         est = estimate(model, replace(config, h=h), spec, n_paths, seed, namespace=100 + k)
         rows.append((h, est))
-    report = ConvergenceReport(rows=rows, oracle=oracle)
-    _convergence_flags(report)
-    return report
+    return ConvergenceReport(rows=rows, oracle=oracle, **_convergence_flags(rows, oracle))
 
 
 @dataclass

@@ -93,7 +93,7 @@ def fold_args_batch(times: np.ndarray | None, states, spec: FunctionalSpec) -> n
 
     ``states`` yields each column in order: the (B, d) state on ``times``, a
     shared (n+1,) grid or stored (B, n+1) grids per row, or with ``times``
-    None the tree's (B, 1) times and (B, d) state (``schemes.simulate_states``),
+    None the tree's (B, 1) times and (B, d) state (``schemes._grid_states``),
     on grids per row that may end by repeating t = 1.  Column 0 and its
     running maximum are kept where the payoff can read them
     (:func:`keeps_whole_paths`); on streamed grids per row an instant s takes

@@ -23,7 +23,7 @@ id), so each path's draws depend neither on batching nor on the process.
 Below the public entries the engine reads Philox key pairs (:func:`_stream_keys`
 for ``estimate``), each drawn from a pooled generator reseated onto it (:func:`_reseat`).
 
-Every kind is a stream of states (:func:`simulate_states`), stepped as it
+Every kind is a stream of states (:func:`_grid_states`), stepped as it
 is read into reused buffers, so the observer (``functionals.fold_args_batch``)
 stores only the columns its payoff can read.  On the fixed grids each stream's
 draws arrive on the calling thread in time blocks of at most
@@ -59,7 +59,6 @@ __all__ = [
     "RngStream",
     "binomial_variable_step",
     "simulate_path",
-    "simulate_states",
     "simulate_values",
     "simulate_terminals",
     "check_local_consistency",
@@ -417,8 +416,10 @@ def _stream_signs(keys: Sequence):
 
 
 def _grid_states(model: SdeModel, config: SchemeConfig, keys, noise=None):
-    """:func:`simulate_states` on Philox ``keys``, ``noise`` replacing the draws:
-    path-major (B, n_steps, d1) on the fixed grids, (B, n) signs, n >= steps, on the tree."""
+    """(times, states) of a batch on Philox ``keys``: the fixed grid and each column's (B, d)
+    states, or on the tree None and each column's (B, 1) times and (B, d) states, each stepped
+    as it is read into arrays later steps reuse.  ``noise`` replaces the draws: path-major
+    (B, n_steps, d1) on the fixed grids, (B, n) signs, n >= steps, on the tree."""
     config.max_times(model)  # refuses models the kernel cannot run
     if config.kind == "binomial_variable":
         sign = _stream_signs(keys) if noise is None else lambda k, rows: noise[rows, k, None]
@@ -471,22 +472,9 @@ def simulate_values(model: SdeModel, config: SchemeConfig, streams: Sequence[Rng
     return _simulate(model, config, [s.key for s in streams])
 
 
-def simulate_states(model: SdeModel, config: SchemeConfig, streams: Sequence[RngStream]):
-    """A batch as a stream of states, for consumers that fold.
-
-    Returns (times, states): the fixed grids' shared (n+1,) grid and the
-    batch's (B, d) state at each column, column 0 first, or on the tree None
-    and each column's (B, 1) times and (B, d) states.  Columns are stepped as
-    they are read, in arrays later steps may reuse: copy what you keep.
-    Stacking them gives ``simulate_values`` bit for bit.  A failure's
-    ``batch_index`` is its stream.
-    """
-    return _grid_states(model, config, [s.key for s in streams])
-
-
 def simulate_terminals(model: SdeModel, config: SchemeConfig, streams: Sequence[RngStream]) -> np.ndarray:
-    """Terminal states only, shape (B, d): the last of :func:`simulate_states`."""
-    *_, last = simulate_states(model, config, streams)[1]
+    """Terminal states only, shape (B, d): the last column of :func:`_grid_states`."""
+    *_, last = _grid_states(model, config, [s.key for s in streams])[1]
     return last[1] if isinstance(last, tuple) else last  # the tree's (times, states)
 
 

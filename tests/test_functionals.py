@@ -15,7 +15,7 @@ from pathfunc.functionals import (FunctionalSpec, constant_payoff,
                                   up_and_in_call)
 from pathfunc.models import SdeModel, gbm, stoch_vol
 from pathfunc.paths import BarrierPair, SampleVector, StepPath
-from pathfunc.schemes import (RngStream, SchemeConfig, simulate_path, simulate_states,
+from pathfunc.schemes import (RngStream, SchemeConfig, _grid_states, simulate_path,
                               simulate_values)
 
 from conftest import barrier_pairs, step_paths, value_at
@@ -251,7 +251,7 @@ class TestFold:
         cfg = SchemeConfig(kind, h=h)
         streams = [RngStream(seed, i) for i in range(6)]
         times, values = simulate_values(model, cfg, streams)
-        folded = fold_args_batch(*simulate_states(model, cfg, streams), spec)
+        folded = fold_args_batch(*_grid_states(model, cfg, [s.key for s in streams]), spec)
         row_times = np.broadcast_to(times, values.shape[:2])
         for i in range(len(streams)):
             npt.assert_array_equal(folded[i], reference_args(row_times[i],
@@ -263,7 +263,7 @@ class TestFold:
         model, cfg = gbm(0.1, 0.3, 1.0), SchemeConfig("euler", h=2**-6)
         streams = [RngStream(4, i) for i in range(32)]
         times, values = simulate_values(model, cfg, streams)
-        folded = fold_args_batch(*simulate_states(model, cfg, streams), spec)
+        folded = fold_args_batch(*_grid_states(model, cfg, [s.key for s in streams]), spec)
         assert 0 < np.count_nonzero(folded[:, -1] < 1.0) < len(streams)
         for i in range(len(streams)):
             npt.assert_array_equal(folded[i], reference_args(times, values[i, :, 0], spec))

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from conftest import set_cpus
 from pathfunc.errors import PreconditionError, SimulationError
 from pathfunc.models import SdeModel, gbm, stoch_vol
-from pathfunc.schemes import (RngStream, SchemeConfig, binomial_variable_step,
+from pathfunc.schemes import (RngStream, SchemeConfig, _grid_states, binomial_variable_step,
                               check_local_consistency, fixed_time_grid,
-                              simulate_path, simulate_states, simulate_terminals,
-                              simulate_values)
+                              simulate_path, simulate_terminals, simulate_values)
 
 PROBES = [(y, t) for y in (0.5, 1.0, 2.0) for t in (0.0, 0.5)]
 
@@ -121,7 +120,7 @@ class TestRngStream:
         m, cfg = gbm(0.1, 0.3, 1.0), SchemeConfig("euler", h=0.1)
         groups = [[RngStream(5, i, namespace=k) for i in range(3)] for k in (1, 2)]
         free = len(schemes._FREE_ROWS)
-        runs = [simulate_states(m, cfg, g)[1] for g in groups]
+        runs = [_grid_states(m, cfg, [s.key for s in g])[1] for g in groups]
         got = [[], []]
         for pair in zip(*runs):
             for k, y in enumerate(pair):
@@ -133,7 +132,7 @@ class TestRngStream:
             for i, s in enumerate(g):
                 p = simulate_path(m, cfg, None, forced_noise=s.generator().standard_normal((10, 1)))
                 npt.assert_array_equal(np.stack(got[k])[:, i, 0], p.values)
-        states = simulate_states(m, cfg, groups[0])[1]
+        states = _grid_states(m, cfg, [s.key for s in groups[0]])[1]
         next(states), next(states)
         assert len(schemes._FREE_ROWS) == max(free, 6) - 3
         states.close()
@@ -166,7 +165,7 @@ class TestRngStream:
             free = len(schemes._FREE_ROWS)
             for model, kind in ((m, "euler"), (m, "binomial_fixed"), (tree, "binomial_variable")):
                 cfg = SchemeConfig(kind, h=0.1)
-                for entry in (simulate_states, simulate_values, simulate_terminals):
+                for entry in (simulate_values, simulate_terminals):
                     with pytest.raises(ValueError):
                         entry(model, cfg, streams)
                 with pytest.raises(ValueError):
@@ -270,7 +269,7 @@ class TestRngStream:
         m, cfg = gbm(0.1, 0.3, 1.0), SchemeConfig("euler", h=2**-10)
         streams = [RngStream(6, i) for i in range(300)]
         free = len(schemes._FREE_ROWS)
-        states = simulate_states(m, cfg, streams)[1]
+        states = _grid_states(m, cfg, [s.key for s in streams])[1]
         for _ in range(400):  # into the second block
             next(states)
         assert len(schemes._FREE_ROWS) == max(free, 300) - 300
@@ -326,8 +325,9 @@ class TestEulerStep:
         # b h = 0.2 and variance sigma^2 h = 0.36, within 4 standard errors
         m = gbm(0.1, 0.3, 2.0)
         n = 20000
-        dy = simulate_terminals(m, SchemeConfig("euler", h=1.0),
-                                [RngStream(31, i) for i in range(n)])[:, 0] - 2.0
+        *_, last = _grid_states(m, SchemeConfig("euler", h=1.0),
+                                [RngStream(31, i).key for i in range(n)])[1]
+        dy = last[:, 0] - 2.0
         se_mean = dy.std(ddof=1) / np.sqrt(n)
         assert abs(dy.mean() - 0.2) <= 4 * se_mean
         var = dy.var(ddof=1)
@@ -356,7 +356,7 @@ class TestEulerStep:
         col = 4 + int(np.argmax(fails[first]))
         assert first > 0 and col > 4 and fails[first + 1:, 0].any()
         with pytest.raises(SimulationError, match="non-finite drift/diffusion evaluation") as exc:
-            for _ in simulate_states(bad, cfg, streams)[1]:
+            for _ in _grid_states(bad, cfg, [s.key for s in streams])[1]:
                 pass
         assert exc.value.batch_index == first
 
@@ -697,7 +697,7 @@ class TestStreaming:
         _, values = simulate_values(model, cfg, streams)
         npt.assert_array_equal(term, alone)
         npt.assert_array_equal(values[:, -1], alone)
-        states = [y.copy() for y in simulate_states(model, cfg, streams)[1]]
+        states = [y.copy() for y in _grid_states(model, cfg, [s.key for s in streams])[1]]
         npt.assert_array_equal(np.stack(states, axis=1), values)
 
     def test_noise_memory_is_one_block(self, monkeypatch):
@@ -730,7 +730,7 @@ class TestStreaming:
         model, cfg = bounded_vol_model(), SchemeConfig("binomial_variable", h=2**-6)
         streams = [RngStream(8, i) for i in range(9)]
         times, values = simulate_values(model, cfg, streams)
-        s_times, states = simulate_states(model, cfg, streams)
+        s_times, states = _grid_states(model, cfg, [s.key for s in streams])
         assert s_times is None  # each column brings its rows' times
         ts, ys = zip(*((t.copy(), y.copy()) for t, y in states))
         npt.assert_array_equal(np.hstack(ts), times)
