@@ -14,7 +14,7 @@ Every scheme a command runs -- ``scheme.h``, each h of ``run.h_grid``, each
 kind of ``check.kinds = all`` -- is ``replace(scheme, ...)`` of the scheme
 :func:`build_scheme` configures; no chain is ever clamped.
 ``price`` and ``converge`` judge a linear payoff's uniform-integrability gate
-on the paths they price, ``check`` on ``ui.n_paths`` fresh ones that
+on the payoff values they price, ``check`` on ``ui.n_paths`` fresh ones that
 :func:`~pathfunc.estimator.estimate` prices in namespaces 1000 + k (the
 reciprocal-Bessel family's are drawn from its exact law stopped at 1/h).
 Exit codes: 0 ok, 1 runtime error (naming the failing stream), 2 diagnostic
@@ -162,11 +162,11 @@ def _estimate_lines(cfg: RunConfig, rows) -> list:
 
 def _ui_gate(cfg, spec, rows) -> tuple[bool, list]:
     """Judge the uniform-integrability gate a linear payoff requires on the
-    terminal values of the paths priced at each h of the sweep (one
+    payoff values of the paths priced at each h of the sweep (one
     :class:`~pathfunc.estimator.Estimate` each); no second sample is drawn."""
     if spec.bounded or cfg.get("run", "allow_linear"):
         return True, []
-    rep = estimator.tail_report((e.h, None, e.terminals) for e in rows)
+    rep = estimator.tail_report((e.h, None, e.values) for e in rows)
     lines = [f"ui diagnostic: {'pass' if rep.passed else 'FAIL'} "
              f"(sup second moment {rep.sup_second_moment:.4g})"]
     if not rep.passed:
@@ -275,7 +275,7 @@ def cmd_check(args) -> int:
         for h, cap, tails, m2 in ui.rows:
             cap_s = "none" if cap is None else f"{cap:g}"
             lines.append(f"  h={h:g} cap={cap_s}: tail@{estimator.TAIL_CUTOFFS[-1]:g} = "
-                         f"{tails[-1]:.4g}, E[X^2] = {m2:.4g}")
+                         f"{tails[-1]:.4g}, E[g^2] = {m2:.4g}")
         failed |= not ui.passed
     _emit(cfg, lines)
     return EXIT_DIAGNOSTIC if failed else EXIT_OK

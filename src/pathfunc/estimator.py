@@ -12,12 +12,12 @@ Every batch takes one route: ``schemes._grid_states`` -> ``fold_args_batch`` ->
 when only the sampled instants are kept, and one group when whole paths are.
 
 ``estimate`` prices whatever payoff it is given and keeps each path's
-X^h(1).  Expectations of a linear-growth payoff under a weakly convergent
-family are only trustworthy when the family's tails vanish uniformly, so
-the commands judge that gate (:func:`tail_report`) on those values:
-``price`` and ``converge`` on the paths they price, ``check`` on fresh paths
-priced in namespaces 1000 + k (:func:`ui_diagnostic`).  The
-reciprocal-Bessel harness below shows what goes wrong otherwise.  The
+payoff value.  g(X^h) => g(X) moves the expectations only when the family
+{g(X^h)} is uniformly integrable (Billingsley 1999, Thm 3.5), so the
+commands judge that gate (:func:`tail_report`) on those values: ``price``
+and ``converge`` on the paths they price, ``check`` on fresh paths priced
+in namespaces 1000 + k (:func:`ui_diagnostic`).  The reciprocal-Bessel
+harness below shows what goes wrong otherwise.  The
 strong counter-example draws each repetition's largest interval error from
 its exact law, one uniform each, and prints that law's exact mean beside it.
 """
@@ -83,8 +83,7 @@ class Estimate:
     n_paths: int
     h: float
     elapsed: float
-    # each priced path's X^h(1) (argument 2m), or None if nu2 ends before t = 1
-    terminals: np.ndarray | None = field(default=None, compare=False, repr=False)
+    values: np.ndarray = field(compare=False, repr=False)  # each priced path's payoff value
 
     def csv_row(self, timing: bool = True) -> str:
         t = f"{self.elapsed:.3f}" if timing else "0.000"
@@ -96,8 +95,13 @@ class Estimate:
         return "h,mean,stderr,ci_lo,ci_hi,n,elapsed"
 
 
-def _finalize(total: float, total_sq: float, n: int, h: float, t0: float,
-              terminals: np.ndarray | None) -> Estimate:
+def _finalize(values: np.ndarray, group: int, h: float, t0: float) -> Estimate:
+    n = len(values)
+    total = total_sq = 0.0
+    for g in range(0, n, group):
+        part = values[g:g + group]
+        total += float(np.sum(part))
+        total_sq += float(np.sum(part * part))
     mean = total / n
     var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
     stderr = float(np.sqrt(var / n))
@@ -108,7 +112,7 @@ def _finalize(total: float, total_sq: float, n: int, h: float, t0: float,
         n_paths=n,
         h=h,
         elapsed=time.perf_counter() - t0,
-        terminals=terminals,
+        values=values,
     )
 
 
@@ -130,8 +134,8 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
     splits the paths.  A failed simulation or payoff evaluation aborts with an
     error that names the failing stream.  ``workers`` is accepted only as 1
     and ``ui_override`` only as True, the values the benchmark harness passes.
-    Any payoff is priced, keeping each path's X^h(1): the commands judge the
-    uniform-integrability gate (:func:`tail_report`) on priced paths.
+    Any payoff is priced, keeping each path's payoff value: the commands
+    judge the uniform-integrability gate (:func:`tail_report`) on them.
     """
     if n_paths < 2:
         raise PreconditionError("need at least two paths for a standard error")
@@ -144,8 +148,8 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
     t0 = time.perf_counter()
     bsz = _batch_size(config, model)
     per_batch = bsz if keeps_whole_paths(spec) else bsz * max(1, _FOLD_ROWS // bsz)
-    def price(start, stop):  # payoff values and X^h(1) (argument 2m) of paths start..stop-1
-        vals, terms = [], []
+    def price(start, stop):  # payoff values of paths start..stop-1
+        vals = []
         for a in range(start, stop, per_batch):
             keys = _stream_keys(seed, namespace, a, min(a + per_batch, stop))
             try:
@@ -155,16 +159,8 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
                 sid = a + e.batch_index
                 raise EstimationError(f"stream {sid}: path simulation failed: {e}",
                                       stream_id=sid) from e
-            terms.append(args[:, 2 * spec.m - 1].copy())
-        return np.concatenate(vals), np.concatenate(terms)
-    vals, terms = (np.concatenate(p) for p in zip(*_priced(price, n_paths, _MIN_RANGE)))
-    total = total_sq = 0.0
-    for g in range(0, n_paths, bsz):
-        group = vals[g:g + bsz]
-        total += float(np.sum(group))
-        total_sq += float(np.sum(group * group))
-    at_one = spec.nu2.entries[-1] == 1.0
-    return _finalize(total, total_sq, n_paths, config.h, t0, terms if at_one else None)
+        return np.concatenate(vals)
+    return _finalize(np.concatenate(_priced(price, n_paths, _MIN_RANGE)), bsz, config.h, t0)
 
 
 @dataclass
@@ -172,7 +168,7 @@ class UiReport:
     """Tail-expectation diagnostic for uniform integrability."""
 
     passed: bool
-    rows: list  # (h, stop level or None, [tail per cutoff], second_moment)
+    rows: list  # (h, stop level or None, [tail per cutoff], second moment of the values)
     sup_second_moment: float
 
 
@@ -190,10 +186,10 @@ def stop_levels(model: SdeModel, h_grid) -> list:
 
 
 def tail_report(samples) -> UiReport:
-    """Tail expectations E[|X^h(1)| ; |X^h(1)| > A] at the cutoffs A of
-    ``TAIL_CUTOFFS``, and the second moment, of each sample ``(h, level,
-    terminal values)``, as one row ``(h, level, tails, second moment)``:
-    ``level`` is where the sample was stopped, None for a chain.
+    """Tail expectations E[|g| ; |g| > A] at the cutoffs A of
+    ``TAIL_CUTOFFS``, and the second moment E[g^2], of each sample ``(h,
+    level, payoff values g)``, as one row ``(h, level, tails, second
+    moment)``: ``level`` is where the sample was stopped, None for a chain.
 
     Passes iff the tail at the largest cutoff is at most ``TAIL_TOL`` for
     every h, so a NaN tail fails (tails must vanish uniformly for
@@ -202,32 +198,32 @@ def tail_report(samples) -> UiReport:
     practical p = 2 sufficient condition.
     """
     rows = []
-    for h, level, term in samples:
-        if term is None:
-            raise PreconditionError("the spec's nu2 ends before t = 1: no X^h(1) to judge")
-        term = np.abs(term)
-        tails = [float(np.mean(term * (term > a))) for a in TAIL_CUTOFFS]
-        rows.append((h, level, tails, float(np.mean(term * term))))
+    for h, level, g in samples:
+        g = np.abs(g)
+        tails = [float(np.mean(g * (g > a))) for a in TAIL_CUTOFFS]
+        rows.append((h, level, tails, float(np.mean(g * g))))
     return UiReport(passed=all(r[2][-1] <= TAIL_TOL for r in rows), rows=rows,  # NaN fails
                     sup_second_moment=float(np.max([r[3] for r in rows], initial=0.0)))
 
 
 def ui_diagnostic(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
                   h_grid, n_paths: int = 20000, seed: int = 0) -> UiReport:
-    """:func:`tail_report` of the X^h(1) of n_paths fresh paths at each h,
-    priced by :func:`estimate` in namespace 1000 + k under
-    ``replace(config, h=h)``, as ``check`` runs it on a linear-growth payoff;
-    the reciprocal-Bessel family is drawn from its exact law stopped at
+    """:func:`tail_report` of the payoff values of n_paths fresh paths at
+    each h, priced by :func:`estimate` in namespace 1000 + k under
+    ``replace(config, h=h)``; a failing path is named by its stream.  The
+    reciprocal-Bessel family is drawn from its exact law stopped at
     :func:`stop_levels`, which refuses a start value before anything is
-    drawn.  A failing path is named by its stream, as in ``price``."""
+    drawn.  Those draws are Z(1): the payoff values only for
+    ``check_bessel_cap.cfg``'s ``terminal_identity`` at r = 0, and ROADMAP
+    item 18 deletes this branch."""
     sweep = [replace(config, h=h) for h in h_grid]
     if not sweep:
         raise PreconditionError("h_grid must be nonempty")
     levels = stop_levels(model, [s.h for s in sweep])
 
-    def sample(k, s, level):  # X^h(1) in namespace 1000 + k
+    def sample(k, s, level):  # payoff values in namespace 1000 + k
         if level is None:
-            return estimate(model, s, spec, n_paths, seed, namespace=1000 + k).terminals
+            return estimate(model, s, spec, n_paths, seed, namespace=1000 + k).values
         gen = RngStream(seed, 0, 1000 + k).generator()
         return sample_reciprocal_bessel3_stopped(float(model.y0[0]), level, n_paths, gen)
     return tail_report((s.h, level, sample(k, s, level))
@@ -283,7 +279,7 @@ def convergence_study(model: SdeModel, config: SchemeConfig, spec: FunctionalSpe
     """Run the estimator across a decreasing grid of step parameters, on
     ``replace(config, h=h)`` at each h, as :func:`ui_diagnostic` sweeps.
     A linear payoff's uniform-integrability gate is the caller's to judge on
-    the rows' terminal values (``pathfunc converge`` does).
+    the rows' payoff values (``pathfunc converge`` does).
 
     When an oracle is supplied the report carries |mean - oracle| per row,
     whether the errors are nonincreasing (one statistical inversion is

@@ -1,5 +1,6 @@
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -382,25 +383,53 @@ class TestCliPrice:
 
     @pytest.mark.parametrize("route", ["folded", "stored"])
     def test_gate_reads_the_priced_sample(self, tmp_path, capsys, route):
-        # the printed second moment is that of the priced paths' X^h(1):
-        # argument 2m when the fold keeps the sampled columns (the flagship)
-        # and when it keeps every column of a stored batch (the tree)
+        # the printed second moment is that of the priced paths' payoff
+        # values, when the fold keeps the sampled columns (the flagship) and
+        # when it keeps every column of a stored batch (the tree), against
+        # the stored paths observed afresh
         from pathfunc.cli import build_model, build_scheme, build_spec
         from pathfunc.config import parse_config
-        from pathfunc.schemes import RngStream, simulate_terminals
+        from pathfunc.functionals import observe_args_batch, payoff_values
+        from pathfunc.schemes import RngStream, simulate_values
         path = small_barrier(tmp_path) if route == "folded" else write(tmp_path, "t.cfg",
                                                                        TREE_CFG)
         cfg = parse_config(path)
-        n, seed = cfg.get("run", "n_paths"), cfg.get("run", "seed")
-        x = simulate_terminals(build_model(cfg), build_scheme(cfg)[0],
-                               [RngStream(seed, i, 0) for i in range(n)])[:, 0]
+        n, seed, spec = cfg.get("run", "n_paths"), cfg.get("run", "seed"), build_spec(cfg)
+        paths = simulate_values(build_model(cfg), build_scheme(cfg)[0],
+                                [RngStream(seed, i, 0) for i in range(n)])
+        g = payoff_values(spec, observe_args_batch(*paths, spec))
         assert main(["price", path]) == 0
         gate = capsys.readouterr().out.splitlines()[0]
-        assert gate == f"ui diagnostic: pass (sup second moment {np.mean(x * x):.4g})"
+        assert gate == f"ui diagnostic: pass (sup second moment {np.mean(g * g):.4g})"
+
+    def test_gate_reads_what_the_payoff_reads(self, tmp_path, capsys, monkeypatch):
+        # 40 times the running maximum (argument 4m) under an unbounded band:
+        # each value is at least 40 x0 = 32, so the tail at 32 is far above
+        # TAIL_TOL, while every X^h(1) of the priced paths stays below 32
+        from pathfunc import cli
+        from pathfunc.config import parse_config
+        from pathfunc.estimator import estimate
+        from pathfunc.functionals import custom_terminal
+        text = ("model.kind = gbm\nmodel.r = 0.1\nmodel.sigma = 0.3\nmodel.x0 = 0.8\n"
+                "scheme.kind = euler\nscheme.h = 2^-4\n"
+                "functional.payoff = terminal_identity\nrun.n_paths = 400\n")
+        path = write(tmp_path, "c.cfg", text)
+        cfg = parse_config(path)
+        model, scheme = cli.build_model(cfg), cli.build_scheme(cfg)[0]
+        ends = estimate(model, scheme, custom_terminal("identity"), 400, 0).values  # X^h(1)
+        assert 0.0 < ends.max() < 32.0
+        real = cli.build_spec
+        monkeypatch.setattr(cli, "build_spec",
+                            lambda cfg: replace(real(cfg), payoff_batch=lambda x: 40.0 * x[:, 3]))
+        assert main(["price", path]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("ui diagnostic: FAIL") and "refusing to price" in out
+        assert "mean" not in out
 
     def test_linear_payoff_refused_by_ui_gate(self, tmp_path, capsys):
-        # the price twin of the converge refusal: the Euler chain of gbm with
-        # sigma = 2 keeps tails that do not vanish
+        # the price twin of the converge refusal: on the Euler chain of gbm
+        # with sigma = 2 the tail at the gate's largest cutoff, 32, stays
+        # above TAIL_TOL
         text = (
             "model.kind = gbm\nmodel.sigma = 2\n"
             "scheme.kind = euler\nscheme.h = 2^-4\n"
@@ -729,8 +758,9 @@ class TestCliConverge:
         assert rows == [e.csv_row(timing=False) for _, e in rep.rows]
 
     def test_linear_payoff_clears_ui_gate(self, tmp_path, capsys):
-        # as price does: the Euler chains of gbm with sigma = 2 keep tails
-        # that do not vanish, so no row is priced
+        # as price does: on the Euler chains of gbm with sigma = 2 the tail
+        # at the gate's largest cutoff, 32, stays above TAIL_TOL at every h,
+        # so no row is priced
         text = (
             "model.kind = gbm\nmodel.sigma = 2\nscheme.kind = euler\n"
             "functional.payoff = terminal_identity\n"

@@ -247,7 +247,7 @@ class TestTreeStream:
             runs.append(estimate(GBM, TREE, spec, 10000, seed=0))
         for est in runs[1:]:
             assert replace(est, elapsed=0.0) == replace(runs[0], elapsed=0.0)
-            np.testing.assert_array_equal(est.terminals, runs[0].terminals)
+            np.testing.assert_array_equal(est.values, runs[0].values)
         if spec.m == 12:
             assert (runs[0].mean, runs[0].stderr) == (0.23481639625549955, 0.0030503342993871063)
 
@@ -312,14 +312,28 @@ class TestProcessSplit:
         with pytest.raises(ChildProcessError):  # no child is left
             os.waitpid(-1, os.WNOHANG)
 
-    def test_terminals_ignore_the_split(self, split, monkeypatch):
+    def test_values_ignore_the_split(self, split, monkeypatch):
         runs = []
         for cpus in (1, 2, 3):
             set_cpus(monkeypatch, cpus)
             runs.append(estimate(GBM, CFG, custom_terminal("call", strike=0.5), 1001, seed=9))
         for est in runs[1:]:
             assert replace(est, elapsed=0.0) == replace(runs[0], elapsed=0.0)
-            np.testing.assert_array_equal(est.terminals, runs[0].terminals)
+            np.testing.assert_array_equal(est.values, runs[0].values)
+
+    def test_each_range_sends_one_value_per_path(self, split, monkeypatch):
+        # a range pipes back its payoff values alone: one float64 per path
+        parts, real = [], split._priced
+
+        def spy(price, n, min_range):
+            parts.extend(real(price, n, min_range))
+            return parts
+        monkeypatch.setattr(split, "_priced", spy)
+        est = estimate(GBM, CFG, custom_terminal("call", strike=0.5), 1001, seed=9)
+        assert [(type(p), p.dtype, p.shape) for p in parts] == [
+            (np.ndarray, np.float64, (333,)), (np.ndarray, np.float64, (334,)),
+            (np.ndarray, np.float64, (334,))]
+        np.testing.assert_array_equal(est.values, np.concatenate(parts))
 
     def test_lowest_failing_stream_over_ranges(self, split, monkeypatch):
         # the drift turns infinite once a path climbs above 1.8: in three
@@ -440,8 +454,7 @@ class TestUiDiagnostic:
         spec = discrete_barrier_call(0.5, 1.0, 0.1, 12)
         cfg = SchemeConfig("euler", h=1 / 12288)
         rep = ui_diagnostic(GBM, cfg, spec, [cfg.h], n_paths=4000, seed=12061)
-        assert rep.rows == [(cfg.h, None, [0.0016041971492962719, 0.0, 0.0, 0.0, 0.0],
-                             0.8408552327072133)]
+        assert rep.rows == [(cfg.h, None, [0.0, 0.0, 0.0, 0.0, 0.0], 0.14255244664658584)]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(PreconditionError):
@@ -452,8 +465,9 @@ class TestUiDiagnostic:
         (SchemeConfig("binomial_variable", h=2**-6), 2000),
     ], ids=["euler", "tree"])
     def test_rows_are_those_of_the_terminal_kernel(self, config, n):
-        # estimate prices the sample in namespace 1000 + k; the kernel is
-        # elementwise, so its batches give the one-block terminals bit for bit
+        # estimate prices the sample in namespace 1000 + k; the identity at
+        # r = 0 gives each X^h(1) as its value, and the kernel is elementwise,
+        # so its batches give the one-block terminals bit for bit
         hs = [2**-6, 2**-8]
         rep = ui_diagnostic(GBM, config, custom_terminal("identity"), hs, n_paths=n, seed=3)
         schemes = [replace(config, h=h) for h in hs]
@@ -468,31 +482,24 @@ class TestUiDiagnostic:
         (SchemeConfig("euler", h=2**-6), BarrierPair(-np.inf, 1.2)),  # every column
         (SchemeConfig("binomial_variable", h=2**-6), BarrierPair.unbounded()),
     ])
-    def test_estimate_keeps_the_priced_terminals(self, config, band):
-        # argument 2m of every priced path is its X^h(1), bit for bit
+    def test_estimate_keeps_the_priced_values(self, config, band):
+        # every priced path's payoff value, bit for bit, against the stored
+        # paths observed afresh
         spec = replace(discrete_barrier_call(0.5, 1.0, 0.1, 4), barriers=band)
         est = estimate(GBM, config, spec, 300, seed=7, namespace=3)
-        x = simulate_terminals(GBM, config, [RngStream(7, i, 3) for i in range(300)])
-        assert np.array_equal(est.terminals, x[:, 0])
-        rep = tail_report([(config.h, None, est.terminals)])
-        assert rep.rows[0][3] == float(np.mean(x[:, 0] ** 2))
+        streams = [RngStream(7, i, 3) for i in range(300)]
+        g = payoff_values(spec, observe_args_batch(*simulate_values(GBM, config, streams), spec))
+        assert 0 < np.count_nonzero(g) < 300 and np.array_equal(est.values, g)
+        rep = tail_report([(config.h, None, est.values)])
+        assert rep.rows[0][3] == float(np.mean(g ** 2))
 
     def test_nan_row_fails_the_gate(self):
         # a NaN tail is not at most TAIL_TOL, wherever its row falls
         fine, nan = np.array([0.5, 1.0]), np.array([np.nan, 1.0])
-        for terminals in ([nan, fine], [fine, nan]):
-            rep = tail_report(zip([CFG.h, 2**-7], [None, None], terminals))
+        for values in ([nan, fine], [fine, nan]):
+            rep = tail_report(zip([CFG.h, 2**-7], [None, None], values))
             assert not rep.passed and np.isnan(rep.sup_second_moment)
         assert tail_report([(CFG.h, None, fine)]).passed
-
-    def test_gate_refuses_a_spec_that_stops_before_one(self):
-        # nu2 = (1/2,): argument 2m is X(1/2), which the gate must not read
-        half = SampleVector(np.array([0.5]))
-        spec = replace(terminal_spec(payoff_batch=lambda x: x[:, 1]), nu2=half)
-        est = estimate(GBM, CFG, spec, 100, seed=0)
-        assert est.terminals is None
-        with pytest.raises(PreconditionError, match="nu2"):
-            tail_report([(CFG.h, None, est.terminals)])
 
 
 class TestConvergenceStudy:
