@@ -251,8 +251,7 @@ def cmd_check(args) -> int:
     lines = []
     failed = False
     for one in checked:
-        rep = check_local_consistency(model, one, probes,
-                                      n_draws=cfg.get("check", "n_draws"), seed=seed)
+        rep = check_local_consistency(model, one, probes)
         lines.append(f"scheme {one.kind}: {'pass' if rep.passed else 'FAIL'}")
         for r in rep.rows:
             if r.note:

@@ -24,9 +24,9 @@ __all__ = ["RunConfig", "parse_config", "parse_config_text"]
 # "int" (plain digits, or at most 2^53 as a fraction, power or exponent),
 # "size" (an int, at least 2), "bool" (true or false), "numlist" (numbers
 # joined by commas) or a tuple of the accepted words.  model.x0 starts every
-# model's first coordinate; run.workers is read by nothing (the benchmark
-# sets it); ui.n_paths sizes ``check``'s sample (price and converge judge
-# the gate on the priced paths)
+# model's first coordinate; run.workers and check.n_draws are read by
+# nothing (the benchmark sets them); ui.n_paths sizes ``check``'s sample
+# (price and converge judge the gate on the priced paths)
 _KEYS = {
     "model": {
         "kind": ("str", "gbm"), "r": ("num", 0.0), "sigma": ("num", 0.2),

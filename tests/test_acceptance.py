@@ -64,11 +64,10 @@ def test_criterion_2_local_consistency():
     details = []
     ok = True
     for kind in ("euler", "binomial_fixed", "binomial_variable"):
-        rep = check_local_consistency(model, SchemeConfig(kind, h=2**-6),
-                                      probes, n_draws=10**6, seed=52)
+        rep = check_local_consistency(model, SchemeConfig(kind, h=2**-6), probes)
         ok &= rep.passed
         worst = max(max(r.r1, r.r2) for r in rep.rows)
-        if kind == "binomial_fixed":
+        if kind in ("euler", "binomial_fixed"):  # each kernel's moments, exactly
             ok &= worst <= 1e-12
         details.append(f"{kind} worst residual {worst:.2e}")
     # the CLI command wires the same checks to exit codes

@@ -312,25 +312,21 @@ class TestCliPrice:
         assert "ui diagnostic: pass" in outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_check_probes_ignore_the_process_split(self, tmp_path, capsys, monkeypatch):
-        # six Euler probes of 1000 draws, in ranges of two probes: 1, 2 or 3
-        # processes print the same bytes, and the bounded payoff draws no
-        # tail sample, so each fork is the probes'
-        from pathfunc import schemes
+        # each kernel's moments are computed, not drawn, and the bounded
+        # payoff draws no tail sample: on 1, 2 or 3 CPUs `check` forks
+        # nothing and prints the same bytes
         real, forks = os.fork, []
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
-        monkeypatch.setattr(schemes, "_FORK_DRAWS", 2000)
         path = write(tmp_path, "c.cfg", (
             "model.kind = gbm\nmodel.sigma = 0.3\nmodel.x0 = 0.8\nscheme.kind = euler\n"
-            "scheme.h = 2^-6\nfunctional.payoff = constant\ncheck.kinds = config\n"
-            "check.n_draws = 1000\nrun.seed = 8\n"))
+            "scheme.h = 2^-6\nfunctional.payoff = constant\ncheck.kinds = all\nrun.seed = 8\n"))
         outputs = []
         for cpus in (1, 2, 3):
             set_cpus(monkeypatch, cpus)
-            forks.clear()
             assert main(["check", path]) == 0
             outputs.append(capsys.readouterr().out)
-            assert len(forks) == cpus - 1
-        assert outputs[0].count(" ok\n") == 6
+        assert forks == []
+        assert outputs[0].count(" ok\n") == 18
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_unwritable_output_path_is_config_error(self, tmp_path, capsys, monkeypatch):
@@ -504,7 +500,7 @@ class TestCliCheck:
                 "scheme.h = 2^-6\nfunctional.payoff = constant\ncheck.kinds = config\n"
                 "check.n_draws = 1000\n")
         assert main(["check", write(tmp_path, "c.cfg", text)]) == 2
-        error = "ERROR non-finite moment residual or tolerance"
+        error = "ERROR non-finite moment residual"
         assert capsys.readouterr().out.splitlines() == (
             ["scheme euler: FAIL"]
             + [f"  probe y={y} t={t}: {error}" for y in ("0.5", "1", "2") for t in ("0", "0.5")]

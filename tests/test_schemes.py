@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import numpy.testing as npt
@@ -10,9 +9,10 @@ from hypothesis import strategies as st
 from conftest import set_cpus
 from pathfunc.errors import PreconditionError, SimulationError
 from pathfunc.models import SdeModel, gbm, stoch_vol
-from pathfunc.schemes import (RngStream, SchemeConfig, _grid_states, binomial_variable_step,
-                              check_local_consistency, fixed_time_grid,
-                              simulate_path, simulate_terminals, simulate_values)
+from pathfunc.schemes import (SCHEME_KINDS, RngStream, SchemeConfig, _grid_states,
+                              binomial_variable_step, check_local_consistency,
+                              fixed_time_grid, simulate_path, simulate_terminals,
+                              simulate_values)
 
 PROBES = [(y, t) for y in (0.5, 1.0, 2.0) for t in (0.0, 0.5)]
 
@@ -762,10 +762,10 @@ class TestSecondMomentStability:
 
 class TestLocalConsistency:
     def test_euler_gbm_passes(self):
-        rep = check_local_consistency(gbm(0.1, 0.3, 0.8),
-                                      SchemeConfig("euler", h=2**-6),
-                                      PROBES, n_draws=10**5, seed=3)
+        rep = check_local_consistency(gbm(0.1, 0.3, 0.8), SchemeConfig("euler", h=2**-6), PROBES)
         assert rep.passed
+        assert all(r.method == "enumeration" for r in rep.rows)
+        assert max(max(r.r1, r.r2) for r in rep.rows) <= 1e-12
 
     def test_binomial_kernels_exact(self):
         for kind in ("binomial_fixed", "binomial_variable"):
@@ -776,6 +776,24 @@ class TestLocalConsistency:
             assert all(r.method == "enumeration" for r in rep.rows)
             assert max(r.r1 for r in rep.rows) <= 1e-12
             assert max(r.r2 for r in rep.rows) <= 1e-12
+
+    def test_stoch_vol_cross_term_exact(self):
+        # d1 = 2: the four points +/-sqrt(2) e_j give the correlated
+        # covariance, its off-diagonal entry included, to rounding
+        m = stoch_vol(0.1, 0.3, 0.8, rho=-0.6, vol_of_vol=0.4)
+        rep = check_local_consistency(m, SchemeConfig("euler", h=2**-6), PROBES)
+        assert rep.passed and len(rep.rows) == len(PROBES)
+        assert max(max(r.r1, r.r2) for r in rep.rows) <= 1e-12
+
+    def test_draw_parameters_are_inert(self):
+        # n_draws and seed stay only because the benchmark passes them
+        m = gbm(0.1, 0.3, 0.8)
+        for kind in SCHEME_KINDS:
+            cfg = SchemeConfig(kind, h=2**-6)
+            rows = check_local_consistency(m, cfg, PROBES).rows
+            for n_draws, seed in ((2, 0), (1000, 7), (10**6, 2**64 - 1)):
+                assert check_local_consistency(m, cfg, PROBES, n_draws=n_draws,
+                                               seed=seed).rows == rows
 
     def test_sabotaged_drift_flagged(self, monkeypatch):
         # a kernel whose step adds 0.1 y dt to the drift the model declares
@@ -788,9 +806,9 @@ class TestLocalConsistency:
             return bad
         monkeypatch.setattr(schemes, "_fixed_update", biased)
         rep = check_local_consistency(gbm(0.1, 0.3, 0.8), SchemeConfig("euler", h=2**-6),
-                                      [(1.0, 0.0)], n_draws=10**5, seed=3)
+                                      [(1.0, 0.0)])
         assert not rep.passed
-        assert rep.rows[0].r1 == pytest.approx(0.1, abs=0.02)
+        assert rep.rows[0].r1 == pytest.approx(0.1, abs=1e-12)
 
     def test_band_violation_surfaces_as_failed_row(self):
         rep = check_local_consistency(gbm(0.1, 0.3, 0.8),
@@ -798,61 +816,3 @@ class TestLocalConsistency:
                                       [(0.01, 0.0)], seed=3)
         assert not rep.passed
         assert "band" in rep.rows[0].note
-
-
-class TestConsistencyProcessSplit:
-    """The Euler probes split between processes like ``estimate``'s paths:
-    probe k draws from ``RngStream(seed, k, 977)`` alone, and the rows come
-    back in probe order, so the report does not depend on the CPU count."""
-
-    MODEL, CFG, N = gbm(0.1, 0.3, 0.8), SchemeConfig("euler", h=2**-6), 1000
-
-    @pytest.fixture(autouse=True)
-    def forks(self, monkeypatch):
-        from pathfunc import schemes
-        real, forks = os.fork, []
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
-        monkeypatch.setattr(schemes, "_FORK_DRAWS", 2 * self.N)  # ranges of two probes
-        yield forks
-        with pytest.raises(ChildProcessError):  # no child is left
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_rows_ignore_the_process_split(self, forks, monkeypatch):
-        reports = []
-        for cpus in (1, 2, 3):
-            set_cpus(monkeypatch, cpus)
-            forks.clear()
-            reports.append(check_local_consistency(self.MODEL, self.CFG, PROBES,
-                                                   n_draws=self.N, seed=7))
-            assert len(forks) == cpus - 1
-        assert reports[0].passed and len(reports[0].rows) == len(PROBES)
-        assert reports[1] == reports[0] and reports[2] == reports[0]
-
-    def test_a_probe_replays_from_its_own_key(self, monkeypatch):
-        # the first and last probes' residuals from their own stream's draws
-        set_cpus(monkeypatch, 3)
-        rows = check_local_consistency(self.MODEL, self.CFG, PROBES, n_draws=self.N, seed=7).rows
-        h = self.CFG.h
-        for k in (0, len(PROBES) - 1):
-            y, t = PROBES[k]
-            b = self.MODEL.drift(np.array([[y]]), t)[0, 0]
-            s = self.MODEL.diffusion(np.array([[y]]), t)[0, 0, 0]
-            xi = RngStream(7, k, 977).generator().standard_normal((self.N, 1))[:, 0]
-            dy = b * h + s * math.sqrt(h) * xi
-            assert rows[k].r1 == pytest.approx(abs(dy.mean() - h * b) / h, rel=1e-6)
-            assert rows[k].r2 == pytest.approx(abs(dy.var(ddof=1) - h * s * s) / h, rel=1e-6)
-
-    def test_error_row_from_a_child(self, forks, monkeypatch):
-        # the drift turns infinite above 1.5: the last range's probes, priced
-        # in the second child, are ERROR rows, as in one process
-        m = SdeModel("blowup", 1, 1, drift=lambda y, t: np.where(y > 1.5, np.inf, 0.1 * y),
-                     diffusion=lambda y, t: 0.3 * y[..., None], y0=np.array([0.8]))
-        reports = []
-        for cpus in (1, 3):
-            set_cpus(monkeypatch, cpus)
-            forks.clear()
-            reports.append(check_local_consistency(m, self.CFG, PROBES, n_draws=self.N, seed=7))
-            assert len(forks) == cpus - 1
-        assert repr(reports[1]) == repr(reports[0])  # an ERROR row's NaN is not == itself
-        assert [r.note for r in reports[1].rows[4:]] == ["non-finite drift/diffusion evaluation"] * 2
-        assert all(r.passed for r in reports[1].rows[:4])
