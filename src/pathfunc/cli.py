@@ -160,6 +160,11 @@ def _estimate_lines(cfg: RunConfig, rows) -> list:
     return [rows[0].csv_header()] + [e.csv_row(timing=timing) for e in rows]
 
 
+def _ui_verdict(rep) -> str:  # the gate's verdict line: price, converge and check print it
+    return (f"ui diagnostic: {'pass' if rep.passed else 'FAIL'} "
+            f"(sup second moment {rep.sup_second_moment:.4g})")
+
+
 def _ui_gate(cfg, spec, rows) -> tuple[bool, list]:
     """Judge the uniform-integrability gate a linear payoff requires on the
     payoff values of the paths priced at each h of the sweep (one
@@ -167,8 +172,7 @@ def _ui_gate(cfg, spec, rows) -> tuple[bool, list]:
     if spec.bounded or cfg.get("run", "allow_linear"):
         return True, []
     rep = estimator.tail_report((e.h, None, e.values) for e in rows)
-    lines = [f"ui diagnostic: {'pass' if rep.passed else 'FAIL'} "
-             f"(sup second moment {rep.sup_second_moment:.4g})"]
+    lines = [_ui_verdict(rep)]
     if not rep.passed:
         lines.append("refusing to price a linear-growth payoff whose tails do not "
                      "vanish; set run.allow_linear = true to override")
@@ -253,28 +257,22 @@ def cmd_check(args) -> int:
     for one in checked:
         rep = check_local_consistency(model, one, probes)
         lines.append(f"scheme {one.kind}: {'pass' if rep.passed else 'FAIL'}")
-        for r in rep.rows:
-            if r.note:
-                lines.append(f"  probe y={r.y:g} t={r.t:g}: ERROR {r.note}")
-            else:
-                lines.append(
-                    f"  probe y={r.y:g} t={r.t:g} [{r.method}]: "
-                    f"r1={r.r1:.3e} (tol {r.tol1:.3e}) r2={r.r2:.3e} "
-                    f"(tol {r.tol2:.3e}) dt/h={r.dt_ratio:.4g} "
-                    f"{'ok' if r.passed else 'FAIL'}")
+        for r in rep.rows:  # every probe of a kernel is judged against its h
+            verdict = (f"ERROR {r.note}" if r.note else
+                       f"r1={r.r1:.3e} r2={r.r2:.3e} (tol {one.h:.3e}) dt/h={r.dt_ratio:.4g} "
+                       f"{'ok' if r.passed else 'FAIL'}")
+            lines.append(f"  probe y={r.y:g} t={r.t:g}: {verdict}")
         failed |= not rep.passed
     if spec.bounded:
         lines.append("ui diagnostic: skipped (bounded payoff)")
     else:
         ui = estimator.ui_diagnostic(model, scheme, spec, [s.h for s in sweep],
                                      n_paths=cfg.get("ui", "n_paths"), seed=seed)
-        lines.append(f"ui diagnostic: {'pass' if ui.passed else 'FAIL'} "
-                     f"(tail tol {estimator.TAIL_TOL:g}, "
-                     f"sup second moment {ui.sup_second_moment:.4g})")
-        for h, cap, tails, m2 in ui.rows:
+        lines.append(_ui_verdict(ui))
+        for h, cap, tail, m2 in ui.rows:
             cap_s = "none" if cap is None else f"{cap:g}"
-            lines.append(f"  h={h:g} cap={cap_s}: tail@{estimator.TAIL_CUTOFFS[-1]:g} = "
-                         f"{tails[-1]:.4g}, E[g^2] = {m2:.4g}")
+            lines.append(f"  h={h:g} cap={cap_s}: tail@{estimator.TAIL_CUTOFF:g} = "
+                         f"{tail:.4g}, E[g^2] = {m2:.4g}")
         failed |= not ui.passed
     _emit(cfg, lines)
     return EXIT_DIAGNOSTIC if failed else EXIT_OK

@@ -62,9 +62,8 @@ _FOLD_ROWS = 8192
 
 _MIN_RANGE = 1024  # fewest paths a forked range prices: a fork 1-3 ms, 1024 32-step paths 6 ms
 
-# The uniform-integrability gate's cutoffs A, and its bound on the tail
-# expectation at the largest one (tail_report).
-TAIL_CUTOFFS = (2.0, 4.0, 8.0, 16.0, 32.0)
+# The uniform-integrability gate (tail_report): E[|g|; |g| > TAIL_CUTOFF] <= TAIL_TOL.
+TAIL_CUTOFF = 32.0
 TAIL_TOL = 0.05
 
 # A convergence sweep's oracle is covered when the smallest-h 99% interval,
@@ -165,10 +164,10 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
 
 @dataclass
 class UiReport:
-    """Tail-expectation diagnostic for uniform integrability."""
+    """The uniform-integrability gate's verdict on a sweep, one row per h."""
 
     passed: bool
-    rows: list  # (h, stop level or None, [tail per cutoff], second moment of the values)
+    rows: list  # (h, stop level or None, tail at TAIL_CUTOFF, second moment of the values)
     sup_second_moment: float
 
 
@@ -186,23 +185,21 @@ def stop_levels(model: SdeModel, h_grid) -> list:
 
 
 def tail_report(samples) -> UiReport:
-    """Tail expectations E[|g| ; |g| > A] at the cutoffs A of
-    ``TAIL_CUTOFFS``, and the second moment E[g^2], of each sample ``(h,
-    level, payoff values g)``, as one row ``(h, level, tails, second
-    moment)``: ``level`` is where the sample was stopped, None for a chain.
+    """The tail expectation E[|g| ; |g| > A] at A = ``TAIL_CUTOFF``, and the
+    second moment E[g^2], of each sample ``(h, level, payoff values g)``, as
+    one row ``(h, level, tail, second moment)``: ``level`` is where the
+    sample was stopped, None for a chain.
 
-    Passes iff the tail at the largest cutoff is at most ``TAIL_TOL`` for
-    every h, so a NaN tail fails (tails must vanish uniformly for
-    expectations of linear-growth payoffs to transfer through weak
-    convergence).  A bounded supremum of the second moment over h is the
-    practical p = 2 sufficient condition.
+    Passes iff the tail is at most ``TAIL_TOL`` for every h, so a NaN tail
+    fails (tails must vanish uniformly for expectations of linear-growth
+    payoffs to transfer through weak convergence).  A bounded supremum of
+    the second moment over h is the practical p = 2 sufficient condition.
     """
     rows = []
     for h, level, g in samples:
         g = np.abs(g)
-        tails = [float(np.mean(g * (g > a))) for a in TAIL_CUTOFFS]
-        rows.append((h, level, tails, float(np.mean(g * g))))
-    return UiReport(passed=all(r[2][-1] <= TAIL_TOL for r in rows), rows=rows,  # NaN fails
+        rows.append((h, level, float(np.mean(g * (g > TAIL_CUTOFF))), float(np.mean(g * g))))
+    return UiReport(passed=all(r[2] <= TAIL_TOL for r in rows), rows=rows,  # NaN fails
                     sup_second_moment=float(np.max([r[3] for r in rows], initial=0.0)))
 
 

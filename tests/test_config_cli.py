@@ -619,6 +619,8 @@ class TestCliCheck:
         probes = [line for line in out if line.startswith("  probe")]
         assert len(probes) == 9
         assert all(line.endswith("dt/h=0.64 ok") for line in probes)
+        # the tolerance h, printed once a line, and no tag
+        assert all(line.count("(tol 1.562e-02)") == 1 and "[" not in line for line in probes)
 
     def test_ui_sample_failure_names_its_stream(self, tmp_path, capsys):
         # check's fresh tail sample reports a failed path as price does

@@ -444,7 +444,7 @@ class TestUiDiagnostic:
         assert not rep.passed
         # mass of about (1 - E[Z(1)]) sits at the cap and does not vanish
         tail_gap = 1.0 - reciprocal_bessel3_mean(1.0)
-        worst = max(tails[-1] for _, _, tails, _ in rep.rows)
+        worst = max(tail for _, _, tail, _ in rep.rows)
         assert worst > 0.5 * tail_gap
         assert [cap for _, cap, _, _ in rep.rows] == [2.0**4, 2.0**6, 2.0**8]
 
@@ -454,7 +454,7 @@ class TestUiDiagnostic:
         spec = discrete_barrier_call(0.5, 1.0, 0.1, 12)
         cfg = SchemeConfig("euler", h=1 / 12288)
         rep = ui_diagnostic(GBM, cfg, spec, [cfg.h], n_paths=4000, seed=12061)
-        assert rep.rows == [(cfg.h, None, [0.0, 0.0, 0.0, 0.0, 0.0], 0.14255244664658584)]
+        assert rep.rows == [(cfg.h, None, 0.0, 0.14255244664658584)]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(PreconditionError):
@@ -500,6 +500,19 @@ class TestUiDiagnostic:
             rep = tail_report(zip([CFG.h, 2**-7], [None, None], values))
             assert not rep.passed and np.isnan(rep.sup_second_moment)
         assert tail_report([(CFG.h, None, fine)]).passed
+
+    @pytest.mark.parametrize("values, passed", [
+        ([64.0] + [0.0] * 1279, True),   # tail 64 / 1280 = 0.05 exactly: at the bound
+        ([64.0] + [0.0] * 1278, False),  # 64 / 1279 = 0.0500391
+        ([-64.0] + [0.0] * 1279, True),  # -64 counts as 64
+        ([-64.0] + [0.0] * 1278, False),
+        ([32.0] * 10, True),             # 32 is not beyond the cutoff: tail 0
+    ])
+    def test_one_cutoff_at_its_boundary(self, values, passed):
+        # E[|g|; |g| > 32] <= 0.05, the one tail the gate judges
+        rep = tail_report([(CFG.h, None, np.array(values))])
+        assert rep.passed is passed
+        assert rep.sup_second_moment == float(np.mean(np.square(values)))
 
 
 class TestConvergenceStudy:
