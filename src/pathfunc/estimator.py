@@ -8,8 +8,9 @@ estimate sums in one order: contiguous groups of ``_batch_size`` paths, one
 count.
 Every batch takes one route: ``schemes._grid_states`` -> ``fold_args_batch`` ->
 ``payoff_values``, the tree's included.  The fold's keep rule
-(``keeps_whole_paths``) sets the batch size: a batch holds several groups
-when only the sampled instants are kept, and one group when whole paths are.
+(``keeps_whole_paths``) sets the batch size: a range is cut into equal
+batches of at most ``_FOLD_ROWS`` rows when only the sampled instants are
+kept, and of at most one group when whole paths are.
 
 ``estimate`` prices whatever payoff it is given and keeps each path's
 payoff value.  g(X^h) => g(X) moves the expectations only when the family
@@ -38,8 +39,8 @@ from .models import (SdeModel, inverse_bessel3, sample_reciprocal_bessel3_stoppe
                      sample_sup_abs_bm_max)
 from .oracles import reciprocal_bessel3_mean, sup_abs_bm_max_mean
 from .paths import BarrierPair, StepPath, classify_c_partition, hitting_time
-from .schemes import (_BATCH_ELEMENTS, _FORK_DRAWS, RngStream, SchemeConfig, _grid_states,
-                      _priced, _seated_rows, _stream_keys, simulate_path, simulate_values)
+from .schemes import (_FORK_DRAWS, RngStream, SchemeConfig, _grid_states, _priced,
+                      _seated_rows, _stream_keys, simulate_path, simulate_values)
 
 __all__ = [
     "Estimate",
@@ -56,11 +57,14 @@ __all__ = [
     "counterexample_strong",
 ]
 
-# Rows stepped together when only the sampled instants are kept: enough to
-# spread numpy's per-call cost of each step, and a whole number of groups.
+# Most rows stepped together when only the sampled instants are kept: enough to
+# spread numpy's per-call cost of each step.  A range is cut into equal batches,
+# so 10 000 paths step as 2 x 5000 and a 512-step grid draws in one noise block.
 _FOLD_ROWS = 8192
 
-_MIN_RANGE = 1024  # fewest paths a forked range prices: a fork 1-3 ms, 1024 32-step paths 6 ms
+_BATCH_ELEMENTS = 8_000_000  # float64s of a stored whole-path batch: sizes the groups, so the bytes
+
+_MIN_RANGE = 1024  # fewest paths a forked range prices: a fork 3-7 ms, 1024 32-step paths 6 ms
 
 # The uniform-integrability gate (tail_report): E[|g|; |g| > TAIL_CUTOFF] <= TAIL_TOL.
 TAIL_CUTOFF = 32.0
@@ -117,8 +121,8 @@ def _finalize(values: np.ndarray, group: int, h: float, t0: float) -> Estimate:
 
 def _batch_size(config: SchemeConfig, model: SdeModel) -> int:
     """Paths per reduction group: a stored batch of its longest rows
-    (``config.max_times``) fits the memory cap.  A batch that keeps whole
-    paths is one group; a streamed one, the tree's too, holds several.  The
+    (``config.max_times``) fits ``_BATCH_ELEMENTS``.  A batch that keeps whole
+    paths is at most one group, a streamed one at most ``_FOLD_ROWS`` rows.  The
     estimate sums each group on its own, so the group size fixes its bytes."""
     per_path = max(1, config.max_times(model) * model.dim_state)
     return max(16, min(16384, _BATCH_ELEMENTS // per_path))
@@ -146,19 +150,21 @@ def estimate(model: SdeModel, config: SchemeConfig, spec: FunctionalSpec,
                                 "the commands judge the uniform-integrability gate")
     t0 = time.perf_counter()
     bsz = _batch_size(config, model)
-    per_batch = bsz if keeps_whole_paths(spec) else bsz * max(1, _FOLD_ROWS // bsz)
-    def price(start, stop):  # payoff values of paths start..stop-1
-        vals = []
-        for a in range(start, stop, per_batch):
-            keys = _stream_keys(seed, namespace, a, min(a + per_batch, stop))
+    per_batch = bsz if keeps_whole_paths(spec) else _FOLD_ROWS
+    def price(start, stop):  # payoff values of paths start..stop-1, in equal batches
+        n = stop - start
+        nb, vals = -(-n // per_batch), np.empty(n)
+        cuts = [n * j // nb for j in range(nb + 1)]  # from start
+        for a, b in zip(cuts, cuts[1:]):
+            keys = _stream_keys(seed, namespace, start + a, start + b)
             try:
                 args = fold_args_batch(*_grid_states(model, config, keys), spec)
-                vals.append(payoff_values(spec, args))
+                vals[a:b] = payoff_values(spec, args)
             except (SimulationError, EvaluationError) as e:
-                sid = a + e.batch_index
+                sid = start + a + e.batch_index
                 raise EstimationError(f"stream {sid}: path simulation failed: {e}",
                                       stream_id=sid) from e
-        return np.concatenate(vals)
+        return vals
     return _finalize(np.concatenate(_priced(price, n_paths, _MIN_RANGE)), bsz, config.h, t0)
 
 

@@ -163,19 +163,21 @@ def _norm_cdf(x):
     return ndtr(x)
 
 
-def _sup_abs_series(x):
+def _sup_abs_series(x, low):
     """s(x) by its theta series, 1 - (4/pi) sum_j (-1)^j/(2j + 1) exp(-(2j + 1)^2 pi^2/(8x^2)),
-    and by its reflection series, 4 sum_j (-1)^j Phibar((2j + 1) x)."""
-    x, j = np.asarray(x, dtype=np.float64)[..., None], np.arange(20)  # 20 terms: 1e-15 on [0.3, 3]
-    odd, alt = 2.0 * j + 1.0, (-1.0) ** j
-    theta = np.sum(alt / odd * np.exp(-(odd * np.pi / x) ** 2 / 8.0), axis=-1)
-    return 1.0 - 4.0 / np.pi * theta, 4.0 * np.sum(alt * _norm_cdf(-odd * x), axis=-1)
+    where ``low``, and by its reflection series, 4 sum_j (-1)^j Phibar((2j + 1) x), elsewhere."""
+    x, j = np.asarray(x, dtype=np.float64), np.arange(20)  # 20 terms: 1e-15 on [0.3, 3]
+    s, odd, alt = np.empty_like(x), 2.0 * j + 1.0, (-1.0) ** j
+    theta = np.sum(alt / odd * np.exp(-(odd * np.pi / x[low, None]) ** 2 / 8.0), axis=-1)
+    s[low], s[~low] = 1.0 - 4.0 / np.pi * theta, 4.0 * np.sum(
+        alt * _norm_cdf(-odd * x[~low, None]), axis=-1)
+    return s
 
 
 def sup_abs_bm_survival(x):
     """s(x) = P(S > x) for x > 0 and S = sup_[0,1] |B| (Borodin & Salminen
     2002): the theta series below x = 1, the reflection series from 1 on."""
-    return np.where(np.asarray(x) < 1.0, *_sup_abs_series(x))
+    return _sup_abs_series(x, np.asarray(x) < 1.0)
 
 
 def sample_sup_abs_bm_max(n: int, u) -> np.ndarray:

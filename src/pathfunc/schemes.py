@@ -27,9 +27,9 @@ for ``estimate``), each drawn from a pooled generator reseated onto it (:func:`_
 Every kind is a stream of states (:func:`_grid_states`), stepped as it
 is read into reused buffers, so the observer (``functionals.fold_args_batch``)
 stores only the columns its payoff can read.  On the fixed grids each stream's
-draws arrive on the calling thread in time blocks of at most
-``_BATCH_ELEMENTS`` elements from a Philox generator that the stream keeps
-for the whole grid.  The tree's rows step on grids of their own, so each
+draws arrive on the calling thread in time blocks that, with their tile, hold at
+most ``_NOISE_ELEMENTS`` elements (32 MiB), from a Philox generator that the stream
+keeps for the whole grid.  The tree's rows step on grids of their own, so each
 column also brings the rows' times, and each row reads its signs from raw
 Philox words, 64 at a time.
 
@@ -70,13 +70,13 @@ SCHEME_KINDS = ("euler", "binomial_fixed", "binomial_variable")
 _BAD_COEFFS = "non-finite drift/diffusion evaluation"
 _BAD_STATE = "non-finite state during simulation"
 
-# Memory cap of one simulated block, in float64 elements: a time-major
-# noise block on the fixed grids, and the stored batch of paths on the routes
-# that keep whole paths (the estimator sizes those batches from it).
-_BATCH_ELEMENTS = 8_000_000
+# Float64 elements of a fixed-grid noise block and its tile (_noise_blocks): 32 MiB,
+# so the flagship's 2500 rows x 12288 steps draw in 8 blocks, and a 5000-row batch
+# of a 512-step grid in one.
+_NOISE_ELEMENTS = 2**22
 
 # Fewest random draws a forked range of Bessel rows makes (_priced): a fork
-# costs 1-3 ms, 10^5 normals about 1.5 ms.
+# costs 3-7 ms, 10^5 normals about 1.5 ms.
 _FORK_DRAWS = 2**18
 
 
@@ -376,14 +376,14 @@ def _noise_blocks(keys: Sequence, kind: str, n_steps: int, d1: int):
     Stream i's draws (Philox key ``keys[i]``) are one long ``_draw_fixed_noise``
     call's: each stream keeps its own generator from block to block, drawn into
     a tile of ``_TILE_ROWS`` streams that is copied in transposed.  A block and its
-    tile hold at most ``_BATCH_ELEMENTS`` elements (at least one step), whatever
+    tile hold at most ``_NOISE_ELEMENTS`` elements (at least one step), whatever
     B and the number of steps; the same buffer is yielded again for every block.
     """
     B, n_tile = len(keys), min(_TILE_ROWS, len(keys))
-    tb = max(1, min(n_steps, _BATCH_ELEMENTS // max(1, (B + n_tile) * d1)))
-    # one buffer of at least the cap (64 MB) holds both: glibc maps that much afresh and
-    # unmaps it when freed, where freeing less would raise its mmap threshold for good
-    buf = np.empty(max(_BATCH_ELEMENTS, tb * (B + n_tile) * d1))
+    tb = max(1, min(n_steps, _NOISE_ELEMENTS // max(1, (B + n_tile) * d1)))
+    # one buffer of at least the budget (32 MiB, glibc's largest mmap threshold) holds both:
+    # glibc maps it afresh and unmaps it when freed; freeing less would raise that threshold
+    buf = np.empty(max(_NOISE_ELEMENTS, tb * (B + n_tile) * d1))
     block = buf[:tb * B * d1].reshape(tb, B, d1)
     tile = buf[tb * B * d1:tb * (B + n_tile) * d1].reshape(n_tile, tb, d1)
     single = tb == n_steps  # each stream draws once, so one row serves them all

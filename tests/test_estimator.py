@@ -154,8 +154,8 @@ class TestEstimate:
         assert exc.value.stream_id == first_bad
 
     def test_folded_batches_keep_group_sums(self, monkeypatch):
-        # groups of 8 paths, 512 groups to a folded batch: the sums are still
-        # taken group by group, in order, as when each group was its own batch
+        # groups of 8 paths in one folded batch: the sums are still taken
+        # group by group, in order, as when each group was its own batch
         from pathfunc import estimator
         monkeypatch.setattr(estimator, "_batch_size", lambda config, model: 8)
         spec = discrete_barrier_call(0.5, 1.0, 0.1, 4)
@@ -171,6 +171,25 @@ class TestEstimate:
         mean = total / n
         assert est.mean == mean
         assert est.stderr == float(np.sqrt((total_sq - n * mean * mean) / (n - 1) / n))
+
+    def test_noise_budget_fits_the_benchmark_shapes(self, monkeypatch):
+        # the flagship's 2500 rows a process x 12288 steps draw in 8 blocks
+        # within the budget; 10 000 paths of a 512-step grid in one process
+        # step as two equal batches of 5000, and such a batch draws in one block
+        from pathfunc import estimator, schemes
+        keys = schemes._stream_keys(0, 0, 0, 2500)
+        steps = [b.shape[0] for b in schemes._noise_blocks(keys, "euler", 12288, 1)]
+        assert sum(steps) == 12288 and len(steps) == 8
+        assert max(steps) * (2500 + schemes._TILE_ROWS) <= schemes._NOISE_ELEMENTS
+        keys = schemes._stream_keys(0, 0, 0, 5000)
+        assert [b.shape[0] for b in schemes._noise_blocks(keys, "euler", 512, 1)] == [512]
+        set_cpus(monkeypatch, 1)
+        sizes, states = [], estimator._grid_states
+        monkeypatch.setattr(estimator, "_grid_states",
+                            lambda m, c, keys: sizes.append(len(keys)) or states(m, c, keys))
+        estimate(GBM, SchemeConfig("euler", h=2**-9), discrete_barrier_call(0.5, 1.0, 0.1, 4),
+                 10000, seed=0)
+        assert sizes == [5000, 5000]
 
     def test_failure_in_later_group_names_failing_stream(self, monkeypatch):
         # 25 groups of 8 paths in one folded batch; the drift turns infinite
@@ -231,18 +250,18 @@ TREE_SPECS = [custom_terminal("call", strike=0.5, r=0.1), discrete_barrier_call(
 
 class TestTreeStream:
     def test_workload_row_pinned(self):
-        # 10 000 paths in two streamed batches of 26 groups of 312 paths
+        # 10 000 paths in two streamed batches of 5000, summed in groups of 312
         est = estimate(GBM, TREE, TREE_SPECS[0], 10000, seed=0)
         assert (est.mean, est.stderr) == (0.34973352838473992, 0.0024002647720187164)
 
     @pytest.mark.parametrize("spec", TREE_SPECS, ids=["terminal_call", "discrete_barrier_call"])
     def test_no_byte_depends_on_the_batch(self, spec, monkeypatch):
-        # one group a batch (33 batches), the default 26 groups (2 batches),
-        # or every path in one batch: the same sums, group by group; with
-        # m = 12 each row is sampled at 12 instants of its own grid
+        # one group a batch (33 batches), the default 8192 rows (2 batches of
+        # 5000), or every path in one batch: the same sums, group by group;
+        # with m = 12 each row is sampled at 12 instants of its own grid
         from pathfunc import estimator
         runs = []
-        for rows in (1, estimator._FOLD_ROWS, 10**6):
+        for rows in (312, estimator._FOLD_ROWS, 10**6):
             monkeypatch.setattr(estimator, "_FOLD_ROWS", rows)
             runs.append(estimate(GBM, TREE, spec, 10000, seed=0))
         for est in runs[1:]:
@@ -273,8 +292,9 @@ class TestTreeStream:
         assert peaks[1] <= 1.5 * peaks[0]
 
     def test_finite_band_is_one_group_a_batch(self, monkeypatch):
-        # a finite band keeps whole paths, so a batch is one stored group of
-        # 1249 paths at h = 2^-6; an unbounded band streams them all at once.
+        # a finite band keeps whole paths, so a batch is at most one stored
+        # group of 1249 paths at h = 2^-6, and 3000 paths step as 3 x 1000;
+        # an unbounded band streams them all at once.
         # One process, so the spy sees every batch
         from pathfunc import estimator
         set_cpus(monkeypatch, 1)
@@ -286,7 +306,7 @@ class TestTreeStream:
                               payoff_batch=lambda x: x[:, -1], barriers=BarrierPair(0.5, 1.2))
         cfg = replace(TREE, h=2**-6)
         assert estimate(GBM, cfg, band, 3000, seed=0).mean < 1.0
-        assert sizes == [1249, 1249, 502]
+        assert sizes == [1000, 1000, 1000]
         sizes.clear()
         estimate(GBM, cfg, TREE_SPECS[0], 3000, seed=0)
         assert sizes == [3000]

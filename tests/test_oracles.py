@@ -154,7 +154,8 @@ class TestSupAbsBrownian:
 
     def test_reflection_and_theta_series_agree(self):
         from pathfunc.models import _sup_abs_series
-        theta, reflection = _sup_abs_series(np.linspace(0.3, 3.0, 2701))
+        x = np.linspace(0.3, 3.0, 2701)
+        theta, reflection = (_sup_abs_series(x, np.full(x.shape, t)) for t in (True, False))
         assert np.max(np.abs(theta - reflection)) <= 1e-12
         assert 0.0 < reflection.min() and theta.max() < 1.0
 

@@ -62,7 +62,7 @@ class TestRngStream:
         # a block and its tile): every stream keeps its own reseated row
         # from block to block; a grid of one block seats one row per stream
         from pathfunc import schemes
-        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", 2 * 7 * 2 * 3)
+        monkeypatch.setattr(schemes, "_NOISE_ELEMENTS", 2 * 7 * 2 * 3)
         streams = [RngStream(9, i, namespace=3) for i in range(7)]
         for n_steps, sizes in ((11, [3, 3, 3, 2]), (3, [3])):
             blocks = [b.copy() for b in
@@ -79,7 +79,7 @@ class TestRngStream:
         orig = schemes._reseat
         monkeypatch.setattr(schemes, "_reseat", lambda gen, key, st: orig(
             gen, (key[0] + 1, key[1]), st))
-        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", 5 * 4)
+        monkeypatch.setattr(schemes, "_NOISE_ELEMENTS", 5 * 4)
         schemes._reseat_is_exact.cache_clear()
         try:
             assert not schemes._reseat_is_exact()
@@ -116,7 +116,7 @@ class TestRngStream:
         import gc
         from pathfunc import schemes
         gc.collect()  # rows held by earlier failures' tracebacks go back now, not mid-test
-        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", 2 * 3 * 4)  # blocks of 4 steps
+        monkeypatch.setattr(schemes, "_NOISE_ELEMENTS", 2 * 3 * 4)  # blocks of 4 steps
         m, cfg = gbm(0.1, 0.3, 1.0), SchemeConfig("euler", h=0.1)
         groups = [[RngStream(5, i, namespace=k) for i in range(3)] for k in (1, 2)]
         free = len(schemes._FREE_ROWS)
@@ -200,8 +200,8 @@ class TestRngStream:
                 want = streams[i].generator().integers(0, 2, size=130) * 2.0 - 1
                 npt.assert_array_equal(block[i], want)
             return
-        for budget, n_blocks in ((schemes._BATCH_ELEMENTS, 1), ((200 + 128) * 20, 4)):
-            monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", budget)
+        for budget, n_blocks in ((schemes._NOISE_ELEMENTS, 1), ((200 + 128) * 20, 4)):
+            monkeypatch.setattr(schemes, "_NOISE_ELEMENTS", budget)
             blocks = [b.copy() for b in schemes._noise_blocks(keys, kind, 70, 1)]
             assert len(blocks) == n_blocks
             noise = np.concatenate(blocks)[:, :, 0]
@@ -217,12 +217,12 @@ class TestRngStream:
         # on blocks of 150 steps, whose last is shorter
         from pathfunc import schemes
         streams = [RngStream(4, i, namespace=7) for i in range(300)]
-        whole = schemes._BATCH_ELEMENTS
+        whole = schemes._NOISE_ELEMENTS
         for n_steps in (200, 1000):
             got = []
             for budget, sizes in ((whole, [n_steps]),
                                   ((300 + 128) * 2 * 150, [150] * (n_steps // 150) + [n_steps % 150])):
-                monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", budget)
+                monkeypatch.setattr(schemes, "_NOISE_ELEMENTS", budget)
                 blocks = [b.copy() for b in
                           schemes._noise_blocks([s.key for s in streams], kind, n_steps, 2)]
                 assert [b.shape[0] for b in blocks] == sizes
@@ -265,7 +265,7 @@ class TestRngStream:
         import gc
         from pathfunc import schemes
         gc.collect()
-        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", (300 + 128) * 300)  # 300-step blocks
+        monkeypatch.setattr(schemes, "_NOISE_ELEMENTS", (300 + 128) * 300)  # 300-step blocks
         m, cfg = gbm(0.1, 0.3, 1.0), SchemeConfig("euler", h=2**-10)
         streams = [RngStream(6, i) for i in range(300)]
         free = len(schemes._FREE_ROWS)
@@ -692,7 +692,7 @@ class TestStreaming:
         cfg = SchemeConfig(kind, h=2**-9)
         streams = [RngStream(21, i, namespace=4) for i in range(7)]
         alone = np.concatenate([simulate_terminals(model, cfg, [s]) for s in streams])
-        monkeypatch.setattr(schemes, "_BATCH_ELEMENTS", 2 * 7 * model.dim_noise * 40)
+        monkeypatch.setattr(schemes, "_NOISE_ELEMENTS", 2 * 7 * model.dim_noise * 40)
         term = simulate_terminals(model, cfg, streams)
         _, values = simulate_values(model, cfg, streams)
         npt.assert_array_equal(term, alone)
@@ -702,10 +702,10 @@ class TestStreaming:
 
     def test_noise_memory_is_one_block(self, monkeypatch):
         # 1000 streams x 16384 steps would be 131 MB of noise at once; the
-        # blocks keep it to 64 MB (block and tile) whatever the grid length.
+        # blocks keep it to 32 MiB (block and tile) whatever the grid length.
         # One process: tracemalloc sees no forked child
         import tracemalloc
-        from pathfunc.schemes import _BATCH_ELEMENTS
+        from pathfunc.schemes import _NOISE_ELEMENTS
         set_cpus(monkeypatch, 1)
         B, h = 1000, 2**-14
         n_steps = fixed_time_grid(h).size - 1
@@ -716,8 +716,8 @@ class TestStreaming:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert B * n_steps > _BATCH_ELEMENTS
-        assert peak < 1.1 * 8 * _BATCH_ELEMENTS < 8 * B * n_steps
+        assert B * n_steps > _NOISE_ELEMENTS
+        assert peak < 1.1 * 8 * _NOISE_ELEMENTS < 8 * B * n_steps
 
     def test_empty_batch_is_empty(self):
         # an empty batch draws nothing and steps nothing
